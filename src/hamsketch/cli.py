@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .approx import approx_params, approx_profile
-from .exact import hamming_profile_convolution, hamming_profile_naive
+from .exact import CONV_SIGMA_CAP, hamming_profile_convolution, hamming_profile_naive
 from .karloff import karloff_params, karloff_profile
 from .stats import error_stats
 from .text_model import (
@@ -128,8 +128,15 @@ def _write_profile(profile: DistanceProfile, args) -> None:
     write_profile_csv(args.out, profile)
 
 
+def _exact_profile(text, pattern, backend: str) -> DistanceProfile:
+    """The convolution profile, or the naive one above its alphabet cap."""
+    if text.sigma > CONV_SIGMA_CAP:
+        return hamming_profile_naive(text, pattern)
+    return hamming_profile_convolution(text, pattern, backend=backend)
+
+
 def _write_stats(profile, text, pattern, args) -> None:
-    exact = hamming_profile_convolution(text, pattern, backend=args.backend)
+    exact = _exact_profile(text, pattern, args.backend)
     summary = error_stats(profile, exact, args.epsilon)
     with open(args.out + ".stats.json", "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -148,8 +155,10 @@ def _cmd_exact(args) -> int:
     text, pattern = _read_instance(args)
     if args.algo == "naive":
         profile = hamming_profile_naive(text, pattern)
-    else:
+    elif args.algo == "conv":
         profile = hamming_profile_convolution(text, pattern, backend=args.backend)
+    else:
+        profile = _exact_profile(text, pattern, args.backend)
     write_profile_csv(args.out, profile)
     return 0
 
@@ -189,12 +198,12 @@ def _cmd_bench(args) -> int:
     rows = []
     for n in args.n:
         text, pattern = generate_instance(n, args.m, args.sigma, args.model, args.seed)
-        exact = hamming_profile_convolution(text, pattern, backend=args.backend)
+        exact = _exact_profile(text, pattern, args.backend)
         for eps in args.epsilon:
             for algo in algos:
                 t0 = time.perf_counter()
                 if algo == "exact":
-                    profile = hamming_profile_convolution(text, pattern, backend=args.backend)
+                    profile = _exact_profile(text, pattern, args.backend)
                 elif algo == "karloff":
                     kp = karloff_params(eps, args.seed, n, args.reps)
                     profile = karloff_profile(text, pattern, kp, args.backend)

@@ -19,6 +19,25 @@ small-scale oracle); construct_sparse_noise computes identical bucket counts
 from exact per-window pair counts, which is what makes desk-scale sizes
 tractable. construct_reference wires the literal pieces together and must
 produce bit-identical profiles.
+
+prepare_pair_counts stores those counts densely, as a (sigma^2, windows)
+grid, when sigma^2 <= 2^16, the grid fits the memory budget and a strided
+sample of windows shows each window holding at least half of the pair codes
+occupied in the sample. Otherwise it stores each window's pairs as sorted
+CSR entries, and the CSR route decodes only bucket collisions:
+
+Take one projection and one window, and a non-diagonal bucket that holds
+exactly one of the window's pairs (u, v), with count c > 0. Every bit-plane
+sum of the bucket is c or 0, so no plane ties and the decoded bits are those
+of u and v; the decoded pair lies in this bucket, so the projection check
+passes. The decode therefore min-updates (u, v) with c, its exact count.
+Every bucket holding (u, v) counts at least c, so a pair that sits alone in
+its window's bucket in some projection ends at exactly its count. Only the
+(window, bucket) groups with two or more of the window's pairs need the
+bit-plane decode; such a decode names either a member of the group, whose
+value it can lower below the member's collision counts, or a pair absent
+from the window, which is kept as a spurious entry just as the literal
+procedure keeps it.
 """
 
 from __future__ import annotations
@@ -42,6 +61,10 @@ DEFAULT_MEM_BUDGET = 1 << 30
 
 _INF = np.int64(1) << 62
 _MAX_T_EXP = 25  # keeps every projection range within the hash output cap
+# per-projection temporaries of the CSR route, bytes per pair entry of a
+# window block (about a dozen int64/bool arrays over the block's entries)
+_SCRATCH_BYTES_PER_ENTRY = 128
+_FILL_SAMPLE = 64  # windows sampled to choose the pair-count layout
 
 
 # ----------------------------------------------------------------------------
@@ -359,7 +382,8 @@ def noise_profile_from_windows(
 
 @dataclass
 class PairCounts:
-    """Exact mismatch-pair counts for all windows, dense or CSR by size."""
+    """Exact mismatch-pair counts for all windows, dense or CSR by size and
+    window fill."""
 
     kind: str  # "dense" | "sparse"
     sigma: int
@@ -380,6 +404,25 @@ def _iter_window_blocks(text, pattern, nw: int, block: int):
         yield lo, hi, wins, mism
 
 
+def _sampled_fill(t_syms, p_syms, sigma: int, nw: int) -> float:
+    """Share of the occupied pair-code rows that a window holds, averaged over
+    an evenly strided sample of at most _FILL_SAMPLE windows.
+
+    The dense route scans every occupied row of every window; the CSR route
+    touches only the entries a window holds, so it wins once most of those
+    cells would be zero.
+    """
+    js = np.arange(0, nw, -(-nw // _FILL_SAMPLE))
+    wins = sliding_window_view(t_syms, p_syms.size)[js]
+    wl, il = np.nonzero(wins != p_syms)
+    codes = wins[wl, il] * sigma + p_syms[il]
+    occupied = np.unique(codes).size
+    if occupied == 0:
+        return 0.0
+    held = np.unique(wl * (sigma * sigma) + codes).size
+    return held / (js.size * occupied)
+
+
 def prepare_pair_counts(
     text: IntString, pattern: IntString, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> PairCounts:
@@ -389,7 +432,11 @@ def prepare_pair_counts(
     t_syms = text.symbols.astype(np.int64)
     p_syms = pattern.symbols.astype(np.int64)
     pair_space = sigma * sigma
-    dense_ok = pair_space <= (1 << 16) and pair_space * nw * 12 <= mem_budget
+    dense_ok = (
+        pair_space <= (1 << 16)
+        and pair_space * nw * 12 <= mem_budget
+        and _sampled_fill(t_syms, p_syms, sigma, nw) >= 0.5
+    )
     if dense_ok:
         dd = np.zeros((pair_space, nw), dtype=np.int32)
         # block bounded by both the window-view size and the bincount range
@@ -449,7 +496,9 @@ def construct_sparse_noise(
     Every (scale, rep) draws a coupled projection; every non-diagonal bucket
     with positive count is decoded and the decoded pair min-updated with the
     bucket count. Unset entries become 0 and each window keeps only its
-    capacity largest values.
+    capacity largest values. mem_budget bounds the dense pair-count grid and
+    sets how many windows the CSR route handles per block; the profile does
+    not depend on it.
     """
     if text.sigma != pattern.sigma:
         raise ValueError(f"alphabet mismatch: {text.sigma} vs {pattern.sigma}")
@@ -464,7 +513,7 @@ def construct_sparse_noise(
         pair_cache = prepare_pair_counts(text, pattern, mem_budget)
     if pair_cache.kind == "dense":
         return _construct_dense(pair_cache, params)
-    return _construct_sparse(pair_cache, params)
+    return _construct_sparse(pair_cache, params, mem_budget)
 
 
 def _empty_profile(sigma: int, capacity: int, nw: int) -> NoiseProfile:
@@ -642,121 +691,132 @@ def _filter_dense(A: np.ndarray, sigma: int, capacity: int, nw: int) -> NoisePro
     )
 
 
-def _construct_sparse(cache: PairCounts, params: RecoveryParams) -> NoiseProfile:
+def _construct_sparse(
+    cache: PairCounts, params: RecoveryParams, mem_budget: int
+) -> NoiseProfile:
     sigma, nw = cache.sigma, cache.n_windows
     indptr, codes, cnts = cache.indptr, cache.codes, cache.counts
     if codes.size == 0:
         return _empty_profile(sigma, params.capacity, nw)
     nbits = (sigma - 1).bit_length()
+    n_buckets = params.bucket_count
     win = np.repeat(np.arange(nw, dtype=np.int64), np.diff(indptr))
     distinct, inv = np.unique(codes, return_inverse=True)
     du = distinct // sigma
     dv = distinct % sigma
-    ever_single = np.zeros(distinct.size, dtype=bool)
-    pool_w: list[np.ndarray] = []
-    pool_c: list[np.ndarray] = []
-    pool_v: list[np.ndarray] = []
-    pooled = 0
-
-    def consolidate():
-        nonlocal pooled
-        if not pool_w:
-            return
-        w = np.concatenate(pool_w)
-        cc = np.concatenate(pool_c)
-        vv = np.concatenate(pool_v)
-        w, cc, vv = _reduce_min_triples(w, cc, vv)
-        pool_w[:] = [w]
-        pool_c[:] = [cc]
-        pool_v[:] = [vv]
-        pooled = w.size
+    shifts = np.arange(nbits)
+    # per-entry state: whether the entry was ever alone in a non-diagonal
+    # bucket of its window, and the least collision-group decode landing on it
+    alone = np.zeros(codes.size, dtype=bool)
+    best = np.full(codes.size, _INF)
+    spurious: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    blocks = _entry_blocks(indptr, max(1, mem_budget // _SCRATCH_BYTES_PER_ENTRY))
 
     for proj in _projection_plan(params, sigma):
         tau = proj.tau_table.astype(np.int64)
         pi = proj.pi_table.astype(np.int64)
-        diag = proj.diagonal_ids()
         bkt_d = tau[du] * proj.r + pi[dv]
-        nondiag_d = _nondiag_mask(bkt_d, diag)
-        # per-bucket multiplicity over occurring codes
-        buckets_nd = bkt_d[nondiag_d]
-        if buckets_nd.size == 0:
-            continue
-        uniq_b, b_inv, b_cnt = np.unique(buckets_nd, return_inverse=True, return_counts=True)
-        multi_code = np.zeros(distinct.size, dtype=bool)
-        multi_code[np.flatnonzero(nondiag_d)] = b_cnt[b_inv] > 1
-        single_code = nondiag_d & ~multi_code
-        ever_single |= single_code
-        # entries belonging to multi-preimage buckets, grouped per (window, bucket)
-        esel = np.flatnonzero(multi_code[inv])
-        if esel.size == 0:
-            continue
-        ew = win[esel]
-        eb = bkt_d[inv[esel]]
-        ec = cnts[esel]
-        eu = du[inv[esel]]
-        ev = dv[inv[esel]]
-        order = np.lexsort((eb, ew))
-        ew, eb, ec, eu, ev = ew[order], eb[order], ec[order], eu[order], ev[order]
-        new = np.ones(ew.size, dtype=bool)
-        new[1:] = (ew[1:] != ew[:-1]) | (eb[1:] != eb[:-1])
-        starts = np.flatnonzero(new)
-        c_seg = np.add.reduceat(ec, starts)
-        u_planes = [np.add.reduceat(ec * ((eu >> b) & 1), starts) for b in range(nbits)]
-        v_planes = [np.add.reduceat(ec * ((ev >> b) & 1), starts) for b in range(nbits)]
-        u_dec, tie_u = _decode_plane_bits(u_planes, c_seg)
-        v_dec, tie_v = _decode_plane_bits(v_planes, c_seg)
-        valid = ~tie_u & ~tie_v & (u_dec != v_dec) & (u_dec < sigma) & (v_dec < sigma)
-        if not valid.any():
-            continue
-        xb = eb[starts] // proj.r
-        yb = eb[starts] % proj.r
-        uu = np.where(valid, u_dec, 0)
-        vv_ = np.where(valid, v_dec, 0)
-        valid &= (tau[uu] == xb) & (pi[vv_] == yb)
-        if not valid.any():
-            continue
-        pool_w.append(ew[starts][valid])
-        pool_c.append((u_dec * sigma + v_dec)[valid])
-        pool_v.append(c_seg[valid])
-        pooled += pool_w[-1].size
-        if pooled > (1 << 22):
-            consolidate()
+        nondiag_d = _nondiag_mask(bkt_d, proj.diagonal_ids())
+        shared_d = np.zeros(distinct.size, dtype=bool)
+        shared_d[nondiag_d] = _repeated(bkt_d[nondiag_d])
+        # a code alone in its bucket over all windows is alone in each window
+        single_d = nondiag_d & ~shared_d
+        for lo, hi in blocks:
+            inv_b = inv[lo:hi]
+            alone[lo:hi] |= single_d[inv_b]
+            e = lo + np.flatnonzero(shared_d[inv_b])
+            if e.size == 0:
+                continue
+            key = win[e] * n_buckets + bkt_d[inv[e]]
+            coll = _repeated(key)
+            alone[e[~coll]] = True
+            if not coll.any():
+                continue
+            e, key = e[coll], key[coll]
+            order = np.argsort(key, kind="stable")
+            e, key = e[order], key[order]
+            new = np.ones(e.size, dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            starts = np.flatnonzero(new)
+            group = np.cumsum(new) - 1
+            # collision groups: count and 2*nbits plane sums in one reduceat
+            ce = cnts[e]
+            ue, ve = du[inv[e]], dv[inv[e]]
+            cols = np.concatenate(
+                [ce[:, None], ((ue[:, None] >> shifts) & 1) * ce[:, None],
+                 ((ve[:, None] >> shifts) & 1) * ce[:, None]],
+                axis=1,
+            )
+            sums = np.add.reduceat(cols, starts, axis=0)
+            c = sums[:, 0]
+            u_dec, tie_u = _decode_plane_bits(sums[:, 1 : 1 + nbits].T, c)
+            v_dec, tie_v = _decode_plane_bits(sums[:, 1 + nbits :].T, c)
+            valid = ~tie_u & ~tie_v & (u_dec != v_dec) & (u_dec < sigma) & (v_dec < sigma)
+            bkt = key[starts] % n_buckets
+            uu = np.where(valid, u_dec, 0)
+            vv = np.where(valid, v_dec, 0)
+            valid &= (tau[uu] == bkt // proj.r) & (pi[vv] == bkt % proj.r)
+            if not valid.any():
+                continue
+            # a decode that passes the projection check lands in this bucket,
+            # so it is either a member of the group or absent from the window
+            dest = u_dec * sigma + v_dec
+            hit = valid[group] & (codes[e] == dest[group])
+            np.minimum.at(best, e[hit], c[group[hit]])
+            absent = valid & ~np.logical_or.reduceat(hit, starts)
+            if absent.any():
+                spurious.append((win[e[starts[absent]]], dest[absent], c[absent]))
 
-    sel = ever_single[inv]
-    pool_w.append(win[sel])
-    pool_c.append(codes[sel])
-    pool_v.append(cnts[sel])
-    consolidate()
-    w, cc, vv = pool_w[0], pool_c[0], pool_v[0]
-    return _filter_triples(w, cc, vv, sigma, params.capacity, nw)
+    val = np.where(alone, cnts, best)
+    keep = val < _INF
+    parts = [(win[keep], codes[keep], val[keep])] + spurious
+    w, code, val = (np.concatenate(col) for col in zip(*parts))
+    return _filter_triples(w, code, val, sigma, params.capacity, nw)
 
 
-def _reduce_min_triples(w, code, val):
-    if w.size == 0:
-        return w, code, val
-    order = np.lexsort((code, w))
-    w, code, val = w[order], code[order], val[order]
-    new = np.ones(w.size, dtype=bool)
-    new[1:] = (w[1:] != w[:-1]) | (code[1:] != code[:-1])
-    starts = np.flatnonzero(new)
-    return w[starts], code[starts], np.minimum.reduceat(val, starts)
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions whose key occurs more than once."""
+    s = np.sort(keys)
+    dup = np.unique(s[1:][s[1:] == s[:-1]])
+    if dup.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(dup, keys), dup.size - 1)
+    return dup[pos] == keys
+
+
+def _entry_blocks(indptr: np.ndarray, max_entries: int) -> list[tuple[int, int]]:
+    """Entry ranges of whole-window blocks, each at most max_entries long
+    unless a single window alone exceeds it."""
+    nw = indptr.size - 1
+    blocks = []
+    lo_w = 0
+    while lo_w < nw:
+        hi_w = int(np.searchsorted(indptr, indptr[lo_w] + max_entries, side="right")) - 1
+        hi_w = min(nw, max(lo_w + 1, hi_w))
+        blocks.append((int(indptr[lo_w]), int(indptr[hi_w])))
+        lo_w = hi_w
+    return blocks
 
 
 def _filter_triples(w, code, val, sigma, capacity, nw) -> NoiseProfile:
-    pos = val > 0
-    w, code, val = w[pos], code[pos], val[pos]
-    if w.size:
-        order = np.lexsort((code, -val, w))
-        w, code, val = w[order], code[order], val[order]
-        new = np.ones(w.size, dtype=bool)
-        new[1:] = w[1:] != w[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        rank = np.arange(w.size) - starts[seg_id]
-        keep = rank < capacity
-        w, code, val = w[keep], code[keep], val[keep]
-        order = np.lexsort((code, w))
-        w, code, val = w[order], code[order], val[order]
+    """Min over repeated (window, code) triples, then each window's capacity
+    largest values, ties broken toward the smaller code."""
+    order = np.lexsort((val, code, w))
+    w, code, val = w[order], code[order], val[order]
+    first = np.ones(w.size, dtype=bool)
+    first[1:] = (w[1:] != w[:-1]) | (code[1:] != code[:-1])
+    w, code, val = w[first], code[first], val[first]
+    # rank within each window by (-val, code); the kept triples stay in
+    # (window, code) order
+    order = np.lexsort((code, -val, w))
+    ws = w[order]
+    new = np.ones(ws.size, dtype=bool)
+    new[1:] = ws[1:] != ws[:-1]
+    starts = np.flatnonzero(new)
+    rank = np.arange(ws.size) - starts[np.cumsum(new) - 1]
+    keep = np.zeros(w.size, dtype=bool)
+    keep[order[rank < capacity]] = True
+    w, code, val = w[keep], code[keep], val[keep]
     indptr = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(np.bincount(w, minlength=nw), out=indptr[1:])
     return NoiseProfile(

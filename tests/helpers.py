@@ -99,3 +99,13 @@ def member_profile_brute(text: IntString, pattern: IntString, family, i: int) ->
     for j in range(n - m + 1):
         out[j] = int(np.count_nonzero(tb[j : j + m] != pb))
     return out
+
+
+def pair_count_matrix(cache) -> np.ndarray:
+    """(sigma^2, windows) pair-count matrix of a PairCounts in either layout."""
+    if cache.kind == "dense":
+        return cache.dense
+    dd = np.zeros((cache.sigma * cache.sigma, cache.n_windows), dtype=np.int32)
+    win = np.repeat(np.arange(cache.n_windows), np.diff(cache.indptr))
+    dd[cache.codes, win] = cache.counts
+    return dd

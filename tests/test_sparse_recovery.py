@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsketch.sparse_recovery import (
+    DEFAULT_MEM_BUDGET,
     NoiseProfile,
+    PairCounts,
     compute_bucket_table,
     construct_reference,
     construct_sparse_noise,
@@ -15,7 +19,7 @@ from hamsketch.sparse_recovery import (
 )
 from hamsketch.text_model import IntString, generate_instance
 
-from helpers import alignment_dict_brute
+from helpers import alignment_dict_brute, pair_count_matrix
 
 
 def _uniform(n, m, sigma, seed):
@@ -175,21 +179,106 @@ def test_fast_path_matches_reference():
         ("uniform", 3, 0.2, (2,)),
         ("planted_heavy", 16, 0.25, (0,)),
     ]
+    kinds = set()
     for model, sigma, eps, seeds in cases:
         for seed in seeds:
             text, pattern = generate_instance(96, 16, sigma, model, seed)
+            kinds.add(prepare_pair_counts(text, pattern).kind)
             params = recovery_params(eps, seed=seed + 100, reps=2)
             fast = construct_sparse_noise(text, pattern, params)
             ref = construct_reference(text, pattern, params)
             assert fast.same_as(ref), (model, sigma, eps, seed)
+            # the same cases forced onto the CSR route, one window per block
+            forced = construct_sparse_noise(text, pattern, params, mem_budget=1)
+            assert forced.same_as(ref), (model, sigma, eps, seed)
+    # the default layout choice sends some of these cases each way
+    assert kinds == {"dense", "sparse"}
+
+
+def test_csr_route_matches_reference_above_dense_alphabet():
+    # sigma^2 > 2^16 takes the CSR route without forcing
+    text, pattern = _uniform(40, 5, 257, seed=5)
+    assert prepare_pair_counts(text, pattern).kind == "sparse"
+    params = recovery_params(0.5, seed=77, reps=2)
+    fast = construct_sparse_noise(text, pattern, params)
+    assert fast.values.size > 0
+    assert fast.same_as(construct_reference(text, pattern, params))
+
+
+def test_csr_collision_decodes_match_reference():
+    # with one projection per scale, some pairs here never sit alone in their
+    # window's bucket; their values come only from collision-group decodes
+    for seed in (4, 28):
+        text, pattern = _uniform(60, 20, 12, seed=seed)
+        params = recovery_params(0.5, seed=seed, reps=1)
+        fast = construct_sparse_noise(text, pattern, params, mem_budget=1)
+        assert fast.same_as(construct_reference(text, pattern, params)), seed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csr_route_matches_reference_property(data):
+    sigma = data.draw(st.sampled_from([2, 3, 5, 12]), label="sigma")
+    n = data.draw(st.integers(1, 40), label="n")
+    m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
+    symbols = st.integers(0, sigma - 1)
+    text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
+    pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
+    params = recovery_params(
+        data.draw(st.sampled_from([0.5, 0.25])),
+        seed=data.draw(st.integers(0, 1 << 30)),
+        reps=data.draw(st.integers(1, 2)),
+    )
+    cache = prepare_pair_counts(text, pattern, mem_budget=1)
+    assert cache.kind == "sparse"
+    budget = data.draw(st.sampled_from([1, 1000, DEFAULT_MEM_BUDGET]), label="mem_budget")
+    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
+    assert fast.same_as(construct_reference(text, pattern, params))
+
+
+def test_csr_blocks_do_not_change_the_profile():
+    # the collision-decode instance above: a block that split a window
+    # would miss its collisions
+    text, pattern = _uniform(60, 20, 12, seed=4)
+    cache = prepare_pair_counts(text, pattern, mem_budget=1)
+    assert cache.kind == "sparse"
+    params = recovery_params(0.5, seed=4, reps=1)
+    whole = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    for budget in (1, 1000, 10**4):
+        blocked = construct_sparse_noise(
+            text, pattern, params, pair_cache=cache, mem_budget=budget
+        )
+        assert blocked.same_as(whole), budget
 
 
 def test_dense_and_sparse_routes_agree():
     text, pattern = _uniform(200, 24, 40, seed=8)
     params = recovery_params(0.25, seed=12, reps=3)
-    dense = construct_sparse_noise(text, pattern, params)
-    forced = construct_sparse_noise(text, pattern, params, mem_budget=1)
-    assert dense.same_as(forced)
+    csr = prepare_pair_counts(text, pattern)
+    assert csr.kind == "sparse"
+    dense = PairCounts(
+        kind="dense", sigma=40, n_windows=csr.n_windows, dense=pair_count_matrix(csr)
+    )
+    via_dense = construct_sparse_noise(text, pattern, params, pair_cache=dense)
+    via_csr = construct_sparse_noise(text, pattern, params, pair_cache=csr)
+    assert via_dense.same_as(via_csr)
+
+
+def test_pair_count_layout_follows_window_fill():
+    # nearly every occupied code in every window: the dense grid
+    text, pattern = _uniform(2048, 256, 8, seed=3)
+    assert prepare_pair_counts(text, pattern).kind == "dense"
+    # a period-8 pattern against the same block with 3 symbols substituted:
+    # each window holds at most 8 of the ~60 occupied codes
+    block = np.arange(8)
+    text_block = block.copy()
+    text_block[:3] = [10, 11, 12]
+    text = IntString(np.resize(text_block, 2048), 64)
+    pattern = IntString(np.resize(block, 256), 64)
+    assert prepare_pair_counts(text, pattern).kind == "sparse"
+    # the memory rule still guards the dense grid
+    text, pattern = _uniform(2048, 256, 8, seed=3)
+    assert prepare_pair_counts(text, pattern, mem_budget=1).kind == "sparse"
 
 
 def test_constructed_profile_invariants():
@@ -229,23 +318,23 @@ def test_construct_validates_inputs():
 
 
 def test_pair_counts_routes_match_brute():
-    text, pattern = _uniform(60, 9, 5, seed=26)
-    nw = 52
+    text, pattern = _uniform(60, 16, 4, seed=26)
+    nw = 45
     dense = prepare_pair_counts(text, pattern)
     sparse = prepare_pair_counts(text, pattern, mem_budget=1)
     assert dense.kind == "dense" and sparse.kind == "sparse"
     for j in range(nw):
         want = alignment_dict_brute(text, pattern, j)
         got_dense = {
-            (c // 5, c % 5): int(dense.dense[c, j])
+            (c // 4, c % 4): int(dense.dense[c, j])
             for c in np.flatnonzero(dense.dense[:, j])
-            if c // 5 != c % 5
+            if c // 4 != c % 4
         }
         lo, hi = sparse.indptr[j], sparse.indptr[j + 1]
         got_sparse = {
-            (int(c) // 5, int(c) % 5): int(k)
+            (int(c) // 4, int(c) % 4): int(k)
             for c, k in zip(sparse.codes[lo:hi], sparse.counts[lo:hi])
-            if c // 5 != c % 5
+            if c // 4 != c % 4
         }
         assert got_dense == want
         assert got_sparse == want

@@ -163,6 +163,32 @@ def test_bench_csv_and_json(tmp_path):
             assert row["max_rel_err"] == 0.0
 
 
+def test_alphabet_above_convolution_cap_falls_back_to_naive(tmp_path):
+    text, pattern = _gen(tmp_path, n=300, m=20, sigma=5000, seed=1)
+    io = ["--text", str(text), "--pattern", str(pattern)]
+    out = tmp_path / "exact.csv"
+    assert main(["exact"] + io + ["--out", str(out)]) == 0
+    want = sliding_hamming_brute(read_tokens(text), read_tokens(pattern))
+    assert np.array_equal(read_profile_csv(out), want)
+    # an explicit convolution request still reports the cap
+    assert main(["exact"] + io + ["--out", str(out), "--algo", "conv"]) == 1
+    for cmd in ("karloff", "approx"):
+        est = tmp_path / f"{cmd}.csv"
+        rc = main([cmd] + io + ["--out", str(est), "--epsilon", "0.25",
+                                "--seed", "1", "--reps", "2", "--stats"])
+        assert rc == 0
+        stats = json.loads((tmp_path / f"{cmd}.csv.stats.json").read_text())
+        assert stats["n_windows"] == 281
+    mirror = tmp_path / "bench.json"
+    rc = main(["bench", "--n", "300", "--m", "20", "--sigma", "5000",
+               "--epsilon", "0.25", "--seed", "1", "--reps", "2",
+               "--out", str(tmp_path / "bench.csv"), "--json", str(mirror)])
+    assert rc == 0
+    rows = json.loads(mirror.read_text())
+    assert [r["algo"] for r in rows] == ["exact", "karloff", "approx"]
+    assert rows[0]["frac_within_eps"] == 1.0
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--text", "t"])  # missing required flags

@@ -16,7 +16,7 @@ from hamsketch.text_model import (
     write_tokens,
 )
 
-from helpers import alignment_dict_brute, sliding_hamming_brute
+from helpers import alignment_dict_brute, pair_count_matrix, sliding_hamming_brute
 
 
 def test_intstring_validation():
@@ -80,9 +80,7 @@ def test_planted_heavy_creates_heavy_pair_stretch():
     # inside the planted block one (u, v) pair should dominate the window's
     # mismatch mass; require a long contiguous stretch of such windows
     text, pattern = generate_instance(1 << 15, 1 << 9, 16, "planted_heavy", seed=3)
-    pc = prepare_pair_counts(text, pattern)
-    assert pc.kind == "dense"
-    dd = pc.dense
+    dd = pair_count_matrix(prepare_pair_counts(text, pattern))
     off_diag = np.ones(dd.shape[0], dtype=bool)
     off_diag[:: 16 + 1] = False
     dd = dd[off_diag]
