@@ -6,7 +6,7 @@ import numpy as np
 
 from .correlation import correlate_rows, count_aligned_ones, _resolve_backend
 from .hashing import XorTreeFamily, member_table
-from .text_model import IntString
+from .text_model import DistanceProfile, IntString, check_instance
 
 _MEMBER_CHUNK = 64
 
@@ -19,8 +19,7 @@ def member_hamming_sum(
     Projects both strings through every family member and accumulates the
     per-member binary Hamming profiles, chunking members to bound memory.
     """
-    n, m = len(text), len(pattern)
-    nw = n - m + 1
+    n, m, nw = check_instance(text, pattern)
     table = member_table(family, text.sigma)
     mode = _resolve_backend(backend, n)
     total = np.zeros(nw, dtype=np.int64)
@@ -41,3 +40,10 @@ def member_hamming_sum(
         ham = win_ones + p_masks.sum(axis=1, dtype=np.int64)[:, None] - 2 * aligned
         total += ham.sum(axis=0)
     return total
+
+
+def median_profile(run_single, reps: int) -> DistanceProfile:
+    """Per-window median over reps executions; run_single(e) returns
+    execution e's estimate."""
+    runs = np.stack([run_single(e).values for e in range(reps)])
+    return DistanceProfile(np.median(runs, axis=0), "estimate")

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, ROLE_RECOVERY, mix
-from ._sketch import member_hamming_sum
+from ._sketch import median_profile, member_hamming_sum
 from .hashing import XorTreeFamily, beta, beta_many, family_new
-from .karloff import default_reps
+from .karloff import check_epsilon, default_reps
 from .sparse_recovery import (
     B_CONST,
     NoiseProfile,
@@ -56,8 +56,7 @@ def approx_params(
     recovery_reps: int | None = None,
 ) -> ApproxParams:
     """k = 8b/eps_eff rounded up to a power of two, b = 12289/16384."""
-    if not 0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
+    check_epsilon(epsilon)
     eps_eff = recovery_params(epsilon, 0, reps=1).epsilon_eff
     target = 8.0 * B_CONST / eps_eff
     k = 1 << max(1, (math.ceil(target) - 1).bit_length())
@@ -154,16 +153,12 @@ def approx_profile(
         pair_cache = prepare_pair_counts(text, pattern)
         if params.share_dprime:
             shared = _recover_noise(text, pattern, params, 0, pair_cache)
-    runs = np.stack(
-        [
-            approx_profile_single(
-                text, pattern, params, e, backend,
-                noise=shared, pair_cache=pair_cache,
-            ).values
-            for e in range(params.reps)
-        ]
+    profile = median_profile(
+        lambda e: approx_profile_single(
+            text, pattern, params, e, backend, noise=shared, pair_cache=pair_cache
+        ),
+        params.reps,
     )
-    profile = DistanceProfile(np.median(runs, axis=0), "estimate")
     if return_noise:
         return profile, shared
     return profile

@@ -119,25 +119,3 @@ def count_aligned_ones(text_mask, pattern_mask, backend: str = "auto") -> np.nda
         return correlate_rows(t[None, :], p[None, :])[0]
     return _count_popcount(t, p)
 
-
-def sliding_ones(text_mask, m: int) -> np.ndarray:
-    """Per-window popcount of a 0/1 mask: out[j] = sum(text_mask[j : j+m])."""
-    t = _as_mask(text_mask, "text_mask")
-    nw = _check_lengths(t.size, m)
-    cs = np.zeros(t.size + 1, dtype=np.int64)
-    np.cumsum(t, dtype=np.int64, out=cs[1:])
-    return cs[m : m + nw] - cs[:nw]
-
-
-def hamming_of_masks(text_mask, pattern_mask, backend: str = "auto") -> np.ndarray:
-    """Per-window Hamming distance between two binary masks.
-
-    Equals count_aligned_ones(t, 1-p) + count_aligned_ones(1-t, p); computed
-    with a single correlation via the exact identity
-    HAM[j] = ones(t window) + ones(p) - 2 * aligned_ones[j].
-    """
-    t = _as_mask(text_mask, "text_mask")
-    p = _as_mask(pattern_mask, "pattern_mask")
-    _check_lengths(t.size, p.size)
-    aligned = count_aligned_ones(t, p, backend)
-    return sliding_ones(t, p.size) + int(p.sum()) - 2 * aligned

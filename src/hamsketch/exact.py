@@ -15,25 +15,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import correlate_rows, count_aligned_ones, _resolve_backend
-from .text_model import DistanceProfile, IntString
+from .text_model import DistanceProfile, IntString, check_instance
 
 CONV_SIGMA_CAP = 4096
 _NAIVE_CHUNK_CELLS = 1 << 23
 _CONV_CHUNK_ROWS = 64
 
 
-def _check_instance(text: IntString, pattern: IntString) -> tuple[int, int, int]:
-    if text.sigma != pattern.sigma:
-        raise ValueError(f"alphabet mismatch: {text.sigma} vs {pattern.sigma}")
-    n, m = len(text), len(pattern)
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
-    return n, m, n - m + 1
-
-
 def hamming_profile_naive(text: IntString, pattern: IntString) -> DistanceProfile:
     """Window-by-window comparison; O(n*m) but branch-free per chunk."""
-    n, m, nw = _check_instance(text, pattern)
+    n, m, nw = check_instance(text, pattern)
     windows = sliding_window_view(text.symbols, m)
     out = np.empty(nw, dtype=np.int64)
     step = max(1, _NAIVE_CHUNK_CELLS // m)
@@ -50,7 +41,7 @@ def hamming_profile_convolution(
     sigma_cap: int = CONV_SIGMA_CAP,
 ) -> DistanceProfile:
     """Per-symbol aligned-ones counting; exact and near-linear for small sigma."""
-    n, m, nw = _check_instance(text, pattern)
+    n, m, nw = check_instance(text, pattern)
     if text.sigma > sigma_cap:
         raise ValueError(
             f"sigma {text.sigma} above convolution cap {sigma_cap}; use the naive profile"

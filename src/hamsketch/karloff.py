@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from ._sketch import member_hamming_sum
+from ._sketch import median_profile, member_hamming_sum
 from .hashing import family_new
 from .text_model import DistanceProfile, IntString
 
@@ -25,7 +23,7 @@ def default_reps(n: int) -> int:
     return math.ceil(2 * math.log2(n))
 
 
-def _check_epsilon(epsilon: float) -> None:
+def check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
 
@@ -40,7 +38,7 @@ class KarloffParams:
 
 def karloff_params(epsilon: float, seed: int, n: int, reps: int | None = None) -> KarloffParams:
     """k = ceil(2/eps^2) rounded up to a power of two; reps defaults to ceil(2*log2 n)."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     raw = math.ceil(2.0 / (epsilon * epsilon))
     k = 1 << max(1, (raw - 1).bit_length())
     return KarloffParams(epsilon=epsilon, k=k, reps=reps or default_reps(n), seed=seed)
@@ -67,10 +65,6 @@ def karloff_profile(
     backend: str = "auto",
 ) -> DistanceProfile:
     """Per-window median over params.reps independent executions."""
-    runs = np.stack(
-        [
-            karloff_profile_single(text, pattern, params, e, backend).values
-            for e in range(params.reps)
-        ]
+    return median_profile(
+        lambda e: karloff_profile_single(text, pattern, params, e, backend), params.reps
     )
-    return DistanceProfile(np.median(runs, axis=0), "estimate")

@@ -20,7 +20,9 @@ from exact per-window pair counts, which is what makes desk-scale sizes
 tractable. construct_reference wires the literal pieces together and must
 produce bit-identical profiles.
 
-prepare_pair_counts stores those counts densely, as a (sigma^2, windows)
+prepare_pair_counts enumerates those counts with
+text_model.mismatch_pair_counts over blocks of windows whose temporaries stay
+within the memory budget. It stores them densely, as a (sigma^2, windows)
 grid, when sigma^2 <= 2^16, the grid fits the memory budget and a strided
 sample of windows shows each window holding at least half of the pair codes
 occupied in the sample. Otherwise it stores each window's pairs as sorted
@@ -51,8 +53,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._seeds import ROLE_PROJECTION, mix
 from .correlation import count_aligned_ones
 from .hashing import FourWiseHash, fourwise_new
-from .karloff import default_reps
-from .text_model import IntString, SparseNoiseMatrix
+from .karloff import check_epsilon, default_reps
+from .text_model import IntString, SparseNoiseMatrix, check_instance, mismatch_pair_counts
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
 B_CONST = 12289 / 16384
@@ -65,6 +67,10 @@ _MAX_T_EXP = 25  # keeps every projection range within the hash output cap
 # window block (about a dozen int64/bool arrays over the block's entries)
 _SCRATCH_BYTES_PER_ENTRY = 128
 _FILL_SAMPLE = 64  # windows sampled to choose the pair-count layout
+# the pair-count build enumerates at most this many window positions per
+# block, at about this many bytes of temporaries per position
+_PAIR_BLOCK_POSITIONS = 1 << 20
+_PAIR_BYTES_PER_POSITION = 48
 
 
 # ----------------------------------------------------------------------------
@@ -99,8 +105,7 @@ class RecoveryParams:
 def recovery_params(
     epsilon: float, seed: int, n: int | None = None, reps: int | None = None
 ) -> RecoveryParams:
-    if not 0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
+    check_epsilon(epsilon)
     t = 11
     while (1 << t) * epsilon < 1024.0:
         t += 1
@@ -146,12 +151,6 @@ class CoupledProjection:
     tau_table: np.ndarray
     pi_table: np.ndarray
     drawn: FourWiseHash | None = field(default=None, repr=False)
-
-    def tau(self, s: int) -> int:
-        return int(self.tau_table[s])
-
-    def pi(self, s: int) -> int:
-        return int(self.pi_table[s])
 
     def diagonal_ids(self) -> np.ndarray:
         """Sorted bucket ids tau(s)*r + pi(s) over the whole alphabet."""
@@ -394,17 +393,7 @@ class PairCounts:
     counts: np.ndarray | None = None
 
 
-def _iter_window_blocks(text, pattern, nw: int, block: int):
-    m = pattern.size
-    windows = sliding_window_view(text, m)
-    for lo in range(0, nw, block):
-        hi = min(nw, lo + block)
-        wins = windows[lo:hi]
-        mism = wins != pattern
-        yield lo, hi, wins, mism
-
-
-def _sampled_fill(t_syms, p_syms, sigma: int, nw: int) -> float:
+def _sampled_fill(windows: np.ndarray, pattern: np.ndarray, sigma: int) -> float:
     """Share of the occupied pair-code rows that a window holds, averaged over
     an evenly strided sample of at most _FILL_SAMPLE windows.
 
@@ -412,61 +401,46 @@ def _sampled_fill(t_syms, p_syms, sigma: int, nw: int) -> float:
     touches only the entries a window holds, so it wins once most of those
     cells would be zero.
     """
+    nw = windows.shape[0]
     js = np.arange(0, nw, -(-nw // _FILL_SAMPLE))
-    wins = sliding_window_view(t_syms, p_syms.size)[js]
-    wl, il = np.nonzero(wins != p_syms)
-    codes = wins[wl, il] * sigma + p_syms[il]
+    _, codes, _ = mismatch_pair_counts(windows[js], pattern, sigma)
     occupied = np.unique(codes).size
     if occupied == 0:
         return 0.0
-    held = np.unique(wl * (sigma * sigma) + codes).size
-    return held / (js.size * occupied)
+    return codes.size / (js.size * occupied)
 
 
 def prepare_pair_counts(
     text: IntString, pattern: IntString, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> PairCounts:
+    n, m, nw = check_instance(text, pattern)
     sigma = text.sigma
-    n, m = len(text), len(pattern)
-    nw = n - m + 1
-    t_syms = text.symbols.astype(np.int64)
-    p_syms = pattern.symbols.astype(np.int64)
+    p_syms = pattern.symbols
+    windows = sliding_window_view(text.symbols, m)
     pair_space = sigma * sigma
     dense_ok = (
         pair_space <= (1 << 16)
         and pair_space * nw * 12 <= mem_budget
-        and _sampled_fill(t_syms, p_syms, sigma, nw) >= 0.5
+        and _sampled_fill(windows, p_syms, sigma) >= 0.5
     )
     if dense_ok:
         dd = np.zeros((pair_space, nw), dtype=np.int32)
-        # block bounded by both the window-view size and the bincount range
-        block = max(1, min((1 << 22) // max(m, 1), (1 << 22) // pair_space))
-        for lo, hi, wins, mism in _iter_window_blocks(t_syms, p_syms, nw, block):
-            bb = hi - lo
-            codes = wins * sigma + p_syms[None, :]
-            local = codes + (np.arange(bb, dtype=np.int64) * pair_space)[:, None]
-            flat = local[mism]
-            cnt = np.bincount(flat, minlength=bb * pair_space).reshape(bb, pair_space)
-            dd[:, lo:hi] = cnt.T
+    else:
+        code_chunks: list[np.ndarray] = []
+        count_chunks: list[np.ndarray] = []
+        sizes = np.zeros(nw, dtype=np.int64)
+    block = max(1, min(_PAIR_BLOCK_POSITIONS, mem_budget // _PAIR_BYTES_PER_POSITION) // m)
+    for lo in range(0, nw, block):
+        hi = min(nw, lo + block)
+        w, codes, counts = mismatch_pair_counts(windows[lo:hi], p_syms, sigma)
+        if dense_ok:
+            dd[codes, lo + w] = counts
+        else:
+            code_chunks.append(codes)
+            count_chunks.append(counts)
+            sizes[lo:hi] = np.bincount(w, minlength=hi - lo)
+    if dense_ok:
         return PairCounts(kind="dense", sigma=sigma, n_windows=nw, dense=dd)
-
-    code_chunks: list[np.ndarray] = []
-    count_chunks: list[np.ndarray] = []
-    sizes = np.zeros(nw, dtype=np.int64)
-    block = max(1, (1 << 22) // max(m, 1))
-    for lo, hi, wins, mism in _iter_window_blocks(t_syms, p_syms, nw, block):
-        wl, il = np.nonzero(mism)
-        codes = wins[wl, il] * sigma + p_syms[il]
-        order = np.lexsort((codes, wl))
-        wl, codes = wl[order], codes[order]
-        new = np.ones(wl.size, dtype=bool)
-        if wl.size:
-            new[1:] = (wl[1:] != wl[:-1]) | (codes[1:] != codes[:-1])
-        starts = np.flatnonzero(new)
-        runs = np.diff(np.append(starts, wl.size))
-        code_chunks.append(codes[starts])
-        count_chunks.append(runs.astype(np.int64))
-        sizes[lo:hi] += np.bincount(wl[starts], minlength=hi - lo)
     indptr = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return PairCounts(
@@ -474,8 +448,8 @@ def prepare_pair_counts(
         sigma=sigma,
         n_windows=nw,
         indptr=indptr,
-        codes=np.concatenate(code_chunks) if code_chunks else np.zeros(0, np.int64),
-        counts=np.concatenate(count_chunks) if count_chunks else np.zeros(0, np.int64),
+        codes=np.concatenate(code_chunks),
+        counts=np.concatenate(count_chunks),
     )
 
 
@@ -500,12 +474,7 @@ def construct_sparse_noise(
     sets how many windows the CSR route handles per block; the profile does
     not depend on it.
     """
-    if text.sigma != pattern.sigma:
-        raise ValueError(f"alphabet mismatch: {text.sigma} vs {pattern.sigma}")
-    n, m = len(text), len(pattern)
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
-    nw = n - m + 1
+    n, m, nw = check_instance(text, pattern)
     sigma = text.sigma
     if sigma < 2:
         return _empty_profile(sigma, params.capacity, nw)

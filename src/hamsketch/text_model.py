@@ -178,22 +178,41 @@ def generate_instance(n: int, m: int, sigma: int, model: str, seed: int):
     return IntString(text, sigma), IntString(pattern, sigma)
 
 
-def build_alignment_matrix(text: IntString, pattern: IntString, j: int) -> AlignmentMatrix:
-    """Exact mismatch-pair counts of window j, in O(m)."""
+def check_instance(text: IntString, pattern: IntString) -> tuple[int, int, int]:
+    """(n, m, windows) of a text/pattern instance; ValueError when the
+    alphabets differ or the pattern is longer than the text."""
+    if text.sigma != pattern.sigma:
+        raise ValueError(f"alphabet mismatch: {text.sigma} vs {pattern.sigma}")
     n, m = len(text), len(pattern)
     if m > n:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
-    if not 0 <= j <= n - m:
+    return n, m, n - m + 1
+
+
+def mismatch_pair_counts(windows: np.ndarray, pattern: np.ndarray, sigma: int):
+    """(row, code, count) of the aligned mismatch pairs of a (rows, m) stack
+    of windows against the pattern, code = u*sigma + v, sorted by (row, code).
+
+    The int64 key (row*sigma + u)*sigma + v stays exact because sigma <= 2^20.
+    """
+    rows, cols = np.nonzero(windows != pattern)
+    key = (rows * sigma + windows[rows, cols]) * sigma + pattern[cols]
+    key, counts = np.unique(key, return_counts=True)
+    row, code = np.divmod(key, sigma * sigma)
+    return row, code, counts
+
+
+def build_alignment_matrix(text: IntString, pattern: IntString, j: int) -> AlignmentMatrix:
+    """Exact mismatch-pair counts of window j, in O(m)."""
+    n, m, nw = check_instance(text, pattern)
+    if not 0 <= j < nw:
         raise IndexError(f"window {j} outside [0, {n - m}]")
-    window = text.symbols[j : j + m]
-    mism = window != pattern.symbols
-    if not mism.any():
-        return AlignmentMatrix(sigma=text.sigma)
-    codes = window[mism].astype(np.int64) * text.sigma + pattern.symbols[mism]
-    uniq, counts = np.unique(codes, return_counts=True)
+    _, codes, counts = mismatch_pair_counts(
+        text.symbols[None, j : j + m], pattern.symbols, text.sigma
+    )
     entries = {
         (int(c) // text.sigma, int(c) % text.sigma): int(k)
-        for c, k in zip(uniq, counts)
+        for c, k in zip(codes, counts)
     }
     return AlignmentMatrix(sigma=text.sigma, entries=entries)
 

@@ -17,7 +17,9 @@ from hamsketch.sparse_recovery import (
     recovery_params,
     scale_ranges,
 )
-from hamsketch.text_model import IntString, generate_instance
+from hamsketch.approx import approx_params, approx_profile
+from hamsketch.karloff import karloff_params, karloff_profile
+from hamsketch.text_model import IntString, build_alignment_matrix, generate_instance
 
 from helpers import alignment_dict_brute, pair_count_matrix
 
@@ -109,7 +111,7 @@ def test_bucket_table_partitions_mismatch_mass():
             want = sum(
                 cnt
                 for (u, v), cnt in briefs[j].items()
-                if proj.tau(u) == x and proj.pi(v) == y
+                if proj.tau_table[u] == x and proj.pi_table[v] == y
             )
             assert int(bc.c[j]) == want
             # plane counts are the same mass restricted to one symbol bit
@@ -117,7 +119,7 @@ def test_bucket_table_partitions_mismatch_mass():
                 want_u = sum(
                     cnt
                     for (u, v), cnt in briefs[j].items()
-                    if proj.tau(u) == x and proj.pi(v) == y and (u >> b) & 1
+                    if proj.tau_table[u] == x and proj.pi_table[v] == y and (u >> b) & 1
                 )
                 assert int(bc.u_planes[b, j]) == want_u
 
@@ -134,14 +136,14 @@ def test_bucket_table_identical_strings_all_zero():
 def test_decode_bucket_worked_examples():
     p = recovery_params(0.25, seed=17, reps=1)
     proj = make_coupled_projection(0, p, rep=0, sigma=8)
-    x, y = proj.tau(5), proj.pi(2)
+    x, y = int(proj.tau_table[5]), int(proj.pi_table[2])
     u_planes = np.array([10, 0, 10])  # bits 0b101 -> symbol 5
     v_planes = np.array([0, 10, 0])   # bits 0b010 -> symbol 2
     assert decode_bucket(10, (u_planes, v_planes), proj, x, y) == (5, 2)
     # a plane hitting exactly c/2 is ambiguous
     assert decode_bucket(10, (np.array([5, 0, 10]), v_planes), proj, x, y) is None
     # decoded diagonal pair rejects
-    assert decode_bucket(10, (v_planes, v_planes), proj, proj.tau(2), y) is None
+    assert decode_bucket(10, (v_planes, v_planes), proj, int(proj.tau_table[2]), y) is None
     # empty bucket rejects
     assert decode_bucket(0, (u_planes, v_planes), proj, x, y) is None
     # projection-consistency check rejects a mismatched bucket id
@@ -308,36 +310,76 @@ def test_recovered_values_never_undershoot_true_pairs():
 
 def test_construct_validates_inputs():
     params = recovery_params(0.25, seed=0, reps=1)
-    with pytest.raises(ValueError):
-        construct_sparse_noise(IntString([0], 2), IntString([0], 3), params)
-    with pytest.raises(ValueError):
-        construct_sparse_noise(IntString([0], 2), IntString([0, 1], 2), params)
+    ap = approx_params(0.25, seed=0, n=2, reps=1)
+    kp = karloff_params(0.25, seed=0, n=2, reps=1)
+    # karloff_profile once failed with a bare IndexError on mismatched
+    # alphabets, approx_profile with numpy's window-shape error on m > n, and
+    # prepare_pair_counts returned a cache for mismatched alphabets
+    cases = [
+        (IntString([0, 2], 3), IntString([0], 2), "alphabet mismatch: 3 vs 2"),
+        (IntString([0], 2), IntString([0, 1], 2), "pattern length 2 exceeds text length 1"),
+    ]
+    for text, pattern, message in cases:
+        for call in (
+            lambda: construct_sparse_noise(text, pattern, params),
+            lambda: prepare_pair_counts(text, pattern),
+            lambda: approx_profile(text, pattern, ap),
+            lambda: karloff_profile(text, pattern, kp),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
     empty = construct_sparse_noise(IntString([0, 0, 0], 1), IntString([0], 1), params)
     assert empty.n_windows == 3
     assert empty.values.size == 0
 
 
+def _pair_dicts(cache):
+    """Per-window {(u, v): count} of a PairCounts; CSR codes must be strictly
+    increasing within each window."""
+    sigma = cache.sigma
+    out = []
+    for j in range(cache.n_windows):
+        if cache.kind == "dense":
+            codes = np.flatnonzero(cache.dense[:, j])
+            counts = cache.dense[codes, j]
+        else:
+            lo, hi = cache.indptr[j], cache.indptr[j + 1]
+            codes, counts = cache.codes[lo:hi], cache.counts[lo:hi]
+            assert np.all(np.diff(codes) > 0)
+        out.append({(int(c) // sigma, int(c) % sigma): int(k) for c, k in zip(codes, counts)})
+    return out
+
+
 def test_pair_counts_routes_match_brute():
-    text, pattern = _uniform(60, 16, 4, seed=26)
-    nw = 45
-    dense = prepare_pair_counts(text, pattern)
-    sparse = prepare_pair_counts(text, pattern, mem_budget=1)
-    assert dense.kind == "dense" and sparse.kind == "sparse"
-    for j in range(nw):
-        want = alignment_dict_brute(text, pattern, j)
-        got_dense = {
-            (c // 4, c % 4): int(dense.dense[c, j])
-            for c in np.flatnonzero(dense.dense[:, j])
-            if c // 4 != c % 4
-        }
-        lo, hi = sparse.indptr[j], sparse.indptr[j + 1]
-        got_sparse = {
-            (int(c) // 4, int(c) % 4): int(k)
-            for c, k in zip(sparse.codes[lo:hi], sparse.counts[lo:hi])
-            if c // 4 != c % 4
-        }
-        assert got_dense == want
-        assert got_sparse == want
+    base = _uniform(60, 16, 4, seed=26)
+    shapes = [
+        base,
+        _uniform(60, 1, 2, seed=5),
+        _uniform(60, 60, 2, seed=6),
+        _uniform(60, 1, 4, seed=7),
+        _uniform(60, 60, 4, seed=8),
+        _uniform(40, 7, 1, seed=9),
+        _uniform(40, 40, 1, seed=10),
+        _uniform(40, 9, 257, seed=11),
+        _uniform(40, 1, 257, seed=12),
+        _uniform(40, 40, 257, seed=13),
+    ]
+    for text, pattern in shapes:
+        sigma, nw = text.sigma, len(text) - len(pattern) + 1
+        want = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
+        # a budget just above the dense grid's 12 * sigma^2 * nw bytes keeps
+        # the grid but builds it in blocks of a few windows; 1000 and 1 build
+        # the CSR layout in blocks of a few windows and of one window
+        for budget in (DEFAULT_MEM_BUDGET, 12 * sigma * sigma * nw + 1, 1000, 1):
+            assert _pair_dicts(prepare_pair_counts(text, pattern, budget)) == want
+        assert [
+            build_alignment_matrix(text, pattern, j).entries for j in range(nw)
+        ] == want
+    text, pattern = base
+    blocked = prepare_pair_counts(text, pattern, 12 * 16 * 45 + 1)
+    assert blocked.kind == "dense"
+    assert np.array_equal(blocked.dense, prepare_pair_counts(text, pattern).dense)
+    assert prepare_pair_counts(text, pattern, mem_budget=1).kind == "sparse"
 
 
 def test_noise_profile_from_windows_capacity_and_ties():
