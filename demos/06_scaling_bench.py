@@ -1,32 +1,40 @@
 """How the estimators scale as eps shrinks, via the bench subcommand.
 
-The baseline's family size grows like 1/eps^2, so halving eps roughly
-quadruples its time. The corrected estimator's family grows like 1/eps and
-recovery adds one scale per halving, so its time is near flat by comparison.
-The CSV below makes that visible at a modest size; rerun with a larger --n
-from the shell to sharpen the trend.
+At sigma=16 the member Hamming sum takes the symbol-pair route: it weights
+each aligned symbol pair by the number of members that separate it, so
+karloff's time no longer grows with its 1/eps^2 family, and approx's time is
+mostly recovery (one more scale per halving). At sigma=1024 the occurring
+symbol pairs are too many for that route, so karloff runs one correlation
+per member and halving eps roughly quadruples its time. The CSV below makes
+both visible at a modest size; rerun with a larger --n from the shell to
+sharpen the trend.
 """
 
 import subprocess
 import sys
 
-cmd = [
-    sys.executable, "-m", "hamsketch", "bench",
-    "--n", "16384",
-    "--m", "1024",
-    "--sigma", "16",
-    "--epsilon", "0.4", "0.2", "0.1",
-    "--seed", "13",
-    "--reps", "3",
-    "--algos", "karloff,approx",
-]
-print("$", " ".join(cmd[2:]))
-out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
-print(out)
 
-rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-times = {(r[0], float(r[4])): float(r[5]) for r in rows}
-for algo in ("karloff", "approx"):
-    r1 = times[(algo, 0.2)] / times[(algo, 0.4)]
-    r2 = times[(algo, 0.1)] / times[(algo, 0.2)]
-    print(f"{algo}: time ratio per eps halving {r1:.2f}, {r2:.2f}")
+def bench(sigma: int, algos: str) -> dict:
+    cmd = [
+        sys.executable, "-m", "hamsketch", "bench",
+        "--n", "16384",
+        "--m", "1024",
+        "--sigma", str(sigma),
+        "--epsilon", "0.4", "0.2", "0.1",
+        "--seed", "13",
+        "--reps", "3",
+        "--algos", algos,
+    ]
+    print("$", " ".join(cmd[2:]))
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    print(out)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    return {(r[0], float(r[4])): float(r[5]) for r in rows}
+
+
+for sigma, algos in ((16, "karloff,approx"), (1024, "karloff")):
+    times = bench(sigma, algos)
+    for algo in algos.split(","):
+        r1 = times[(algo, 0.2)] / times[(algo, 0.4)]
+        r2 = times[(algo, 0.1)] / times[(algo, 0.2)]
+        print(f"sigma={sigma} {algo}: time ratio per eps halving {r1:.2f}, {r2:.2f}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, ROLE_RECOVERY, mix
 from ._sketch import median_profile, member_hamming_sum
-from .hashing import XorTreeFamily, beta, beta_many, family_new
+from .hashing import XorTreeFamily, beta_many, family_new
 from .karloff import check_epsilon, default_reps
 from .sparse_recovery import (
     B_CONST,
@@ -33,7 +33,7 @@ from .sparse_recovery import (
     prepare_pair_counts,
     recovery_params,
 )
-from .text_model import DistanceProfile, IntString, SparseNoiseMatrix
+from .text_model import DistanceProfile, IntString
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,6 @@ def approx_params(
         share_dprime=share_dprime,
         recovery_reps=recovery_reps,
     )
-
-
-def correction_term(dprime: SparseNoiseMatrix, family: XorTreeFamily) -> float:
-    """(1/2) * sum (2*beta_{u,v} - k) * d'_{u,v}; half-integer for integer d'."""
-    if not dprime.entries:
-        return 0.0
-    total = 0
-    for (u, v), val in dprime.entries.items():
-        total += (2 * beta(family, u, v) - family.k) * val
-    return total / 2.0
 
 
 def correction_numerators(noise: NoiseProfile, family: XorTreeFamily) -> np.ndarray:

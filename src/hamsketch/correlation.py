@@ -9,8 +9,10 @@ Two interchangeable backends:
 * "fft": real FFT convolution, rounded to the nearest integer. Every true
   count is at most m <= 2^26, which keeps the accumulated floating error far
   below 0.5 at supported sizes; a guard raises if the residue ever gets close.
-* "popcount": word-parallel bit packing with hardware popcount, O(n*m/64).
-  Always exact; the default below AUTO_FFT_MIN, and the cross-check backend.
+  "auto" resolves to it: every library caller batches rows through one FFT.
+* "popcount": word-parallel bit packing with hardware popcount, O(n*m/64),
+  one Python loop of 64 shifts per row. Always exact; kept as the explicit
+  cross-check backend.
 
 Both return exact int64 counts and must agree bit for bit.
 """
@@ -21,7 +23,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
-AUTO_FFT_MIN = 4096
 _BACKENDS = ("auto", "fft", "popcount")
 
 # chunk row batches so scratch FFT buffers stay around ~256 MB
@@ -48,12 +49,19 @@ def _check_lengths(n: int, m: int) -> int:
     return n - m + 1
 
 
-def _resolve_backend(backend: str, n: int) -> str:
+def _resolve_backend(backend: str) -> str:
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {_BACKENDS}")
-    if backend == "auto":
-        return "fft" if n >= AUTO_FFT_MIN else "popcount"
-    return backend
+    return "fft" if backend == "auto" else backend
+
+
+def round_counts(raw: np.ndarray) -> np.ndarray:
+    """FFT output rounded to the exact int64 counts it approximates; raises
+    if any residue comes near 0.5."""
+    rounded = np.rint(raw)
+    if np.max(np.abs(raw - rounded)) >= 0.25:
+        raise RuntimeError("FFT correlation residue too large; counts not trustworthy")
+    return rounded.astype(np.int64)
 
 
 def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarray:
@@ -77,10 +85,7 @@ def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarra
         tf = sfft.rfft(txt[lo:hi], nfft, axis=1)
         pf = sfft.rfft(rev[lo:hi], nfft, axis=1)
         raw = sfft.irfft(tf * pf, nfft, axis=1)[:, m - 1 : m - 1 + nw]
-        rounded = np.rint(raw)
-        if np.max(np.abs(raw - rounded)) >= 0.25:
-            raise RuntimeError("FFT correlation residue too large; counts not trustworthy")
-        out[lo:hi] = rounded.astype(np.int64)
+        out[lo:hi] = round_counts(raw)
     return out
 
 
@@ -114,7 +119,7 @@ def count_aligned_ones(text_mask, pattern_mask, backend: str = "auto") -> np.nda
     t = _as_mask(text_mask, "text_mask")
     p = _as_mask(pattern_mask, "pattern_mask")
     _check_lengths(t.size, p.size)
-    mode = _resolve_backend(backend, t.size)
+    mode = _resolve_backend(backend)
     if mode == "fft":
         return correlate_rows(t[None, :], p[None, :])[0]
     return _count_popcount(t, p)

@@ -48,7 +48,7 @@ def hamming_profile_convolution(
         )
     symbols = np.unique(pattern.symbols)
     matches = np.zeros(nw, dtype=np.int64)
-    mode = _resolve_backend(backend, n)
+    mode = _resolve_backend(backend)
     if mode == "fft":
         for lo in range(0, symbols.size, _CONV_CHUNK_ROWS):
             batch = symbols[lo : lo + _CONV_CHUNK_ROWS]

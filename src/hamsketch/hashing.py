@@ -25,6 +25,9 @@ from .gf64 import POINT_BITS, poly3_eval
 
 MAX_OUT_BITS = 20
 DOMAIN_CAP = 1 << POINT_BITS
+# beta_grid folds at most this many (base function, pair) agreement cells
+# at a time
+_GRID_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -144,26 +147,37 @@ def _combine_pairs(e: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return e_new, d_new
 
 
-def beta(family: XorTreeFamily, u: int, v: int) -> int:
-    """Number of members with h_i(u) == h_i(v), in O(log k) hash evaluations."""
-    buv = base_bits(family, [u, v])
-    agree = (buv[:, 0] == buv[:, 1]).astype(np.int64)
-    e = agree[0::2] + agree[1::2]  # per leaf pair: 0, 1, or 2 agreeing choices
-    d = 2 - e
-    while len(e) > 1:
-        e, d = _combine_pairs(e, d)
-    return int(e[0])
+def _tree_beta(agree: np.ndarray) -> np.ndarray:
+    """Members agreeing, from base-bit agreement of shape (2*pairs, ...).
 
-
-def beta_many(family: XorTreeFamily, us, vs) -> np.ndarray:
-    """Vectorized beta over parallel symbol arrays."""
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    bu = base_bits(family, us)
-    bv = base_bits(family, vs)
-    agree = (bu == bv).astype(np.int64)
+    Row 2b + c says whether base function 2b + c agrees; each leaf pair
+    offers 0, 1 or 2 agreeing choices, and the tree folds them in O(pairs).
+    """
+    agree = agree.astype(np.int64)
     e = agree[0::2] + agree[1::2]
     d = 2 - e
     while e.shape[0] > 1:
         e, d = _combine_pairs(e, d)
     return e[0]
+
+
+def beta(family: XorTreeFamily, u: int, v: int) -> int:
+    """Number of members with h_i(u) == h_i(v), in O(log k) hash evaluations."""
+    buv = base_bits(family, [u, v])
+    return int(_tree_beta(buv[:, 0] == buv[:, 1]))
+
+
+def beta_many(family: XorTreeFamily, us, vs) -> np.ndarray:
+    """Vectorized beta over parallel symbol arrays."""
+    return _tree_beta(base_bits(family, us) == base_bits(family, vs))
+
+
+def beta_grid(family: XorTreeFamily, us, vs) -> np.ndarray:
+    """(len(us), len(vs)) matrix of beta over every pair of the two symbol
+    arrays; base bits are evaluated once per symbol, not once per pair."""
+    bu, bv = base_bits(family, us), base_bits(family, vs)
+    out = np.empty((bu.shape[1], bv.shape[1]), dtype=np.int64)
+    step = max(1, _GRID_CELLS // max(1, bu.shape[0] * bv.shape[1]))
+    for lo in range(0, bu.shape[1], step):
+        out[lo : lo + step] = _tree_beta(bu[:, lo : lo + step, None] == bv[:, None, :])
+    return out

@@ -71,6 +71,9 @@ _FILL_SAMPLE = 64  # windows sampled to choose the pair-count layout
 # block, at about this many bytes of temporaries per position
 _PAIR_BLOCK_POSITIONS = 1 << 20
 _PAIR_BYTES_PER_POSITION = 48
+# the dense route's capacity filter ranks at most this many grid cells at a
+# time, at 16 bytes of key and partition index per cell
+_FILTER_BLOCK_CELLS = 1 << 18
 
 
 # ----------------------------------------------------------------------------
@@ -635,28 +638,40 @@ def _decode_group_dense(A, dd, members, sigma, nbits, x, y, tau, pi, inf):
 
 
 def _filter_dense(A: np.ndarray, sigma: int, capacity: int, nw: int) -> NoiseProfile:
+    """Each window's capacity largest values, ties broken toward the smaller
+    code, ranked in window blocks so the int64 keys and partition indices
+    never span more than _FILTER_BLOCK_CELLS cells of the grid."""
     pair_space = A.shape[0]
-    if pair_space > capacity:
-        code_bits = max(1, (pair_space - 1).bit_length())
-        anti_code = (np.int64((1 << code_bits) - 1)
-                     - np.arange(pair_space, dtype=np.int64))[:, None]
-        key = A * np.int64(1 << code_bits) + anti_code
-        top = np.argpartition(-key, capacity - 1, axis=0)[:capacity]
-        keep = np.zeros(A.shape, dtype=bool)
-        np.put_along_axis(keep, top, True, axis=0)
-        A = np.where(keep, A, 0)
-    mask = (A.T > 0)
-    win_idx, code_idx = np.nonzero(mask)
-    values = A.T[mask]
+    # ascending key = descending value, then ascending code
+    shift = np.int64(-(1 << max(1, (pair_space - 1).bit_length())))
+    code_col = np.arange(pair_space, dtype=np.int64)[:, None]
+    step = max(1, _FILTER_BLOCK_CELLS // pair_space)
+    codes, values = [], []
+    counts = np.zeros(nw, dtype=np.int64)
+    for lo in range(0, nw, step):
+        sub = A[:, lo : lo + step]
+        if pair_space > capacity:
+            key = sub * shift
+            key += code_col
+            top = np.sort(np.argpartition(key, capacity - 1, axis=0)[:capacity], axis=0)
+            del key
+        else:
+            top = np.broadcast_to(code_col, sub.shape)
+        val = np.take_along_axis(sub, top, axis=0).T
+        pos = val > 0
+        codes.append(top.T[pos])
+        values.append(val[pos])
+        counts[lo : lo + step] = pos.sum(axis=1)
+    code_idx = np.concatenate(codes)
     indptr = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(mask.sum(axis=1, dtype=np.int64), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
     return NoiseProfile(
         sigma=sigma,
         capacity=capacity,
         indptr=indptr,
         us=(code_idx // sigma).astype(np.int32),
         vs=(code_idx % sigma).astype(np.int32),
-        values=values.astype(np.int64),
+        values=np.concatenate(values).astype(np.int64),
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import member_eval
+from hamsketch.hashing import beta, member_eval
 from hamsketch.text_model import IntString
 
 
@@ -109,3 +109,12 @@ def pair_count_matrix(cache) -> np.ndarray:
     win = np.repeat(np.arange(cache.n_windows), np.diff(cache.indptr))
     dd[cache.codes, win] = cache.counts
     return dd
+
+
+def correction_term(dprime, family) -> float:
+    """(1/2) * sum (2*beta_{u,v} - k) * d'_{u,v} of one window's noise
+    matrix, one scalar beta per entry; half-integer for integer d'."""
+    total = 0
+    for (u, v), val in dprime.entries.items():
+        total += (2 * beta(family, u, v) - family.k) * val
+    return total / 2.0

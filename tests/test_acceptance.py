@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from hamsketch.approx import approx_params, approx_profile, correction_term
+from hamsketch.approx import approx_params, approx_profile
 from hamsketch.cli import main as cli_main
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import beta, beta_many, family_new, fourwise_new
@@ -31,7 +31,7 @@ from hamsketch.text_model import (
     generate_instance,
 )
 
-from helpers import beta_brute, fourwise_eval_seeds
+from helpers import beta_brute, correction_term, fourwise_eval_seeds
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -6,7 +6,6 @@ from hamsketch.approx import (
     approx_profile,
     approx_profile_single,
     correction_numerators,
-    correction_term,
 )
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, family_new
@@ -17,7 +16,7 @@ from hamsketch.sparse_recovery import (
 )
 from hamsketch.text_model import IntString, SparseNoiseMatrix, generate_instance
 
-from helpers import alignment_dict_brute, beta_brute, sliding_hamming_brute
+from helpers import alignment_dict_brute, beta_brute, correction_term, sliding_hamming_brute
 
 
 def _exact_noise(text, pattern):

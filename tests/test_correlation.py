@@ -25,7 +25,7 @@ def test_count_aligned_ones_matches_brute():
 
 
 def test_backends_agree_on_large_inputs():
-    # sizes past the auto cutoff, where fft takes over from popcount
+    # auto is fft; popcount is the cross-check on long inputs too
     rng = np.random.default_rng(7)
     for n, m in [(4096, 512), (10000, 33), (8191, 4096)]:
         t = rng.integers(0, 2, size=n)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from hamsketch import hashing
 from hamsketch._seeds import mix, splitmix64, splitmix64_array, u64_stream
 from hamsketch.gf64 import gf64_mul_point, poly3_eval
 from hamsketch.hashing import (
     FourWiseHash,
     base_bits,
     beta,
+    beta_grid,
     beta_many,
     family_new,
     fourwise_new,
@@ -194,6 +196,17 @@ def test_beta_many_matches_beta():
     out = beta_many(fam, us, vs)
     for i in range(len(us)):
         assert int(out[i]) == beta(fam, int(us[i]), int(vs[i]))
+
+
+def test_beta_grid_matches_brute_on_every_pair(monkeypatch):
+    fam = family_new(32, seed=41)
+    us, vs = [0, 3, 7, 7, 12], [3, 1, 12]
+    want = np.array([[beta_brute(fam, u, v) for v in vs] for u in us])
+    assert np.array_equal(beta_grid(fam, us, vs), want)
+    # folded one row of us at a time
+    monkeypatch.setattr(hashing, "_GRID_CELLS", 1)
+    assert np.array_equal(beta_grid(fam, us, vs), want)
+    assert beta_grid(fam, [], vs).shape == (0, 3)
 
 
 def test_beta_statistics_spread():

@@ -1,0 +1,175 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import fft as sfft
+
+from hamsketch import _sketch
+from hamsketch._sketch import member_hamming_sum, symbol_route_pays
+from hamsketch.approx import approx_params
+from hamsketch.hashing import family_new
+from hamsketch.karloff import karloff_params
+from hamsketch.text_model import IntString, generate_instance
+
+from helpers import member_profile_brute
+
+
+def _occurring(s: IntString) -> np.ndarray:
+    return np.unique(s.symbols)
+
+
+def _nfft(text, pattern) -> int:
+    return sfft.next_fast_len(len(text) + len(pattern) - 1, real=True)
+
+
+def _all_routes(text, pattern, fam):
+    """Symbol route, per-member FFT and popcount routes, and the public call
+    under each backend."""
+    sym = _sketch._symbol_pair_sum(
+        text, pattern, fam, _occurring(text), _occurring(pattern), _nfft(text, pattern)
+    )
+    out = {
+        "symbols": sym,
+        "members_fft": _sketch._per_member_sum(text, pattern, fam, "fft"),
+        "members_popcount": _sketch._per_member_sum(text, pattern, fam, "popcount"),
+    }
+    for backend in ("auto", "fft", "popcount"):
+        out[backend] = member_hamming_sum(text, pattern, fam, backend)
+    return out
+
+
+def _brute(text, pattern, fam):
+    return sum(member_profile_brute(text, pattern, fam, i) for i in range(fam.k))
+
+
+EDGE_SHAPES = {
+    # name: (text symbols, pattern symbols, sigma)
+    "mixed": (np.random.default_rng(83).integers(0, 6, size=40), [0, 5, 5, 2, 1, 3, 3, 0, 4], 6),
+    "m_is_1": ([3, 1, 4, 1, 5, 2, 6, 5, 3, 5], [4], 7),
+    "m_is_n": ([0, 1, 2, 3, 4, 0, 1], [4, 4, 0, 2, 1, 3, 3], 5),
+    "sigma_1": ([0] * 12, [0] * 5, 1),
+    "text_only_symbols": ([0, 1, 2, 3, 4, 5, 0, 1, 2, 3], [0, 1, 0], 6),
+    "pattern_only_symbols": ([0, 1, 0, 0, 1, 1, 0, 1], [2, 3, 4, 0], 5),
+    "disjoint_sides": ([0, 1, 1, 0, 1, 0, 0], [2, 3, 2], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SHAPES))
+@pytest.mark.parametrize("k", [2, 8, 32])
+def test_member_sum_routes_match_brute_on_edge_shapes(name, k):
+    t, p, sigma = EDGE_SHAPES[name]
+    text, pattern = IntString(np.asarray(t), sigma), IntString(np.asarray(p), sigma)
+    fam = family_new(k, seed=4 + k)
+    want = _brute(text, pattern, fam)
+    for route, got in _all_routes(text, pattern, fam).items():
+        assert got.dtype == np.int64, route
+        assert np.array_equal(got, want), route
+
+
+def test_edge_shapes_cover_both_contraction_orders():
+    # the symbol route keeps the smaller side's spectra and streams the other
+    # side; the edge shapes must exercise both orientations
+    sizes = [
+        (np.unique(t).size, np.unique(p).size) for t, p, _ in EDGE_SHAPES.values()
+    ]
+    assert any(a > b for a, b in sizes)
+    assert any(a < b for a, b in sizes)
+
+
+def test_symbol_route_chunks_do_not_change_the_sum(monkeypatch):
+    # one row per FFT chunk: every (outer, inner) chunk pair is visited
+    rng = np.random.default_rng(5)
+    fam = family_new(16, seed=9)
+    for n, m, sigma in [(60, 13, 9), (30, 30, 4)]:
+        text = IntString(rng.integers(0, sigma, size=n), sigma)
+        pattern = IntString(rng.integers(0, sigma, size=m), sigma)
+        whole = _all_routes(text, pattern, fam)["symbols"]
+        monkeypatch.setattr(_sketch, "_FFT_CHUNK_BYTES", 1)
+        chunked = _all_routes(text, pattern, fam)["symbols"]
+        monkeypatch.undo()
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(whole, _brute(text, pattern, fam))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_member_sum_routes_match_brute_property(data):
+    sigma = data.draw(st.integers(1, 7), label="sigma")
+    n = data.draw(st.integers(1, 30), label="n")
+    m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
+    symbols = st.integers(0, sigma - 1)
+    text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
+    pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
+    k = data.draw(st.sampled_from([2, 4, 8, 16]), label="k")
+    fam = family_new(k, seed=data.draw(st.integers(0, 1 << 30), label="seed"))
+    want = _brute(text, pattern, fam)
+    for route, got in _all_routes(text, pattern, fam).items():
+        assert np.array_equal(got, want), route
+
+
+def _few_pairs_shape(n, m, sigma, seed):
+    # the periodic few-pairs instance: 8 pattern symbols, 3 of them replaced
+    # by outside symbols in the text
+    rng = np.random.default_rng(seed)
+    block = rng.choice(sigma, 8, replace=False)
+    text_block = block.copy()
+    outside = np.setdiff1d(np.arange(sigma), block)
+    text_block[rng.choice(8, 3, replace=False)] = rng.choice(outside, 3, replace=False)
+    return IntString(np.resize(text_block, n), sigma), IntString(np.resize(block, m), sigma)
+
+
+@pytest.mark.parametrize(
+    "shape, symbol_route",
+    [
+        ("dense16", True),  # n=8192, m=512, sigma=16
+        ("few_pairs", True),  # n=4096, m=512, sigma=64, 8 symbols a side
+        ("sparse256", False),  # n=2048, m=64, sigma=256
+    ],
+)
+def test_route_rule_on_benchmark_shapes(shape, symbol_route):
+    if shape == "few_pairs":
+        text, pattern = _few_pairs_shape(4096, 512, 64, seed=1)
+    else:
+        n, m, sigma = {"dense16": (8192, 512, 16), "sparse256": (2048, 64, 256)}[shape]
+        text, pattern = generate_instance(n, m, sigma, "uniform", 1)
+    sa, sb = _occurring(text).size, _occurring(pattern).size
+    nfft = _nfft(text, pattern)
+    for k in (karloff_params(0.1, 1, len(text)).k, approx_params(0.1, 1, len(text)).k):
+        assert symbol_route_pays(sa, sb, k, nfft) == symbol_route, (shape, k, sa, sb)
+
+
+def test_route_rule_limits():
+    # the product term: balanced alphabets past 4 * k * log2(nfft) pairs
+    k, nfft = 64, 1 << 12
+    s = math.isqrt(4 * k * 12)
+    assert symbol_route_pays(s, s, k, nfft)
+    assert not symbol_route_pays(s + 1, s + 1, k, nfft)
+    # the FFT-count term: one pattern symbol against a large text alphabet
+    assert symbol_route_pays(2 * k - 1, 1, k, nfft)
+    assert not symbol_route_pays(2 * k, 1, k, nfft)
+
+
+def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(_sketch, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(_sketch, "_symbol_pair_sum", spy("_symbol_pair_sum"))
+    monkeypatch.setattr(_sketch, "_per_member_sum", spy("_per_member_sum"))
+    rng = np.random.default_rng(3)
+    small = IntString(rng.integers(0, 4, size=200), 4)
+    large = IntString(rng.integers(0, 400, size=800), 400)
+    fam = family_new(16, seed=2)
+    member_hamming_sum(small, IntString(small.symbols[:20], 4), fam)
+    member_hamming_sum(small, IntString(small.symbols[:20], 4), fam, "popcount")
+    member_hamming_sum(large, IntString(large.symbols[:100], 400), fam)
+    assert calls == ["_symbol_pair_sum", "_per_member_sum", "_per_member_sum"]

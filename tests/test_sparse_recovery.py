@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamsketch import sparse_recovery
 from hamsketch.sparse_recovery import (
     DEFAULT_MEM_BUDGET,
     NoiseProfile,
@@ -264,6 +267,50 @@ def test_dense_and_sparse_routes_agree():
     via_dense = construct_sparse_noise(text, pattern, params, pair_cache=dense)
     via_csr = construct_sparse_noise(text, pattern, params, pair_cache=csr)
     assert via_dense.same_as(via_csr)
+
+
+def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
+    text, pattern = _uniform(200, 24, 40, seed=8)
+    params = recovery_params(0.25, seed=12, reps=3)
+    csr = prepare_pair_counts(text, pattern)
+    dense = PairCounts(
+        kind="dense", sigma=40, n_windows=csr.n_windows, dense=pair_count_matrix(csr)
+    )
+    want = construct_sparse_noise(text, pattern, params, pair_cache=csr)
+    # the capacity cut must bind somewhere, or ranking is never tested
+    assert np.diff(want.indptr).max() == params.capacity
+    for cells in (1, 1600 * 5, 1 << 30):
+        monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
+        got = construct_sparse_noise(text, pattern, params, pair_cache=dense)
+        assert got.same_as(want), cells
+
+
+def _periodic_instance(n, m, sigma, seed):
+    # a period-8 pattern against the same block with 3 symbols substituted
+    rng = np.random.default_rng(seed)
+    block = rng.choice(sigma, 8, replace=False)
+    text_block = block.copy()
+    outside = np.setdiff1d(np.arange(sigma), block)
+    text_block[rng.choice(8, 3, replace=False)] = rng.choice(outside, 3, replace=False)
+    return IntString(np.resize(text_block, n), sigma), IntString(np.resize(block, m), sigma)
+
+
+def test_dense_route_stays_inside_its_memory_rule():
+    # prepare_pair_counts admits the dense grid when 12 * sigma^2 * windows
+    # bytes fit the budget; the int32 counts take 4 of those bytes before
+    # recovery starts, so recovery itself may add at most 8 per cell
+    text, pattern = _periodic_instance(1024, 64, 64, seed=3)
+    cache = prepare_pair_counts(text, pattern)
+    assert cache.kind == "dense"
+    params = recovery_params(0.25, seed=5, reps=1)
+    tracemalloc.start()
+    try:
+        noise = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert noise.values.size
+    assert peak <= 8 * 64 * 64 * cache.n_windows
 
 
 def test_pair_count_layout_follows_window_fill():
