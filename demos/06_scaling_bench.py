@@ -3,9 +3,10 @@
 At sigma=16 the member Hamming sum takes the symbol-pair route: it weights
 each aligned symbol pair by the number of members that separate it, so
 karloff's time no longer grows with its 1/eps^2 family, and approx's time is
-mostly recovery (one more scale per halving). At sigma=1024 the occurring
-symbol pairs are too many for that route, so karloff runs one correlation
-per member and halving eps roughly quadruples its time. The CSV below makes
+mostly recovery (one more scale per halving). At sigma=1024 both text and
+pattern hold more occurring symbols than the family has members (at most
+256 here), so karloff correlates the binary projection of every member and
+halving eps roughly quadruples its time. The CSV below makes
 both visible at a modest size; rerun with a larger --n from the shell to
 sharpen the trend.
 """

@@ -107,7 +107,6 @@ def approx_profile_single(
     pattern: IntString,
     params: ApproxParams,
     exec_index: int,
-    backend: str = "auto",
     *,
     noise: NoiseProfile | None = None,
     pair_cache: PairCounts | None = None,
@@ -117,7 +116,7 @@ def approx_profile_single(
         noise = _recover_noise(text, pattern, params, exec_index, pair_cache)
     seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
     family = family_new(params.k, mix(seed_exec, ROLE_FAMILY))
-    ham_sum = member_hamming_sum(text, pattern, family, backend)
+    ham_sum = member_hamming_sum(text, pattern, family)
     numerator = 2 * ham_sum + correction_numerators(noise, family)
     return DistanceProfile(np.maximum(0.0, numerator / params.k), "estimate")
 
@@ -126,7 +125,6 @@ def approx_profile(
     text: IntString,
     pattern: IntString,
     params: ApproxParams,
-    backend: str = "auto",
     *,
     noise_override: NoiseProfile | None = None,
     return_noise: bool = False,
@@ -145,7 +143,7 @@ def approx_profile(
             shared = _recover_noise(text, pattern, params, 0, pair_cache)
     profile = median_profile(
         lambda e: approx_profile_single(
-            text, pattern, params, e, backend, noise=shared, pair_cache=pair_cache
+            text, pattern, params, e, noise=shared, pair_cache=pair_cache
         ),
         params.reps,
     )

@@ -50,7 +50,6 @@ def _add_estimator_flags(p) -> None:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--reps", type=int, default=None, help="median executions (default 2*log2 n)")
-    p.add_argument("--backend", choices=("auto", "fft", "popcount"), default="auto")
     p.add_argument("--round", action="store_true", help="round estimates to integers")
     p.add_argument("--stats", action="store_true", help="write <out>.stats.json vs the exact profile")
 
@@ -72,7 +71,6 @@ def build_parser() -> _Parser:
     e = sub.add_parser("exact", help="exact distance profile")
     _add_io_flags(e)
     e.add_argument("--algo", choices=("auto", "naive", "conv"), default="auto")
-    e.add_argument("--backend", choices=("auto", "fft", "popcount"), default="auto")
 
     k = sub.add_parser("karloff", help="baseline estimator, k ~ 1/eps^2")
     _add_io_flags(k)
@@ -96,7 +94,6 @@ def build_parser() -> _Parser:
     b.add_argument("--reps", type=int, default=None)
     b.add_argument("--algos", default="exact,karloff,approx",
                    help="comma list from {exact,karloff,approx}")
-    b.add_argument("--backend", choices=("auto", "fft", "popcount"), default="auto")
     b.add_argument("--out", default=None, help="bench CSV (default stdout)")
     b.add_argument("--json", default=None, metavar="PATH", help="JSON mirror of the report")
 
@@ -128,15 +125,15 @@ def _write_profile(profile: DistanceProfile, args) -> None:
     write_profile_csv(args.out, profile)
 
 
-def _exact_profile(text, pattern, backend: str) -> DistanceProfile:
+def _exact_profile(text, pattern) -> DistanceProfile:
     """The convolution profile, or the naive one above its alphabet cap."""
     if text.sigma > CONV_SIGMA_CAP:
         return hamming_profile_naive(text, pattern)
-    return hamming_profile_convolution(text, pattern, backend=backend)
+    return hamming_profile_convolution(text, pattern)
 
 
 def _write_stats(profile, text, pattern, args) -> None:
-    exact = _exact_profile(text, pattern, args.backend)
+    exact = _exact_profile(text, pattern)
     summary = error_stats(profile, exact, args.epsilon)
     with open(args.out + ".stats.json", "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -156,9 +153,9 @@ def _cmd_exact(args) -> int:
     if args.algo == "naive":
         profile = hamming_profile_naive(text, pattern)
     elif args.algo == "conv":
-        profile = hamming_profile_convolution(text, pattern, backend=args.backend)
+        profile = hamming_profile_convolution(text, pattern)
     else:
-        profile = _exact_profile(text, pattern, args.backend)
+        profile = _exact_profile(text, pattern)
     write_profile_csv(args.out, profile)
     return 0
 
@@ -166,7 +163,7 @@ def _cmd_exact(args) -> int:
 def _cmd_karloff(args) -> int:
     text, pattern = _read_instance(args)
     params = karloff_params(args.epsilon, args.seed, len(text), args.reps)
-    profile = karloff_profile(text, pattern, params, args.backend)
+    profile = karloff_profile(text, pattern, params)
     _write_profile(profile, args)
     if args.stats:
         _write_stats(profile, text, pattern, args)
@@ -179,9 +176,7 @@ def _cmd_approx(args) -> int:
     params = approx_params(
         args.epsilon, args.seed, len(text), args.reps, share_dprime=share
     )
-    profile, noise = approx_profile(
-        text, pattern, params, args.backend, return_noise=True
-    )
+    profile, noise = approx_profile(text, pattern, params, return_noise=True)
     _write_profile(profile, args)
     if args.dump_dprime is not None:
         noise.dump_csv(args.dump_dprime)
@@ -198,18 +193,18 @@ def _cmd_bench(args) -> int:
     rows = []
     for n in args.n:
         text, pattern = generate_instance(n, args.m, args.sigma, args.model, args.seed)
-        exact = _exact_profile(text, pattern, args.backend)
+        exact = _exact_profile(text, pattern)
         for eps in args.epsilon:
             for algo in algos:
                 t0 = time.perf_counter()
                 if algo == "exact":
-                    profile = _exact_profile(text, pattern, args.backend)
+                    profile = _exact_profile(text, pattern)
                 elif algo == "karloff":
                     kp = karloff_params(eps, args.seed, n, args.reps)
-                    profile = karloff_profile(text, pattern, kp, args.backend)
+                    profile = karloff_profile(text, pattern, kp)
                 else:
                     ap = approx_params(eps, args.seed, n, args.reps)
-                    profile = approx_profile(text, pattern, ap, args.backend)
+                    profile = approx_profile(text, pattern, ap)
                 seconds = time.perf_counter() - t0
                 summary = error_stats(profile, exact, eps)
                 rows.append({

@@ -1,29 +1,24 @@
-"""Global sliding-alignment counting for binary masks.
+"""Summed sliding correlations through one FFT path.
 
-count_aligned_ones(t, p)[j] = sum_i t[j+i] * p[i] for every window offset j,
-i.e. one pass of the classic convolution trick for counting aligned (1, 1)
-pairs at all alignments at once.
+correlate_rows(T, P)[j] = sum_r sum_i T[r, j+i] * P[r, i] for every window
+offset j: the sum over rows of the row-pair correlations. Every library
+caller needs correlations only through such sums (matches summed over
+symbols, Hamming distances summed over family members, symbol pairs weighted
+by k - beta), so the spectrum products accumulate across row chunks and one
+inverse real FFT gives the whole sum.
 
-Two interchangeable backends:
+The true sums are integers. At supported sizes the floating error stays far
+below 0.5, and round_counts raises if a residue ever gets close, so the
+int64 output is exact.
 
-* "fft": real FFT convolution, rounded to the nearest integer. Every true
-  count is at most m <= 2^26, which keeps the accumulated floating error far
-  below 0.5 at supported sizes; a guard raises if the residue ever gets close.
-  "auto" resolves to it: every library caller batches rows through one FFT.
-* "popcount": word-parallel bit packing with hardware popcount, O(n*m/64),
-  one Python loop of 64 shifts per row. Always exact; kept as the explicit
-  cross-check backend.
-
-Both return exact int64 counts and must agree bit for bit.
+count_aligned_ones(t, p) is the one-row case for binary masks: the number of
+aligned (1, 1) pairs at every alignment.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
-
-_BACKENDS = ("auto", "fft", "popcount")
 
 # chunk row batches so scratch FFT buffers stay around ~256 MB
 _FFT_CHUNK_BYTES = 1 << 28
@@ -49,12 +44,6 @@ def _check_lengths(n: int, m: int) -> int:
     return n - m + 1
 
 
-def _resolve_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}, expected one of {_BACKENDS}")
-    return "fft" if backend == "auto" else backend
-
-
 def round_counts(raw: np.ndarray) -> np.ndarray:
     """FFT output rounded to the exact int64 counts it approximates; raises
     if any residue comes near 0.5."""
@@ -65,10 +54,11 @@ def round_counts(raw: np.ndarray) -> np.ndarray:
 
 
 def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarray:
-    """FFT correlation of row i of text_rows against row i of pattern_rows.
+    """Sum over i of the correlation of row i of text_rows with row i of
+    pattern_rows.
 
-    Inputs are (k, n) and (k, m) nonnegative integer arrays; output is the
-    exact (k, n-m+1) int64 count matrix.
+    Inputs are (k, n) and (k, m) arrays of integer values (a 1-D input is one
+    row); output is the exact (n-m+1,) int64 sum, from one inverse FFT.
     """
     text_rows = np.atleast_2d(np.asarray(text_rows))
     pattern_rows = np.atleast_2d(np.asarray(pattern_rows))
@@ -76,51 +66,21 @@ def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarra
     m = pattern_rows.shape[1]
     nw = _check_lengths(n, m)
     nfft = sfft.next_fast_len(n + m - 1, real=True)
-    out = np.empty((k, nw), dtype=np.int64)
     rows_per_chunk = max(1, _FFT_CHUNK_BYTES // (nfft * 16 * 3))
-    rev = pattern_rows[:, ::-1].astype(np.float64)
-    txt = text_rows.astype(np.float64)
+    # the pattern is reversed so that spectrum products give correlations
+    acc = np.zeros(nfft // 2 + 1, dtype=np.complex128)
     for lo in range(0, k, rows_per_chunk):
-        hi = min(k, lo + rows_per_chunk)
-        tf = sfft.rfft(txt[lo:hi], nfft, axis=1)
-        pf = sfft.rfft(rev[lo:hi], nfft, axis=1)
-        raw = sfft.irfft(tf * pf, nfft, axis=1)[:, m - 1 : m - 1 + nw]
-        out[lo:hi] = round_counts(raw)
-    return out
+        tf = sfft.rfft(text_rows[lo : lo + rows_per_chunk].astype(np.float64), nfft, axis=1)
+        pf = sfft.rfft(
+            pattern_rows[lo : lo + rows_per_chunk, ::-1].astype(np.float64), nfft, axis=1
+        )
+        acc += np.einsum("ij,ij->j", tf, pf)
+    return round_counts(sfft.irfft(acc, nfft)[m - 1 : m - 1 + nw])
 
 
-def _pack_bits(bits: np.ndarray, nwords: int) -> np.ndarray:
-    buf = np.zeros(nwords * 64, dtype=np.uint8)
-    buf[: bits.size] = bits
-    packed = np.packbits(buf, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
-
-
-def _count_popcount(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    n, m = t.size, p.size
-    nw = n - m + 1
-    mw = (m + 63) // 64
-    pw = _pack_bits(p, mw)
-    tw = _pack_bits(t, (n + 63) // 64 + mw + 1)
-    counts = np.empty(nw, dtype=np.int64)
-    for s in range(min(64, nw)):
-        if s == 0:
-            sw = tw
-        else:
-            sw = (tw[:-1] >> np.uint64(s)) | (tw[1:] << np.uint64(64 - s))
-        q = (nw - 1 - s) // 64 + 1
-        win = sliding_window_view(sw, mw)[:q]
-        counts[s::64] = np.bitwise_count(win & pw).sum(axis=1, dtype=np.int64)
-    return counts
-
-
-def count_aligned_ones(text_mask, pattern_mask, backend: str = "auto") -> np.ndarray:
+def count_aligned_ones(text_mask, pattern_mask) -> np.ndarray:
     """Exact per-window counts of aligned (1, 1) pairs, as int64."""
     t = _as_mask(text_mask, "text_mask")
     p = _as_mask(pattern_mask, "pattern_mask")
     _check_lengths(t.size, p.size)
-    mode = _resolve_backend(backend)
-    if mode == "fft":
-        return correlate_rows(t[None, :], p[None, :])[0]
-    return _count_popcount(t, p)
-
+    return correlate_rows(t, p)

@@ -4,9 +4,10 @@ Two independent routes with identical outputs:
 
 * naive: direct window comparison, O(n*m); the reference everything else is
   judged against.
-* convolution: one aligned-ones count per alphabet symbol occurring in the
-  pattern, O(sigma * n log m); matches[j] summed over symbols gives the
-  number of agreeing positions, so distance = m - matches.
+* convolution: the aligned-ones correlations of every alphabet symbol
+  occurring in the pattern, summed in one FFT pass per chunk of symbols,
+  O(sigma * n log m); the sum counts the agreeing positions, so
+  distance = m - matches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import correlate_rows, count_aligned_ones, _resolve_backend
+from .correlation import correlate_rows
 from .text_model import DistanceProfile, IntString, check_instance
 
 CONV_SIGMA_CAP = 4096
@@ -34,30 +35,18 @@ def hamming_profile_naive(text: IntString, pattern: IntString) -> DistanceProfil
     return DistanceProfile(out, "exact")
 
 
-def hamming_profile_convolution(
-    text: IntString,
-    pattern: IntString,
-    backend: str = "auto",
-    sigma_cap: int = CONV_SIGMA_CAP,
-) -> DistanceProfile:
+def hamming_profile_convolution(text: IntString, pattern: IntString) -> DistanceProfile:
     """Per-symbol aligned-ones counting; exact and near-linear for small sigma."""
     n, m, nw = check_instance(text, pattern)
-    if text.sigma > sigma_cap:
+    if text.sigma > CONV_SIGMA_CAP:
         raise ValueError(
-            f"sigma {text.sigma} above convolution cap {sigma_cap}; use the naive profile"
+            f"sigma {text.sigma} above convolution cap {CONV_SIGMA_CAP}; use the naive profile"
         )
     symbols = np.unique(pattern.symbols)
     matches = np.zeros(nw, dtype=np.int64)
-    mode = _resolve_backend(backend)
-    if mode == "fft":
-        for lo in range(0, symbols.size, _CONV_CHUNK_ROWS):
-            batch = symbols[lo : lo + _CONV_CHUNK_ROWS]
-            t_masks = (text.symbols[None, :] == batch[:, None]).astype(np.uint8)
-            p_masks = (pattern.symbols[None, :] == batch[:, None]).astype(np.uint8)
-            matches += correlate_rows(t_masks, p_masks).sum(axis=0)
-    else:
-        for c in symbols:
-            matches += count_aligned_ones(
-                text.symbols == c, pattern.symbols == c, backend=mode
-            )
+    for lo in range(0, symbols.size, _CONV_CHUNK_ROWS):
+        batch = symbols[lo : lo + _CONV_CHUNK_ROWS]
+        t_masks = (text.symbols[None, :] == batch[:, None]).astype(np.uint8)
+        p_masks = (pattern.symbols[None, :] == batch[:, None]).astype(np.uint8)
+        matches += correlate_rows(t_masks, p_masks)
     return DistanceProfile(m - matches, "exact")

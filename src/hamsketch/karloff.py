@@ -49,12 +49,11 @@ def karloff_profile_single(
     pattern: IntString,
     params: KarloffParams,
     exec_index: int,
-    backend: str = "auto",
 ) -> DistanceProfile:
     """One execution: delta[j] = 2/k * sum_i HAM_i[j]."""
     seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
     family = family_new(params.k, mix(seed_exec, ROLE_FAMILY))
-    ham_sum = member_hamming_sum(text, pattern, family, backend)
+    ham_sum = member_hamming_sum(text, pattern, family)
     return DistanceProfile(2.0 * ham_sum / params.k, "estimate")
 
 
@@ -62,9 +61,8 @@ def karloff_profile(
     text: IntString,
     pattern: IntString,
     params: KarloffParams,
-    backend: str = "auto",
 ) -> DistanceProfile:
     """Per-window median over params.reps independent executions."""
     return median_profile(
-        lambda e: karloff_profile_single(text, pattern, params, e, backend), params.reps
+        lambda e: karloff_profile_single(text, pattern, params, e), params.reps
     )

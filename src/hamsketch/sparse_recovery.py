@@ -45,14 +45,14 @@ procedure keeps it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeds import ROLE_PROJECTION, mix
 from .correlation import count_aligned_ones
-from .hashing import FourWiseHash, fourwise_new
+from .hashing import fourwise_new
 from .karloff import check_epsilon, default_reps
 from .text_model import IntString, SparseNoiseMatrix, check_instance, mismatch_pair_counts
 
@@ -153,7 +153,6 @@ class CoupledProjection:
     rep_index: int
     tau_table: np.ndarray
     pi_table: np.ndarray
-    drawn: FourWiseHash | None = field(default=None, repr=False)
 
     def diagonal_ids(self) -> np.ndarray:
         """Sorted bucket ids tau(s)*r + pi(s) over the whole alphabet."""
@@ -168,12 +167,10 @@ def make_coupled_projection(
     ell, r = scale_ranges(params, i)
     seed_h = mix(params.seed, ROLE_PROJECTION, i, rep)
     if ell >= r:
-        drawn = fourwise_new(ell.bit_length() - 1, seed_h)
-        tau_table = drawn.table(sigma)
+        tau_table = fourwise_new(ell.bit_length() - 1, seed_h).table(sigma)
         pi_table = tau_table & (r - 1)
     else:
-        drawn = fourwise_new(r.bit_length() - 1, seed_h)
-        pi_table = drawn.table(sigma)
+        pi_table = fourwise_new(r.bit_length() - 1, seed_h).table(sigma)
         tau_table = pi_table & (ell - 1)
     return CoupledProjection(
         ell=ell,
@@ -183,7 +180,6 @@ def make_coupled_projection(
         rep_index=rep,
         tau_table=tau_table,
         pi_table=pi_table,
-        drawn=drawn,
     )
 
 
@@ -208,7 +204,7 @@ class BucketTable:
 
 
 def compute_bucket_table(
-    text: IntString, pattern: IntString, proj: CoupledProjection, backend: str = "auto"
+    text: IntString, pattern: IntString, proj: CoupledProjection
 ) -> BucketTable:
     """Count vectors for every non-diagonal bucket via one aligned-ones pass
     per count vector. Zero-preimage buckets are omitted (all their counts are
@@ -231,12 +227,12 @@ def compute_bucket_table(
                 continue
             p_mask = (pproj == y).astype(np.uint8)
             p_bits = [p_mask & ((p_syms >> b) & 1).astype(np.uint8) for b in range(nbits)]
-            c = count_aligned_ones(t_mask, p_mask, backend)
+            c = count_aligned_ones(t_mask, p_mask)
             u_planes = np.stack(
-                [count_aligned_ones(tb, p_mask, backend) for tb in t_bits]
+                [count_aligned_ones(tb, p_mask) for tb in t_bits]
             ) if nbits else np.zeros((0, c.size), dtype=np.int64)
             v_planes = np.stack(
-                [count_aligned_ones(t_mask, pb, backend) for pb in p_bits]
+                [count_aligned_ones(t_mask, pb) for pb in p_bits]
             ) if nbits else np.zeros((0, c.size), dtype=np.int64)
             buckets[(int(x), int(y))] = BucketCounts(c=c, u_planes=u_planes, v_planes=v_planes)
     return BucketTable(ell=proj.ell, r=proj.r, nbits=nbits, diagonal=diagonal, buckets=buckets)
@@ -818,7 +814,7 @@ def _filter_triples(w, code, val, sigma, capacity, nw) -> NoiseProfile:
 # ----------------------------------------------------------------------------
 
 def construct_reference(
-    text: IntString, pattern: IntString, params: RecoveryParams, backend: str = "auto"
+    text: IntString, pattern: IntString, params: RecoveryParams
 ) -> NoiseProfile:
     """Straight transcription of the bucket/decode/min-update procedure.
 
@@ -832,7 +828,7 @@ def construct_reference(
         return _empty_profile(sigma, params.capacity, nw)
     dicts: list[dict] = [dict() for _ in range(nw)]
     for proj in _projection_plan(params, sigma):
-        table = compute_bucket_table(text, pattern, proj, backend)
+        table = compute_bucket_table(text, pattern, proj)
         for (x, y), bc in table.buckets.items():
             for j in range(nw):
                 c = int(bc.c[j])

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft as sfft
 
 from hamsketch import _sketch
 from hamsketch._sketch import member_hamming_sum, symbol_route_pays
@@ -20,24 +17,13 @@ def _occurring(s: IntString) -> np.ndarray:
     return np.unique(s.symbols)
 
 
-def _nfft(text, pattern) -> int:
-    return sfft.next_fast_len(len(text) + len(pattern) - 1, real=True)
-
-
 def _all_routes(text, pattern, fam):
-    """Symbol route, per-member FFT and popcount routes, and the public call
-    under each backend."""
-    sym = _sketch._symbol_pair_sum(
-        text, pattern, fam, _occurring(text), _occurring(pattern), _nfft(text, pattern)
-    )
-    out = {
-        "symbols": sym,
-        "members_fft": _sketch._per_member_sum(text, pattern, fam, "fft"),
-        "members_popcount": _sketch._per_member_sum(text, pattern, fam, "popcount"),
+    """Both routes forced, and the public call."""
+    return {
+        "symbols": _sketch._symbol_pair_sum(text, pattern, fam),
+        "members": _sketch._per_member_sum(text, pattern, fam),
+        "public": member_hamming_sum(text, pattern, fam),
     }
-    for backend in ("auto", "fft", "popcount"):
-        out[backend] = member_hamming_sum(text, pattern, fam, backend)
-    return out
 
 
 def _brute(text, pattern, fam):
@@ -69,8 +55,8 @@ def test_member_sum_routes_match_brute_on_edge_shapes(name, k):
 
 
 def test_edge_shapes_cover_both_contraction_orders():
-    # the symbol route keeps the smaller side's spectra and streams the other
-    # side; the edge shapes must exercise both orientations
+    # the symbol route puts the smaller side's indicators against the other
+    # side's weights; the edge shapes must exercise both orientations
     sizes = [
         (np.unique(t).size, np.unique(p).size) for t, p, _ in EDGE_SHAPES.values()
     ]
@@ -125,7 +111,7 @@ def _few_pairs_shape(n, m, sigma, seed):
     [
         ("dense16", True),  # n=8192, m=512, sigma=16
         ("few_pairs", True),  # n=4096, m=512, sigma=64, 8 symbols a side
-        ("sparse256", False),  # n=2048, m=64, sigma=256
+        ("sparse256", True),  # n=2048, m=64, sigma=256, ~57 pattern symbols
     ],
 )
 def test_route_rule_on_benchmark_shapes(shape, symbol_route):
@@ -135,20 +121,38 @@ def test_route_rule_on_benchmark_shapes(shape, symbol_route):
         n, m, sigma = {"dense16": (8192, 512, 16), "sparse256": (2048, 64, 256)}[shape]
         text, pattern = generate_instance(n, m, sigma, "uniform", 1)
     sa, sb = _occurring(text).size, _occurring(pattern).size
-    nfft = _nfft(text, pattern)
     for k in (karloff_params(0.1, 1, len(text)).k, approx_params(0.1, 1, len(text)).k):
-        assert symbol_route_pays(sa, sb, k, nfft) == symbol_route, (shape, k, sa, sb)
+        assert symbol_route_pays(sa, sb, k) == symbol_route, (shape, k, sa, sb)
 
 
 def test_route_rule_limits():
-    # the product term: balanced alphabets past 4 * k * log2(nfft) pairs
-    k, nfft = 64, 1 << 12
-    s = math.isqrt(4 * k * 12)
-    assert symbol_route_pays(s, s, k, nfft)
-    assert not symbol_route_pays(s + 1, s + 1, k, nfft)
-    # the FFT-count term: one pattern symbol against a large text alphabet
-    assert symbol_route_pays(2 * k - 1, 1, k, nfft)
-    assert not symbol_route_pays(2 * k, 1, k, nfft)
+    # symbol route iff the smaller side has at most k occurring symbols
+    k = 64
+    assert symbol_route_pays(k, 10**6, k) and symbol_route_pays(10**6, k, k)
+    assert not symbol_route_pays(k + 1, k + 1, k)
+
+
+@pytest.mark.parametrize("text_side_smaller", [True, False])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_member_sums_match_brute_at_the_route_boundary(text_side_smaller, extra):
+    # s = k occurring symbols on the smaller side takes the symbol route,
+    # s = k + 1 the per-member route; both must equal the brute sum
+    k, sigma = 8, 16
+    rng = np.random.default_rng(17 + extra)
+
+    def spread(count, length):
+        # a random string holding each of the symbols 0..count-1
+        return IntString(rng.permutation(np.resize(np.arange(count), length)), sigma)
+
+    if text_side_smaller:
+        text, pattern = spread(k + extra, 48), spread(sigma, 20)
+    else:
+        text, pattern = spread(sigma, 48), spread(k + extra, 20)
+    sa, sb = _occurring(text).size, _occurring(pattern).size
+    assert min(sa, sb) == k + extra and (sa < sb) == text_side_smaller
+    assert symbol_route_pays(sa, sb, k) == (extra == 0)
+    fam = family_new(k, seed=31)
+    assert np.array_equal(member_hamming_sum(text, pattern, fam), _brute(text, pattern, fam))
 
 
 def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
@@ -170,6 +174,5 @@ def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
     large = IntString(rng.integers(0, 400, size=800), 400)
     fam = family_new(16, seed=2)
     member_hamming_sum(small, IntString(small.symbols[:20], 4), fam)
-    member_hamming_sum(small, IntString(small.symbols[:20], 4), fam, "popcount")
     member_hamming_sum(large, IntString(large.symbols[:100], 400), fam)
-    assert calls == ["_symbol_pair_sum", "_per_member_sum", "_per_member_sum"]
+    assert calls == ["_symbol_pair_sum", "_per_member_sum"]

@@ -20,7 +20,9 @@ from hamsketch.sparse_recovery import (
     recovery_params,
     scale_ranges,
 )
+from hamsketch._seeds import ROLE_PROJECTION, mix
 from hamsketch.approx import approx_params, approx_profile
+from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.text_model import IntString, build_alignment_matrix, generate_instance
 
@@ -70,6 +72,11 @@ def test_scale_ranges_cover_the_ladder():
         scale_ranges(p, -1)
 
 
+def _drawn_table(params, i, rep, bits, sigma):
+    # the fresh 4-wise hash a projection draws for scale i, repetition rep
+    return fourwise_new(bits, mix(params.seed, ROLE_PROJECTION, i, rep)).table(sigma)
+
+
 def test_projection_coupling_low_bits():
     sigma = 256
     p = recovery_params(0.03125, seed=5, reps=1)
@@ -77,18 +84,18 @@ def test_projection_coupling_low_bits():
     # small ell: pi is the drawn hash, tau its low bits
     proj = make_coupled_projection(0, p, rep=0, sigma=sigma)
     assert (proj.ell, proj.r) == (32, 1024)
-    assert np.array_equal(proj.pi_table, proj.drawn.table(sigma))
+    assert np.array_equal(proj.pi_table, _drawn_table(p, 0, 0, 10, sigma))
     assert np.array_equal(proj.tau_table, proj.pi_table & 31)
     # large ell: roles swap
     proj = make_coupled_projection(5, p, rep=0, sigma=sigma)
     assert (proj.ell, proj.r) == (1024, 32)
-    assert np.array_equal(proj.tau_table, proj.drawn.table(sigma))
+    assert np.array_equal(proj.tau_table, _drawn_table(p, 5, 0, 10, sigma))
     assert np.array_equal(proj.pi_table, proj.tau_table & 31)
     # equal ranges: tau side is the drawn one
     q = recovery_params(0.0625, seed=5, reps=1)
     proj = make_coupled_projection(2, q, rep=0, sigma=sigma)
     assert proj.ell == proj.r == 128
-    assert np.array_equal(proj.tau_table, proj.drawn.table(sigma))
+    assert np.array_equal(proj.tau_table, _drawn_table(q, 2, 0, 7, sigma))
 
 
 def test_projection_determinism_and_rep_variation():

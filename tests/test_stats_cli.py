@@ -202,6 +202,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv"), "--epsilon", "0.75", "--seed", "1"])
     assert rc == 1
     assert "epsilon" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--text", str(text), "--pattern", str(pattern),
+              "--out", str(tmp_path / "y.csv"), "--backend", "fft"])  # no such flag
+    assert exc.value.code == 1
 
 
 def test_bench_unknown_algo_exits_one(capsys):
