@@ -11,7 +11,19 @@ members hashing u and v together. Per window
     delta[j] = max(0, (2 * sum_i HAM_i[j] + sum_{(u,v)} (2*beta - k) * d'[u,v]) / k)
 
 and the profile is a per-window median over `reps` executions, each with a
-fresh family and (by default) a freshly recovered D'.
+fresh family. By default all executions share one D', recovered with
+execution 0's seeds; share_dprime=False recovers a fresh D' per execution.
+
+Why one D' is enough: the correction is accurate for a window when its D'
+meets the residual bound sum (d - d')^2 <= b * eps * d^2, and recovery
+already runs its own ceil(2 * log2 n) repetitions per scale so that the
+bound holds with high probability. The median over executions controls a
+different variance, that of the O(1/eps) hash family, whose only randomness
+is the family itself; redrawing D' per execution adds nothing to that. The
+price is correlation: a window whose shared D' misses the bound is off in
+every execution at once, where fresh D' could outvote it. This reading
+follows the abstract in PAPER.md; it is not checked against the paper's full
+text.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, ROLE_RECOVERY, mix
 from ._sketch import median_profile, member_hamming_sum
-from .hashing import XorTreeFamily, beta_many, family_new
+from .hashing import XorTreeFamily, beta_grid, family_new
 from .karloff import check_epsilon, default_reps
 from .sparse_recovery import (
     B_CONST,
@@ -43,7 +55,7 @@ class ApproxParams:
     k: int
     reps: int
     seed: int
-    share_dprime: bool = False
+    share_dprime: bool = True
     recovery_reps: int | None = None
 
 
@@ -52,7 +64,7 @@ def approx_params(
     seed: int,
     n: int,
     reps: int | None = None,
-    share_dprime: bool = False,
+    share_dprime: bool = True,
     recovery_reps: int | None = None,
 ) -> ApproxParams:
     """k = 8b/eps_eff rounded up to a power of two, b = 12289/16384."""
@@ -72,17 +84,16 @@ def approx_params(
 
 
 def correction_numerators(noise: NoiseProfile, family: XorTreeFamily) -> np.ndarray:
-    """Per-window integer numerators sum (2*beta - k) * d'."""
-    nw = noise.n_windows
-    out = np.zeros(nw, dtype=np.int64)
-    if noise.values.size == 0:
-        return out
-    codes = noise.us.astype(np.int64) * noise.sigma + noise.vs.astype(np.int64)
-    uniq, inv = np.unique(codes, return_inverse=True)
-    betas = beta_many(family, uniq // noise.sigma, uniq % noise.sigma)
-    weights = (2 * betas[inv] - family.k) * noise.values
-    np.add.at(out, noise.entry_windows(), weights)
-    return out
+    """Per-window integer numerators sum (2*beta - k) * d'.
+
+    beta comes from one grid over the occurring u and v symbols, read at the
+    distinct codes of noise.pair_index; the entries of a window are
+    contiguous, so its sum is a difference of one running sum."""
+    u_syms, v_syms, code_u, code_v, inverse = noise.pair_index
+    weights = 2 * beta_grid(family, u_syms, v_syms)[code_u, code_v] - family.k
+    sums = np.zeros(noise.values.size + 1, dtype=np.int64)
+    np.cumsum(weights[inverse] * noise.values, out=sums[1:])
+    return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]
 
 
 def _recover_noise(
@@ -131,9 +142,11 @@ def approx_profile(
 ):
     """Per-window median over params.reps executions.
 
-    noise_override injects one fixed noise profile into every execution
-    (bypassing recovery entirely); share_dprime recovers once with execution
-    0's seeds and reuses that profile.
+    With params.share_dprime (the default) D' is recovered once, with
+    execution 0's seeds, and every execution reuses it together with its
+    pair index; otherwise each execution recovers its own. noise_override
+    injects one fixed noise profile into every execution (bypassing recovery
+    entirely). return_noise also returns the shared profile, or None.
     """
     pair_cache = None
     shared = noise_override

@@ -19,6 +19,7 @@ from .exact import CONV_SIGMA_CAP, hamming_profile_convolution, hamming_profile_
 from .karloff import karloff_params, karloff_profile
 from .stats import error_stats
 from .text_model import (
+    MODELS,
     DistanceProfile,
     FileFormatError,
     generate_instance,
@@ -62,7 +63,7 @@ def build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--sigma", type=int, required=True)
-    g.add_argument("--model", choices=("uniform", "planted_heavy"), default="uniform")
+    g.add_argument("--model", choices=MODELS, default="uniform")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--text", required=True, help="output text file")
     g.add_argument("--pattern", required=True, help="output pattern file")
@@ -79,17 +80,15 @@ def build_parser() -> _Parser:
     a = sub.add_parser("approx", help="corrected estimator, k ~ 1/eps")
     _add_io_flags(a)
     _add_estimator_flags(a)
-    a.add_argument("--share-dprime", action="store_true",
-                   help="recover one noise profile and reuse it across executions")
     a.add_argument("--dump-dprime", default=None, metavar="PATH",
-                   help="write the shared noise profile as CSV (implies --share-dprime)")
+                   help="write the recovered noise profile as CSV")
 
     b = sub.add_parser("bench", help="timing/accuracy grid vs the exact profile")
     b.add_argument("--n", type=int, nargs="+", required=True)
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--sigma", type=int, required=True)
     b.add_argument("--epsilon", type=float, nargs="+", required=True)
-    b.add_argument("--model", choices=("uniform", "planted_heavy"), default="uniform")
+    b.add_argument("--model", choices=MODELS, default="uniform")
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--reps", type=int, default=None)
     b.add_argument("--algos", default="exact,karloff,approx",
@@ -172,10 +171,7 @@ def _cmd_karloff(args) -> int:
 
 def _cmd_approx(args) -> int:
     text, pattern = _read_instance(args)
-    share = args.share_dprime or args.dump_dprime is not None
-    params = approx_params(
-        args.epsilon, args.seed, len(text), args.reps, share_dprime=share
-    )
+    params = approx_params(args.epsilon, args.seed, len(text), args.reps)
     profile, noise = approx_profile(text, pattern, params, return_noise=True)
     _write_profile(profile, args)
     if args.dump_dprime is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -305,6 +306,18 @@ class NoiseProfile:
 
     def entry_windows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_windows, dtype=np.int64), np.diff(self.indptr))
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, ...]:
+        """(u_syms, v_syms, code_u, code_v, inverse): the sorted u and v
+        symbols of the entries, each distinct (u, v) code's position among
+        them, and each entry's distinct code. Built on first use, so a
+        profile shared by several hash families sorts its entries once."""
+        codes = self.us.astype(np.int64) * self.sigma + self.vs.astype(np.int64)
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        u_syms, code_u = np.unique(uniq // self.sigma, return_inverse=True)
+        v_syms, code_v = np.unique(uniq % self.sigma, return_inverse=True)
+        return u_syms, v_syms, code_u, code_v, inverse
 
     def validate(self) -> None:
         if np.any(np.diff(self.indptr) > self.capacity):

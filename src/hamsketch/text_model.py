@@ -24,10 +24,13 @@ from ._seeds import (
 SIGMA_CAP = 1 << 20
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
-MODELS = ("uniform", "planted_heavy")
+MODELS = ("uniform", "planted_heavy", "few_pairs")
 
 # planted_heavy: weight of the favored pattern symbol (symbol 0)
 _HEAVY_PATTERN_WEIGHT = 0.6
+# few_pairs: symbols in the tiled block, and the peak swap probability
+_FEW_PAIRS_BLOCK = 8
+_FEW_PAIRS_SWAP = 0.35
 
 
 class FileFormatError(ValueError):
@@ -144,7 +147,11 @@ def generate_instance(n: int, m: int, sigma: int, model: str, seed: int):
 
     uniform: i.i.d. symbols. planted_heavy: uniform text with a contiguous
     block overwritten by one symbol, against a pattern skewed toward symbol 0,
-    which forces a heavy-hitter pair inside block windows.
+    which forces a heavy-hitter pair inside block windows. few_pairs: both
+    strings tile a block of min(8, sigma // 2) distinct symbols; text position
+    i swaps its symbol for a fixed partner outside the block with probability
+    0.35 * (0.5 + 0.5 * sin(2*pi*i / (n/3))), so every window holds at most
+    twice the block's size in mismatch pairs while its distance varies.
     """
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -161,6 +168,8 @@ def generate_instance(n: int, m: int, sigma: int, model: str, seed: int):
     if model == "uniform" or sigma == 1:
         text = _draws_to_symbols(text_draws, sigma)
         pattern = _draws_to_symbols(pat_draws, sigma)
+    elif model == "few_pairs":
+        text, pattern = _few_pairs(text_draws, m, sigma, seed)
     else:
         text = _draws_to_symbols(text_draws, sigma)
         # pattern: symbol 0 with weight ~0.6, otherwise uniform
@@ -176,6 +185,19 @@ def generate_instance(n: int, m: int, sigma: int, model: str, seed: int):
         text[start : start + block_len] = block_sym
 
     return IntString(text, sigma), IntString(pattern, sigma)
+
+
+def _few_pairs(text_draws: np.ndarray, m: int, sigma: int, seed: int):
+    # block and partners: the first 2b symbols of a seeded alphabet order
+    b = min(_FEW_PAIRS_BLOCK, sigma // 2)
+    order = np.argsort(_counter_draws(mix(seed, ROLE_PLANT), sigma), kind="stable")
+    block, partner = order[:b], order[b : 2 * b]
+    n = text_draws.size
+    pos = np.arange(n)
+    rate = _FEW_PAIRS_SWAP * (0.5 + 0.5 * np.sin(6.0 * np.pi * pos / n))
+    swap = (text_draws >> np.uint64(11)) * 2.0**-53 < rate
+    text = np.where(swap, partner[pos % b], block[pos % b])
+    return text, block[np.arange(m) % b]
 
 
 def check_instance(text: IntString, pattern: IntString) -> tuple[int, int, int]:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from hamsketch.approx import approx_params, approx_profile
+from hamsketch.approx import approx_params, approx_profile, approx_profile_single
 from hamsketch.cli import main as cli_main
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import beta, beta_many, family_new, fourwise_new
@@ -295,4 +295,42 @@ def test_ac9_determinism(tmp_path):
         thread_ok,
         "approx and karloff CSVs byte-identical across reruns and across "
         "1- and 4-thread processes (fixed seed)",
+    )
+
+
+def test_ac10_single_execution_accuracy():
+    # The median over executions hides a broken correction; single
+    # executions do not. On few_pairs instances an uncorrected execution
+    # (empty D') puts 10-65% of windows outside eps at its worst, a corrected
+    # one none. Gate the default approx (one shared D') on its worst single
+    # execution, and check on the same executions that the uncorrected
+    # sketch fails the threshold on every seed, so the gate can fail.
+    eps, n, m, sigma, execs = 0.1, 4096, 512, 64, 8
+    threshold = 0.05
+    worst, uncorrected_best = 0.0, 1.0
+    t0 = time.perf_counter()
+    for seed in range(1, 11):
+        text, pattern = generate_instance(n, m, sigma, "few_pairs", seed)
+        exact = hamming_profile_convolution(text, pattern)
+        ap = approx_params(eps, seed=seed + 1000, n=n, reps=execs)
+        est, shared = approx_profile(text, pattern, ap, return_noise=True)
+        empty = noise_profile_from_windows([{}] * exact.n_windows, sigma)
+        runs, uncorrected = [], 0.0
+        for e in range(execs):
+            run = approx_profile_single(text, pattern, ap, e, noise=shared)
+            runs.append(run.values)
+            worst = max(worst, 1.0 - fraction_within_epsilon(run, exact, eps))
+            bare = approx_profile_single(text, pattern, ap, e, noise=empty)
+            uncorrected = max(uncorrected, 1.0 - fraction_within_epsilon(bare, exact, eps))
+        uncorrected_best = min(uncorrected_best, uncorrected)
+        # the gated executions are exactly the ones approx takes the median of
+        assert np.array_equal(np.median(runs, axis=0), est.values)
+    dt = time.perf_counter() - t0
+    _report(
+        "AC10",
+        worst <= threshold < uncorrected_best,
+        f"worst single execution puts {worst:.1%} of windows outside eps "
+        f"(need <= {threshold:.0%}); uncorrected, every seed's worst is "
+        f">= {uncorrected_best:.1%}; 10 few_pairs seeds x {execs} executions "
+        f"in {dt:.1f}s",
     )

@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hamsketch import approx
 from hamsketch.approx import (
     approx_params,
     approx_profile,
@@ -8,7 +13,7 @@ from hamsketch.approx import (
     correction_numerators,
 )
 from hamsketch.exact import hamming_profile_convolution
-from hamsketch.hashing import beta, family_new
+from hamsketch.hashing import beta, beta_many, family_new
 from hamsketch.sparse_recovery import (
     B_CONST,
     noise_profile_from_windows,
@@ -80,6 +85,29 @@ def test_correction_numerators_match_per_window_terms():
         assert nums[j] == 2 * correction_term(m, fam)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_correction_numerators_match_entry_enumeration_property(data):
+    # beta_many per entry and an unbuffered scatter: the per-entry form the
+    # grid lookup and running sum must reproduce exactly
+    sigma = data.draw(st.integers(2, 300), label="sigma")
+    pair = st.tuples(st.integers(0, sigma - 1), st.integers(0, sigma - 1)).filter(
+        lambda uv: uv[0] != uv[1]
+    )
+    window = st.dictionaries(pair, st.integers(1, 1 << 20), max_size=6)
+    dicts = data.draw(st.lists(window, min_size=1, max_size=12), label="windows")
+    noise = noise_profile_from_windows(dicts, sigma)
+    # the second family reads the pair index the first one built
+    for _ in range(2):
+        k = data.draw(st.sampled_from([2, 16, 128, 1024]), label="k")
+        fam = family_new(k, seed=data.draw(st.integers(0, 1 << 30), label="seed"))
+        want = np.zeros(noise.n_windows, dtype=np.int64)
+        weights = (2 * beta_many(fam, noise.us, noise.vs) - k) * noise.values
+        np.add.at(want, noise.entry_windows(), weights)
+        got = correction_numerators(noise, fam)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
 def test_perfect_noise_matrix_gives_exact_profile():
     # with D' equal to the true alignment counts the estimate telescopes to
     # the exact distance: numerator = 2*sum_i x_i + sum (2*beta - k) d = k*d
@@ -116,11 +144,21 @@ def test_reps_one_equals_single_execution():
     assert np.array_equal(approx_profile(text, pattern, params).values, single.values)
 
 
-def test_share_dprime_reuses_one_recovery():
+def test_share_dprime_reuses_one_recovery(monkeypatch):
+    # count recoveries with a spy on the name approx_profile looks up
+    calls = []
+    recover = approx.construct_sparse_noise
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return recover(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "construct_sparse_noise", spy)
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=11)
-    params = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2, share_dprime=True)
+    params = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2)
+    assert params.share_dprime
     prof, shared = approx_profile(text, pattern, params, return_noise=True)
-    assert shared is not None
+    assert len(calls) == 1 and shared is not None
     # every execution with the shared profile injected reproduces the runs
     runs = np.stack(
         [
@@ -129,9 +167,34 @@ def test_share_dprime_reuses_one_recovery():
         ]
     )
     assert np.array_equal(np.median(runs, axis=0), prof.values)
-    plain = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2)
-    _, none_shared = approx_profile(text, pattern, plain, return_noise=True)
+    assert len(calls) == 1
+
+    calls.clear()
+    fresh = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2, share_dprime=False)
+    _, none_shared = approx_profile(text, pattern, fresh, return_noise=True)
     assert none_shared is None
+    assert len(calls) == 4 and len({rp.seed for rp in calls}) == 4
+
+
+@pytest.mark.parametrize(
+    "shape, share, digest",
+    [
+        # dense recovery route
+        ((1024, 256, 16, 22), False, "90a8af7e41e2eee26745b9fe70d62107315e71a28d772749ce70dd7594398248"),
+        ((1024, 256, 16, 22), True, "810687c4e390a06177b6ed10e31042de472997ce6e3246f49a76c0db2e956cc3"),
+        # CSR recovery route
+        ((512, 64, 64, 13), False, "2320b657e0e858a06e618a8ce75b2f11cfb20ab63d3f355eaca0f34fcd549775"),
+        ((512, 64, 64, 13), True, "96db66c49d79da2e28a6266531c68106400d32e05690e4202f679df3a3061b6b"),
+    ],
+)
+def test_profiles_pinned_for_both_sharing_modes(shape, share, digest):
+    # SHA-256 of the profile bytes, pinned while per-execution recovery was
+    # the default; sharing D' changes only which D' each execution reads
+    n, m, sigma, seed = shape
+    text, pattern = generate_instance(n, m, sigma, "uniform", seed)
+    params = approx_params(0.25, seed=9, n=n, reps=4, recovery_reps=2, share_dprime=share)
+    prof = approx_profile(text, pattern, params)
+    assert hashlib.sha256(prof.values.tobytes()).hexdigest() == digest
 
 
 def test_estimates_deterministic():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsketch.exact import CONV_SIGMA_CAP, hamming_profile_convolution, hamming_profile_naive
 from hamsketch.text_model import IntString, build_alignment_matrix, generate_instance
@@ -73,3 +75,24 @@ def test_sigma_cap_error_points_at_naive():
         hamming_profile_convolution(text, pattern)
     # the naive profile has no alphabet cap
     assert hamming_profile_naive(text, pattern).n_windows == 46
+
+
+# alphabets of 1, 2 and 3 symbols, and sizes that are not powers of two
+SIGMAS = st.one_of(
+    st.sampled_from([1, 2, 3]),
+    st.integers(5, 300).filter(lambda s: s & (s - 1) != 0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_convolution_matches_naive_property(data):
+    sigma = data.draw(SIGMAS, label="sigma")
+    n = data.draw(st.integers(1, 80), label="n")
+    m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
+    symbols = st.integers(0, sigma - 1)
+    text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
+    pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
+    naive = hamming_profile_naive(text, pattern).values
+    assert np.array_equal(hamming_profile_convolution(text, pattern).values, naive)
+    assert np.array_equal(naive, sliding_hamming_brute(text, pattern))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsketch import hashing
 from hamsketch._seeds import mix, splitmix64, splitmix64_array, u64_stream
@@ -232,3 +234,25 @@ def test_pairwise_member_independence_empirical():
         assert b[s] == member_eval(fam, 1, 3) ^ member_eval(fam, 1, 12)
     counts = np.bincount(2 * a + b, minlength=4)
     assert np.all(np.abs(counts / trials - 0.25) < 0.02)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_beta_many_matches_member_enumeration_property(data):
+    # alphabets of 1, 2 and 3 symbols, and sizes that are not powers of two;
+    # u == v is allowed and must give beta = k
+    sigma = data.draw(
+        st.one_of(
+            st.sampled_from([1, 2, 3]),
+            st.integers(5, 1 << 20).filter(lambda s: s & (s - 1) != 0),
+        ),
+        label="sigma",
+    )
+    k = data.draw(st.sampled_from([2, 4, 8, 16]), label="k")
+    fam = family_new(k, seed=data.draw(st.integers(0, 1 << 62), label="seed"))
+    size = data.draw(st.integers(1, 5), label="pairs")
+    symbols = st.lists(st.integers(0, sigma - 1), min_size=size, max_size=size)
+    us, vs = data.draw(symbols, label="us"), data.draw(symbols, label="vs")
+    bits = {s: [member_eval(fam, i, s) for i in range(k)] for s in set(us) | set(vs)}
+    want = [sum(a == b for a, b in zip(bits[u], bits[v])) for u, v in zip(us, vs)]
+    assert beta_many(fam, us, vs).tolist() == want

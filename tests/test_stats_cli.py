@@ -10,7 +10,7 @@ from hamsketch.stats import (
     relative_errors,
     within_epsilon,
 )
-from hamsketch.text_model import DistanceProfile, read_profile_csv, read_tokens
+from hamsketch.text_model import DistanceProfile, generate_instance, read_profile_csv, read_tokens
 
 from helpers import sliding_hamming_brute
 
@@ -67,6 +67,13 @@ def _gen(tmp_path, n=64, m=8, sigma=8, seed=5, fmt="tokens", model="uniform"):
     ])
     assert rc == 0
     return text, pattern
+
+
+def test_gen_few_pairs_model_matches_library(tmp_path):
+    text, pattern = _gen(tmp_path, n=96, m=16, sigma=32, seed=3, model="few_pairs")
+    want_t, want_p = generate_instance(96, 16, 32, "few_pairs", 3)
+    assert np.array_equal(read_tokens(text).symbols, want_t.symbols)
+    assert np.array_equal(read_tokens(pattern).symbols, want_p.symbols)
 
 
 def test_gen_then_exact_small_instance(tmp_path):
@@ -205,6 +212,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--text", str(text), "--pattern", str(pattern),
               "--out", str(tmp_path / "y.csv"), "--backend", "fft"])  # no such flag
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--text", str(text), "--pattern", str(pattern),
+              "--out", str(tmp_path / "z.csv"), "--epsilon", "0.25", "--seed", "1",
+              "--share-dprime"])  # sharing is the default; the flag is gone
     assert exc.value.code == 1
 
 

@@ -3,11 +3,13 @@ import pytest
 
 from hamsketch.sparse_recovery import prepare_pair_counts
 from hamsketch.text_model import (
+    MODELS,
     DistanceProfile,
     FileFormatError,
     IntString,
     build_alignment_matrix,
     generate_instance,
+    mismatch_pair_counts,
     read_bytes,
     read_profile_csv,
     read_tokens,
@@ -48,7 +50,7 @@ def test_distance_profile_validation():
 
 
 def test_generate_instance_shapes_and_determinism():
-    for model in ("uniform", "planted_heavy"):
+    for model in MODELS:
         t1, p1 = generate_instance(200, 30, 16, model, seed=9)
         t2, p2 = generate_instance(200, 30, 16, model, seed=9)
         assert len(t1) == 200 and len(p1) == 30
@@ -92,6 +94,23 @@ def test_planted_heavy_creates_heavy_pair_stretch():
         run = run + 1 if flag else 0
         best = max(best, run)
     assert best >= 1 << 9
+
+
+def test_few_pairs_windows_hold_few_pairs_and_differ():
+    # n=4096, m=512, sigma=64: at most 16 mismatch pairs per window (8 block
+    # symbols, each against its shift or its partner), and the swap rate
+    # moving along the text gives over a hundred distinct distances
+    text, pattern = generate_instance(4096, 512, 64, "few_pairs", seed=1)
+    assert np.unique(pattern.symbols).size == 8
+    assert np.unique(text.symbols).size == 16
+    windows = np.lib.stride_tricks.sliding_window_view(text.symbols, 512)
+    rows, _, _ = mismatch_pair_counts(windows, pattern.symbols, 64)
+    assert np.bincount(rows).max() <= 16
+    assert np.unique(sliding_hamming_brute(text, pattern)).size > 100
+    # tiny alphabets shrink the block to sigma // 2 symbols
+    for sigma in (2, 3, 5):
+        text, pattern = generate_instance(50, 7, sigma, "few_pairs", seed=2)
+        assert np.unique(pattern.symbols).size == sigma // 2
 
 
 def test_alignment_matrix_hand_example():
