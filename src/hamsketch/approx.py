@@ -11,8 +11,8 @@ members hashing u and v together. Per window
     delta[j] = max(0, (2 * sum_i HAM_i[j] + sum_{(u,v)} (2*beta - k) * d'[u,v]) / k)
 
 and the profile is a per-window median over `reps` executions, each with a
-fresh family. By default all executions share one D', recovered with
-execution 0's seeds; share_dprime=False recovers a fresh D' per execution.
+fresh family. All executions share one D', recovered with execution 0's
+seeds.
 
 Why one D' is enough: the correction is accurate for a window when its D'
 meets the residual bound sum (d - d')^2 <= b * eps * d^2, and recovery
@@ -55,7 +55,6 @@ class ApproxParams:
     k: int
     reps: int
     seed: int
-    share_dprime: bool = True
     recovery_reps: int | None = None
 
 
@@ -64,7 +63,6 @@ def approx_params(
     seed: int,
     n: int,
     reps: int | None = None,
-    share_dprime: bool = True,
     recovery_reps: int | None = None,
 ) -> ApproxParams:
     """k = 8b/eps_eff rounded up to a power of two, b = 12289/16384."""
@@ -78,7 +76,6 @@ def approx_params(
         k=k,
         reps=reps or default_reps(n),
         seed=seed,
-        share_dprime=share_dprime,
         recovery_reps=recovery_reps,
     )
 
@@ -101,7 +98,7 @@ def _recover_noise(
     pattern: IntString,
     params: ApproxParams,
     exec_index: int,
-    pair_cache: PairCounts | None,
+    pair_cache: PairCounts | None = None,
 ) -> NoiseProfile:
     seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
     rp = recovery_params(
@@ -120,11 +117,11 @@ def approx_profile_single(
     exec_index: int,
     *,
     noise: NoiseProfile | None = None,
-    pair_cache: PairCounts | None = None,
 ) -> DistanceProfile:
-    """One execution; pass `noise` to reuse or inject a noise profile."""
+    """One execution; pass `noise` to reuse or inject a noise profile,
+    otherwise it recovers its own with this execution's seeds."""
     if noise is None:
-        noise = _recover_noise(text, pattern, params, exec_index, pair_cache)
+        noise = _recover_noise(text, pattern, params, exec_index)
     seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
     family = family_new(params.k, mix(seed_exec, ROLE_FAMILY))
     ham_sum = member_hamming_sum(text, pattern, family)
@@ -142,22 +139,16 @@ def approx_profile(
 ):
     """Per-window median over params.reps executions.
 
-    With params.share_dprime (the default) D' is recovered once, with
-    execution 0's seeds, and every execution reuses it together with its
-    pair index; otherwise each execution recovers its own. noise_override
-    injects one fixed noise profile into every execution (bypassing recovery
-    entirely). return_noise also returns the shared profile, or None.
+    D' is recovered once, with execution 0's seeds, and every execution
+    reuses it together with its pair index. noise_override injects one fixed
+    noise profile into every execution instead (bypassing recovery).
+    return_noise also returns the shared profile.
     """
-    pair_cache = None
     shared = noise_override
     if shared is None:
-        pair_cache = prepare_pair_counts(text, pattern)
-        if params.share_dprime:
-            shared = _recover_noise(text, pattern, params, 0, pair_cache)
+        shared = _recover_noise(text, pattern, params, 0, prepare_pair_counts(text, pattern))
     profile = median_profile(
-        lambda e: approx_profile_single(
-            text, pattern, params, e, noise=shared, pair_cache=pair_cache
-        ),
+        lambda e: approx_profile_single(text, pattern, params, e, noise=shared),
         params.reps,
     )
     if return_noise:

@@ -235,7 +235,7 @@ def _cmd_bench(args) -> int:
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
     from .sparse_recovery import (
-        construct_reference, construct_sparse_noise, recovery_params,
+        construct_reference, construct_sparse_noise, prepare_pair_counts, recovery_params,
     )
     from .approx import approx_profile_single
     from .sparse_recovery import noise_profile_from_windows
@@ -267,6 +267,17 @@ def _cmd_selftest(args) -> int:
     fast = construct_sparse_noise(text, pattern, rp)
     ref = construct_reference(text, pattern, rp)
     check("noise constructor == literal reference", fast.same_as(ref))
+
+    # a planted heavy stretch: pairs filling a quarter of the windows keep
+    # count rows, the others entries, and some buckets hold both kinds
+    heavy_text, heavy_pattern = generate_instance(256, 32, 16, "planted_heavy", seed=101)
+    rowed = prepare_pair_counts(heavy_text, heavy_pattern).row_ids >= 0
+    fast = construct_sparse_noise(heavy_text, heavy_pattern, rp)
+    ref = construct_reference(heavy_text, heavy_pattern, rp)
+    check(
+        "noise constructor == literal reference, row and entry codes",
+        bool(rowed.any() and not rowed.all()) and fast.same_as(ref),
+    )
 
     nw = len(text) - len(pattern) + 1
     dicts = [dict(build_alignment_matrix(text, pattern, j).entries) for j in range(nw)]

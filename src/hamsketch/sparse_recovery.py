@@ -22,29 +22,44 @@ produce bit-identical profiles.
 
 prepare_pair_counts enumerates those counts with
 text_model.mismatch_pair_counts over blocks of windows whose temporaries stay
-within the memory budget. It stores them densely, as a (sigma^2, windows)
-grid, when sigma^2 <= 2^16, the grid fits the memory budget and a strided
-sample of windows shows each window holding at least half of the pair codes
-occupied in the sample. Otherwise it stores each window's pairs as sorted
-CSR entries, and the CSR route decodes only bucket collisions:
+within the memory budget, and groups them by distinct pair code. A code that
+occurs in at least a quarter of the windows keeps an int32 count row over all
+windows; every other code keeps its (window, count) entries. A row thus holds
+at most four cells per entry of its code, and recovery adds one int32 running
+minimum per row cell and per entry, so memory grows with the number of pair
+entries and not with sigma^2 * windows.
 
-Take one projection and one window, and a non-diagonal bucket that holds
-exactly one of the window's pairs (u, v), with count c > 0. Every bit-plane
-sum of the bucket is c or 0, so no plane ties and the decoded bits are those
-of u and v; the decoded pair lies in this bucket, so the projection check
-passes. The decode therefore min-updates (u, v) with c, its exact count.
-Every bucket holding (u, v) counts at least c, so a pair that sits alone in
-its window's bucket in some projection ends at exactly its count. Only the
-(window, bucket) groups with two or more of the window's pairs need the
-bit-plane decode; such a decode names either a member of the group, whose
-value it can lower below the member's collision counts, or a pair absent
-from the window, which is kept as a spurious entry just as the literal
-procedure keeps it.
+Each projection works on the distinct codes: a bitmap of the diagonal bucket
+ids drops the codes in diagonal buckets, and sorting the rest by bucket id
+forms the groups of codes that share a bucket.
+
+Take one window and a non-diagonal bucket that holds exactly one of the
+window's pairs (u, v), with count c > 0. Every bit-plane sum of the bucket is
+c or 0, so no plane ties and the decoded bits are those of u and v; the
+decoded pair lies in this bucket, so the projection check passes. The decode
+therefore min-updates (u, v) with c, its exact count. Every bucket holding
+(u, v) counts at least c, so a pair that sits alone in its window's bucket in
+some projection ends at exactly its count. A code alone in its bucket is
+alone in every window. The other groups decode as follows:
+
+- Every member has a row. Two members decode in each window to the strictly
+  heavier one, with value d_a + d_b (equal counts tie every differing plane
+  and reject); three or more run the bit-plane decode over all windows as one
+  matrix product.
+- Some member has entries. The group's entries, with a row member's nonzero
+  cells standing in for entries, are sorted by window. An entry alone in its
+  window is exact as above, and each window holding two or more runs the
+  bit-plane decode.
+
+Such a decode names either a member of the group, whose value it can lower
+below the member's collision counts, or a pair absent from the window, which
+is kept as a spurious entry just as the literal procedure keeps it. One
+filter then ranks each window's row cells, entries and spurious entries
+together.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,18 +77,21 @@ B_CONST = 12289 / 16384
 
 DEFAULT_MEM_BUDGET = 1 << 30
 
-_INF = np.int64(1) << 62
+_INF32 = np.int32(np.iinfo(np.int32).max)  # unset running minimum
 _MAX_T_EXP = 25  # keeps every projection range within the hash output cap
-# per-projection temporaries of the CSR route, bytes per pair entry of a
-# window block (about a dozen int64/bool arrays over the block's entries)
+# a code occurring in at least 1/_ROW_SHARE of the windows keeps a count row
+# over all windows, which then holds at most _ROW_SHARE cells per entry of
+# the code
+_ROW_SHARE = 4
+# per-projection temporaries of the entry decode, bytes per entry (about a
+# dozen int64 arrays, plus the plane sums)
 _SCRATCH_BYTES_PER_ENTRY = 128
-_FILL_SAMPLE = 64  # windows sampled to choose the pair-count layout
 # the pair-count build enumerates at most this many window positions per
 # block, at about this many bytes of temporaries per position
-_PAIR_BLOCK_POSITIONS = 1 << 20
+_PAIR_BLOCK_POSITIONS = 1 << 19
 _PAIR_BYTES_PER_POSITION = 48
-# the dense route's capacity filter ranks at most this many grid cells at a
-# time, at 16 bytes of key and partition index per cell
+# the capacity filter ranks at most this many candidate cells at a time, at
+# 16 bytes of key and partition index per cell
 _FILTER_BLOCK_CELLS = 1 << 18
 
 
@@ -154,11 +172,6 @@ class CoupledProjection:
     rep_index: int
     tau_table: np.ndarray
     pi_table: np.ndarray
-
-    def diagonal_ids(self) -> np.ndarray:
-        """Sorted bucket ids tau(s)*r + pi(s) over the whole alphabet."""
-        ids = self.tau_table.astype(np.int64) * self.r + self.pi_table.astype(np.int64)
-        return np.unique(ids)
 
 
 def make_coupled_projection(
@@ -388,38 +401,28 @@ def noise_profile_from_windows(
 
 
 # ----------------------------------------------------------------------------
-# exact per-window pair counts (shared precompute for the fast path)
+# exact per-window pair counts, grouped by distinct code
 # ----------------------------------------------------------------------------
 
 @dataclass
 class PairCounts:
-    """Exact mismatch-pair counts for all windows, dense or CSR by size and
-    window fill."""
+    """Exact mismatch-pair counts of all windows, grouped by distinct code.
 
-    kind: str  # "dense" | "sparse"
+    codes holds the distinct codes u*sigma + v in ascending order. A code that
+    occurs in at least 1/_ROW_SHARE of the windows keeps its counts as the
+    int32 row rows[row_ids[i]] over all windows and owns no entries; any other
+    code has row id -1 and owns entries offsets[i]:offsets[i+1] of windows
+    (ascending) and counts.
+    """
+
     sigma: int
     n_windows: int
-    dense: np.ndarray | None = None       # (sigma^2, nw) int32
-    indptr: np.ndarray | None = None
-    codes: np.ndarray | None = None       # int64, u*sigma+v, sorted per window
-    counts: np.ndarray | None = None
-
-
-def _sampled_fill(windows: np.ndarray, pattern: np.ndarray, sigma: int) -> float:
-    """Share of the occupied pair-code rows that a window holds, averaged over
-    an evenly strided sample of at most _FILL_SAMPLE windows.
-
-    The dense route scans every occupied row of every window; the CSR route
-    touches only the entries a window holds, so it wins once most of those
-    cells would be zero.
-    """
-    nw = windows.shape[0]
-    js = np.arange(0, nw, -(-nw // _FILL_SAMPLE))
-    _, codes, _ = mismatch_pair_counts(windows[js], pattern, sigma)
-    occupied = np.unique(codes).size
-    if occupied == 0:
-        return 0.0
-    return codes.size / (js.size * occupied)
+    codes: np.ndarray    # (K,) int64
+    row_ids: np.ndarray  # (K,) int64
+    rows: np.ndarray     # (R, n_windows) int32
+    offsets: np.ndarray  # (K + 1,) int64
+    windows: np.ndarray  # int32
+    counts: np.ndarray   # int32
 
 
 def prepare_pair_counts(
@@ -429,39 +432,42 @@ def prepare_pair_counts(
     sigma = text.sigma
     p_syms = pattern.symbols
     windows = sliding_window_view(text.symbols, m)
-    pair_space = sigma * sigma
-    dense_ok = (
-        pair_space <= (1 << 16)
-        and pair_space * nw * 12 <= mem_budget
-        and _sampled_fill(windows, p_syms, sigma) >= 0.5
-    )
-    if dense_ok:
-        dd = np.zeros((pair_space, nw), dtype=np.int32)
-    else:
-        code_chunks: list[np.ndarray] = []
-        count_chunks: list[np.ndarray] = []
-        sizes = np.zeros(nw, dtype=np.int64)
     block = max(1, min(_PAIR_BLOCK_POSITIONS, mem_budget // _PAIR_BYTES_PER_POSITION) // m)
+    parts = []
     for lo in range(0, nw, block):
-        hi = min(nw, lo + block)
-        w, codes, counts = mismatch_pair_counts(windows[lo:hi], p_syms, sigma)
-        if dense_ok:
-            dd[codes, lo + w] = counts
-        else:
-            code_chunks.append(codes)
-            count_chunks.append(counts)
-            sizes[lo:hi] = np.bincount(w, minlength=hi - lo)
-    if dense_ok:
-        return PairCounts(kind="dense", sigma=sigma, n_windows=nw, dense=dd)
-    indptr = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
+        w, code, cnt = mismatch_pair_counts(windows[lo : lo + block], p_syms, sigma)
+        uniq, inv = np.unique(code, return_inverse=True)
+        parts.append(((w + lo).astype(np.int32), uniq, inv, cnt.astype(np.int32)))
+    codes = np.unique(np.concatenate([uniq for _, uniq, _, _ in parts]))
+    occ = np.zeros(codes.size, dtype=np.int64)
+    for i, (w, uniq, inv, cnt) in enumerate(parts):
+        # each block's codes become int32 indices into codes
+        idx = np.searchsorted(codes, uniq).astype(np.int32)[inv]
+        occ += np.bincount(idx, minlength=codes.size)
+        parts[i] = (w, idx, cnt)
+    has_row = occ * _ROW_SHARE >= nw
+    row_ids = np.where(has_row, np.cumsum(has_row) - 1, -1)
+    rows = np.zeros((int(has_row.sum()), nw), dtype=np.int32)
+    entries = []
+    while parts:
+        w, idx, cnt = parts.pop(0)
+        on_row = has_row[idx]
+        rows[row_ids[idx[on_row]], w[on_row]] = cnt[on_row]
+        entries.append((idx[~on_row], w[~on_row], cnt[~on_row]))
+    idx, w, cnt = (np.concatenate(col) for col in zip(*entries))
+    # stable, so each code's entries stay in window order
+    order = np.argsort(idx, kind="stable")
+    offsets = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(np.where(has_row, 0, occ), out=offsets[1:])
     return PairCounts(
-        kind="sparse",
         sigma=sigma,
         n_windows=nw,
-        indptr=indptr,
-        codes=np.concatenate(code_chunks),
-        counts=np.concatenate(count_chunks),
+        codes=codes,
+        row_ids=row_ids,
+        rows=rows,
+        offsets=offsets,
+        windows=w[order],
+        counts=cnt[order],
     )
 
 
@@ -482,9 +488,9 @@ def construct_sparse_noise(
     Every (scale, rep) draws a coupled projection; every non-diagonal bucket
     with positive count is decoded and the decoded pair min-updated with the
     bucket count. Unset entries become 0 and each window keeps only its
-    capacity largest values. mem_budget bounds the dense pair-count grid and
-    sets how many windows the CSR route handles per block; the profile does
-    not depend on it.
+    capacity largest values. mem_budget bounds the pair-count enumeration
+    blocks and the entries decoded at a time; the profile does not depend on
+    it.
     """
     n, m, nw = check_instance(text, pattern)
     sigma = text.sigma
@@ -492,9 +498,12 @@ def construct_sparse_noise(
         return _empty_profile(sigma, params.capacity, nw)
     if pair_cache is None:
         pair_cache = prepare_pair_counts(text, pattern, mem_budget)
-    if pair_cache.kind == "dense":
-        return _construct_dense(pair_cache, params)
-    return _construct_sparse(pair_cache, params, mem_budget)
+    rec = _Recovery(
+        pair_cache, params.bucket_count, max(1, mem_budget // _SCRATCH_BYTES_PER_ENTRY)
+    )
+    for proj in _projection_plan(params, sigma):
+        rec.project(proj)
+    return rec.finish(params.capacity)
 
 
 def _empty_profile(sigma: int, capacity: int, nw: int) -> NoiseProfile:
@@ -514,311 +523,284 @@ def _projection_plan(params: RecoveryParams, sigma: int):
             yield make_coupled_projection(i, params, rep, sigma)
 
 
-def _nondiag_mask(bkt: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(diag, bkt)
-    pos = np.minimum(pos, diag.size - 1)
-    return diag[pos] != bkt
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges starts[i] : starts[i] + lens[i]."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if lens.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lens), lens)
 
 
-def _decode_plane_bits(plane_sums, c):
-    """Vectorized majority decode; returns (symbol, tie) arrays."""
-    nbits = len(plane_sums)
-    sym = np.zeros(c.shape, dtype=np.int64)
-    tie = np.zeros(c.shape, dtype=bool)
-    for b in range(nbits):
-        pl = plane_sums[b]
-        tie |= (2 * pl) == c
-        sym |= ((2 * pl) > c).astype(np.int64) << b
-    return sym, tie
+class _Recovery:
+    """Running minima of one recovery over a PairCounts.
 
+    Every running value is a bucket count <= m, so the state is int32: one
+    running-minimum row per row code and one value per entry of the other
+    codes, plus (window, code, value) triples for decodes that name an entry
+    code in a window where it does not occur, or a code that occurs nowhere.
+    """
 
-def _construct_dense(cache: PairCounts, params: RecoveryParams) -> NoiseProfile:
-    dd = cache.dense
-    sigma, nw = cache.sigma, cache.n_windows
-    nbits = (sigma - 1).bit_length()
-    pair_space = sigma * sigma
-    # every running value is a bucket count <= m, so 32-bit cells are safe
-    # and halve the memory traffic of the min-update passes
-    inf = np.int32(np.iinfo(np.int32).max)
-    A = np.full((pair_space, nw), inf, dtype=np.int32)
-    occ = np.flatnonzero(dd.any(axis=1))
-    if occ.size == 0:
-        return _empty_profile(sigma, params.capacity, nw)
-    u_occ = occ // sigma
-    v_occ = occ % sigma
-    ever_single = np.zeros(occ.size, dtype=bool)
-    two_a: list = []
-    two_b: list = []
+    def __init__(self, cache: PairCounts, n_buckets: int, max_entries: int):
+        self.cache = cache
+        # a chunk of E entries holds at most E/2 groups, so its packed sort
+        # keys need 2*bits(E) + bits(nw) bits; a one-group chunk needs only
+        # bits(E) + bits(nw)
+        self.max_entries = min(max_entries, 1 << ((63 - cache.n_windows.bit_length()) // 2))
+        self.nbits = (cache.sigma - 1).bit_length()
+        self.du = cache.codes // cache.sigma
+        self.dv = cache.codes % cache.sigma
+        self.is_entry = cache.row_ids < 0
+        self.row_codes = np.flatnonzero(~self.is_entry)
+        # entries per code, a row code's nonzero cells counting as entries
+        self.n_entries = np.diff(cache.offsets)
+        self.n_entries[self.row_codes] = np.count_nonzero(cache.rows, axis=1)
+        self.mins = np.full(cache.rows.shape, _INF32, dtype=np.int32)
+        self.best = np.full(cache.counts.size, _INF32, dtype=np.int32)
+        self.alone = np.zeros(cache.counts.size, dtype=bool)
+        self.ever_single = np.zeros(cache.codes.size, dtype=bool)
+        none = np.zeros(0, dtype=np.int64)
+        self.spurious = [(none, none, none)]
+        self.two = [np.zeros((2, 0), dtype=np.int64)]
+        # diagonal bucket bitmap, set and cleared again by each projection
+        self.diag = np.zeros(n_buckets, dtype=bool)
 
-    for proj in _projection_plan(params, sigma):
+    def project(self, proj: CoupledProjection) -> None:
         tau = proj.tau_table.astype(np.int64)
         pi = proj.pi_table.astype(np.int64)
-        diag = proj.diagonal_ids()
-        bkt = tau[u_occ] * proj.r + pi[v_occ]
-        keep = np.flatnonzero(_nondiag_mask(bkt, diag))
+        diag_ids = tau * proj.r + pi
+        self.diag[diag_ids] = True
+        bkt = tau[self.du] * proj.r + pi[self.dv]
+        keep = np.flatnonzero(~self.diag[bkt])
+        self.diag[diag_ids] = False
         if keep.size == 0:
-            continue
+            return
+        # the codes of one bucket end up adjacent, in ascending code order
         order = keep[np.argsort(bkt[keep], kind="stable")]
         bs = bkt[order]
-        new = np.ones(bs.size, dtype=bool)
-        new[1:] = bs[1:] != bs[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], bs.size)
-        sizes = ends - starts
-        ever_single[order[starts[sizes == 1]]] = True
-        # two-member buckets decode to the strictly heavier member with
-        # value c = d_a + d_b (equal weights tie every differing bit plane
-        # and reject), so no plane sums or projection checks are needed;
-        # collected across projections and applied per target code below
-        pair_starts = starts[sizes == 2]
-        if pair_starts.size:
-            two_a.append(occ[order[pair_starts]])
-            two_b.append(occ[order[pair_starts + 1]])
-        for s0, e0 in zip(starts[sizes > 2], ends[sizes > 2]):
-            members = occ[order[s0:e0]]
-            _decode_group_dense(
-                A, dd, members, sigma, nbits,
-                int(bs[s0]) // proj.r, int(bs[s0]) % proj.r, tau, pi, inf,
-            )
-
-    # two-group updates per target code p: min over instances of
-    # d_p + d_q where d_q < d_p, which is d_p + min(partner rows) when that
-    # minimum sits strictly below d_p
-    if two_a:
-        ta = np.concatenate(two_a + two_b)
-        tb = np.concatenate(two_b + two_a)
-        order2 = np.argsort(ta, kind="stable")
-        ta, tb = ta[order2], tb[order2]
-        new2 = np.ones(ta.size, dtype=bool)
-        new2[1:] = ta[1:] != ta[:-1]
-        starts2 = np.flatnonzero(new2)
-        ends2 = np.append(starts2[1:], ta.size)
-        for s0, e0 in zip(starts2, ends2):
-            p = int(ta[s0])
-            partner_min = dd[tb[s0:e0]].min(axis=0) if e0 - s0 > 1 else dd[tb[s0]]
-            rp_ = dd[p]
-            row = A[p]
-            np.minimum(row, np.where(partner_min < rp_, rp_ + partner_min, inf), out=row)
-
-    # singleton contributions are the exact pair counts, identical in every
-    # repetition where the pair sat alone, so one pass suffices
-    single_rows = occ[ever_single]
-    for lo in range(0, single_rows.size, 256):
-        rows = single_rows[lo : lo + 256]
-        vals = dd[rows]
-        A[rows] = np.minimum(A[rows], np.where(vals > 0, vals, inf))
-
-    A[A == inf] = 0
-    return _filter_dense(A, sigma, params.capacity, nw)
-
-
-def _decode_group_dense(A, dd, members, sigma, nbits, x, y, tau, pi, inf):
-    sub = dd[members]
-    c = sub.sum(axis=0)
-    act = c > 0
-    if not act.any():
-        return
-    us = members // sigma
-    vs = members % sigma
-    # one BLAS call replaces 2*nbits masked row sums; counts stay below the
-    # float mantissa so the products are exact
-    fdt = np.float32 if int(c.max()) < (1 << 24) else np.float64
-    sel = np.empty((2 * nbits, members.size), dtype=fdt)
-    for b in range(nbits):
-        sel[b] = (us >> b) & 1
-        sel[nbits + b] = (vs >> b) & 1
-    planes = sel @ sub.astype(fdt)
-    cf = c.astype(fdt)
-    u_dec, tie_u = _decode_plane_bits(planes[:nbits], cf)
-    v_dec, tie_v = _decode_plane_bits(planes[nbits:], cf)
-    valid = act & ~tie_u & ~tie_v & (u_dec != v_dec) & (u_dec < sigma) & (v_dec < sigma)
-    if not valid.any():
-        return
-    uu = np.where(valid, u_dec, 0)
-    vv = np.where(valid, v_dec, 0)
-    valid &= (tau[uu] == x) & (pi[vv] == y)
-    if not valid.any():
-        return
-    dest = u_dec * sigma + v_dec
-    for code in np.unique(dest[valid]):
-        msk = valid & (dest == code)
-        row = A[code]
-        np.minimum(row, np.where(msk, c, inf), out=row)
-
-
-def _filter_dense(A: np.ndarray, sigma: int, capacity: int, nw: int) -> NoiseProfile:
-    """Each window's capacity largest values, ties broken toward the smaller
-    code, ranked in window blocks so the int64 keys and partition indices
-    never span more than _FILTER_BLOCK_CELLS cells of the grid."""
-    pair_space = A.shape[0]
-    # ascending key = descending value, then ascending code
-    shift = np.int64(-(1 << max(1, (pair_space - 1).bit_length())))
-    code_col = np.arange(pair_space, dtype=np.int64)[:, None]
-    step = max(1, _FILTER_BLOCK_CELLS // pair_space)
-    codes, values = [], []
-    counts = np.zeros(nw, dtype=np.int64)
-    for lo in range(0, nw, step):
-        sub = A[:, lo : lo + step]
-        if pair_space > capacity:
-            key = sub * shift
-            key += code_col
-            top = np.sort(np.argpartition(key, capacity - 1, axis=0)[:capacity], axis=0)
-            del key
-        else:
-            top = np.broadcast_to(code_col, sub.shape)
-        val = np.take_along_axis(sub, top, axis=0).T
-        pos = val > 0
-        codes.append(top.T[pos])
-        values.append(val[pos])
-        counts[lo : lo + step] = pos.sum(axis=1)
-    code_idx = np.concatenate(codes)
-    indptr = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return NoiseProfile(
-        sigma=sigma,
-        capacity=capacity,
-        indptr=indptr,
-        us=(code_idx // sigma).astype(np.int32),
-        vs=(code_idx % sigma).astype(np.int32),
-        values=np.concatenate(values).astype(np.int64),
-    )
-
-
-def _construct_sparse(
-    cache: PairCounts, params: RecoveryParams, mem_budget: int
-) -> NoiseProfile:
-    sigma, nw = cache.sigma, cache.n_windows
-    indptr, codes, cnts = cache.indptr, cache.codes, cache.counts
-    if codes.size == 0:
-        return _empty_profile(sigma, params.capacity, nw)
-    nbits = (sigma - 1).bit_length()
-    n_buckets = params.bucket_count
-    win = np.repeat(np.arange(nw, dtype=np.int64), np.diff(indptr))
-    distinct, inv = np.unique(codes, return_inverse=True)
-    du = distinct // sigma
-    dv = distinct % sigma
-    shifts = np.arange(nbits)
-    # per-entry state: whether the entry was ever alone in a non-diagonal
-    # bucket of its window, and the least collision-group decode landing on it
-    alone = np.zeros(codes.size, dtype=bool)
-    best = np.full(codes.size, _INF)
-    spurious: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    blocks = _entry_blocks(indptr, max(1, mem_budget // _SCRATCH_BYTES_PER_ENTRY))
-
-    for proj in _projection_plan(params, sigma):
-        tau = proj.tau_table.astype(np.int64)
-        pi = proj.pi_table.astype(np.int64)
-        bkt_d = tau[du] * proj.r + pi[dv]
-        nondiag_d = _nondiag_mask(bkt_d, proj.diagonal_ids())
-        shared_d = np.zeros(distinct.size, dtype=bool)
-        shared_d[nondiag_d] = _repeated(bkt_d[nondiag_d])
+        starts = np.flatnonzero(np.append(True, bs[1:] != bs[:-1]))
+        sizes = np.diff(np.append(starts, bs.size))
         # a code alone in its bucket over all windows is alone in each window
-        single_d = nondiag_d & ~shared_d
-        for lo, hi in blocks:
-            inv_b = inv[lo:hi]
-            alone[lo:hi] |= single_d[inv_b]
-            e = lo + np.flatnonzero(shared_d[inv_b])
-            if e.size == 0:
-                continue
-            key = win[e] * n_buckets + bkt_d[inv[e]]
-            coll = _repeated(key)
-            alone[e[~coll]] = True
-            if not coll.any():
-                continue
-            e, key = e[coll], key[coll]
-            order = np.argsort(key, kind="stable")
-            e, key = e[order], key[order]
-            new = np.ones(e.size, dtype=bool)
-            new[1:] = key[1:] != key[:-1]
-            starts = np.flatnonzero(new)
-            group = np.cumsum(new) - 1
-            # collision groups: count and 2*nbits plane sums in one reduceat
-            ce = cnts[e]
-            ue, ve = du[inv[e]], dv[inv[e]]
-            cols = np.concatenate(
-                [ce[:, None], ((ue[:, None] >> shifts) & 1) * ce[:, None],
-                 ((ve[:, None] >> shifts) & 1) * ce[:, None]],
-                axis=1,
+        self.ever_single[order[starts[sizes == 1]]] = True
+        mixed = (sizes > 1) & np.logical_or.reduceat(self.is_entry[order], starts)
+        on_rows = (sizes > 1) & ~mixed
+        # two-row groups decode to the strictly heavier member with value
+        # c = d_a + d_b (equal weights tie every differing bit plane and
+        # reject), so no plane sums or projection checks are needed; they
+        # are collected and applied once per target code in finish
+        two = starts[on_rows & (sizes == 2)]
+        self.two.append(np.stack([order[two], order[two + 1]]))
+        for s0, k in zip(starts[on_rows & (sizes > 2)], sizes[on_rows & (sizes > 2)]):
+            self._decode_rows(order[s0 : s0 + k], bs[s0] // proj.r, bs[s0] % proj.r, tau, pi)
+        # the other groups in chunks of whole groups holding at most
+        # max_entries entries (or one group)
+        g_starts, g_sizes = starts[mixed], sizes[mixed]
+        ends = np.cumsum(self.n_entries[order[_ranges(g_starts, g_sizes)]])[np.cumsum(g_sizes) - 1]
+        lo = 0
+        while lo < g_starts.size:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + self.max_entries, "right")))
+            self._decode_entries(order, g_starts[lo:hi], g_sizes[lo:hi], bs, proj.r, tau, pi)
+            lo = hi
+
+    def _bits(self, code: np.ndarray) -> np.ndarray:
+        """(2*nbits, len) bits of the u and then the v symbols of codes."""
+        shifts = np.arange(self.nbits)[:, None]
+        return np.concatenate([(self.du[code] >> shifts) & 1, (self.dv[code] >> shifts) & 1])
+
+    def _decode(self, c, planes, x, y, tau, pi) -> np.ndarray:
+        """Codes decoded from bucket counts c and their 2*nbits plane sums in
+        bucket (x, y); -1 where a plane ties (c = 0 ties every plane), the
+        pair is diagonal or outside the alphabet, or it fails the projection
+        check."""
+        sigma, nbits = self.cache.sigma, self.nbits
+        # sums of distinct powers of two below 2^20 are exact in float32
+        weights = 2 ** np.arange(nbits, dtype=np.float32)
+        high = (2 * planes > c).astype(np.float32)
+        u = (weights @ high[:nbits]).astype(np.int64)
+        v = (weights @ high[nbits:]).astype(np.int64)
+        ok = ~(2 * planes == c).any(axis=0) & (u != v) & (u < sigma) & (v < sigma)
+        ok &= (tau[np.where(ok, u, 0)] == x) & (pi[np.where(ok, v, 0)] == y)
+        return np.where(ok, u * sigma + v, -1)
+
+    def _decode_rows(self, members, x, y, tau, pi) -> None:
+        """Bit-plane decode of one group of row codes, all windows at once."""
+        sub = self.cache.rows[self.cache.row_ids[members]]
+        c = sub.sum(axis=0, dtype=np.int32)
+        # one BLAS call replaces 2*nbits masked row sums; counts stay below the
+        # float mantissa so the products are exact
+        fdt = np.float32 if int(c.max()) < (1 << 24) else np.float64
+        planes = self._bits(members).astype(fdt) @ sub.astype(fdt)
+        dest = self._decode(c.astype(fdt), planes, x, y, tau, pi)
+        win = np.flatnonzero(dest >= 0)
+        # a decode that passes the projection check lands in this bucket, so
+        # it names a member or a code that occurs in no window
+        self._lower(win, dest[win], c[win], np.full(win.size, -1), members)
+
+    def _decode_entries(self, order, g_starts, g_sizes, bs, r, tau, pi) -> None:
+        """Window-by-window decode of groups that hold an entry code.
+
+        Entry e has id e; the nonzero cell (row, window) of a row member
+        stands in for an entry, with id E + row*nw + window, E the number of
+        entries. Sorting the ids by (group, window) puts the members a
+        group holds in one window next to each other."""
+        cache, nw = self.cache, self.cache.n_windows
+        n_e = cache.counts.size
+        members = order[_ranges(g_starts, g_sizes)]
+        group = np.repeat(np.arange(g_starts.size), g_sizes)
+        ent = self.is_entry[members]
+        lens = self.n_entries[members[ent]]
+        ids = [_ranges(cache.offsets[members[ent]], lens)]
+        keys = [np.repeat(group[ent] * nw, lens) + cache.windows[ids[0]]]
+        for mem, g in zip(members[~ent], group[~ent]):
+            row = cache.row_ids[mem]
+            w = np.flatnonzero(cache.rows[row])
+            ids.append(n_e + row * nw + w)
+            keys.append(g * nw + w)
+        ids, key = np.concatenate(ids), np.concatenate(keys)
+        # one sort of (key, position) packed into int64; the chunk limit
+        # keeps both inside 63 bits
+        bits = max(1, (ids.size - 1).bit_length())
+        packed = np.sort((key << bits) | np.arange(ids.size))
+        key = packed >> bits
+        ids = ids[packed & ((1 << bits) - 1)]
+        edge = np.ones(key.size + 1, dtype=bool)
+        edge[1:-1] = key[1:] != key[:-1]
+        alone = edge[:-1] & edge[1:]
+        # alone in its window's bucket: the decode gives the exact count, and
+        # every bucket holding the pair counts at least as much
+        a = ids[alone]
+        self.alone[a[a < n_e]] = True
+        cells = a[a >= n_e] - n_e
+        self.mins.reshape(-1)[cells] = cache.rows.reshape(-1)[cells]
+        coll = ~alone
+        if not coll.any():
+            return
+        starts = np.flatnonzero(edge[:-1][coll])
+        key, ids = key[coll], ids[coll]
+        is_e = ids < n_e
+        cells = ids[~is_e] - n_e
+        cnt = np.empty(ids.size, dtype=np.int64)
+        cnt[is_e] = cache.counts[ids[is_e]]
+        cnt[~is_e] = cache.rows.reshape(-1)[cells]
+        code = np.empty(ids.size, dtype=np.int64)
+        code[is_e] = np.searchsorted(cache.offsets, ids[is_e], "right") - 1
+        code[~is_e] = self.row_codes[cells // nw]
+        # the count and 2*nbits plane sums of each window's collision
+        sums = np.add.reduceat(np.vstack([cnt, self._bits(code) * cnt]), starts, axis=1)
+        bkt = bs[g_starts][key[starts] // nw]
+        dest = self._decode(sums[0], sums[1:], bkt // r, bkt % r, tau, pi)
+        # a decode that passes the projection check lands in this bucket, so
+        # it names a member or a code absent from the window; a member's
+        # entry there is lowered
+        group = np.cumsum(edge[:-1][coll]) - 1
+        hit = (dest[group] == cache.codes[code]) & is_e
+        entry = np.full(starts.size, -1)
+        entry[group[hit]] = ids[hit]
+        keep = np.flatnonzero(dest >= 0)
+        w = key[starts[keep]] % nw
+        self._lower(w, dest[keep], sums[0, keep], entry[keep], np.sort(members))
+
+    def _lower(self, win, dest, c, entry, members) -> None:
+        """Min-update the decoded codes dest with bucket counts c in windows
+        win: a row code's cell whether or not the code occurs there, else
+        the entry `entry` where the window holds one (>= 0); any other
+        decode is kept as a spurious (window, code, value) triple. Every
+        decoded code that occurs anywhere is among members (ascending)."""
+        codes = self.cache.codes[members]
+        pos = np.minimum(np.searchsorted(codes, dest), codes.size - 1)
+        row = np.where(codes[pos] == dest, self.cache.row_ids[members[pos]], -1)
+        on_row = row >= 0
+        flat = row[on_row] * self.cache.n_windows + win[on_row]
+        np.minimum.at(self.mins.reshape(-1), flat, c[on_row])
+        hit = ~on_row & (entry >= 0)
+        np.minimum.at(self.best, entry[hit], c[hit])
+        spur = ~on_row & (entry < 0)
+        self.spurious.append((win[spur], dest[spur], c[spur]))
+
+    def finish(self, capacity: int) -> NoiseProfile:
+        cache, mins, rows = self.cache, self.mins, self.cache.rows
+        # two-row groups, per target row p: min over instances of d_p + d_q
+        # where d_q < d_p, which is d_p + min(partner rows) when that minimum
+        # sits strictly below d_p
+        pairs = cache.row_ids[np.concatenate(self.two, axis=1)]
+        ta, tb = np.concatenate([pairs, pairs[::-1]], axis=1)
+        for p in np.unique(ta):
+            partner_min = rows[tb[ta == p]].min(axis=0)
+            np.minimum(
+                mins[p], np.where(partner_min < rows[p], rows[p] + partner_min, _INF32),
+                out=mins[p],
             )
-            sums = np.add.reduceat(cols, starts, axis=0)
-            c = sums[:, 0]
-            u_dec, tie_u = _decode_plane_bits(sums[:, 1 : 1 + nbits].T, c)
-            v_dec, tie_v = _decode_plane_bits(sums[:, 1 + nbits :].T, c)
-            valid = ~tie_u & ~tie_v & (u_dec != v_dec) & (u_dec < sigma) & (v_dec < sigma)
-            bkt = key[starts] % n_buckets
-            uu = np.where(valid, u_dec, 0)
-            vv = np.where(valid, v_dec, 0)
-            valid &= (tau[uu] == bkt // proj.r) & (pi[vv] == bkt % proj.r)
-            if not valid.any():
-                continue
-            # a decode that passes the projection check lands in this bucket,
-            # so it is either a member of the group or absent from the window
-            dest = u_dec * sigma + v_dec
-            hit = valid[group] & (codes[e] == dest[group])
-            np.minimum.at(best, e[hit], c[group[hit]])
-            absent = valid & ~np.logical_or.reduceat(hit, starts)
-            if absent.any():
-                spurious.append((win[e[starts[absent]]], dest[absent], c[absent]))
-
-    val = np.where(alone, cnts, best)
-    keep = val < _INF
-    parts = [(win[keep], codes[keep], val[keep])] + spurious
-    w, code, val = (np.concatenate(col) for col in zip(*parts))
-    return _filter_triples(w, code, val, sigma, params.capacity, nw)
+        # singleton contributions are the exact pair counts, identical in
+        # every repetition where the code sat alone, so one pass suffices
+        np.copyto(mins, rows, where=(rows > 0) & self.ever_single[self.row_codes, None])
+        mins[mins == _INF32] = 0
+        lens = np.diff(cache.offsets)
+        alone = self.alone | np.repeat(self.ever_single, lens)
+        self.best[alone] = cache.counts[alone]
+        keep = self.best < _INF32
+        w = cache.windows[keep]
+        code = np.repeat(cache.codes, lens)[keep]
+        val = self.best[keep]
+        # the same absent pair can be decoded in several projections
+        sw, sc, sv = (np.concatenate(col) for col in zip(*self.spurious))
+        srt = np.lexsort((sv, sc, sw))
+        sw, sc, sv = sw[srt], sc[srt], sv[srt]
+        first = np.ones(sw.size, dtype=bool)
+        first[1:] = (sw[1:] != sw[:-1]) | (sc[1:] != sc[:-1])
+        parts = zip((w, code, val), (sw[first], sc[first], sv[first]))
+        w, code, val = (np.concatenate(col) for col in parts)
+        return _filter(cache, mins, w, code, val, capacity)
 
 
-def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Mask of the positions whose key occurs more than once."""
-    s = np.sort(keys)
-    dup = np.unique(s[1:][s[1:] == s[:-1]])
-    if dup.size == 0:
-        return np.zeros(keys.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(dup, keys), dup.size - 1)
-    return dup[pos] == keys
-
-
-def _entry_blocks(indptr: np.ndarray, max_entries: int) -> list[tuple[int, int]]:
-    """Entry ranges of whole-window blocks, each at most max_entries long
-    unless a single window alone exceeds it."""
-    nw = indptr.size - 1
-    blocks = []
-    lo_w = 0
-    while lo_w < nw:
-        hi_w = int(np.searchsorted(indptr, indptr[lo_w] + max_entries, side="right")) - 1
-        hi_w = min(nw, max(lo_w + 1, hi_w))
-        blocks.append((int(indptr[lo_w]), int(indptr[hi_w])))
-        lo_w = hi_w
-    return blocks
-
-
-def _filter_triples(w, code, val, sigma, capacity, nw) -> NoiseProfile:
-    """Min over repeated (window, code) triples, then each window's capacity
-    largest values, ties broken toward the smaller code."""
-    order = np.lexsort((val, code, w))
-    w, code, val = w[order], code[order], val[order]
-    first = np.ones(w.size, dtype=bool)
-    first[1:] = (w[1:] != w[:-1]) | (code[1:] != code[:-1])
-    w, code, val = w[first], code[first], val[first]
-    # rank within each window by (-val, code); the kept triples stay in
-    # (window, code) order
-    order = np.lexsort((code, -val, w))
-    ws = w[order]
-    new = np.ones(ws.size, dtype=bool)
-    new[1:] = ws[1:] != ws[:-1]
-    starts = np.flatnonzero(new)
-    rank = np.arange(ws.size) - starts[np.cumsum(new) - 1]
-    keep = np.zeros(w.size, dtype=bool)
-    keep[order[rank < capacity]] = True
-    w, code, val = w[keep], code[keep], val[keep]
+def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfile:
+    """Each window's capacity largest values among its row cells (0 where
+    unset) and its (window, code, value) triples, ties broken toward the
+    smaller code. The triples are padded into a (candidates, windows) key
+    matrix below the rows and ranked in window blocks of at most
+    _FILTER_BLOCK_CELLS cells."""
+    sigma, nw = cache.sigma, cache.n_windows
+    row_codes = cache.codes[cache.row_ids >= 0]
+    cand = np.union1d(row_codes, code)
+    if cand.size == 0:
+        return _empty_profile(sigma, capacity, nw)
+    # ascending key = descending value, then ascending code rank
+    shift = np.int64(1) << max(1, (cand.size - 1).bit_length())
+    row_key = np.searchsorted(cand, row_codes)[:, None]
+    srt = np.argsort(w, kind="stable")
+    w = w[srt]
+    key = np.searchsorted(cand, code[srt]) - val[srt].astype(np.int64) * shift
+    per_win = np.bincount(w, minlength=nw)
+    first = np.zeros(nw + 1, dtype=np.int64)
+    np.cumsum(per_win, out=first[1:])
+    slot = np.arange(w.size) - first[w]
+    n_rows = row_codes.size
+    step = max(1, _FILTER_BLOCK_CELLS // max(1, n_rows + int(per_win.max())))
+    ranks, values = [], []
+    sizes = np.zeros(nw, dtype=np.int64)
+    for lo in range(0, nw, step):
+        hi = min(nw, lo + step)
+        a, b = first[lo], first[hi]
+        k = np.zeros((n_rows + int(per_win[lo:hi].max()), hi - lo), dtype=np.int64)
+        np.multiply(mins[:, lo:hi], -shift, out=k[:n_rows])
+        k[:n_rows] += row_key
+        k[n_rows + slot[a:b], w[a:b] - lo] = key[a:b]
+        if k.shape[0] > capacity:
+            k = np.take_along_axis(k, np.argpartition(k, capacity - 1, axis=0)[:capacity], axis=0)
+        # the kept (negative) keys of each window in ascending code order
+        k = np.take_along_axis(k, np.argsort(np.where(k < 0, k % shift, shift), axis=0), axis=0).T
+        pos = k < 0
+        ranks.append(k[pos] % shift)
+        values.append(-(k[pos] // shift))
+        sizes[lo:hi] = pos.sum(axis=1)
+    code = cand[np.concatenate(ranks)]
     indptr = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(np.bincount(w, minlength=nw), out=indptr[1:])
+    np.cumsum(sizes, out=indptr[1:])
     return NoiseProfile(
         sigma=sigma,
         capacity=capacity,
         indptr=indptr,
         us=(code // sigma).astype(np.int32),
         vs=(code % sigma).astype(np.int32),
-        values=val.astype(np.int64),
+        values=np.concatenate(values).astype(np.int64),
     )
 
 

@@ -102,12 +102,12 @@ def member_profile_brute(text: IntString, pattern: IntString, family, i: int) ->
 
 
 def pair_count_matrix(cache) -> np.ndarray:
-    """(sigma^2, windows) pair-count matrix of a PairCounts in either layout."""
-    if cache.kind == "dense":
-        return cache.dense
+    """(sigma^2, windows) pair-count matrix of a PairCounts: the rows of its
+    row codes and the entries of the others."""
     dd = np.zeros((cache.sigma * cache.sigma, cache.n_windows), dtype=np.int32)
-    win = np.repeat(np.arange(cache.n_windows), np.diff(cache.indptr))
-    dd[cache.codes, win] = cache.counts
+    rowed = cache.row_ids >= 0
+    dd[cache.codes[rowed]] = cache.rows[cache.row_ids[rowed]]
+    dd[np.repeat(cache.codes, np.diff(cache.offsets)), cache.windows] = cache.counts
     return dd
 
 

@@ -31,7 +31,7 @@ from hamsketch.text_model import (
     generate_instance,
 )
 
-from helpers import beta_brute, correction_term, fourwise_eval_seeds
+from helpers import beta_brute, correction_term, fourwise_eval_seeds, pair_count_matrix
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -161,16 +161,17 @@ def test_ac6_sparse_noise_bound():
     for seed in range(5):
         text, pattern = generate_instance(8192, 512, 16, "uniform", seed)
         cache = prepare_pair_counts(text, pattern)
+        counts = pair_count_matrix(cache)
         codes = np.arange(256)
         off = codes[codes // 16 != codes % 16]
-        dd = cache.dense[off].astype(np.int64)
+        dd = counts[off].astype(np.int64)
         d = dd.sum(axis=0)
         sq = (dd * dd).sum(axis=0).astype(np.float64)
         rp = recovery_params(eps, seed=seed + 40, n=8192)
         noise = construct_sparse_noise(text, pattern, rp, pair_cache=cache)
         noise.validate()
         wins = noise.entry_windows()
-        truth = cache.dense[
+        truth = counts[
             noise.us.astype(np.int64) * 16 + noise.vs, wins
         ].astype(np.int64)
         np.add.at(sq, wins, (truth - noise.values) ** 2 - truth * truth)

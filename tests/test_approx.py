@@ -14,11 +14,7 @@ from hamsketch.approx import (
 )
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, beta_many, family_new
-from hamsketch.sparse_recovery import (
-    B_CONST,
-    noise_profile_from_windows,
-    prepare_pair_counts,
-)
+from hamsketch.sparse_recovery import B_CONST, noise_profile_from_windows
 from hamsketch.text_model import IntString, SparseNoiseMatrix, generate_instance
 
 from helpers import alignment_dict_brute, beta_brute, correction_term, sliding_hamming_brute
@@ -156,7 +152,6 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
     monkeypatch.setattr(approx, "construct_sparse_noise", spy)
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=11)
     params = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2)
-    assert params.share_dprime
     prof, shared = approx_profile(text, pattern, params, return_noise=True)
     assert len(calls) == 1 and shared is not None
     # every execution with the shared profile injected reproduces the runs
@@ -169,30 +164,21 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
     assert np.array_equal(np.median(runs, axis=0), prof.values)
     assert len(calls) == 1
 
-    calls.clear()
-    fresh = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2, share_dprime=False)
-    _, none_shared = approx_profile(text, pattern, fresh, return_noise=True)
-    assert none_shared is None
-    assert len(calls) == 4 and len({rp.seed for rp in calls}) == 4
-
 
 @pytest.mark.parametrize(
-    "shape, share, digest",
+    "shape, digest",
     [
-        # dense recovery route
-        ((1024, 256, 16, 22), False, "90a8af7e41e2eee26745b9fe70d62107315e71a28d772749ce70dd7594398248"),
-        ((1024, 256, 16, 22), True, "810687c4e390a06177b6ed10e31042de472997ce6e3246f49a76c0db2e956cc3"),
-        # CSR recovery route
-        ((512, 64, 64, 13), False, "2320b657e0e858a06e618a8ce75b2f11cfb20ab63d3f355eaca0f34fcd549775"),
-        ((512, 64, 64, 13), True, "96db66c49d79da2e28a6266531c68106400d32e05690e4202f679df3a3061b6b"),
+        # windows holding most occurring pair codes: nearly all codes keep rows
+        ((1024, 256, 16, 22), "810687c4e390a06177b6ed10e31042de472997ce6e3246f49a76c0db2e956cc3"),
+        # windows holding few of them: entry codes only
+        ((512, 64, 64, 13), "96db66c49d79da2e28a6266531c68106400d32e05690e4202f679df3a3061b6b"),
     ],
 )
-def test_profiles_pinned_for_both_sharing_modes(shape, share, digest):
-    # SHA-256 of the profile bytes, pinned while per-execution recovery was
-    # the default; sharing D' changes only which D' each execution reads
+def test_profiles_pinned_with_one_dprime(shape, digest):
+    # SHA-256 of the profile bytes, pinned before recovery had one route
     n, m, sigma, seed = shape
     text, pattern = generate_instance(n, m, sigma, "uniform", seed)
-    params = approx_params(0.25, seed=9, n=n, reps=4, recovery_reps=2, share_dprime=share)
+    params = approx_params(0.25, seed=9, n=n, reps=4, recovery_reps=2)
     prof = approx_profile(text, pattern, params)
     assert hashlib.sha256(prof.values.tobytes()).hexdigest() == digest
 
@@ -215,13 +201,9 @@ def test_single_execution_concentration():
     assert d > 0
     eps = 0.25
     trials = 300
-    cache = prepare_pair_counts(text, pattern)
     params = approx_params(eps, seed=77, n=m, reps=1, recovery_reps=2)
     vals = np.array(
-        [
-            approx_profile_single(text, pattern, params, e, pair_cache=cache).values[0]
-            for e in range(trials)
-        ]
+        [approx_profile_single(text, pattern, params, e).values[0] for e in range(trials)]
     )
     within = np.abs(vals - d) <= eps * d
     assert within.mean() > 0.5

@@ -9,7 +9,6 @@ from hamsketch import sparse_recovery
 from hamsketch.sparse_recovery import (
     DEFAULT_MEM_BUDGET,
     NoiseProfile,
-    PairCounts,
     compute_bucket_table,
     construct_reference,
     construct_sparse_noise,
@@ -191,26 +190,23 @@ def test_fast_path_matches_reference():
         ("uniform", 3, 0.2, (2,)),
         ("planted_heavy", 16, 0.25, (0,)),
     ]
-    kinds = set()
+    layouts = set()
     for model, sigma, eps, seeds in cases:
         for seed in seeds:
             text, pattern = generate_instance(96, 16, sigma, model, seed)
-            kinds.add(prepare_pair_counts(text, pattern).kind)
+            layouts.update(prepare_pair_counts(text, pattern).row_ids >= 0)
             params = recovery_params(eps, seed=seed + 100, reps=2)
             fast = construct_sparse_noise(text, pattern, params)
             ref = construct_reference(text, pattern, params)
             assert fast.same_as(ref), (model, sigma, eps, seed)
-            # the same cases forced onto the CSR route, one window per block
-            forced = construct_sparse_noise(text, pattern, params, mem_budget=1)
-            assert forced.same_as(ref), (model, sigma, eps, seed)
-    # the default layout choice sends some of these cases each way
-    assert kinds == {"dense", "sparse"}
+    # these cases hold both row codes and entry codes
+    assert layouts == {True, False}
 
 
 def test_csr_route_matches_reference_above_dense_alphabet():
-    # sigma^2 > 2^16 takes the CSR route without forcing
+    # sigma^2 > 2^16, each pair in a few windows: entry codes only
     text, pattern = _uniform(40, 5, 257, seed=5)
-    assert prepare_pair_counts(text, pattern).kind == "sparse"
+    assert np.all(prepare_pair_counts(text, pattern).row_ids < 0)
     params = recovery_params(0.5, seed=77, reps=2)
     fast = construct_sparse_noise(text, pattern, params)
     assert fast.values.size > 0
@@ -241,19 +237,17 @@ def test_csr_route_matches_reference_property(data):
         seed=data.draw(st.integers(0, 1 << 30)),
         reps=data.draw(st.integers(1, 2)),
     )
-    cache = prepare_pair_counts(text, pattern, mem_budget=1)
-    assert cache.kind == "sparse"
     budget = data.draw(st.sampled_from([1, 1000, DEFAULT_MEM_BUDGET]), label="mem_budget")
+    cache = prepare_pair_counts(text, pattern, mem_budget=budget)
     fast = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
     assert fast.same_as(construct_reference(text, pattern, params))
 
 
 def test_csr_blocks_do_not_change_the_profile():
-    # the collision-decode instance above: a block that split a window
-    # would miss its collisions
+    # the collision-decode instance above: a chunk that split a bucket
+    # group would miss its collisions
     text, pattern = _uniform(60, 20, 12, seed=4)
     cache = prepare_pair_counts(text, pattern, mem_budget=1)
-    assert cache.kind == "sparse"
     params = recovery_params(0.5, seed=4, reps=1)
     whole = construct_sparse_noise(text, pattern, params, pair_cache=cache)
     for budget in (1, 1000, 10**4):
@@ -263,32 +257,61 @@ def test_csr_blocks_do_not_change_the_profile():
         assert blocked.same_as(whole), budget
 
 
+def _skewed_instance(n, m, sigma, seed, heavy=0.6):
+    # text mostly 0 and pattern mostly 1: the pairs (0, 1), (0, v) and (u, 1)
+    # fill most windows, the other pairs a few each
+    rng = np.random.default_rng(seed)
+    text = np.where(rng.random(n) < heavy, 0, rng.integers(0, sigma, n))
+    pattern = np.where(rng.random(m) < heavy, 1, rng.integers(0, sigma, m))
+    return IntString(text, sigma), IntString(pattern, sigma)
+
+
+def _mixed_groups(cache, params):
+    """Non-diagonal (projection, bucket) groups holding both a row code and
+    an entry code, counted from the projections directly."""
+    sigma = cache.sigma
+    u, v = cache.codes // sigma, cache.codes % sigma
+    rowed = cache.row_ids >= 0
+    mixed = 0
+    for i in range(params.num_scales):
+        for rep in range(params.reps):
+            proj = make_coupled_projection(i, params, rep, sigma)
+            diag = {(int(proj.tau_table[s]), int(proj.pi_table[s])) for s in range(sigma)}
+            kinds: dict = {}
+            for k in range(cache.codes.size):
+                b = (int(proj.tau_table[u[k]]), int(proj.pi_table[v[k]]))
+                if b not in diag:
+                    kinds.setdefault(b, set()).add(bool(rowed[k]))
+            mixed += sum(len(kk) == 2 for kk in kinds.values())
+    return mixed
+
+
 def test_dense_and_sparse_routes_agree():
-    text, pattern = _uniform(200, 24, 40, seed=8)
-    params = recovery_params(0.25, seed=12, reps=3)
-    csr = prepare_pair_counts(text, pattern)
-    assert csr.kind == "sparse"
-    dense = PairCounts(
-        kind="dense", sigma=40, n_windows=csr.n_windows, dense=pair_count_matrix(csr)
-    )
-    via_dense = construct_sparse_noise(text, pattern, params, pair_cache=dense)
-    via_csr = construct_sparse_noise(text, pattern, params, pair_cache=csr)
-    assert via_dense.same_as(via_csr)
+    # dense rows and sparse entries in one bucket group: the group's row
+    # members take part in its window-by-window decode, and its decodes
+    # that name a row code lower that row
+    for seed, sigma, heavy, reps in ((0, 24, 0.6, 2), (4, 40, 0.4, 2), (9, 24, 0.6, 1)):
+        text, pattern = _skewed_instance(160, 24, sigma, seed, heavy)
+        params = recovery_params(0.5, seed=seed, reps=reps)
+        cache = prepare_pair_counts(text, pattern)
+        assert _mixed_groups(cache, params) > 0
+        for budget in (1, 1000, DEFAULT_MEM_BUDGET):
+            fast = construct_sparse_noise(text, pattern, params, mem_budget=budget)
+            assert fast.same_as(construct_reference(text, pattern, params)), (seed, budget)
 
 
 def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
-    text, pattern = _uniform(200, 24, 40, seed=8)
-    params = recovery_params(0.25, seed=12, reps=3)
-    csr = prepare_pair_counts(text, pattern)
-    dense = PairCounts(
-        kind="dense", sigma=40, n_windows=csr.n_windows, dense=pair_count_matrix(csr)
-    )
-    want = construct_sparse_noise(text, pattern, params, pair_cache=csr)
+    # row cells and entries ranked together, in window blocks of any size
+    text, pattern = _skewed_instance(400, 48, 24, seed=1)
+    params = recovery_params(0.5, seed=12, reps=3)
+    cache = prepare_pair_counts(text, pattern)
+    assert (cache.row_ids >= 0).any() and (cache.row_ids < 0).any()
+    want = construct_sparse_noise(text, pattern, params, pair_cache=cache)
     # the capacity cut must bind somewhere, or ranking is never tested
     assert np.diff(want.indptr).max() == params.capacity
-    for cells in (1, 1600 * 5, 1 << 30):
+    for cells in (1, 100, 1 << 30):
         monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
-        got = construct_sparse_noise(text, pattern, params, pair_cache=dense)
+        got = construct_sparse_noise(text, pattern, params, pair_cache=cache)
         assert got.same_as(want), cells
 
 
@@ -302,39 +325,50 @@ def _periodic_instance(n, m, sigma, seed):
     return IntString(np.resize(text_block, n), sigma), IntString(np.resize(block, m), sigma)
 
 
-def test_dense_route_stays_inside_its_memory_rule():
-    # prepare_pair_counts admits the dense grid when 12 * sigma^2 * windows
-    # bytes fit the budget; the int32 counts take 4 of those bytes before
-    # recovery starts, so recovery itself may add at most 8 per cell
-    text, pattern = _periodic_instance(1024, 64, 64, seed=3)
-    cache = prepare_pair_counts(text, pattern)
-    assert cache.kind == "dense"
+def test_recovery_memory_grows_with_pair_entries():
+    # recovery keeps 4 to 12 bytes of state per pair entry (a row holds at
+    # most 4 cells per entry of its code) plus per-projection scratch of
+    # about 128 bytes per decoded entry; nothing grows as sigma^2 * windows.
+    # On the periodic instance 8 * sigma^2 * windows bytes is 31.5 MB, and
+    # this bound allows 1.8 MB.
+    row_heavy = _uniform(1024, 128, 16, seed=3)
+    entry_heavy = _periodic_instance(1024, 64, 64, seed=3)
     params = recovery_params(0.25, seed=5, reps=1)
-    tracemalloc.start()
-    try:
-        noise = construct_sparse_noise(text, pattern, params, pair_cache=cache)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert noise.values.size
-    assert peak <= 8 * 64 * 64 * cache.n_windows
+    for text, pattern in (row_heavy, entry_heavy):
+        cache = prepare_pair_counts(text, pattern)
+        entries = cache.counts.size + np.count_nonzero(cache.rows)
+        tracemalloc.start()
+        try:
+            noise = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert noise.values.size
+        assert peak <= 256 * entries
+    assert (prepare_pair_counts(*row_heavy).row_ids >= 0).mean() > 0.5
+    assert np.all(prepare_pair_counts(*entry_heavy).row_ids < 0)
 
 
 def test_pair_count_layout_follows_window_fill():
-    # nearly every occupied code in every window: the dense grid
-    text, pattern = _uniform(2048, 256, 8, seed=3)
-    assert prepare_pair_counts(text, pattern).kind == "dense"
-    # a period-8 pattern against the same block with 3 symbols substituted:
-    # each window holds at most 8 of the ~60 occupied codes
-    block = np.arange(8)
-    text_block = block.copy()
-    text_block[:3] = [10, 11, 12]
-    text = IntString(np.resize(text_block, 2048), 64)
-    pattern = IntString(np.resize(block, 256), 64)
-    assert prepare_pair_counts(text, pattern).kind == "sparse"
-    # the memory rule still guards the dense grid
-    text, pattern = _uniform(2048, 256, 8, seed=3)
-    assert prepare_pair_counts(text, pattern, mem_budget=1).kind == "sparse"
+    # a code in at least a quarter of the windows keeps a row, any other
+    # code its entries; the memory budget changes only the build's blocks
+    for text, pattern in (
+        _uniform(2048, 256, 8, seed=3),
+        _periodic_instance(2048, 256, 64, seed=3),
+        _skewed_instance(400, 48, 24, seed=1),
+    ):
+        nw = len(text) - len(pattern) + 1
+        cache = prepare_pair_counts(text, pattern)
+        dd = pair_count_matrix(cache)[cache.codes]
+        fill = np.count_nonzero(dd, axis=1)
+        assert np.array_equal(cache.row_ids >= 0, 4 * fill >= nw)
+        assert np.array_equal(np.diff(cache.offsets), np.where(4 * fill >= nw, 0, fill))
+        blocked = prepare_pair_counts(text, pattern, mem_budget=1)
+        for field in ("codes", "row_ids", "rows", "offsets", "windows", "counts"):
+            assert np.array_equal(getattr(blocked, field), getattr(cache, field)), field
+    # nearly every code in every window, and each window's few pairs
+    assert np.all(prepare_pair_counts(*_uniform(2048, 256, 8, seed=3)).row_ids >= 0)
+    assert np.all(prepare_pair_counts(*_periodic_instance(2048, 256, 64, seed=3)).row_ids < 0)
 
 
 def test_constructed_profile_invariants():
@@ -388,26 +422,27 @@ def test_construct_validates_inputs():
 
 
 def _pair_dicts(cache):
-    """Per-window {(u, v): count} of a PairCounts; CSR codes must be strictly
-    increasing within each window."""
+    """Per-window {(u, v): count} of a PairCounts; each code's entry windows
+    must be strictly increasing."""
     sigma = cache.sigma
-    out = []
-    for j in range(cache.n_windows):
-        if cache.kind == "dense":
-            codes = np.flatnonzero(cache.dense[:, j])
-            counts = cache.dense[codes, j]
+    out = [dict() for _ in range(cache.n_windows)]
+    for i, code in enumerate(cache.codes):
+        if cache.row_ids[i] >= 0:
+            row = cache.rows[cache.row_ids[i]]
+            wins = np.flatnonzero(row)
+            counts = row[wins]
         else:
-            lo, hi = cache.indptr[j], cache.indptr[j + 1]
-            codes, counts = cache.codes[lo:hi], cache.counts[lo:hi]
-            assert np.all(np.diff(codes) > 0)
-        out.append({(int(c) // sigma, int(c) % sigma): int(k) for c, k in zip(codes, counts)})
+            lo, hi = cache.offsets[i], cache.offsets[i + 1]
+            wins, counts = cache.windows[lo:hi], cache.counts[lo:hi]
+            assert np.all(np.diff(wins) > 0)
+        for j, k in zip(wins, counts):
+            out[j][(int(code) // sigma, int(code) % sigma)] = int(k)
     return out
 
 
 def test_pair_counts_routes_match_brute():
-    base = _uniform(60, 16, 4, seed=26)
     shapes = [
-        base,
+        _uniform(60, 16, 4, seed=26),
         _uniform(60, 1, 2, seed=5),
         _uniform(60, 60, 2, seed=6),
         _uniform(60, 1, 4, seed=7),
@@ -419,21 +454,14 @@ def test_pair_counts_routes_match_brute():
         _uniform(40, 40, 257, seed=13),
     ]
     for text, pattern in shapes:
-        sigma, nw = text.sigma, len(text) - len(pattern) + 1
+        nw = len(text) - len(pattern) + 1
         want = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
-        # a budget just above the dense grid's 12 * sigma^2 * nw bytes keeps
-        # the grid but builds it in blocks of a few windows; 1000 and 1 build
-        # the CSR layout in blocks of a few windows and of one window
-        for budget in (DEFAULT_MEM_BUDGET, 12 * sigma * sigma * nw + 1, 1000, 1):
+        # 1000 and 1 build the counts in blocks of a few windows and of one
+        for budget in (DEFAULT_MEM_BUDGET, 1000, 1):
             assert _pair_dicts(prepare_pair_counts(text, pattern, budget)) == want
         assert [
             build_alignment_matrix(text, pattern, j).entries for j in range(nw)
         ] == want
-    text, pattern = base
-    blocked = prepare_pair_counts(text, pattern, 12 * 16 * 45 + 1)
-    assert blocked.kind == "dense"
-    assert np.array_equal(blocked.dense, prepare_pair_counts(text, pattern).dense)
-    assert prepare_pair_counts(text, pattern, mem_budget=1).kind == "sparse"
 
 
 def test_noise_profile_from_windows_capacity_and_ties():
