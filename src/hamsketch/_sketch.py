@@ -1,4 +1,5 @@
-"""Shared machinery for projection-based estimators: member Hamming sums.
+"""Member Hamming sums by correlation (karloff's estimate; approx gets the
+same sums from its pair counts), and the median driver of both estimators.
 
 member_hamming_sum returns sum_i HAM(h_i(text window j), h_i(pattern)) over
 the k family members for every window j. Both of its exact routes are one
@@ -98,8 +99,7 @@ def _per_member_sum(text, pattern, family) -> np.ndarray:
     return total
 
 
-def median_profile(run_single, reps: int) -> DistanceProfile:
-    """Per-window median over reps executions; run_single(e) returns
-    execution e's estimate."""
-    runs = np.stack([run_single(e).values for e in range(reps)])
+def median_profile(runs) -> DistanceProfile:
+    """Per-window median over runs, the estimates of the executions as an
+    (executions, windows) array or a list of rows."""
     return DistanceProfile(np.median(runs, axis=0), "estimate")

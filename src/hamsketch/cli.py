@@ -237,7 +237,8 @@ def _cmd_selftest(args) -> int:
     from .sparse_recovery import (
         construct_reference, construct_sparse_noise, prepare_pair_counts, recovery_params,
     )
-    from .approx import approx_profile_single
+    from ._sketch import member_hamming_sum
+    from .approx import approx_profile_single, execution_numerators
     from .sparse_recovery import noise_profile_from_windows
     from .text_model import build_alignment_matrix
 
@@ -288,6 +289,20 @@ def _cmd_selftest(args) -> int:
         "perfect-sketch identity",
         bool(np.all(np.abs(est.values - naive.values) <= 1e-9 * np.maximum(naive.values, 1))),
     )
+
+    # with an empty D' each numerator is twice the execution's member sum;
+    # k = 4 < 8 symbols takes the per-member FFT route, k = 64 the symbol-pair one
+    empty = noise_profile_from_windows([{}] * nw, sigma=8)
+    pairs = prepare_pair_counts(text, pattern)
+    agree = True
+    for k in (4, 64):
+        families = [family_new(k, seed=505 + e) for e in range(3)]
+        nums = execution_numerators(pairs, empty, families)
+        agree &= all(
+            np.array_equal(row, 2 * member_hamming_sum(text, pattern, fam))
+            for row, fam in zip(nums, families)
+        )
+    check("approx member sums from pair counts == FFT member sums", agree)
     return 1 if failures else 0
 
 

@@ -25,9 +25,12 @@ from .gf64 import POINT_BITS, poly3_eval
 
 MAX_OUT_BITS = 20
 DOMAIN_CAP = 1 << POINT_BITS
-# beta_grid folds at most this many (base function, pair) agreement cells
-# at a time
+# beta_grid and beta_rows fold at most this many (base function, pair)
+# agreement cells at a time
 _GRID_CELLS = 1 << 20
+# eval_blocks evaluates at most this many (polynomial, point) cells per
+# poly3_eval call
+_EVAL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,16 +53,28 @@ class FourWiseHash:
 
     def eval_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs)
-        if xs.size and (xs.min() < 0 or xs.max() >= DOMAIN_CAP):
-            raise ValueError(f"hash inputs outside [0, 2^{POINT_BITS})")
-        c0, c1, c2, c3 = (np.uint64(c) for c in self.coeffs)
-        bits = int(xs.max()).bit_length() if xs.size else 1
-        val = poly3_eval(c3, c2, c1, c0, xs.astype(np.uint64), max(bits, 1))
-        return (val & np.uint64(self.range_size - 1)).astype(np.int64)
+        _, vals = next(eval_blocks(np.array([self.coeffs], dtype=np.uint64), xs.reshape(-1)))
+        return (vals[0] & np.uint64(self.range_size - 1)).astype(np.int64).reshape(xs.shape)
 
     def table(self, sigma: int) -> np.ndarray:
         """Outputs for every symbol in [0, sigma)."""
         return self.eval_array(np.arange(sigma, dtype=np.int64))
+
+
+def eval_blocks(coeffs: np.ndarray, xs):
+    """Yield (lo, values) over blocks of the (rows, 4) coefficient array
+    coeffs, each (c0, c1, c2, c3): values[r, i] is the untruncated value of
+    polynomial lo + r at xs[i]. A block holds whole rows and at most
+    _EVAL_CELLS cells (at least one row), one poly3_eval call each."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 0 or xs.max() >= DOMAIN_CAP):
+        raise ValueError(f"hash inputs outside [0, 2^{POINT_BITS})")
+    bits = max(1, int(xs.max()).bit_length() if xs.size else 1)
+    pts = xs.astype(np.uint64)[None, :]
+    step = max(1, _EVAL_CELLS // max(1, xs.size))
+    for lo in range(0, len(coeffs), step):
+        cs = coeffs[lo : lo + step]
+        yield lo, poly3_eval(cs[:, 3:4], cs[:, 2:3], cs[:, 1:2], cs[:, 0:1], pts, bits)
 
 
 def fourwise_new(out_bits: int, seed: int) -> FourWiseHash:
@@ -102,27 +117,26 @@ def member_eval(family: XorTreeFamily, i: int, u: int) -> int:
     return out
 
 
-def base_bits(family: XorTreeFamily, symbols) -> np.ndarray:
-    """(2*pairs, len(symbols)) matrix of base-function bits.
+def base_bits(families, symbols) -> np.ndarray:
+    """(sum of 2*pairs, len(symbols)) uint8 matrix of base-function bits of
+    the families, stacked family by family; one family gives (2*pairs, len).
 
-    All base polynomials are evaluated in one broadcast pass; the coefficient
-    rows and the symbol axis broadcast inside poly3_eval.
+    The coefficient rows of every base function are evaluated together in
+    eval_blocks, so the poly3_eval calls do not grow with the families.
     """
+    coeffs = np.array(
+        [f.coeffs for fam in families for f in fam.base], dtype=np.uint64
+    ).reshape(-1, 4)
     symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= DOMAIN_CAP):
-        raise ValueError(f"hash inputs outside [0, 2^{POINT_BITS})")
-    cs = np.array([f.coeffs for f in family.base], dtype=np.uint64)
-    bits = int(symbols.max()).bit_length() if symbols.size else 1
-    vals = poly3_eval(
-        cs[:, 3:4], cs[:, 2:3], cs[:, 1:2], cs[:, 0:1],
-        symbols.astype(np.uint64)[None, :], max(bits, 1),
-    )
-    return (vals & np.uint64(1)).astype(np.uint8)
+    out = np.empty((coeffs.shape[0], symbols.size), dtype=np.uint8)
+    for lo, vals in eval_blocks(coeffs, symbols):
+        out[lo : lo + vals.shape[0]] = vals & np.uint64(1)
+    return out
 
 
 def member_table(family: XorTreeFamily, sigma: int) -> np.ndarray:
     """(k, sigma) uint8 matrix: member_table[i, u] == member_eval(family, i, u)."""
-    bits = base_bits(family, np.arange(sigma, dtype=np.int64))
+    bits = base_bits([family], np.arange(sigma, dtype=np.int64))
     t = family.pairs
     sel = np.zeros((family.k, 2 * t), dtype=np.float32)
     idx = np.arange(family.k)
@@ -163,19 +177,36 @@ def _tree_beta(agree: np.ndarray) -> np.ndarray:
 
 def beta(family: XorTreeFamily, u: int, v: int) -> int:
     """Number of members with h_i(u) == h_i(v), in O(log k) hash evaluations."""
-    buv = base_bits(family, [u, v])
-    return int(_tree_beta(buv[:, 0] == buv[:, 1]))
+    return int(beta_rows([family], [u], [v])[0, 0])
 
 
 def beta_many(family: XorTreeFamily, us, vs) -> np.ndarray:
     """Vectorized beta over parallel symbol arrays."""
-    return _tree_beta(base_bits(family, us) == base_bits(family, vs))
+    return beta_rows([family], us, vs)[0]
+
+
+def beta_rows(families, us, vs) -> np.ndarray:
+    """(len(families), len(us)) int64 matrix of beta over parallel symbol
+    arrays, for families of one size k. Base bits are evaluated once per
+    distinct symbol for all families together."""
+    us, vs = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (us, vs))
+    syms, at = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    n_fam, n_base = len(families), len(families[0].base)
+    # (2*pairs, families, symbols): the tree folds the leading axis
+    bits = base_bits(families, syms).reshape(n_fam, n_base, syms.size).transpose(1, 0, 2)
+    at_u, at_v = at[: us.size], at[us.size :]
+    out = np.empty((n_fam, us.size), dtype=np.int64)
+    step = max(1, _GRID_CELLS // (n_base * n_fam))
+    for lo in range(0, us.size, step):
+        sl = slice(lo, lo + step)
+        out[:, sl] = _tree_beta(bits[:, :, at_u[sl]] == bits[:, :, at_v[sl]])
+    return out
 
 
 def beta_grid(family: XorTreeFamily, us, vs) -> np.ndarray:
     """(len(us), len(vs)) matrix of beta over every pair of the two symbol
     arrays; base bits are evaluated once per symbol, not once per pair."""
-    bu, bv = base_bits(family, us), base_bits(family, vs)
+    bu, bv = base_bits([family], us), base_bits([family], vs)
     out = np.empty((bu.shape[1], bv.shape[1]), dtype=np.int64)
     step = max(1, _GRID_CELLS // max(1, bu.shape[0] * bv.shape[1]))
     for lo in range(0, bu.shape[1], step):

@@ -23,6 +23,15 @@ def default_reps(n: int) -> int:
     return math.ceil(2 * math.log2(n))
 
 
+def resolve_reps(reps: int | None, n: int) -> int:
+    """reps, or ceil(2*log2 n) when it is None; a count below 1 is an error."""
+    if reps is None:
+        return default_reps(n)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    return reps
+
+
 def check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
@@ -41,7 +50,7 @@ def karloff_params(epsilon: float, seed: int, n: int, reps: int | None = None) -
     check_epsilon(epsilon)
     raw = math.ceil(2.0 / (epsilon * epsilon))
     k = 1 << max(1, (raw - 1).bit_length())
-    return KarloffParams(epsilon=epsilon, k=k, reps=reps or default_reps(n), seed=seed)
+    return KarloffParams(epsilon=epsilon, k=k, reps=resolve_reps(reps, n), seed=seed)
 
 
 def karloff_profile_single(
@@ -63,6 +72,5 @@ def karloff_profile(
     params: KarloffParams,
 ) -> DistanceProfile:
     """Per-window median over params.reps independent executions."""
-    return median_profile(
-        lambda e: karloff_profile_single(text, pattern, params, e), params.reps
-    )
+    runs = [karloff_profile_single(text, pattern, params, e).values for e in range(params.reps)]
+    return median_profile(runs)

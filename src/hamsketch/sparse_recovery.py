@@ -61,15 +61,14 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeds import ROLE_PROJECTION, mix
 from .correlation import count_aligned_ones
-from .hashing import fourwise_new
-from .karloff import check_epsilon, default_reps
+from .hashing import eval_blocks, fourwise_new
+from .karloff import check_epsilon, resolve_reps
 from .text_model import IntString, SparseNoiseMatrix, check_instance, mismatch_pair_counts
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
@@ -133,12 +132,9 @@ def recovery_params(
         t += 1
         if t > _MAX_T_EXP:
             raise ValueError(f"epsilon {epsilon} too small; need epsilon >= {1024.0 / (1 << _MAX_T_EXP)}")
-    if reps is None:
-        if n is None:
-            raise ValueError("need text length n to derive the default repetition count")
-        reps = default_reps(n)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    if reps is None and n is None:
+        raise ValueError("need text length n to derive the default repetition count")
+    reps = resolve_reps(reps, n)
     return RecoveryParams(
         epsilon=epsilon, epsilon_eff=1024.0 / (1 << t), t_exp=t, reps=reps, seed=seed
     )
@@ -178,23 +174,31 @@ def make_coupled_projection(
     i: int, params: RecoveryParams, rep: int, sigma: int
 ) -> CoupledProjection:
     """Deterministic in (params.seed, i, rep); ell >= r draws tau, else pi."""
-    ell, r = scale_ranges(params, i)
-    seed_h = mix(params.seed, ROLE_PROJECTION, i, rep)
-    if ell >= r:
-        tau_table = fourwise_new(ell.bit_length() - 1, seed_h).table(sigma)
-        pi_table = tau_table & (r - 1)
-    else:
-        pi_table = fourwise_new(r.bit_length() - 1, seed_h).table(sigma)
-        tau_table = pi_table & (ell - 1)
-    return CoupledProjection(
-        ell=ell,
-        r=r,
-        sigma=sigma,
-        scale_index=i,
-        rep_index=rep,
-        tau_table=tau_table,
-        pi_table=pi_table,
-    )
+    return next(_projection_plan(params, sigma, [(i, rep)]))
+
+
+def _projection_plan(params: RecoveryParams, sigma: int, draws=None):
+    """The coupled projections of draws, a list of (scale, rep), by default
+    every scale and repetition of params. The drawn hashes of a block of
+    draws are evaluated over [0, sigma) in one eval_blocks step."""
+    if draws is None:
+        draws = [(i, rep) for i in range(params.num_scales) for rep in range(params.reps)]
+    ranges = [scale_ranges(params, i) for i, _ in draws]
+    hashes = [
+        fourwise_new(max(ell, r).bit_length() - 1, mix(params.seed, ROLE_PROJECTION, i, rep))
+        for (i, rep), (ell, r) in zip(draws, ranges)
+    ]
+    coeffs = np.array([h.coeffs for h in hashes], dtype=np.uint64).reshape(-1, 4)
+    for lo, vals in eval_blocks(coeffs, np.arange(sigma)):
+        for d, row in enumerate(vals, start=lo):
+            (i, rep), (ell, r) = draws[d], ranges[d]
+            drawn = (row & np.uint64(max(ell, r) - 1)).astype(np.int64)
+            # the side with the smaller range keeps the drawn values' low bits
+            tau, pi = (drawn, drawn & (r - 1)) if ell >= r else (drawn & (ell - 1), drawn)
+            yield CoupledProjection(
+                ell=ell, r=r, sigma=sigma, scale_index=i, rep_index=rep,
+                tau_table=tau, pi_table=pi,
+            )
 
 
 # ----------------------------------------------------------------------------
@@ -319,18 +323,6 @@ class NoiseProfile:
 
     def entry_windows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_windows, dtype=np.int64), np.diff(self.indptr))
-
-    @cached_property
-    def pair_index(self) -> tuple[np.ndarray, ...]:
-        """(u_syms, v_syms, code_u, code_v, inverse): the sorted u and v
-        symbols of the entries, each distinct (u, v) code's position among
-        them, and each entry's distinct code. Built on first use, so a
-        profile shared by several hash families sorts its entries once."""
-        codes = self.us.astype(np.int64) * self.sigma + self.vs.astype(np.int64)
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        u_syms, code_u = np.unique(uniq // self.sigma, return_inverse=True)
-        v_syms, code_v = np.unique(uniq % self.sigma, return_inverse=True)
-        return u_syms, v_syms, code_u, code_v, inverse
 
     def validate(self) -> None:
         if np.any(np.diff(self.indptr) > self.capacity):
@@ -515,12 +507,6 @@ def _empty_profile(sigma: int, capacity: int, nw: int) -> NoiseProfile:
         vs=np.zeros(0, dtype=np.int32),
         values=np.zeros(0, dtype=np.int64),
     )
-
-
-def _projection_plan(params: RecoveryParams, sigma: int):
-    for i in range(params.num_scales):
-        for rep in range(params.reps):
-            yield make_coupled_projection(i, params, rep, sigma)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

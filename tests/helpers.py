@@ -8,7 +8,7 @@ import numpy as np
 
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import beta, member_eval
+from hamsketch.hashing import beta, beta_grid, member_eval
 from hamsketch.text_model import IntString
 
 
@@ -118,3 +118,20 @@ def correction_term(dprime, family) -> float:
     for (u, v), val in dprime.entries.items():
         total += (2 * beta(family, u, v) - family.k) * val
     return total / 2.0
+
+
+def correction_numerators(noise, family) -> np.ndarray:
+    """Per-window integer numerators sum (2*beta - k) * d' of a noise profile.
+
+    The per-execution form the batched approx numerators replaced: beta
+    from one grid over the occurring u and v symbols, read at each entry's
+    distinct code; the entries of a window are contiguous, so its sum is a
+    difference of one running sum."""
+    codes = noise.us.astype(np.int64) * noise.sigma + noise.vs.astype(np.int64)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    u_syms, code_u = np.unique(uniq // noise.sigma, return_inverse=True)
+    v_syms, code_v = np.unique(uniq % noise.sigma, return_inverse=True)
+    weights = 2 * beta_grid(family, u_syms, v_syms)[code_u, code_v] - family.k
+    sums = np.zeros(noise.values.size + 1, dtype=np.int64)
+    np.cumsum(weights[inverse] * noise.values, out=sums[1:])
+    return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]

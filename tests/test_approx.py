@@ -5,19 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import approx
+from hamsketch import approx, hashing
+from hamsketch._sketch import member_hamming_sum
 from hamsketch.approx import (
     approx_params,
     approx_profile,
     approx_profile_single,
-    correction_numerators,
+    execution_numerators,
 )
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, beta_many, family_new
-from hamsketch.sparse_recovery import B_CONST, noise_profile_from_windows
+from hamsketch.sparse_recovery import (
+    B_CONST,
+    construct_sparse_noise,
+    noise_profile_from_windows,
+    prepare_pair_counts,
+    recovery_params,
+)
 from hamsketch.text_model import IntString, SparseNoiseMatrix, generate_instance
 
-from helpers import alignment_dict_brute, beta_brute, correction_term, sliding_hamming_brute
+from helpers import (
+    alignment_dict_brute,
+    beta_brute,
+    correction_numerators,
+    correction_term,
+    sliding_hamming_brute,
+)
 
 
 def _exact_noise(text, pattern):
@@ -37,6 +50,13 @@ def test_params_k_values_and_bound():
     assert approx_params(0.25, seed=0, n=1024).reps == 20
     with pytest.raises(ValueError):
         approx_params(0.75, seed=0, n=16)
+
+
+@pytest.mark.parametrize("reps, recovery_reps", [(0, None), (-1, None), (2, 0), (2, -3)])
+def test_params_reject_repetition_counts_below_one(reps, recovery_reps):
+    # rejected when the params are built, before any pair counts exist
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        approx_params(0.25, seed=0, n=64, reps=reps, recovery_reps=recovery_reps)
 
 
 def test_correction_term_matches_enumeration():
@@ -72,6 +92,8 @@ def test_correction_term_empty_and_balanced_pair():
 
 
 def test_correction_numerators_match_per_window_terms():
+    # the per-execution reference in helpers, which the batched numerators
+    # are checked against below
     dicts = [{(0, 1): 3, (2, 5): 7}, {}, {(4, 2): 1, (1, 0): 9, (3, 6): 2}]
     noise = noise_profile_from_windows(dicts, sigma=8)
     fam = family_new(16, seed=44)
@@ -93,7 +115,6 @@ def test_correction_numerators_match_entry_enumeration_property(data):
     window = st.dictionaries(pair, st.integers(1, 1 << 20), max_size=6)
     dicts = data.draw(st.lists(window, min_size=1, max_size=12), label="windows")
     noise = noise_profile_from_windows(dicts, sigma)
-    # the second family reads the pair index the first one built
     for _ in range(2):
         k = data.draw(st.sampled_from([2, 16, 128, 1024]), label="k")
         fam = family_new(k, seed=data.draw(st.integers(0, 1 << 30), label="seed"))
@@ -102,6 +123,145 @@ def test_correction_numerators_match_entry_enumeration_property(data):
         np.add.at(want, noise.entry_windows(), weights)
         got = correction_numerators(noise, fam)
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
+def _random_noise(text, pattern, rng, spurious=True):
+    """Per window: some of its true pairs at random values, plus (when
+    spurious) random pairs that may occur nowhere."""
+    sigma, m = text.sigma, len(pattern)
+    dicts = []
+    for j in range(len(text) - m + 1):
+        true = alignment_dict_brute(text, pattern, j)
+        win = {uv: int(rng.integers(1, m + 1)) for uv in true if rng.random() < 0.6}
+        for _ in range(int(rng.integers(0, 3)) if spurious and sigma > 1 else 0):
+            u, v = rng.choice(sigma, size=2, replace=False)
+            win[(int(u), int(v))] = int(rng.integers(1, m + 1))
+        dicts.append(win)
+    return noise_profile_from_windows(dicts, sigma)
+
+
+def _check_numerators(text, pattern, noise, families):
+    """Every row of the batched numerators is 2 * the FFT member sum plus
+    the reference correction of that row's family."""
+    pairs = prepare_pair_counts(text, pattern)
+    nums = execution_numerators(pairs, noise, families)
+    assert nums.shape == (len(families), pairs.n_windows) and nums.dtype == np.float64
+    for row, fam in zip(nums, families):
+        want = 2 * member_hamming_sum(text, pattern, fam) + correction_numerators(noise, fam)
+        assert np.array_equal(row, want) and np.array_equal(row.astype(np.int64), want)
+    return pairs
+
+
+def _skewed(n, m, sigma, seed):
+    # text mostly 0, pattern mostly 1: a few pairs fill most windows and
+    # keep rows, the rest keep entries
+    rng = np.random.default_rng(seed)
+    text = np.where(rng.random(n) < 0.6, 0, rng.integers(0, sigma, n))
+    pattern = np.where(rng.random(m) < 0.6, 1, rng.integers(0, sigma, m))
+    return IntString(text, sigma), IntString(pattern, sigma)
+
+
+def _noises(text, pattern, rng):
+    nw = len(text) - len(pattern) + 1
+    yield noise_profile_from_windows([{}] * nw, text.sigma)
+    yield _exact_noise(text, pattern)
+    yield _random_noise(text, pattern, rng)
+
+
+@pytest.mark.parametrize("layout", ["rows", "entries", "mixed", "sigma1", "m_equals_n"])
+def test_execution_numerators_match_member_sums_and_correction(layout):
+    rng = np.random.default_rng(41)
+    if layout == "rows":
+        # four windows: every occurring code is in at least a quarter of them
+        text, pattern = generate_instance(40, 37, 30, "uniform", seed=5)
+    elif layout == "m_equals_n":
+        text, pattern = generate_instance(48, 48, 30, "uniform", seed=5)
+    elif layout == "entries":
+        # many windows, each code in a few of them
+        text = IntString(rng.integers(0, 50, size=200), 50)
+        pattern = IntString(np.array([3, 17]), 50)
+    elif layout == "mixed":
+        text, pattern = _skewed(160, 24, 24, seed=2)
+    else:
+        text = IntString(np.zeros(30, dtype=np.int64), 1)
+        pattern = IntString(np.zeros(5, dtype=np.int64), 1)
+    for noise in _noises(text, pattern, rng):
+        for k in (4, 64):
+            fams = [family_new(k, seed=300 + k + e) for e in range(3)]
+            pairs = _check_numerators(text, pattern, noise, fams)
+    rowed = pairs.row_ids >= 0
+    if layout in ("rows", "m_equals_n"):
+        assert pairs.n_windows == (4 if layout == "rows" else 1)
+        assert rowed.size and rowed.all()
+    elif layout == "entries":
+        assert rowed.size and not rowed.any()
+    elif layout == "mixed":
+        assert rowed.any() and not rowed.all()
+    else:
+        assert pairs.codes.size == 0
+    # the random noise, checked last, holds codes that occur in no window
+    if text.sigma > 1:
+        dcode = noise.us.astype(np.int64) * text.sigma + noise.vs
+        assert not np.isin(dcode, pairs.codes).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_execution_numerators_property(data):
+    sigma = data.draw(st.integers(1, 40), label="sigma")
+    n = data.draw(st.integers(1, 70), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    seed = data.draw(st.integers(0, 1 << 30), label="seed")
+    if data.draw(st.booleans(), label="skewed") and sigma >= 2:
+        text, pattern = _skewed(n, m, sigma, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        text = IntString(rng.integers(0, sigma, size=n), sigma)
+        pattern = IntString(rng.integers(0, sigma, size=m), sigma)
+    mode = data.draw(st.sampled_from(["empty", "exact", "random", "recovered"]), label="noise")
+    nw = n - m + 1
+    if mode == "empty":
+        noise = noise_profile_from_windows([{}] * nw, sigma)
+    elif mode == "exact":
+        noise = _exact_noise(text, pattern)
+    elif mode == "random":
+        noise = _random_noise(text, pattern, np.random.default_rng(seed + 1))
+    else:
+        noise = construct_sparse_noise(
+            text, pattern, recovery_params(0.5, seed=seed, reps=2)
+        )
+    k = data.draw(st.sampled_from([2, 16, 128]), label="k")
+    reps = data.draw(st.integers(1, 4), label="reps")
+    fams = [family_new(k, seed=seed + 7 * e) for e in range(reps)]
+    _check_numerators(text, pattern, noise, fams)
+
+
+def test_one_evaluation_per_hash_kind(monkeypatch):
+    # the projection plan and all families' base bits each take one
+    # poly3_eval call at this size, however many executions and scales
+    evals, pair_builds, recoveries = [], [], []
+
+    def spy(log, fn):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hashing, "poly3_eval", spy(evals, hashing.poly3_eval))
+    monkeypatch.setattr(approx, "prepare_pair_counts", spy(pair_builds, approx.prepare_pair_counts))
+    monkeypatch.setattr(
+        approx, "construct_sparse_noise", spy(recoveries, approx.construct_sparse_noise)
+    )
+    text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
+    seen = set()
+    for eps, reps, rreps in ((0.25, 2, 1), (0.25, 7, 3), (0.0625, 5, 4)):
+        for log in (evals, pair_builds, recoveries):
+            log.clear()
+        params = approx_params(eps, seed=1, n=600, reps=reps, recovery_reps=rreps)
+        approx_profile(text, pattern, params)
+        assert len(pair_builds) == 1 and len(recoveries) == 1
+        seen.add(len(evals))
+    assert seen == {2}
 
 
 def test_perfect_noise_matrix_gives_exact_profile():

@@ -149,11 +149,37 @@ def test_member_table_matches_member_eval():
 def test_base_bits_shape_and_values():
     fam = family_new(16, seed=4)
     syms = np.arange(30)
-    bits = base_bits(fam, syms)
+    bits = base_bits([fam], syms)
     assert bits.shape == (len(fam.base), 30)
     for t, base in enumerate(fam.base):
         for u in range(0, 30, 13):
             assert int(bits[t, u]) == base.eval(u)
+
+
+def test_stacked_base_bits_equal_per_family_bits(monkeypatch):
+    # several families in one evaluation, stacked family by family; a block
+    # limit of two rows forces many blocks, some splitting a family
+    fams = [family_new(k, seed=60 + k) for k in (2, 8, 16, 8)]
+    syms = np.array([0, 5, 9, 300, 4095, 7])
+    want = np.vstack([base_bits([f], syms) for f in fams])
+    scalar = np.array([[b.eval(int(u)) for u in syms] for f in fams for b in f.base])
+    assert np.array_equal(want, scalar)
+    for cells in (2 * syms.size, 1, 1 << 20):
+        monkeypatch.setattr(hashing, "_EVAL_CELLS", cells)
+        assert np.array_equal(base_bits(fams, syms), want)
+    assert base_bits(fams, []).shape == (want.shape[0], 0)
+
+
+def test_beta_rows_match_beta_per_family(monkeypatch):
+    fams = [family_new(32, seed=s) for s in (3, 4, 5)]
+    us = np.array([0, 3, 7, 7, 12, 900])
+    vs = np.array([3, 1, 12, 7, 0, 901])
+    want = np.array([[beta_brute(f, int(u), int(v)) for u, v in zip(us, vs)] for f in fams])
+    assert np.array_equal(hashing.beta_rows(fams, us, vs), want)
+    # one pair per fold
+    monkeypatch.setattr(hashing, "_GRID_CELLS", 1)
+    assert np.array_equal(hashing.beta_rows(fams, us, vs), want)
+    assert hashing.beta_rows(fams, [], []).shape == (3, 0)
 
 
 def test_beta_diagonal_is_k():

@@ -24,6 +24,10 @@ def test_params_round_k_to_power_of_two():
     for bad in (0.0, -0.1, 0.6, 2.0):
         with pytest.raises(ValueError):
             karloff_params(bad, seed=0, n=16)
+    # a count below 1 is an error, not the default
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            karloff_params(0.1, seed=0, n=16, reps=bad)
 
 
 def test_member_hamming_sum_matches_brute():

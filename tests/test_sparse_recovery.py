@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import sparse_recovery
+from hamsketch import hashing, sparse_recovery
 from hamsketch.sparse_recovery import (
     DEFAULT_MEM_BUDGET,
     NoiseProfile,
@@ -95,6 +95,29 @@ def test_projection_coupling_low_bits():
     proj = make_coupled_projection(2, q, rep=0, sigma=sigma)
     assert proj.ell == proj.r == 128
     assert np.array_equal(proj.tau_table, _drawn_table(q, 2, 0, 7, sigma))
+
+
+def test_projection_plan_blocks_equal_per_draw_projections(monkeypatch):
+    # the plan evaluates all draws together; blocks of one, two and all
+    # draws give the per-draw projections, whose drawn side is the scalar hash
+    p = recovery_params(0.125, seed=12, reps=3)
+    sigma = 40
+    draws = [(i, rep) for i in range(p.num_scales) for rep in range(p.reps)]
+    per_draw = [make_coupled_projection(i, p, rep, sigma) for i, rep in draws]
+    for q, (i, rep) in zip(per_draw, draws):
+        bits = max(q.ell, q.r).bit_length() - 1
+        drawn = q.tau_table if q.ell >= q.r else q.pi_table
+        h = fourwise_new(bits, mix(p.seed, ROLE_PROJECTION, i, rep))
+        assert drawn.tolist() == [h.eval(u) for u in range(sigma)]
+    for cells in (sigma, 2 * sigma + 1, 1 << 20):
+        monkeypatch.setattr(hashing, "_EVAL_CELLS", cells)
+        plan = list(sparse_recovery._projection_plan(p, sigma))
+        assert [(q.scale_index, q.rep_index) for q in plan] == draws
+        for got, want in zip(plan, per_draw):
+            assert (got.ell, got.r, got.sigma) == (want.ell, want.r, sigma)
+            assert got.tau_table.dtype == want.tau_table.dtype == np.int64
+            assert np.array_equal(got.tau_table, want.tau_table)
+            assert np.array_equal(got.pi_table, want.pi_table)
 
 
 def test_projection_determinism_and_rep_variation():

@@ -220,6 +220,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("algo", ["approx", "karloff"])
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_repetition_counts_below_one_exit_one(tmp_path, capsys, algo, reps):
+    text, pattern = _gen(tmp_path)
+    out = tmp_path / "out.csv"
+    rc = main([algo, "--text", str(text), "--pattern", str(pattern), "--out", str(out),
+               "--epsilon", "0.25", "--seed", "1", "--reps", reps])
+    assert rc == 1
+    assert f"reps must be >= 1, got {reps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_unknown_algo_exits_one(capsys):
     rc = main(["bench", "--n", "64", "--m", "8", "--sigma", "4",
                "--epsilon", "0.25", "--seed", "0", "--algos", "exact,magic"])
@@ -263,5 +275,5 @@ def test_mismatched_inputs_exit_two(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 5
+    assert out.count("ok ") == 6
     assert "FAIL" not in out
