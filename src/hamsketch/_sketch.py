@@ -24,7 +24,9 @@ ends in one inverse FFT:
   twice the summed correlation of the binary masks, 2k + 1 FFTs.
 
 member_hamming_sum takes the symbol route iff min(sigma_t', sigma_p') <= k,
-the route with fewer FFTs. Both routes give the same int64 counts.
+the route with fewer FFTs. Both routes give the same int64 counts. Beside
+that rule sits pair_grid_pays, the rule of sparse_recovery.prepare_pair_counts
+over the same symbol counts (text_model.occurring_symbols).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from scipy import fft as sfft
 
 from .correlation import _FFT_CHUNK_BYTES, correlate_rows
 from .hashing import XorTreeFamily, beta_grid, member_table
-from .text_model import DistanceProfile, IntString, check_instance
+from .text_model import DistanceProfile, IntString, check_instance, occurring_symbols
 
 _MEMBER_CHUNK = 64
 
@@ -42,7 +44,7 @@ _MEMBER_CHUNK = 64
 def member_hamming_sum(text: IntString, pattern: IntString, family: XorTreeFamily) -> np.ndarray:
     """sum_i HAM(h_i(text window), h_i(pattern)) for all windows, exact int64."""
     check_instance(text, pattern)
-    sigma_t, sigma_p = (np.count_nonzero(np.bincount(s.symbols)) for s in (text, pattern))
+    sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (text, pattern))
     if symbol_route_pays(sigma_t, sigma_p, family.k):
         return _symbol_pair_sum(text, pattern, family)
     return _per_member_sum(text, pattern, family)
@@ -53,16 +55,17 @@ def symbol_route_pays(sigma_t: int, sigma_p: int, k: int) -> bool:
     return min(sigma_t, sigma_p) <= k
 
 
-def _occurring(s: IntString) -> tuple[np.ndarray, np.ndarray]:
-    # sorted occurring symbols, and each position's index among them
-    present = np.bincount(s.symbols, minlength=s.sigma) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[s.symbols]
+def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
+    """Whether the pair counts are built on a (pair cell, window) grid: the
+    occurring symbol pairs are no more than a window's m positions, so the
+    grid holds no more cells than the enumeration has positions."""
+    return sigma_t * sigma_p <= m
 
 
 def _symbol_pair_sum(text, pattern, family) -> np.ndarray:
     n, m, nw = check_instance(text, pattern)
-    sym_t, at_t = _occurring(text)
-    sym_p, at_p = _occurring(pattern)
+    sym_t, at_t = occurring_symbols(text)
+    sym_p, at_p = occurring_symbols(pattern)
     # weights[a, b] = members separating text symbol a from pattern symbol b
     weights = (family.k - beta_grid(family, sym_t, sym_p)).astype(np.float64)
     # one row per occurring symbol of the smaller side: its indicator against

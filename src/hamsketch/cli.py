@@ -237,10 +237,10 @@ def _cmd_selftest(args) -> int:
     from .sparse_recovery import (
         construct_reference, construct_sparse_noise, prepare_pair_counts, recovery_params,
     )
-    from ._sketch import member_hamming_sum
+    from ._sketch import member_hamming_sum, pair_grid_pays
     from .approx import approx_profile_single, execution_numerators
     from .sparse_recovery import noise_profile_from_windows
-    from .text_model import build_alignment_matrix
+    from .text_model import build_alignment_matrix, occurring_symbols
 
     failures = 0
 
@@ -291,18 +291,24 @@ def _cmd_selftest(args) -> int:
     )
 
     # with an empty D' each numerator is twice the execution's member sum;
-    # k = 4 < 8 symbols takes the per-member FFT route, k = 64 the symbol-pair one
-    empty = noise_profile_from_windows([{}] * nw, sigma=8)
-    pairs = prepare_pair_counts(text, pattern)
+    # k = 4 < 8 symbols takes the per-member FFT route, k = 64 the symbol-pair
+    # one. The m = 24 pair counts take the sort route, the m = 64 ones the
+    # grid route (8 * 8 occurring symbol pairs <= m)
+    grid_text, grid_pattern = generate_instance(256, 64, 8, "uniform", seed=101)
     agree = True
-    for k in (4, 64):
-        families = [family_new(k, seed=505 + e) for e in range(3)]
-        nums = execution_numerators(pairs, empty, families)
-        agree &= all(
-            np.array_equal(row, 2 * member_hamming_sum(text, pattern, fam))
-            for row, fam in zip(nums, families)
-        )
-    check("approx member sums from pair counts == FFT member sums", agree)
+    for t, p, grid in ((text, pattern, False), (grid_text, grid_pattern, True)):
+        sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (t, p))
+        agree &= pair_grid_pays(sigma_t, sigma_p, len(p)) == grid
+        empty = noise_profile_from_windows([{}] * (len(t) - len(p) + 1), sigma=8)
+        pairs = prepare_pair_counts(t, p)
+        for k in (4, 64):
+            families = [family_new(k, seed=505 + e) for e in range(3)]
+            nums = execution_numerators(pairs, empty, families)
+            agree &= all(
+                np.array_equal(row, 2 * member_hamming_sum(t, p, fam))
+                for row, fam in zip(nums, families)
+            )
+    check("approx member sums from pair counts == FFT member sums, sort and grid routes", agree)
     return 1 if failures else 0
 
 

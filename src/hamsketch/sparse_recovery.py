@@ -20,14 +20,23 @@ from exact per-window pair counts, which is what makes desk-scale sizes
 tractable. construct_reference wires the literal pieces together and must
 produce bit-identical profiles.
 
-prepare_pair_counts enumerates those counts with
-text_model.mismatch_pair_counts over blocks of windows whose temporaries stay
-within the memory budget, and groups them by distinct pair code. A code that
-occurs in at least a quarter of the windows keeps an int32 count row over all
-windows; every other code keeps its (window, count) entries. A row thus holds
-at most four cells per entry of its code, and recovery adds one int32 running
-minimum per row cell and per entry, so memory grows with the number of pair
-entries and not with sigma^2 * windows.
+prepare_pair_counts builds those counts over blocks of windows whose
+temporaries stay within the memory budget (about 48 bytes per window
+position), by one of two routes. With sigma_t' and sigma_p' the numbers of
+symbols occurring in the text and the pattern, the grid route runs when
+sigma_t' * sigma_p' <= m (_sketch.pair_grid_pays): each position counts in
+the cell rank_t(u) * sigma_p' + rank_p(v), one np.bincount per block fills
+an int32 (cell, window) grid, and as cells follow the sorted symbols
+row-major they are already in code order. The grid never holds more cells
+than the enumeration has positions, at most 4 bytes per window position.
+Otherwise the sort route sorts each block's mismatch positions by key with
+text_model.mismatch_pair_counts and regroups the result by distinct code.
+Both give the same PairCounts. A code that occurs in at least a quarter of
+the windows keeps an int32 count row over all windows; every other code
+keeps its (window, count) entries. A row thus holds at most four cells per
+entry of its code, and recovery adds one int32 running minimum per row cell
+and per entry, so memory grows with the number of pair entries and not with
+sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -66,10 +75,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeds import ROLE_PROJECTION, mix
+from ._sketch import pair_grid_pays
 from .correlation import count_aligned_ones
 from .hashing import eval_blocks, fourwise_new
 from .karloff import check_epsilon, resolve_reps
-from .text_model import IntString, SparseNoiseMatrix, check_instance, mismatch_pair_counts
+from .text_model import (
+    IntString, SparseNoiseMatrix, check_instance, mismatch_pair_counts, occurring_symbols,
+)
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
 B_CONST = 12289 / 16384
@@ -421,10 +433,56 @@ def prepare_pair_counts(
     text: IntString, pattern: IntString, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> PairCounts:
     n, m, nw = check_instance(text, pattern)
+    block = max(1, min(_PAIR_BLOCK_POSITIONS, mem_budget // _PAIR_BYTES_PER_POSITION) // m)
+    occ_t, occ_p = occurring_symbols(text), occurring_symbols(pattern)
+    if pair_grid_pays(occ_t[0].size, occ_p[0].size, m):
+        return _grid_pair_counts(text.sigma, occ_t, occ_p, m, nw, block)
+    return _sorted_pair_counts(text, pattern, nw, block)
+
+
+def _layout(occ: np.ndarray, nw: int):
+    """(has_row, row_ids, offsets) of codes occurring in occ windows each."""
+    has_row = occ * _ROW_SHARE >= nw
+    row_ids = np.where(has_row, np.cumsum(has_row) - 1, -1)
+    offsets = np.zeros(occ.size + 1, dtype=np.int64)
+    np.cumsum(np.where(has_row, 0, occ), out=offsets[1:])
+    return has_row, row_ids, offsets
+
+
+def _grid_pair_counts(sigma, occ_t, occ_p, m, nw, block) -> PairCounts:
+    (sym_t, at_t), (sym_p, at_p) = occ_t, occ_p
+    cells = sym_t.size * sym_p.size
+    # cell a*sigma_p' + b counts text symbol sym_t[a] against pattern symbol
+    # sym_p[b]; row-major over sorted symbols, so codes ascend with the cell
+    grid = np.empty((cells, nw), dtype=np.int32)
+    windows = sliding_window_view(at_t * sym_p.size, m)
+    for lo in range(0, nw, block):
+        key = windows[lo : lo + block] + at_p
+        b = key.shape[0]
+        key += np.arange(0, b * cells, cells)[:, None]
+        grid[:, lo : lo + b] = np.bincount(key.ravel(), minlength=b * cells).reshape(b, cells).T
+    occ = np.count_nonzero(grid, axis=1)
+    # diagonal cells count the matches, empty cells no pair
+    used = np.flatnonzero((occ > 0) & (sym_t[:, None] != sym_p).ravel())
+    has_row, row_ids, offsets = _layout(occ[used], nw)
+    entry_grid = grid[used[~has_row]]
+    code_at, wins = np.nonzero(entry_grid)
+    return PairCounts(
+        sigma=sigma,
+        n_windows=nw,
+        codes=(sym_t[:, None] * sigma + sym_p).ravel()[used],
+        row_ids=row_ids,
+        rows=grid[used[has_row]],
+        offsets=offsets,
+        windows=wins.astype(np.int32),
+        counts=entry_grid[code_at, wins],
+    )
+
+
+def _sorted_pair_counts(text, pattern, nw, block) -> PairCounts:
     sigma = text.sigma
     p_syms = pattern.symbols
-    windows = sliding_window_view(text.symbols, m)
-    block = max(1, min(_PAIR_BLOCK_POSITIONS, mem_budget // _PAIR_BYTES_PER_POSITION) // m)
+    windows = sliding_window_view(text.symbols, len(pattern))
     parts = []
     for lo in range(0, nw, block):
         w, code, cnt = mismatch_pair_counts(windows[lo : lo + block], p_syms, sigma)
@@ -437,8 +495,7 @@ def prepare_pair_counts(
         idx = np.searchsorted(codes, uniq).astype(np.int32)[inv]
         occ += np.bincount(idx, minlength=codes.size)
         parts[i] = (w, idx, cnt)
-    has_row = occ * _ROW_SHARE >= nw
-    row_ids = np.where(has_row, np.cumsum(has_row) - 1, -1)
+    has_row, row_ids, offsets = _layout(occ, nw)
     rows = np.zeros((int(has_row.sum()), nw), dtype=np.int32)
     entries = []
     while parts:
@@ -449,8 +506,6 @@ def prepare_pair_counts(
     idx, w, cnt = (np.concatenate(col) for col in zip(*entries))
     # stable, so each code's entries stay in window order
     order = np.argsort(idx, kind="stable")
-    offsets = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(np.where(has_row, 0, occ), out=offsets[1:])
     return PairCounts(
         sigma=sigma,
         n_windows=nw,

@@ -211,11 +211,23 @@ def check_instance(text: IntString, pattern: IntString) -> tuple[int, int, int]:
     return n, m, n - m + 1
 
 
+def occurring_symbols(s: IntString) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted symbols occurring in s, and each position's index among them."""
+    present = np.bincount(s.symbols, minlength=s.sigma) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[s.symbols]
+
+
 def mismatch_pair_counts(windows: np.ndarray, pattern: np.ndarray, sigma: int):
     """(row, code, count) of the aligned mismatch pairs of a (rows, m) stack
     of windows against the pattern, code = u*sigma + v, sorted by (row, code).
 
-    The int64 key (row*sigma + u)*sigma + v stays exact because sigma <= 2^20.
+    This is the sort route of sparse_recovery.prepare_pair_counts, taken
+    when the occurring symbol pairs outnumber a window's positions
+    (sigma_t' * sigma_p' > m, _sketch.pair_grid_pays); otherwise the counts
+    come from one bincount per block on a (pair cell, window) grid. Both
+    routes walk blocks of windows sized by the memory budget, at about 48
+    bytes of temporaries per window position here. The int64 key
+    (row*sigma + u)*sigma + v stays exact because sigma <= 2^20.
     """
     rows, cols = np.nonzero(windows != pattern)
     key = (rows * sigma + windows[rows, cols]) * sigma + pattern[cols]

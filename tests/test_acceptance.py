@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from hamsketch.approx import approx_params, approx_profile, approx_profile_single
+from hamsketch._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
+from hamsketch.approx import approx_params, approx_profile, execution_numerators
 from hamsketch.cli import main as cli_main
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import beta, beta_many, family_new, fourwise_new
@@ -315,15 +316,20 @@ def test_ac10_single_execution_accuracy():
         exact = hamming_profile_convolution(text, pattern)
         ap = approx_params(eps, seed=seed + 1000, n=n, reps=execs)
         est, shared = approx_profile(text, pattern, ap, return_noise=True)
+        pairs = prepare_pair_counts(text, pattern)
         empty = noise_profile_from_windows([{}] * exact.n_windows, sigma)
-        runs, uncorrected = [], 0.0
-        for e in range(execs):
-            run = approx_profile_single(text, pattern, ap, e, noise=shared)
-            runs.append(run.values)
-            worst = max(worst, 1.0 - fraction_within_epsilon(run, exact, eps))
-            bare = approx_profile_single(text, pattern, ap, e, noise=empty)
-            uncorrected = max(uncorrected, 1.0 - fraction_within_epsilon(bare, exact, eps))
-        uncorrected_best = min(uncorrected_best, uncorrected)
+        # the executions' families, drawn as approx_profile draws them
+        families = [
+            family_new(ap.k, mix(ap.seed, ROLE_EXECUTION, e, ROLE_FAMILY)) for e in range(execs)
+        ]
+        runs, bare = (
+            np.maximum(0.0, execution_numerators(pairs, noise, families) / ap.k)
+            for noise in (shared, empty)
+        )
+        worst = max(worst, *(1.0 - fraction_within_epsilon(r, exact, eps) for r in runs))
+        uncorrected_best = min(
+            uncorrected_best, max(1.0 - fraction_within_epsilon(r, exact, eps) for r in bare)
+        )
         # the gated executions are exactly the ones approx takes the median of
         assert np.array_equal(np.median(runs, axis=0), est.values)
     dt = time.perf_counter() - t0

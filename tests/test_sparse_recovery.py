@@ -463,28 +463,122 @@ def _pair_dicts(cache):
     return out
 
 
-def test_pair_counts_routes_match_brute():
+_PAIR_FIELDS = ("codes", "row_ids", "rows", "offsets", "windows", "counts")
+
+
+def _route_spy(monkeypatch):
+    """Records which route each prepare_pair_counts call takes."""
+    taken = []
+    for name, route in (("_grid_pair_counts", "grid"), ("_sorted_pair_counts", "sort")):
+        def spy(*args, _real=getattr(sparse_recovery, name), _route=route):
+            taken.append(_route)
+            return _real(*args)
+
+        monkeypatch.setattr(sparse_recovery, name, spy)
+    return taken
+
+
+def _assert_same_pair_counts(got, want):
+    assert (got.sigma, got.n_windows) == (want.sigma, want.n_windows)
+    for field in _PAIR_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def _strings(text, pattern, sigma):
+    return IntString(np.asarray(text), sigma), IntString(np.asarray(pattern), sigma)
+
+
+def test_pair_counts_routes_match_brute(monkeypatch):
+    rng = np.random.default_rng(27)
     shapes = [
-        _uniform(60, 16, 4, seed=26),
-        _uniform(60, 1, 2, seed=5),
-        _uniform(60, 60, 2, seed=6),
-        _uniform(60, 1, 4, seed=7),
-        _uniform(60, 60, 4, seed=8),
-        _uniform(40, 7, 1, seed=9),
-        _uniform(40, 40, 1, seed=10),
-        _uniform(40, 9, 257, seed=11),
-        _uniform(40, 1, 257, seed=12),
-        _uniform(40, 40, 257, seed=13),
+        # (instance, route): the grid route when sigma_t' * sigma_p' <= m
+        (_uniform(60, 16, 4, seed=26), "grid"),
+        (_uniform(60, 1, 2, seed=5), "sort"),
+        (_uniform(60, 60, 2, seed=6), "grid"),
+        (_uniform(60, 1, 4, seed=7), "sort"),
+        (_uniform(60, 60, 4, seed=8), "grid"),
+        (_uniform(40, 7, 1, seed=9), "grid"),
+        (_uniform(40, 40, 1, seed=10), "grid"),
+        (_uniform(40, 9, 257, seed=11), "sort"),
+        (_uniform(40, 1, 257, seed=12), "sort"),
+        (_uniform(40, 40, 257, seed=13), "sort"),
+        # pattern symbols 3 and 4 absent from the text: 3 * 3 cells <= 12
+        (_strings(rng.integers(0, 3, 50), np.resize([0, 3, 4], 12), 6), "grid"),
+        # text symbols 0, 3 and 4 absent from the pattern: 5 * 2 cells <= 12
+        (_strings(rng.integers(0, 5, 50), np.resize([1, 2], 12), 6), "grid"),
+        # 4 * 3 cells against m = 12 and m = 11
+        (_strings(np.resize([0, 1, 2, 3, 1], 50), np.resize([1, 2, 5], 12), 6), "grid"),
+        (_strings(np.resize([0, 1, 2, 3, 1], 50), np.resize([1, 2, 5], 11), 6), "sort"),
     ]
-    for text, pattern in shapes:
+    taken = _route_spy(monkeypatch)
+    for (text, pattern), route in shapes:
         nw = len(text) - len(pattern) + 1
         want = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
         # 1000 and 1 build the counts in blocks of a few windows and of one
         for budget in (DEFAULT_MEM_BUDGET, 1000, 1):
+            taken.clear()
             assert _pair_dicts(prepare_pair_counts(text, pattern, budget)) == want
+            assert taken == [route], (len(text), len(pattern), text.sigma)
         assert [
             build_alignment_matrix(text, pattern, j).entries for j in range(nw)
         ] == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pair_count_routes_agree_property(data):
+    sigma = data.draw(st.sampled_from([1, 2, 3, 5, 12, 300]), label="sigma")
+    n = data.draw(st.integers(1, 40), label="n")
+    m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
+    t_syms = st.integers(0, sigma - 1)
+    # the pattern draws from a sub-alphabet, so some pairs never occur
+    p_syms = st.integers(data.draw(st.integers(0, sigma - 1)), sigma - 1)
+    text = IntString(data.draw(st.lists(t_syms, min_size=n, max_size=n)), sigma)
+    pattern = IntString(data.draw(st.lists(p_syms, min_size=m, max_size=m)), sigma)
+    for budget in (1, 1000, DEFAULT_MEM_BUDGET):
+        built = {}
+        for route, rule in (("grid", True), ("sort", False)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sparse_recovery, "pair_grid_pays", lambda *_, _r=rule: _r)
+                built[route] = prepare_pair_counts(text, pattern, budget)
+        _assert_same_pair_counts(built["grid"], built["sort"])
+        _assert_same_pair_counts(prepare_pair_counts(text, pattern, budget), built["sort"])
+
+
+def test_pair_count_route_on_bench_shapes(monkeypatch):
+    # the benchmark's shapes: grid for dense16 (16 * 16 cells, m = 512) and
+    # few_pairs (8 * 8 cells, m = 512); sort for sparse256 (about 256 * 58
+    # cells, m = 64) and toy_dense16 (16 * 16 cells, m = 64)
+    taken = _route_spy(monkeypatch)
+    for text, pattern in (
+        _uniform(8192, 512, 16, seed=1),
+        _periodic_instance(4096, 512, 64, seed=1),
+        _uniform(2048, 64, 256, seed=1),
+        _uniform(512, 64, 16, seed=1),
+    ):
+        prepare_pair_counts(text, pattern)
+    assert taken == ["grid", "grid", "sort", "sort"]
+
+
+def test_pair_count_grid_memory_follows_budget():
+    # the grid route keeps an int32 (cells, windows) grid, where cells =
+    # sigma_t' * sigma_p' <= m, plus its row and entry copies; the per-block
+    # temporaries stay within the memory budget. Counting all 7681 windows
+    # in one block peaks at about 33 MB here (an int64 key per position);
+    # in budgeted blocks the peak is about 1.1 MB against a 2.5 MB bound.
+    text, pattern = _uniform(8192, 512, 4, seed=2)
+    nw = len(text) - len(pattern) + 1
+    grid_bytes = 4 * 4 * 4 * nw
+    budget = 1 << 20
+    tracemalloc.start()
+    try:
+        cache = prepare_pair_counts(text, pattern, mem_budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.rows.shape == (12, nw)
+    assert peak <= budget + 3 * grid_bytes
 
 
 def test_noise_profile_from_windows_capacity_and_ties():
