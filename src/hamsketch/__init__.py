@@ -17,12 +17,10 @@ from .sparse_recovery import (
 )
 from .stats import error_stats, fraction_within_epsilon, relative_errors, within_epsilon
 from .text_model import (
-    AlignmentMatrix,
     DistanceProfile,
     FileFormatError,
     IntString,
     SparseNoiseMatrix,
-    build_alignment_matrix,
     generate_instance,
     read_bytes,
     read_profile_csv,
@@ -36,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxParams",
-    "AlignmentMatrix",
     "B_CONST",
     "CoupledProjection",
     "DistanceProfile",
@@ -53,7 +50,6 @@ __all__ = [
     "approx_profile_single",
     "beta",
     "beta_many",
-    "build_alignment_matrix",
     "construct_reference",
     "construct_sparse_noise",
     "default_reps",

@@ -56,9 +56,10 @@ def symbol_route_pays(sigma_t: int, sigma_p: int, k: int) -> bool:
 
 
 def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
-    """Whether the pair counts are built on a (pair cell, window) grid: the
-    occurring symbol pairs are no more than a window's m positions, so the
-    grid holds no more cells than the enumeration has positions."""
+    """Whether the pair counts are counted on a (pair cell, window) grid
+    rather than by sorting (cell, window) keys: the occurring symbol pairs
+    are no more than a window's m positions, so the grid holds no more cells
+    than the enumeration has positions."""
     return sigma_t * sigma_p <= m
 
 

@@ -66,7 +66,7 @@ from .sparse_recovery import (
     prepare_pair_counts,
     recovery_params,
 )
-from .text_model import DistanceProfile, IntString
+from .text_model import DistanceProfile, IntString, check_instance
 
 # the row product runs over blocks of windows holding at most this many
 # float64 cells of row counts
@@ -179,6 +179,17 @@ def _estimates(pairs: PairCounts, noise: NoiseProfile, params: ApproxParams, exe
     return np.maximum(0.0, execution_numerators(pairs, noise, families) / params.k)
 
 
+def _check_noise(noise: NoiseProfile | None, text: IntString, pattern: IntString) -> None:
+    """ValueError unless an injected noise profile has the instance's windows
+    and alphabet."""
+    nw = check_instance(text, pattern)[2]
+    if noise is not None and (noise.n_windows, noise.sigma) != (nw, text.sigma):
+        raise ValueError(
+            f"noise profile has {noise.n_windows} windows over sigma={noise.sigma}, "
+            f"the instance {nw} windows over sigma={text.sigma}"
+        )
+
+
 def approx_profile_single(
     text: IntString,
     pattern: IntString,
@@ -189,6 +200,7 @@ def approx_profile_single(
 ) -> DistanceProfile:
     """One execution; pass `noise` to reuse or inject a noise profile,
     otherwise it recovers its own with this execution's seeds."""
+    _check_noise(noise, text, pattern)
     pairs = prepare_pair_counts(text, pattern)
     if noise is None:
         noise = _recover_noise(text, pattern, params, exec_index, pairs)
@@ -208,8 +220,10 @@ def approx_profile(
     The pair counts are built once; D' is recovered once from them, with
     execution 0's seeds, and every execution reuses it. noise_override
     injects one fixed noise profile into every execution instead (bypassing
-    recovery). return_noise also returns the shared profile.
+    recovery); its windows and sigma must match the instance. return_noise
+    also returns the shared profile.
     """
+    _check_noise(noise_override, text, pattern)
     pairs = prepare_pair_counts(text, pattern)
     shared = noise_override
     if shared is None:

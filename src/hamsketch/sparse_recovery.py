@@ -1,7 +1,7 @@
 """Sparse recovery of heavy mismatch pairs: the noise matrix D'.
 
-For every window j the alignment matrix D_j counts aligned symbol pairs
-(u, v), u != v. This module recovers, per window, a sparse approximation D'
+For every window j the pair counts D_j count aligned symbol pairs (u, v),
+u != v. This module recovers, per window, a sparse approximation D'
 with at most ceil(3/eps_eff) entries such that the residual satisfies
 sum (d - d')^2 <= b * eps * d^2 on most windows, where b = 12289/16384.
 
@@ -22,21 +22,22 @@ produce bit-identical profiles.
 
 prepare_pair_counts builds those counts over blocks of windows whose
 temporaries stay within the memory budget (about 48 bytes per window
-position), by one of two routes. With sigma_t' and sigma_p' the numbers of
-symbols occurring in the text and the pattern, the grid route runs when
-sigma_t' * sigma_p' <= m (_sketch.pair_grid_pays): each position counts in
-the cell rank_t(u) * sigma_p' + rank_p(v), one np.bincount per block fills
-an int32 (cell, window) grid, and as cells follow the sorted symbols
-row-major they are already in code order. The grid never holds more cells
-than the enumeration has positions, at most 4 bytes per window position.
-Otherwise the sort route sorts each block's mismatch positions by key with
-text_model.mismatch_pair_counts and regroups the result by distinct code.
-Both give the same PairCounts. A code that occurs in at least a quarter of
-the windows keeps an int32 count row over all windows; every other code
-keeps its (window, count) entries. A row thus holds at most four cells per
-entry of its code, and recovery adds one int32 running minimum per row cell
-and per entry, so memory grows with the number of pair entries and not with
-sigma^2 * windows.
+position). With sigma_t' and sigma_p' the numbers of symbols occurring in
+the text and the pattern, each position falls in the cell
+rank_t(u) * sigma_p' + rank_p(v); as cells follow the sorted symbols
+row-major they are already in code order. The two routes differ only in how
+they count the cells. When sigma_t' * sigma_p' <= m
+(_sketch.pair_grid_pays), the grid route fills an int32 (cell, window) grid
+with one np.bincount per block; the grid never holds more cells than the
+enumeration has positions, at most 4 bytes per window position. Otherwise
+the sort route keys each mismatch position by cell * nw + window: one
+np.unique per block yields the block's entries by code and then window, and
+one sort of the keys merges the blocks. Both give the same PairCounts. A
+code that occurs in at least a quarter of the windows keeps an int32 count
+row over all windows; every other code keeps its (window, count) entries. A
+row thus holds at most four cells per entry of its code, and recovery adds
+one int32 running minimum per row cell and per entry, so memory grows with
+the number of pair entries and not with sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -80,7 +81,7 @@ from .correlation import count_aligned_ones
 from .hashing import eval_blocks, fourwise_new
 from .karloff import check_epsilon, resolve_reps
 from .text_model import (
-    IntString, SparseNoiseMatrix, check_instance, mismatch_pair_counts, occurring_symbols,
+    IntString, SparseNoiseMatrix, check_instance, occurring_symbols,
 )
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
@@ -98,7 +99,9 @@ _ROW_SHARE = 4
 # dozen int64 arrays, plus the plane sums)
 _SCRATCH_BYTES_PER_ENTRY = 128
 # the pair-count build enumerates at most this many window positions per
-# block, at about this many bytes of temporaries per position
+# block, at most this many bytes of temporaries per position. A sort-route
+# block peaks at about 41 bytes per position when every position is a
+# distinct mismatch pair (tracemalloc), 12 of which stay as its keys and counts
 _PAIR_BLOCK_POSITIONS = 1 << 19
 _PAIR_BYTES_PER_POSITION = 48
 # the capacity filter ranks at most this many candidate cells at a time, at
@@ -437,7 +440,7 @@ def prepare_pair_counts(
     occ_t, occ_p = occurring_symbols(text), occurring_symbols(pattern)
     if pair_grid_pays(occ_t[0].size, occ_p[0].size, m):
         return _grid_pair_counts(text.sigma, occ_t, occ_p, m, nw, block)
-    return _sorted_pair_counts(text, pattern, nw, block)
+    return _sorted_pair_counts(text, pattern, occ_t, occ_p, nw, block)
 
 
 def _layout(occ: np.ndarray, nw: int):
@@ -479,42 +482,55 @@ def _grid_pair_counts(sigma, occ_t, occ_p, m, nw, block) -> PairCounts:
     )
 
 
-def _sorted_pair_counts(text, pattern, nw, block) -> PairCounts:
-    sigma = text.sigma
-    p_syms = pattern.symbols
-    windows = sliding_window_view(text.symbols, len(pattern))
-    parts = []
+def _sorted_pair_counts(text, pattern, occ_t, occ_p, nw, block) -> PairCounts:
+    (sym_t, at_t), (sym_p, at_p) = occ_t, occ_p
+    sigma, m = text.sigma, len(pattern)
+    # each mismatch position keys cell * nw + window, with the grid route's
+    # cell a*sigma_p' + b. cells <= min(sigma, n) * min(sigma, m), so a key
+    # stays below n^2 * m, and below 2^20 * (m * nw): exact in int64 while
+    # the enumeration has fewer than 2^43 positions
+    t_keys = sliding_window_view(at_t * (sym_p.size * nw), m)
+    p_keys = at_p * nw
+    t_windows = sliding_window_view(text.symbols, m)
+    keys, counts = [], []
     for lo in range(0, nw, block):
-        w, code, cnt = mismatch_pair_counts(windows[lo : lo + block], p_syms, sigma)
-        uniq, inv = np.unique(code, return_inverse=True)
-        parts.append(((w + lo).astype(np.int32), uniq, inv, cnt.astype(np.int32)))
-    codes = np.unique(np.concatenate([uniq for _, uniq, _, _ in parts]))
-    occ = np.zeros(codes.size, dtype=np.int64)
-    for i, (w, uniq, inv, cnt) in enumerate(parts):
-        # each block's codes become int32 indices into codes
-        idx = np.searchsorted(codes, uniq).astype(np.int32)[inv]
-        occ += np.bincount(idx, minlength=codes.size)
-        parts[i] = (w, idx, cnt)
+        key = t_keys[lo : lo + block] + p_keys
+        b = key.shape[0]
+        key += np.arange(lo, lo + b)[:, None]
+        key = key[t_windows[lo : lo + b] != pattern.symbols]
+        key, cnt = np.unique(key, return_counts=True)
+        keys.append(key)
+        counts.append(cnt.astype(np.int32))
+    # the blocks hold disjoint windows, so one sort of their keys merges them
+    # by code and then window; a stable sort (timsort) runs faster here, on
+    # the blocks' sorted runs. Freeing what each step replaces keeps the peak
+    # at the sort, about 24 bytes per pair entry
+    key, cnt = np.concatenate(keys), np.concatenate(counts)
+    del keys, counts
+    cnt = cnt[np.argsort(key, kind="stable")]
+    key.sort(kind="stable")
+    cell = key // nw
+    win = np.remainder(key, nw, out=key).astype(np.int32)
+    del key
+    first = np.ones(cell.size, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    cells = cell[first]
+    del cell
+    occ = np.diff(first, append=win.size)
     has_row, row_ids, offsets = _layout(occ, nw)
+    on_row = np.repeat(has_row, occ)
     rows = np.zeros((int(has_row.sum()), nw), dtype=np.int32)
-    entries = []
-    while parts:
-        w, idx, cnt = parts.pop(0)
-        on_row = has_row[idx]
-        rows[row_ids[idx[on_row]], w[on_row]] = cnt[on_row]
-        entries.append((idx[~on_row], w[~on_row], cnt[~on_row]))
-    idx, w, cnt = (np.concatenate(col) for col in zip(*entries))
-    # stable, so each code's entries stay in window order
-    order = np.argsort(idx, kind="stable")
+    rows[np.repeat(row_ids[has_row], occ[has_row]), win[on_row]] = cnt[on_row]
     return PairCounts(
         sigma=sigma,
         n_windows=nw,
-        codes=codes,
+        codes=sym_t[cells // sym_p.size] * sigma + sym_p[cells % sym_p.size],
         row_ids=row_ids,
         rows=rows,
         offsets=offsets,
-        windows=w[order],
-        counts=cnt[order],
+        windows=win[~on_row],
+        counts=cnt[~on_row],
     )
 
 

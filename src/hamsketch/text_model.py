@@ -1,4 +1,4 @@
-"""Instance model: integer strings, profiles, alignment matrices, file I/O.
+"""Instance model: integer strings, profiles, sparse noise matrices, file I/O.
 
 Symbols are integers in [0, sigma) with sigma capped at 2^20 so per-symbol
 alphabet scans stay cheap. Texts and patterns are immutable IntString values;
@@ -86,29 +86,9 @@ class DistanceProfile:
 
 
 @dataclass
-class AlignmentMatrix:
-    """Mismatch counts of one window: entries[(u, v)] = aligned (u, v) pairs, u != v."""
-
-    sigma: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def row_weight(self, u: int) -> int:
-        return sum(c for (a, _), c in self.entries.items() if a == u)
-
-    def col_weight(self, v: int) -> int:
-        return sum(c for (_, b), c in self.entries.items() if b == v)
-
-    def get(self, u: int, v: int) -> int:
-        return self.entries.get((u, v), 0)
-
-
-@dataclass
 class SparseNoiseMatrix:
-    """Sparse approximation of one window's AlignmentMatrix, capped in size."""
+    """Sparse approximation of one window's mismatch-pair counts D_j:
+    entries[(u, v)] for u != v, at most capacity of them."""
 
     sigma: int
     capacity: int
@@ -215,40 +195,6 @@ def occurring_symbols(s: IntString) -> tuple[np.ndarray, np.ndarray]:
     """The sorted symbols occurring in s, and each position's index among them."""
     present = np.bincount(s.symbols, minlength=s.sigma) > 0
     return np.flatnonzero(present), (np.cumsum(present) - 1)[s.symbols]
-
-
-def mismatch_pair_counts(windows: np.ndarray, pattern: np.ndarray, sigma: int):
-    """(row, code, count) of the aligned mismatch pairs of a (rows, m) stack
-    of windows against the pattern, code = u*sigma + v, sorted by (row, code).
-
-    This is the sort route of sparse_recovery.prepare_pair_counts, taken
-    when the occurring symbol pairs outnumber a window's positions
-    (sigma_t' * sigma_p' > m, _sketch.pair_grid_pays); otherwise the counts
-    come from one bincount per block on a (pair cell, window) grid. Both
-    routes walk blocks of windows sized by the memory budget, at about 48
-    bytes of temporaries per window position here. The int64 key
-    (row*sigma + u)*sigma + v stays exact because sigma <= 2^20.
-    """
-    rows, cols = np.nonzero(windows != pattern)
-    key = (rows * sigma + windows[rows, cols]) * sigma + pattern[cols]
-    key, counts = np.unique(key, return_counts=True)
-    row, code = np.divmod(key, sigma * sigma)
-    return row, code, counts
-
-
-def build_alignment_matrix(text: IntString, pattern: IntString, j: int) -> AlignmentMatrix:
-    """Exact mismatch-pair counts of window j, in O(m)."""
-    n, m, nw = check_instance(text, pattern)
-    if not 0 <= j < nw:
-        raise IndexError(f"window {j} outside [0, {n - m}]")
-    _, codes, counts = mismatch_pair_counts(
-        text.symbols[None, j : j + m], pattern.symbols, text.sigma
-    )
-    entries = {
-        (int(c) // text.sigma, int(c) % text.sigma): int(k)
-        for c, k in zip(codes, counts)
-    }
-    return AlignmentMatrix(sigma=text.sigma, entries=entries)
 
 
 # ----------------------------------------------------------------------------

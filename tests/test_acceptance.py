@@ -26,13 +26,15 @@ from hamsketch.sparse_recovery import (
     recovery_params,
 )
 from hamsketch.stats import fraction_within_epsilon
-from hamsketch.text_model import (
-    SparseNoiseMatrix,
-    build_alignment_matrix,
-    generate_instance,
-)
+from hamsketch.text_model import SparseNoiseMatrix, generate_instance
 
-from helpers import beta_brute, correction_term, fourwise_eval_seeds, pair_count_matrix
+from helpers import (
+    alignment_dict_brute,
+    beta_brute,
+    correction_term,
+    fourwise_eval_seeds,
+    pair_count_matrix,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -111,9 +113,7 @@ def test_ac4_perfect_sketch_identity():
         text, pattern = generate_instance(2048, 128, 8, "uniform", seed)
         exact = hamming_profile_convolution(text, pattern).values
         nw = exact.size
-        dicts = [
-            dict(build_alignment_matrix(text, pattern, j).entries) for j in range(nw)
-        ]
+        dicts = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
         noise = noise_profile_from_windows(dicts, sigma=8)
         for eps in (0.25, 0.1):
             params = approx_params(eps, seed=seed + 10, n=2048)

@@ -277,6 +277,25 @@ def test_perfect_noise_matrix_gives_exact_profile():
         assert np.array_equal(est.values, exact.astype(np.float64))
 
 
+def test_injected_noise_of_the_wrong_shape_is_rejected():
+    # n=200, m=20: 181 windows over sigma 8. An empty profile of 231 windows
+    # or over sigma 16 used to be accepted silently, one of 131 windows ended
+    # in an IndexError
+    text, pattern = generate_instance(200, 20, 8, "uniform", seed=6)
+    params = approx_params(0.25, seed=8, n=200, reps=3)
+    for nw, sigma in ((231, 8), (131, 8), (181, 16)):
+        noise = noise_profile_from_windows([{}] * nw, sigma)
+        for run in (
+            lambda: approx_profile(text, pattern, params, noise_override=noise),
+            lambda: approx_profile_single(text, pattern, params, 0, noise=noise),
+        ):
+            with pytest.raises(ValueError) as err:
+                run()
+            msg = str(err.value)
+            assert f"{nw} windows over sigma={sigma}" in msg
+            assert "181 windows over sigma=8" in msg
+
+
 def test_identical_strings_and_zero_windows():
     s = IntString(np.arange(60) % 6, 6)
     params = approx_params(0.25, seed=2, n=60, reps=3, recovery_reps=2)

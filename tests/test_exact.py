@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch.exact import CONV_SIGMA_CAP, hamming_profile_convolution, hamming_profile_naive
-from hamsketch.text_model import IntString, build_alignment_matrix, generate_instance
+from hamsketch.text_model import IntString, generate_instance
 
-from helpers import sliding_hamming_brute
+from helpers import alignment_dict_brute, sliding_hamming_brute
 
 
 def _random_instance(rng, n, m, sigma):
@@ -53,7 +53,7 @@ def test_bounds_and_alignment_totals():
     assert prof.values.min() >= 0
     assert prof.values.max() <= 25
     for j in range(prof.n_windows):
-        assert build_alignment_matrix(text, pattern, j).total == prof.values[j]
+        assert sum(alignment_dict_brute(text, pattern, j).values()) == prof.values[j]
 
 
 def test_instance_validation():

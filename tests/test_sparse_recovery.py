@@ -23,7 +23,7 @@ from hamsketch._seeds import ROLE_PROJECTION, mix
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
-from hamsketch.text_model import IntString, build_alignment_matrix, generate_instance
+from hamsketch.text_model import IntString, generate_instance
 
 from helpers import alignment_dict_brute, pair_count_matrix
 
@@ -520,9 +520,6 @@ def test_pair_counts_routes_match_brute(monkeypatch):
             taken.clear()
             assert _pair_dicts(prepare_pair_counts(text, pattern, budget)) == want
             assert taken == [route], (len(text), len(pattern), text.sigma)
-        assert [
-            build_alignment_matrix(text, pattern, j).entries for j in range(nw)
-        ] == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -275,5 +275,5 @@ def test_mismatched_inputs_exit_two(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 6
+    assert out.count("ok ") == 5
     assert "FAIL" not in out

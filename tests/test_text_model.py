@@ -7,9 +7,7 @@ from hamsketch.text_model import (
     DistanceProfile,
     FileFormatError,
     IntString,
-    build_alignment_matrix,
     generate_instance,
-    mismatch_pair_counts,
     read_bytes,
     read_profile_csv,
     read_tokens,
@@ -18,7 +16,7 @@ from hamsketch.text_model import (
     write_tokens,
 )
 
-from helpers import alignment_dict_brute, pair_count_matrix, sliding_hamming_brute
+from helpers import pair_count_matrix, sliding_hamming_brute
 
 
 def test_intstring_validation():
@@ -103,49 +101,16 @@ def test_few_pairs_windows_hold_few_pairs_and_differ():
     text, pattern = generate_instance(4096, 512, 64, "few_pairs", seed=1)
     assert np.unique(pattern.symbols).size == 8
     assert np.unique(text.symbols).size == 16
-    windows = np.lib.stride_tricks.sliding_window_view(text.symbols, 512)
-    rows, _, _ = mismatch_pair_counts(windows, pattern.symbols, 64)
-    assert np.bincount(rows).max() <= 16
+    pairs = prepare_pair_counts(text, pattern)
+    per_window = np.count_nonzero(pairs.rows, axis=0) + np.bincount(
+        pairs.windows, minlength=pairs.n_windows
+    )
+    assert per_window.max() <= 16
     assert np.unique(sliding_hamming_brute(text, pattern)).size > 100
     # tiny alphabets shrink the block to sigma // 2 symbols
     for sigma in (2, 3, 5):
         text, pattern = generate_instance(50, 7, sigma, "few_pairs", seed=2)
         assert np.unique(pattern.symbols).size == sigma // 2
-
-
-def test_alignment_matrix_hand_example():
-    text = IntString(np.array([0, 1, 1]), 2)
-    pattern = IntString(np.array([1, 1]), 2)
-    am = build_alignment_matrix(text, pattern, 0)
-    assert am.entries == {(0, 1): 1}
-    assert am.total == 1
-    assert build_alignment_matrix(text, pattern, 1).entries == {}
-
-
-def test_alignment_matrix_matches_brute_and_weights():
-    rng = np.random.default_rng(40)
-    text = IntString(rng.integers(0, 7, size=60), 7)
-    pattern = IntString(rng.integers(0, 7, size=12), 7)
-    ham = sliding_hamming_brute(text, pattern)
-    for j in range(len(text) - len(pattern) + 1):
-        am = build_alignment_matrix(text, pattern, j)
-        assert am.entries == alignment_dict_brute(text, pattern, j)
-        assert am.total == ham[j]
-        # mismatch mass is conserved across rows and columns
-        assert sum(am.row_weight(u) for u in range(7)) == am.total
-        assert sum(am.col_weight(v) for v in range(7)) == am.total
-        for (u, v), c in am.entries.items():
-            assert u != v and c > 0
-            assert am.get(u, v) == c
-
-
-def test_alignment_matrix_window_bounds():
-    text = IntString(np.array([0, 1, 0]), 2)
-    pattern = IntString(np.array([1]), 2)
-    with pytest.raises(IndexError):
-        build_alignment_matrix(text, pattern, 3)
-    with pytest.raises(IndexError):
-        build_alignment_matrix(text, pattern, -1)
 
 
 def test_token_round_trip(tmp_path):
