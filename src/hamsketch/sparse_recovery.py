@@ -35,9 +35,10 @@ np.unique per block yields the block's entries by code and then window, and
 one sort of the keys merges the blocks. Both give the same PairCounts. A
 code that occurs in at least a quarter of the windows keeps an int32 count
 row over all windows; every other code keeps its (window, count) entries. A
-row thus holds at most four cells per entry of its code, and recovery adds
-one int32 running minimum per row cell and per entry, so memory grows with
-the number of pair entries and not with sigma^2 * windows.
+row thus holds at most four cells per entry of its code. Recovery adds one
+int32 running minimum per row cell, and per entry an int32 running minimum,
+collision count and code, so memory grows with the number of pair entries and
+not with sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -54,16 +55,25 @@ alone in every window. The other groups decode as follows:
 
 - Every member has a row. Two members decode in each window to the strictly
   heavier one, with value d_a + d_b (equal counts tie every differing plane
-  and reject); three or more run the bit-plane decode over all windows as one
-  matrix product.
-- Some member has entries. The group's entries, with a row member's nonzero
-  cells standing in for entries, are sorted by window. An entry alone in its
-  window is exact as above, and each window holding two or more runs the
-  bit-plane decode.
+  and reject). Three or more get their 2*nbits plane sums over all windows
+  from one matrix product, and each window's plane majorities become one
+  integer pattern u | v << nbits, or -1 where a plane ties. A window whose
+  pattern is a member's own pair decodes to that member, which passes every
+  check, and one dense minimum per member lowers its row there. Only the
+  windows whose pattern names no member run the alphabet, diagonal and
+  projection checks; those that pass name a code that occurs nowhere.
+- Some member has entries. Each entry of the group, and each nonzero cell of
+  a row member standing in for one, is keyed by group * nw + window, and one
+  sort of the keys packed above the entry ids puts the members a window holds
+  next to each other. An entry alone in its window is exact as above, and
+  is only counted: one that collided in fewer of the projections decoding
+  its code than it took part in sat alone in one of them. Each window holding
+  two or more runs the bit-plane decode, the colliding entries' codes read
+  from a per-entry code array.
 
-Such a decode names either a member of the group, whose value it can lower
-below the member's collision counts, or a pair absent from the window, which
-is kept as a spurious entry just as the literal procedure keeps it. One
+A bit-plane decode names either a member of the group, whose value it can
+lower below the member's collision counts, or a pair absent from the window,
+which is kept as a spurious entry just as the literal procedure keeps it. One
 filter then ranks each window's row cells, entries and spurious entries
 together.
 """
@@ -95,9 +105,13 @@ _MAX_T_EXP = 25  # keeps every projection range within the hash output cap
 # over all windows, which then holds at most _ROW_SHARE cells per entry of
 # the code
 _ROW_SHARE = 4
-# per-projection temporaries of the entry decode, bytes per entry (about a
-# dozen int64 arrays, plus the plane sums)
+# per-projection temporaries of the entry decode, bytes per decoded entry:
+# about 40 when few entries collide, and up to this base plus this much per
+# symbol bit when all of them do, for their 2*nbits int64 plane sums
+# (tracemalloc on planted_heavy n=2048, m=128: 223 B at sigma=64, 398 B at
+# sigma=2^16)
 _SCRATCH_BYTES_PER_ENTRY = 128
+_SCRATCH_BYTES_PER_BIT = 18
 # the pair-count build enumerates at most this many window positions per
 # block, at most this many bytes of temporaries per position. A sort-route
 # block peaks at about 41 bytes per position when every position is a
@@ -561,9 +575,8 @@ def construct_sparse_noise(
         return _empty_profile(sigma, params.capacity, nw)
     if pair_cache is None:
         pair_cache = prepare_pair_counts(text, pattern, mem_budget)
-    rec = _Recovery(
-        pair_cache, params.bucket_count, max(1, mem_budget // _SCRATCH_BYTES_PER_ENTRY)
-    )
+    scratch = _SCRATCH_BYTES_PER_ENTRY + _SCRATCH_BYTES_PER_BIT * (sigma - 1).bit_length()
+    rec = _Recovery(pair_cache, params.bucket_count, max(1, mem_budget // scratch))
     for proj in _projection_plan(params, sigma):
         rec.project(proj)
     return rec.finish(params.capacity)
@@ -598,21 +611,38 @@ class _Recovery:
 
     def __init__(self, cache: PairCounts, n_buckets: int, max_entries: int):
         self.cache = cache
-        # a chunk of E entries holds at most E/2 groups, so its packed sort
-        # keys need 2*bits(E) + bits(nw) bits; a one-group chunk needs only
-        # bits(E) + bits(nw)
-        self.max_entries = min(max_entries, 1 << ((63 - cache.n_windows.bit_length()) // 2))
+        n_e, nw = cache.counts.size, cache.n_windows
+        # entry e has id e and the cell (row, window) of a row member id
+        # E + row*nw + window, E the number of entries. A decode packs
+        # (group, window, id) into an int64 sort key: a chunk of E' entries
+        # holds at most E'/2 groups, which keeps the key inside 63 bits; a
+        # one-group chunk needs bits(nw) + id_bits <= 63
+        self.id_bits = max(1, (n_e + cache.rows.size - 1).bit_length())
+        self.max_entries = min(max_entries, 1 << max(0, 63 - nw.bit_length() - self.id_bits))
         self.nbits = (cache.sigma - 1).bit_length()
+        # bit b of a decoded pattern u | v << nbits, as floats for one BLAS
+        # product; sums of distinct powers of two below 2^24 are exact in
+        # float32, and sigma <= 2^20 keeps every pattern below 2^40
+        fdt = np.float32 if self.nbits <= 12 else np.float64
+        self.weights = 2 ** np.arange(2 * self.nbits, dtype=fdt)
+        self.code_bits = max(1, (cache.codes.size - 1).bit_length())
         self.du = cache.codes // cache.sigma
         self.dv = cache.codes % cache.sigma
         self.is_entry = cache.row_ids < 0
         self.row_codes = np.flatnonzero(~self.is_entry)
+        self.entry_code = np.repeat(
+            np.arange(cache.codes.size, dtype=np.int32), np.diff(cache.offsets)
+        )
         # entries per code, a row code's nonzero cells counting as entries
         self.n_entries = np.diff(cache.offsets)
         self.n_entries[self.row_codes] = np.count_nonzero(cache.rows, axis=1)
         self.mins = np.full(cache.rows.shape, _INF32, dtype=np.int32)
         self.best = np.full(cache.counts.size, _INF32, dtype=np.int32)
-        self.alone = np.zeros(cache.counts.size, dtype=bool)
+        # per entry code the projections that decode its entries in a group,
+        # and per entry those among them where it collided; an entry that
+        # collided less often than that sat alone in some projection
+        self.tried = np.zeros(cache.codes.size, dtype=np.int32)
+        self.collided = np.zeros(n_e, dtype=np.int32)
         self.ever_single = np.zeros(cache.codes.size, dtype=bool)
         none = np.zeros(0, dtype=np.int64)
         self.spurious = [(none, none, none)]
@@ -630,9 +660,12 @@ class _Recovery:
         self.diag[diag_ids] = False
         if keep.size == 0:
             return
-        # the codes of one bucket end up adjacent, in ascending code order
-        order = keep[np.argsort(bkt[keep], kind="stable")]
-        bs = bkt[order]
+        # the codes of one bucket end up adjacent, in ascending code order:
+        # one sort of (bucket, code) packed into int64, as bucket ids stay
+        # below 2^25 and there are fewer than 2^38 codes
+        packed = np.sort(bkt[keep] << self.code_bits | keep)
+        order = packed & ((1 << self.code_bits) - 1)
+        bs = packed >> self.code_bits
         starts = np.flatnonzero(np.append(True, bs[1:] != bs[:-1]))
         sizes = np.diff(np.append(starts, bs.size))
         # a code alone in its bucket over all windows is alone in each window
@@ -649,125 +682,136 @@ class _Recovery:
             self._decode_rows(order[s0 : s0 + k], bs[s0] // proj.r, bs[s0] % proj.r, tau, pi)
         # the other groups in chunks of whole groups holding at most
         # max_entries entries (or one group)
-        g_starts, g_sizes = starts[mixed], sizes[mixed]
-        ends = np.cumsum(self.n_entries[order[_ranges(g_starts, g_sizes)]])[np.cumsum(g_sizes) - 1]
+        g_sizes = sizes[mixed]
+        members = order[_ranges(starts[mixed], g_sizes)]
+        group = np.repeat(np.arange(g_sizes.size, dtype=np.int32), g_sizes)
+        last = np.cumsum(g_sizes)
+        ends = np.cumsum(self.n_entries[members])[last - 1]
         lo = 0
-        while lo < g_starts.size:
+        while lo < g_sizes.size:
             done = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, done + self.max_entries, "right")))
-            self._decode_entries(order, g_starts[lo:hi], g_sizes[lo:hi], bs, proj.r, tau, pi)
+            a, b = last[lo - 1] if lo else 0, last[hi - 1]
+            self._decode_entries(members[a:b], group[a:b] - lo, bkt, proj.r, tau, pi)
             lo = hi
 
     def _bits(self, code: np.ndarray) -> np.ndarray:
         """(2*nbits, len) bits of the u and then the v symbols of codes."""
         shifts = np.arange(self.nbits)[:, None]
-        return np.concatenate([(self.du[code] >> shifts) & 1, (self.dv[code] >> shifts) & 1])
+        bits = np.empty((2, self.nbits, code.size), dtype=np.int64)
+        np.right_shift(self.du[code], shifts, out=bits[0])
+        np.right_shift(self.dv[code], shifts, out=bits[1])
+        bits &= 1
+        return bits.reshape(2 * self.nbits, code.size)
 
-    def _decode(self, c, planes, x, y, tau, pi) -> np.ndarray:
-        """Codes decoded from bucket counts c and their 2*nbits plane sums in
-        bucket (x, y); -1 where a plane ties (c = 0 ties every plane), the
-        pair is diagonal or outside the alphabet, or it fails the projection
-        check."""
+    def _pattern(self, c, planes) -> np.ndarray:
+        """Plane majorities u | v << nbits of bucket counts c and their
+        2*nbits plane sums; -1 where a plane ties (c = 0 ties every plane)."""
+        d = 2 * planes - c
+        pat = (self.weights @ (d > 0)).astype(np.int64)
+        pat[(d == 0).any(axis=0)] = -1
+        return pat
+
+    def _check(self, pat, x, y, tau, pi) -> np.ndarray:
+        """Codes of the decoded patterns pat in bucket (x, y); -1 where a
+        plane tied, the pair is diagonal or outside the alphabet, or it fails
+        the projection check."""
         sigma, nbits = self.cache.sigma, self.nbits
-        # sums of distinct powers of two below 2^20 are exact in float32
-        weights = 2 ** np.arange(nbits, dtype=np.float32)
-        high = (2 * planes > c).astype(np.float32)
-        u = (weights @ high[:nbits]).astype(np.int64)
-        v = (weights @ high[nbits:]).astype(np.int64)
-        ok = ~(2 * planes == c).any(axis=0) & (u != v) & (u < sigma) & (v < sigma)
+        u, v = pat & ((1 << nbits) - 1), pat >> nbits
+        ok = (pat >= 0) & (u != v) & (u < sigma) & (v < sigma)
         ok &= (tau[np.where(ok, u, 0)] == x) & (pi[np.where(ok, v, 0)] == y)
         return np.where(ok, u * sigma + v, -1)
 
     def _decode_rows(self, members, x, y, tau, pi) -> None:
         """Bit-plane decode of one group of row codes, all windows at once."""
-        sub = self.cache.rows[self.cache.row_ids[members]]
+        rows = self.cache.row_ids[members]
+        sub = self.cache.rows[rows]
         c = sub.sum(axis=0, dtype=np.int32)
         # one BLAS call replaces 2*nbits masked row sums; counts stay below the
         # float mantissa so the products are exact
         fdt = np.float32 if int(c.max()) < (1 << 24) else np.float64
-        planes = self._bits(members).astype(fdt) @ sub.astype(fdt)
-        dest = self._decode(c.astype(fdt), planes, x, y, tau, pi)
-        win = np.flatnonzero(dest >= 0)
+        pat = self._pattern(c.astype(fdt), self._bits(members).astype(fdt) @ sub.astype(fdt))
+        # a window whose pattern is a member's own pair decodes to that
+        # member, which passes every check
+        named = np.zeros(pat.size, dtype=bool)
+        for row, p in zip(rows, self.du[members] | self.dv[members] << self.nbits):
+            hit = pat == p
+            np.minimum(self.mins[row], np.where(hit, c, _INF32), out=self.mins[row])
+            named |= hit
         # a decode that passes the projection check lands in this bucket, so
-        # it names a member or a code that occurs in no window
-        self._lower(win, dest[win], c[win], np.full(win.size, -1), members)
+        # in the other windows it names a code that occurs in no window
+        win = np.flatnonzero((pat >= 0) & ~named)
+        dest = self._check(pat[win], x, y, tau, pi)
+        spur = dest >= 0
+        self.spurious.append((win[spur], dest[spur], c[win[spur]]))
 
-    def _decode_entries(self, order, g_starts, g_sizes, bs, r, tau, pi) -> None:
-        """Window-by-window decode of groups that hold an entry code.
-
-        Entry e has id e; the nonzero cell (row, window) of a row member
-        stands in for an entry, with id E + row*nw + window, E the number of
-        entries. Sorting the ids by (group, window) puts the members a
-        group holds in one window next to each other."""
-        cache, nw = self.cache, self.cache.n_windows
+    def _decode_entries(self, members, group, bkt, r, tau, pi) -> None:
+        """Window-by-window decode of groups that hold an entry code; the
+        nonzero cells of a row member stand in for entries. Sorting the ids
+        by (group, window) puts the members a group holds in one window next
+        to each other."""
+        cache, nw, bits = self.cache, self.cache.n_windows, self.id_bits
         n_e = cache.counts.size
-        members = order[_ranges(g_starts, g_sizes)]
-        group = np.repeat(np.arange(g_starts.size), g_sizes)
+        # each entry, and each nonzero row cell standing in for one, packs
+        # its key group*nw + window above its id
         ent = self.is_entry[members]
+        self.tried[members[ent]] += 1
         lens = self.n_entries[members[ent]]
-        ids = [_ranges(cache.offsets[members[ent]], lens)]
-        keys = [np.repeat(group[ent] * nw, lens) + cache.windows[ids[0]]]
-        for mem, g in zip(members[~ent], group[~ent]):
+        ids = _ranges(cache.offsets[members[ent]], lens)
+        key = np.repeat(group[ent].astype(np.int64) * nw, lens) + cache.windows[ids]
+        parts = [key << bits | ids]
+        for mem, gr in zip(members[~ent], group[~ent]):
             row = cache.row_ids[mem]
             w = np.flatnonzero(cache.rows[row])
-            ids.append(n_e + row * nw + w)
-            keys.append(g * nw + w)
-        ids, key = np.concatenate(ids), np.concatenate(keys)
-        # one sort of (key, position) packed into int64; the chunk limit
-        # keeps both inside 63 bits
-        bits = max(1, (ids.size - 1).bit_length())
-        packed = np.sort((key << bits) | np.arange(ids.size))
+            parts.append((int(gr) * nw + w) << bits | (n_e + row * nw + w))
+        packed = np.sort(np.concatenate(parts) if len(parts) > 1 else parts[0])
         key = packed >> bits
-        ids = ids[packed & ((1 << bits) - 1)]
         edge = np.ones(key.size + 1, dtype=bool)
         edge[1:-1] = key[1:] != key[:-1]
         alone = edge[:-1] & edge[1:]
         # alone in its window's bucket: the decode gives the exact count, and
         # every bucket holding the pair counts at least as much
-        a = ids[alone]
-        self.alone[a[a < n_e]] = True
-        cells = a[a >= n_e] - n_e
-        self.mins.reshape(-1)[cells] = cache.rows.reshape(-1)[cells]
-        coll = ~alone
-        if not coll.any():
+        if len(parts) > 1:
+            cells = (packed[alone] & ((1 << bits) - 1)) - n_e
+            cells = cells[cells >= 0]
+            self.mins.reshape(-1)[cells] = cache.rows.reshape(-1)[cells]
+        coll = np.flatnonzero(~alone)
+        if coll.size == 0:
             return
-        starts = np.flatnonzero(edge[:-1][coll])
-        key, ids = key[coll], ids[coll]
+        first = edge[coll]
+        starts = np.flatnonzero(first)
+        key, ids = key[coll], packed[coll] & ((1 << bits) - 1)
         is_e = ids < n_e
+        self.collided[ids[is_e]] += 1
         cells = ids[~is_e] - n_e
         cnt = np.empty(ids.size, dtype=np.int64)
         cnt[is_e] = cache.counts[ids[is_e]]
         cnt[~is_e] = cache.rows.reshape(-1)[cells]
         code = np.empty(ids.size, dtype=np.int64)
-        code[is_e] = np.searchsorted(cache.offsets, ids[is_e], "right") - 1
+        code[is_e] = self.entry_code[ids[is_e]]
         code[~is_e] = self.row_codes[cells // nw]
         # the count and 2*nbits plane sums of each window's collision
-        sums = np.add.reduceat(np.vstack([cnt, self._bits(code) * cnt]), starts, axis=1)
-        bkt = bs[g_starts][key[starts] // nw]
-        dest = self._decode(sums[0], sums[1:], bkt // r, bkt % r, tau, pi)
+        c = np.add.reduceat(cnt, starts)
+        planes = self._bits(code)
+        planes *= cnt
+        planes = np.add.reduceat(planes, starts, axis=1)
+        b = bkt[code[starts]]
+        dest = self._check(self._pattern(c, planes), b // r, b % r, tau, pi)
         # a decode that passes the projection check lands in this bucket, so
-        # it names a member or a code absent from the window; a member's
-        # entry there is lowered
-        group = np.cumsum(edge[:-1][coll]) - 1
-        hit = (dest[group] == cache.codes[code]) & is_e
+        # it names a member or a code absent from the window: a row member's
+        # cell is lowered whether or not the member occurs there, an entry
+        # member's entry where it does, and any other decode is kept as a
+        # spurious (window, code, value) triple
+        which = np.cumsum(first) - 1
+        hit = (dest[which] == cache.codes[code]) & is_e
         entry = np.full(starts.size, -1)
-        entry[group[hit]] = ids[hit]
+        entry[which[hit]] = ids[hit]
         keep = np.flatnonzero(dest >= 0)
-        w = key[starts[keep]] % nw
-        self._lower(w, dest[keep], sums[0, keep], entry[keep], np.sort(members))
-
-    def _lower(self, win, dest, c, entry, members) -> None:
-        """Min-update the decoded codes dest with bucket counts c in windows
-        win: a row code's cell whether or not the code occurs there, else
-        the entry `entry` where the window holds one (>= 0); any other
-        decode is kept as a spurious (window, code, value) triple. Every
-        decoded code that occurs anywhere is among members (ascending)."""
-        codes = self.cache.codes[members]
-        pos = np.minimum(np.searchsorted(codes, dest), codes.size - 1)
-        row = np.where(codes[pos] == dest, self.cache.row_ids[members[pos]], -1)
+        win, dest, c, entry = key[starts[keep]] % nw, dest[keep], c[keep], entry[keep]
+        at = np.minimum(np.searchsorted(cache.codes, dest), cache.codes.size - 1)
+        row = np.where(cache.codes[at] == dest, cache.row_ids[at], -1)
         on_row = row >= 0
-        flat = row[on_row] * self.cache.n_windows + win[on_row]
-        np.minimum.at(self.mins.reshape(-1), flat, c[on_row])
+        np.minimum.at(self.mins.reshape(-1), row[on_row] * nw + win[on_row], c[on_row])
         hit = ~on_row & (entry >= 0)
         np.minimum.at(self.best, entry[hit], c[hit])
         spur = ~on_row & (entry < 0)
@@ -777,11 +821,14 @@ class _Recovery:
         cache, mins, rows = self.cache, self.mins, self.cache.rows
         # two-row groups, per target row p: min over instances of d_p + d_q
         # where d_q < d_p, which is d_p + min(partner rows) when that minimum
-        # sits strictly below d_p
+        # sits strictly below d_p. A pair of rows can share a bucket in
+        # several projections, so each (target, partner) pair counts once
         pairs = cache.row_ids[np.concatenate(self.two, axis=1)]
         ta, tb = np.concatenate([pairs, pairs[::-1]], axis=1)
-        for p in np.unique(ta):
-            partner_min = rows[tb[ta == p]].min(axis=0)
+        ta, tb = np.divmod(np.unique(ta * rows.shape[0] + tb), rows.shape[0])
+        firsts = np.flatnonzero(np.diff(ta, prepend=-1))
+        for p, partners in zip(ta[firsts], np.split(tb, firsts[1:])):
+            partner_min = rows[partners].min(axis=0)
             np.minimum(
                 mins[p], np.where(partner_min < rows[p], rows[p] + partner_min, _INF32),
                 out=mins[p],
@@ -790,12 +837,11 @@ class _Recovery:
         # every repetition where the code sat alone, so one pass suffices
         np.copyto(mins, rows, where=(rows > 0) & self.ever_single[self.row_codes, None])
         mins[mins == _INF32] = 0
-        lens = np.diff(cache.offsets)
-        alone = self.alone | np.repeat(self.ever_single, lens)
+        alone = self.ever_single[self.entry_code] | (self.tried[self.entry_code] > self.collided)
         self.best[alone] = cache.counts[alone]
         keep = self.best < _INF32
         w = cache.windows[keep]
-        code = np.repeat(cache.codes, lens)[keep]
+        code = cache.codes[self.entry_code[keep]]
         val = self.best[keep]
         # the same absent pair can be decoded in several projections
         sw, sc, sv = (np.concatenate(col) for col in zip(*self.spurious))

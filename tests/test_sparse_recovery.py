@@ -246,13 +246,61 @@ def test_csr_collision_decodes_match_reference():
         assert fast.same_as(construct_reference(text, pattern, params)), seed
 
 
+def _scattered_instance(seed, sigma, k, n, m):
+    # text and pattern uniform over k scattered symbols of [0, sigma), k
+    # drawn from the range (lo, hi) when given as a pair: bit-plane
+    # majorities can then name symbols that occur nowhere
+    rng = np.random.default_rng(seed)
+    if isinstance(k, tuple):
+        k = int(rng.integers(k[0], k[1] + 1))
+    symbols = rng.choice(sigma, k, replace=False)
+    return IntString(rng.choice(symbols, n), sigma), IntString(rng.choice(symbols, m), sigma)
+
+
+def test_row_group_spurious_decodes_match_reference():
+    # every code keeps a row, so an output pair that occurs in no window can
+    # only come from the bit-plane decode of a row group of 3+ codes
+    text, pattern = _scattered_instance(5, 32, 12, 800, 200)
+    params = recovery_params(0.5, seed=11, reps=6)
+    cache = prepare_pair_counts(text, pattern)
+    assert np.all(cache.row_ids >= 0)
+    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    codes = fast.us.astype(np.int64) * text.sigma + fast.vs
+    assert not np.isin(codes, cache.codes).all()
+    assert fast.same_as(construct_reference(text, pattern, params))
+
+
+def test_entry_group_spurious_decodes_match_reference():
+    # no code keeps a row, so an output pair absent from its window can only
+    # come from a collision decode that names a pair the window lacks
+    for seed in (7, 38):
+        text, pattern = _scattered_instance(seed, 256, (24, 53), 120, 16)
+        params = recovery_params(0.5, seed=seed, reps=3)
+        cache = prepare_pair_counts(text, pattern)
+        assert np.all(cache.row_ids < 0)
+        fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+        truth = _pair_dicts(cache)
+        absent = [
+            (j, uv) for j in range(fast.n_windows) for uv in fast.window(j).entries
+            if uv not in truth[j]
+        ]
+        assert absent, seed
+        assert fast.same_as(construct_reference(text, pattern, params)), seed
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_csr_route_matches_reference_property(data):
-    sigma = data.draw(st.sampled_from([2, 3, 5, 12]), label="sigma")
+    # small alphabets in full, or a few scattered symbols of a larger one
+    sigma = data.draw(st.sampled_from([2, 3, 5, 12, 32, 256]), label="sigma")
+    used = data.draw(
+        st.lists(st.integers(0, sigma - 1), min_size=1, max_size=8, unique=True)
+        if sigma > 12 else st.just(list(range(sigma))),
+        label="symbols",
+    )
     n = data.draw(st.integers(1, 40), label="n")
     m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
-    symbols = st.integers(0, sigma - 1)
+    symbols = st.sampled_from(used)
     text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
     pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
     params = recovery_params(
@@ -349,9 +397,10 @@ def _periodic_instance(n, m, sigma, seed):
 
 
 def test_recovery_memory_grows_with_pair_entries():
-    # recovery keeps 4 to 12 bytes of state per pair entry (a row holds at
-    # most 4 cells per entry of its code) plus per-projection scratch of
-    # about 128 bytes per decoded entry; nothing grows as sigma^2 * windows.
+    # recovery keeps 12 bytes of state per entry (running minimum, collision
+    # count, code) and 4 per row cell (a row holds at most 4 cells per entry
+    # of its code), plus per-projection scratch of about 40 bytes per decoded
+    # entry where few collide; nothing grows as sigma^2 * windows.
     # On the periodic instance 8 * sigma^2 * windows bytes is 31.5 MB, and
     # this bound allows 1.8 MB.
     row_heavy = _uniform(1024, 128, 16, seed=3)
