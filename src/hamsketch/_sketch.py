@@ -1,10 +1,11 @@
 """Member Hamming sums by correlation (karloff's estimate; approx gets the
 same sums from its pair counts), and the median driver of both estimators.
 
-member_hamming_sum returns sum_i HAM(h_i(text window j), h_i(pattern)) over
-the k family members for every window j. Both of its exact routes are one
-summed correlation (correlation.correlate_rows), so each FFT chunk of rows
-ends in one inverse FFT:
+member_hamming_sums returns, for each of several families of one size k,
+sum_i HAM(h_i(text window j), h_i(pattern)) over the family's members for
+every window j. The occurring symbols and every family's base bits on them
+(one evaluation) are shared by all families. Both exact routes end in summed
+correlations (correlation.py), so each family's sum is exact int64:
 
 * symbol pairs: member i separates symbols a and b unless it hashes them
   together, which k - beta(a, b) members do not. So
@@ -15,43 +16,62 @@ ends in one inverse FFT:
   symbol b in window j. For a fixed text symbol a, the sum over b is the
   correlation of a's indicator with the row W[a, pattern] of W = k - beta
   gathered along the pattern (and symmetrically for a fixed pattern
-  symbol). One row per occurring symbol of the smaller side gives
-  2 * min(sigma_t', sigma_p') + 1 FFTs, where sigma_t' and sigma_p' count
-  the symbols occurring in the text and in the pattern; beta over the
-  occurring pairs comes from the XOR tree in O(log k) each.
-* per member: project text and pattern through every member; HAM summed
-  over members is the summed window ones plus the summed pattern ones minus
-  twice the summed correlation of the binary masks, 2k + 1 FFTs.
+  symbol). One row per occurring symbol of the smaller side: its indicator
+  spectrum is the same for every family and is transformed once, each
+  family transforms its own gathered weights rows, and all families finish
+  in one batched inverse FFT. With sigma_t' and sigma_p' the symbols
+  occurring in the text and in the pattern and s = min(sigma_t', sigma_p'),
+  reps families cost s + reps * (s + 1) FFTs; beta over the occurring pairs
+  comes from the XOR tree in O(log k) each.
+* per member: project text and pattern through every member of a family,
+  tabulated over the occurring symbols only; HAM summed over members is the
+  summed window ones plus the summed pattern ones minus twice the summed
+  correlation of the binary masks, about 2k + 1 FFTs per family.
 
-member_hamming_sum takes the symbol route iff min(sigma_t', sigma_p') <= k,
-the route with fewer FFTs. Both routes give the same int64 counts. Beside
-that rule sits pair_grid_pays, the rule of sparse_recovery.prepare_pair_counts
-over the same symbol counts (text_model.occurring_symbols).
+member_hamming_sums takes the symbol route iff s <= k (symbol_route_pays),
+where it runs fewer FFTs for any number of families. Both routes give the
+same int64 counts. Beside that rule sits pair_grid_pays, the rule of
+sparse_recovery.prepare_pair_counts over the same symbol counts
+(text_model.occurring_symbols).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sfft
 
-from .correlation import _FFT_CHUNK_BYTES, correlate_rows
-from .hashing import XorTreeFamily, beta_grid, member_table
+from .correlation import correlate_rows, correlation_sums, fft_plan, row_spectra
+from .hashing import base_bits, beta_grid, member_table
 from .text_model import DistanceProfile, IntString, check_instance, occurring_symbols
 
 _MEMBER_CHUNK = 64
 
 
-def member_hamming_sum(text: IntString, pattern: IntString, family: XorTreeFamily) -> np.ndarray:
-    """sum_i HAM(h_i(text window), h_i(pattern)) for all windows, exact int64."""
-    check_instance(text, pattern)
-    sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (text, pattern))
-    if symbol_route_pays(sigma_t, sigma_p, family.k):
-        return _symbol_pair_sum(text, pattern, family)
-    return _per_member_sum(text, pattern, family)
+def member_hamming_sums(text: IntString, pattern: IntString, families) -> np.ndarray:
+    """(len(families), windows) exact int64: row f is sum_i HAM(h_i(text
+    window), h_i(pattern)) over the members of families[f], for families of
+    one size k."""
+    n, m, _ = check_instance(text, pattern)
+    (sym_t, at_t), (sym_p, at_p) = occurring_symbols(text), occurring_symbols(pattern)
+    # the symbols occurring on either side, each string's positions and
+    # occurring symbols as ranks among them, and every family's base bits on
+    # them: (families, 2*pairs, symbols)
+    syms = np.union1d(sym_t, sym_p)
+    rank_t, rank_p = np.searchsorted(syms, sym_t), np.searchsorted(syms, sym_p)
+    bits = base_bits(families, syms).reshape(len(families), -1, syms.size)
+    k = families[0].k
+    if symbol_route_pays(sym_t.size, sym_p.size, k):
+        # the spectra go in as a temporary, which the finish frees before
+        # rounding
+        return correlation_sums(
+            _symbol_pair_spectra(bits, k, rank_t, rank_t[at_t], rank_p, rank_p[at_p]), n, m
+        )
+    return _per_member_sums(bits, k, rank_t[at_t], rank_p[at_p])
 
 
 def symbol_route_pays(sigma_t: int, sigma_p: int, k: int) -> bool:
-    """Whether the symbol-pair route runs no more FFTs than the per-member one."""
+    """Whether the symbol-pair route runs no more FFTs than the per-member
+    one: s + reps * (s + 1) against reps * (2k + 1), s = min(sigma_t,
+    sigma_p), holds for every number of executions reps iff s <= k."""
     return min(sigma_t, sigma_p) <= k
 
 
@@ -63,44 +83,46 @@ def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
     return sigma_t * sigma_p <= m
 
 
-def _symbol_pair_sum(text, pattern, family) -> np.ndarray:
-    n, m, nw = check_instance(text, pattern)
-    sym_t, at_t = occurring_symbols(text)
-    sym_p, at_p = occurring_symbols(pattern)
-    # weights[a, b] = members separating text symbol a from pattern symbol b
-    weights = (family.k - beta_grid(family, sym_t, sym_p)).astype(np.float64)
+def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.ndarray:
     # one row per occurring symbol of the smaller side: its indicator against
-    # its weights row gathered along the other string
-    text_rows = sym_t.size <= sym_p.size
-    own, other = (at_t, at_p) if text_rows else (at_p, at_t)
-    if not text_rows:
-        weights = weights.T
-    nfft = sfft.next_fast_len(n + m - 1, real=True)
-    rows = max(1, _FFT_CHUNK_BYTES // (nfft * 16 * 3))
-    total = np.zeros(nw, dtype=np.int64)
-    for lo in range(0, weights.shape[0], rows):
-        gathered = weights[lo : lo + rows, other]
-        masks = own[None, :] == np.arange(lo, lo + gathered.shape[0])[:, None]
-        pair = (masks, gathered) if text_rows else (gathered, masks)
-        total += correlate_rows(*pair)
-    return total
+    # its weights row gathered along the other string; returns each family's
+    # spectrum products summed over the rows
+    n, m = text_at.size, pattern_at.size
+    text_rows = rank_t.size <= rank_p.size
+    own, own_at, other_at = (
+        (rank_t, text_at, pattern_at) if text_rows else (rank_p, pattern_at, text_at)
+    )
+    nfft, chunk = fft_plan(n, m)
+    acc = np.zeros((bits.shape[0], nfft // 2 + 1), dtype=np.complex128)
+    for lo in range(0, own.size, chunk):
+        rows = own[lo : lo + chunk]
+        masks = row_spectra(own_at[None, :] == rows[:, None], nfft, pattern=not text_rows)
+        for f, fam_bits in enumerate(bits):
+            # weights[a, b] = members separating own symbol a from symbol b
+            weights = (k - beta_grid(fam_bits[:, rows], fam_bits)).astype(np.float64)
+            gathered = row_spectra(weights[:, other_at], nfft, pattern=text_rows)
+            acc[f] += np.einsum("ij,ij->j", masks, gathered)
+    return acc
 
 
-def _per_member_sum(text, pattern, family) -> np.ndarray:
-    # Projects both strings through every member, chunking members to bound
-    # memory: HAM summed over members = window ones + pattern ones - 2 * aligned ones.
-    n, m, nw = check_instance(text, pattern)
-    table = member_table(family, text.sigma)
-    total = np.zeros(nw, dtype=np.int64)
+def _per_member_sums(bits, k, text_at, pattern_at) -> np.ndarray:
+    # Projects both strings through every member of a family, chunking members
+    # to bound memory: HAM summed over members = window ones + pattern ones -
+    # 2 * aligned ones.
+    n, m = text_at.size, pattern_at.size
+    nw = n - m + 1
+    out = np.zeros((bits.shape[0], nw), dtype=np.int64)
     ones = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, family.k, _MEMBER_CHUNK):
-        rows = table[lo : lo + _MEMBER_CHUNK]
-        t_masks = rows[:, text.symbols]
-        p_masks = rows[:, pattern.symbols]
-        np.cumsum(t_masks.sum(axis=0, dtype=np.int64), out=ones[1:])
-        total += ones[m : m + nw] - ones[:nw] + int(p_masks.sum(dtype=np.int64))
-        total -= 2 * correlate_rows(t_masks, p_masks)
-    return total
+    for total, fam_bits in zip(out, bits):
+        table = member_table(fam_bits)
+        for lo in range(0, k, _MEMBER_CHUNK):
+            rows = table[lo : lo + _MEMBER_CHUNK]
+            t_masks = rows[:, text_at]
+            p_masks = rows[:, pattern_at]
+            np.cumsum(t_masks.sum(axis=0, dtype=np.int64), out=ones[1:])
+            total += ones[m : m + nw] - ones[:nw] + int(p_masks.sum(dtype=np.int64))
+            total -= 2 * correlate_rows(t_masks, p_masks)
+    return out
 
 
 def median_profile(runs) -> DistanceProfile:

@@ -237,7 +237,7 @@ def _cmd_selftest(args) -> int:
     from .sparse_recovery import (
         construct_reference, construct_sparse_noise, prepare_pair_counts, recovery_params,
     )
-    from ._sketch import member_hamming_sum, pair_grid_pays
+    from ._sketch import member_hamming_sums, pair_grid_pays
     from .approx import execution_numerators
     from .sparse_recovery import noise_profile_from_windows
     from .text_model import occurring_symbols
@@ -280,10 +280,11 @@ def _cmd_selftest(args) -> int:
         bool(rowed.any() and not rowed.all()) and fast.same_as(ref),
     )
 
-    # with an empty D' each numerator is twice the execution's member sum;
-    # k = 4 < 8 symbols takes the per-member FFT route, k = 64 the symbol-pair
-    # one. The m = 24 pair counts take the sort route, the m = 64 ones the
-    # grid route (8 * 8 occurring symbol pairs <= m)
+    # with an empty D' each numerator is twice the execution's member sum,
+    # all 3 families in one batched call of each; k = 4 < 8 symbols takes the
+    # per-member FFT route, k = 64 the symbol-pair one. The m = 24 pair counts
+    # take the sort route, the m = 64 ones the grid route (8 * 8 occurring
+    # symbol pairs <= m)
     grid_text, grid_pattern = generate_instance(256, 64, 8, "uniform", seed=101)
     agree = True
     for t, p, grid in ((text, pattern, False), (grid_text, grid_pattern, True)):
@@ -294,10 +295,7 @@ def _cmd_selftest(args) -> int:
         for k in (4, 64):
             families = [family_new(k, seed=505 + e) for e in range(3)]
             nums = execution_numerators(pairs, empty, families)
-            agree &= all(
-                np.array_equal(row, 2 * member_hamming_sum(t, p, fam))
-                for row, fam in zip(nums, families)
-            )
+            agree &= np.array_equal(nums, 2 * member_hamming_sums(t, p, families))
     check("approx member sums from pair counts == FFT member sums, sort and grid routes", agree)
     return 1 if failures else 0
 

@@ -5,7 +5,11 @@ offset j: the sum over rows of the row-pair correlations. Every library
 caller needs correlations only through such sums (matches summed over
 symbols, Hamming distances summed over family members, symbol pairs weighted
 by k - beta), so the spectrum products accumulate across row chunks and one
-inverse real FFT gives the whole sum.
+inverse real FFT gives the whole sum. correlate_rows runs the whole loop; a
+caller that pairs one set of rows with several others (karloff's member sums:
+one symbol's indicator against every family's weights) takes the steps
+separately: row_spectra once per operand, its own products, and one
+correlation_sums over all of its accumulators. No other module calls the FFT.
 
 The true sums are integers. At supported sizes the floating error stays far
 below 0.5, and round_counts raises if a residue ever gets close, so the
@@ -48,9 +52,38 @@ def round_counts(raw: np.ndarray) -> np.ndarray:
     """FFT output rounded to the exact int64 counts it approximates; raises
     if any residue comes near 0.5."""
     rounded = np.rint(raw)
-    if np.max(np.abs(raw - rounded)) >= 0.25:
+    residue = raw - rounded
+    np.abs(residue, out=residue)
+    if np.max(residue) >= 0.25:
         raise RuntimeError("FFT correlation residue too large; counts not trustworthy")
+    del residue  # at most two temporaries the size of raw at any time
     return rounded.astype(np.int64)
+
+
+def fft_plan(n: int, m: int) -> tuple[int, int]:
+    """FFT length of correlations of length-n rows with length-m rows, and
+    the rows per chunk that keep a chunk's scratch buffers near
+    _FFT_CHUNK_BYTES."""
+    nfft = sfft.next_fast_len(n + m - 1, real=True)
+    return nfft, max(1, _FFT_CHUNK_BYTES // (nfft * 16 * 3))
+
+
+def row_spectra(rows, nfft: int, *, pattern: bool = False) -> np.ndarray:
+    """Real FFTs of length nfft of the rows of a 2-D array. Pattern rows are
+    reversed first, so that products of text and pattern spectra summed over
+    rows finish (correlation_sums) as summed correlations."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return sfft.rfft(rows[:, ::-1] if pattern else rows, nfft, axis=1)
+
+
+def correlation_sums(acc: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Exact int64 sums of correlations, (..., n-m+1), from spectrum products
+    acc of shape (..., nfft//2 + 1) accumulated over rows: one inverse FFT
+    over every leading index and one round_counts guard. acc is dropped
+    before rounding, so spectra passed as a temporary are freed by then."""
+    raw = sfft.irfft(acc, fft_plan(n, m)[0])[..., m - 1 : n]
+    del acc
+    return round_counts(raw)
 
 
 def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarray:
@@ -64,18 +97,14 @@ def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarra
     pattern_rows = np.atleast_2d(np.asarray(pattern_rows))
     k, n = text_rows.shape
     m = pattern_rows.shape[1]
-    nw = _check_lengths(n, m)
-    nfft = sfft.next_fast_len(n + m - 1, real=True)
-    rows_per_chunk = max(1, _FFT_CHUNK_BYTES // (nfft * 16 * 3))
-    # the pattern is reversed so that spectrum products give correlations
+    _check_lengths(n, m)
+    nfft, rows_per_chunk = fft_plan(n, m)
     acc = np.zeros(nfft // 2 + 1, dtype=np.complex128)
     for lo in range(0, k, rows_per_chunk):
-        tf = sfft.rfft(text_rows[lo : lo + rows_per_chunk].astype(np.float64), nfft, axis=1)
-        pf = sfft.rfft(
-            pattern_rows[lo : lo + rows_per_chunk, ::-1].astype(np.float64), nfft, axis=1
-        )
+        tf = row_spectra(text_rows[lo : lo + rows_per_chunk], nfft)
+        pf = row_spectra(pattern_rows[lo : lo + rows_per_chunk], nfft, pattern=True)
         acc += np.einsum("ij,ij->j", tf, pf)
-    return round_counts(sfft.irfft(acc, nfft)[m - 1 : m - 1 + nw])
+    return correlation_sums(acc, n, m)
 
 
 def count_aligned_ones(text_mask, pattern_mask) -> np.ndarray:

@@ -134,17 +134,16 @@ def base_bits(families, symbols) -> np.ndarray:
     return out
 
 
-def member_table(family: XorTreeFamily, sigma: int) -> np.ndarray:
-    """(k, sigma) uint8 matrix: member_table[i, u] == member_eval(family, i, u)."""
-    bits = base_bits([family], np.arange(sigma, dtype=np.int64))
-    t = family.pairs
-    sel = np.zeros((family.k, 2 * t), dtype=np.float32)
-    idx = np.arange(family.k)
-    for b in range(t):
-        sel[idx, 2 * b + ((idx >> b) & 1)] = 1.0
-    # float32 matmul is exact here: sums of at most 2t bits
-    acc = sel @ bits.astype(np.float32)
-    return (acc.astype(np.int64) & 1).astype(np.uint8)
+def member_table(bits: np.ndarray) -> np.ndarray:
+    """(k, symbols) uint8 member outputs of one family from its base bits
+    (its (2*pairs, symbols) rows of base_bits): member i XORs, for every pair
+    b, row 2b + bit_b(i). So member_table(base_bits([f], us))[i, a] ==
+    member_eval(f, i, us[a])."""
+    table = bits[0:2]
+    # doubling: the members of pairs 0..b-1, XORed with each choice of pair b
+    for b in range(1, bits.shape[0] // 2):
+        table = np.concatenate([table ^ bits[2 * b], table ^ bits[2 * b + 1]])
+    return table
 
 
 def _combine_pairs(e: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +202,13 @@ def beta_rows(families, us, vs) -> np.ndarray:
     return out
 
 
-def beta_grid(family: XorTreeFamily, us, vs) -> np.ndarray:
-    """(len(us), len(vs)) matrix of beta over every pair of the two symbol
-    arrays; base bits are evaluated once per symbol, not once per pair."""
-    bu, bv = base_bits([family], us), base_bits([family], vs)
-    out = np.empty((bu.shape[1], bv.shape[1]), dtype=np.int64)
-    step = max(1, _GRID_CELLS // max(1, bu.shape[0] * bv.shape[1]))
-    for lo in range(0, bu.shape[1], step):
-        out[lo : lo + step] = _tree_beta(bu[:, lo : lo + step, None] == bv[:, None, :])
+def beta_grid(bits_u: np.ndarray, bits_v: np.ndarray) -> np.ndarray:
+    """(len(us), len(vs)) beta of one family over every pair of two symbol
+    arrays, from the family's base bits of each: its (2*pairs, len) rows of
+    base_bits. Every family's bits come from one evaluation, and a caller
+    folds any block of rows of any family without evaluating again."""
+    out = np.empty((bits_u.shape[1], bits_v.shape[1]), dtype=np.int64)
+    step = max(1, _GRID_CELLS // max(1, bits_u.shape[0] * bits_v.shape[1]))
+    for lo in range(0, bits_u.shape[1], step):
+        out[lo : lo + step] = _tree_beta(bits_u[:, lo : lo + step, None] == bits_v[:, None, :])
     return out

@@ -3,6 +3,13 @@
 Each member i contributes x_i[j] = HAM(h_i(text window j), h_i(pattern)); the
 estimate is 2/k * sum_i x_i. One execution succeeds per window with constant
 probability, so the profile runs a per-window median over `reps` executions.
+
+Each execution draws its own family, and all executions are computed in one
+call of _sketch.member_hamming_sums: the work they share (the occurring
+symbols, the base-bit evaluation of every family, the smaller side's
+indicator spectra) is done once. karloff_profile_single is the one-row case
+of the same computation, so a profile is the median of the executions run
+one by one, byte for byte.
 """
 
 from __future__ import annotations
@@ -10,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from ._sketch import median_profile, member_hamming_sum
+from ._sketch import median_profile, member_hamming_sums
 from .hashing import family_new
 from .text_model import DistanceProfile, IntString
 
@@ -53,6 +62,15 @@ def karloff_params(epsilon: float, seed: int, n: int, reps: int | None = None) -
     return KarloffParams(epsilon=epsilon, k=k, reps=resolve_reps(reps, n), seed=seed)
 
 
+def _estimates(text: IntString, pattern: IntString, params: KarloffParams, execs) -> np.ndarray:
+    """(len(execs), windows) estimates 2/k * sum_i HAM_i of the executions
+    execs, all computed together."""
+    families = [
+        family_new(params.k, mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY)) for e in execs
+    ]
+    return 2.0 * member_hamming_sums(text, pattern, families) / params.k
+
+
 def karloff_profile_single(
     text: IntString,
     pattern: IntString,
@@ -60,10 +78,7 @@ def karloff_profile_single(
     exec_index: int,
 ) -> DistanceProfile:
     """One execution: delta[j] = 2/k * sum_i HAM_i[j]."""
-    seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
-    family = family_new(params.k, mix(seed_exec, ROLE_FAMILY))
-    ham_sum = member_hamming_sum(text, pattern, family)
-    return DistanceProfile(2.0 * ham_sum / params.k, "estimate")
+    return DistanceProfile(_estimates(text, pattern, params, [exec_index])[0], "estimate")
 
 
 def karloff_profile(
@@ -71,6 +86,7 @@ def karloff_profile(
     pattern: IntString,
     params: KarloffParams,
 ) -> DistanceProfile:
-    """Per-window median over params.reps independent executions."""
-    runs = [karloff_profile_single(text, pattern, params, e).values for e in range(params.reps)]
-    return median_profile(runs)
+    """Per-window median over params.reps independent executions, computed
+    together: their member sums share the occurring symbols, one base-bit
+    evaluation and the smaller side's indicator spectra."""
+    return median_profile(_estimates(text, pattern, params, range(params.reps)))

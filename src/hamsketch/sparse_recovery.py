@@ -826,6 +826,11 @@ class _Recovery:
         pairs = cache.row_ids[np.concatenate(self.two, axis=1)]
         ta, tb = np.concatenate([pairs, pairs[::-1]], axis=1)
         ta, tb = np.divmod(np.unique(ta * rows.shape[0] + tb), rows.shape[0])
+        # a target that sat alone is overwritten by its exact counts below
+        # wherever they are nonzero, and where they are 0 no partner count
+        # lies strictly below them, so only the other targets are folded
+        lone = self.ever_single[self.row_codes[ta]]
+        ta, tb = ta[~lone], tb[~lone]
         firsts = np.flatnonzero(np.diff(ta, prepend=-1))
         for p, partners in zip(ta[firsts], np.split(tb, firsts[1:])):
             partner_min = rows[partners].min(axis=0)

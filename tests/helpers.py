@@ -8,7 +8,7 @@ import numpy as np
 
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import beta, beta_grid, member_eval
+from hamsketch.hashing import base_bits, beta, beta_grid, member_eval
 from hamsketch.text_model import IntString
 
 
@@ -90,10 +90,27 @@ def family2_member_bits_seeds(seeds, u: int) -> tuple[np.ndarray, np.ndarray]:
     return b0, b1
 
 
+def few_pairs_bench_instance(n, m, sigma, seed):
+    """The benchmark's periodic few_pairs instance: a pattern repeating 8
+    distinct symbols, and a text repeating them with 3 replaced by symbols
+    outside the block."""
+    rng = np.random.default_rng(seed)
+    block = rng.choice(sigma, 8, replace=False)
+    text_block = block.copy()
+    outside = np.setdiff1d(np.arange(sigma), block)
+    text_block[rng.choice(8, 3, replace=False)] = rng.choice(outside, 3, replace=False)
+    return IntString(np.resize(text_block, n), sigma), IntString(np.resize(block, m), sigma)
+
+
 def member_profile_brute(text: IntString, pattern: IntString, family, i: int) -> np.ndarray:
-    """Window Hamming distances of member i's binary projections."""
-    tb = np.array([member_eval(family, i, int(s)) for s in text.symbols], dtype=np.int64)
-    pb = np.array([member_eval(family, i, int(s)) for s in pattern.symbols], dtype=np.int64)
+    """Window Hamming distances of member i's binary projections; member_eval
+    runs once per distinct symbol."""
+    bit = {}
+    for s in (*text.symbols.tolist(), *pattern.symbols.tolist()):
+        if s not in bit:
+            bit[s] = member_eval(family, i, s)
+    tb = np.array([bit[s] for s in text.symbols.tolist()], dtype=np.int64)
+    pb = np.array([bit[s] for s in pattern.symbols.tolist()], dtype=np.int64)
     n, m = len(tb), len(pb)
     out = np.zeros(n - m + 1, dtype=np.int64)
     for j in range(n - m + 1):
@@ -131,7 +148,8 @@ def correction_numerators(noise, family) -> np.ndarray:
     uniq, inverse = np.unique(codes, return_inverse=True)
     u_syms, code_u = np.unique(uniq // noise.sigma, return_inverse=True)
     v_syms, code_v = np.unique(uniq % noise.sigma, return_inverse=True)
-    weights = 2 * beta_grid(family, u_syms, v_syms)[code_u, code_v] - family.k
+    grid = beta_grid(base_bits([family], u_syms), base_bits([family], v_syms))
+    weights = 2 * grid[code_u, code_v] - family.k
     sums = np.zeros(noise.values.size + 1, dtype=np.int64)
     np.cumsum(weights[inverse] * noise.values, out=sums[1:])
     return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]

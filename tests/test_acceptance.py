@@ -282,16 +282,17 @@ def test_ac9_determinism(tmp_path):
         env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
-        out = tmp_path / f"approx_t{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hamsketch", "approx",
-             "--text", str(text), "--pattern", str(pattern),
-             "--epsilon", "0.1", "--seed", "5", "--reps", "4",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        thread_ok &= out.read_bytes() == outputs["approx"]
+        for algo in ("approx", "karloff"):
+            out = tmp_path / f"{algo}_t{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "hamsketch", algo,
+                 "--text", str(text), "--pattern", str(pattern),
+                 "--epsilon", "0.1", "--seed", "5", "--reps", "4",
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            thread_ok &= out.read_bytes() == outputs[algo]
     _report(
         "AC9",
         thread_ok,

@@ -138,12 +138,16 @@ def test_member_eval_index_error():
 
 
 def test_member_table_matches_member_eval():
-    fam = family_new(32, seed=55)
-    table = member_table(fam, 40)
-    assert table.shape == (32, 40)
-    for i in range(0, 32, 7):
-        for u in range(0, 40, 11):
-            assert int(table[i, u]) == member_eval(fam, i, u)
+    # every family's table from one base-bit evaluation over scattered symbols
+    families = [family_new(32, seed=55 + e) for e in range(3)]
+    syms = np.array([0, 3, 17, 40, 999, 1 << 19])
+    bits = base_bits(families, syms).reshape(len(families), -1, syms.size)
+    for fam, fam_bits in zip(families, bits):
+        table = member_table(fam_bits)
+        assert table.shape == (32, syms.size) and table.dtype == np.uint8
+        for i in range(0, 32, 5):
+            for a, u in enumerate(syms):
+                assert int(table[i, a]) == member_eval(fam, i, int(u))
 
 
 def test_base_bits_shape_and_values():
@@ -227,14 +231,19 @@ def test_beta_many_matches_beta():
 
 
 def test_beta_grid_matches_brute_on_every_pair(monkeypatch):
-    fam = family_new(32, seed=41)
+    # each family's grid from its rows of one base-bit evaluation
+    families = [family_new(32, seed=41 + e) for e in range(3)]
     us, vs = [0, 3, 7, 7, 12], [3, 1, 12]
-    want = np.array([[beta_brute(fam, u, v) for v in vs] for u in us])
-    assert np.array_equal(beta_grid(fam, us, vs), want)
-    # folded one row of us at a time
-    monkeypatch.setattr(hashing, "_GRID_CELLS", 1)
-    assert np.array_equal(beta_grid(fam, us, vs), want)
-    assert beta_grid(fam, [], vs).shape == (0, 3)
+    bu = base_bits(families, us).reshape(3, -1, len(us))
+    bv = base_bits(families, vs).reshape(3, -1, len(vs))
+    for fam, fu, fv in zip(families, bu, bv):
+        want = np.array([[beta_brute(fam, u, v) for v in vs] for u in us])
+        assert np.array_equal(beta_grid(fu, fv), want)
+        # folded one row of us at a time
+        with monkeypatch.context() as mp:
+            mp.setattr(hashing, "_GRID_CELLS", 1)
+            assert np.array_equal(beta_grid(fu, fv), want)
+        assert beta_grid(fu[:, :0], fv).shape == (0, 3)
 
 
 def test_beta_statistics_spread():

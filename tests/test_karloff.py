@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from hamsketch import hashing
 from hamsketch._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from hamsketch._sketch import member_hamming_sum
+from hamsketch._sketch import member_hamming_sums
 from hamsketch.hashing import beta, family_new
 from hamsketch.karloff import (
     default_reps,
@@ -10,9 +13,9 @@ from hamsketch.karloff import (
     karloff_profile,
     karloff_profile_single,
 )
-from hamsketch.text_model import IntString
+from hamsketch.text_model import IntString, generate_instance
 
-from helpers import member_profile_brute, sliding_hamming_brute
+from helpers import few_pairs_bench_instance, member_profile_brute, sliding_hamming_brute
 
 
 def test_params_round_k_to_power_of_two():
@@ -34,9 +37,11 @@ def test_member_hamming_sum_matches_brute():
     rng = np.random.default_rng(83)
     text = IntString(rng.integers(0, 6, size=40), 6)
     pattern = IntString(rng.integers(0, 6, size=9), 6)
-    fam = family_new(8, seed=4)
-    want = sum(member_profile_brute(text, pattern, fam, i) for i in range(8))
-    assert np.array_equal(member_hamming_sum(text, pattern, fam), want)
+    families = [family_new(8, seed=4 + e) for e in range(2)]
+    got = member_hamming_sums(text, pattern, families)
+    for row, fam in zip(got, families):
+        want = sum(member_profile_brute(text, pattern, fam, i) for i in range(8))
+        assert np.array_equal(row, want)
 
 
 def test_single_execution_is_reps_one_profile():
@@ -46,6 +51,64 @@ def test_single_execution_is_reps_one_profile():
     params = karloff_params(0.25, seed=11, n=100, reps=1)
     single = karloff_profile_single(text, pattern, params, 0)
     assert np.array_equal(karloff_profile(text, pattern, params).values, single.values)
+
+
+def test_executions_are_rows_of_one_call():
+    # each row of the batched call is the execution run on its own
+    rng = np.random.default_rng(4)
+    for n, m, sigma in ((120, 12, 5), (90, 30, 60)):
+        text = IntString(rng.integers(0, sigma, size=n), sigma)
+        pattern = IntString(rng.integers(0, sigma, size=m), sigma)
+        params = karloff_params(0.5, seed=12, n=n, reps=5)
+        runs = [karloff_profile_single(text, pattern, params, e).values for e in range(5)]
+        assert np.array_equal(np.median(runs, axis=0), karloff_profile(text, pattern, params).values)
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        # the benchmark's three shapes at seed 1, and a larger sigma=16 one
+        ("dense16", "e95bbe7e918518458710d3bf2cb1a527d584c75945491c88ec7032e0aac0aa04"),
+        ("sparse256", "c21796e4a31278511db05b0cb0afa24164f1b471f93bebf0945db4b0a0b507a3"),
+        ("few_pairs", "89021ea05b20974219904e49410eda21a983cd81d2a76fb6357ea16a83b24d32"),
+        ("n32768", "9bba14ad1458316e64216c1b781cda8d9523ffab7ecaec9b4a6fe45454f92d5b"),
+    ],
+)
+def test_profiles_pinned(shape, digest):
+    # SHA-256 of the profile bytes, pinned while every execution still ran
+    # its own member sum
+    n, m, sigma, reps = {
+        "dense16": (8192, 512, 16, None),
+        "sparse256": (2048, 64, 256, 3),
+        "few_pairs": (4096, 512, 64, None),
+        "n32768": (32768, 1024, 16, None),
+    }[shape]
+    if shape == "few_pairs":
+        text, pattern = few_pairs_bench_instance(n, m, sigma, seed=1)
+    else:
+        text, pattern = generate_instance(n, m, sigma, "uniform", 1)
+    prof = karloff_profile(text, pattern, karloff_params(0.1, 1, n, reps=reps))
+    assert hashlib.sha256(prof.values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sigma", [6, 300])
+def test_hashes_drawn_in_one_evaluation(monkeypatch, sigma):
+    # every family's base bits in one poly3_eval call at this size, on the
+    # symbol route (sigma=6) and the per-member route (sigma=300), however
+    # many executions run
+    evals = []
+    real = hashing.poly3_eval
+
+    def spy(*args, **kwargs):
+        evals.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashing, "poly3_eval", spy)
+    text, pattern = generate_instance(400, 60, sigma, "uniform", seed=2)
+    for reps in (1, 4, 9):
+        evals.clear()
+        karloff_profile(text, pattern, karloff_params(0.5, seed=3, n=400, reps=reps))
+        assert 1 <= len(evals) <= 2, (reps, len(evals))
 
 
 def test_identical_strings_estimate_zero():

@@ -1,33 +1,51 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import _sketch
-from hamsketch._sketch import member_hamming_sum, symbol_route_pays
+from hamsketch import _sketch, correlation, hashing
+from hamsketch._sketch import member_hamming_sums, symbol_route_pays
 from hamsketch.approx import approx_params
 from hamsketch.hashing import family_new
 from hamsketch.karloff import karloff_params
 from hamsketch.text_model import IntString, generate_instance
 
-from helpers import member_profile_brute
+from helpers import few_pairs_bench_instance, member_profile_brute
 
 
 def _occurring(s: IntString) -> np.ndarray:
     return np.unique(s.symbols)
 
 
-def _all_routes(text, pattern, fam):
-    """Both routes forced, and the public call."""
-    return {
-        "symbols": _sketch._symbol_pair_sum(text, pattern, fam),
-        "members": _sketch._per_member_sum(text, pattern, fam),
-        "public": member_hamming_sum(text, pattern, fam),
-    }
+def _all_routes(text, pattern, families):
+    """The public call, and both routes forced by their rule at full size and
+    with one-row chunks: one symbol row per FFT chunk, one member per member
+    chunk and one row per beta fold, so every (chunk, family) pair is
+    visited."""
+    out = {"public": member_hamming_sums(text, pattern, families)}
+    for route, pays in (("symbols", True), ("members", False)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_sketch, "symbol_route_pays", lambda *_, pays=pays: pays)
+            out[route] = member_hamming_sums(text, pattern, families)
+            mp.setattr(correlation, "_FFT_CHUNK_BYTES", 1)
+            mp.setattr(_sketch, "_MEMBER_CHUNK", 1)
+            mp.setattr(hashing, "_GRID_CELLS", 1)
+            out[f"{route}, one-row chunks"] = member_hamming_sums(text, pattern, families)
+    return out
 
 
-def _brute(text, pattern, fam):
-    return sum(member_profile_brute(text, pattern, fam, i) for i in range(fam.k))
+def _brute(text, pattern, families):
+    """(families, windows) member sums, member by member."""
+    return np.stack([
+        sum(member_profile_brute(text, pattern, fam, i) for i in range(fam.k))
+        for fam in families
+    ])
+
+
+def _families(k, seed, count=3):
+    return [family_new(k, seed=seed + 1000 * e) for e in range(count)]
 
 
 EDGE_SHAPES = {
@@ -47,9 +65,9 @@ EDGE_SHAPES = {
 def test_member_sum_routes_match_brute_on_edge_shapes(name, k):
     t, p, sigma = EDGE_SHAPES[name]
     text, pattern = IntString(np.asarray(t), sigma), IntString(np.asarray(p), sigma)
-    fam = family_new(k, seed=4 + k)
-    want = _brute(text, pattern, fam)
-    for route, got in _all_routes(text, pattern, fam).items():
+    families = _families(k, seed=4 + k)
+    want = _brute(text, pattern, families)
+    for route, got in _all_routes(text, pattern, families).items():
         assert got.dtype == np.int64, route
         assert np.array_equal(got, want), route
 
@@ -64,21 +82,6 @@ def test_edge_shapes_cover_both_contraction_orders():
     assert any(a < b for a, b in sizes)
 
 
-def test_symbol_route_chunks_do_not_change_the_sum(monkeypatch):
-    # one row per FFT chunk: every (outer, inner) chunk pair is visited
-    rng = np.random.default_rng(5)
-    fam = family_new(16, seed=9)
-    for n, m, sigma in [(60, 13, 9), (30, 30, 4)]:
-        text = IntString(rng.integers(0, sigma, size=n), sigma)
-        pattern = IntString(rng.integers(0, sigma, size=m), sigma)
-        whole = _all_routes(text, pattern, fam)["symbols"]
-        monkeypatch.setattr(_sketch, "_FFT_CHUNK_BYTES", 1)
-        chunked = _all_routes(text, pattern, fam)["symbols"]
-        monkeypatch.undo()
-        assert np.array_equal(chunked, whole)
-        assert np.array_equal(whole, _brute(text, pattern, fam))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_member_sum_routes_match_brute_property(data):
@@ -89,21 +92,11 @@ def test_member_sum_routes_match_brute_property(data):
     text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
     pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
     k = data.draw(st.sampled_from([2, 4, 8, 16]), label="k")
-    fam = family_new(k, seed=data.draw(st.integers(0, 1 << 30), label="seed"))
-    want = _brute(text, pattern, fam)
-    for route, got in _all_routes(text, pattern, fam).items():
-        assert np.array_equal(got, want), route
-
-
-def _few_pairs_shape(n, m, sigma, seed):
-    # the periodic few-pairs instance: 8 pattern symbols, 3 of them replaced
-    # by outside symbols in the text
-    rng = np.random.default_rng(seed)
-    block = rng.choice(sigma, 8, replace=False)
-    text_block = block.copy()
-    outside = np.setdiff1d(np.arange(sigma), block)
-    text_block[rng.choice(8, 3, replace=False)] = rng.choice(outside, 3, replace=False)
-    return IntString(np.resize(text_block, n), sigma), IntString(np.resize(block, m), sigma)
+    count = data.draw(st.integers(1, 4), label="families")
+    families = _families(k, data.draw(st.integers(0, 1 << 30), label="seed"), count)
+    want = _brute(text, pattern, families)
+    for route, got in _all_routes(text, pattern, families).items():
+        assert got.shape == want.shape and np.array_equal(got, want), route
 
 
 @pytest.mark.parametrize(
@@ -116,7 +109,7 @@ def _few_pairs_shape(n, m, sigma, seed):
 )
 def test_route_rule_on_benchmark_shapes(shape, symbol_route):
     if shape == "few_pairs":
-        text, pattern = _few_pairs_shape(4096, 512, 64, seed=1)
+        text, pattern = few_pairs_bench_instance(4096, 512, 64, seed=1)
     else:
         n, m, sigma = {"dense16": (8192, 512, 16), "sparse256": (2048, 64, 256)}[shape]
         text, pattern = generate_instance(n, m, sigma, "uniform", 1)
@@ -151,8 +144,10 @@ def test_member_sums_match_brute_at_the_route_boundary(text_side_smaller, extra)
     sa, sb = _occurring(text).size, _occurring(pattern).size
     assert min(sa, sb) == k + extra and (sa < sb) == text_side_smaller
     assert symbol_route_pays(sa, sb, k) == (extra == 0)
-    fam = family_new(k, seed=31)
-    assert np.array_equal(member_hamming_sum(text, pattern, fam), _brute(text, pattern, fam))
+    families = _families(k, seed=31)
+    assert np.array_equal(
+        member_hamming_sums(text, pattern, families), _brute(text, pattern, families)
+    )
 
 
 def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
@@ -167,12 +162,32 @@ def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(_sketch, "_symbol_pair_sum", spy("_symbol_pair_sum"))
-    monkeypatch.setattr(_sketch, "_per_member_sum", spy("_per_member_sum"))
+    monkeypatch.setattr(_sketch, "_symbol_pair_spectra", spy("_symbol_pair_spectra"))
+    monkeypatch.setattr(_sketch, "_per_member_sums", spy("_per_member_sums"))
     rng = np.random.default_rng(3)
     small = IntString(rng.integers(0, 4, size=200), 4)
     large = IntString(rng.integers(0, 400, size=800), 400)
-    fam = family_new(16, seed=2)
-    member_hamming_sum(small, IntString(small.symbols[:20], 4), fam)
-    member_hamming_sum(large, IntString(large.symbols[:100], 400), fam)
-    assert calls == ["_symbol_pair_sum", "_per_member_sum"]
+    families = _families(16, seed=2)
+    member_hamming_sums(small, IntString(small.symbols[:20], 4), families)
+    member_hamming_sums(large, IntString(large.symbols[:100], 400), families)
+    assert calls == ["_symbol_pair_spectra", "_per_member_sums"]
+
+
+def _per_member_peak(sigma):
+    # n=2048, m=512, k=256: every side holds more than k symbols
+    text, pattern = generate_instance(2048, 512, sigma, "uniform", seed=7)
+    assert min(_occurring(text).size, _occurring(pattern).size) > 256
+    tracemalloc.start()
+    try:
+        member_hamming_sums(text, pattern, [family_new(256, seed=3)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_per_member_memory_does_not_grow_with_the_alphabet():
+    # members are tabulated over the occurring symbols only: at fixed n and
+    # m the peak stays put from sigma = 2^10 to 2^17 (a table over the whole
+    # alphabet peaked at 5 and 438 MB)
+    small, large = _per_member_peak(1 << 10), _per_member_peak(1 << 17)
+    assert large <= 1.25 * small, (small, large)
