@@ -22,14 +22,20 @@ numerator is therefore linear in beta:
 
     num[j] = k * d_j + sum_c (k - 2*beta(c)) * (N - D')_j(c),
 
-with d_j = sum_c N_j(c). All executions run together: one beta matrix over
-the codes of N and D' (one row per family, from one batched base-bit
-evaluation), one matrix product with the row codes' counts minus D' over
-blocks of windows, and one bincount per execution over the entry codes and
-the D' codes without a row. Every value is an integer far below 2^53, so the
-float sums are exact in any order and the profile does not depend on BLAS
-threading. No member sum is computed by correlation here; karloff keeps that
-route.
+with d_j = sum_c N_j(c). All executions run together, over one base-bit
+evaluation of every symbol of a pair code or of D': the weights
+k - 2*beta(c) of the pair codes form one float32 (executions, codes) table.
+The windows then run in blocks holding at most _PRODUCT_CELLS row cells and
+D' entries: each block takes one matrix product with its row counts minus
+its D', and one bincount per execution over its D' entries without a row
+(weighted by code, or folded from the base bits for a code without pair
+counts). The entry codes' counts follow in chunks of _PRODUCT_CELLS entries,
+one bincount per execution each. Besides the pair counts, D', the weight
+table and the (executions, windows) output, no temporary spans more than one
+block or chunk. Every value is an integer far below 2^53, so the float sums
+are exact in any order and the profile depends neither on the blocks nor on
+BLAS threading. No member sum is computed by correlation here; karloff keeps
+that route.
 
 Why one D' is enough: the correction is accurate for a window when its D'
 meets the residual bound sum (d - d')^2 <= b * eps * d^2, and recovery
@@ -56,7 +62,7 @@ import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, ROLE_RECOVERY, mix
 from ._sketch import median_profile
-from .hashing import beta_rows, family_new
+from .hashing import base_bits, beta_from_bits, families_new
 from .karloff import check_epsilon, resolve_reps
 from .sparse_recovery import (
     B_CONST,
@@ -68,9 +74,13 @@ from .sparse_recovery import (
 )
 from .text_model import DistanceProfile, IntString, check_instance
 
-# the row product runs over blocks of windows holding at most this many
-# float64 cells of row counts
-_PRODUCT_CELLS = 1 << 20
+# execution_numerators runs over blocks of windows holding at most this
+# many row cells and D' entries together, and over chunks of this many pair
+# entries (and pair-code weights); the temporaries take about 8 bytes per
+# row cell and up to 90 per D' or pair entry (tracemalloc, dense16 and
+# sparse256 shapes), so on dense16 a block adds about 4.5 MB where 2^20
+# cells added 17 MB
+_PRODUCT_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,42 +124,80 @@ def execution_numerators(pairs: PairCounts, noise: NoiseProfile, families) -> np
 
     Computed as k * d_j + sum_c (k - 2*beta(c)) * (N - D')_j(c) over the
     codes of the pair counts and of the noise profile; the cache is not
-    modified."""
+    modified. Every temporary over D' or the pair entries spans one block of
+    at most _PRODUCT_CELLS cells."""
     sigma, nw, n_codes = pairs.sigma, pairs.n_windows, pairs.codes.size
-    k = families[0].k
-    # each D' entry's code index: its place in pairs.codes, or after them
-    wins = noise.entry_windows()
-    dcode = noise.us.astype(np.int64) * sigma + noise.vs
-    at = np.searchsorted(pairs.codes, dcode)
-    found = at < n_codes
-    found[found] = pairs.codes[at[found]] == dcode[found]
-    extra, inverse = np.unique(dcode[~found], return_inverse=True)
-    at[~found] = n_codes + inverse
-    codes = np.concatenate([pairs.codes, extra])
-    weights = (k - 2 * beta_rows(families, codes // sigma, codes % sigma)).astype(np.float64)
-    row_of = np.concatenate([pairs.row_ids, np.full(extra.size, -1)])[at]
-    on_row = row_of >= 0
-    # row codes: one product per block of windows, D' subtracted from a copy
+    k, n_fam = families[0].k, len(families)
+    # one base-bit evaluation over every symbol of a pair code or of D'
+    present = np.zeros(sigma, dtype=bool)
+    for syms in (pairs.codes // sigma, pairs.codes % sigma, noise.us, noise.vs):
+        present[syms] = True
+    syms = np.flatnonzero(present)
+    bits = base_bits(families, syms)
+    # |k - 2*beta| <= k, exact in float32 below 2^24
+    wdt = np.float32 if k < (1 << 24) else np.float64
+
+    def weights_of(codes):
+        at_u, at_v = np.searchsorted(syms, codes // sigma), np.searchsorted(syms, codes % sigma)
+        return (k - 2 * beta_from_bits(families, bits, at_u, at_v)).astype(wdt)
+
+    # the weights of every pair code, filled in chunks, plus a padding
+    # column for the D' codes without pair counts, overwritten where read
+    step = max(1, _PRODUCT_CELLS // n_fam)
+    weights = np.zeros((n_fam, n_codes + 1), dtype=wdt)
+    for c in range(0, n_codes, step):
+        weights[:, c : min(n_codes, c + step)] = weights_of(pairs.codes[c : c + step])
+    # a D' code's place in pairs.codes, or n_codes (never equal) if it has none
+    codes = np.append(pairs.codes, -1)
+    row_ids = np.append(pairs.row_ids, -1)
     rows = pairs.rows
-    row_weights = weights[:, np.flatnonzero(pairs.row_ids >= 0)]
-    out = np.empty((len(families), nw))
-    step = max(1, _PRODUCT_CELLS // max(1, rows.shape[0]))
-    for lo in range(0, nw, step):
-        hi = min(nw, lo + step)
+    row_weights = weights[:, np.flatnonzero(row_ids >= 0)].astype(np.float64)
+    out = np.empty((n_fam, nw))
+    # window blocks of at most _PRODUCT_CELLS row cells and D' entries
+    cost = rows.shape[0] * np.arange(nw + 1) + noise.indptr
+    lo = 0
+    while lo < nw:
+        hi = int(np.searchsorted(cost, cost[lo] + _PRODUCT_CELLS, "right")) - 1
+        hi = min(nw, max(lo + 1, hi))
+        a, b = noise.indptr[lo], noise.indptr[hi]
+        win = np.repeat(np.arange(hi - lo, dtype=np.int32), np.diff(noise.indptr[lo : hi + 1]))
+        dcode = noise.us[a:b].astype(np.int64) * sigma + noise.vs[a:b]
+        at = np.searchsorted(pairs.codes, dcode)
+        absent = codes[at] != dcode
+        row = row_ids[at]
+        row[absent] = -1
+        # row codes: D' subtracted from a float copy of the block, one product
+        on_row = row >= 0
         block = rows[:, lo:hi].astype(np.float64)
-        sel = slice(noise.indptr[lo], noise.indptr[hi])
-        mine = on_row[sel]
-        block[row_of[sel][mine], wins[sel][mine] - lo] -= noise.values[sel][mine]
+        block[row[on_row], win[on_row]] -= noise.values[a:b][on_row]
         np.matmul(row_weights, block, out=out[:, lo:hi])
-    # entry codes and D' codes without a row: one bincount per execution
-    code = np.concatenate([np.repeat(np.arange(n_codes), np.diff(pairs.offsets)), at[~on_row]])
-    win = np.concatenate([pairs.windows, wins[~on_row]])
-    diff = np.concatenate([pairs.counts, -noise.values[~on_row]]).astype(np.float64)
-    for e in range(len(families)):
-        out[e] += np.bincount(win, weights=weights[e, code] * diff, minlength=nw)
-    dist = rows.sum(axis=0, dtype=np.int64) + np.bincount(
-        pairs.windows, weights=pairs.counts, minlength=nw
-    )
+        del block, row
+        # entry codes and codes without pair counts: one bincount per execution
+        off = ~on_row
+        if off.any():
+            at, win, val, absent = at[off], win[off], noise.values[a:b][off], absent[off]
+            extra = weights_of(dcode[off][absent])
+            del dcode
+            for e in range(n_fam):
+                w = weights[e].take(at)
+                w[absent] = extra[e]
+                out[e, lo:hi] -= np.bincount(
+                    win, weights=np.multiply(w, val, dtype=np.float64), minlength=hi - lo
+                )
+        lo = hi
+    # the entry codes' counts, in chunks of at most _PRODUCT_CELLS entries
+    dist = rows.sum(axis=0, dtype=np.float64)
+    offsets = pairs.offsets
+    for a in range(0, pairs.counts.size, _PRODUCT_CELLS):
+        b = min(pairs.counts.size, a + _PRODUCT_CELLS)
+        c0 = int(np.searchsorted(offsets, a, "right")) - 1
+        c1 = int(np.searchsorted(offsets, b, "left"))
+        code = np.repeat(np.arange(c0, c1), np.diff(np.clip(offsets[c0 : c1 + 1], a, b)))
+        win, cnt = pairs.windows[a:b], pairs.counts[a:b]
+        for e in range(n_fam):
+            w = np.multiply(weights[e].take(code), cnt, dtype=np.float64)
+            out[e] += np.bincount(win, weights=w, minlength=nw)
+        dist += np.bincount(win, weights=cnt, minlength=nw)
     out += k * dist
     return out
 
@@ -173,9 +221,9 @@ def _recover_noise(
 
 def _estimates(pairs: PairCounts, noise: NoiseProfile, params: ApproxParams, execs) -> np.ndarray:
     """(len(execs), windows) estimates of the executions execs with one D'."""
-    families = [
-        family_new(params.k, mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY)) for e in execs
-    ]
+    families = families_new(
+        params.k, [mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY) for e in execs]
+    )
     return np.maximum(0.0, execution_numerators(pairs, noise, families) / params.k)
 
 

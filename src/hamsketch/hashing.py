@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import ROLE_BASE_HASH, mix, u64_stream
+from ._seeds import MASK64, ROLE_BASE_HASH, mix_array, splitmix64_array, u64_stream
 from .gf64 import POINT_BITS, poly3_eval
 
 MAX_OUT_BITS = 20
@@ -86,6 +86,17 @@ def fourwise_new(out_bits: int, seed: int) -> FourWiseHash:
     return FourWiseHash(coeffs=(c0, c1, c2, c3), out_bits=out_bits)
 
 
+def fourwise_coeffs(seeds) -> np.ndarray:
+    """(len(seeds), 4) uint64 coefficients that fourwise_new draws at each of
+    the uint64 seeds: the first four values of each seed's splitmix64 chain,
+    all chains stepped together."""
+    h = np.asarray(seeds, dtype=np.uint64)
+    out = np.empty((h.size, 4), dtype=np.uint64)
+    for c in range(4):
+        h = out[:, c] = splitmix64_array(h)
+    return out
+
+
 @dataclass(frozen=True)
 class XorTreeFamily:
     """k binary hash functions as XOR combinations of 2*log2(k) base hashes."""
@@ -100,11 +111,27 @@ class XorTreeFamily:
 
 
 def family_new(k: int, seed: int) -> XorTreeFamily:
+    return families_new(k, [seed])[0]
+
+
+def families_new(k: int, seeds) -> list[XorTreeFamily]:
+    """family_new(k, s) for every s in seeds. Base function j of seed s is
+    fourwise_new(1, mix(s, ROLE_BASE_HASH, j)); the seeds and coefficients of
+    every base function are drawn in one vectorised splitmix64 pass."""
     if k < 2 or (k & (k - 1)) != 0:
         raise ValueError(f"family size k must be a power of two >= 2, got {k}")
-    t = k.bit_length() - 1
-    base = tuple(fourwise_new(1, mix(seed, ROLE_BASE_HASH, j)) for j in range(2 * t))
-    return XorTreeFamily(k=k, seed=seed, base=base)
+    n_base = 2 * (k.bit_length() - 1)
+    seeds = list(seeds)
+    top = mix_array(np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64), ROLE_BASE_HASH)
+    base_seeds = splitmix64_array(top[:, None] ^ np.arange(n_base, dtype=np.uint64))
+    hashes = [
+        FourWiseHash(coeffs=tuple(c), out_bits=1)
+        for c in fourwise_coeffs(base_seeds.reshape(-1)).tolist()
+    ]
+    return [
+        XorTreeFamily(k=k, seed=s, base=tuple(hashes[f * n_base : (f + 1) * n_base]))
+        for f, s in enumerate(seeds)
+    ]
 
 
 def member_eval(family: XorTreeFamily, i: int, u: int) -> int:
@@ -165,9 +192,10 @@ def _tree_beta(agree: np.ndarray) -> np.ndarray:
 
     Row 2b + c says whether base function 2b + c agrees; each leaf pair
     offers 0, 1 or 2 agreeing choices, and the tree folds them in O(pairs).
+    A node's counts stay below 2^pairs, so int32 holds them below 31 pairs.
     """
-    agree = agree.astype(np.int64)
-    e = agree[0::2] + agree[1::2]
+    e = agree[0::2].astype(np.int32 if agree.shape[0] < 62 else np.int64)
+    e += agree[1::2]
     d = 2 - e
     while e.shape[0] > 1:
         e, d = _combine_pairs(e, d)
@@ -190,13 +218,20 @@ def beta_rows(families, us, vs) -> np.ndarray:
     distinct symbol for all families together."""
     us, vs = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (us, vs))
     syms, at = np.unique(np.concatenate([us, vs]), return_inverse=True)
-    n_fam, n_base = len(families), len(families[0].base)
+    return beta_from_bits(families, base_bits(families, syms), at[: us.size], at[us.size :])
+
+
+def beta_from_bits(families, bits: np.ndarray, at_u, at_v) -> np.ndarray:
+    """(len(families), len(at_u)) int64 beta of the symbol pairs
+    (syms[at_u], syms[at_v]) from bits = base_bits(families, syms), so that
+    a caller can fold any pairs over one evaluation."""
+    n_fam = len(families)
+    n_base = bits.shape[0] // n_fam
     # (2*pairs, families, symbols): the tree folds the leading axis
-    bits = base_bits(families, syms).reshape(n_fam, n_base, syms.size).transpose(1, 0, 2)
-    at_u, at_v = at[: us.size], at[us.size :]
-    out = np.empty((n_fam, us.size), dtype=np.int64)
+    bits = bits.reshape(n_fam, n_base, -1).transpose(1, 0, 2)
+    out = np.empty((n_fam, len(at_u)), dtype=np.int64)
     step = max(1, _GRID_CELLS // (n_base * n_fam))
-    for lo in range(0, us.size, step):
+    for lo in range(0, len(at_u), step):
         sl = slice(lo, lo + step)
         out[:, sl] = _tree_beta(bits[:, :, at_u[sl]] == bits[:, :, at_v[sl]])
     return out

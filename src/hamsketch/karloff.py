@@ -21,7 +21,7 @@ import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
 from ._sketch import median_profile, member_hamming_sums
-from .hashing import family_new
+from .hashing import families_new
 from .text_model import DistanceProfile, IntString
 
 
@@ -65,9 +65,9 @@ def karloff_params(epsilon: float, seed: int, n: int, reps: int | None = None) -
 def _estimates(text: IntString, pattern: IntString, params: KarloffParams, execs) -> np.ndarray:
     """(len(execs), windows) estimates 2/k * sum_i HAM_i of the executions
     execs, all computed together."""
-    families = [
-        family_new(params.k, mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY)) for e in execs
-    ]
+    families = families_new(
+        params.k, [mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY) for e in execs]
+    )
     return 2.0 * member_hamming_sums(text, pattern, families) / params.k
 
 

@@ -37,8 +37,9 @@ code that occurs in at least a quarter of the windows keeps an int32 count
 row over all windows; every other code keeps its (window, count) entries. A
 row thus holds at most four cells per entry of its code. Recovery adds one
 int32 running minimum per row cell, and per entry an int32 running minimum,
-collision count and code, so memory grows with the number of pair entries and
-not with sigma^2 * windows.
+collision count and code (and its int32 place in window order when the
+decode runs in several chunks), so memory grows with the number of pair
+entries and not with sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -62,14 +63,19 @@ alone in every window. The other groups decode as follows:
   check, and one dense minimum per member lowers its row there. Only the
   windows whose pattern names no member run the alphabet, diagonal and
   projection checks; those that pass name a code that occurs nowhere.
-- Some member has entries. Each entry of the group, and each nonzero cell of
-  a row member standing in for one, is keyed by group * nw + window, and one
-  sort of the keys packed above the entry ids puts the members a window holds
-  next to each other. An entry alone in its window is exact as above, and
-  is only counted: one that collided in fewer of the projections decoding
-  its code than it took part in sat alone in one of them. Each window holding
-  two or more runs the bit-plane decode, the colliding entries' codes read
-  from a per-entry code array.
+- Some member has entries. These groups are decoded together, in chunks of
+  whole windows holding at most as many entries and nonzero row cells as
+  mem_budget allows (or one window), the same chunks in every projection; a
+  heavy group is thus split like any other. In a chunk of span windows from
+  lo, each entry of a group, and each nonzero cell of a row member standing
+  in for one, is keyed by group * span + window - lo, and one sort of the
+  keys packed above the entry ids puts the members a window holds next to
+  each other. With one chunk the entries are read by code, with several
+  through the entry ids in window order. An entry alone in its window is
+  exact as above, and is only counted: one that collided in fewer of the
+  projections decoding its code than it took part in sat alone in one of
+  them. Each window holding two or more runs the bit-plane decode, the
+  colliding entries' codes read from a per-entry code array.
 
 A bit-plane decode names either a member of the group, whose value it can
 lower below the member's collision counts, or a pair absent from the window,
@@ -85,10 +91,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._seeds import ROLE_PROJECTION, mix
+from ._seeds import ROLE_PROJECTION, mix, splitmix64_array
 from ._sketch import pair_grid_pays
 from .correlation import count_aligned_ones
-from .hashing import eval_blocks, fourwise_new
+from .hashing import eval_blocks, fourwise_coeffs
 from .karloff import check_epsilon, resolve_reps
 from .text_model import (
     IntString, SparseNoiseMatrix, check_instance, occurring_symbols,
@@ -213,11 +219,11 @@ def _projection_plan(params: RecoveryParams, sigma: int, draws=None):
     if draws is None:
         draws = [(i, rep) for i in range(params.num_scales) for rep in range(params.reps)]
     ranges = [scale_ranges(params, i) for i, _ in draws]
-    hashes = [
-        fourwise_new(max(ell, r).bit_length() - 1, mix(params.seed, ROLE_PROJECTION, i, rep))
-        for (i, rep), (ell, r) in zip(draws, ranges)
-    ]
-    coeffs = np.array([h.coeffs for h in hashes], dtype=np.uint64).reshape(-1, 4)
+    # fourwise_new's coefficients at mix(params.seed, ROLE_PROJECTION, i, rep)
+    # for every draw, all seeds and chains stepped together
+    scale_col, rep_col = np.array(draws, dtype=np.uint64).reshape(-1, 2).T
+    seeds = splitmix64_array(np.uint64(mix(params.seed, ROLE_PROJECTION)) ^ scale_col)
+    coeffs = fourwise_coeffs(splitmix64_array(seeds ^ rep_col))
     for lo, vals in eval_blocks(coeffs, np.arange(sigma)):
         for d, row in enumerate(vals, start=lo):
             (i, rep), (ell, r) = draws[d], ranges[d]
@@ -614,11 +620,11 @@ class _Recovery:
         n_e, nw = cache.counts.size, cache.n_windows
         # entry e has id e and the cell (row, window) of a row member id
         # E + row*nw + window, E the number of entries. A decode packs
-        # (group, window, id) into an int64 sort key: a chunk of E' entries
-        # holds at most E'/2 groups, which keeps the key inside 63 bits; a
-        # one-group chunk needs bits(nw) + id_bits <= 63
+        # (group, window, id) into an int64 sort key; there are fewer groups
+        # than codes / 2, so a chunk of at most max_span windows keeps the
+        # key inside 63 bits
         self.id_bits = max(1, (n_e + cache.rows.size - 1).bit_length())
-        self.max_entries = min(max_entries, 1 << max(0, 63 - nw.bit_length() - self.id_bits))
+        max_span = max(1, (1 << max(0, 63 - self.id_bits)) // max(1, cache.codes.size // 2))
         self.nbits = (cache.sigma - 1).bit_length()
         # bit b of a decoded pattern u | v << nbits, as floats for one BLAS
         # product; sums of distinct powers of two below 2^24 are exact in
@@ -633,9 +639,24 @@ class _Recovery:
         self.entry_code = np.repeat(
             np.arange(cache.codes.size, dtype=np.int32), np.diff(cache.offsets)
         )
-        # entries per code, a row code's nonzero cells counting as entries
-        self.n_entries = np.diff(cache.offsets)
-        self.n_entries[self.row_codes] = np.count_nonzero(cache.rows, axis=1)
+        # the windows of each decode chunk: whole windows holding at most
+        # max_entries entries and nonzero row cells (or one window), the same
+        # for every projection
+        per_win = np.bincount(cache.windows, minlength=nw)
+        cum = np.cumsum(per_win + np.count_nonzero(cache.rows, axis=0))
+        self.cuts = [0]
+        while self.cuts[-1] < nw:
+            lo = self.cuts[-1]
+            hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + max_entries, "right"))
+            self.cuts.append(min(nw, lo + max_span, max(lo + 1, hi)))
+        if len(self.cuts) > 2:
+            # several chunks read the entries of their windows through the
+            # entry ids in window order, and each code's group in this
+            # projection (-1 outside the groups with an entry code)
+            self.by_window = np.argsort(cache.windows, kind="stable").astype(np.int32)
+            self.win_start = np.zeros(nw + 1, dtype=np.int64)
+            np.cumsum(per_win, out=self.win_start[1:])
+            self.group = np.full(cache.codes.size, -1, dtype=np.int64)
         self.mins = np.full(cache.rows.shape, _INF32, dtype=np.int32)
         self.best = np.full(cache.counts.size, _INF32, dtype=np.int32)
         # per entry code the projections that decode its entries in a group,
@@ -680,20 +701,22 @@ class _Recovery:
         self.two.append(np.stack([order[two], order[two + 1]]))
         for s0, k in zip(starts[on_rows & (sizes > 2)], sizes[on_rows & (sizes > 2)]):
             self._decode_rows(order[s0 : s0 + k], bs[s0] // proj.r, bs[s0] % proj.r, tau, pi)
-        # the other groups in chunks of whole groups holding at most
-        # max_entries entries (or one group)
+        # the other groups together, in the window chunks; collisions are
+        # per window, so chunking them changes no decode
         g_sizes = sizes[mixed]
+        if g_sizes.size == 0:
+            return
         members = order[_ranges(starts[mixed], g_sizes)]
-        group = np.repeat(np.arange(g_sizes.size, dtype=np.int32), g_sizes)
-        last = np.cumsum(g_sizes)
-        ends = np.cumsum(self.n_entries[members])[last - 1]
-        lo = 0
-        while lo < g_sizes.size:
-            done = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + self.max_entries, "right")))
-            a, b = last[lo - 1] if lo else 0, last[hi - 1]
-            self._decode_entries(members[a:b], group[a:b] - lo, bkt, proj.r, tau, pi)
-            lo = hi
+        group = np.repeat(np.arange(g_sizes.size, dtype=np.int64), g_sizes)
+        ent = self.is_entry[members]
+        self.tried[members[ent]] += 1
+        if len(self.cuts) == 2:
+            self._decode_entries(members, group, None, bkt, proj.r, tau, pi)
+            return
+        self.group[members[ent]] = group[ent]
+        for wins in zip(self.cuts[:-1], self.cuts[1:]):
+            self._decode_entries(members, group, wins, bkt, proj.r, tau, pi)
+        self.group[members[ent]] = -1
 
     def _bits(self, code: np.ndarray) -> np.ndarray:
         """(2*nbits, len) bits of the u and then the v symbols of codes."""
@@ -745,25 +768,40 @@ class _Recovery:
         spur = dest >= 0
         self.spurious.append((win[spur], dest[spur], c[win[spur]]))
 
-    def _decode_entries(self, members, group, bkt, r, tau, pi) -> None:
-        """Window-by-window decode of groups that hold an entry code; the
+    def _decode_entries(self, members, group, wins, bkt, r, tau, pi) -> None:
+        """Window-by-window decode of the groups that hold an entry code,
+        members by group, in the windows wins = (lo, hi) or in all; the
         nonzero cells of a row member stand in for entries. Sorting the ids
         by (group, window) puts the members a group holds in one window next
         to each other."""
         cache, nw, bits = self.cache, self.cache.n_windows, self.id_bits
         n_e = cache.counts.size
-        # each entry, and each nonzero row cell standing in for one, packs
-        # its key group*nw + window above its id
         ent = self.is_entry[members]
-        self.tried[members[ent]] += 1
-        lens = self.n_entries[members[ent]]
-        ids = _ranges(cache.offsets[members[ent]], lens)
-        key = np.repeat(group[ent].astype(np.int64) * nw, lens) + cache.windows[ids]
-        parts = [key << bits | ids]
-        for mem, gr in zip(members[~ent], group[~ent]):
-            row = cache.row_ids[mem]
-            w = np.flatnonzero(cache.rows[row])
-            parts.append((int(gr) * nw + w) << bits | (n_e + row * nw + w))
+        rows, row_group = cache.row_ids[members[~ent]], group[~ent]
+        # each entry, and each nonzero row cell standing in for one, packs
+        # its key group * span + window - lo above its id, in a chunk of span
+        # windows from lo
+        if wins is None:
+            # the entries by code, and one row at a time without a copy
+            lo, span = 0, nw
+            first = cache.offsets[members[ent]]
+            lens = cache.offsets[members[ent] + 1] - first
+            ids = _ranges(first, lens)
+            parts = [(np.repeat(group[ent] * nw, lens) + cache.windows[ids]) << bits | ids]
+            for row, gr in zip(rows, row_group):
+                w = np.flatnonzero(cache.rows[row])
+                parts.append((gr * nw + w) << bits | (n_e + row * nw + w))
+        else:
+            # the chunk's entries in window order, those of a group kept, and
+            # the chunk's slice of the rows
+            lo, hi = wins
+            span = hi - lo
+            ids = self.by_window[self.win_start[lo] : self.win_start[hi]]
+            grp = self.group[self.entry_code[ids]]
+            ids, grp = ids[grp >= 0], grp[grp >= 0]
+            parts = [(grp * span + cache.windows[ids] - lo) << bits | ids]
+            at, w = np.nonzero(cache.rows[rows, lo:hi])
+            parts.append((row_group[at] * span + w) << bits | (n_e + rows[at] * nw + lo + w))
         packed = np.sort(np.concatenate(parts) if len(parts) > 1 else parts[0])
         key = packed >> bits
         edge = np.ones(key.size + 1, dtype=bool)
@@ -807,7 +845,7 @@ class _Recovery:
         entry = np.full(starts.size, -1)
         entry[which[hit]] = ids[hit]
         keep = np.flatnonzero(dest >= 0)
-        win, dest, c, entry = key[starts[keep]] % nw, dest[keep], c[keep], entry[keep]
+        win, dest, c, entry = lo + key[starts[keep]] % span, dest[keep], c[keep], entry[keep]
         at = np.minimum(np.searchsorted(cache.codes, dest), cache.codes.size - 1)
         row = np.where(cache.codes[at] == dest, cache.row_ids[at], -1)
         on_row = row >= 0
@@ -864,7 +902,10 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
     unset) and its (window, code, value) triples, ties broken toward the
     smaller code. The triples are padded into a (candidates, windows) key
     matrix below the rows and ranked in window blocks of at most
-    _FILTER_BLOCK_CELLS cells."""
+    _FILTER_BLOCK_CELLS cells. Each block keeps its entries' candidate ranks
+    and values as int32; the symbols are read through int32 tables of the
+    candidates, so until the profile is built its entries take 8 bytes each
+    besides their own 16."""
     sigma, nw = cache.sigma, cache.n_windows
     row_codes = cache.codes[cache.row_ids >= 0]
     cand = np.union1d(row_codes, code)
@@ -896,19 +937,20 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
         # the kept (negative) keys of each window in ascending code order
         k = np.take_along_axis(k, np.argsort(np.where(k < 0, k % shift, shift), axis=0), axis=0).T
         pos = k < 0
-        ranks.append(k[pos] % shift)
-        values.append(-(k[pos] // shift))
+        ranks.append((k[pos] % shift).astype(np.int32))
+        values.append((-(k[pos] // shift)).astype(np.int32))
         sizes[lo:hi] = pos.sum(axis=1)
-    code = cand[np.concatenate(ranks)]
+    # the symbols through int32 tables of the candidates, each part freed
+    # before the next is built
+    rank = np.concatenate(ranks)
+    del ranks
+    us, vs = (cand // sigma).astype(np.int32)[rank], (cand % sigma).astype(np.int32)[rank]
+    del rank
     indptr = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return NoiseProfile(
-        sigma=sigma,
-        capacity=capacity,
-        indptr=indptr,
-        us=(code // sigma).astype(np.int32),
-        vs=(code % sigma).astype(np.int32),
-        values=np.concatenate(values).astype(np.int64),
+        sigma=sigma, capacity=capacity, indptr=indptr, us=us, vs=vs,
+        values=np.concatenate(values, dtype=np.int64),
     )
 
 

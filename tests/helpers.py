@@ -1,8 +1,10 @@
-"""Brute-force oracles used across the test modules.
+"""Brute-force oracles, and one memory probe, used across the test modules.
 
 Everything here is deliberately naive: double loops and dict counting only,
 no shortcuts shared with the library code.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -153,3 +155,13 @@ def correction_numerators(noise, family) -> np.ndarray:
     sums = np.zeros(noise.values.size + 1, dtype=np.int64)
     np.cumsum(weights[inverse] * noise.values, out=sums[1:])
     return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]
+
+
+def traced_peak(fn, *args, **kw):
+    """(fn(*args, **kw), the call's tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kw)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import approx, hashing
+from hamsketch import approx, hashing, sparse_recovery
 from hamsketch._sketch import member_hamming_sums
 from hamsketch.approx import (
     approx_params,
@@ -30,6 +30,7 @@ from helpers import (
     correction_numerators,
     correction_term,
     sliding_hamming_brute,
+    traced_peak,
 )
 
 
@@ -235,6 +236,55 @@ def test_execution_numerators_property(data):
     reps = data.draw(st.integers(1, 4), label="reps")
     fams = [family_new(k, seed=seed + 7 * e) for e in range(reps)]
     _check_numerators(text, pattern, noise, fams)
+
+
+def test_numerator_blocks_do_not_change_the_numerators(monkeypatch):
+    # window blocks of row cells and D' entries, and chunks of pair entries
+    # and code weights, of any size; the random D' names codes that occur in
+    # no window, and the recovered one has codes of every kind
+    default = approx._PRODUCT_CELLS
+    rng = np.random.default_rng(23)
+    layouts = {
+        # symbols 6 and 7 occur in neither string
+        "rows": (IntString(rng.integers(0, 6, 300), 8), IntString(rng.integers(0, 6, 40), 8)),
+        "entries": (IntString(rng.integers(0, 50, 300), 50), IntString(np.array([3, 17, 8]), 50)),
+        "mixed": _skewed(300, 24, 24, seed=2),
+    }
+    fams = [family_new(16, seed=90 + e) for e in range(3)]
+    for layout, (text, pattern) in layouts.items():
+        pairs = prepare_pair_counts(text, pattern)
+        rowed = pairs.row_ids >= 0
+        shape = {"rows": rowed.all(), "entries": not rowed.any(), "mixed": 0 < rowed.mean() < 1}
+        assert shape[layout]
+        noises = (
+            _random_noise(text, pattern, rng),
+            construct_sparse_noise(text, pattern, recovery_params(0.25, seed=3, reps=2)),
+        )
+        dcode = noises[0].us.astype(np.int64) * text.sigma + noises[0].vs
+        assert not np.isin(dcode, pairs.codes).all()
+        for noise in noises:
+            monkeypatch.setattr(approx, "_PRODUCT_CELLS", default)
+            want = execution_numerators(pairs, noise, fams)
+            for cells in (1, 100, 1 << 30):
+                monkeypatch.setattr(approx, "_PRODUCT_CELLS", cells)
+                got = execution_numerators(pairs, noise, fams)
+                assert np.array_equal(got, want), (layout, cells)
+
+
+def test_approx_memory_stays_near_its_inputs():
+    # dense16's shape (n=8192, m=512, sigma=16): the pair counts keep 240
+    # int32 rows (7.4 MB), recovery one int32 running minimum per row cell,
+    # and D' is 368,688 entries (5.9 MB). Everything else is block scratch,
+    # the capacity filter's the largest at 16 bytes per cell of
+    # _FILTER_BLOCK_CELLS (4.2 MB). The bound is 24.9 MB; building D' and
+    # the numerators with temporaries over all of D' peaked at 42.9 MB
+    text, pattern = generate_instance(8192, 512, 16, "uniform", seed=1)
+    params = approx_params(0.1, seed=1, n=8192)
+    pairs = prepare_pair_counts(text, pattern)
+    (_, noise), peak = traced_peak(approx_profile, text, pattern, params, return_noise=True)
+    noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.us, noise.vs, noise.values))
+    assert noise.values.size == 368_688
+    assert peak <= 2 * pairs.rows.nbytes + noise_bytes + 16 * sparse_recovery._FILTER_BLOCK_CELLS
 
 
 def test_one_evaluation_per_hash_kind(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import hashing
-from hamsketch._seeds import mix, splitmix64, splitmix64_array, u64_stream
+from hamsketch._seeds import MASK64, ROLE_BASE_HASH, mix, splitmix64, splitmix64_array, u64_stream
 from hamsketch.gf64 import gf64_mul_point, poly3_eval
 from hamsketch.hashing import (
     FourWiseHash,
@@ -12,7 +12,9 @@ from hamsketch.hashing import (
     beta,
     beta_grid,
     beta_many,
+    families_new,
     family_new,
+    fourwise_coeffs,
     fourwise_new,
     member_eval,
     member_table,
@@ -76,6 +78,29 @@ def test_fourwise_deterministic_and_in_range():
         assert a == h2.eval(u)
         assert 0 <= a < 256
     assert fourwise_new(8, seed=6).eval(3) != h1.eval(3) or True  # seeds differ, spot only
+
+
+def test_vectorised_draws_match_the_scalar_chain():
+    # fourwise_coeffs steps every seed's splitmix64 chain at once, and
+    # families_new draws every base hash of every family that way; both must
+    # give the scalar u64_stream values, edge seeds included
+    rng = np.random.default_rng(17)
+    seeds = [0, 1, MASK64, 1 << 63] + rng.integers(0, 1 << 64, 300, dtype=np.uint64).tolist()
+    coeffs = fourwise_coeffs(np.array(seeds, dtype=np.uint64))
+    assert coeffs.shape == (len(seeds), 4) and coeffs.dtype == np.uint64
+    for seed, row in zip(seeds, coeffs.tolist()):
+        assert row == u64_stream(seed, 4)
+    assert fourwise_coeffs(np.zeros(0, dtype=np.uint64)).shape == (0, 4)
+    for k in (2, 16, 256):
+        fam_seeds = [-1, *seeds[:40]]
+        fams = families_new(k, fam_seeds)
+        for seed, fam in zip(fam_seeds, fams):
+            assert (fam.k, fam.seed) == (k, seed)
+            n_base = 2 * (k.bit_length() - 1)
+            want = (fourwise_new(1, mix(seed, ROLE_BASE_HASH, j)) for j in range(n_base))
+            assert fam.base == tuple(want)
+            assert family_new(k, seed) == fam
+    assert families_new(8, []) == []
 
 
 def test_fourwise_eval_array_matches_scalar():

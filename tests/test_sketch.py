@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from hamsketch.hashing import family_new
 from hamsketch.karloff import karloff_params
 from hamsketch.text_model import IntString, generate_instance
 
-from helpers import few_pairs_bench_instance, member_profile_brute
+from helpers import few_pairs_bench_instance, member_profile_brute, traced_peak
 
 
 def _occurring(s: IntString) -> np.ndarray:
@@ -177,12 +175,7 @@ def _per_member_peak(sigma):
     # n=2048, m=512, k=256: every side holds more than k symbols
     text, pattern = generate_instance(2048, 512, sigma, "uniform", seed=7)
     assert min(_occurring(text).size, _occurring(pattern).size) > 256
-    tracemalloc.start()
-    try:
-        member_hamming_sums(text, pattern, [family_new(256, seed=3)])
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(member_hamming_sums, text, pattern, [family_new(256, seed=3)])[1]
 
 
 def test_per_member_memory_does_not_grow_with_the_alphabet():

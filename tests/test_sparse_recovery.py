@@ -25,7 +25,7 @@ from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.text_model import IntString, generate_instance
 
-from helpers import alignment_dict_brute, pair_count_matrix
+from helpers import alignment_dict_brute, pair_count_matrix, traced_peak
 
 
 def _uniform(n, m, sigma, seed):
@@ -409,16 +409,48 @@ def test_recovery_memory_grows_with_pair_entries():
     for text, pattern in (row_heavy, entry_heavy):
         cache = prepare_pair_counts(text, pattern)
         entries = cache.counts.size + np.count_nonzero(cache.rows)
-        tracemalloc.start()
-        try:
-            noise = construct_sparse_noise(text, pattern, params, pair_cache=cache)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        noise, peak = traced_peak(construct_sparse_noise, text, pattern, params, pair_cache=cache)
         assert noise.values.size
         assert peak <= 256 * entries
     assert (prepare_pair_counts(*row_heavy).row_ids >= 0).mean() > 0.5
     assert np.all(prepare_pair_counts(*entry_heavy).row_ids < 0)
+
+
+def test_heavy_groups_follow_the_memory_budget(monkeypatch):
+    # planted_heavy n=2048, m=128, sigma=256: some bucket groups hold
+    # thousands of entries. The decode reads its groups in chunks of whole
+    # windows holding at most the budget's entries (or one window), so a
+    # heavy group is split too; collisions are per window, so the profile
+    # stays the same. Decoding each group in one piece took about 1.1 MB of
+    # scratch at any budget below that
+    text, pattern = generate_instance(2048, 128, 256, "planted_heavy", seed=1)
+    params = recovery_params(0.25, seed=3, reps=1)
+    cache = prepare_pair_counts(text, pattern)
+    want = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    for budget in (1, 1 << 14):
+        got = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
+        assert got.same_as(want), budget
+    scratch = []
+    real = sparse_recovery._Recovery._decode_entries
+
+    def traced(self, *args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real(self, *args)
+        scratch.append(tracemalloc.get_traced_memory()[1] - base)
+
+    monkeypatch.setattr(sparse_recovery._Recovery, "_decode_entries", traced)
+    peaks = {}
+    for budget in (1 << 18, 1 << 20, DEFAULT_MEM_BUDGET):
+        scratch.clear()
+        got, _ = traced_peak(
+            construct_sparse_noise, text, pattern, params, pair_cache=cache, mem_budget=budget
+        )
+        assert got.same_as(want)
+        peaks[budget] = max(scratch)
+    assert peaks[1 << 18] <= 1.5 * (1 << 18) < peaks[1 << 20] <= 1.5 * (1 << 20)
+    # the whole decode at once: about 22 MB
+    assert peaks[DEFAULT_MEM_BUDGET] > 8 * (1 << 20)
 
 
 def test_pair_count_layout_follows_window_fill():
@@ -617,12 +649,7 @@ def test_pair_count_grid_memory_follows_budget():
     nw = len(text) - len(pattern) + 1
     grid_bytes = 4 * 4 * 4 * nw
     budget = 1 << 20
-    tracemalloc.start()
-    try:
-        cache = prepare_pair_counts(text, pattern, mem_budget=budget)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cache, peak = traced_peak(prepare_pair_counts, text, pattern, mem_budget=budget)
     assert cache.rows.shape == (12, nw)
     assert peak <= budget + 3 * grid_bytes
 
