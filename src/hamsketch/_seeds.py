@@ -64,9 +64,16 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def mix_array(seeds: np.ndarray, *parts: int) -> np.ndarray:
-    """Vectorized mix() over an array of seeds with scalar tags."""
-    h = seeds.astype(np.uint64, copy=True)
+def _as_u64(x):
+    if isinstance(x, (int, np.integer)):
+        return np.uint64(int(x) & MASK64)
+    return np.asarray(x).astype(np.uint64)
+
+
+def mix_array(seeds, *parts) -> np.ndarray:
+    """Vectorized mix(): the seeds and every tag, integers or arrays,
+    broadcast together, one splitmix64 step per tag."""
+    h = _as_u64(seeds)
     for p in parts:
-        h = splitmix64_array(h ^ np.uint64(p & MASK64))
+        h = splitmix64_array(h ^ _as_u64(p))
     return h

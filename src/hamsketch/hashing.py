@@ -122,8 +122,8 @@ def families_new(k: int, seeds) -> list[XorTreeFamily]:
         raise ValueError(f"family size k must be a power of two >= 2, got {k}")
     n_base = 2 * (k.bit_length() - 1)
     seeds = list(seeds)
-    top = mix_array(np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64), ROLE_BASE_HASH)
-    base_seeds = splitmix64_array(top[:, None] ^ np.arange(n_base, dtype=np.uint64))
+    top = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
+    base_seeds = mix_array(top[:, None], ROLE_BASE_HASH, np.arange(n_base))
     hashes = [
         FourWiseHash(coeffs=tuple(c), out_bits=1)
         for c in fourwise_coeffs(base_seeds.reshape(-1)).tolist()

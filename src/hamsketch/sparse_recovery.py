@@ -37,9 +37,10 @@ code that occurs in at least a quarter of the windows keeps an int32 count
 row over all windows; every other code keeps its (window, count) entries. A
 row thus holds at most four cells per entry of its code. Recovery adds one
 int32 running minimum per row cell, and per entry an int32 running minimum,
-collision count and code (and its int32 place in window order when the
-decode runs in several chunks), so memory grows with the number of pair
-entries and not with sigma^2 * windows.
+collision count and code, plus 12 bytes per run of one code in one decode
+chunk (one run per entry code with a single chunk, at most one per entry),
+so memory grows with the number of pair entries and not with
+sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -70,11 +71,11 @@ alone in every window. The other groups decode as follows:
   lo, each entry of a group, and each nonzero cell of a row member standing
   in for one, is keyed by group * span + window - lo, and one sort of the
   keys packed above the entry ids puts the members a window holds next to
-  each other. With one chunk the entries are read by code, with several
-  through the entry ids in window order. An entry alone in its window is
-  exact as above, and is only counted: one that collided in fewer of the
-  projections decoding its code than it took part in sat alone in one of
-  them. Each window holding two or more runs the bit-plane decode, the
+  each other. A chunk reads its entries in runs of one code, the runs listed
+  by chunk, so it looks groups up per run and not per entry. An entry alone
+  in its window is exact as above, and is only counted: one that collided in
+  fewer of the projections decoding its code than it took part in sat alone
+  in one of them. Each window holding two or more runs the bit-plane decode, the
   colliding entries' codes read from a per-entry code array.
 
 A bit-plane decode names either a member of the group, whose value it can
@@ -91,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._seeds import ROLE_PROJECTION, mix, splitmix64_array
+from ._seeds import ROLE_PROJECTION, mix_array
 from ._sketch import pair_grid_pays
 from .correlation import count_aligned_ones
 from .hashing import eval_blocks, fourwise_coeffs
@@ -222,8 +223,7 @@ def _projection_plan(params: RecoveryParams, sigma: int, draws=None):
     # fourwise_new's coefficients at mix(params.seed, ROLE_PROJECTION, i, rep)
     # for every draw, all seeds and chains stepped together
     scale_col, rep_col = np.array(draws, dtype=np.uint64).reshape(-1, 2).T
-    seeds = splitmix64_array(np.uint64(mix(params.seed, ROLE_PROJECTION)) ^ scale_col)
-    coeffs = fourwise_coeffs(splitmix64_array(seeds ^ rep_col))
+    coeffs = fourwise_coeffs(mix_array(params.seed, ROLE_PROJECTION, scale_col, rep_col))
     for lo, vals in eval_blocks(coeffs, np.arange(sigma)):
         for d, row in enumerate(vals, start=lo):
             (i, rep), (ell, r) = draws[d], ranges[d]
@@ -649,14 +649,22 @@ class _Recovery:
             lo = self.cuts[-1]
             hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + max_entries, "right"))
             self.cuts.append(min(nw, lo + max_span, max(lo + 1, hi)))
-        if len(self.cuts) > 2:
-            # several chunks read the entries of their windows through the
-            # entry ids in window order, and each code's group in this
-            # projection (-1 outside the groups with an entry code)
-            self.by_window = np.argsort(cache.windows, kind="stable").astype(np.int32)
-            self.win_start = np.zeros(nw + 1, dtype=np.int64)
-            np.cumsum(per_win, out=self.win_start[1:])
-            self.group = np.full(cache.codes.size, -1, dtype=np.int64)
+        # the stored entries (by code, then window) in runs of one code in
+        # one chunk, at most one per entry, ordered by chunk: run i holds
+        # run_len[i] entries of code run_code[i] from run_start[i], and chunk
+        # k has runs chunk_runs[k]:chunk_runs[k + 1]. A chunk looks its runs'
+        # codes up in the group table of the projection (-1 outside the
+        # groups with an entry code)
+        chunk = np.repeat(np.arange(len(self.cuts) - 1), np.diff(self.cuts))[cache.windows]
+        new = np.ones(n_e, dtype=bool)
+        new[1:] = (chunk[1:] != chunk[:-1]) | (self.entry_code[1:] != self.entry_code[:-1])
+        starts = np.flatnonzero(new).astype(np.int32)
+        by_chunk = np.argsort(chunk[starts], kind="stable")
+        self.run_start = starts[by_chunk]
+        self.run_len = np.diff(starts, append=np.int32(n_e))[by_chunk]
+        self.run_code = self.entry_code[starts][by_chunk]
+        self.chunk_runs = np.searchsorted(chunk[self.run_start], np.arange(len(self.cuts)))
+        self.group = np.full(cache.codes.size, -1, dtype=np.int64)
         self.mins = np.full(cache.rows.shape, _INF32, dtype=np.int32)
         self.best = np.full(cache.counts.size, _INF32, dtype=np.int32)
         # per entry code the projections that decode its entries in a group,
@@ -710,12 +718,9 @@ class _Recovery:
         group = np.repeat(np.arange(g_sizes.size, dtype=np.int64), g_sizes)
         ent = self.is_entry[members]
         self.tried[members[ent]] += 1
-        if len(self.cuts) == 2:
-            self._decode_entries(members, group, None, bkt, proj.r, tau, pi)
-            return
         self.group[members[ent]] = group[ent]
-        for wins in zip(self.cuts[:-1], self.cuts[1:]):
-            self._decode_entries(members, group, wins, bkt, proj.r, tau, pi)
+        for k in range(len(self.cuts) - 1):
+            self._decode_entries(members, group, k, bkt, proj.r, tau, pi)
         self.group[members[ent]] = -1
 
     def _bits(self, code: np.ndarray) -> np.ndarray:
@@ -768,48 +773,37 @@ class _Recovery:
         spur = dest >= 0
         self.spurious.append((win[spur], dest[spur], c[win[spur]]))
 
-    def _decode_entries(self, members, group, wins, bkt, r, tau, pi) -> None:
+    def _decode_entries(self, members, group, k, bkt, r, tau, pi) -> None:
         """Window-by-window decode of the groups that hold an entry code,
-        members by group, in the windows wins = (lo, hi) or in all; the
-        nonzero cells of a row member stand in for entries. Sorting the ids
-        by (group, window) puts the members a group holds in one window next
-        to each other."""
+        members by group, in the windows of chunk k; the nonzero cells of a
+        row member stand in for entries. Sorting the ids by (group, window)
+        puts the members a group holds in one window next to each other."""
         cache, nw, bits = self.cache, self.cache.n_windows, self.id_bits
-        n_e = cache.counts.size
+        lo, n_e = self.cuts[k], cache.counts.size
+        span = self.cuts[k + 1] - lo
         ent = self.is_entry[members]
         rows, row_group = cache.row_ids[members[~ent]], group[~ent]
-        # each entry, and each nonzero row cell standing in for one, packs
-        # its key group * span + window - lo above its id, in a chunk of span
-        # windows from lo
-        if wins is None:
-            # the entries by code, and one row at a time without a copy
-            lo, span = 0, nw
-            first = cache.offsets[members[ent]]
-            lens = cache.offsets[members[ent] + 1] - first
-            ids = _ranges(first, lens)
-            parts = [(np.repeat(group[ent] * nw, lens) + cache.windows[ids]) << bits | ids]
-            for row, gr in zip(rows, row_group):
-                w = np.flatnonzero(cache.rows[row])
-                parts.append((gr * nw + w) << bits | (n_e + row * nw + w))
-        else:
-            # the chunk's entries in window order, those of a group kept, and
-            # the chunk's slice of the rows
-            lo, hi = wins
-            span = hi - lo
-            ids = self.by_window[self.win_start[lo] : self.win_start[hi]]
-            grp = self.group[self.entry_code[ids]]
-            ids, grp = ids[grp >= 0], grp[grp >= 0]
-            parts = [(grp * span + cache.windows[ids] - lo) << bits | ids]
-            at, w = np.nonzero(cache.rows[rows, lo:hi])
-            parts.append((row_group[at] * span + w) << bits | (n_e + rows[at] * nw + lo + w))
-        packed = np.sort(np.concatenate(parts) if len(parts) > 1 else parts[0])
+        # the chunk's runs of a code in a group, and the chunk's slice of the
+        # rows; each entry, and each nonzero row cell standing in for one,
+        # packs its key group * span + window - lo above its id
+        runs = slice(self.chunk_runs[k], self.chunk_runs[k + 1])
+        grp = self.group[self.run_code[runs]]
+        sel = np.flatnonzero(grp >= 0)
+        grp, lens = grp[sel], self.run_len[runs][sel]
+        ids = _ranges(self.run_start[runs][sel], lens)
+        packed = (np.repeat(grp * span - lo, lens) + cache.windows[ids]) << bits | ids
+        if rows.size:
+            at, w = np.nonzero(cache.rows[rows, lo : lo + span])
+            cells = (row_group[at] * span + w) << bits | (n_e + rows[at] * nw + lo + w)
+            packed = np.concatenate([packed, cells])
+        packed.sort()
         key = packed >> bits
         edge = np.ones(key.size + 1, dtype=bool)
         edge[1:-1] = key[1:] != key[:-1]
         alone = edge[:-1] & edge[1:]
         # alone in its window's bucket: the decode gives the exact count, and
         # every bucket holding the pair counts at least as much
-        if len(parts) > 1:
+        if rows.size:
             cells = (packed[alone] & ((1 << bits) - 1)) - n_e
             cells = cells[cells >= 0]
             self.mins.reshape(-1)[cells] = cache.rows.reshape(-1)[cells]

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import hashing
-from hamsketch._seeds import MASK64, ROLE_BASE_HASH, mix, splitmix64, splitmix64_array, u64_stream
+from hamsketch._seeds import (
+    MASK64,
+    ROLE_BASE_HASH,
+    mix,
+    mix_array,
+    splitmix64,
+    splitmix64_array,
+    u64_stream,
+)
 from hamsketch.gf64 import gf64_mul_point, poly3_eval
 from hamsketch.hashing import (
     FourWiseHash,
@@ -37,6 +45,20 @@ def test_u64_stream_is_prefix_stable():
 def test_mix_distinguishes_roles_and_order():
     assert mix(7, 1, 2) != mix(7, 2, 1)
     assert mix(7, 1) != mix(8, 1)
+
+
+def test_mix_array_broadcasts_seeds_and_tags():
+    # integer and array tags broadcast against the seeds, one splitmix64
+    # step per tag, as mix() does for each element
+    seeds = np.array([0, 5, MASK64, 1 << 63], dtype=np.uint64)
+    tags = np.arange(3)
+    got = mix_array(seeds[:, None], 9, tags, np.array([4, 0, 7]))
+    assert got.shape == (4, 3) and got.dtype == np.uint64
+    for i, s in enumerate(seeds.tolist()):
+        for j, (t, u) in enumerate(zip(tags.tolist(), (4, 0, 7))):
+            assert int(got[i, j]) == mix(s, 9, t, u)
+    assert int(mix_array(-3, 2, 1)) == mix(-3, 2, 1)
+    assert mix_array(seeds).tolist() == seeds.tolist()
 
 
 def test_gf64_mul_identity_and_zero():

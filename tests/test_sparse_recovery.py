@@ -430,14 +430,16 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
     for budget in (1, 1 << 14):
         got = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
         assert got.same_as(want), budget
-    scratch = []
+    scratch, heaviest = [], [0]
     real = sparse_recovery._Recovery._decode_entries
 
-    def traced(self, *args):
+    def traced(self, members, group, *args):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        real(self, *args)
+        real(self, members, group, *args)
         scratch.append(tracemalloc.get_traced_memory()[1] - base)
+        lens = np.diff(self.cache.offsets)[members]
+        heaviest[0] = max(heaviest[0], int(np.bincount(group, lens).max()))
 
     monkeypatch.setattr(sparse_recovery._Recovery, "_decode_entries", traced)
     peaks = {}
@@ -449,8 +451,9 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
         assert got.same_as(want)
         peaks[budget] = max(scratch)
     assert peaks[1 << 18] <= 1.5 * (1 << 18) < peaks[1 << 20] <= 1.5 * (1 << 20)
-    # the whole decode at once: about 22 MB
-    assert peaks[DEFAULT_MEM_BUDGET] > 8 * (1 << 20)
+    # the heaviest group alone holds more entries than a 256 KiB chunk
+    per_entry = sparse_recovery._SCRATCH_BYTES_PER_ENTRY + sparse_recovery._SCRATCH_BYTES_PER_BIT * 8
+    assert heaviest[0] > (1 << 18) // per_entry
 
 
 def test_pair_count_layout_follows_window_fill():
