@@ -2,8 +2,11 @@
 
 At sigma=16 the member Hamming sum takes the symbol-pair route: it weights
 each aligned symbol pair by the number of members that separate it, so
-karloff's time no longer grows with its 1/eps^2 family, and approx's time is
-mostly recovery (one more scale per halving). At sigma=1024 both text and
+karloff's time no longer grows with its 1/eps^2 family. With 16 symbols a
+side (no more than 2*log2 of the FFT length) each execution's weights
+spectra are a product with the 16 symbol indicator spectra, transformed
+once: s + L + reps FFTs in all rather than s + reps * (s + 1). approx's time
+is mostly recovery (one more scale per halving). At sigma=1024 both text and
 pattern hold more occurring symbols than the family has members (at most
 256 here), so karloff correlates the binary projection of every member and
 halving eps roughly quadruples its time. The CSV below makes

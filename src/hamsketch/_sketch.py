@@ -17,12 +17,17 @@ correlations (correlation.py), so each family's sum is exact int64:
   correlation of a's indicator with the row W[a, pattern] of W = k - beta
   gathered along the pattern (and symmetrically for a fixed pattern
   symbol). One row per occurring symbol of the smaller side: its indicator
-  spectrum is the same for every family and is transformed once, each
-  family transforms its own gathered weights rows, and all families finish
-  in one batched inverse FFT. With sigma_t' and sigma_p' the symbols
-  occurring in the text and in the pattern and s = min(sigma_t', sigma_p'),
-  reps families cost s + reps * (s + 1) FFTs; beta over the occurring pairs
-  comes from the XOR tree in O(log k) each.
+  spectrum is the same for every family and is transformed once, and all
+  families finish in one batched inverse FFT. With sigma_t' and sigma_p'
+  the symbols occurring in the text and in the pattern, s = min(sigma_t',
+  sigma_p') and L the other side's count, a gathered row's spectrum is
+  linear in its weights: FFT(W[a, P]) = sum_b W[a, b] * FFT(1[P = b]).
+  When L is small (gathered_product_pays: L <= 2 * log2(nfft), and the L
+  spectra fit in one FFT chunk), the L indicator spectra are transformed
+  once and each family's gathered spectra are one real matrix product, so
+  reps families cost s + L + reps FFTs; otherwise each family transforms
+  its own gathered rows, s + reps * (s + 1) FFTs. beta over the occurring
+  pairs comes from the XOR tree in O(log k) each.
 * per member: project text and pattern through every member of a family,
   tabulated over the occurring symbols only; HAM summed over members is the
   summed window ones plus the summed pattern ones minus twice the summed
@@ -36,6 +41,8 @@ sparse_recovery.prepare_pair_counts over the same symbol counts
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -70,8 +77,9 @@ def member_hamming_sums(text: IntString, pattern: IntString, families) -> np.nda
 
 def symbol_route_pays(sigma_t: int, sigma_p: int, k: int) -> bool:
     """Whether the symbol-pair route runs no more FFTs than the per-member
-    one: s + reps * (s + 1) against reps * (2k + 1), s = min(sigma_t,
-    sigma_p), holds for every number of executions reps iff s <= k."""
+    one: at most s + reps * (s + 1) against reps * (2k + 1), s =
+    min(sigma_t, sigma_p), holds for every number of executions reps iff
+    s <= k."""
     return min(sigma_t, sigma_p) <= k
 
 
@@ -83,16 +91,36 @@ def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
     return sigma_t * sigma_p <= m
 
 
+def gathered_product_pays(sigma_other: int, n: int, m: int) -> bool:
+    """Whether the symbol route gets each weights row's spectrum along the
+    other string as a product with that side's sigma_other indicator spectra
+    (transformed once per call) rather than by an FFT of its own: the
+    product costs sigma_other multiply-adds per spectrum point against the
+    FFT's O(log nfft), and measured no slower up to sigma_other =
+    2 * log2(nfft). The indicator spectra must also fit in one FFT chunk, so
+    the route's scratch keeps its bound at any n."""
+    nfft, chunk = fft_plan(n, m)
+    return sigma_other <= min(2 * math.log2(nfft), chunk)
+
+
 def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.ndarray:
     # one row per occurring symbol of the smaller side: its indicator against
     # its weights row gathered along the other string; returns each family's
     # spectrum products summed over the rows
     n, m = text_at.size, pattern_at.size
     text_rows = rank_t.size <= rank_p.size
-    own, own_at, other_at = (
-        (rank_t, text_at, pattern_at) if text_rows else (rank_p, pattern_at, text_at)
+    own, own_at, other, other_at = (
+        (rank_t, text_at, rank_p, pattern_at)
+        if text_rows
+        else (rank_p, pattern_at, rank_t, text_at)
     )
     nfft, chunk = fft_plan(n, m)
+    spectra = None
+    if gathered_product_pays(other.size, n, m):
+        # FFT(W[a, other string]) = sum_b W[a, b] * FFT(1[other string = b]),
+        # a real product over the (re, im)-interleaved indicator spectra
+        spectra = row_spectra(other_at[None, :] == other[:, None], nfft, pattern=text_rows)
+        spectra = spectra.view(np.float64)
     acc = np.zeros((bits.shape[0], nfft // 2 + 1), dtype=np.complex128)
     for lo in range(0, own.size, chunk):
         rows = own[lo : lo + chunk]
@@ -100,7 +128,10 @@ def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.nda
         for f, fam_bits in enumerate(bits):
             # weights[a, b] = members separating own symbol a from symbol b
             weights = (k - beta_grid(fam_bits[:, rows], fam_bits)).astype(np.float64)
-            gathered = row_spectra(weights[:, other_at], nfft, pattern=text_rows)
+            if spectra is not None:
+                gathered = (weights[:, other] @ spectra).view(np.complex128)
+            else:
+                gathered = row_spectra(weights[:, other_at], nfft, pattern=text_rows)
             acc[f] += np.einsum("ij,ij->j", masks, gathered)
     return acc
 
@@ -128,4 +159,9 @@ def _per_member_sums(bits, k, text_at, pattern_at) -> np.ndarray:
 def median_profile(runs) -> DistanceProfile:
     """Per-window median over runs, the estimates of the executions as an
     (executions, windows) array or a list of rows."""
-    return DistanceProfile(np.median(runs, axis=0), "estimate")
+    runs = np.sort(np.asarray(runs, dtype=np.float64), axis=0)
+    h = runs.shape[0] // 2
+    # np.median's value to the bit: the middle row, or the mean of the two
+    # middle rows, plus 0.0 as its mean adds them to 0.0 (-0.0 reads 0.0)
+    middle = runs[h] if runs.shape[0] % 2 else (runs[h - 1] + runs[h]) / 2
+    return DistanceProfile(middle + 0.0, "estimate")

@@ -7,9 +7,14 @@ probability, so the profile runs a per-window median over `reps` executions.
 Each execution draws its own family, and all executions are computed in one
 call of _sketch.member_hamming_sums: the work they share (the occurring
 symbols, the base-bit evaluation of every family, the smaller side's
-indicator spectra) is done once. karloff_profile_single is the one-row case
-of the same computation, so a profile is the median of the executions run
-one by one, byte for byte.
+indicator spectra) is done once. With s and L the symbols occurring on the
+smaller and on the other side, the symbol-pair route (s <= k) costs
+s + L + reps FFTs when L <= 2 * log2(nfft): the other side's L indicator
+spectra are transformed once too, and each execution's weights spectra are
+one product with them. Otherwise it costs s + reps * (s + 1) FFTs, and the
+per-member route reps * (2k + 1). karloff_profile_single is the
+one-row case of the same computation, so a profile is the median of the
+executions run one by one, byte for byte.
 """
 
 from __future__ import annotations

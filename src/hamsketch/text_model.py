@@ -45,14 +45,15 @@ class IntString:
     sigma: int
 
     def __post_init__(self):
-        arr = np.asarray(self.symbols, dtype=np.int32)
+        arr = np.asarray(self.symbols)
         if arr.ndim != 1:
             raise ValueError("symbols must be one-dimensional")
         if not 1 <= self.sigma <= SIGMA_CAP:
             raise ValueError(f"sigma must be in [1, {SIGMA_CAP}], got {self.sigma}")
+        # the range is checked before narrowing, which would wrap 2**32 + 1 to 1
         if arr.size and (arr.min() < 0 or arr.max() >= self.sigma):
             raise ValueError(f"symbols must lie in [0, {self.sigma})")
-        arr = arr.copy()
+        arr = arr.astype(np.int32)
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
 
@@ -221,6 +222,8 @@ def read_tokens(path) -> IntString:
         raise FileFormatError(f"{path}: no symbols after sigma header")
     try:
         return IntString(np.array(symbols, dtype=np.int64), sigma)
+    except OverflowError:
+        raise FileFormatError(f"{path}: symbol token outside the 64-bit range") from None
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 

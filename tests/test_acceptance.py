@@ -254,7 +254,8 @@ def test_ac8_epsilon_scaling_trend(tmp_path):
     print(
         "AC8 pass: informational; per-halving time ratios "
         f"approx {ra[0]:.2f}, {ra[1]:.2f} (<= 3 expected), "
-        f"karloff {rk[0]:.2f}, {rk[1]:.2f} (>= 3 expected)"
+        f"karloff {rk[0]:.2f}, {rk[1]:.2f} (about 1 expected: at sigma=16 the "
+        "symbol-pair route's time does not grow with 1/eps^2)"
     )
 
 

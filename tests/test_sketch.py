@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import _sketch, correlation, hashing
-from hamsketch._sketch import member_hamming_sums, symbol_route_pays
+from hamsketch._sketch import (
+    gathered_product_pays,
+    median_profile,
+    member_hamming_sums,
+    symbol_route_pays,
+)
 from hamsketch.approx import approx_params
 from hamsketch.hashing import family_new
 from hamsketch.karloff import karloff_params
@@ -17,15 +24,25 @@ def _occurring(s: IntString) -> np.ndarray:
     return np.unique(s.symbols)
 
 
+ROUTES = {
+    # name: (symbol route, gathered spectra as a product)
+    "symbols, product": (True, True),
+    "symbols, transforms": (True, False),
+    "members": (False, False),
+}
+
+
 def _all_routes(text, pattern, families):
-    """The public call, and both routes forced by their rule at full size and
+    """The public call, and every route forced by its rules at full size and
     with one-row chunks: one symbol row per FFT chunk, one member per member
     chunk and one row per beta fold, so every (chunk, family) pair is
-    visited."""
+    visited. The symbol route runs with both gatherings of its weights
+    spectra."""
     out = {"public": member_hamming_sums(text, pattern, families)}
-    for route, pays in (("symbols", True), ("members", False)):
+    for route, (symbols, product) in ROUTES.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_sketch, "symbol_route_pays", lambda *_, pays=pays: pays)
+            mp.setattr(_sketch, "symbol_route_pays", lambda *_, v=symbols: v)
+            mp.setattr(_sketch, "gathered_product_pays", lambda *_, v=product: v)
             out[route] = member_hamming_sums(text, pattern, families)
             mp.setattr(correlation, "_FFT_CHUNK_BYTES", 1)
             mp.setattr(_sketch, "_MEMBER_CHUNK", 1)
@@ -97,6 +114,15 @@ def test_member_sum_routes_match_brute_property(data):
         assert got.shape == want.shape and np.array_equal(got, want), route
 
 
+# whether each benchmark shape gathers its weights spectra by the product:
+# the gathered side's symbols against 2 * log2(nfft)
+GATHERED_PRODUCT = {
+    "dense16": True,  # 16 <= 26.2
+    "few_pairs": True,  # 8 <= 24.3
+    "sparse256": False,  # 256 > 22.2
+}
+
+
 @pytest.mark.parametrize(
     "shape, symbol_route",
     [
@@ -114,6 +140,9 @@ def test_route_rule_on_benchmark_shapes(shape, symbol_route):
     sa, sb = _occurring(text).size, _occurring(pattern).size
     for k in (karloff_params(0.1, 1, len(text)).k, approx_params(0.1, 1, len(text)).k):
         assert symbol_route_pays(sa, sb, k) == symbol_route, (shape, k, sa, sb)
+    # the smaller side's symbols are the rows, so the larger side is gathered
+    product = gathered_product_pays(max(sa, sb), len(text), len(pattern))
+    assert product == GATHERED_PRODUCT[shape], (shape, sa, sb)
 
 
 def test_route_rule_limits():
@@ -121,6 +150,43 @@ def test_route_rule_limits():
     k = 64
     assert symbol_route_pays(k, 10**6, k) and symbol_route_pays(10**6, k, k)
     assert not symbol_route_pays(k + 1, k + 1, k)
+
+
+@pytest.mark.parametrize("n, m", [(8192, 512), (4096, 512), (2048, 64), (40, 9)])
+def test_gathered_product_rule_limits(n, m, monkeypatch):
+    # product iff the gathered side has at most 2*log2(nfft) symbols and its
+    # indicator spectra fit in one FFT chunk
+    nfft = correlation.fft_plan(n, m)[0]
+    limit = math.floor(2 * math.log2(nfft))
+    assert gathered_product_pays(limit, n, m)
+    assert not gathered_product_pays(limit + 1, n, m)
+    monkeypatch.setattr(correlation, "_FFT_CHUNK_BYTES", 3 * nfft * 16 * 3)
+    assert correlation.fft_plan(n, m)[1] == 3 < limit
+    assert gathered_product_pays(3, n, m)
+    assert not gathered_product_pays(4, n, m)
+
+
+@pytest.mark.parametrize("product", [True, False])
+def test_symbol_route_transform_counts(product, monkeypatch):
+    # s smaller-side indicators, then either the other side's L indicators
+    # once (the product) or s gathered rows per family (the transforms)
+    rng = np.random.default_rng(5)
+    text, pattern = IntString(rng.integers(0, 6, 300), 9), IntString(rng.integers(3, 9, 40), 9)
+    s = other = 6
+    assert (_occurring(text).size, _occurring(pattern).size) == (s, other)
+    families = _families(16, seed=9, count=4)
+    rows = []
+    real = _sketch.row_spectra
+
+    def counting(a, *args, **kw):
+        rows.append(np.shape(a)[0])
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(_sketch, "row_spectra", counting)
+    monkeypatch.setattr(_sketch, "gathered_product_pays", lambda *_: product)
+    got = member_hamming_sums(text, pattern, families)
+    assert sum(rows) == (s + other if product else s + len(families) * s)
+    assert np.array_equal(got, _brute(text, pattern, families))
 
 
 @pytest.mark.parametrize("text_side_smaller", [True, False])
@@ -184,3 +250,20 @@ def test_per_member_memory_does_not_grow_with_the_alphabet():
     # alphabet peaked at 5 and 438 MB)
     small, large = _per_member_peak(1 << 10), _per_member_peak(1 << 17)
     assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 26])
+def test_median_profile_is_numpys_median(rows):
+    # one sort and the middle row(s) give np.median's values to the bit, for
+    # odd and even row counts, with ties, signed zeros and list input
+    rng = np.random.default_rng(rows)
+    draws = (
+        lambda: rng.exponential(size=(rows, 50)),
+        lambda: rng.integers(0, 4, size=(rows, 50)).astype(np.float64),
+        lambda: rng.choice([-0.0, 0.0, 1.5], size=(rows, 50)),
+    )
+    for trial in range(30):
+        runs = draws[trial % 3]()
+        want = np.median(runs, axis=0).tobytes()
+        assert median_profile(runs).values.tobytes() == want, (rows, trial)
+        assert median_profile(list(runs)).values.tobytes() == want, (rows, trial)

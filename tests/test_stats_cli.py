@@ -253,6 +253,14 @@ def test_io_errors_exit_two(tmp_path, capsys):
     assert rc == 2
     assert "'zz'" in capsys.readouterr().err
 
+    # a token beyond int32 or int64 is out of the alphabet, not wrapped into it
+    for token in ("4294967299", "99999999999999999999"):
+        bad.write_text(f"16\n1 2 {token} 5\n")
+        rc = main(["exact", "--text", str(bad), "--pattern", str(bad),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
 
 def test_mismatched_inputs_exit_two(tmp_path, capsys):
     text, _ = _gen(tmp_path, n=32, m=4, sigma=4)

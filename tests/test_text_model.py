@@ -31,6 +31,11 @@ def test_intstring_validation():
         IntString(np.array([0, 3]), 3)
     with pytest.raises(ValueError):
         IntString(np.array([-1]), 4)
+    # out-of-range values must not wrap into range when narrowed to int32
+    with pytest.raises(ValueError):
+        IntString(np.array([2**32 + 1]), 4)
+    with pytest.raises(ValueError):
+        IntString(np.array([-(2**32) + 1]), 4)
 
 
 def test_distance_profile_validation():
@@ -135,6 +140,12 @@ def test_token_errors_name_the_problem(tmp_path):
         read_tokens(path)
     path.write_text("4 1 9\n")
     with pytest.raises(FileFormatError):
+        read_tokens(path)
+    path.write_text("16\n1 2 4294967299 5\n")
+    with pytest.raises(FileFormatError, match=r"\[0, 16\)"):
+        read_tokens(path)
+    path.write_text("16\n1 99999999999999999999 5\n")
+    with pytest.raises(FileFormatError, match="64-bit"):
         read_tokens(path)
 
 
