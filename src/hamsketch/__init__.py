@@ -1,18 +1,15 @@
 """Sliding-window Hamming distance profiles: exact, baseline, and corrected
 sketch estimators with per-window (1 +- eps) guarantees."""
 
-from .approx import ApproxParams, approx_params, approx_profile, approx_profile_single
+from .approx import ApproxParams, approx_params, approx_profile
 from .exact import hamming_profile_convolution, hamming_profile_naive
-from .hashing import FourWiseHash, XorTreeFamily, beta, beta_many, family_new, fourwise_new
+from .hashing import FourWiseHash, XorTreeFamily, beta, family_new, fourwise_new
 from .karloff import KarloffParams, default_reps, karloff_params, karloff_profile
 from .sparse_recovery import (
     B_CONST,
-    CoupledProjection,
     NoiseProfile,
     RecoveryParams,
-    construct_reference,
     construct_sparse_noise,
-    make_coupled_projection,
     recovery_params,
 )
 from .stats import error_stats, fraction_within_epsilon, relative_errors, within_epsilon
@@ -35,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxParams",
     "B_CONST",
-    "CoupledProjection",
     "DistanceProfile",
     "FileFormatError",
     "FourWiseHash",
@@ -47,10 +43,7 @@ __all__ = [
     "XorTreeFamily",
     "approx_params",
     "approx_profile",
-    "approx_profile_single",
     "beta",
-    "beta_many",
-    "construct_reference",
     "construct_sparse_noise",
     "default_reps",
     "error_stats",
@@ -62,7 +55,6 @@ __all__ = [
     "hamming_profile_naive",
     "karloff_params",
     "karloff_profile",
-    "make_coupled_projection",
     "read_bytes",
     "read_profile_csv",
     "read_tokens",

@@ -1,5 +1,6 @@
 """Member Hamming sums by correlation (karloff's estimate; approx gets the
-same sums from its pair counts), and the median driver of both estimators.
+same sums from its pair counts), and the execution families and median
+driver of both estimators.
 
 member_hamming_sums returns, for each of several families of one size k,
 sum_i HAM(h_i(text window j), h_i(pattern)) over the family's members for
@@ -46,8 +47,9 @@ import math
 
 import numpy as np
 
+from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
 from .correlation import correlate_rows, correlation_sums, fft_plan, row_spectra
-from .hashing import base_bits, beta_grid, member_table
+from .hashing import base_bits, beta_grid, families_new, member_table
 from .text_model import DistanceProfile, IntString, check_instance, occurring_symbols
 
 _MEMBER_CHUNK = 64
@@ -154,6 +156,12 @@ def _per_member_sums(bits, k, text_at, pattern_at) -> np.ndarray:
             total += ones[m : m + nw] - ones[:nw] + int(p_masks.sum(dtype=np.int64))
             total -= 2 * correlate_rows(t_masks, p_masks)
     return out
+
+
+def execution_families(k: int, seed: int, execs):
+    """The size-k hash family of each execution e in execs, drawn at
+    mix(seed, ROLE_EXECUTION, e, ROLE_FAMILY)."""
+    return families_new(k, [mix(seed, ROLE_EXECUTION, e, ROLE_FAMILY) for e in execs])
 
 
 def median_profile(runs) -> DistanceProfile:

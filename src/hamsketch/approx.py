@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, ROLE_RECOVERY, mix
-from ._sketch import median_profile
-from .hashing import base_bits, beta_from_bits, families_new
+from ._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
+from ._sketch import execution_families, median_profile
+from .hashing import base_bits, beta_from_bits
 from .karloff import check_epsilon, resolve_reps
 from .sparse_recovery import (
     B_CONST,
@@ -72,7 +72,7 @@ from .sparse_recovery import (
     prepare_pair_counts,
     recovery_params,
 )
-from .text_model import DistanceProfile, IntString, check_instance
+from .text_model import IntString, check_instance
 
 # execution_numerators runs over blocks of windows holding at most this
 # many row cells and D' entries together, and over chunks of this many pair
@@ -221,38 +221,22 @@ def _recover_noise(
 
 def _estimates(pairs: PairCounts, noise: NoiseProfile, params: ApproxParams, execs) -> np.ndarray:
     """(len(execs), windows) estimates of the executions execs with one D'."""
-    families = families_new(
-        params.k, [mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY) for e in execs]
-    )
+    families = execution_families(params.k, params.seed, execs)
     return np.maximum(0.0, execution_numerators(pairs, noise, families) / params.k)
 
 
 def _check_noise(noise: NoiseProfile | None, text: IntString, pattern: IntString) -> None:
     """ValueError unless an injected noise profile has the instance's windows
-    and alphabet."""
+    and alphabet and passes NoiseProfile.validate."""
     nw = check_instance(text, pattern)[2]
-    if noise is not None and (noise.n_windows, noise.sigma) != (nw, text.sigma):
+    if noise is None:
+        return
+    if (noise.n_windows, noise.sigma) != (nw, text.sigma):
         raise ValueError(
             f"noise profile has {noise.n_windows} windows over sigma={noise.sigma}, "
             f"the instance {nw} windows over sigma={text.sigma}"
         )
-
-
-def approx_profile_single(
-    text: IntString,
-    pattern: IntString,
-    params: ApproxParams,
-    exec_index: int,
-    *,
-    noise: NoiseProfile | None = None,
-) -> DistanceProfile:
-    """One execution; pass `noise` to reuse or inject a noise profile,
-    otherwise it recovers its own with this execution's seeds."""
-    _check_noise(noise, text, pattern)
-    pairs = prepare_pair_counts(text, pattern)
-    if noise is None:
-        noise = _recover_noise(text, pattern, params, exec_index, pairs)
-    return DistanceProfile(_estimates(pairs, noise, params, [exec_index])[0], "estimate")
+    noise.validate()
 
 
 def approx_profile(

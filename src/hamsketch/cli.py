@@ -96,7 +96,11 @@ def build_parser() -> _Parser:
     b.add_argument("--out", default=None, help="bench CSV (default stdout)")
     b.add_argument("--json", default=None, metavar="PATH", help="JSON mirror of the report")
 
-    sub.add_parser("selftest", help="run the oracle-equivalence suite")
+    sub.add_parser(
+        "selftest",
+        help="check exact conv == naive, beta == member enumeration, recovered noise "
+        "never below the true counts, approx numerators == FFT member sums",
+    )
     return top
 
 
@@ -235,11 +239,10 @@ def _cmd_bench(args) -> int:
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
     from .sparse_recovery import (
-        construct_reference, construct_sparse_noise, prepare_pair_counts, recovery_params,
+        construct_sparse_noise, noise_profile_from_windows, prepare_pair_counts, recovery_params,
     )
     from ._sketch import member_hamming_sums, pair_grid_pays
     from .approx import execution_numerators
-    from .sparse_recovery import noise_profile_from_windows
     from .text_model import occurring_symbols
 
     failures = 0
@@ -264,21 +267,23 @@ def _cmd_selftest(args) -> int:
     )
     check("beta == member enumeration", agree)
 
+    # demo 04's invariant: every bucket holding a pair counts at least its
+    # true count, so no recovered value falls below it. The planted heavy
+    # stretch makes some pairs keep count rows and others entries
     rp = recovery_params(0.25, seed=303, n=256, reps=3)
-    fast = construct_sparse_noise(text, pattern, rp)
-    ref = construct_reference(text, pattern, rp)
-    check("noise constructor == literal reference", fast.same_as(ref))
-
-    # a planted heavy stretch: pairs filling a quarter of the windows keep
-    # count rows, the others entries, and some buckets hold both kinds
-    heavy_text, heavy_pattern = generate_instance(256, 32, 16, "planted_heavy", seed=101)
-    rowed = prepare_pair_counts(heavy_text, heavy_pattern).row_ids >= 0
-    fast = construct_sparse_noise(heavy_text, heavy_pattern, rp)
-    ref = construct_reference(heavy_text, heavy_pattern, rp)
-    check(
-        "noise constructor == literal reference, row and entry codes",
-        bool(rowed.any() and not rowed.all()) and fast.same_as(ref),
-    )
+    heavy = generate_instance(256, 32, 16, "planted_heavy", seed=101)
+    below = 0
+    for t, p in ((text, pattern), heavy):
+        noise = construct_sparse_noise(t, p, rp)
+        noise.validate()
+        pairs = prepare_pair_counts(t, p)
+        truth = np.zeros((t.sigma**2, noise.n_windows), dtype=np.int64)
+        rowed = pairs.row_ids >= 0
+        truth[pairs.codes[rowed]] = pairs.rows[pairs.row_ids[rowed]]
+        truth[np.repeat(pairs.codes, np.diff(pairs.offsets)), pairs.windows] = pairs.counts
+        codes = noise.us.astype(np.int64) * t.sigma + noise.vs
+        below += int(np.count_nonzero(noise.values < truth[codes, noise.entry_windows()]))
+    check("no recovered noise value below its true pair count", below == 0)
 
     # with an empty D' each numerator is twice the execution's member sum,
     # all 3 families in one batched call of each; k = 4 < 8 symbols takes the

@@ -15,8 +15,8 @@ The true sums are integers. At supported sizes the floating error stays far
 below 0.5, and round_counts raises if a residue ever gets close, so the
 int64 output is exact.
 
-count_aligned_ones(t, p) is the one-row case for binary masks: the number of
-aligned (1, 1) pairs at every alignment.
+For binary masks, correlate_rows of one row counts the aligned (1, 1) pairs
+at every alignment.
 """
 
 from __future__ import annotations
@@ -26,20 +26,6 @@ from scipy import fft as sfft
 
 # chunk row batches so scratch FFT buffers stay around ~256 MB
 _FFT_CHUNK_BYTES = 1 << 28
-
-
-def _as_mask(a, name: str) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if a.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if a.dtype == bool:
-        return a.astype(np.uint8)
-    a = a.astype(np.int64, copy=False)
-    if a.size and (a.min() < 0 or a.max() > 1):
-        raise ValueError(f"{name} must contain only 0/1 values")
-    return a.astype(np.uint8)
 
 
 def _check_lengths(n: int, m: int) -> int:
@@ -106,10 +92,3 @@ def correlate_rows(text_rows: np.ndarray, pattern_rows: np.ndarray) -> np.ndarra
         acc += np.einsum("ij,ij->j", tf, pf)
     return correlation_sums(acc, n, m)
 
-
-def count_aligned_ones(text_mask, pattern_mask) -> np.ndarray:
-    """Exact per-window counts of aligned (1, 1) pairs, as int64."""
-    t = _as_mask(text_mask, "text_mask")
-    p = _as_mask(pattern_mask, "pattern_mask")
-    _check_lengths(t.size, p.size)
-    return correlate_rows(t, p)

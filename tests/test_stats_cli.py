@@ -283,5 +283,6 @@ def test_mismatched_inputs_exit_two(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 5
+    assert out.count("ok ") == 4
+    assert "ok no recovered noise value below its true pair count" in out
     assert "FAIL" not in out
