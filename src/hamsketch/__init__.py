@@ -17,7 +17,6 @@ from .text_model import (
     DistanceProfile,
     FileFormatError,
     IntString,
-    SparseNoiseMatrix,
     generate_instance,
     read_bytes,
     read_profile_csv,
@@ -39,7 +38,6 @@ __all__ = [
     "KarloffParams",
     "NoiseProfile",
     "RecoveryParams",
-    "SparseNoiseMatrix",
     "XorTreeFamily",
     "approx_params",
     "approx_profile",

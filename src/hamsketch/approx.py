@@ -72,7 +72,7 @@ from .sparse_recovery import (
     prepare_pair_counts,
     recovery_params,
 )
-from .text_model import IntString, check_instance
+from .text_model import IntString
 
 # execution_numerators runs over blocks of windows holding at most this
 # many row cells and D' entries together, and over chunks of this many pair
@@ -225,41 +225,21 @@ def _estimates(pairs: PairCounts, noise: NoiseProfile, params: ApproxParams, exe
     return np.maximum(0.0, execution_numerators(pairs, noise, families) / params.k)
 
 
-def _check_noise(noise: NoiseProfile | None, text: IntString, pattern: IntString) -> None:
-    """ValueError unless an injected noise profile has the instance's windows
-    and alphabet and passes NoiseProfile.validate."""
-    nw = check_instance(text, pattern)[2]
-    if noise is None:
-        return
-    if (noise.n_windows, noise.sigma) != (nw, text.sigma):
-        raise ValueError(
-            f"noise profile has {noise.n_windows} windows over sigma={noise.sigma}, "
-            f"the instance {nw} windows over sigma={text.sigma}"
-        )
-    noise.validate()
-
-
 def approx_profile(
     text: IntString,
     pattern: IntString,
     params: ApproxParams,
     *,
-    noise_override: NoiseProfile | None = None,
     return_noise: bool = False,
 ):
     """Per-window median over params.reps executions.
 
     The pair counts are built once; D' is recovered once from them, with
-    execution 0's seeds, and every execution reuses it. noise_override
-    injects one fixed noise profile into every execution instead (bypassing
-    recovery); its windows and sigma must match the instance. return_noise
-    also returns the shared profile.
+    execution 0's seeds, and every execution reuses it. return_noise also
+    returns that shared profile.
     """
-    _check_noise(noise_override, text, pattern)
     pairs = prepare_pair_counts(text, pattern)
-    shared = noise_override
-    if shared is None:
-        shared = _recover_noise(text, pattern, params, 0, pairs)
+    shared = _recover_noise(text, pattern, params, 0, pairs)
     profile = median_profile(_estimates(pairs, shared, params, range(params.reps)))
     if return_noise:
         return profile, shared

@@ -239,7 +239,7 @@ def _cmd_bench(args) -> int:
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
     from .sparse_recovery import (
-        construct_sparse_noise, noise_profile_from_windows, prepare_pair_counts, recovery_params,
+        _empty_profile, construct_sparse_noise, prepare_pair_counts, recovery_params,
     )
     from ._sketch import member_hamming_sums, pair_grid_pays
     from .approx import execution_numerators
@@ -295,7 +295,7 @@ def _cmd_selftest(args) -> int:
     for t, p, grid in ((text, pattern, False), (grid_text, grid_pattern, True)):
         sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (t, p))
         agree &= pair_grid_pays(sigma_t, sigma_p, len(p)) == grid
-        empty = noise_profile_from_windows([{}] * (len(t) - len(p) + 1), sigma=8)
+        empty = _empty_profile(8, 1, len(t) - len(p) + 1)
         pairs = prepare_pair_counts(t, p)
         for k in (4, 64):
             families = [family_new(k, seed=505 + e) for e in range(3)]

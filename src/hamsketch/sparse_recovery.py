@@ -95,9 +95,7 @@ from ._seeds import ROLE_PROJECTION, mix_array
 from ._sketch import pair_grid_pays
 from .hashing import eval_blocks, fourwise_coeffs
 from .karloff import check_epsilon, resolve_reps
-from .text_model import (
-    IntString, SparseNoiseMatrix, check_instance, occurring_symbols,
-)
+from .text_model import IntString, check_instance, occurring_symbols
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
 B_CONST = 12289 / 16384
@@ -250,21 +248,22 @@ class NoiseProfile:
     def n_windows(self) -> int:
         return self.indptr.size - 1
 
-    def window(self, j: int) -> SparseNoiseMatrix:
-        if not 0 <= j < self.n_windows:
-            raise IndexError(f"window {j} outside [0, {self.n_windows})")
-        lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
-        entries = {
-            (int(self.us[e]), int(self.vs[e])): int(self.values[e])
-            for e in range(lo, hi)
-        }
-        return SparseNoiseMatrix(sigma=self.sigma, capacity=self.capacity, entries=entries)
-
     def entry_windows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_windows, dtype=np.int64), np.diff(self.indptr))
 
     def validate(self) -> None:
-        if np.any(np.diff(self.indptr) > self.capacity):
+        """ValueError unless the CSR layout holds and every entry is a
+        positive off-diagonal count over [0, sigma), at most capacity per
+        window."""
+        ptr = self.indptr
+        if not self.us.size == self.vs.size == self.values.size:
+            raise ValueError("noise entries need equal us, vs and values lengths")
+        if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != self.us.size:
+            raise ValueError(f"indptr must run from 0 to the {self.us.size} entries")
+        sizes = np.diff(ptr)
+        if np.any(sizes < 0):
+            raise ValueError("indptr must not decrease")
+        if np.any(sizes > self.capacity):
             raise ValueError("a window exceeds the entry capacity")
         if self.values.size:
             if self.values.min() <= 0:
@@ -275,63 +274,12 @@ class NoiseProfile:
             if syms.min() < 0 or syms.max() >= self.sigma:
                 raise ValueError(f"noise entries must name symbols in [0, {self.sigma})")
 
-    def same_as(self, other: "NoiseProfile") -> bool:
-        return (
-            self.sigma == other.sigma
-            and self.capacity == other.capacity
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.us, other.us)
-            and np.array_equal(self.vs, other.vs)
-            and np.array_equal(self.values, other.values)
-        )
-
     def dump_csv(self, path) -> None:
         wins = self.entry_windows()
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("window,u,v,dprime\n")
             for w, u, v, val in zip(wins, self.us, self.vs, self.values):
                 fh.write(f"{w},{u},{v},{val}\n")
-
-
-def noise_profile_from_windows(
-    window_entries, sigma: int, capacity: int | None = None
-) -> NoiseProfile:
-    """Build a profile from per-window {(u, v): value} dicts.
-
-    With capacity=None nothing is filtered (used to inject exact matrices);
-    otherwise each window keeps its top-capacity values, ties broken toward
-    the lexicographically smaller pair.
-    """
-    if capacity is None:
-        cap = max((len(d) for d in window_entries), default=0)
-        cap = max(cap, 1)
-        filtered = False
-    else:
-        cap = capacity
-        filtered = True
-    indptr = [0]
-    us: list[int] = []
-    vs: list[int] = []
-    vals: list[int] = []
-    for entries in window_entries:
-        items = [(uv, val) for uv, val in entries.items() if val > 0]
-        if filtered and len(items) > cap:
-            items.sort(key=lambda kv: (-kv[1], kv[0]))
-            items = items[:cap]
-        items.sort(key=lambda kv: kv[0])
-        for (u, v), val in items:
-            us.append(u)
-            vs.append(v)
-            vals.append(int(val))
-        indptr.append(len(us))
-    return NoiseProfile(
-        sigma=sigma,
-        capacity=cap,
-        indptr=np.asarray(indptr, dtype=np.int64),
-        us=np.asarray(us, dtype=np.int32),
-        vs=np.asarray(vs, dtype=np.int32),
-        values=np.asarray(vals, dtype=np.int64),
-    )
 
 
 # ----------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Instance model: integer strings, profiles, sparse noise matrices, file I/O.
+"""Instance model: integer strings, profiles, file I/O.
 
 Symbols are integers in [0, sigma) with sigma capped at 2^20 so per-symbol
 alphabet scans stay cheap. Texts and patterns are immutable IntString values;
@@ -8,7 +8,7 @@ all generation is deterministic in the seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,30 +84,6 @@ class DistanceProfile:
     @property
     def n_windows(self) -> int:
         return self.values.size
-
-
-@dataclass
-class SparseNoiseMatrix:
-    """Sparse approximation of one window's mismatch-pair counts D_j:
-    entries[(u, v)] for u != v, at most capacity of them."""
-
-    sigma: int
-    capacity: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if len(self.entries) > self.capacity:
-            raise ValueError(f"{len(self.entries)} entries exceed capacity {self.capacity}")
-        for (u, v), val in self.entries.items():
-            if u == v:
-                raise ValueError(f"diagonal entry ({u},{v}) not allowed")
-            if not (0 <= u < self.sigma and 0 <= v < self.sigma):
-                raise ValueError(f"entry ({u},{v}) outside alphabet")
-            if val <= 0:
-                raise ValueError(f"entry ({u},{v}) must be positive, got {val}")
-
-    def get(self, u: int, v: int) -> int:
-        return self.entries.get((u, v), 0)
 
 
 def _counter_draws(seed: int, count: int) -> np.ndarray:

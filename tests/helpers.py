@@ -1,10 +1,12 @@
-"""Brute-force oracles, the literal sparse-recovery reference, and one
-memory probe, used across the test modules.
+"""Brute-force oracles, the literal sparse-recovery reference, ways to make
+and read noise profiles, and one memory probe, used across the test modules.
 
 Everything here is deliberately naive: double loops, dict counting and
 sliding-window products only, no shortcuts shared with the library code. The
 recovery reference draws the library's projections (_projection_plan), the
-one piece it must share with the code it judges.
+one piece it must share with the code it judges. approx_with_noise is not an
+oracle: it runs approx's own executions over an injected D' in place of the
+recovered one.
 """
 
 import tracemalloc
@@ -16,13 +18,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
 from hamsketch.hashing import base_bits, beta, beta_from_bits, beta_grid, member_eval
+from hamsketch import approx
+from hamsketch._sketch import median_profile
 from hamsketch.sparse_recovery import (
     CoupledProjection,
     NoiseProfile,
     RecoveryParams,
     _empty_profile,
     _projection_plan,
-    noise_profile_from_windows,
+    prepare_pair_counts,
 )
 from hamsketch.text_model import IntString
 
@@ -151,11 +155,12 @@ def pair_count_matrix(cache) -> np.ndarray:
     return dd
 
 
-def correction_term(dprime, family) -> float:
+def correction_term(dprime: dict, family) -> float:
     """(1/2) * sum (2*beta_{u,v} - k) * d'_{u,v} of one window's noise
-    matrix, one scalar beta per entry; half-integer for integer d'."""
+    matrix {(u, v): d'}, one scalar beta per entry; half-integer for integer
+    d'."""
     total = 0
-    for (u, v), val in dprime.entries.items():
+    for (u, v), val in dprime.items():
         total += (2 * beta(family, u, v) - family.k) * val
     return total / 2.0
 
@@ -176,6 +181,71 @@ def correction_numerators(noise, family) -> np.ndarray:
     sums = np.zeros(noise.values.size + 1, dtype=np.int64)
     np.cumsum(weights[inverse] * noise.values, out=sums[1:])
     return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]
+
+
+def noise_profile_from_windows(
+    window_entries, sigma: int, capacity: int | None = None
+) -> NoiseProfile:
+    """Build a profile from per-window {(u, v): value} dicts.
+
+    With capacity=None nothing is filtered (used to inject exact matrices);
+    otherwise each window keeps its top-capacity values, ties broken toward
+    the lexicographically smaller pair.
+    """
+    if capacity is None:
+        cap = max((len(d) for d in window_entries), default=0)
+        cap = max(cap, 1)
+        filtered = False
+    else:
+        cap = capacity
+        filtered = True
+    indptr = [0]
+    us: list[int] = []
+    vs: list[int] = []
+    vals: list[int] = []
+    for entries in window_entries:
+        items = [(uv, val) for uv, val in entries.items() if val > 0]
+        if filtered and len(items) > cap:
+            items.sort(key=lambda kv: (-kv[1], kv[0]))
+            items = items[:cap]
+        items.sort(key=lambda kv: kv[0])
+        for (u, v), val in items:
+            us.append(u)
+            vs.append(v)
+            vals.append(int(val))
+        indptr.append(len(us))
+    return NoiseProfile(
+        sigma=sigma,
+        capacity=cap,
+        indptr=np.asarray(indptr, dtype=np.int64),
+        us=np.asarray(us, dtype=np.int32),
+        vs=np.asarray(vs, dtype=np.int32),
+        values=np.asarray(vals, dtype=np.int64),
+    )
+
+
+def window_entries(noise: NoiseProfile, j: int) -> dict:
+    """Window j of a noise profile as {(u, v): value}."""
+    if not 0 <= j < noise.n_windows:
+        raise IndexError(f"window {j} outside [0, {noise.n_windows})")
+    lo, hi = int(noise.indptr[j]), int(noise.indptr[j + 1])
+    return {
+        (int(u), int(v)): int(val)
+        for u, v, val in zip(noise.us[lo:hi], noise.vs[lo:hi], noise.values[lo:hi])
+    }
+
+
+def same_profile(a: NoiseProfile, b: NoiseProfile) -> bool:
+    """Equal sigma, capacity and CSR arrays."""
+    return (a.sigma, a.capacity) == (b.sigma, b.capacity) and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "us", "vs", "values")
+    )
+
+
+def approx_with_noise(text: IntString, pattern: IntString, params, noise: NoiseProfile):
+    """approx_profile with noise as the shared D' in place of recovery."""
+    pairs = prepare_pair_counts(text, pattern)
+    return median_profile(approx._estimates(pairs, noise, params, range(params.reps)))
 
 
 def traced_peak(fn, *args, **kw):

@@ -21,19 +21,20 @@ from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.sparse_recovery import (
     B_CONST,
     construct_sparse_noise,
-    noise_profile_from_windows,
     prepare_pair_counts,
     recovery_params,
 )
 from hamsketch.stats import fraction_within_epsilon
-from hamsketch.text_model import SparseNoiseMatrix, generate_instance
+from hamsketch.text_model import generate_instance
 
 from helpers import (
     alignment_dict_brute,
+    approx_with_noise,
     beta_brute,
     beta_pairs,
     correction_term,
     fourwise_eval_seeds,
+    noise_profile_from_windows,
     pair_count_matrix,
 )
 
@@ -118,7 +119,7 @@ def test_ac4_perfect_sketch_identity():
         noise = noise_profile_from_windows(dicts, sigma=8)
         for eps in (0.25, 0.1):
             params = approx_params(eps, seed=seed + 10, n=2048)
-            est = approx_profile(text, pattern, params, noise_override=noise).values
+            est = approx_with_noise(text, pattern, params, noise).values
             rel = np.abs(est - exact) / np.maximum(exact, 1)
             worst = max(worst, float(rel.max()))
     dt = time.perf_counter() - t0
@@ -141,11 +142,10 @@ def test_ac5_correction_fast_path():
         for _ in range(int(rng.integers(1, 7))):
             u, v = rng.choice(32, size=2, replace=False)
             entries[(int(u), int(v))] = int(rng.integers(1, 100))
-        m = SparseNoiseMatrix(sigma=32, capacity=8, entries=entries)
         want = sum(
             (2 * beta_brute(fam, u, v) - k) * val for (u, v), val in entries.items()
         ) / 2.0
-        bad += correction_term(m, fam) != want
+        bad += correction_term(entries, fam) != want
     dt = time.perf_counter() - t0
     _report(
         "AC5",

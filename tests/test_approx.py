@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,25 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import approx, hashing, sparse_recovery
-from hamsketch._sketch import member_hamming_sums
+from hamsketch._sketch import member_hamming_sums, pair_grid_pays
 from hamsketch.approx import approx_params, approx_profile, execution_numerators
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, family_new
 from hamsketch.sparse_recovery import (
     B_CONST,
     construct_sparse_noise,
-    noise_profile_from_windows,
     prepare_pair_counts,
     recovery_params,
 )
-from hamsketch.text_model import IntString, SparseNoiseMatrix, generate_instance
+from hamsketch.text_model import IntString, generate_instance, occurring_symbols
 
 from helpers import (
     alignment_dict_brute,
+    approx_with_noise,
     beta_brute,
     beta_pairs,
     correction_numerators,
     correction_term,
+    noise_profile_from_windows,
     sliding_hamming_brute,
     traced_peak,
 )
@@ -66,18 +66,17 @@ def test_correction_term_matches_enumeration():
         for _ in range(int(rng.integers(1, 6))):
             u, v = rng.choice(16, size=2, replace=False)
             entries[(int(u), int(v))] = int(rng.integers(1, 50))
-        m = SparseNoiseMatrix(sigma=16, capacity=8, entries=entries)
         want = sum(
             (2 * beta_brute(fam, u, v) - k) * val for (u, v), val in entries.items()
         ) / 2.0
-        got = correction_term(m, fam)
+        got = correction_term(entries, fam)
         assert got == want
         assert float(2 * got).is_integer()
 
 
 def test_correction_term_empty_and_balanced_pair():
     fam = family_new(64, seed=5)
-    assert correction_term(SparseNoiseMatrix(4, 2, {}), fam) == 0.0
+    assert correction_term({}, fam) == 0.0
     # a pair the family splits exactly in half contributes nothing
     pair = next(
         (u, v)
@@ -85,8 +84,7 @@ def test_correction_term_empty_and_balanced_pair():
         for v in range(8)
         if u != v and beta(fam, u, v) == 32
     )
-    m = SparseNoiseMatrix(sigma=8, capacity=2, entries={pair: 17})
-    assert correction_term(m, fam) == 0.0
+    assert correction_term({pair: 17}, fam) == 0.0
 
 
 def test_correction_numerators_match_per_window_terms():
@@ -97,8 +95,7 @@ def test_correction_numerators_match_per_window_terms():
     fam = family_new(16, seed=44)
     nums = correction_numerators(noise, fam)
     for j, entries in enumerate(dicts):
-        m = SparseNoiseMatrix(sigma=8, capacity=8, entries=entries)
-        assert nums[j] == 2 * correction_term(m, fam)
+        assert nums[j] == 2 * correction_term(entries, fam)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -319,41 +316,8 @@ def test_perfect_noise_matrix_gives_exact_profile():
         text, pattern = generate_instance(128, 16, 8, "uniform", seed)
         exact = hamming_profile_convolution(text, pattern).values
         params = approx_params(0.25, seed=seed + 50, n=128, reps=3)
-        est = approx_profile(
-            text, pattern, params, noise_override=_exact_noise(text, pattern)
-        )
+        est = approx_with_noise(text, pattern, params, _exact_noise(text, pattern))
         assert np.array_equal(est.values, exact.astype(np.float64))
-
-
-def test_injected_noise_of_the_wrong_shape_is_rejected():
-    # n=200, m=20: 181 windows over sigma 8. An empty profile of 231 windows
-    # or over sigma 16 used to be accepted silently, one of 131 windows ended
-    # in an IndexError
-    text, pattern = generate_instance(200, 20, 8, "uniform", seed=6)
-    params = approx_params(0.25, seed=8, n=200, reps=3)
-    for nw, sigma in ((231, 8), (131, 8), (181, 16)):
-        noise = noise_profile_from_windows([{}] * nw, sigma)
-        with pytest.raises(ValueError) as err:
-            approx_profile(text, pattern, params, noise_override=noise)
-        msg = str(err.value)
-        assert f"{nw} windows over sigma={sigma}" in msg
-        assert "181 windows over sigma=8" in msg
-    # the right shape, but not a noise profile: a negative symbol, a diagonal
-    # pair and a negative value used to be accepted silently, a symbol >=
-    # sigma ended in an IndexError
-    def first_window(entries):
-        return noise_profile_from_windows([entries] + [{}] * 180, 8)
-
-    good = first_window({(1, 2): 3})
-    for bad, message in (
-        (first_window({(-1, 2): 3}), r"symbols in \[0, 8\)"),
-        (first_window({(1, 8): 3}), r"symbols in \[0, 8\)"),
-        (first_window({(2, 2): 3}), "diagonal"),
-        (dataclasses.replace(good, values=-good.values), "positive"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            approx_profile(text, pattern, params, noise_override=bad)
-    approx_profile(text, pattern, params, noise_override=good)
 
 
 def test_identical_strings_and_zero_windows():
@@ -391,14 +355,20 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
         return recover(*args, **kwargs)
 
     monkeypatch.setattr(approx, "construct_sparse_noise", spy)
-    text, pattern = generate_instance(150, 20, 8, "uniform", seed=11)
-    params = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2)
-    prof, shared = approx_profile(text, pattern, params, return_noise=True)
-    assert len(calls) == 1 and shared is not None
-    # every execution with the shared profile injected reproduces the runs
-    runs = approx._estimates(prepare_pair_counts(text, pattern), shared, params, range(4))
-    assert np.array_equal(np.median(runs, axis=0), prof.values)
-    assert len(calls) == 1
+    # sigma=8 takes the sort route for the pair counts, sigma=4 the grid
+    # route (sigma_t' * sigma_p' <= m)
+    for sigma, grid in ((8, False), (4, True)):
+        text, pattern = generate_instance(150, 20, sigma, "uniform", seed=11)
+        occurring = (occurring_symbols(s)[0].size for s in (text, pattern))
+        assert pair_grid_pays(*occurring, len(pattern)) == grid
+        params = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2)
+        calls.clear()
+        prof, shared = approx_profile(text, pattern, params, return_noise=True)
+        assert len(calls) == 1 and shared.values.size
+        # the shared profile injected into every execution reproduces the runs
+        again = approx_with_noise(text, pattern, params, shared)
+        assert np.array_equal(again.values, prof.values)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from hamsketch.sparse_recovery import (
     DEFAULT_MEM_BUDGET,
     NoiseProfile,
     construct_sparse_noise,
-    noise_profile_from_windows,
     prepare_pair_counts,
     recovery_params,
     scale_ranges,
@@ -27,9 +27,12 @@ from helpers import (
     compute_bucket_table,
     construct_reference,
     decode_bucket,
+    noise_profile_from_windows,
     pair_count_matrix,
     projection,
+    same_profile,
     traced_peak,
+    window_entries,
 )
 
 
@@ -205,7 +208,7 @@ def test_single_pair_instance_recovers_exactly():
         noise = construct_sparse_noise(text, pattern, params)
         assert noise.n_windows == 49
         for j in range(noise.n_windows):
-            assert noise.window(j).entries == {(int(u), int(v)): 16}
+            assert window_entries(noise, j) == {(int(u), int(v)): 16}
 
 
 def test_fast_path_matches_reference():
@@ -224,7 +227,7 @@ def test_fast_path_matches_reference():
             params = recovery_params(eps, seed=seed + 100, reps=2)
             fast = construct_sparse_noise(text, pattern, params)
             ref = construct_reference(text, pattern, params)
-            assert fast.same_as(ref), (model, sigma, eps, seed)
+            assert same_profile(fast, ref), (model, sigma, eps, seed)
     # these cases hold both row codes and entry codes
     assert layouts == {True, False}
 
@@ -236,7 +239,7 @@ def test_csr_route_matches_reference_above_dense_alphabet():
     params = recovery_params(0.5, seed=77, reps=2)
     fast = construct_sparse_noise(text, pattern, params)
     assert fast.values.size > 0
-    assert fast.same_as(construct_reference(text, pattern, params))
+    assert same_profile(fast, construct_reference(text, pattern, params))
 
 
 def test_csr_collision_decodes_match_reference():
@@ -246,7 +249,7 @@ def test_csr_collision_decodes_match_reference():
         text, pattern = _uniform(60, 20, 12, seed=seed)
         params = recovery_params(0.5, seed=seed, reps=1)
         fast = construct_sparse_noise(text, pattern, params, mem_budget=1)
-        assert fast.same_as(construct_reference(text, pattern, params)), seed
+        assert same_profile(fast, construct_reference(text, pattern, params)), seed
 
 
 def _scattered_instance(seed, sigma, k, n, m):
@@ -270,7 +273,7 @@ def test_row_group_spurious_decodes_match_reference():
     fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
     codes = fast.us.astype(np.int64) * text.sigma + fast.vs
     assert not np.isin(codes, cache.codes).all()
-    assert fast.same_as(construct_reference(text, pattern, params))
+    assert same_profile(fast, construct_reference(text, pattern, params))
 
 
 def test_entry_group_spurious_decodes_match_reference():
@@ -284,11 +287,11 @@ def test_entry_group_spurious_decodes_match_reference():
         fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
         truth = _pair_dicts(cache)
         absent = [
-            (j, uv) for j in range(fast.n_windows) for uv in fast.window(j).entries
+            (j, uv) for j in range(fast.n_windows) for uv in window_entries(fast, j)
             if uv not in truth[j]
         ]
         assert absent, seed
-        assert fast.same_as(construct_reference(text, pattern, params)), seed
+        assert same_profile(fast, construct_reference(text, pattern, params)), seed
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -314,7 +317,7 @@ def test_csr_route_matches_reference_property(data):
     budget = data.draw(st.sampled_from([1, 1000, DEFAULT_MEM_BUDGET]), label="mem_budget")
     cache = prepare_pair_counts(text, pattern, mem_budget=budget)
     fast = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
-    assert fast.same_as(construct_reference(text, pattern, params))
+    assert same_profile(fast, construct_reference(text, pattern, params))
 
 
 def test_csr_blocks_do_not_change_the_profile():
@@ -328,7 +331,7 @@ def test_csr_blocks_do_not_change_the_profile():
         blocked = construct_sparse_noise(
             text, pattern, params, pair_cache=cache, mem_budget=budget
         )
-        assert blocked.same_as(whole), budget
+        assert same_profile(blocked, whole), budget
 
 
 def _skewed_instance(n, m, sigma, seed, heavy=0.6):
@@ -369,7 +372,7 @@ def test_dense_and_sparse_routes_agree():
         assert _mixed_groups(cache, params) > 0
         for budget in (1, 1000, DEFAULT_MEM_BUDGET):
             fast = construct_sparse_noise(text, pattern, params, mem_budget=budget)
-            assert fast.same_as(construct_reference(text, pattern, params)), (seed, budget)
+            assert same_profile(fast, construct_reference(text, pattern, params)), (seed, budget)
 
 
 def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
@@ -384,7 +387,7 @@ def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
     for cells in (1, 100, 1 << 30):
         monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
         got = construct_sparse_noise(text, pattern, params, pair_cache=cache)
-        assert got.same_as(want), cells
+        assert same_profile(got, want), cells
 
 
 def _periodic_instance(n, m, sigma, seed):
@@ -430,7 +433,7 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
     want = construct_sparse_noise(text, pattern, params, pair_cache=cache)
     for budget in (1, 1 << 14):
         got = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
-        assert got.same_as(want), budget
+        assert same_profile(got, want), budget
     scratch, heaviest = [], [0]
     real = sparse_recovery._Recovery._decode_entries
 
@@ -449,7 +452,7 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
         got, _ = traced_peak(
             construct_sparse_noise, text, pattern, params, pair_cache=cache, mem_budget=budget
         )
-        assert got.same_as(want)
+        assert same_profile(got, want)
         peaks[budget] = max(scratch)
     assert peaks[1 << 18] <= 1.5 * (1 << 18) < peaks[1 << 20] <= 1.5 * (1 << 20)
     # the heaviest group alone holds more entries than a 256 KiB chunk
@@ -490,7 +493,7 @@ def test_constructed_profile_invariants():
     assert noise.values.min() > 0
     assert noise.values.max() <= len(pattern)
     again = construct_sparse_noise(text, pattern, params)
-    assert noise.same_as(again)
+    assert same_profile(noise, again)
 
 
 def test_recovered_values_never_undershoot_true_pairs():
@@ -500,7 +503,7 @@ def test_recovered_values_never_undershoot_true_pairs():
     noise = construct_sparse_noise(text, pattern, params)
     for j in (0, 17, 60, 100):
         truth = alignment_dict_brute(text, pattern, j)
-        for (u, v), val in noise.window(j).entries.items():
+        for (u, v), val in window_entries(noise, j).items():
             assert val >= truth.get((u, v), 0)
 
 
@@ -667,20 +670,20 @@ def test_noise_profile_from_windows_capacity_and_ties():
     dicts = [{(0, 1): 5, (1, 0): 5, (2, 3): 9, (3, 2): 1}, {}]
     capped = noise_profile_from_windows(dicts, sigma=4, capacity=2)
     # top two values; the 5-5 tie keeps the lexicographically smaller pair
-    assert capped.window(0).entries == {(2, 3): 9, (0, 1): 5}
-    assert capped.window(1).entries == {}
+    assert window_entries(capped, 0) == {(2, 3): 9, (0, 1): 5}
+    assert window_entries(capped, 1) == {}
     full = noise_profile_from_windows(dicts, sigma=4)
-    assert full.window(0).entries == dicts[0]
+    assert window_entries(full, 0) == dicts[0]
     # zero and negative values are dropped rather than stored
     dropped = noise_profile_from_windows([{(0, 1): 0, (2, 1): 3}], sigma=4)
-    assert dropped.window(0).entries == {(2, 1): 3}
+    assert window_entries(dropped, 0) == {(2, 1): 3}
 
 
 def test_noise_profile_validate_and_window_bounds():
     good = noise_profile_from_windows([{(0, 1): 2}], sigma=4, capacity=3)
     good.validate()
     with pytest.raises(IndexError):
-        good.window(1)
+        window_entries(good, 1)
     bad = NoiseProfile(
         sigma=4,
         capacity=3,
@@ -691,6 +694,32 @@ def test_noise_profile_validate_and_window_bounds():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_noise_profile_validate_rejects_bad_entries_and_layouts():
+    # the shape of an n=200, m=20 instance over sigma 8: 181 windows, capacity 3
+    def first_window(entries):
+        return noise_profile_from_windows([entries] + [{}] * 180, 8, capacity=3)
+
+    good = first_window({(1, 2): 3})
+    good.validate()
+    nw = good.n_windows
+    for bad, message in (
+        # entries: a negative symbol, a symbol >= sigma, a diagonal pair and a
+        # negative value
+        (first_window({(-1, 2): 3}), r"symbols in \[0, 8\)"),
+        (first_window({(1, 8): 3}), r"symbols in \[0, 8\)"),
+        (first_window({(2, 2): 3}), "diagonal"),
+        (dataclasses.replace(good, values=-good.values), "positive"),
+        # layouts: indptr ending past the one entry, a decreasing indptr, one
+        # not starting at 0, and us longer than vs
+        (dataclasses.replace(good, indptr=np.array([0] + [3] * nw)), "from 0 to the 1 entries"),
+        (dataclasses.replace(good, indptr=np.arange(nw + 1) % 2), "not decrease"),
+        (dataclasses.replace(good, indptr=np.ones(nw + 1, dtype=np.int64)), "from 0"),
+        (dataclasses.replace(good, us=np.array([1, 3], dtype=np.int32)), "equal us, vs"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
 
 
 def test_dump_csv_layout(tmp_path):
