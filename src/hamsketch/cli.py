@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .approx import approx_params, approx_profile
-from .exact import CONV_SIGMA_CAP, hamming_profile_convolution, hamming_profile_naive
+from .exact import hamming_profile_convolution, hamming_profile_naive
 from .karloff import karloff_params, karloff_profile
 from .stats import error_stats
 from .text_model import (
@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("exact", help="exact distance profile")
     _add_io_flags(e)
-    e.add_argument("--algo", choices=("auto", "naive", "conv"), default="auto")
+    e.add_argument("--algo", choices=("naive", "conv"), default="conv")
 
     k = sub.add_parser("karloff", help="baseline estimator, k ~ 1/eps^2")
     _add_io_flags(k)
@@ -128,15 +128,8 @@ def _write_profile(profile: DistanceProfile, args) -> None:
     write_profile_csv(args.out, profile)
 
 
-def _exact_profile(text, pattern) -> DistanceProfile:
-    """The convolution profile, or the naive one above its alphabet cap."""
-    if text.sigma > CONV_SIGMA_CAP:
-        return hamming_profile_naive(text, pattern)
-    return hamming_profile_convolution(text, pattern)
-
-
 def _write_stats(profile, text, pattern, args) -> None:
-    exact = _exact_profile(text, pattern)
+    exact = hamming_profile_convolution(text, pattern)
     summary = error_stats(profile, exact, args.epsilon)
     with open(args.out + ".stats.json", "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -153,13 +146,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_exact(args) -> int:
     text, pattern = _read_instance(args)
-    if args.algo == "naive":
-        profile = hamming_profile_naive(text, pattern)
-    elif args.algo == "conv":
-        profile = hamming_profile_convolution(text, pattern)
-    else:
-        profile = _exact_profile(text, pattern)
-    write_profile_csv(args.out, profile)
+    route = hamming_profile_naive if args.algo == "naive" else hamming_profile_convolution
+    write_profile_csv(args.out, route(text, pattern))
     return 0
 
 
@@ -193,12 +181,12 @@ def _cmd_bench(args) -> int:
     rows = []
     for n in args.n:
         text, pattern = generate_instance(n, args.m, args.sigma, args.model, args.seed)
-        exact = _exact_profile(text, pattern)
+        exact = hamming_profile_convolution(text, pattern)
         for eps in args.epsilon:
             for algo in algos:
                 t0 = time.perf_counter()
                 if algo == "exact":
-                    profile = _exact_profile(text, pattern)
+                    profile = hamming_profile_convolution(text, pattern)
                 elif algo == "karloff":
                     kp = karloff_params(eps, args.seed, n, args.reps)
                     profile = karloff_profile(text, pattern, kp)

@@ -50,6 +50,9 @@ class IntString:
             raise ValueError("symbols must be one-dimensional")
         if not 1 <= self.sigma <= SIGMA_CAP:
             raise ValueError(f"sigma must be in [1, {SIGMA_CAP}], got {self.sigma}")
+        # a cast would truncate 0.7 to 0; NaN passes the range check and becomes -2**31
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ValueError("symbols must be integers")
         # the range is checked before narrowing, which would wrap 2**32 + 1 to 1
         if arr.size and (arr.min() < 0 or arr.max() >= self.sigma):
             raise ValueError(f"symbols must lie in [0, {self.sigma})")

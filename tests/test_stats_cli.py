@@ -170,15 +170,18 @@ def test_bench_csv_and_json(tmp_path):
             assert row["max_rel_err"] == 0.0
 
 
-def test_alphabet_above_convolution_cap_falls_back_to_naive(tmp_path):
+def test_alphabet_above_4096_takes_the_convolution_route(tmp_path):
     text, pattern = _gen(tmp_path, n=300, m=20, sigma=5000, seed=1)
     io = ["--text", str(text), "--pattern", str(pattern)]
     out = tmp_path / "exact.csv"
-    assert main(["exact"] + io + ["--out", str(out)]) == 0
     want = sliding_hamming_brute(read_tokens(text), read_tokens(pattern))
-    assert np.array_equal(read_profile_csv(out), want)
-    # an explicit convolution request still reports the cap
-    assert main(["exact"] + io + ["--out", str(out), "--algo", "conv"]) == 1
+    for algo in ([], ["--algo", "conv"]):
+        assert main(["exact"] + io + ["--out", str(out)] + algo) == 0
+        assert np.array_equal(read_profile_csv(out), want)
+    # no `auto` choice: one fast route serves every alphabet
+    with pytest.raises(SystemExit) as exc:
+        main(["exact"] + io + ["--out", str(out), "--algo", "auto"])
+    assert exc.value.code == 1
     for cmd in ("karloff", "approx"):
         est = tmp_path / f"{cmd}.csv"
         rc = main([cmd] + io + ["--out", str(est), "--epsilon", "0.25",

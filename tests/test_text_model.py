@@ -36,6 +36,14 @@ def test_intstring_validation():
         IntString(np.array([2**32 + 1]), 4)
     with pytest.raises(ValueError):
         IntString(np.array([-(2**32) + 1]), 4)
+    # non-integer symbols must not be truncated or cast into range
+    with pytest.raises(ValueError, match="integers"):
+        IntString(np.array([0.7, 1.2, 2.9]), 4)
+    with pytest.raises(ValueError, match="integers"):
+        IntString(np.array([0.0, np.nan]), 4)
+    # booleans are integers, and an empty array of any dtype is accepted
+    assert IntString(np.array([True, False]), 2).symbols.tolist() == [1, 0]
+    assert len(IntString(np.array([], dtype=np.float64), 2)) == 0
 
 
 def test_distance_profile_validation():
