@@ -1,6 +1,6 @@
-"""Member Hamming sums by correlation (karloff's estimate; approx gets the
-same sums from its pair counts), and the execution families and median
-driver of both estimators.
+"""Member Hamming sums by correlation, and the execution families and median
+driver, of both estimators: karloff's estimate is the scaled member sums,
+approx's numerators add its D' correction to them.
 
 member_hamming_sums returns, for each of several families of one size k,
 sum_i HAM(h_i(text window j), h_i(pattern)) over the family's members for

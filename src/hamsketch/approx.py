@@ -14,28 +14,19 @@ and the profile is a per-window median over `reps` executions, each with a
 fresh family. All executions share one D', recovered with execution 0's
 seeds.
 
-How an execution is computed: recovery already holds every window's exact
-mismatch-pair counts N_j(u, v) (sparse_recovery.PairCounts), and member i
-separates u from v unless it hashes them together, so
-sum_i HAM_i[j] = sum_c (k - beta(c)) * N_j(c) over the pair codes c. The
-numerator is therefore linear in beta:
+How an execution is computed: member i separates u from v unless it
+hashes them together, so the numerator splits into the baseline's member
+sums and one correction that is linear in D':
 
-    num[j] = k * d_j + sum_c (k - 2*beta(c)) * (N - D')_j(c),
+    num[j] = 2 * sum_i HAM_i[j] - sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v).
 
-with d_j = sum_c N_j(c). All executions run together, over one base-bit
-evaluation of every symbol of a pair code or of D': the weights
-k - 2*beta(c) of the pair codes form one float32 (executions, codes) table.
-The windows then run in blocks holding at most _PRODUCT_CELLS row cells and
-D' entries: each block takes one matrix product with its row counts minus
-its D', and one bincount per execution over its D' entries without a row
-(weighted by code, or folded from the base bits for a code without pair
-counts). The entry codes' counts follow in chunks of _PRODUCT_CELLS entries,
-one bincount per execution each. Besides the pair counts, D', the weight
-table and the (executions, windows) output, no temporary spans more than one
-block or chunk. Every value is an integer far below 2^53, so the float sums
-are exact in any order and the profile depends neither on the blocks nor on
-BLAS threading. No member sum is computed by correlation here; karloff keeps
-that route.
+The member sums of all executions come from one call of
+_sketch.member_hamming_sums, the FFT route karloff uses. The correction is
+one sparse product: D' as a (windows, distinct codes) CSR matrix on its own
+indptr, times the (codes, executions) weights k - 2*beta, all taken from
+one base-bit evaluation over the symbols of D'. Every term is an integer
+far below 2^53, so the float64 product is exact in any order and the
+profile does not depend on BLAS threading.
 
 Why one D' is enough: the correction is accurate for a window when its D'
 meets the residual bound sum (d - d')^2 <= b * eps * d^2, and recovery
@@ -48,9 +39,10 @@ every execution at once, where fresh D' could outvote it. This reading
 follows the abstract in PAPER.md; it is not checked against the paper's full
 text.
 
-Cost: the pair counts come from an O(nm) enumeration, and sum_c N_j(c) is
-already the exact distance, so this route cannot beat the exact profile; it
-is a faithful, measured run of the estimator, not a faster algorithm.
+Cost: recovery builds every window's exact pair counts N_j by an O(nm)
+enumeration, and sum N_j is already the exact distance, so this route cannot
+beat the exact profile; it is a faithful, measured run of the estimator, not
+a faster algorithm.
 """
 
 from __future__ import annotations
@@ -61,26 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
-from ._sketch import execution_families, median_profile
+from ._sketch import execution_families, median_profile, member_hamming_sums
 from .hashing import base_bits, beta_from_bits
 from .karloff import check_epsilon, resolve_reps
-from .sparse_recovery import (
-    B_CONST,
-    NoiseProfile,
-    PairCounts,
-    construct_sparse_noise,
-    prepare_pair_counts,
-    recovery_params,
-)
+from .sparse_recovery import B_CONST, NoiseProfile, construct_sparse_noise, recovery_params
 from .text_model import IntString
-
-# execution_numerators runs over blocks of windows holding at most this
-# many row cells and D' entries together, and over chunks of this many pair
-# entries (and pair-code weights); the temporaries take about 8 bytes per
-# row cell and up to 90 per D' or pair entry (tracemalloc, dense16 and
-# sparse256 shapes), so on dense16 a block adds about 4.5 MB where 2^20
-# cells added 17 MB
-_PRODUCT_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -117,97 +94,46 @@ def approx_params(
     )
 
 
-def execution_numerators(pairs: PairCounts, noise: NoiseProfile, families) -> np.ndarray:
-    """(len(families), windows) numerators 2 * sum_i HAM_i + sum (2*beta - k)
-    * d' of one execution per family (all of one size k), as exact integers
-    in float64.
+def execution_numerators(
+    text: IntString, pattern: IntString, noise: NoiseProfile, families
+) -> np.ndarray:
+    """(len(families), windows) int64 numerators 2 * sum_i HAM_i + sum
+    (2*beta - k) * d' of one execution per family (all of one size k).
 
-    Computed as k * d_j + sum_c (k - 2*beta(c)) * (N - D')_j(c) over the
-    codes of the pair counts and of the noise profile; the cache is not
-    modified. Every temporary over D' or the pair entries spans one block of
-    at most _PRODUCT_CELLS cells."""
-    sigma, nw, n_codes = pairs.sigma, pairs.n_windows, pairs.codes.size
-    k, n_fam = families[0].k, len(families)
-    # one base-bit evaluation over every symbol of a pair code or of D'
-    present = np.zeros(sigma, dtype=bool)
-    for syms in (pairs.codes // sigma, pairs.codes % sigma, noise.us, noise.vs):
-        present[syms] = True
-    syms = np.flatnonzero(present)
-    bits = base_bits(families, syms)
-    # |k - 2*beta| <= k, exact in float32 below 2^24
-    wdt = np.float32 if k < (1 << 24) else np.float64
+    The member sums come from member_hamming_sums; the correction is D'
+    times the weights k - 2*beta of its distinct codes."""
+    from scipy import sparse
 
-    def weights_of(codes):
-        at_u, at_v = np.searchsorted(syms, codes // sigma), np.searchsorted(syms, codes % sigma)
-        return (k - 2 * beta_from_bits(families, bits, at_u, at_v)).astype(wdt)
-
-    # the weights of every pair code, filled in chunks, plus a padding
-    # column for the D' codes without pair counts, overwritten where read
-    step = max(1, _PRODUCT_CELLS // n_fam)
-    weights = np.zeros((n_fam, n_codes + 1), dtype=wdt)
-    for c in range(0, n_codes, step):
-        weights[:, c : min(n_codes, c + step)] = weights_of(pairs.codes[c : c + step])
-    # a D' code's place in pairs.codes, or n_codes (never equal) if it has none
-    codes = np.append(pairs.codes, -1)
-    row_ids = np.append(pairs.row_ids, -1)
-    rows = pairs.rows
-    row_weights = weights[:, np.flatnonzero(row_ids >= 0)].astype(np.float64)
-    out = np.empty((n_fam, nw))
-    # window blocks of at most _PRODUCT_CELLS row cells and D' entries
-    cost = rows.shape[0] * np.arange(nw + 1) + noise.indptr
-    lo = 0
-    while lo < nw:
-        hi = int(np.searchsorted(cost, cost[lo] + _PRODUCT_CELLS, "right")) - 1
-        hi = min(nw, max(lo + 1, hi))
-        a, b = noise.indptr[lo], noise.indptr[hi]
-        win = np.repeat(np.arange(hi - lo, dtype=np.int32), np.diff(noise.indptr[lo : hi + 1]))
-        dcode = noise.us[a:b].astype(np.int64) * sigma + noise.vs[a:b]
-        at = np.searchsorted(pairs.codes, dcode)
-        absent = codes[at] != dcode
-        row = row_ids[at]
-        row[absent] = -1
-        # row codes: D' subtracted from a float copy of the block, one product
-        on_row = row >= 0
-        block = rows[:, lo:hi].astype(np.float64)
-        block[row[on_row], win[on_row]] -= noise.values[a:b][on_row]
-        np.matmul(row_weights, block, out=out[:, lo:hi])
-        del block, row
-        # entry codes and codes without pair counts: one bincount per execution
-        off = ~on_row
-        if off.any():
-            at, win, val, absent = at[off], win[off], noise.values[a:b][off], absent[off]
-            extra = weights_of(dcode[off][absent])
-            del dcode
-            for e in range(n_fam):
-                w = weights[e].take(at)
-                w[absent] = extra[e]
-                out[e, lo:hi] -= np.bincount(
-                    win, weights=np.multiply(w, val, dtype=np.float64), minlength=hi - lo
-                )
-        lo = hi
-    # the entry codes' counts, in chunks of at most _PRODUCT_CELLS entries
-    dist = rows.sum(axis=0, dtype=np.float64)
-    offsets = pairs.offsets
-    for a in range(0, pairs.counts.size, _PRODUCT_CELLS):
-        b = min(pairs.counts.size, a + _PRODUCT_CELLS)
-        c0 = int(np.searchsorted(offsets, a, "right")) - 1
-        c1 = int(np.searchsorted(offsets, b, "left"))
-        code = np.repeat(np.arange(c0, c1), np.diff(np.clip(offsets[c0 : c1 + 1], a, b)))
-        win, cnt = pairs.windows[a:b], pairs.counts[a:b]
-        for e in range(n_fam):
-            w = np.multiply(weights[e].take(code), cnt, dtype=np.float64)
-            out[e] += np.bincount(win, weights=w, minlength=nw)
-        dist += np.bincount(win, weights=cnt, minlength=nw)
-    out += k * dist
-    return out
+    k, sigma = families[0].k, noise.sigma
+    # the distinct codes of D' from one sort, and each entry's column
+    code = noise.us.astype(np.int64) * sigma + noise.vs
+    order = np.argsort(code)
+    code = code[order]
+    first = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    col = np.empty(code.size, dtype=np.int32)
+    col[order] = np.cumsum(first, dtype=np.int32) - 1
+    code = code[first]
+    del order, first
+    # their weights k - 2*beta, from one base-bit evaluation over their symbols
+    us, vs = code // sigma, code % sigma
+    syms = np.union1d(us, vs)
+    at_u, at_v = np.searchsorted(syms, us), np.searchsorted(syms, vs)
+    beta = beta_from_bits(families, base_bits(families, syms), at_u, at_v)
+    weights = (k - 2 * beta).T.astype(np.float64)
+    dprime = sparse.csr_matrix(
+        (noise.values.astype(np.float64), col, noise.indptr),
+        shape=(noise.n_windows, code.size),
+    )
+    del col
+    # every term is an integer below 2^53, so the float64 product is exact
+    correction = (dprime @ weights).T.astype(np.int64)
+    del dprime
+    return 2 * member_hamming_sums(text, pattern, families) - correction
 
 
 def _recover_noise(
-    text: IntString,
-    pattern: IntString,
-    params: ApproxParams,
-    exec_index: int,
-    pair_cache: PairCounts,
+    text: IntString, pattern: IntString, params: ApproxParams, exec_index: int
 ) -> NoiseProfile:
     seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
     rp = recovery_params(
@@ -216,13 +142,15 @@ def _recover_noise(
         n=len(text),
         reps=params.recovery_reps,
     )
-    return construct_sparse_noise(text, pattern, rp, pair_cache=pair_cache)
+    return construct_sparse_noise(text, pattern, rp)
 
 
-def _estimates(pairs: PairCounts, noise: NoiseProfile, params: ApproxParams, execs) -> np.ndarray:
+def _estimates(
+    text: IntString, pattern: IntString, noise: NoiseProfile, params: ApproxParams, execs
+) -> np.ndarray:
     """(len(execs), windows) estimates of the executions execs with one D'."""
     families = execution_families(params.k, params.seed, execs)
-    return np.maximum(0.0, execution_numerators(pairs, noise, families) / params.k)
+    return np.maximum(0.0, execution_numerators(text, pattern, noise, families) / params.k)
 
 
 def approx_profile(
@@ -234,13 +162,11 @@ def approx_profile(
 ):
     """Per-window median over params.reps executions.
 
-    The pair counts are built once; D' is recovered once from them, with
-    execution 0's seeds, and every execution reuses it. return_noise also
-    returns that shared profile.
+    D' is recovered once, with execution 0's seeds, and every execution
+    reuses it. return_noise also returns that shared profile.
     """
-    pairs = prepare_pair_counts(text, pattern)
-    shared = _recover_noise(text, pattern, params, 0, pairs)
-    profile = median_profile(_estimates(pairs, shared, params, range(params.reps)))
+    shared = _recover_noise(text, pattern, params, 0)
+    profile = median_profile(_estimates(text, pattern, shared, params, range(params.reps)))
     if return_noise:
         return profile, shared
     return profile

@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
     sub.add_parser(
         "selftest",
         help="check exact conv == naive, beta == member enumeration, recovered noise "
-        "never below the true counts, approx numerators == FFT member sums",
+        "never below the true counts, pair counts summing to the exact profile",
     )
     return top
 
@@ -178,6 +178,8 @@ def _cmd_bench(args) -> int:
     bad = [a for a in algos if a not in ("exact", "karloff", "approx")]
     if bad:
         raise ValueError(f"unknown algo {bad[0]!r} in --algos")
+    if not algos:
+        raise ValueError(f"--algos {args.algos!r} names no algo")
     rows = []
     for n in args.n:
         text, pattern = generate_instance(n, args.m, args.sigma, args.model, args.seed)
@@ -226,11 +228,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
-    from .sparse_recovery import (
-        _empty_profile, construct_sparse_noise, prepare_pair_counts, recovery_params,
-    )
-    from ._sketch import member_hamming_sums, pair_grid_pays
-    from .approx import execution_numerators
+    from .sparse_recovery import construct_sparse_noise, prepare_pair_counts, recovery_params
+    from ._sketch import pair_grid_pays
     from .text_model import occurring_symbols
 
     failures = 0
@@ -240,6 +239,14 @@ def _cmd_selftest(args) -> int:
         print(f"{'ok' if ok else 'FAIL'} {name}")
         if not ok:
             failures += 1
+
+    def pair_matrix(pairs):
+        # (sigma^2, windows) counts: the rows of the row codes, then the entries
+        out = np.zeros((pairs.sigma**2, pairs.n_windows), dtype=np.int64)
+        rowed = pairs.row_ids >= 0
+        out[pairs.codes[rowed]] = pairs.rows[pairs.row_ids[rowed]]
+        out[np.repeat(pairs.codes, np.diff(pairs.offsets)), pairs.windows] = pairs.counts
+        return out
 
     text, pattern = generate_instance(256, 24, 8, "uniform", seed=101)
     naive = hamming_profile_naive(text, pattern)
@@ -264,32 +271,22 @@ def _cmd_selftest(args) -> int:
     for t, p in ((text, pattern), heavy):
         noise = construct_sparse_noise(t, p, rp)
         noise.validate()
-        pairs = prepare_pair_counts(t, p)
-        truth = np.zeros((t.sigma**2, noise.n_windows), dtype=np.int64)
-        rowed = pairs.row_ids >= 0
-        truth[pairs.codes[rowed]] = pairs.rows[pairs.row_ids[rowed]]
-        truth[np.repeat(pairs.codes, np.diff(pairs.offsets)), pairs.windows] = pairs.counts
+        truth = pair_matrix(prepare_pair_counts(t, p))
         codes = noise.us.astype(np.int64) * t.sigma + noise.vs
         below += int(np.count_nonzero(noise.values < truth[codes, noise.entry_windows()]))
     check("no recovered noise value below its true pair count", below == 0)
 
-    # with an empty D' each numerator is twice the execution's member sum,
-    # all 3 families in one batched call of each; k = 4 < 8 symbols takes the
-    # per-member FFT route, k = 64 the symbol-pair one. The m = 24 pair counts
-    # take the sort route, the m = 64 ones the grid route (8 * 8 occurring
-    # symbol pairs <= m)
+    # every window's mismatch pair counts sum to its exact distance. The
+    # m = 24 pair counts take the sort route, the m = 64 ones the grid route
+    # (8 * 8 occurring symbol pairs <= m)
     grid_text, grid_pattern = generate_instance(256, 64, 8, "uniform", seed=101)
     agree = True
     for t, p, grid in ((text, pattern, False), (grid_text, grid_pattern, True)):
         sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (t, p))
         agree &= pair_grid_pays(sigma_t, sigma_p, len(p)) == grid
-        empty = _empty_profile(8, 1, len(t) - len(p) + 1)
-        pairs = prepare_pair_counts(t, p)
-        for k in (4, 64):
-            families = [family_new(k, seed=505 + e) for e in range(3)]
-            nums = execution_numerators(pairs, empty, families)
-            agree &= np.array_equal(nums, 2 * member_hamming_sums(t, p, families))
-    check("approx member sums from pair counts == FFT member sums, sort and grid routes", agree)
+        sums = pair_matrix(prepare_pair_counts(t, p)).sum(axis=0)
+        agree &= np.array_equal(sums, hamming_profile_naive(t, p).values)
+    check("pair counts sum to the exact profile, sort and grid routes", agree)
     return 1 if failures else 0
 
 

@@ -75,7 +75,11 @@ class DistanceProfile:
         if self.kind not in ("exact", "estimate"):
             raise ValueError(f"kind must be 'exact' or 'estimate', got {self.kind!r}")
         dtype = np.int64 if self.kind == "exact" else np.float64
-        arr = np.asarray(self.values, dtype=dtype)
+        raw = np.asarray(self.values)
+        # checked before the cast, which turns NaN into an arbitrary integer
+        if raw.dtype.kind == "f" and not np.isfinite(raw).all():
+            raise ValueError("distances must be finite")
+        arr = np.asarray(raw, dtype=dtype)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("profile must be a non-empty vector")
         if arr.min() < 0:
@@ -248,14 +252,28 @@ def write_profile_csv(path, profile: DistanceProfile) -> None:
 
 
 def read_profile_csv(path) -> np.ndarray:
+    """The values of a write_profile_csv file: its rows must number the
+    windows 0, 1, ... in order, each with a finite distance >= 0."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["pos", "value"]:
             raise FileFormatError(f"{path}: expected header pos,value, got {header}")
+
+        def bad(pos, problem):
+            return FileFormatError(f"{path}, row {pos}: {problem}")
+
         values = []
-        for row in reader:
+        for pos, row in enumerate(reader):
             if len(row) != 2:
-                raise FileFormatError(f"{path}: malformed row {row}")
-            values.append(float(row[1]))
+                raise bad(pos, f"malformed row {row}")
+            if row[0] != str(pos):
+                raise bad(pos, f"pos {row[0]!r}, expected {pos}")
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise bad(pos, f"value {row[1]!r} is not a number") from None
+            if not np.isfinite(value) or value < 0:
+                raise bad(pos, f"value {row[1]!r} is not a finite distance >= 0")
+            values.append(value)
     return np.asarray(values, dtype=np.float64)

@@ -26,7 +26,6 @@ from hamsketch.sparse_recovery import (
     RecoveryParams,
     _empty_profile,
     _projection_plan,
-    prepare_pair_counts,
 )
 from hamsketch.text_model import IntString
 
@@ -58,6 +57,25 @@ def beta_pairs(families, us, vs) -> np.ndarray:
     return beta_from_bits(families, base_bits(families, syms), at[: us.size], at[us.size :])
 
 
+def member_bits_brute(family, symbols) -> np.ndarray:
+    """(k, len(symbols)) member outputs by enumerating the selection rule:
+    one batched polynomial evaluation of the base functions, then every
+    member XORs the choices its index bits select."""
+    cs = np.array([f.coeffs for f in family.base], dtype=np.uint64)
+    xs = np.asarray(symbols, dtype=np.uint64)
+    masks = np.array([[f.range_size - 1] for f in family.base], dtype=np.uint64)
+    vals = poly3_eval(
+        cs[:, 3:4], cs[:, 2:3], cs[:, 1:2], cs[:, 0:1],
+        xs[None, :], max(int(xs.max()).bit_length(), 1),
+    )
+    bits = (vals & masks).astype(np.int64)
+    members = np.arange(family.k)
+    out = np.zeros((family.k, xs.size), dtype=np.int64)
+    for b in range(len(family.base) // 2):
+        out ^= bits[2 * b + ((members >> b) & 1)]
+    return out
+
+
 def beta_brute(family, u: int, v: int) -> int:
     """Count members agreeing on u and v by enumerating the selection rule.
 
@@ -65,23 +83,8 @@ def beta_brute(family, u: int, v: int) -> int:
     members, so k=1024 stays affordable in the acceptance run. Anchored to
     scalar member_eval counting at small k in the unit tests.
     """
-    cs = np.array([f.coeffs for f in family.base], dtype=np.uint64)
-    xs = np.array([u, v], dtype=np.uint64)
-    masks = np.array([[f.range_size - 1] for f in family.base], dtype=np.uint64)
-    vals = poly3_eval(
-        cs[:, 3:4], cs[:, 2:3], cs[:, 1:2], cs[:, 0:1],
-        xs[None, :], max(int(xs.max()).bit_length(), 1),
-    )
-    bits = (vals & masks).astype(np.int64)
-    t = len(family.base) // 2
-    members = np.arange(family.k)
-    xu = np.zeros(family.k, dtype=np.int64)
-    xv = np.zeros(family.k, dtype=np.int64)
-    for b in range(t):
-        sel = 2 * b + ((members >> b) & 1)
-        xu ^= bits[sel, 0]
-        xv ^= bits[sel, 1]
-    return int((xu == xv).sum())
+    bits = member_bits_brute(family, [u, v])
+    return int((bits[:, 0] == bits[:, 1]).sum())
 
 
 def alignment_dict_brute(text: IntString, pattern: IntString, j: int) -> dict:
@@ -143,6 +146,17 @@ def member_profile_brute(text: IntString, pattern: IntString, family, i: int) ->
     for j in range(n - m + 1):
         out[j] = int(np.count_nonzero(tb[j : j + m] != pb))
     return out
+
+
+def member_sums_brute(text: IntString, pattern: IntString, family) -> np.ndarray:
+    """sum_i member_profile_brute(text, pattern, family, i) over all k members:
+    member_bits_brute over the occurring symbols, and each member's window
+    distances by sliding windows."""
+    syms, at = np.unique(np.concatenate([text.symbols, pattern.symbols]), return_inverse=True)
+    table = member_bits_brute(family, syms)
+    tb, pb = table[:, at[: len(text)]], table[:, at[len(text) :]]
+    windows = sliding_window_view(tb, pb.shape[1], axis=1)
+    return (windows != pb[:, None, :]).sum(axis=(0, 2))
 
 
 def pair_count_matrix(cache) -> np.ndarray:
@@ -244,8 +258,7 @@ def same_profile(a: NoiseProfile, b: NoiseProfile) -> bool:
 
 def approx_with_noise(text: IntString, pattern: IntString, params, noise: NoiseProfile):
     """approx_profile with noise as the shared D' in place of recovery."""
-    pairs = prepare_pair_counts(text, pattern)
-    return median_profile(approx._estimates(pairs, noise, params, range(params.reps)))
+    return median_profile(approx._estimates(text, pattern, noise, params, range(params.reps)))
 
 
 def traced_peak(fn, *args, **kw):

@@ -319,10 +319,9 @@ def test_ac10_single_execution_accuracy():
         exact = hamming_profile_convolution(text, pattern)
         ap = approx_params(eps, seed=seed + 1000, n=n, reps=execs)
         est, shared = approx_profile(text, pattern, ap, return_noise=True)
-        pairs = prepare_pair_counts(text, pattern)
         empty = noise_profile_from_windows([{}] * exact.n_windows, sigma)
         runs, bare = (
-            approx._estimates(pairs, noise, ap, range(execs)) for noise in (shared, empty)
+            approx._estimates(text, pattern, noise, ap, range(execs)) for noise in (shared, empty)
         )
         worst = max(worst, *(1.0 - fraction_within_epsilon(r, exact, eps) for r in runs))
         uncorrected_best = min(

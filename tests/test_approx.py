@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import approx, hashing, sparse_recovery
-from hamsketch._sketch import member_hamming_sums, pair_grid_pays
+from hamsketch._sketch import pair_grid_pays
 from hamsketch.approx import approx_params, approx_profile, execution_numerators
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, family_new
@@ -25,6 +25,8 @@ from helpers import (
     beta_pairs,
     correction_numerators,
     correction_term,
+    member_profile_brute,
+    member_sums_brute,
     noise_profile_from_windows,
     sliding_hamming_brute,
     traced_peak,
@@ -136,16 +138,22 @@ def _random_noise(text, pattern, rng, spurious=True):
 
 
 def _check_numerators(text, pattern, noise, families):
-    """Every row of the batched numerators is 2 * the FFT member sum plus
-    the reference correction of that row's family."""
-    pairs = prepare_pair_counts(text, pattern)
-    nums = execution_numerators(pairs, noise, families)
-    assert nums.shape == (len(families), pairs.n_windows) and nums.dtype == np.float64
-    sums = member_hamming_sums(text, pattern, families)
-    for row, fam, ham in zip(nums, families, sums):
-        want = 2 * ham + correction_numerators(noise, fam)
-        assert np.array_equal(row, want) and np.array_equal(row.astype(np.int64), want)
-    return pairs
+    """Every row of the batched int64 numerators is 2 * the brute member sum
+    plus the reference correction of that row's family."""
+    nums = execution_numerators(text, pattern, noise, families)
+    assert nums.shape == (len(families), noise.n_windows) and nums.dtype == np.int64
+    for row, fam in zip(nums, families):
+        want = 2 * member_sums_brute(text, pattern, fam) + correction_numerators(noise, fam)
+        assert np.array_equal(row, want)
+
+
+def test_member_sums_brute_matches_member_by_member():
+    # the oracle above, anchored to scalar member_eval per member
+    text, pattern = generate_instance(60, 9, 7, "uniform", seed=2)
+    for k in (2, 8):
+        fam = family_new(k, seed=4 + k)
+        want = sum(member_profile_brute(text, pattern, fam, i) for i in range(k))
+        assert np.array_equal(member_sums_brute(text, pattern, fam), want)
 
 
 def _skewed(n, m, sigma, seed):
@@ -167,6 +175,7 @@ def _noises(text, pattern, rng):
 @pytest.mark.parametrize("layout", ["rows", "entries", "mixed", "sigma1", "m_equals_n"])
 def test_execution_numerators_match_member_sums_and_correction(layout):
     rng = np.random.default_rng(41)
+    # the instance shapes of the pair-count layouts recovery tells apart
     if layout == "rows":
         # four windows: every occurring code is in at least a quarter of them
         text, pattern = generate_instance(40, 37, 30, "uniform", seed=5)
@@ -184,21 +193,12 @@ def test_execution_numerators_match_member_sums_and_correction(layout):
     for noise in _noises(text, pattern, rng):
         for k in (4, 64):
             fams = [family_new(k, seed=300 + k + e) for e in range(3)]
-            pairs = _check_numerators(text, pattern, noise, fams)
-    rowed = pairs.row_ids >= 0
-    if layout in ("rows", "m_equals_n"):
-        assert pairs.n_windows == (4 if layout == "rows" else 1)
-        assert rowed.size and rowed.all()
-    elif layout == "entries":
-        assert rowed.size and not rowed.any()
-    elif layout == "mixed":
-        assert rowed.any() and not rowed.all()
-    else:
-        assert pairs.codes.size == 0
-    # the random noise, checked last, holds codes that occur in no window
+            _check_numerators(text, pattern, noise, fams)
+    # the random noise, checked last, holds pairs that occur in no window
     if text.sigma > 1:
-        dcode = noise.us.astype(np.int64) * text.sigma + noise.vs
-        assert not np.isin(dcode, pairs.codes).all()
+        nw = len(text) - len(pattern) + 1
+        occurring = set().union(*(alignment_dict_brute(text, pattern, j) for j in range(nw)))
+        assert not set(zip(noise.us.tolist(), noise.vs.tolist())) <= occurring
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -232,39 +232,6 @@ def test_execution_numerators_property(data):
     _check_numerators(text, pattern, noise, fams)
 
 
-def test_numerator_blocks_do_not_change_the_numerators(monkeypatch):
-    # window blocks of row cells and D' entries, and chunks of pair entries
-    # and code weights, of any size; the random D' names codes that occur in
-    # no window, and the recovered one has codes of every kind
-    default = approx._PRODUCT_CELLS
-    rng = np.random.default_rng(23)
-    layouts = {
-        # symbols 6 and 7 occur in neither string
-        "rows": (IntString(rng.integers(0, 6, 300), 8), IntString(rng.integers(0, 6, 40), 8)),
-        "entries": (IntString(rng.integers(0, 50, 300), 50), IntString(np.array([3, 17, 8]), 50)),
-        "mixed": _skewed(300, 24, 24, seed=2),
-    }
-    fams = [family_new(16, seed=90 + e) for e in range(3)]
-    for layout, (text, pattern) in layouts.items():
-        pairs = prepare_pair_counts(text, pattern)
-        rowed = pairs.row_ids >= 0
-        shape = {"rows": rowed.all(), "entries": not rowed.any(), "mixed": 0 < rowed.mean() < 1}
-        assert shape[layout]
-        noises = (
-            _random_noise(text, pattern, rng),
-            construct_sparse_noise(text, pattern, recovery_params(0.25, seed=3, reps=2)),
-        )
-        dcode = noises[0].us.astype(np.int64) * text.sigma + noises[0].vs
-        assert not np.isin(dcode, pairs.codes).all()
-        for noise in noises:
-            monkeypatch.setattr(approx, "_PRODUCT_CELLS", default)
-            want = execution_numerators(pairs, noise, fams)
-            for cells in (1, 100, 1 << 30):
-                monkeypatch.setattr(approx, "_PRODUCT_CELLS", cells)
-                got = execution_numerators(pairs, noise, fams)
-                assert np.array_equal(got, want), (layout, cells)
-
-
 def test_approx_memory_stays_near_its_inputs():
     # dense16's shape (n=8192, m=512, sigma=16): the pair counts keep 240
     # int32 rows (7.4 MB), recovery one int32 running minimum per row cell,
@@ -282,9 +249,10 @@ def test_approx_memory_stays_near_its_inputs():
 
 
 def test_one_evaluation_per_hash_kind(monkeypatch):
-    # the projection plan and all families' base bits each take one
-    # poly3_eval call at this size, however many executions and scales
-    evals, pair_builds, recoveries = [], [], []
+    # the projection plan, all families' base bits for the member sums and
+    # their base bits over the symbols of D' each take one poly3_eval call
+    # at this size, however many executions and scales
+    evals, recoveries = [], []
 
     def spy(log, fn):
         def wrapped(*args, **kwargs):
@@ -293,20 +261,19 @@ def test_one_evaluation_per_hash_kind(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(hashing, "poly3_eval", spy(evals, hashing.poly3_eval))
-    monkeypatch.setattr(approx, "prepare_pair_counts", spy(pair_builds, approx.prepare_pair_counts))
     monkeypatch.setattr(
         approx, "construct_sparse_noise", spy(recoveries, approx.construct_sparse_noise)
     )
     text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
     seen = set()
     for eps, reps, rreps in ((0.25, 2, 1), (0.25, 7, 3), (0.0625, 5, 4)):
-        for log in (evals, pair_builds, recoveries):
+        for log in (evals, recoveries):
             log.clear()
         params = approx_params(eps, seed=1, n=600, reps=reps, recovery_reps=rreps)
         approx_profile(text, pattern, params)
-        assert len(pair_builds) == 1 and len(recoveries) == 1
+        assert len(recoveries) == 1
         seen.add(len(evals))
-    assert seen == {2}
+    assert seen == {3}
 
 
 def test_perfect_noise_matrix_gives_exact_profile():
@@ -339,9 +306,8 @@ def test_identical_strings_and_zero_windows():
 def test_reps_one_equals_single_execution():
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=4)
     params = approx_params(0.25, seed=7, n=150, reps=1, recovery_reps=2)
-    pairs = prepare_pair_counts(text, pattern)
-    noise = approx._recover_noise(text, pattern, params, 0, pairs)
-    single = approx._estimates(pairs, noise, params, [0])[0]
+    noise = approx._recover_noise(text, pattern, params, 0)
+    single = approx._estimates(text, pattern, noise, params, [0])[0]
     assert np.array_equal(approx_profile(text, pattern, params).values, single)
 
 
@@ -408,12 +374,11 @@ def test_single_execution_concentration():
     eps = 0.25
     trials = 300
     params = approx_params(eps, seed=77, n=m, reps=1, recovery_reps=2)
-    pairs = prepare_pair_counts(text, pattern)
 
     def execution(e):
         # its own family and its own D'
-        noise = approx._recover_noise(text, pattern, params, e, pairs)
-        return approx._estimates(pairs, noise, params, [e])[0, 0]
+        noise = approx._recover_noise(text, pattern, params, e)
+        return approx._estimates(text, pattern, noise, params, [e])[0, 0]
 
     vals = np.array([execution(e) for e in range(trials)])
     within = np.abs(vals - d) <= eps * d

@@ -242,6 +242,17 @@ def test_bench_unknown_algo_exits_one(capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algos", [",", " , ", ""])
+def test_bench_without_algos_exits_one(tmp_path, capsys, algos):
+    # used to exit 0 with a header-only CSV
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--n", "64", "--m", "8", "--sigma", "4",
+               "--epsilon", "0.25", "--seed", "0", "--algos", algos, "--out", str(out)])
+    assert rc == 1
+    assert "names no algo" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_errors_exit_two(tmp_path, capsys):
     rc = main(["exact", "--text", str(tmp_path / "missing.txt"),
                "--pattern", str(tmp_path / "missing.txt"),
@@ -288,4 +299,5 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == 4
     assert "ok no recovered noise value below its true pair count" in out
+    assert "ok pair counts sum to the exact profile, sort and grid routes" in out
     assert "FAIL" not in out

@@ -58,6 +58,11 @@ def test_distance_profile_validation():
         DistanceProfile([], "exact")
     with pytest.raises(ValueError):
         DistanceProfile([-1.0], "estimate")
+    # a NaN estimate used to pass, and error_stats then read a NaN max error
+    for bad in (np.nan, np.inf, -np.inf):
+        for kind in ("estimate", "exact"):
+            with pytest.raises(ValueError, match="distances must be finite"):
+                DistanceProfile(np.array([bad, 1.0]), kind)
 
 
 def test_generate_instance_shapes_and_determinism():
@@ -193,3 +198,22 @@ def test_profile_csv_rejects_bad_header(tmp_path):
     path.write_text("pos,value\n0,1,2\n")
     with pytest.raises(FileFormatError, match="malformed"):
         read_profile_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        pytest.param("0,1\n1,abc\n", "row 1: value 'abc' is not a number", id="abc"),
+        pytest.param("0,nan\n", "row 0: value 'nan' is not a finite distance", id="nan"),
+        pytest.param("0,2\n1,inf\n", "row 1: value 'inf' is not a finite distance", id="inf"),
+        pytest.param("0,-3\n", "row 0: value '-3' is not a finite distance", id="negative"),
+        pytest.param("0,1\n2,1\n", "row 1: pos '2', expected 1", id="pos_skips"),
+        pytest.param("x,1\n", "row 0: pos 'x', expected 0", id="pos_not_int"),
+    ],
+)
+def test_profile_csv_rejects_bad_rows(tmp_path, rows, problem):
+    path = tmp_path / "prof.csv"
+    path.write_text("pos,value\n" + rows)
+    with pytest.raises(FileFormatError) as err:
+        read_profile_csv(path)
+    assert str(err.value).startswith(f"{path}, {problem}")
