@@ -37,6 +37,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2^64). The seed derivation keeps 64
+    bits, so any other integer would alias one of these."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2^64)")
+    return seed
+
+
 def _add_io_flags(p) -> None:
     p.add_argument("--text", required=True, help="text file")
     p.add_argument("--pattern", required=True, help="pattern file")
@@ -49,7 +58,7 @@ def _add_io_flags(p) -> None:
 
 def _add_estimator_flags(p) -> None:
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--reps", type=int, default=None, help="median executions (default 2*log2 n)")
     p.add_argument("--round", action="store_true", help="round estimates to integers")
     p.add_argument("--stats", action="store_true", help="write <out>.stats.json vs the exact profile")
@@ -64,7 +73,7 @@ def build_parser() -> _Parser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--sigma", type=int, required=True)
     g.add_argument("--model", choices=MODELS, default="uniform")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_seed, required=True)
     g.add_argument("--text", required=True, help="output text file")
     g.add_argument("--pattern", required=True, help="output pattern file")
     g.add_argument("--input-format", choices=("tokens", "bytes"), default="tokens")
@@ -89,7 +98,7 @@ def build_parser() -> _Parser:
     b.add_argument("--sigma", type=int, required=True)
     b.add_argument("--epsilon", type=float, nargs="+", required=True)
     b.add_argument("--model", choices=MODELS, default="uniform")
-    b.add_argument("--seed", type=int, required=True)
+    b.add_argument("--seed", type=_seed, required=True)
     b.add_argument("--reps", type=int, default=None)
     b.add_argument("--algos", default="exact,karloff,approx",
                    help="comma list from {exact,karloff,approx}")

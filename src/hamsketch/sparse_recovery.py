@@ -56,13 +56,18 @@ alone in every window. The other groups decode as follows:
 
 - Every member has a row. Two members decode in each window to the strictly
   heavier one, with value d_a + d_b (equal counts tie every differing plane
-  and reject). Three or more get their 2*nbits plane sums over all windows
-  from one matrix product, and each window's plane majorities become one
-  integer pattern u | v << nbits, or -1 where a plane ties. A window whose
-  pattern is a member's own pair decodes to that member, which passes every
-  check, and one dense minimum per member lowers its row there. Only the
-  windows whose pattern names no member run the alphabet, diagonal and
-  projection checks; those that pass name a code that occurs nowhere.
+  and reject). Three or more, k of them, decode over the distinct ways they
+  split the bit planes. A plane on which every member agrees takes the
+  common bit, and ties only where c = 0. Planes with the same member split
+  S, or its complement, always decide together, so each window forms only
+  P <= min(2*nbits, 2^(k-1) - 1) sums D = (rows in S) - (other rows), all
+  windows from one matrix product. The signs of a window's D give one
+  outcome code, negative where some D is 0 (as all are where c = 0). Member
+  i is named exactly at its own outcome, which passes every check, and one
+  dense minimum per member lowers its row there. Every other outcome
+  decodes to one fixed pattern, so the alphabet, diagonal and projection
+  checks run once per outcome occurring in the remaining windows, not once
+  per window; those that pass name a code that occurs nowhere.
 - Some member has entries. These groups are decoded together, in chunks of
   whole windows holding at most as many entries and nonzero row cells as
   mem_budget allows (or one window), the same chunks in every projection; a
@@ -122,7 +127,7 @@ _SCRATCH_BYTES_PER_BIT = 18
 _PAIR_BLOCK_POSITIONS = 1 << 19
 _PAIR_BYTES_PER_POSITION = 48
 # the capacity filter ranks at most this many candidate cells at a time, at
-# 16 bytes of key and partition index per cell
+# 16 bytes of key and partitioned copy per cell
 _FILTER_BLOCK_CELLS = 1 << 18
 
 
@@ -481,7 +486,8 @@ class _Recovery:
         self.id_bits = max(1, (n_e + cache.rows.size - 1).bit_length())
         max_span = max(1, (1 << max(0, 63 - self.id_bits)) // max(1, cache.codes.size // 2))
         self.nbits = (cache.sigma - 1).bit_length()
-        # bit b of a decoded pattern u | v << nbits, as floats for one BLAS
+        # bit b of a decoded pattern u | v << nbits, or of a row group's
+        # outcome code (at most 2*nbits bits), as floats for one BLAS
         # product; sums of distinct powers of two below 2^24 are exact in
         # float32, and sigma <= 2^20 keeps every pattern below 2^40
         fdt = np.float32 if self.nbits <= 12 else np.float64
@@ -606,25 +612,49 @@ class _Recovery:
         return np.where(ok, u * sigma + v, -1)
 
     def _decode_rows(self, members, x, y, tau, pi) -> None:
-        """Bit-plane decode of one group of row codes, all windows at once."""
+        """Bit-plane decode of one group of row codes, all windows at once,
+        over the distinct ways the members split the bit planes."""
         rows = self.cache.row_ids[members]
         sub = self.cache.rows[rows]
         c = sub.sum(axis=0, dtype=np.int32)
-        # one BLAS call replaces 2*nbits masked row sums; counts stay below the
-        # float mantissa so the products are exact
+        # plane b splits off the members whose bit differs from member 0's.
+        # Its sum d_b = 2*planes_b - c is +-c where no member splits off (a
+        # tie only at c = 0, where every sum ties), and otherwise +-D for its
+        # split S, D = (rows in S) - (rows outside S); so a window decides
+        # every plane by the signs of its P distinct D, coded as P bits
+        bits = self._bits(members)
+        split = bits != bits[:, :1]
+        planes = np.flatnonzero(split.any(axis=1))
+        ids: dict = {}
+        plane_split = [ids.setdefault(split[b].tobytes(), len(ids)) for b in planes]
+        sides = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), -1)
+        # one BLAS call for the D; counts stay below the float mantissa so
+        # the sums are exact
         fdt = np.float32 if int(c.max()) < (1 << 24) else np.float64
-        pat = self._pattern(c.astype(fdt), self._bits(members).astype(fdt) @ sub.astype(fdt))
-        # a window whose pattern is a member's own pair decodes to that
-        # member, which passes every check
-        named = np.zeros(pat.size, dtype=bool)
-        for row, p in zip(rows, self.du[members] | self.dv[members] << self.nbits):
-            hit = pat == p
-            np.minimum(self.mins[row], np.where(hit, c, _INF32), out=self.mins[row])
-            named |= hit
-        # a decode that passes the projection check lands in this bucket, so
-        # in the other windows it names a code that occurs in no window
-        win = np.flatnonzero((pat >= 0) & ~named)
-        dest = self._check(pat[win], x, y, tau, pi)
+        d = np.where(sides, 1, -1).astype(fdt) @ sub.astype(fdt)
+        weights = self.weights[: len(ids)]
+        # a window where some D ties gets a negative code
+        code = weights @ (d > 0).astype(weights.dtype)
+        code -= (d == 0).any(axis=0) * weights.dtype.type(1 << len(ids))
+        # member i is named exactly at its own outcome, where it passes
+        # every check; arithmetic masks, as masked ufuncs run several times
+        # slower on these arrays
+        rest = code >= 0
+        for row, own in zip(rows, weights @ sides):
+            miss = code != own
+            np.minimum(self.mins[row], np.maximum(c, miss * _INF32), out=self.mins[row])
+            rest &= miss
+        win = np.flatnonzero(rest)
+        if win.size == 0:
+            return
+        # every other outcome decodes to one pattern, member 0's with the
+        # planes of each positive D flipped; a decode that passes the
+        # projection check lands in this bucket, so it names a code that
+        # occurs in no window
+        outcome, at = np.unique(code[win], return_inverse=True)
+        flips = (outcome.astype(np.int64) >> np.array(plane_split)[:, None] & 1) << planes[:, None]
+        base = self.du[members[0]] | self.dv[members[0]] << self.nbits
+        dest = self._check(base ^ flips.sum(axis=0), x, y, tau, pi)[at]
         spur = dest >= 0
         self.spurious.append((win[spur], dest[spur], c[win[spur]]))
 
@@ -749,10 +779,12 @@ class _Recovery:
 def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfile:
     """Each window's capacity largest values among its row cells (0 where
     unset) and its (window, code, value) triples, ties broken toward the
-    smaller code. The triples are padded into a (candidates, windows) key
-    matrix below the rows and ranked in window blocks of at most
-    _FILTER_BLOCK_CELLS cells. Each block keeps its entries' candidate ranks
-    and values as int32; the symbols are read through int32 tables of the
+    smaller code. The triples are padded into a (windows, candidates) key
+    matrix beside the rows and ranked in window blocks of at most
+    _FILTER_BLOCK_CELLS cells: np.partition keeps each window's capacity
+    smallest keys, and one sort of them repacked as (code rank, value) puts
+    them in code order. Each block keeps its entries' candidate ranks and
+    values as int32; the symbols are read through int32 tables of the
     candidates, so until the profile is built its entries take 8 bytes each
     besides their own 16."""
     sigma, nw = cache.sigma, cache.n_windows
@@ -761,8 +793,9 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
     if cand.size == 0:
         return _empty_profile(sigma, capacity, nw)
     # ascending key = descending value, then ascending code rank
-    shift = np.int64(1) << max(1, (cand.size - 1).bit_length())
-    row_key = np.searchsorted(cand, row_codes)[:, None]
+    rank_bits = max(1, (cand.size - 1).bit_length())
+    shift = np.int64(1) << rank_bits
+    row_key = np.searchsorted(cand, row_codes)
     srt = np.argsort(w, kind="stable")
     w = w[srt]
     key = np.searchsorted(cand, code[srt]) - val[srt].astype(np.int64) * shift
@@ -777,17 +810,20 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
     for lo in range(0, nw, step):
         hi = min(nw, lo + step)
         a, b = first[lo], first[hi]
-        k = np.zeros((n_rows + int(per_win[lo:hi].max()), hi - lo), dtype=np.int64)
-        np.multiply(mins[:, lo:hi], -shift, out=k[:n_rows])
-        k[:n_rows] += row_key
-        k[n_rows + slot[a:b], w[a:b] - lo] = key[a:b]
-        if k.shape[0] > capacity:
-            k = np.take_along_axis(k, np.argpartition(k, capacity - 1, axis=0)[:capacity], axis=0)
-        # the kept (negative) keys of each window in ascending code order
-        k = np.take_along_axis(k, np.argsort(np.where(k < 0, k % shift, shift), axis=0), axis=0).T
-        pos = k < 0
-        ranks.append((k[pos] % shift).astype(np.int32))
-        values.append((-(k[pos] // shift)).astype(np.int32))
+        k = np.zeros((hi - lo, n_rows + int(per_win[lo:hi].max())), dtype=np.int64)
+        np.multiply(mins[:, lo:hi].T, -shift, out=k[:, :n_rows])
+        k[:, :n_rows] += row_key
+        k[w[a:b] - lo, n_rows + slot[a:b]] = key[a:b]
+        if k.shape[1] > capacity:
+            k = np.partition(k, capacity - 1, axis=1)[:, :capacity]
+        # rank << 32 | value; a key of value 0 (unset, or padding) repacks to
+        # value 0 and is dropped after the sort
+        k = (k & (shift - 1)) << 32 | -(k >> rank_bits)
+        k.sort(axis=1)
+        kept = k & 0xFFFFFFFF
+        pos = kept > 0
+        ranks.append((k[pos] >> 32).astype(np.int32))
+        values.append(kept[pos].astype(np.int32))
         sizes[lo:hi] = pos.sum(axis=1)
     # the symbols through int32 tables of the candidates, each part freed
     # before the next is built

@@ -22,6 +22,7 @@ from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.text_model import IntString, generate_instance
 
+import helpers
 from helpers import (
     alignment_dict_brute,
     compute_bucket_table,
@@ -276,6 +277,146 @@ def test_row_group_spurious_decodes_match_reference():
     assert same_profile(fast, construct_reference(text, pattern, params))
 
 
+def _one_bucket_plan(us, vs):
+    """A plan of one coupled projection whose only non-diagonal bucket, (1,
+    1), holds the codes u * sigma + v with u in us and v in vs (us and vs
+    disjoint); every other code lands in a diagonal bucket."""
+    def plan(params, sigma):
+        ell, r = scale_ranges(params, 0)
+        yield sparse_recovery.CoupledProjection(
+            ell=ell, r=r, sigma=sigma, scale_index=0, rep_index=0,
+            tau_table=np.isin(np.arange(sigma), us).astype(np.int64),
+            pi_table=np.isin(np.arange(sigma), vs).astype(np.int64),
+        )
+    return plan
+
+
+def _decode_one_bucket(monkeypatch, text, pattern, us, vs):
+    """Recovery over _one_bucket_plan(us, vs), checked equal to the literal
+    reference. Returns the profile and, per window, the decoded code or None
+    (c = 0 or a tied plane), from plane majorities of the bucket's codes,
+    which must all keep rows. Sigma decides the codes' distinct plane splits,
+    also returned."""
+    plan = _one_bucket_plan(us, vs)
+    monkeypatch.setattr(sparse_recovery, "_projection_plan", plan)
+    monkeypatch.setattr(helpers, "_projection_plan", plan)
+    params = recovery_params(0.25, seed=0, reps=1)
+    cache = prepare_pair_counts(text, pattern)
+    sigma, nbits = text.sigma, (text.sigma - 1).bit_length()
+    in_bucket = np.isin(cache.codes // sigma, us) & np.isin(cache.codes % sigma, vs)
+    codes, rows = cache.codes[in_bucket], cache.rows[cache.row_ids[in_bucket]]
+    assert codes.size >= 3 and np.all(cache.row_ids[in_bucket] >= 0)
+    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    assert same_profile(fast, construct_reference(text, pattern, params))
+    # bit b of a pattern u | v << nbits, per code; a split and its complement
+    # are one split
+    bits = (codes // sigma | codes % sigma << nbits)[None, :] >> np.arange(2 * nbits)[:, None] & 1
+    splits = {tuple(b ^ b[0]) for b in bits if b.any() and not b.all()}
+    decodes = []
+    for counts in rows.T:
+        c, planes = int(counts.sum()), bits @ counts
+        pat = int(np.sum((2 * planes > c) << np.arange(2 * nbits)))
+        tied = c == 0 or np.any(2 * planes == c)
+        decodes.append(None if tied else (pat & ((1 << nbits) - 1)) * sigma + (pat >> nbits))
+    return fast, rows, codes, decodes, len(splits)
+
+
+def _text_over(symbols, weights, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice(symbols, n, p=np.asarray(weights) / np.sum(weights))
+
+
+def test_row_decode_names_the_unseparated_member(monkeypatch):
+    # codes (4, 0), (5, 0), (6, 0): bit 0 splits off 5, bit 1 splits off 6,
+    # and no plane splits off 4, so 4 wins wherever neither 5 nor 6 outweighs
+    # the other two, even where it is the lightest; c = 0 windows and
+    # windows where 5 or 6 weighs exactly as much as the other two decode to
+    # nothing
+    text = IntString(_text_over([0, 4, 5, 6], [8, 2, 2, 2], 400, seed=1), 8)
+    pattern = IntString(np.zeros(6, dtype=np.int64), 8)
+    noise, rows, codes, decodes, n_splits = _decode_one_bucket(
+        monkeypatch, text, pattern, [4, 5, 6], [0]
+    )
+    assert n_splits == 2 and codes.tolist() == [32, 40, 48]
+    c = rows.sum(axis=0)
+    lightest = [j for j, d in enumerate(decodes) if d == 32 and rows[0, j] < rows[1:, j].max()]
+    assert lightest
+    for j in lightest:
+        assert window_entries(noise, j) == {(4, 0): c[j]}
+    tied = [j for j, d in enumerate(decodes) if d is None and c[j] > 0]
+    assert tied and any(c == 0)
+    for j in tied + list(np.flatnonzero(c == 0)):
+        assert window_entries(noise, j) == {}
+
+
+def test_row_decode_two_against_two_split(monkeypatch):
+    # codes (8..11, 0): bit 0 splits {9, 11} from {8, 10} and bit 1 {10, 11}
+    # from {8, 9}, so each sign sums two rows against two
+    text = IntString(_text_over([0, 8, 9, 10, 11], [6, 1, 2, 3, 2], 400, seed=2), 16)
+    pattern = IntString(np.zeros(5, dtype=np.int64), 16)
+    noise, rows, codes, decodes, n_splits = _decode_one_bucket(
+        monkeypatch, text, pattern, [8, 9, 10, 11], [0]
+    )
+    assert n_splits == 2 and codes.size == 4
+    named = {d for d in decodes if d is not None}
+    assert named == set(codes.tolist())
+    c = rows.sum(axis=0)
+    for j, d in enumerate(decodes):
+        assert window_entries(noise, j) == ({} if d is None else {divmod(d, 16): c[j]})
+
+
+@pytest.mark.parametrize("zero_in_bucket", [True, False])
+def test_row_decode_outcome_naming_no_member(monkeypatch, zero_in_bucket):
+    # codes (1, 2), (6, 2), (8, 2): planes split {1}, {6} and {1, 6} off 8.
+    # Equal counts make D({1, 6}) > 0 alone, an outcome that flips bit 3 of
+    # 8 and names (0, 2), which occurs nowhere. It is kept as a spurious
+    # entry when tau sends 0 to the bucket, and fails the projection check
+    # otherwise
+    text = IntString(_text_over([2, 1, 6, 8], [4, 2, 2, 2], 400, seed=3), 16)
+    pattern = IntString(np.full(6, 2), 16)
+    us = [0, 1, 6, 8] if zero_in_bucket else [1, 6, 8]
+    noise, rows, codes, decodes, n_splits = _decode_one_bucket(
+        monkeypatch, text, pattern, us, [2]
+    )
+    assert n_splits == 3 and codes.tolist() == [18, 98, 130]
+    c = rows.sum(axis=0)
+    absent = [j for j, d in enumerate(decodes) if d == 2]
+    assert absent
+    for j in absent:
+        assert window_entries(noise, j) == ({(0, 2): c[j]} if zero_in_bucket else {})
+
+
+@pytest.mark.parametrize(
+    "nbits, m, n, weights",
+    # text weights of 1, the other text symbols and the filler, pattern
+    # weights of (2^nbits - 1) ^ 1 and the other pattern symbols
+    [(5, 64, 600, ((4, 1, 2), (3, 1))), (13, 384, 900, ((12, 1, 3), (11, 1)))],
+)
+def test_row_decode_many_splits(monkeypatch, nbits, m, n, weights):
+    # text symbols 2^b and pattern symbols (2^nbits - 1) ^ 2^b: every plane
+    # splits one symbol off, so nbits^2 row codes split 2*nbits ways, more
+    # than 8 (and at nbits = 13 more than a float32 code holds). Weights near
+    # a half for text symbol 1 and pattern symbol (2^nbits - 1) ^ 1 make
+    # several outcomes that name no member occur. A filler from the pattern
+    # symbols makes c vary; its pairs land in a diagonal bucket
+    sigma = 1 << nbits
+    t_syms = 1 << np.arange(nbits)
+    p_syms = (sigma - 1) ^ t_syms
+    (t_one, t_rest, filler), (p_one, p_rest) = weights
+    rng = np.random.default_rng(nbits)
+    tw = np.r_[t_one, np.full(nbits - 1, t_rest), filler]
+    text = IntString(rng.choice(np.r_[t_syms, p_syms[0]], n, p=tw / tw.sum()), sigma)
+    pw = np.r_[p_one, np.full(nbits - 1, p_rest)]
+    pattern = IntString(rng.choice(p_syms, m, p=pw / pw.sum()), sigma)
+    us = np.setdiff1d(np.arange(sigma), p_syms)
+    noise, rows, codes, decodes, n_splits = _decode_one_bucket(
+        monkeypatch, text, pattern, us, p_syms
+    )
+    assert codes.size == nbits**2 and n_splits == 2 * nbits
+    others = {d for d in decodes if d is not None} - set(codes.tolist())
+    assert len(others) >= 2
+
+
 def test_entry_group_spurious_decodes_match_reference():
     # no code keeps a row, so an output pair absent from its window can only
     # come from a collision decode that names a pair the window lacks
@@ -388,6 +529,32 @@ def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
         monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
         got = construct_sparse_noise(text, pattern, params, pair_cache=cache)
         assert same_profile(got, want), cells
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 18])
+def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, cells):
+    # sigma 4, capacity 2. Row code 6 = (1, 2) holds 5, 5 and 0 (unset) in
+    # windows 0..2. Window 0: triples 3 and 9 tie the row cell at 5 below
+    # 12 at 7, so 3 keeps the second place; window 1: the row cell beats
+    # triples 9 and 11 at 5, and 9 beats 11; window 2 keeps its one triple
+    monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
+    mins = np.array([[5, 5, 0]], dtype=np.int32)
+    cache = sparse_recovery.PairCounts(
+        sigma=4, n_windows=3, codes=np.array([6]), row_ids=np.array([0]), rows=mins,
+        offsets=np.zeros(2, dtype=np.int64), windows=np.zeros(0, dtype=np.int32),
+        counts=np.zeros(0, dtype=np.int32),
+    )
+    w = np.array([0, 1, 0, 0, 1, 2])
+    code = np.array([9, 11, 3, 12, 9, 3])
+    val = np.array([5, 5, 5, 7, 5, 1])
+    got = sparse_recovery._filter(cache, mins, w, code, val, capacity=2)
+    assert [window_entries(got, j) for j in range(3)] == [
+        {(0, 3): 5, (3, 0): 7}, {(1, 2): 5, (2, 1): 5}, {(0, 3): 1},
+    ]
+    windows = [{(1, 2): 5}, {(1, 2): 5}, {}]
+    for j, c, v in zip(w, code, val):
+        windows[j][divmod(int(c), 4)] = int(v)
+    assert same_profile(got, noise_profile_from_windows(windows, 4, capacity=2))
 
 
 def _periodic_instance(n, m, sigma, seed):

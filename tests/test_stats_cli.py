@@ -253,6 +253,33 @@ def test_bench_without_algos_exits_one(tmp_path, capsys, algos):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+@pytest.mark.parametrize("cmd", ["gen", "karloff", "approx", "bench"])
+def test_seeds_outside_64_bits_exit_one(tmp_path, capsys, cmd, seed):
+    # the seed derivation keeps 64 bits: -1 used to run as 2^64 - 1, and
+    # 2^64 + 3 as 3
+    text, pattern = _gen(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = {
+        "gen": ["gen", "--n", "64", "--m", "8", "--sigma", "8",
+                "--text", str(tmp_path / "t.txt"), "--pattern", str(tmp_path / "p.txt")],
+        "karloff": ["karloff", "--text", str(text), "--pattern", str(pattern),
+                    "--out", str(out), "--epsilon", "0.25"],
+        "approx": ["approx", "--text", str(text), "--pattern", str(pattern),
+                   "--out", str(out), "--epsilon", "0.25"],
+        "bench": ["bench", "--n", "64", "--m", "8", "--sigma", "4", "--epsilon", "0.25",
+                  "--out", str(out)],
+    }[cmd]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", str(seed)])
+    assert exc.value.code == 1
+    assert "outside [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "t.txt").exists()
+    # the ends of the range still run
+    for edge in (0, (1 << 64) - 1):
+        assert main(argv + ["--seed", str(edge)]) == 0
+
+
 def test_io_errors_exit_two(tmp_path, capsys):
     rc = main(["exact", "--text", str(tmp_path / "missing.txt"),
                "--pattern", str(tmp_path / "missing.txt"),
