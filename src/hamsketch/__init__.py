@@ -1,10 +1,11 @@
 """Sliding-window Hamming distance profiles: exact, baseline, and corrected
 sketch estimators with per-window (1 +- eps) guarantees."""
 
+from ._sketch import default_reps
 from .approx import ApproxParams, approx_params, approx_profile
 from .exact import hamming_profile_convolution, hamming_profile_naive
 from .hashing import FourWiseHash, XorTreeFamily, beta, family_new, fourwise_new
-from .karloff import KarloffParams, default_reps, karloff_params, karloff_profile
+from .karloff import KarloffParams, karloff_params, karloff_profile
 from .sparse_recovery import (
     B_CONST,
     NoiseProfile,

@@ -1,6 +1,16 @@
-"""Member Hamming sums by correlation, and the execution families and median
-driver, of both estimators: karloff's estimate is the scaled member sums,
-approx's numerators add its D' correction to them.
+"""The execution driver of both estimators, and the member Hamming sums by
+correlation that it runs on.
+
+execution_estimates gives each execution its own size-k family and, per
+window j, the estimate
+
+    max(0, (2 * sum_i HAM_i[j] - sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v)) / k):
+
+karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it recovered.
+The correction (dprime_correction) is D' as a (windows, distinct codes) CSR
+matrix on its own indptr times the (codes, executions) weights k - 2*beta,
+all from one base-bit evaluation over the symbols of D'. Every term is an
+integer far below 2^53, so the float64 product is exact in any order.
 
 member_hamming_sums returns, for each of several families of one size k,
 sum_i HAM(h_i(text window j), h_i(pattern)) over the family's members for
@@ -49,7 +59,7 @@ import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
 from .correlation import correlate_rows, correlation_sums, fft_plan, row_spectra
-from .hashing import base_bits, beta_grid, families_new, member_table
+from .hashing import base_bits, beta_from_bits, beta_grid, families_new, member_table
 from .text_model import DistanceProfile, IntString, check_instance, occurring_symbols
 
 _MEMBER_CHUNK = 64
@@ -158,10 +168,83 @@ def _per_member_sums(bits, k, text_at, pattern_at) -> np.ndarray:
     return out
 
 
+def default_reps(n: int) -> int:
+    """Outer repetition count, ceil(2*log2 n)."""
+    if n < 2:
+        return 1
+    return math.ceil(2 * math.log2(n))
+
+
+def resolve_reps(reps: int | None, n: int) -> int:
+    """reps, or ceil(2*log2 n) when it is None; a count below 1 is an error."""
+    if reps is None:
+        return default_reps(n)
+    check_reps(reps)
+    return reps
+
+
+def check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon <= 0.5:
+        raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
+
+
+def family_size(target: float) -> int:
+    """ceil(target) rounded up to a power of two, at least 2."""
+    return 1 << max(1, (math.ceil(target) - 1).bit_length())
+
+
 def execution_families(k: int, seed: int, execs):
     """The size-k hash family of each execution e in execs, drawn at
     mix(seed, ROLE_EXECUTION, e, ROLE_FAMILY)."""
     return families_new(k, [mix(seed, ROLE_EXECUTION, e, ROLE_FAMILY) for e in execs])
+
+
+def execution_estimates(
+    text: IntString, pattern: IntString, k: int, seed: int, execs, noise=None
+) -> np.ndarray:
+    """(len(execs), windows) estimates of the executions execs, with noise (a
+    NoiseProfile) as every execution's D', or no correction without one. All
+    are computed together; each row equals its execution alone, byte for byte."""
+    check_reps(len(execs))
+    families = execution_families(k, seed, execs)
+    correction = 0 if noise is None else dprime_correction(noise, families)
+    return np.maximum(0.0, (2 * member_hamming_sums(text, pattern, families) - correction) / k)
+
+
+def dprime_correction(noise, families) -> np.ndarray:
+    """(len(families), windows) int64 sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v)
+    of each family (all of one size k) over the NoiseProfile noise."""
+    from scipy import sparse
+
+    k, sigma = families[0].k, noise.sigma
+    # the distinct codes of D' from one sort, and each entry's column
+    code = noise.us.astype(np.int64) * sigma + noise.vs
+    order = np.argsort(code)
+    code = code[order]
+    first = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    col = np.empty(code.size, dtype=np.int32)
+    col[order] = np.cumsum(first, dtype=np.int32) - 1
+    code = code[first]
+    del order, first
+    # their weights k - 2*beta, from one base-bit evaluation over their symbols
+    us, vs = code // sigma, code % sigma
+    syms = np.union1d(us, vs)
+    at_u, at_v = np.searchsorted(syms, us), np.searchsorted(syms, vs)
+    beta = beta_from_bits(families, base_bits(families, syms), at_u, at_v)
+    weights = (k - 2 * beta).T.astype(np.float64)
+    dprime = sparse.csr_matrix(
+        (noise.values.astype(np.float64), col, noise.indptr),
+        shape=(noise.n_windows, code.size),
+    )
+    del col
+    # every term is an integer below 2^53, so the float64 product is exact
+    return (dprime @ weights).T.astype(np.int64)
 
 
 def median_profile(runs) -> DistanceProfile:

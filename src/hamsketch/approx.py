@@ -12,21 +12,15 @@ members hashing u and v together. Per window
 
 and the profile is a per-window median over `reps` executions, each with a
 fresh family. All executions share one D', recovered with execution 0's
-seeds.
+seeds, and are one call of _sketch.execution_estimates, the driver karloff
+runs with no D'.
 
-How an execution is computed: member i separates u from v unless it
-hashes them together, so the numerator splits into the baseline's member
-sums and one correction that is linear in D':
-
-    num[j] = 2 * sum_i HAM_i[j] - sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v).
-
-The member sums of all executions come from one call of
-_sketch.member_hamming_sums, the FFT route karloff uses. The correction is
-one sparse product: D' as a (windows, distinct codes) CSR matrix on its own
-indptr, times the (codes, executions) weights k - 2*beta, all taken from
-one base-bit evaluation over the symbols of D'. Every term is an integer
-far below 2^53, so the float64 product is exact in any order and the
-profile does not depend on BLAS threading.
+What D' buys: the family's beta(u, v) is k/2, or with probability 1/k it is
+0 or k (hashing.XorTreeFamily). An uncorrected execution is off only by
++-d(u, v) on the pairs whose beta is 0 or k, so its E|err| <= d/k per window
+and, by Markov, P(|err| > eps * d) <= 1/(eps * k) <= 1/6 at this k. The
+median over executions thus meets (1 +- eps) with high probability even
+without D'; D' buys the accuracy of each single execution (gated by AC10).
 
 Why one D' is enough: the correction is accurate for a window when its D'
 meets the residual bound sum (d - d')^2 <= b * eps * d^2, and recovery
@@ -47,15 +41,17 @@ a faster algorithm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
-from ._sketch import execution_families, median_profile, member_hamming_sums
-from .hashing import base_bits, beta_from_bits
-from .karloff import check_epsilon, resolve_reps
+from ._sketch import (
+    check_epsilon,
+    check_reps,
+    execution_estimates,
+    family_size,
+    median_profile,
+    resolve_reps,
+)
 from .sparse_recovery import B_CONST, NoiseProfile, construct_sparse_noise, recovery_params
 from .text_model import IntString
 
@@ -82,54 +78,14 @@ def approx_params(
     if recovery_reps is not None and recovery_reps < 1:
         raise ValueError(f"recovery reps must be >= 1, got {recovery_reps}")
     eps_eff = recovery_params(epsilon, 0, reps=1).epsilon_eff
-    target = 8.0 * B_CONST / eps_eff
-    k = 1 << max(1, (math.ceil(target) - 1).bit_length())
     return ApproxParams(
         epsilon=epsilon,
         epsilon_eff=eps_eff,
-        k=k,
+        k=family_size(8.0 * B_CONST / eps_eff),
         reps=resolve_reps(reps, n),
         seed=seed,
         recovery_reps=recovery_reps,
     )
-
-
-def execution_numerators(
-    text: IntString, pattern: IntString, noise: NoiseProfile, families
-) -> np.ndarray:
-    """(len(families), windows) int64 numerators 2 * sum_i HAM_i + sum
-    (2*beta - k) * d' of one execution per family (all of one size k).
-
-    The member sums come from member_hamming_sums; the correction is D'
-    times the weights k - 2*beta of its distinct codes."""
-    from scipy import sparse
-
-    k, sigma = families[0].k, noise.sigma
-    # the distinct codes of D' from one sort, and each entry's column
-    code = noise.us.astype(np.int64) * sigma + noise.vs
-    order = np.argsort(code)
-    code = code[order]
-    first = np.ones(code.size, dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=first[1:])
-    col = np.empty(code.size, dtype=np.int32)
-    col[order] = np.cumsum(first, dtype=np.int32) - 1
-    code = code[first]
-    del order, first
-    # their weights k - 2*beta, from one base-bit evaluation over their symbols
-    us, vs = code // sigma, code % sigma
-    syms = np.union1d(us, vs)
-    at_u, at_v = np.searchsorted(syms, us), np.searchsorted(syms, vs)
-    beta = beta_from_bits(families, base_bits(families, syms), at_u, at_v)
-    weights = (k - 2 * beta).T.astype(np.float64)
-    dprime = sparse.csr_matrix(
-        (noise.values.astype(np.float64), col, noise.indptr),
-        shape=(noise.n_windows, code.size),
-    )
-    del col
-    # every term is an integer below 2^53, so the float64 product is exact
-    correction = (dprime @ weights).T.astype(np.int64)
-    del dprime
-    return 2 * member_hamming_sums(text, pattern, families) - correction
 
 
 def _recover_noise(
@@ -145,14 +101,6 @@ def _recover_noise(
     return construct_sparse_noise(text, pattern, rp)
 
 
-def _estimates(
-    text: IntString, pattern: IntString, noise: NoiseProfile, params: ApproxParams, execs
-) -> np.ndarray:
-    """(len(execs), windows) estimates of the executions execs with one D'."""
-    families = execution_families(params.k, params.seed, execs)
-    return np.maximum(0.0, execution_numerators(text, pattern, noise, families) / params.k)
-
-
 def approx_profile(
     text: IntString,
     pattern: IntString,
@@ -165,8 +113,10 @@ def approx_profile(
     D' is recovered once, with execution 0's seeds, and every execution
     reuses it. return_noise also returns that shared profile.
     """
+    check_reps(params.reps)
     shared = _recover_noise(text, pattern, params, 0)
-    profile = median_profile(_estimates(text, pattern, shared, params, range(params.reps)))
+    runs = execution_estimates(text, pattern, params.k, params.seed, range(params.reps), shared)
+    profile = median_profile(runs)
     if return_noise:
         return profile, shared
     return profile

@@ -11,7 +11,11 @@ Two layers:
   arranged in t pairs. Member i XORs one function per pair, chosen by bit b
   of i. Each member is 4-wise independent and distinct members are pairwise
   independent, while collision counts over the whole family are computable
-  in O(t) via a balanced tree recurrence.
+  in O(t) via a balanced tree recurrence. The count beta(u, v) of members
+  hashing u != v together takes three values: if the two functions of some
+  pair differ in whether they separate u and v, flipping that pair's choice
+  flips a member's verdict, so beta = k/2; otherwise (probability 2^-t =
+  1/k) every member gives the same verdict, and beta is 0 or k.
 """
 
 from __future__ import annotations

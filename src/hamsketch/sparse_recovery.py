@@ -97,9 +97,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeds import ROLE_PROJECTION, mix_array
-from ._sketch import pair_grid_pays
+from ._sketch import check_epsilon, pair_grid_pays, resolve_reps
 from .hashing import eval_blocks, fourwise_coeffs
-from .karloff import check_epsilon, resolve_reps
 from .text_model import IntString, check_instance, occurring_symbols
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2

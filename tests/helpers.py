@@ -18,8 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
 from hamsketch.hashing import base_bits, beta, beta_from_bits, beta_grid, member_eval
-from hamsketch import approx
-from hamsketch._sketch import median_profile
+from hamsketch._sketch import execution_estimates, median_profile
 from hamsketch.sparse_recovery import (
     CoupledProjection,
     NoiseProfile,
@@ -258,7 +257,8 @@ def same_profile(a: NoiseProfile, b: NoiseProfile) -> bool:
 
 def approx_with_noise(text: IntString, pattern: IntString, params, noise: NoiseProfile):
     """approx_profile with noise as the shared D' in place of recovery."""
-    return median_profile(approx._estimates(text, pattern, noise, params, range(params.reps)))
+    runs = execution_estimates(text, pattern, params.k, params.seed, range(params.reps), noise)
+    return median_profile(runs)
 
 
 def traced_peak(fn, *args, **kw):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from hamsketch import approx
+from hamsketch._sketch import execution_estimates
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.cli import main as cli_main
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
@@ -321,7 +321,8 @@ def test_ac10_single_execution_accuracy():
         est, shared = approx_profile(text, pattern, ap, return_noise=True)
         empty = noise_profile_from_windows([{}] * exact.n_windows, sigma)
         runs, bare = (
-            approx._estimates(text, pattern, noise, ap, range(execs)) for noise in (shared, empty)
+            execution_estimates(text, pattern, ap.k, ap.seed, range(execs), noise)
+            for noise in (shared, empty)
         )
         worst = max(worst, *(1.0 - fraction_within_epsilon(r, exact, eps) for r in runs))
         uncorrected_best = min(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import approx, hashing, sparse_recovery
-from hamsketch._sketch import pair_grid_pays
-from hamsketch.approx import approx_params, approx_profile, execution_numerators
+from hamsketch._sketch import (
+    dprime_correction,
+    execution_estimates,
+    member_hamming_sums,
+    pair_grid_pays,
+)
+from hamsketch.approx import approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, family_new
 from hamsketch.sparse_recovery import (
@@ -57,6 +63,17 @@ def test_params_reject_repetition_counts_below_one(reps, recovery_reps):
     # rejected when the params are built, before any pair counts exist
     with pytest.raises(ValueError, match="reps must be >= 1"):
         approx_params(0.25, seed=0, n=64, reps=reps, recovery_reps=recovery_reps)
+
+
+def test_reps_zero_rejected_before_recovery(monkeypatch):
+    # params built directly skip approx_params' check
+    calls = []
+    monkeypatch.setattr(approx, "construct_sparse_noise", lambda *args: calls.append(args))
+    text, pattern = generate_instance(100, 10, 4, "uniform", seed=1)
+    params = dataclasses.replace(approx_params(0.25, seed=1, n=100), reps=0)
+    with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+        approx_profile(text, pattern, params)
+    assert not calls
 
 
 def test_correction_term_matches_enumeration():
@@ -140,7 +157,7 @@ def _random_noise(text, pattern, rng, spurious=True):
 def _check_numerators(text, pattern, noise, families):
     """Every row of the batched int64 numerators is 2 * the brute member sum
     plus the reference correction of that row's family."""
-    nums = execution_numerators(text, pattern, noise, families)
+    nums = 2 * member_hamming_sums(text, pattern, families) - dprime_correction(noise, families)
     assert nums.shape == (len(families), noise.n_windows) and nums.dtype == np.int64
     for row, fam in zip(nums, families):
         want = 2 * member_sums_brute(text, pattern, fam) + correction_numerators(noise, fam)
@@ -307,7 +324,7 @@ def test_reps_one_equals_single_execution():
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=4)
     params = approx_params(0.25, seed=7, n=150, reps=1, recovery_reps=2)
     noise = approx._recover_noise(text, pattern, params, 0)
-    single = approx._estimates(text, pattern, noise, params, [0])[0]
+    single = execution_estimates(text, pattern, params.k, params.seed, [0], noise)[0]
     assert np.array_equal(approx_profile(text, pattern, params).values, single)
 
 
@@ -378,7 +395,7 @@ def test_single_execution_concentration():
     def execution(e):
         # its own family and its own D'
         noise = approx._recover_noise(text, pattern, params, e)
-        return approx._estimates(text, pattern, noise, params, [e])[0, 0]
+        return execution_estimates(text, pattern, params.k, params.seed, [e], noise)[0, 0]
 
     vals = np.array([execution(e) for e in range(trials)])
     within = np.abs(vals - d) <= eps * d

@@ -301,6 +301,25 @@ def test_beta_statistics_spread():
     assert abs(float(np.mean(vals)) - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("k", [16, 128])
+def test_beta_takes_three_values_and_degenerates_at_rate_one_over_k(k):
+    # for u != v, on each base pair the two functions either differ in
+    # whether they separate u and v (then half the members do: beta = k/2)
+    # or agree, with probability 1/2; only when all log2 k pairs agree, with
+    # probability 1/k, is beta 0 or k. Disjoint symbol pairs under 4-wise
+    # independent bases make these events pairwise independent, so their
+    # count over families x pairs has the binomial variance
+    fams, pairs = 20, 2000
+    rng = np.random.default_rng(7)
+    syms = rng.choice(hashing.DOMAIN_CAP, size=2 * pairs, replace=False)
+    families = families_new(k, range(100 * k, 100 * k + fams))
+    betas = beta_pairs(families, syms[:pairs], syms[pairs:])
+    assert np.isin(betas, [0, k // 2, k]).all()
+    trials, p = betas.size, 1 / k
+    degenerate = int(np.count_nonzero(betas != k // 2))
+    assert abs(degenerate - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)), degenerate
+
+
 def test_pairwise_member_independence_empirical():
     # joint outcomes of (h_0(u) xor h_0(v), h_1(u) xor h_1(v)) roughly uniform
     trials = 20000

@@ -1,15 +1,29 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from hamsketch import hashing, karloff
-from hamsketch._sketch import execution_families, member_hamming_sums
+from hamsketch import _sketch, default_reps, hashing
+from hamsketch._sketch import (
+    execution_estimates,
+    execution_families,
+    member_hamming_sums,
+    pair_grid_pays,
+    symbol_route_pays,
+)
+from hamsketch.approx import approx_params
 from hamsketch.hashing import beta, family_new
-from hamsketch.karloff import default_reps, karloff_params, karloff_profile
-from hamsketch.text_model import IntString, generate_instance
+from hamsketch.karloff import KarloffParams, karloff_params, karloff_profile
+from hamsketch.text_model import IntString, generate_instance, occurring_symbols
 
-from helpers import few_pairs_bench_instance, member_profile_brute, sliding_hamming_brute
+from helpers import (
+    approx_with_noise,
+    few_pairs_bench_instance,
+    member_profile_brute,
+    noise_profile_from_windows,
+    sliding_hamming_brute,
+)
 
 
 def test_params_round_k_to_power_of_two():
@@ -43,7 +57,7 @@ def test_single_execution_is_reps_one_profile():
     text = IntString(rng.integers(0, 4, size=100), 4)
     pattern = IntString(rng.integers(0, 4, size=10), 4)
     params = karloff_params(0.25, seed=11, n=100, reps=1)
-    single = karloff._estimates(text, pattern, params, [0])[0]
+    single = execution_estimates(text, pattern, params.k, params.seed, [0])[0]
     assert np.array_equal(karloff_profile(text, pattern, params).values, single)
 
 
@@ -54,8 +68,45 @@ def test_executions_are_rows_of_one_call():
         text = IntString(rng.integers(0, sigma, size=n), sigma)
         pattern = IntString(rng.integers(0, sigma, size=m), sigma)
         params = karloff_params(0.5, seed=12, n=n, reps=5)
-        runs = [karloff._estimates(text, pattern, params, [e])[0] for e in range(5)]
+        runs = [
+            execution_estimates(text, pattern, params.k, params.seed, [e])[0] for e in range(5)
+        ]
         assert np.array_equal(np.median(runs, axis=0), karloff_profile(text, pattern, params).values)
+
+
+@pytest.mark.parametrize(
+    "n, m, sigma, grid, symbol_route",
+    [
+        # pair counts on the grid, and by sorting, both on the symbol route
+        (300, 40, 5, True, True),
+        (300, 40, 16, False, True),
+        # more occurring symbols on either side than members: per member
+        (600, 100, 256, False, False),
+    ],
+)
+def test_karloff_at_approx_k_is_approx_with_empty_dprime(n, m, sigma, grid, symbol_route):
+    text, pattern = generate_instance(n, m, sigma, "uniform", seed=3)
+    ap = approx_params(0.25, seed=8, n=n, reps=5)
+    occurring = [occurring_symbols(s)[0].size for s in (text, pattern)]
+    assert pair_grid_pays(*occurring, m) == grid
+    assert symbol_route_pays(*occurring, ap.k) == symbol_route
+    empty = noise_profile_from_windows([{}] * (n - m + 1), sigma)
+    want = approx_with_noise(text, pattern, ap, empty)
+    got = karloff_profile(text, pattern, KarloffParams(ap.epsilon, ap.k, ap.reps, ap.seed))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_reps_below_one_rejected_before_the_member_sums(monkeypatch):
+    # params built directly skip karloff_params' check
+    calls = []
+    monkeypatch.setattr(_sketch, "member_hamming_sums", lambda *args: calls.append(args))
+    text, pattern = generate_instance(100, 10, 4, "uniform", seed=1)
+    params = dataclasses.replace(karloff_params(0.25, seed=1, n=100), reps=0)
+    with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+        karloff_profile(text, pattern, params)
+    with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+        execution_estimates(text, pattern, params.k, params.seed, [])
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -123,7 +174,7 @@ def test_complementary_binary_strings_hit_separating_member_count():
     for e in range(4):
         fam = execution_families(params.k, params.seed, [e])[0]
         want = 2.0 * m * (params.k - beta(fam, 0, 1)) / params.k
-        assert karloff._estimates(text, pattern, params, [e]).tolist() == [[want]]
+        assert execution_estimates(text, pattern, params.k, params.seed, [e]).tolist() == [[want]]
 
 
 def test_median_profile_accuracy_midsize():
@@ -148,7 +199,7 @@ def test_single_execution_unbiased():
     params = karloff_params(0.5, seed=123, n=m)
     trials = 1000
     # every row of one batched call is its execution run alone
-    vals = karloff._estimates(text, pattern, params, range(trials))[:, 0]
+    vals = execution_estimates(text, pattern, params.k, params.seed, range(trials))[:, 0]
     se = vals.std(ddof=1) / np.sqrt(trials)
     assert abs(vals.mean() - d) <= 3 * se
 
