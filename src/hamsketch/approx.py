@@ -23,15 +23,17 @@ median over executions thus meets (1 +- eps) with high probability even
 without D'; D' buys the accuracy of each single execution (gated by AC10).
 
 Why one D' is enough: the correction is accurate for a window when its D'
-meets the residual bound sum (d - d')^2 <= b * eps * d^2, and recovery
-already runs its own ceil(2 * log2 n) repetitions per scale so that the
-bound holds with high probability. The median over executions controls a
-different variance, that of the O(1/eps) hash family, whose only randomness
-is the family itself; redrawing D' per execution adds nothing to that. The
-price is correlation: a window whose shared D' misses the bound is off in
-every execution at once, where fresh D' could outvote it. This reading
-follows the abstract in PAPER.md; it is not checked against the paper's full
-text.
+meets the residual bound sum (d - d')^2 <= b * eps * d^2. Recovery runs up
+to ceil(2 * log2 n) repetitions per scale so that the bound holds with high
+probability, and stops sooner once every pair present in a window has sat
+alone in a bucket: each then holds its exact count, and later projections
+could only add pairs absent from their windows. The median over executions
+controls a different variance, that of the O(1/eps) hash family, whose only
+randomness is the family itself; redrawing D' per execution adds nothing to
+that. The price is correlation: a window whose shared D' misses the bound is
+off in every execution at once, where fresh D' could outvote it. This
+reading follows the abstract in PAPER.md; it is not checked against the
+paper's full text.
 
 Cost: recovery builds every window's exact pair counts N_j by an O(nm)
 enumeration, and sum N_j is already the exact distance, so this route cannot

@@ -108,7 +108,8 @@ def build_parser() -> _Parser:
     sub.add_parser(
         "selftest",
         help="check exact conv == naive, beta == member enumeration, recovered noise "
-        "never below the true counts, pair counts summing to the exact profile",
+        "never below the true counts and exact on present pairs, pair counts summing "
+        "to the exact profile",
     )
     return top
 
@@ -271,19 +272,24 @@ def _cmd_selftest(args) -> int:
     )
     check("beta == member enumeration", agree)
 
-    # demo 04's invariant: every bucket holding a pair counts at least its
-    # true count, so no recovered value falls below it. The planted heavy
-    # stretch makes some pairs keep count rows and others entries
+    # demo 04's invariants: every bucket holding a pair counts at least its
+    # true count, so no recovered value falls below it; and the ladder stops
+    # only once every pair present in a window has sat alone in a bucket, so
+    # a present pair's value is its exact count. The planted heavy stretch
+    # makes some pairs keep count rows and others entries
     rp = recovery_params(0.25, seed=303, n=256, reps=3)
     heavy = generate_instance(256, 32, 16, "planted_heavy", seed=101)
-    below = 0
+    below = above = 0
     for t, p in ((text, pattern), heavy):
         noise = construct_sparse_noise(t, p, rp)
         noise.validate()
         truth = pair_matrix(prepare_pair_counts(t, p))
         codes = noise.us.astype(np.int64) * t.sigma + noise.vs
-        below += int(np.count_nonzero(noise.values < truth[codes, noise.entry_windows()]))
+        true_vals = truth[codes, noise.entry_windows()]
+        below += int(np.count_nonzero(noise.values < true_vals))
+        above += int(np.count_nonzero((noise.values > true_vals) & (true_vals > 0)))
     check("no recovered noise value below its true pair count", below == 0)
+    check("every recovered present pair at its true count", above == 0)
 
     # every window's mismatch pair counts sum to its exact distance. The
     # m = 24 pair counts take the sort route, the m = 64 ones the grid route

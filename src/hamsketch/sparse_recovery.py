@@ -34,12 +34,12 @@ np.unique per block yields the block's entries by code and then window, and
 one sort of the keys merges the blocks. Both give the same PairCounts. A
 code that occurs in at least a quarter of the windows keeps an int32 count
 row over all windows; every other code keeps its (window, count) entries. A
-row thus holds at most four cells per entry of its code. Recovery adds one
-int32 running minimum per row cell, and per entry an int32 running minimum,
-collision count and code, plus 12 bytes per run of one code in one decode
-chunk (one run per entry code with a single chunk, at most one per entry),
-so memory grows with the number of pair entries and not with
-sigma^2 * windows.
+row thus holds at most four cells per entry of its code. Recovery adds an
+int32 running minimum and a one-byte exactness flag per row cell, and per
+entry an int32 running minimum and code and a one-byte flag, plus 12 bytes
+per run of one code in one decode chunk (one run per entry code with a
+single chunk, at most one per entry), so memory grows with the number of
+pair entries and not with sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -76,17 +76,32 @@ alone in every window. The other groups decode as follows:
   in for one, is keyed by group * span + window - lo, and one sort of the
   keys packed above the entry ids puts the members a window holds next to
   each other. A chunk reads its entries in runs of one code, the runs listed
-  by chunk, so it looks groups up per run and not per entry. An entry alone
-  in its window is exact as above, and is only counted: one that collided in
-  fewer of the projections decoding its code than it took part in sat alone
-  in one of them. Each window holding two or more runs the bit-plane decode, the
-  colliding entries' codes read from a per-entry code array.
+  by chunk, so it looks groups up per run and not per entry. An entry or
+  row cell alone in its window is exact as above, and is only flagged. Each
+  window holding two or more runs the bit-plane decode, the colliding
+  entries' codes read from a per-entry code array.
 
 A bit-plane decode names either a member of the group, whose value it can
 lower below the member's collision counts, or a pair absent from the window,
 which is kept as a spurious entry just as the literal procedure keeps it. One
 filter then ranks each window's row cells, entries and spurious entries
 together.
+
+Where the ladder stops. Recovery flags each nonzero (code, window) count
+once its pair has sat alone among the window's nonzero pairs in a
+non-diagonal bucket: a code alone in its bucket, an entry or row cell alone
+in its window's group, a row member whose own count is its group's count c,
+and so a two-row group's cell where the partner's count is 0. Such a count is
+exact, and no later projection changes it. Once every nonzero count is
+flagged, a later projection can only add pairs absent from their windows
+(spurious decodes, and values on row cells whose count is 0), so
+construct_sparse_noise stops after the first projection at which that
+holds. The paper fixes O(log n) repetitions per scale, enough for a union
+bound over every heavy pair; its O~(n/eps) route sees bucket counts only and
+cannot tell when every pair has been isolated. This rule relies on the
+enumerated pair codes, and the paper's ceil(2 log2 n) repetitions remain as
+the ceiling. On the benchmark shapes the stop comes after 2 to 5 of 110 to
+130 projections.
 """
 
 from __future__ import annotations
@@ -429,10 +444,11 @@ def construct_sparse_noise(
 
     Every (scale, rep) draws a coupled projection; every non-diagonal bucket
     with positive count is decoded and the decoded pair min-updated with the
-    bucket count. Unset entries become 0 and each window keeps only its
-    capacity largest values. mem_budget bounds the pair-count enumeration
-    blocks and the entries decoded at a time; the profile does not depend on
-    it.
+    bucket count. The ladder stops after the first projection at which every
+    nonzero pair count is exact (module docstring). Unset entries become 0
+    and each window keeps only its capacity largest values. mem_budget
+    bounds the pair-count enumeration blocks and the entries decoded at a
+    time; the profile does not depend on it.
     """
     n, m, nw = check_instance(text, pattern)
     sigma = text.sigma
@@ -444,6 +460,10 @@ def construct_sparse_noise(
     rec = _Recovery(pair_cache, params.bucket_count, max(1, mem_budget // scratch))
     for proj in _projection_plan(params, sigma):
         rec.project(proj)
+        # every present pair is at its exact count: later projections could
+        # only add pairs absent from their windows
+        if rec.pending == 0:
+            break
     return rec.finish(params.capacity)
 
 
@@ -472,6 +492,8 @@ class _Recovery:
     running-minimum row per row code and one value per entry of the other
     codes, plus (window, code, value) triples for decodes that name an entry
     code in a window where it does not occur, or a code that occurs nowhere.
+    Beside them, one exactness flag per entry and per row cell, and the
+    number of nonzero counts still unflagged.
     """
 
     def __init__(self, cache: PairCounts, n_buckets: int, max_entries: int):
@@ -527,11 +549,12 @@ class _Recovery:
         self.group = np.full(cache.codes.size, -1, dtype=np.int64)
         self.mins = np.full(cache.rows.shape, _INF32, dtype=np.int32)
         self.best = np.full(cache.counts.size, _INF32, dtype=np.int32)
-        # per entry code the projections that decode its entries in a group,
-        # and per entry those among them where it collided; an entry that
-        # collided less often than that sat alone in some projection
-        self.tried = np.zeros(cache.codes.size, dtype=np.int32)
-        self.collided = np.zeros(n_e, dtype=np.int32)
+        # per entry and per nonzero row cell: the count sat alone among its
+        # window's nonzero pairs in a non-diagonal bucket, so it is exact;
+        # pending counts the nonzero counts not yet exact
+        self.exact = np.zeros(n_e, dtype=bool)
+        self.cell_exact = np.zeros(cache.rows.shape, dtype=bool)
+        self.pending = int(cum[-1])
         self.ever_single = np.zeros(cache.codes.size, dtype=bool)
         none = np.zeros(0, dtype=np.int64)
         self.spurious = [(none, none, none)]
@@ -557,8 +580,15 @@ class _Recovery:
         bs = packed >> self.code_bits
         starts = np.flatnonzero(np.append(True, bs[1:] != bs[:-1]))
         sizes = np.diff(np.append(starts, bs.size))
-        # a code alone in its bucket over all windows is alone in each window
-        self.ever_single[order[starts[sizes == 1]]] = True
+        # a code alone in its bucket over all windows is alone in each
+        # window, so every nonzero count of it is exact
+        single = order[starts[sizes == 1]]
+        single = single[~self.ever_single[single]]
+        self.ever_single[single] = True
+        ent = single[self.is_entry[single]]
+        self._settle(self.exact, _ranges(self.cache.offsets[ent], np.diff(self.cache.offsets)[ent]))
+        for row in self.cache.row_ids[single[~self.is_entry[single]]]:
+            self._settle_row(row, self.cache.rows[row] > 0)
         mixed = (sizes > 1) & np.logical_or.reduceat(self.is_entry[order], starts)
         on_rows = (sizes > 1) & ~mixed
         # two-row groups decode to the strictly heavier member with value
@@ -567,6 +597,11 @@ class _Recovery:
         # are collected and applied once per target code in finish
         two = starts[on_rows & (sizes == 2)]
         self.two.append(np.stack([order[two], order[two + 1]]))
+        # a member's cell is exact where its partner's count is 0
+        for a, b in self.cache.row_ids[self.two[-1].T]:
+            ra, rb = self.cache.rows[a], self.cache.rows[b]
+            self._settle_row(a, (rb == 0) & (ra > 0))
+            self._settle_row(b, (ra == 0) & (rb > 0))
         for s0, k in zip(starts[on_rows & (sizes > 2)], sizes[on_rows & (sizes > 2)]):
             self._decode_rows(order[s0 : s0 + k], bs[s0] // proj.r, bs[s0] % proj.r, tau, pi)
         # the other groups together, in the window chunks; collisions are
@@ -577,11 +612,24 @@ class _Recovery:
         members = order[_ranges(starts[mixed], g_sizes)]
         group = np.repeat(np.arange(g_sizes.size, dtype=np.int64), g_sizes)
         ent = self.is_entry[members]
-        self.tried[members[ent]] += 1
         self.group[members[ent]] = group[ent]
         for k in range(len(self.cuts) - 1):
             self._decode_entries(members, group, k, bkt, proj.r, tau, pi)
         self.group[members[ent]] = -1
+
+    def _settle(self, flags: np.ndarray, ids: np.ndarray) -> None:
+        """Flag the distinct nonzero counts ids of flags (entries, or flat
+        row cells) exact."""
+        fresh = ids[~flags[ids]]
+        flags[fresh] = True
+        self.pending -= fresh.size
+
+    def _settle_row(self, row: int, cells: np.ndarray) -> None:
+        """Flag the cells (a mask over the windows, nonzero counts only) of
+        row exact."""
+        fresh = cells & ~self.cell_exact[row]
+        self.cell_exact[row] |= fresh
+        self.pending -= int(np.count_nonzero(fresh))
 
     def _bits(self, code: np.ndarray) -> np.ndarray:
         """(2*nbits, len) bits of the u and then the v symbols of codes."""
@@ -616,6 +664,9 @@ class _Recovery:
         rows = self.cache.row_ids[members]
         sub = self.cache.rows[rows]
         c = sub.sum(axis=0, dtype=np.int32)
+        # a member is alone where its own count is the whole group's
+        for row, own in zip(rows, sub):
+            self._settle_row(row, (own == c) & (own > 0))
         # plane b splits off the members whose bit differs from member 0's.
         # Its sum d_b = 2*planes_b - c is +-c where no member splits off (a
         # tie only at c = 0, where every sum ties), and otherwise +-D for its
@@ -687,10 +738,9 @@ class _Recovery:
         alone = edge[:-1] & edge[1:]
         # alone in its window's bucket: the decode gives the exact count, and
         # every bucket holding the pair counts at least as much
-        if rows.size:
-            cells = (packed[alone] & ((1 << bits) - 1)) - n_e
-            cells = cells[cells >= 0]
-            self.mins.reshape(-1)[cells] = cache.rows.reshape(-1)[cells]
+        ids = packed[alone] & ((1 << bits) - 1)
+        self._settle(self.exact, ids[ids < n_e])
+        self._settle(self.cell_exact.reshape(-1), ids[ids >= n_e] - n_e)
         coll = np.flatnonzero(~alone)
         if coll.size == 0:
             return
@@ -698,7 +748,6 @@ class _Recovery:
         starts = np.flatnonzero(first)
         key, ids = key[coll], packed[coll] & ((1 << bits) - 1)
         is_e = ids < n_e
-        self.collided[ids[is_e]] += 1
         cells = ids[~is_e] - n_e
         cnt = np.empty(ids.size, dtype=np.int64)
         cnt[is_e] = cache.counts[ids[is_e]]
@@ -754,12 +803,11 @@ class _Recovery:
                 mins[p], np.where(partner_min < rows[p], rows[p] + partner_min, _INF32),
                 out=mins[p],
             )
-        # singleton contributions are the exact pair counts, identical in
-        # every repetition where the code sat alone, so one pass suffices
-        np.copyto(mins, rows, where=(rows > 0) & self.ever_single[self.row_codes, None])
+        # a count that sat alone ends at exactly its value, however many
+        # projections decoded it
+        np.copyto(mins, rows, where=self.cell_exact)
         mins[mins == _INF32] = 0
-        alone = self.ever_single[self.entry_code] | (self.tried[self.entry_code] > self.collided)
-        self.best[alone] = cache.counts[alone]
+        self.best[self.exact] = cache.counts[self.exact]
         keep = self.best < _INF32
         w = cache.windows[keep]
         code = cache.codes[self.entry_code[keep]]

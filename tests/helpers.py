@@ -168,6 +168,28 @@ def pair_count_matrix(cache) -> np.ndarray:
     return dd
 
 
+def pair_counts_at(cache, codes, windows) -> np.ndarray:
+    """int64 true counts of the pair codes u*sigma + v in the given windows,
+    0 where a pair is absent, read from a PairCounts: a row code's row, or a
+    binary search over the entries keyed code index * windows + window."""
+    codes, windows = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (codes, windows))
+    nw, out = cache.n_windows, np.zeros(codes.size, dtype=np.int64)
+    if cache.codes.size == 0:
+        return out
+    at = np.minimum(np.searchsorted(cache.codes, codes), cache.codes.size - 1)
+    known = cache.codes[at] == codes
+    row = np.where(known, cache.row_ids[at], -1)
+    out[row >= 0] = cache.rows[row[row >= 0], windows[row >= 0]]
+    keys = np.repeat(np.arange(cache.codes.size), np.diff(cache.offsets)) * nw + cache.windows
+    ask = np.flatnonzero(known & (row < 0))
+    if keys.size and ask.size:
+        want = at[ask] * nw + windows[ask]
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        hit = keys[pos] == want
+        out[ask[hit]] = cache.counts[pos[hit]]
+    return out
+
+
 def correction_term(dprime: dict, family) -> float:
     """(1/2) * sum (2*beta_{u,v} - k) * d'_{u,v} of one window's noise
     matrix {(u, v): d'}, one scalar beta per entry; half-integer for integer
@@ -393,7 +415,10 @@ def construct_reference(
     """Straight transcription of the bucket/decode/min-update procedure.
 
     Quadratic-ish and only meant for small instances; construct_sparse_noise
-    must match it entry for entry.
+    must match it entry for entry. It stops after the first projection by
+    which every pair present in a window has been the only nonzero pair of
+    that window in some non-diagonal bucket: the bucket's count is then the
+    pair's own count.
     """
     sigma = text.sigma
     n, m = len(text), len(pattern)
@@ -401,8 +426,16 @@ def construct_reference(
     if sigma < 2:
         return _empty_profile(sigma, params.capacity, nw)
     dicts: list[dict] = [dict() for _ in range(nw)]
+    # the (window, pair) counts not yet seen alone in a bucket
+    unseen = {
+        (j, uv): cnt for j in range(nw) for uv, cnt in alignment_dict_brute(text, pattern, j).items()
+    }
     for proj in _projection_plan(params, sigma):
         table = compute_bucket_table(text, pattern, proj)
+        for (j, (u, v)), cnt in list(unseen.items()):
+            bc = table.buckets.get((int(proj.tau_table[u]), int(proj.pi_table[v])))
+            if bc is not None and int(bc.c[j]) == cnt:
+                del unseen[(j, (u, v))]
         for (x, y), bc in table.buckets.items():
             for j in range(nw):
                 c = int(bc.c[j])
@@ -416,4 +449,6 @@ def construct_reference(
                 prev = dicts[j].get(cand)
                 if prev is None or c < prev:
                     dicts[j][cand] = c
+        if not unseen:
+            break
     return noise_profile_from_windows(dicts, sigma, capacity=params.capacity)

@@ -360,7 +360,7 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
         # windows holding most occurring pair codes: nearly all codes keep rows
         ((1024, 256, 16, 22), "810687c4e390a06177b6ed10e31042de472997ce6e3246f49a76c0db2e956cc3"),
         # windows holding few of them: entry codes only
-        ((512, 64, 64, 13), "96db66c49d79da2e28a6266531c68106400d32e05690e4202f679df3a3061b6b"),
+        ((512, 64, 64, 13), "9f20cbebf53068b3b9801f343e094a91133fb8d8b653bf519bbddbf4956d3225"),
     ],
 )
 def test_profiles_pinned_with_one_dprime(shape, digest):

@@ -264,17 +264,92 @@ def _scattered_instance(seed, sigma, k, n, m):
     return IntString(rng.choice(symbols, n), sigma), IntString(rng.choice(symbols, m), sigma)
 
 
-def test_row_group_spurious_decodes_match_reference():
+def _projections_run(monkeypatch):
+    """Counts the projections each recovery runs, in a one-item list."""
+    runs = [0]
+    real = sparse_recovery._Recovery.project
+
+    def spy(self, proj):
+        runs[0] += 1
+        return real(self, proj)
+
+    monkeypatch.setattr(sparse_recovery._Recovery, "project", spy)
+    return runs
+
+
+def test_row_group_spurious_decodes_match_reference(monkeypatch):
     # every code keeps a row, so an output pair that occurs in no window can
-    # only come from the bit-plane decode of a row group of 3+ codes
-    text, pattern = _scattered_instance(5, 32, 12, 800, 200)
-    params = recovery_params(0.5, seed=11, reps=6)
+    # only come from the bit-plane decode of a row group of 3+ codes. Here
+    # the ladder stops at projection 5 of 12, after such decodes
+    text, pattern = _scattered_instance(1, 32, 12, 800, 200)
+    params = recovery_params(0.5, seed=16, reps=6)
     cache = prepare_pair_counts(text, pattern)
     assert np.all(cache.row_ids >= 0)
+    runs = _projections_run(monkeypatch)
     fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    assert runs[0] == 5
     codes = fast.us.astype(np.int64) * text.sigma + fast.vs
     assert not np.isin(codes, cache.codes).all()
     assert same_profile(fast, construct_reference(text, pattern, params))
+
+
+def _assert_present_pairs_exact(noise, cache):
+    """Every entry of noise naming a pair present in its window holds that
+    pair's true count; returns how many entries were checked."""
+    codes = noise.us.astype(np.int64) * cache.sigma + noise.vs
+    truth = helpers.pair_counts_at(cache, codes, noise.entry_windows())
+    present = truth > 0
+    assert np.array_equal(noise.values[present], truth[present])
+    return int(present.sum())
+
+
+@pytest.mark.parametrize(
+    "instance, eps, seed, reps, route, layout, ran",
+    [
+        # (text, pattern), recovery parameters, the pair-count route and
+        # layout (row codes, entry codes or both), and projections run
+        (lambda: generate_instance(400, 256, 16, "planted_heavy", 0), 0.5, 100, 2, "grid", "both", 3),
+        (lambda: _uniform(40, 5, 257, seed=0), 0.5, 100, 3, "sort", "entries", 3),
+        (lambda: _skewed_instance(160, 24, 24, 0, 0.6), 0.5, 100, 3, "sort", "both", 3),
+    ],
+    ids=["grid-both", "sort-entries", "sort-both"],
+)
+def test_ladder_stops_mid_plan_like_the_reference(
+    monkeypatch, instance, eps, seed, reps, route, layout, ran
+):
+    # the ladder stops after the first projection by which every present
+    # pair count has sat alone in its window's bucket, before the last
+    # projection of the plan; the reference decides the same stop from its
+    # own bucket table
+    text, pattern = instance()
+    taken = _route_spy(monkeypatch)
+    cache = prepare_pair_counts(text, pattern)
+    rowed = cache.row_ids >= 0
+    assert taken == [route]
+    assert layout == ("rows" if rowed.all() else "entries" if not rowed.any() else "both")
+    params = recovery_params(eps, seed=seed, reps=reps)
+    runs = _projections_run(monkeypatch)
+    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    assert runs[0] == ran and 1 < ran < params.num_scales * params.reps
+    assert same_profile(fast, construct_reference(text, pattern, params))
+    assert _assert_present_pairs_exact(fast, cache) > 0
+
+
+def test_present_pairs_end_at_their_true_counts():
+    # once the ladder stops, every pair present in a window has sat alone in
+    # its bucket, so its D' entry, if kept, is its exact count; only absent
+    # pairs can sit above the truth. Default repetitions: the stop comes
+    # long before the ceiling of num_scales * ceil(2 log2 n) projections
+    shapes = [
+        _uniform(2048, 128, 16, seed=3),
+        generate_instance(2048, 128, 64, "planted_heavy", 1),
+        helpers.few_pairs_bench_instance(2048, 256, 64, seed=2),
+    ]
+    for text, pattern in shapes:
+        cache = prepare_pair_counts(text, pattern)
+        params = recovery_params(0.1, seed=7, n=len(text))
+        noise = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+        assert _assert_present_pairs_exact(noise, cache) > 0
 
 
 def _one_bucket_plan(us, vs):
@@ -568,10 +643,11 @@ def _periodic_instance(n, m, sigma, seed):
 
 
 def test_recovery_memory_grows_with_pair_entries():
-    # recovery keeps 12 bytes of state per entry (running minimum, collision
-    # count, code) and 4 per row cell (a row holds at most 4 cells per entry
-    # of its code), plus per-projection scratch of about 40 bytes per decoded
-    # entry where few collide; nothing grows as sigma^2 * windows.
+    # recovery keeps 9 bytes of state per entry (running minimum, code,
+    # exactness flag) and 5 per row cell (running minimum and flag; a row
+    # holds at most 4 cells per entry of its code), plus per-projection
+    # scratch of about 40 bytes per decoded entry where few collide;
+    # nothing grows as sigma^2 * windows.
     # On the periodic instance 8 * sigma^2 * windows bytes is 31.5 MB, and
     # this bound allows 1.8 MB.
     row_heavy = _uniform(1024, 128, 16, seed=3)

@@ -324,7 +324,8 @@ def test_mismatched_inputs_exit_two(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 4
+    assert out.count("ok ") == 5
     assert "ok no recovered noise value below its true pair count" in out
+    assert "ok every recovered present pair at its true count" in out
     assert "ok pair counts sum to the exact profile, sort and grid routes" in out
     assert "FAIL" not in out
