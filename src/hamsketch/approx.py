@@ -65,20 +65,11 @@ class ApproxParams:
     k: int
     reps: int
     seed: int
-    recovery_reps: int | None = None
 
 
-def approx_params(
-    epsilon: float,
-    seed: int,
-    n: int,
-    reps: int | None = None,
-    recovery_reps: int | None = None,
-) -> ApproxParams:
+def approx_params(epsilon: float, seed: int, n: int, reps: int | None = None) -> ApproxParams:
     """k = 8b/eps_eff rounded up to a power of two, b = 12289/16384."""
     check_epsilon(epsilon)
-    if recovery_reps is not None and recovery_reps < 1:
-        raise ValueError(f"recovery reps must be >= 1, got {recovery_reps}")
     eps_eff = recovery_params(epsilon, 0, reps=1).epsilon_eff
     return ApproxParams(
         epsilon=epsilon,
@@ -86,7 +77,6 @@ def approx_params(
         k=family_size(8.0 * B_CONST / eps_eff),
         reps=resolve_reps(reps, n),
         seed=seed,
-        recovery_reps=recovery_reps,
     )
 
 
@@ -94,12 +84,7 @@ def _recover_noise(
     text: IntString, pattern: IntString, params: ApproxParams, exec_index: int
 ) -> NoiseProfile:
     seed_exec = mix(params.seed, ROLE_EXECUTION, exec_index)
-    rp = recovery_params(
-        params.epsilon,
-        mix(seed_exec, ROLE_RECOVERY),
-        n=len(text),
-        reps=params.recovery_reps,
-    )
+    rp = recovery_params(params.epsilon, mix(seed_exec, ROLE_RECOVERY), n=len(text))
     return construct_sparse_noise(text, pattern, rp)
 
 

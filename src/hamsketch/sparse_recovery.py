@@ -35,11 +35,11 @@ one sort of the keys merges the blocks. Both give the same PairCounts. A
 code that occurs in at least a quarter of the windows keeps an int32 count
 row over all windows; every other code keeps its (window, count) entries. A
 row thus holds at most four cells per entry of its code. Recovery adds an
-int32 running minimum and a one-byte exactness flag per row cell, and per
-entry an int32 running minimum and code and a one-byte flag, plus 12 bytes
-per run of one code in one decode chunk (one run per entry code with a
-single chunk, at most one per entry), so memory grows with the number of
-pair entries and not with sigma^2 * windows.
+int32 running minimum per row cell (4 bytes), and per entry an int32
+running minimum and code (8 bytes), plus 12 bytes per run of one code in
+one decode chunk (one run per entry code with a single chunk, at most one
+per entry), so memory grows with the number of pair entries and not with
+sigma^2 * windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -52,11 +52,13 @@ decoded pair lies in this bucket, so the projection check passes. The decode
 therefore min-updates (u, v) with c, its exact count. Every bucket holding
 (u, v) counts at least c, so a pair that sits alone in its window's bucket in
 some projection ends at exactly its count. A code alone in its bucket is
-alone in every window. The other groups decode as follows:
+alone in every window, and its running minimum takes its nonzero counts. The
+other groups decode as follows:
 
 - Every member has a row. Two members decode in each window to the strictly
   heavier one, with value d_a + d_b (equal counts tie every differing plane
-  and reject). Three or more, k of them, decode over the distinct ways they
+  and reject), which is the heavier count itself where the other is 0.
+  Three or more, k of them, decode over the distinct ways they
   split the bit planes. A plane on which every member agrees takes the
   common bit, and ties only where c = 0. Planes with the same member split
   S, or its complement, always decide together, so each window forms only
@@ -77,9 +79,10 @@ alone in every window. The other groups decode as follows:
   keys packed above the entry ids puts the members a window holds next to
   each other. A chunk reads its entries in runs of one code, the runs listed
   by chunk, so it looks groups up per run and not per entry. An entry or
-  row cell alone in its window is exact as above, and is only flagged. Each
-  window holding two or more runs the bit-plane decode, the colliding
-  entries' codes read from a per-entry code array.
+  row cell alone in its window decodes to its exact count as above, so its
+  running minimum takes that count without a decode. Each window holding
+  two or more runs the bit-plane decode, the colliding entries' codes read
+  from a per-entry code array.
 
 A bit-plane decode names either a member of the group, whose value it can
 lower below the member's collision counts, or a pair absent from the window,
@@ -87,15 +90,15 @@ which is kept as a spurious entry just as the literal procedure keeps it. One
 filter then ranks each window's row cells, entries and spurious entries
 together.
 
-Where the ladder stops. Recovery flags each nonzero (code, window) count
-once its pair has sat alone among the window's nonzero pairs in a
-non-diagonal bucket: a code alone in its bucket, an entry or row cell alone
-in its window's group, a row member whose own count is its group's count c,
-and so a two-row group's cell where the partner's count is 0. Such a count is
-exact, and no later projection changes it. Once every nonzero count is
-flagged, a later projection can only add pairs absent from their windows
-(spurious decodes, and values on row cells whose count is 0), so
-construct_sparse_noise stops after the first projection at which that
+Where the ladder stops. Every value a pair's running minimum takes is the
+count of a bucket holding the pair, so it never falls below the pair's count
+and reaches it exactly when the pair has sat alone among its window's
+nonzero pairs in a non-diagonal bucket. The running minima are thus the
+record of exactness: a nonzero (code, window) count is exact once its
+running minimum equals it, and no later projection changes it. Once every
+nonzero count is exact, a later projection can only add pairs absent from
+their windows (spurious decodes, and values on row cells whose count is 0),
+so construct_sparse_noise stops after the first projection at which that
 holds. The paper fixes O(log n) repetitions per scale, enough for a union
 bound over every heavy pair; its O~(n/eps) route sees bucket counts only and
 cannot tell when every pair has been isolated. This rule relies on the
@@ -143,6 +146,8 @@ _PAIR_BYTES_PER_POSITION = 48
 # the capacity filter ranks at most this many candidate cells at a time, at
 # 16 bytes of key and partitioned copy per cell
 _FILTER_BLOCK_CELLS = 1 << 18
+# the stopping check compares at most this many running minima at a time
+_EXACT_BLOCK_CELLS = 1 << 16
 
 
 # ----------------------------------------------------------------------------
@@ -273,7 +278,7 @@ class NoiseProfile:
     def validate(self) -> None:
         """ValueError unless the CSR layout holds and every entry is a
         positive off-diagonal count over [0, sigma), at most capacity per
-        window."""
+        window, each window's pairs strictly increasing in (u, v)."""
         ptr = self.indptr
         if not self.us.size == self.vs.size == self.values.size:
             raise ValueError("noise entries need equal us, vs and values lengths")
@@ -292,6 +297,12 @@ class NoiseProfile:
             syms = np.concatenate([self.us, self.vs])
             if syms.min() < 0 or syms.max() >= self.sigma:
                 raise ValueError(f"noise entries must name symbols in [0, {self.sigma})")
+            # codes u*sigma + v rise within a window; a step that does not
+            # rise must start a window
+            code = self.us.astype(np.int64) * self.sigma + self.vs
+            flat = np.flatnonzero(np.diff(code) <= 0) + 1
+            if not np.isin(flat, ptr).all():
+                raise ValueError("a window's pairs must be sorted by (u, v) without duplicates")
 
     def dump_csv(self, path) -> None:
         wins = self.entry_windows()
@@ -462,7 +473,7 @@ def construct_sparse_noise(
         rec.project(proj)
         # every present pair is at its exact count: later projections could
         # only add pairs absent from their windows
-        if rec.pending == 0:
+        if rec.all_exact():
             break
     return rec.finish(params.capacity)
 
@@ -492,8 +503,8 @@ class _Recovery:
     running-minimum row per row code and one value per entry of the other
     codes, plus (window, code, value) triples for decodes that name an entry
     code in a window where it does not occur, or a code that occurs nowhere.
-    Beside them, one exactness flag per entry and per row cell, and the
-    number of nonzero counts still unflagged.
+    A nonzero count is exact once its running minimum equals it (module
+    docstring), so the minima are also the ladder's stopping state.
     """
 
     def __init__(self, cache: PairCounts, n_buckets: int, max_entries: int):
@@ -549,20 +560,14 @@ class _Recovery:
         self.group = np.full(cache.codes.size, -1, dtype=np.int64)
         self.mins = np.full(cache.rows.shape, _INF32, dtype=np.int32)
         self.best = np.full(cache.counts.size, _INF32, dtype=np.int32)
-        # per entry and per nonzero row cell: the count sat alone among its
-        # window's nonzero pairs in a non-diagonal bucket, so it is exact;
-        # pending counts the nonzero counts not yet exact
-        self.exact = np.zeros(n_e, dtype=bool)
-        self.cell_exact = np.zeros(cache.rows.shape, dtype=bool)
-        self.pending = int(cum[-1])
         self.ever_single = np.zeros(cache.codes.size, dtype=bool)
         none = np.zeros(0, dtype=np.int64)
         self.spurious = [(none, none, none)]
-        self.two = [np.zeros((2, 0), dtype=np.int64)]
         # diagonal bucket bitmap, set and cleared again by each projection
         self.diag = np.zeros(n_buckets, dtype=bool)
 
     def project(self, proj: CoupledProjection) -> None:
+        cache = self.cache
         tau = proj.tau_table.astype(np.int64)
         pi = proj.pi_table.astype(np.int64)
         diag_ids = tau * proj.r + pi
@@ -581,27 +586,29 @@ class _Recovery:
         starts = np.flatnonzero(np.append(True, bs[1:] != bs[:-1]))
         sizes = np.diff(np.append(starts, bs.size))
         # a code alone in its bucket over all windows is alone in each
-        # window, so every nonzero count of it is exact
+        # window, so it decodes to each of its nonzero counts
         single = order[starts[sizes == 1]]
         single = single[~self.ever_single[single]]
         self.ever_single[single] = True
-        ent = single[self.is_entry[single]]
-        self._settle(self.exact, _ranges(self.cache.offsets[ent], np.diff(self.cache.offsets)[ent]))
-        for row in self.cache.row_ids[single[~self.is_entry[single]]]:
-            self._settle_row(row, self.cache.rows[row] > 0)
+        ent = _ranges(cache.offsets[single], np.diff(cache.offsets)[single])
+        self.best[ent] = cache.counts[ent]
+        for row in cache.row_ids[single[~self.is_entry[single]]]:
+            own = cache.rows[row]
+            np.minimum(self.mins[row], np.maximum(own, (own == 0) * _INF32), out=self.mins[row])
         mixed = (sizes > 1) & np.logical_or.reduceat(self.is_entry[order], starts)
         on_rows = (sizes > 1) & ~mixed
         # two-row groups decode to the strictly heavier member with value
         # c = d_a + d_b (equal weights tie every differing bit plane and
-        # reject), so no plane sums or projection checks are needed; they
-        # are collected and applied once per target code in finish
+        # reject), so no plane sums or projection checks are needed. A member
+        # that sat alone in a bucket already holds its exact count wherever
+        # it can be the heavier one, so only the others are lowered
         two = starts[on_rows & (sizes == 2)]
-        self.two.append(np.stack([order[two], order[two + 1]]))
-        # a member's cell is exact where its partner's count is 0
-        for a, b in self.cache.row_ids[self.two[-1].T]:
-            ra, rb = self.cache.rows[a], self.cache.rows[b]
-            self._settle_row(a, (rb == 0) & (ra > 0))
-            self._settle_row(b, (ra == 0) & (rb > 0))
+        for a, b in zip(order[two], order[two + 1]):
+            ra, rb = cache.rows[cache.row_ids[a]], cache.rows[cache.row_ids[b]]
+            for p, own, other in ((a, ra, rb), (b, rb, ra)):
+                if not self.ever_single[p]:
+                    row = self.mins[cache.row_ids[p]]
+                    np.minimum(row, np.maximum(own + other, (own <= other) * _INF32), out=row)
         for s0, k in zip(starts[on_rows & (sizes > 2)], sizes[on_rows & (sizes > 2)]):
             self._decode_rows(order[s0 : s0 + k], bs[s0] // proj.r, bs[s0] % proj.r, tau, pi)
         # the other groups together, in the window chunks; collisions are
@@ -617,19 +624,18 @@ class _Recovery:
             self._decode_entries(members, group, k, bkt, proj.r, tau, pi)
         self.group[members[ent]] = -1
 
-    def _settle(self, flags: np.ndarray, ids: np.ndarray) -> None:
-        """Flag the distinct nonzero counts ids of flags (entries, or flat
-        row cells) exact."""
-        fresh = ids[~flags[ids]]
-        flags[fresh] = True
-        self.pending -= fresh.size
-
-    def _settle_row(self, row: int, cells: np.ndarray) -> None:
-        """Flag the cells (a mask over the windows, nonzero counts only) of
-        row exact."""
-        fresh = cells & ~self.cell_exact[row]
-        self.cell_exact[row] |= fresh
-        self.pending -= int(np.count_nonzero(fresh))
+    def all_exact(self) -> bool:
+        """Every nonzero count's running minimum has reached it. The running
+        minima of zero-count row cells only ever take values >= 1, so they
+        are masked out; the arrays are compared in blocks, up to the first
+        block holding a count that is not yet exact."""
+        cache, b = self.cache, _EXACT_BLOCK_CELLS
+        for mins, counts in ((self.best, cache.counts), (self.mins.ravel(), cache.rows.ravel())):
+            for lo in range(0, counts.size, b):
+                got, want = mins[lo : lo + b], counts[lo : lo + b]
+                if not np.all((got == want) | (want == 0)):
+                    return False
+        return True
 
     def _bits(self, code: np.ndarray) -> np.ndarray:
         """(2*nbits, len) bits of the u and then the v symbols of codes."""
@@ -664,9 +670,6 @@ class _Recovery:
         rows = self.cache.row_ids[members]
         sub = self.cache.rows[rows]
         c = sub.sum(axis=0, dtype=np.int32)
-        # a member is alone where its own count is the whole group's
-        for row, own in zip(rows, sub):
-            self._settle_row(row, (own == c) & (own > 0))
         # plane b splits off the members whose bit differs from member 0's.
         # Its sum d_b = 2*planes_b - c is +-c where no member splits off (a
         # tie only at c = 0, where every sum ties), and otherwise +-D for its
@@ -687,8 +690,8 @@ class _Recovery:
         code = weights @ (d > 0).astype(weights.dtype)
         code -= (d == 0).any(axis=0) * weights.dtype.type(1 << len(ids))
         # member i is named exactly at its own outcome, where it passes
-        # every check; arithmetic masks, as masked ufuncs run several times
-        # slower on these arrays
+        # every check (with c its own count where it is alone); arithmetic
+        # masks, as masked ufuncs run several times slower on these arrays
         rest = code >= 0
         for row, own in zip(rows, weights @ sides):
             miss = code != own
@@ -739,8 +742,9 @@ class _Recovery:
         # alone in its window's bucket: the decode gives the exact count, and
         # every bucket holding the pair counts at least as much
         ids = packed[alone] & ((1 << bits) - 1)
-        self._settle(self.exact, ids[ids < n_e])
-        self._settle(self.cell_exact.reshape(-1), ids[ids >= n_e] - n_e)
+        lone, lone_cells = ids[ids < n_e], ids[ids >= n_e] - n_e
+        self.best[lone] = cache.counts[lone]
+        self.mins.reshape(-1)[lone_cells] = cache.rows.reshape(-1)[lone_cells]
         coll = np.flatnonzero(~alone)
         if coll.size == 0:
             return
@@ -783,31 +787,8 @@ class _Recovery:
         self.spurious.append((win[spur], dest[spur], c[spur]))
 
     def finish(self, capacity: int) -> NoiseProfile:
-        cache, mins, rows = self.cache, self.mins, self.cache.rows
-        # two-row groups, per target row p: min over instances of d_p + d_q
-        # where d_q < d_p, which is d_p + min(partner rows) when that minimum
-        # sits strictly below d_p. A pair of rows can share a bucket in
-        # several projections, so each (target, partner) pair counts once
-        pairs = cache.row_ids[np.concatenate(self.two, axis=1)]
-        ta, tb = np.concatenate([pairs, pairs[::-1]], axis=1)
-        ta, tb = np.divmod(np.unique(ta * rows.shape[0] + tb), rows.shape[0])
-        # a target that sat alone is overwritten by its exact counts below
-        # wherever they are nonzero, and where they are 0 no partner count
-        # lies strictly below them, so only the other targets are folded
-        lone = self.ever_single[self.row_codes[ta]]
-        ta, tb = ta[~lone], tb[~lone]
-        firsts = np.flatnonzero(np.diff(ta, prepend=-1))
-        for p, partners in zip(ta[firsts], np.split(tb, firsts[1:])):
-            partner_min = rows[partners].min(axis=0)
-            np.minimum(
-                mins[p], np.where(partner_min < rows[p], rows[p] + partner_min, _INF32),
-                out=mins[p],
-            )
-        # a count that sat alone ends at exactly its value, however many
-        # projections decoded it
-        np.copyto(mins, rows, where=self.cell_exact)
+        cache, mins = self.cache, self.mins
         mins[mins == _INF32] = 0
-        self.best[self.exact] = cache.counts[self.exact]
         keep = self.best < _INF32
         w = cache.windows[keep]
         code = cache.codes[self.entry_code[keep]]

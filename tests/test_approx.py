@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsketch import approx, hashing, sparse_recovery
+from hamsketch._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
 from hamsketch._sketch import (
     dprime_correction,
     execution_estimates,
@@ -58,11 +59,11 @@ def test_params_k_values_and_bound():
         approx_params(0.75, seed=0, n=16)
 
 
-@pytest.mark.parametrize("reps, recovery_reps", [(0, None), (-1, None), (2, 0), (2, -3)])
-def test_params_reject_repetition_counts_below_one(reps, recovery_reps):
+@pytest.mark.parametrize("reps", [0, -1])
+def test_params_reject_repetition_counts_below_one(reps):
     # rejected when the params are built, before any pair counts exist
     with pytest.raises(ValueError, match="reps must be >= 1"):
-        approx_params(0.25, seed=0, n=64, reps=reps, recovery_reps=recovery_reps)
+        approx_params(0.25, seed=0, n=64, reps=reps)
 
 
 def test_reps_zero_rejected_before_recovery(monkeypatch):
@@ -283,10 +284,10 @@ def test_one_evaluation_per_hash_kind(monkeypatch):
     )
     text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
     seen = set()
-    for eps, reps, rreps in ((0.25, 2, 1), (0.25, 7, 3), (0.0625, 5, 4)):
+    for eps, reps in ((0.25, 2), (0.25, 7), (0.0625, 5)):
         for log in (evals, recoveries):
             log.clear()
-        params = approx_params(eps, seed=1, n=600, reps=reps, recovery_reps=rreps)
+        params = approx_params(eps, seed=1, n=600, reps=reps)
         approx_profile(text, pattern, params)
         assert len(recoveries) == 1
         seen.add(len(evals))
@@ -306,7 +307,7 @@ def test_perfect_noise_matrix_gives_exact_profile():
 
 def test_identical_strings_and_zero_windows():
     s = IntString(np.arange(60) % 6, 6)
-    params = approx_params(0.25, seed=2, n=60, reps=3, recovery_reps=2)
+    params = approx_params(0.25, seed=2, n=60, reps=3)
     assert not approx_profile(s, s, params).values.any()
     # plant the pattern verbatim: that window must come out exactly 0
     rng = np.random.default_rng(8)
@@ -314,7 +315,7 @@ def test_identical_strings_and_zero_windows():
     pattern = IntString(rng.integers(0, 6, size=25), 6)
     text_arr[70:95] = pattern.symbols
     text = IntString(text_arr, 6)
-    params = approx_params(0.25, seed=3, n=200, reps=5, recovery_reps=2)
+    params = approx_params(0.25, seed=3, n=200, reps=5)
     prof = approx_profile(text, pattern, params)
     assert prof.values[70] == 0.0
     assert prof.values.min() >= 0.0
@@ -322,7 +323,7 @@ def test_identical_strings_and_zero_windows():
 
 def test_reps_one_equals_single_execution():
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=4)
-    params = approx_params(0.25, seed=7, n=150, reps=1, recovery_reps=2)
+    params = approx_params(0.25, seed=7, n=150, reps=1)
     noise = approx._recover_noise(text, pattern, params, 0)
     single = execution_estimates(text, pattern, params.k, params.seed, [0], noise)[0]
     assert np.array_equal(approx_profile(text, pattern, params).values, single)
@@ -344,7 +345,7 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
         text, pattern = generate_instance(150, 20, sigma, "uniform", seed=11)
         occurring = (occurring_symbols(s)[0].size for s in (text, pattern))
         assert pair_grid_pays(*occurring, len(pattern)) == grid
-        params = approx_params(0.25, seed=9, n=150, reps=4, recovery_reps=2)
+        params = approx_params(0.25, seed=9, n=150, reps=4)
         calls.clear()
         prof, shared = approx_profile(text, pattern, params, return_noise=True)
         assert len(calls) == 1 and shared.values.size
@@ -364,17 +365,20 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
     ],
 )
 def test_profiles_pinned_with_one_dprime(shape, digest):
-    # SHA-256 of the profile bytes, pinned before recovery had one route
+    # SHA-256 of the profile bytes, pinned before recovery had one route,
+    # over a D' recovered with execution 0's seeds and two repetitions per
+    # scale in place of the default ladder
     n, m, sigma, seed = shape
     text, pattern = generate_instance(n, m, sigma, "uniform", seed)
-    params = approx_params(0.25, seed=9, n=n, reps=4, recovery_reps=2)
-    prof = approx_profile(text, pattern, params)
+    params = approx_params(0.25, seed=9, n=n, reps=4)
+    rp = recovery_params(0.25, mix(mix(9, ROLE_EXECUTION, 0), ROLE_RECOVERY), n=n, reps=2)
+    prof = approx_with_noise(text, pattern, params, construct_sparse_noise(text, pattern, rp))
     assert hashlib.sha256(prof.values.tobytes()).hexdigest() == digest
 
 
 def test_estimates_deterministic():
     text, pattern = generate_instance(180, 24, 16, "uniform", seed=6)
-    params = approx_params(0.25, seed=31, n=180, reps=3, recovery_reps=2)
+    params = approx_params(0.25, seed=31, n=180, reps=3)
     a = approx_profile(text, pattern, params)
     b = approx_profile(text, pattern, params)
     assert np.array_equal(a.values, b.values)
@@ -390,7 +394,7 @@ def test_single_execution_concentration():
     assert d > 0
     eps = 0.25
     trials = 300
-    params = approx_params(eps, seed=77, n=m, reps=1, recovery_reps=2)
+    params = approx_params(eps, seed=77, n=m, reps=1)
 
     def execution(e):
         # its own family and its own D'

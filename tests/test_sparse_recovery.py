@@ -492,6 +492,37 @@ def test_row_decode_many_splits(monkeypatch, nbits, m, n, weights):
     assert len(others) >= 2
 
 
+def test_two_row_group_at_the_ladder_ceiling(monkeypatch):
+    # codes (0, 1) and (0, 2) keep rows and share the one non-diagonal
+    # bucket of a one-projection plan; the pairs of text symbol 3 land in a
+    # diagonal bucket. Each window names the strictly heavier pair with
+    # value d_a + d_b, above its count wherever the lighter pair occurs too,
+    # and the plan ends before those counts are exact
+    plan = _one_bucket_plan([0], [1, 2])
+    monkeypatch.setattr(sparse_recovery, "_projection_plan", plan)
+    monkeypatch.setattr(helpers, "_projection_plan", plan)
+    text = IntString(_text_over([0, 3], [9, 1], 300, seed=4), 4)
+    pattern = IntString(_text_over([1, 2], [1, 1], 40, seed=5), 4)
+    cache = prepare_pair_counts(text, pattern)
+    rows = cache.rows[cache.row_ids[np.isin(cache.codes, [1, 2])]]
+    assert rows.shape[0] == 2
+    params = recovery_params(0.25, seed=0, reps=1)
+    runs = _projections_run(monkeypatch)
+    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    assert runs[0] == 1
+    assert same_profile(fast, construct_reference(text, pattern, params))
+    wins, codes = fast.entry_windows(), fast.us.astype(np.int64) * 4 + fast.vs
+    assert np.isin(codes, [1, 2]).all()
+    heavier = rows.argmax(axis=0)[wins]
+    assert np.array_equal(codes, heavier + 1)
+    assert np.array_equal(fast.values, rows.sum(axis=0)[wins])
+    # both pairs occur in every window, so every entry sits above its count
+    assert rows.all() and wins.size > 100
+    assert np.all(fast.values > rows.max(axis=0)[wins])
+    # equal counts tie every differing plane: no entry
+    assert not np.isin(np.flatnonzero(rows[0] == rows[1]), wins).any()
+
+
 def test_entry_group_spurious_decodes_match_reference():
     # no code keeps a row, so an output pair absent from its window can only
     # come from a collision decode that names a pair the window lacks
@@ -532,8 +563,26 @@ def test_csr_route_matches_reference_property(data):
     )
     budget = data.draw(st.sampled_from([1, 1000, DEFAULT_MEM_BUDGET]), label="mem_budget")
     cache = prepare_pair_counts(text, pattern, mem_budget=budget)
-    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
-    assert same_profile(fast, construct_reference(text, pattern, params))
+    # both stop after the same projection: the recovery counts its
+    # projections, the reference its bucket tables (one per projection).
+    # Spies set up here, as @given tests take no function-scoped fixtures
+    runs, tables = [0], [0]
+    project, table = sparse_recovery._Recovery.project, helpers.compute_bucket_table
+
+    def project_spy(self, proj):
+        runs[0] += 1
+        return project(self, proj)
+
+    def table_spy(*args):
+        tables[0] += 1
+        return table(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse_recovery._Recovery, "project", project_spy)
+        mp.setattr(helpers, "compute_bucket_table", table_spy)
+        fast = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
+        assert same_profile(fast, construct_reference(text, pattern, params))
+    assert runs == tables
 
 
 def test_csr_blocks_do_not_change_the_profile():
@@ -643,11 +692,10 @@ def _periodic_instance(n, m, sigma, seed):
 
 
 def test_recovery_memory_grows_with_pair_entries():
-    # recovery keeps 9 bytes of state per entry (running minimum, code,
-    # exactness flag) and 5 per row cell (running minimum and flag; a row
-    # holds at most 4 cells per entry of its code), plus per-projection
-    # scratch of about 40 bytes per decoded entry where few collide;
-    # nothing grows as sigma^2 * windows.
+    # recovery keeps 8 bytes of state per entry (running minimum and code)
+    # and 4 per row cell (running minimum; a row holds at most 4 cells per
+    # entry of its code), plus per-projection scratch of about 40 bytes per
+    # decoded entry where few collide; nothing grows as sigma^2 * windows.
     # On the periodic instance 8 * sigma^2 * windows bytes is 31.5 MB, and
     # this bound allows 1.8 MB.
     row_heavy = _uniform(1024, 128, 16, seed=3)
@@ -947,6 +995,9 @@ def test_noise_profile_validate_rejects_bad_entries_and_layouts():
     good = first_window({(1, 2): 3})
     good.validate()
     nw = good.n_windows
+    pair = first_window({(1, 2): 3, (2, 0): 1})
+    pair.validate()
+    sym = np.array([1, 2], dtype=np.int32)
     for bad, message in (
         # entries: a negative symbol, a symbol >= sigma, a diagonal pair and a
         # negative value
@@ -954,6 +1005,9 @@ def test_noise_profile_validate_rejects_bad_entries_and_layouts():
         (first_window({(1, 8): 3}), r"symbols in \[0, 8\)"),
         (first_window({(2, 2): 3}), "diagonal"),
         (dataclasses.replace(good, values=-good.values), "positive"),
+        # a window holding (2, 0) before (1, 2), and one holding (1, 2) twice
+        (dataclasses.replace(pair, us=sym[::-1], vs=pair.vs[::-1]), "sorted"),
+        (dataclasses.replace(pair, us=sym[:1].repeat(2), vs=sym[1:].repeat(2)), "duplicates"),
         # layouts: indptr ending past the one entry, a decreasing indptr, one
         # not starting at 0, and us longer than vs
         (dataclasses.replace(good, indptr=np.array([0] + [3] * nw)), "from 0 to the 1 entries"),
