@@ -50,14 +50,14 @@ truth[np.repeat(pairs.codes, np.diff(pairs.offsets)), pairs.windows] = pairs.cou
 # pick the window with the largest single recovered value: a block window
 j = int(noise.entry_windows()[noise.values.argmax()])
 lo, hi = noise.indptr[j], noise.indptr[j + 1]
-got = dict(zip(noise.us[lo:hi].astype(np.int64) * sigma + noise.vs[lo:hi], noise.values[lo:hi]))
+got = dict(zip(noise.entry_codes()[lo:hi], noise.values[lo:hi]))
 print(f"\nwindow {j}: true off-diagonal mass {truth[:, j].sum()}")
 for code in np.argsort(-truth[:, j], kind="stable")[:5]:
     u, v = divmod(int(code), sigma)
     print(f"  true d[{u},{v}] = {truth[code, j]:4d}   recovered d'[{u},{v}] = {got.get(code, 0):4d}")
 
 # over all windows: recovered values never fall below the truth
-true_vals = truth[noise.us.astype(np.int64) * sigma + noise.vs, noise.entry_windows()]
+true_vals = truth[noise.entry_codes(), noise.entry_windows()]
 below = int(np.count_nonzero(noise.values < true_vals))
 absent = true_vals == 0
 above = int(np.count_nonzero((noise.values > true_vals) & ~absent))

@@ -7,10 +7,12 @@ window j, the estimate
     max(0, (2 * sum_i HAM_i[j] - sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v)) / k):
 
 karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it recovered.
-The correction (dprime_correction) is D' as a (windows, distinct codes) CSR
-matrix on its own indptr times the (codes, executions) weights k - 2*beta,
-all from one base-bit evaluation over the symbols of D'. Every term is an
-integer far below 2^53, so the float64 product is exact in any order.
+The correction (dprime_correction) is D' times the (codes, executions)
+weights k - 2*beta, all from one base-bit evaluation over the symbols of D'.
+A NoiseProfile is stored as the (windows, distinct codes) CSR matrix this
+product takes (its indptr, cols and values), so no entry is sorted again.
+Every term is an integer far below 2^53, so the float64 product is exact in
+any order.
 
 member_hamming_sums returns, for each of several families of one size k,
 sum_i HAM(h_i(text window j), h_i(pattern)) over the family's members for
@@ -222,27 +224,17 @@ def dprime_correction(noise, families) -> np.ndarray:
     from scipy import sparse
 
     k, sigma = families[0].k, noise.sigma
-    # the distinct codes of D' from one sort, and each entry's column
-    code = noise.us.astype(np.int64) * sigma + noise.vs
-    order = np.argsort(code)
-    code = code[order]
-    first = np.ones(code.size, dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=first[1:])
-    col = np.empty(code.size, dtype=np.int32)
-    col[order] = np.cumsum(first, dtype=np.int32) - 1
-    code = code[first]
-    del order, first
-    # their weights k - 2*beta, from one base-bit evaluation over their symbols
-    us, vs = code // sigma, code % sigma
+    # the weights k - 2*beta of its codes, from one base-bit evaluation over
+    # their symbols
+    us, vs = noise.codes // sigma, noise.codes % sigma
     syms = np.union1d(us, vs)
     at_u, at_v = np.searchsorted(syms, us), np.searchsorted(syms, vs)
     beta = beta_from_bits(families, base_bits(families, syms), at_u, at_v)
     weights = (k - 2 * beta).T.astype(np.float64)
     dprime = sparse.csr_matrix(
-        (noise.values.astype(np.float64), col, noise.indptr),
-        shape=(noise.n_windows, code.size),
+        (noise.values.astype(np.float64), noise.cols, noise.indptr),
+        shape=(noise.n_windows, noise.codes.size),
     )
-    del col
     # every term is an integer below 2^53, so the float64 product is exact
     return (dprime @ weights).T.astype(np.int64)
 

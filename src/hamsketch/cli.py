@@ -284,8 +284,7 @@ def _cmd_selftest(args) -> int:
         noise = construct_sparse_noise(t, p, rp)
         noise.validate()
         truth = pair_matrix(prepare_pair_counts(t, p))
-        codes = noise.us.astype(np.int64) * t.sigma + noise.vs
-        true_vals = truth[codes, noise.entry_windows()]
+        true_vals = truth[noise.entry_codes(), noise.entry_windows()]
         below += int(np.count_nonzero(noise.values < true_vals))
         above += int(np.count_nonzero((noise.values > true_vals) & (true_vals > 0)))
     check("no recovered noise value below its true pair count", below == 0)

@@ -88,7 +88,13 @@ A bit-plane decode names either a member of the group, whose value it can
 lower below the member's collision counts, or a pair absent from the window,
 which is kept as a spurious entry just as the literal procedure keeps it. One
 filter then ranks each window's row cells, entries and spurious entries
-together.
+together. Every candidate names its code by its index into one sorted table,
+the distinct pair codes with the distinct spurious codes that occur nowhere
+merged in, so the row cells and entries take their ranks by a gather; only
+the spurious codes are sorted. No code occurs twice among one window's
+candidates, so one plain argsort groups them by window. The ranks the filter
+keeps, with the unused table codes compacted away, are the columns of the
+NoiseProfile, the CSR matrix the correction multiplies as it is.
 
 Where the ladder stops. Every value a pair's running minimum takes is the
 count of a bucket holding the pair, so it never falls below the pair's count
@@ -228,25 +234,31 @@ class CoupledProjection:
 
 def _projection_plan(params: RecoveryParams, sigma: int):
     """The coupled projections of every scale i and repetition rep of
-    params, draw (i, rep) as item i * params.reps + rep. The drawn hashes of
-    a block of draws are evaluated over [0, sigma) in one eval_blocks step;
-    ell >= r draws tau, else pi."""
+    params, draw (i, rep) as item i * params.reps + rep; ell >= r draws tau,
+    else pi. The ladder usually stops after a few draws, so the drawn hashes
+    are evaluated over [0, sigma) in blocks of 1, 2, 4, ... draws, each block
+    only once the plan reaches it and in eval_blocks steps: a ladder that
+    runs p projections evaluates at most 2p - 1 draws."""
     draws = [(i, rep) for i in range(params.num_scales) for rep in range(params.reps)]
     ranges = [scale_ranges(params, i) for i, _ in draws]
     # fourwise_new's coefficients at mix(params.seed, ROLE_PROJECTION, i, rep)
     # for every draw, all seeds and chains stepped together
     scale_col, rep_col = np.array(draws, dtype=np.uint64).reshape(-1, 2).T
     coeffs = fourwise_coeffs(mix_array(params.seed, ROLE_PROJECTION, scale_col, rep_col))
-    for lo, vals in eval_blocks(coeffs, np.arange(sigma)):
-        for d, row in enumerate(vals, start=lo):
-            (i, rep), (ell, r) = draws[d], ranges[d]
-            drawn = (row & np.uint64(max(ell, r) - 1)).astype(np.int64)
-            # the side with the smaller range keeps the drawn values' low bits
-            tau, pi = (drawn, drawn & (r - 1)) if ell >= r else (drawn & (ell - 1), drawn)
-            yield CoupledProjection(
-                ell=ell, r=r, sigma=sigma, scale_index=i, rep_index=rep,
-                tau_table=tau, pi_table=pi,
-            )
+    lo = 0
+    while lo < len(draws):
+        hi = min(len(draws), 2 * lo + 1)
+        for start, vals in eval_blocks(coeffs[lo:hi], np.arange(sigma)):
+            for d, row in enumerate(vals, start=lo + start):
+                (i, rep), (ell, r) = draws[d], ranges[d]
+                drawn = (row & np.uint64(max(ell, r) - 1)).astype(np.int64)
+                # the side with the smaller range keeps the drawn values' low bits
+                tau, pi = (drawn, drawn & (r - 1)) if ell >= r else (drawn & (ell - 1), drawn)
+                yield CoupledProjection(
+                    ell=ell, r=r, sigma=sigma, scale_index=i, rep_index=rep,
+                    tau_table=tau, pi_table=pi,
+                )
+        lo = hi
 
 
 # ----------------------------------------------------------------------------
@@ -255,54 +267,75 @@ def _projection_plan(params: RecoveryParams, sigma: int):
 
 @dataclass(eq=False)
 class NoiseProfile:
-    """All windows' sparse noise matrices in one CSR-like structure.
+    """All windows' sparse noise matrices as one CSR matrix over the codes
+    u*sigma + v, the (windows, codes) matrix the correction multiplies.
 
-    Window j owns entries indptr[j]:indptr[j+1]; within a window entries are
-    sorted by (u, v).
+    codes holds the distinct codes the entries use, ascending. Window j owns
+    entries indptr[j]:indptr[j+1]; entry i has the int32 column cols[i], the
+    code codes[cols[i]], and the value values[i]. Within a window the
+    columns rise, so its pairs are sorted by (u, v). us, vs and
+    entry_codes() are read-only arrays derived from codes and cols.
     """
 
     sigma: int
     capacity: int
     indptr: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
+    codes: np.ndarray  # int64
+    cols: np.ndarray   # int32
     values: np.ndarray
 
     @property
     def n_windows(self) -> int:
         return self.indptr.size - 1
 
+    @property
+    def us(self) -> np.ndarray:
+        return _read_only((self.codes // self.sigma).astype(np.int32)[self.cols])
+
+    @property
+    def vs(self) -> np.ndarray:
+        return _read_only((self.codes % self.sigma).astype(np.int32)[self.cols])
+
+    def entry_codes(self) -> np.ndarray:
+        """Each entry's code u*sigma + v as int64."""
+        return _read_only(self.codes[self.cols])
+
     def entry_windows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_windows, dtype=np.int64), np.diff(self.indptr))
 
     def validate(self) -> None:
-        """ValueError unless the CSR layout holds and every entry is a
-        positive off-diagonal count over [0, sigma), at most capacity per
-        window, each window's pairs strictly increasing in (u, v)."""
-        ptr = self.indptr
-        if not self.us.size == self.vs.size == self.values.size:
-            raise ValueError("noise entries need equal us, vs and values lengths")
-        if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != self.us.size:
-            raise ValueError(f"indptr must run from 0 to the {self.us.size} entries")
+        """ValueError unless the CSR layout holds, the codes are distinct,
+        ascending, used and off-diagonal pairs over [0, sigma), and every
+        entry is a positive count, at most capacity per window, each
+        window's columns strictly rising."""
+        ptr, codes, cols, sigma = self.indptr, self.codes, self.cols, self.sigma
+        if cols.size != self.values.size:
+            raise ValueError("noise entries need equal cols and values lengths")
+        if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != cols.size:
+            raise ValueError(f"indptr must run from 0 to the {cols.size} entries")
         sizes = np.diff(ptr)
         if np.any(sizes < 0):
             raise ValueError("indptr must not decrease")
         if np.any(sizes > self.capacity):
             raise ValueError("a window exceeds the entry capacity")
-        if self.values.size:
-            if self.values.min() <= 0:
-                raise ValueError("noise entries must be positive")
-            if np.any(self.us == self.vs):
+        if self.values.size and self.values.min() <= 0:
+            raise ValueError("noise entries must be positive")
+        if cols.size and (cols.min() < 0 or cols.max() >= codes.size):
+            raise ValueError(f"cols must index the {codes.size} table codes")
+        if codes.size:
+            if codes.min() < 0 or codes.max() >= sigma * sigma:
+                raise ValueError(f"table codes must lie in [0, sigma^2) = [0, {sigma * sigma})")
+            if np.any(codes // sigma == codes % sigma):
                 raise ValueError("diagonal noise entries not allowed")
-            syms = np.concatenate([self.us, self.vs])
-            if syms.min() < 0 or syms.max() >= self.sigma:
-                raise ValueError(f"noise entries must name symbols in [0, {self.sigma})")
-            # codes u*sigma + v rise within a window; a step that does not
-            # rise must start a window
-            code = self.us.astype(np.int64) * self.sigma + self.vs
-            flat = np.flatnonzero(np.diff(code) <= 0) + 1
-            if not np.isin(flat, ptr).all():
-                raise ValueError("a window's pairs must be sorted by (u, v) without duplicates")
+            if np.any(np.diff(codes) <= 0):
+                raise ValueError("table codes must be sorted without duplicates")
+            if np.bincount(cols, minlength=codes.size).min() == 0:
+                raise ValueError("every table code must be used by an entry")
+        # columns rise within a window; a step that does not rise must start
+        # a window
+        flat = np.flatnonzero(np.diff(cols) <= 0) + 1
+        if not np.isin(flat, ptr).all():
+            raise ValueError("a window's pairs must be sorted by (u, v) without duplicates")
 
     def dump_csv(self, path) -> None:
         wins = self.entry_windows()
@@ -483,10 +516,15 @@ def _empty_profile(sigma: int, capacity: int, nw: int) -> NoiseProfile:
         sigma=sigma,
         capacity=capacity,
         indptr=np.zeros(nw + 1, dtype=np.int64),
-        us=np.zeros(0, dtype=np.int32),
-        vs=np.zeros(0, dtype=np.int32),
+        codes=np.zeros(0, dtype=np.int64),
+        cols=np.zeros(0, dtype=np.int32),
         values=np.zeros(0, dtype=np.int64),
     )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -788,50 +826,74 @@ class _Recovery:
 
     def finish(self, capacity: int) -> NoiseProfile:
         cache, mins = self.cache, self.mins
-        mins[mins == _INF32] = 0
+        mins *= mins != _INF32
         keep = self.best < _INF32
-        w = cache.windows[keep]
-        code = cache.codes[self.entry_code[keep]]
-        val = self.best[keep]
-        # the same absent pair can be decoded in several projections
+        # the same absent pair can be decoded in several projections: each
+        # (window, code) keeps its smallest value
         sw, sc, sv = (np.concatenate(col) for col in zip(*self.spurious))
         srt = np.lexsort((sv, sc, sw))
         sw, sc, sv = sw[srt], sc[srt], sv[srt]
         first = np.ones(sw.size, dtype=bool)
         first[1:] = (sw[1:] != sw[:-1]) | (sc[1:] != sc[:-1])
-        parts = zip((w, code, val), (sw[first], sc[first], sv[first]))
-        w, code, val = (np.concatenate(col) for col in parts)
-        return _filter(cache, mins, w, code, val, capacity)
+        table, code_rank, spur_rank = _merge_codes(cache.codes, sc[first])
+        # every candidate ranks by its index into the table, a gather for
+        # the row cells and entries
+        w = np.concatenate([cache.windows[keep], sw[first]], dtype=np.int32)
+        rank = np.concatenate([code_rank[self.entry_code[keep]], spur_rank])
+        val = np.concatenate([self.best[keep], sv[first]])
+        return _filter(cache.sigma, table, mins, code_rank[self.row_codes], w, rank, val, capacity)
 
 
-def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfile:
+def _merge_codes(codes: np.ndarray, spurious: np.ndarray):
+    """(table, code_rank, spur_rank): the ascending codes merged with the
+    distinct spurious codes not among them, the index in table of each of
+    codes, and that of each of spurious. Only the spurious codes are
+    sorted."""
+    new, at = np.unique(spurious, return_inverse=True)
+    pos = np.searchsorted(codes, new)
+    # codes are nonnegative, so the sentinel -1 matches no spurious code
+    fresh = np.append(codes, -1)[pos] != new
+    # a code moves up by the fresh codes below it, those inserted at or
+    # before its position; a spurious code by the fresh codes before it
+    code_rank = np.cumsum(np.bincount(pos[fresh], minlength=codes.size + 1))[: codes.size]
+    code_rank += np.arange(codes.size)
+    new_rank = pos + np.cumsum(fresh) - fresh
+    table = np.empty(codes.size + int(fresh.sum()), dtype=np.int64)
+    table[code_rank] = codes
+    table[new_rank] = new
+    return table, code_rank, new_rank[at]
+
+
+def _filter(sigma, table, mins, row_rank, w, rank, val, capacity: int) -> NoiseProfile:
     """Each window's capacity largest values among its row cells (0 where
-    unset) and its (window, code, value) triples, ties broken toward the
-    smaller code. The triples are padded into a (windows, candidates) key
-    matrix beside the rows and ranked in window blocks of at most
-    _FILTER_BLOCK_CELLS cells: np.partition keeps each window's capacity
-    smallest keys, and one sort of them repacked as (code rank, value) puts
-    them in code order. Each block keeps its entries' candidate ranks and
-    values as int32; the symbols are read through int32 tables of the
-    candidates, so until the profile is built its entries take 8 bytes each
-    besides their own 16."""
-    sigma, nw = cache.sigma, cache.n_windows
-    row_codes = cache.codes[cache.row_ids >= 0]
-    cand = np.union1d(row_codes, code)
-    if cand.size == 0:
+    unset) and its (window, rank, value) triples, ties broken toward the
+    smaller code. table holds distinct codes ascending: row i of mins has
+    the code table[row_rank[i]], and a triple the code table[rank]; no code
+    occurs twice among one window's candidates.
+
+    The triples are grouped by window with one argsort: keys are distinct
+    within a window, so their order there does not matter. They are padded
+    into a (windows, candidates) key matrix beside the rows and ranked in
+    window blocks of at most _FILTER_BLOCK_CELLS cells: np.partition keeps
+    each window's capacity smallest keys, and one sort of them repacked as
+    (rank, value) puts them in code order. Each block keeps its entries'
+    ranks and values as int32. The ranks become the profile's columns once
+    the unused table codes are compacted away, so until the profile is built
+    its entries take 8 bytes each besides their own 12."""
+    nw = mins.shape[1]
+    if table.size == 0:
         return _empty_profile(sigma, capacity, nw)
-    # ascending key = descending value, then ascending code rank
-    rank_bits = max(1, (cand.size - 1).bit_length())
+    # ascending key = descending value, then ascending rank
+    rank_bits = max(1, (table.size - 1).bit_length())
     shift = np.int64(1) << rank_bits
-    row_key = np.searchsorted(cand, row_codes)
-    srt = np.argsort(w, kind="stable")
-    w = w[srt]
-    key = np.searchsorted(cand, code[srt]) - val[srt].astype(np.int64) * shift
+    key = rank - val.astype(np.int64) * shift
+    srt = np.argsort(w)
+    w, key = w[srt], key[srt]
     per_win = np.bincount(w, minlength=nw)
     first = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(per_win, out=first[1:])
     slot = np.arange(w.size) - first[w]
-    n_rows = row_codes.size
+    n_rows = row_rank.size
     step = max(1, _FILTER_BLOCK_CELLS // max(1, n_rows + int(per_win.max())))
     ranks, values = [], []
     sizes = np.zeros(nw, dtype=np.int64)
@@ -840,7 +902,7 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
         a, b = first[lo], first[hi]
         k = np.zeros((hi - lo, n_rows + int(per_win[lo:hi].max())), dtype=np.int64)
         np.multiply(mins[:, lo:hi].T, -shift, out=k[:, :n_rows])
-        k[:, :n_rows] += row_key
+        k[:, :n_rows] += row_rank
         k[w[a:b] - lo, n_rows + slot[a:b]] = key[a:b]
         if k.shape[1] > capacity:
             k = np.partition(k, capacity - 1, axis=1)[:, :capacity]
@@ -853,16 +915,18 @@ def _filter(cache: PairCounts, mins, w, code, val, capacity: int) -> NoiseProfil
         ranks.append((k[pos] >> 32).astype(np.int32))
         values.append(kept[pos].astype(np.int32))
         sizes[lo:hi] = pos.sum(axis=1)
-    # the symbols through int32 tables of the candidates, each part freed
+    # the ranks as columns of the table codes they use, each part freed
     # before the next is built
     rank = np.concatenate(ranks)
     del ranks
-    us, vs = (cand // sigma).astype(np.int32)[rank], (cand % sigma).astype(np.int32)[rank]
+    used = np.zeros(table.size, dtype=bool)
+    used[rank] = True
+    cols = (np.cumsum(used, dtype=np.int32) - 1)[rank]
     del rank
     indptr = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return NoiseProfile(
-        sigma=sigma, capacity=capacity, indptr=indptr, us=us, vs=vs,
+        sigma=sigma, capacity=capacity, indptr=indptr, codes=table[used], cols=cols,
         values=np.concatenate(values, dtype=np.int64),
     )
 

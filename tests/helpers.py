@@ -207,8 +207,7 @@ def correction_numerators(noise, family) -> np.ndarray:
     from one grid over the occurring u and v symbols, read at each entry's
     distinct code; the entries of a window are contiguous, so its sum is a
     difference of one running sum."""
-    codes = noise.us.astype(np.int64) * noise.sigma + noise.vs.astype(np.int64)
-    uniq, inverse = np.unique(codes, return_inverse=True)
+    uniq, inverse = np.unique(noise.entry_codes(), return_inverse=True)
     u_syms, code_u = np.unique(uniq // noise.sigma, return_inverse=True)
     v_syms, code_v = np.unique(uniq % noise.sigma, return_inverse=True)
     grid = beta_grid(base_bits([family], u_syms), base_bits([family], v_syms))
@@ -235,8 +234,7 @@ def noise_profile_from_windows(
         cap = capacity
         filtered = True
     indptr = [0]
-    us: list[int] = []
-    vs: list[int] = []
+    codes: list[int] = []
     vals: list[int] = []
     for entries in window_entries:
         items = [(uv, val) for uv, val in entries.items() if val > 0]
@@ -245,18 +243,31 @@ def noise_profile_from_windows(
             items = items[:cap]
         items.sort(key=lambda kv: kv[0])
         for (u, v), val in items:
-            us.append(u)
-            vs.append(v)
+            codes.append(u * sigma + v)
             vals.append(int(val))
-        indptr.append(len(us))
+        indptr.append(len(codes))
+    # the distinct codes as the table, each entry's index into it as its column
+    table, cols = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
     return NoiseProfile(
         sigma=sigma,
         capacity=cap,
         indptr=np.asarray(indptr, dtype=np.int64),
-        us=np.asarray(us, dtype=np.int32),
-        vs=np.asarray(vs, dtype=np.int32),
+        codes=table,
+        cols=cols.astype(np.int32),
         values=np.asarray(vals, dtype=np.int64),
     )
+
+
+def capacity_filter_reference(sigma: int, n_windows: int, candidates, capacity: int):
+    """The capacity filter by a literal per-window rank: the (window, code,
+    value) candidates of each window with a positive value, sorted by value
+    descending and then code ascending, the first capacity kept."""
+    windows: list[list] = [[] for _ in range(n_windows)]
+    for j, code, val in candidates:
+        if val > 0:
+            windows[j].append((-int(val), int(code)))
+    kept = [{divmod(code, sigma): -neg for neg, code in sorted(c)[:capacity]} for c in windows]
+    return noise_profile_from_windows(kept, sigma, capacity=capacity)
 
 
 def window_entries(noise: NoiseProfile, j: int) -> dict:
@@ -271,9 +282,9 @@ def window_entries(noise: NoiseProfile, j: int) -> dict:
 
 
 def same_profile(a: NoiseProfile, b: NoiseProfile) -> bool:
-    """Equal sigma, capacity and CSR arrays."""
+    """Equal sigma, capacity and CSR arrays (its codes table included)."""
     return (a.sigma, a.capacity) == (b.sigma, b.capacity) and all(
-        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "us", "vs", "values")
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "codes", "cols", "values")
     )
 
 

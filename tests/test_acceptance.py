@@ -170,7 +170,7 @@ def _residual_shares(text, pattern, eps, seed):
     noise = construct_sparse_noise(text, pattern, rp, pair_cache=cache)
     noise.validate()
     wins = noise.entry_windows()
-    truth = pair_counts_at(cache, noise.us.astype(np.int64) * text.sigma + noise.vs, wins)
+    truth = pair_counts_at(cache, noise.entry_codes(), wins)
 
     def share(values):
         resid = sq + np.bincount(wins, (truth - values) ** 2 - truth * truth, minlength=nw)

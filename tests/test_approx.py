@@ -253,24 +253,28 @@ def test_execution_numerators_property(data):
 def test_approx_memory_stays_near_its_inputs():
     # dense16's shape (n=8192, m=512, sigma=16): the pair counts keep 240
     # int32 rows (7.4 MB), recovery one int32 running minimum per row cell,
-    # and D' is 368,688 entries (5.9 MB). Everything else is block scratch,
-    # the capacity filter's the largest at 16 bytes per cell of
-    # _FILTER_BLOCK_CELLS (4.2 MB). The bound is 24.9 MB; building D' and
-    # the numerators with temporaries over all of D' peaked at 42.9 MB
+    # and D' is 368,688 entries over 240 codes, stored in 4.5 MB (indptr,
+    # codes, int32 cols and int64 values). Everything else is block
+    # scratch, the capacity filter's the largest at 16 bytes per cell of
+    # _FILTER_BLOCK_CELLS (4.2 MB). The bound is 23.4 MB and the peak 22.2
+    # MB; building D' and the numerators with temporaries over all of D'
+    # peaked at 42.9 MB
     text, pattern = generate_instance(8192, 512, 16, "uniform", seed=1)
     params = approx_params(0.1, seed=1, n=8192)
     pairs = prepare_pair_counts(text, pattern)
     (_, noise), peak = traced_peak(approx_profile, text, pattern, params, return_noise=True)
-    noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.us, noise.vs, noise.values))
+    noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
     assert noise.values.size == 368_688
     assert peak <= 2 * pairs.rows.nbytes + noise_bytes + 16 * sparse_recovery._FILTER_BLOCK_CELLS
 
 
 def test_one_evaluation_per_hash_kind(monkeypatch):
-    # the projection plan, all families' base bits for the member sums and
-    # their base bits over the symbols of D' each take one poly3_eval call
-    # at this size, however many executions and scales
-    evals, recoveries = [], []
+    # all families' base bits for the member sums and their base bits over
+    # the symbols of D' each take one poly3_eval call at this size, however
+    # many executions and scales. The projection plan takes one per block of
+    # 1, 2, 4, ... draws that the ladder reaches: p.bit_length() blocks for p
+    # projections run
+    evals, recoveries, projections = [], [], []
 
     def spy(log, fn):
         def wrapped(*args, **kwargs):
@@ -282,16 +286,17 @@ def test_one_evaluation_per_hash_kind(monkeypatch):
     monkeypatch.setattr(
         approx, "construct_sparse_noise", spy(recoveries, approx.construct_sparse_noise)
     )
+    monkeypatch.setattr(
+        sparse_recovery._Recovery, "project", spy(projections, sparse_recovery._Recovery.project)
+    )
     text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
-    seen = set()
     for eps, reps in ((0.25, 2), (0.25, 7), (0.0625, 5)):
-        for log in (evals, recoveries):
+        for log in (evals, recoveries, projections):
             log.clear()
         params = approx_params(eps, seed=1, n=600, reps=reps)
         approx_profile(text, pattern, params)
         assert len(recoveries) == 1
-        seen.add(len(evals))
-    assert seen == {3}
+        assert len(evals) == 2 + len(projections).bit_length()
 
 
 def test_perfect_noise_matrix_gives_exact_profile():

@@ -127,6 +127,29 @@ def test_projection_plan_blocks_equal_per_draw_projections(monkeypatch):
             assert np.array_equal(low, drawn & (min(q.ell, q.r) - 1))
 
 
+def test_projection_plan_evaluates_only_the_blocks_the_ladder_reaches(monkeypatch):
+    # sparse256's shape (n=2048, m=64, sigma=256, eps 0.1): the ladder stops
+    # after a few of its 110 projections, and the plan evaluates its draws in
+    # blocks of 1, 2, 4, ... only as it reaches them, at most 2p - 1 draws for
+    # p projections run
+    text, pattern = _uniform(2048, 64, 256, seed=1)
+    params = recovery_params(0.1, seed=7, n=2048)
+    drawn = []
+    real = hashing.poly3_eval
+
+    def spy(c3, *args):
+        drawn.append(c3.shape[0])
+        return real(c3, *args)
+
+    monkeypatch.setattr(hashing, "poly3_eval", spy)
+    runs = _projections_run(monkeypatch)
+    construct_sparse_noise(text, pattern, params)
+    total = params.num_scales * params.reps
+    assert 1 <= runs[0] < total // 4
+    assert runs[0] <= sum(drawn) <= 2 * runs[0] - 1
+    assert drawn == [1 << b for b in range(len(drawn))]
+
+
 def test_projection_determinism_and_rep_variation():
     p = recovery_params(0.25, seed=9, reps=2)
     a = projection(p, 1, 0, 64)
@@ -288,16 +311,14 @@ def test_row_group_spurious_decodes_match_reference(monkeypatch):
     runs = _projections_run(monkeypatch)
     fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
     assert runs[0] == 5
-    codes = fast.us.astype(np.int64) * text.sigma + fast.vs
-    assert not np.isin(codes, cache.codes).all()
+    assert not np.isin(fast.entry_codes(), cache.codes).all()
     assert same_profile(fast, construct_reference(text, pattern, params))
 
 
 def _assert_present_pairs_exact(noise, cache):
     """Every entry of noise naming a pair present in its window holds that
     pair's true count; returns how many entries were checked."""
-    codes = noise.us.astype(np.int64) * cache.sigma + noise.vs
-    truth = helpers.pair_counts_at(cache, codes, noise.entry_windows())
+    truth = helpers.pair_counts_at(cache, noise.entry_codes(), noise.entry_windows())
     present = truth > 0
     assert np.array_equal(noise.values[present], truth[present])
     return int(present.sum())
@@ -511,7 +532,7 @@ def test_two_row_group_at_the_ladder_ceiling(monkeypatch):
     fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
     assert runs[0] == 1
     assert same_profile(fast, construct_reference(text, pattern, params))
-    wins, codes = fast.entry_windows(), fast.us.astype(np.int64) * 4 + fast.vs
+    wins, codes = fast.entry_windows(), fast.entry_codes()
     assert np.isin(codes, [1, 2]).all()
     heavier = rows.argmax(axis=0)[wins]
     assert np.array_equal(codes, heavier + 1)
@@ -663,15 +684,14 @@ def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, cells):
     # triples 9 and 11 at 5, and 9 beats 11; window 2 keeps its one triple
     monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
     mins = np.array([[5, 5, 0]], dtype=np.int32)
-    cache = sparse_recovery.PairCounts(
-        sigma=4, n_windows=3, codes=np.array([6]), row_ids=np.array([0]), rows=mins,
-        offsets=np.zeros(2, dtype=np.int64), windows=np.zeros(0, dtype=np.int32),
-        counts=np.zeros(0, dtype=np.int32),
-    )
+    table = np.array([3, 6, 9, 11, 12])
     w = np.array([0, 1, 0, 0, 1, 2])
     code = np.array([9, 11, 3, 12, 9, 3])
     val = np.array([5, 5, 5, 7, 5, 1])
-    got = sparse_recovery._filter(cache, mins, w, code, val, capacity=2)
+    # candidates name codes by their index into the table: the row is code 6
+    got = sparse_recovery._filter(
+        4, table, mins, np.array([1]), w, np.searchsorted(table, code), val, capacity=2
+    )
     assert [window_entries(got, j) for j in range(3)] == [
         {(0, 3): 5, (3, 0): 7}, {(1, 2): 5, (2, 1): 5}, {(0, 3): 1},
     ]
@@ -679,6 +699,84 @@ def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, cells):
     for j, c, v in zip(w, code, val):
         windows[j][divmod(int(c), 4)] = int(v)
     assert same_profile(got, noise_profile_from_windows(windows, 4, capacity=2))
+
+
+_UNSET = int(sparse_recovery._INF32)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_finish_matches_a_literal_capacity_filter_property(data):
+    # a drawn recovery state: row codes with running minima (unset, zero or
+    # set), entry codes with running minima (unset or set) in some windows,
+    # and spurious decodes of codes absent from their windows, each (window,
+    # code) possibly decoded more than once. Small values make ties common,
+    # and windows hold up to 9 candidates against capacities of 1 to 4.
+    # finish must keep what a literal per-window rank keeps, in filter blocks
+    # of one window and of all of them
+    sigma = data.draw(st.sampled_from([3, 5, 16]), label="sigma")
+    nw = data.draw(st.integers(1, 6), label="windows")
+    capacity = data.draw(st.integers(1, 4), label="capacity")
+    off = [c for c in range(sigma * sigma) if c // sigma != c % sigma]
+    pool = data.draw(
+        st.lists(st.sampled_from(off), unique=True, min_size=1, max_size=9), label="codes"
+    )
+    kind = st.sampled_from(["row", "entry", "nowhere"])
+    kinds = data.draw(st.lists(kind, min_size=len(pool), max_size=len(pool)), label="kinds")
+    rows = sorted(c for c, k in zip(pool, kinds) if k == "row")
+    ents = sorted(c for c, k in zip(pool, kinds) if k == "entry")
+    fresh = [c for c, k in zip(pool, kinds) if k == "nowhere"]
+    codes = np.array(sorted(rows + ents), dtype=np.int64)
+    value = st.integers(1, 3)
+    mins = np.array(
+        [[data.draw(st.sampled_from([_UNSET, 0, 1, 2, 3])) for _ in range(nw)] for _ in rows],
+        dtype=np.int32,
+    ).reshape(len(rows), nw)
+    at = {c: data.draw(st.sets(st.integers(0, nw - 1)), label=f"windows of {c}") for c in ents}
+    windows = [j for c in ents for j in sorted(at[c])]
+    best = np.array(
+        [data.draw(st.one_of(st.just(_UNSET), value)) for _ in windows], dtype=np.int32
+    )
+    cache = sparse_recovery.PairCounts(
+        sigma=sigma, n_windows=nw, codes=codes,
+        row_ids=np.array([rows.index(c) if c in rows else -1 for c in codes], dtype=np.int64),
+        rows=np.ones((len(rows), nw), dtype=np.int32),
+        offsets=np.cumsum([0] + [len(at[c]) if c in ents else 0 for c in codes]),
+        windows=np.array(windows, dtype=np.int32), counts=np.ones(len(windows), dtype=np.int32),
+    )
+    spurious = []
+    spurious_windows = st.lists(st.integers(0, nw - 1), min_size=1, max_size=12)
+    for j in data.draw(spurious_windows, label="spurious windows"):
+        absent = fresh + [c for c in ents if j not in at[c]]
+        if absent:
+            spurious.append((j, data.draw(st.sampled_from(absent)), data.draw(value)))
+    # the literal candidates: every row cell (0 where unset), every set entry
+    # and each spurious (window, code) at its smallest value
+    cands = [
+        (j, c, 0 if v == _UNSET else v) for c, row in zip(rows, mins) for j, v in enumerate(row)
+    ]
+    entry_codes = [c for c in ents for _ in at[c]]
+    cands += [(j, c, v) for j, c, v in zip(windows, entry_codes, best) if v < _UNSET]
+    least: dict = {}
+    for j, c, v in spurious:
+        least[j, c] = min(v, least.get((j, c), v))
+    cands += [(j, c, v) for (j, c), v in least.items()]
+    want = helpers.capacity_filter_reference(sigma, nw, cands, capacity)
+    # the spurious decodes as two projections' (window, code, value) arrays
+    split = data.draw(st.integers(0, len(spurious)), label="projections' split")
+    parts = [
+        tuple(np.array([t[i] for t in part], dtype=np.int64) for i in range(3))
+        for part in (spurious[:split], spurious[split:])
+    ]
+    for cells in (1, 1 << 30):
+        rec = sparse_recovery._Recovery(cache, 1 << 11, 1 << 20)
+        rec.mins, rec.best = mins.copy(), best.copy()
+        rec.spurious += parts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
+            got = rec.finish(capacity)
+        got.validate()
+        assert same_profile(got, want), cells
 
 
 def _periodic_instance(n, m, sigma, seed):
@@ -975,12 +1073,13 @@ def test_noise_profile_validate_and_window_bounds():
     good.validate()
     with pytest.raises(IndexError):
         window_entries(good, 1)
+    # the diagonal pair (2, 2), code 2*4 + 2
     bad = NoiseProfile(
         sigma=4,
         capacity=3,
         indptr=np.array([0, 1]),
-        us=np.array([2], dtype=np.int32),
-        vs=np.array([2], dtype=np.int32),
+        codes=np.array([10]),
+        cols=np.array([0], dtype=np.int32),
         values=np.array([1], dtype=np.int64),
     )
     with pytest.raises(ValueError):
@@ -995,25 +1094,38 @@ def test_noise_profile_validate_rejects_bad_entries_and_layouts():
     good = first_window({(1, 2): 3})
     good.validate()
     nw = good.n_windows
+    # (1, 2) and (2, 0): the table [10, 16], columns [0, 1]
     pair = first_window({(1, 2): 3, (2, 0): 1})
     pair.validate()
-    sym = np.array([1, 2], dtype=np.int32)
+    assert pair.codes.tolist() == [10, 16] and pair.cols.tolist() == [0, 1]
+
+    def cols(*c):
+        return np.array(c, dtype=np.int32)
+
+    outside, unsorted = r"lie in \[0, sigma\^2\) = \[0, 64\)", "table codes must be sorted"
     for bad, message in (
-        # entries: a negative symbol, a symbol >= sigma, a diagonal pair and a
-        # negative value
-        (first_window({(-1, 2): 3}), r"symbols in \[0, 8\)"),
-        (first_window({(1, 8): 3}), r"symbols in \[0, 8\)"),
+        # table codes: (-1, 2) and 64 outside [0, 64), the diagonal pair (2, 2),
+        # an unsorted table, a duplicate, and 12 = (1, 4) used by no entry
+        (first_window({(-1, 2): 3}), outside),
+        (dataclasses.replace(good, codes=np.array([64])), outside),
         (first_window({(2, 2): 3}), "diagonal"),
+        (dataclasses.replace(pair, codes=np.array([16, 10]), cols=cols(1, 0)), unsorted),
+        (dataclasses.replace(pair, codes=np.array([10, 10])), unsorted),
+        (dataclasses.replace(good, codes=np.array([10, 12])), "used by an entry"),
+        # columns outside the table, above and below
+        (dataclasses.replace(good, cols=cols(1)), "index the 1 table codes"),
+        (dataclasses.replace(good, cols=cols(-1)), "index the 1 table codes"),
         (dataclasses.replace(good, values=-good.values), "positive"),
-        # a window holding (2, 0) before (1, 2), and one holding (1, 2) twice
-        (dataclasses.replace(pair, us=sym[::-1], vs=pair.vs[::-1]), "sorted"),
-        (dataclasses.replace(pair, us=sym[:1].repeat(2), vs=sym[1:].repeat(2)), "duplicates"),
+        # columns that do not rise within a window: (2, 0) before (1, 2), and
+        # (1, 2) twice
+        (dataclasses.replace(pair, cols=cols(1, 0)), r"window's pairs must be sorted"),
+        (dataclasses.replace(pair, codes=np.array([10]), cols=cols(0, 0)), r"\(u, v\) without dup"),
         # layouts: indptr ending past the one entry, a decreasing indptr, one
-        # not starting at 0, and us longer than vs
+        # not starting at 0, and more columns than values
         (dataclasses.replace(good, indptr=np.array([0] + [3] * nw)), "from 0 to the 1 entries"),
         (dataclasses.replace(good, indptr=np.arange(nw + 1) % 2), "not decrease"),
         (dataclasses.replace(good, indptr=np.ones(nw + 1, dtype=np.int64)), "from 0"),
-        (dataclasses.replace(good, us=np.array([1, 3], dtype=np.int32)), "equal us, vs"),
+        (dataclasses.replace(good, cols=cols(0, 0)), "equal cols and values"),
     ):
         with pytest.raises(ValueError, match=message):
             bad.validate()
