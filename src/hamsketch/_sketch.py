@@ -48,9 +48,7 @@ correlations (correlation.py), so each family's sum is exact int64:
 
 member_hamming_sums takes the symbol route iff s <= k (symbol_route_pays),
 where it runs fewer FFTs for any number of families. Both routes give the
-same int64 counts. Beside that rule sits pair_grid_pays, the rule of
-sparse_recovery.prepare_pair_counts over the same symbol counts
-(text_model.occurring_symbols).
+same int64 counts.
 """
 
 from __future__ import annotations
@@ -95,14 +93,6 @@ def symbol_route_pays(sigma_t: int, sigma_p: int, k: int) -> bool:
     min(sigma_t, sigma_p), holds for every number of executions reps iff
     s <= k."""
     return min(sigma_t, sigma_p) <= k
-
-
-def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
-    """Whether the pair counts are counted on a (pair cell, window) grid
-    rather than by sorting (cell, window) keys: the occurring symbol pairs
-    are no more than a window's m positions, so the grid holds no more cells
-    than the enumeration has positions."""
-    return sigma_t * sigma_p <= m
 
 
 def gathered_product_pays(sigma_other: int, n: int, m: int) -> bool:

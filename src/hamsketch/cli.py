@@ -238,8 +238,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
-    from .sparse_recovery import construct_sparse_noise, prepare_pair_counts, recovery_params
-    from ._sketch import pair_grid_pays
+    from .sparse_recovery import (
+        construct_sparse_noise, pair_grid_pays, prepare_pair_counts, recovery_params,
+    )
     from .text_model import occurring_symbols
 
     failures = 0

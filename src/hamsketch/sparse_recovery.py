@@ -19,19 +19,19 @@ pair counts, which is what makes desk-scale sizes tractable. The tests keep
 the literal one-count-per-bucket procedure as a reference, and the profile
 must equal it entry for entry.
 
-prepare_pair_counts builds those counts over blocks of windows whose
-temporaries stay within the memory budget (about 48 bytes per window
-position). With sigma_t' and sigma_p' the numbers of symbols occurring in
-the text and the pattern, each position falls in the cell
+prepare_pair_counts builds those counts over blocks of windows holding at
+most _PAIR_BLOCK_POSITIONS positions (or one window), at about 48 bytes of
+temporaries per position. With sigma_t' and sigma_p' the numbers of symbols
+occurring in the text and the pattern, each position falls in the cell
 rank_t(u) * sigma_p' + rank_p(v); as cells follow the sorted symbols
 row-major they are already in code order. The two routes differ only in how
-they count the cells. When sigma_t' * sigma_p' <= m
-(_sketch.pair_grid_pays), the grid route fills an int32 (cell, window) grid
-with one np.bincount per block; the grid never holds more cells than the
-enumeration has positions, at most 4 bytes per window position. Otherwise
-the sort route keys each mismatch position by cell * nw + window: one
-np.unique per block yields the block's entries by code and then window, and
-one sort of the keys merges the blocks. Both give the same PairCounts. A
+they count the cells. When sigma_t' * sigma_p' <= m (pair_grid_pays), the
+grid route fills an int32 (cell, window) grid with one np.bincount per
+block; the grid never holds more cells than the enumeration has positions,
+at most 4 bytes per window position. Otherwise the sort route keys each
+mismatch position by cell * nw + window: one np.unique per block yields the
+block's entries by code and then window, and one sort of the keys merges
+the blocks. Both give the same PairCounts. A
 code that occurs in at least a quarter of the windows keeps an int32 count
 row over all windows; every other code keeps its (window, count) entries. A
 row thus holds at most four cells per entry of its code. Recovery adds an
@@ -72,17 +72,17 @@ other groups decode as follows:
   per window; those that pass name a code that occurs nowhere.
 - Some member has entries. These groups are decoded together, in chunks of
   whole windows holding at most as many entries and nonzero row cells as
-  mem_budget allows (or one window), the same chunks in every projection; a
-  heavy group is thus split like any other. In a chunk of span windows from
-  lo, each entry of a group, and each nonzero cell of a row member standing
-  in for one, is keyed by group * span + window - lo, and one sort of the
-  keys packed above the entry ids puts the members a window holds next to
-  each other. A chunk reads its entries in runs of one code, the runs listed
-  by chunk, so it looks groups up per run and not per entry. An entry or
-  row cell alone in its window decodes to its exact count as above, so its
-  running minimum takes that count without a decode. Each window holding
-  two or more runs the bit-plane decode, the colliding entries' codes read
-  from a per-entry code array.
+  _DECODE_BUDGET bytes of scratch allow (or one window), the same chunks in
+  every projection; a heavy group is thus split like any other. In a chunk
+  of span windows from lo, each entry of a group, and each nonzero cell of a
+  row member standing in for one, is keyed by group * span + window - lo,
+  and one sort of the keys packed above the entry ids puts the members a
+  window holds next to each other. A chunk reads its entries in runs of one
+  code, the runs listed by chunk, so it looks groups up per run and not per
+  entry. An entry or row cell alone in its window decodes to its exact count
+  as above, so its running minimum takes that count without a decode. Each
+  window holding two or more runs the bit-plane decode, the colliding
+  entries' codes read from a per-entry code array.
 
 A bit-plane decode names either a member of the group, whose value it can
 lower below the member's collision counts, or a pair absent from the window,
@@ -121,14 +121,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeds import ROLE_PROJECTION, mix_array
-from ._sketch import check_epsilon, pair_grid_pays, resolve_reps
+from ._sketch import check_epsilon, resolve_reps
 from .hashing import eval_blocks, fourwise_coeffs
 from .text_model import IntString, check_instance, occurring_symbols
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
 B_CONST = 12289 / 16384
-
-DEFAULT_MEM_BUDGET = 1 << 30
 
 _INF32 = np.int32(np.iinfo(np.int32).max)  # unset running minimum
 _MAX_T_EXP = 25  # keeps every projection range within the hash output cap
@@ -143,12 +141,14 @@ _ROW_SHARE = 4
 # sigma=2^16)
 _SCRATCH_BYTES_PER_ENTRY = 128
 _SCRATCH_BYTES_PER_BIT = 18
+# the entry decode takes at most this many bytes of that scratch per chunk of
+# windows (or one window); read at each recovery, not bound at import
+_DECODE_BUDGET = 1 << 30
 # the pair-count build enumerates at most this many window positions per
-# block, at most this many bytes of temporaries per position. A sort-route
-# block peaks at about 41 bytes per position when every position is a
-# distinct mismatch pair (tracemalloc), 12 of which stay as its keys and counts
+# block (or one window). A sort-route block peaks at about 41 bytes per
+# position when every position is a distinct mismatch pair (tracemalloc), 12
+# of which stay as its keys and counts
 _PAIR_BLOCK_POSITIONS = 1 << 19
-_PAIR_BYTES_PER_POSITION = 48
 # the capacity filter ranks at most this many candidate cells at a time, at
 # 16 bytes of key and partitioned copy per cell
 _FILTER_BLOCK_CELLS = 1 << 18
@@ -370,15 +370,21 @@ class PairCounts:
     counts: np.ndarray   # int32
 
 
-def prepare_pair_counts(
-    text: IntString, pattern: IntString, mem_budget: int = DEFAULT_MEM_BUDGET
-) -> PairCounts:
+def prepare_pair_counts(text: IntString, pattern: IntString) -> PairCounts:
     n, m, nw = check_instance(text, pattern)
-    block = max(1, min(_PAIR_BLOCK_POSITIONS, mem_budget // _PAIR_BYTES_PER_POSITION) // m)
+    block = max(1, _PAIR_BLOCK_POSITIONS // m)
     occ_t, occ_p = occurring_symbols(text), occurring_symbols(pattern)
     if pair_grid_pays(occ_t[0].size, occ_p[0].size, m):
         return _grid_pair_counts(text.sigma, occ_t, occ_p, m, nw, block)
     return _sorted_pair_counts(text, pattern, occ_t, occ_p, nw, block)
+
+
+def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
+    """Whether the pair counts are counted on a (pair cell, window) grid
+    rather than by sorting (cell, window) keys: the occurring symbol pairs
+    are no more than a window's m positions, so the grid holds no more cells
+    than the enumeration has positions."""
+    return sigma_t * sigma_p <= m
 
 
 def _layout(occ: np.ndarray, nw: int):
@@ -477,12 +483,7 @@ def _sorted_pair_counts(text, pattern, occ_t, occ_p, nw, block) -> PairCounts:
 # ----------------------------------------------------------------------------
 
 def construct_sparse_noise(
-    text: IntString,
-    pattern: IntString,
-    params: RecoveryParams,
-    *,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-    pair_cache: PairCounts | None = None,
+    text: IntString, pattern: IntString, params: RecoveryParams
 ) -> NoiseProfile:
     """Per-window sparse noise matrices from the projection ladder.
 
@@ -490,18 +491,22 @@ def construct_sparse_noise(
     with positive count is decoded and the decoded pair min-updated with the
     bucket count. The ladder stops after the first projection at which every
     nonzero pair count is exact (module docstring). Unset entries become 0
-    and each window keeps only its capacity largest values. mem_budget
-    bounds the pair-count enumeration blocks and the entries decoded at a
-    time; the profile does not depend on it.
+    and each window keeps only its capacity largest values. The pair counts
+    are built in blocks of _PAIR_BLOCK_POSITIONS positions and the entries
+    decoded in chunks within _DECODE_BUDGET bytes; the profile depends on
+    neither.
     """
     n, m, nw = check_instance(text, pattern)
-    sigma = text.sigma
-    if sigma < 2:
-        return _empty_profile(sigma, params.capacity, nw)
-    if pair_cache is None:
-        pair_cache = prepare_pair_counts(text, pattern, mem_budget)
+    if text.sigma < 2:
+        return _empty_profile(text.sigma, params.capacity, nw)
+    return _recover(prepare_pair_counts(text, pattern), params)
+
+
+def _recover(pairs: PairCounts, params: RecoveryParams) -> NoiseProfile:
+    """The projection ladder and capacity filter over prebuilt pair counts."""
+    sigma = pairs.sigma
     scratch = _SCRATCH_BYTES_PER_ENTRY + _SCRATCH_BYTES_PER_BIT * (sigma - 1).bit_length()
-    rec = _Recovery(pair_cache, params.bucket_count, max(1, mem_budget // scratch))
+    rec = _Recovery(pairs, params.bucket_count, max(1, _DECODE_BUDGET // scratch))
     for proj in _projection_plan(params, sigma):
         rec.project(proj)
         # every present pair is at its exact count: later projections could

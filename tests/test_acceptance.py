@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from hamsketch import sparse_recovery
 from hamsketch._sketch import execution_estimates
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.cli import main as cli_main
@@ -20,7 +21,6 @@ from hamsketch.hashing import beta, family_new, fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.sparse_recovery import (
     B_CONST,
-    construct_sparse_noise,
     prepare_pair_counts,
     recovery_params,
 )
@@ -167,7 +167,7 @@ def _residual_shares(text, pattern, eps, seed):
     sq = (rows * rows).sum(axis=0) + np.bincount(cache.windows, counts * counts, minlength=nw)
     bound = B_CONST * eps * d.astype(np.float64) ** 2
     rp = recovery_params(eps, seed=seed + 40, n=len(text))
-    noise = construct_sparse_noise(text, pattern, rp, pair_cache=cache)
+    noise = sparse_recovery._recover(cache, rp)
     noise.validate()
     wins = noise.entry_windows()
     truth = pair_counts_at(cache, noise.entry_codes(), wins)

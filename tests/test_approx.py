@@ -12,7 +12,6 @@ from hamsketch._sketch import (
     dprime_correction,
     execution_estimates,
     member_hamming_sums,
-    pair_grid_pays,
 )
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution
@@ -20,6 +19,7 @@ from hamsketch.hashing import beta, family_new
 from hamsketch.sparse_recovery import (
     B_CONST,
     construct_sparse_noise,
+    pair_grid_pays,
     prepare_pair_counts,
     recovery_params,
 )

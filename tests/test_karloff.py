@@ -9,12 +9,12 @@ from hamsketch._sketch import (
     execution_estimates,
     execution_families,
     member_hamming_sums,
-    pair_grid_pays,
     symbol_route_pays,
 )
 from hamsketch.approx import approx_params
 from hamsketch.hashing import beta, family_new
 from hamsketch.karloff import KarloffParams, karloff_params, karloff_profile
+from hamsketch.sparse_recovery import pair_grid_pays
 from hamsketch.text_model import IntString, generate_instance, occurring_symbols
 
 from helpers import (

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hamsketch import hashing, sparse_recovery
 from hamsketch.sparse_recovery import (
-    DEFAULT_MEM_BUDGET,
     NoiseProfile,
     construct_sparse_noise,
     prepare_pair_counts,
@@ -39,6 +38,21 @@ from helpers import (
 
 def _uniform(n, m, sigma, seed):
     return generate_instance(n, m, sigma, "uniform", seed)
+
+
+# pair-count blocks of one window, of a few windows and the default, each
+# with decode chunks of one window, of a few entries and the default
+_PAIR_BLOCKS = (1, 20, sparse_recovery._PAIR_BLOCK_POSITIONS)
+_DECODE_BUDGETS = (1, 1000, sparse_recovery._DECODE_BUDGET)
+
+
+def _blocked(mp, positions=None, budget=None):
+    """Sets the pair-count block positions and the decode budget on the
+    MonkeyPatch mp; None keeps a constant."""
+    if positions is not None:
+        mp.setattr(sparse_recovery, "_PAIR_BLOCK_POSITIONS", positions)
+    if budget is not None:
+        mp.setattr(sparse_recovery, "_DECODE_BUDGET", budget)
 
 
 def test_recovery_params_worked_values():
@@ -266,13 +280,14 @@ def test_csr_route_matches_reference_above_dense_alphabet():
     assert same_profile(fast, construct_reference(text, pattern, params))
 
 
-def test_csr_collision_decodes_match_reference():
+def test_csr_collision_decodes_match_reference(monkeypatch):
     # with one projection per scale, some pairs here never sit alone in their
     # window's bucket; their values come only from collision-group decodes
+    _blocked(monkeypatch, 1, 1)
     for seed in (4, 28):
         text, pattern = _uniform(60, 20, 12, seed=seed)
         params = recovery_params(0.5, seed=seed, reps=1)
-        fast = construct_sparse_noise(text, pattern, params, mem_budget=1)
+        fast = construct_sparse_noise(text, pattern, params)
         assert same_profile(fast, construct_reference(text, pattern, params)), seed
 
 
@@ -309,7 +324,7 @@ def test_row_group_spurious_decodes_match_reference(monkeypatch):
     cache = prepare_pair_counts(text, pattern)
     assert np.all(cache.row_ids >= 0)
     runs = _projections_run(monkeypatch)
-    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    fast = sparse_recovery._recover(cache, params)
     assert runs[0] == 5
     assert not np.isin(fast.entry_codes(), cache.codes).all()
     assert same_profile(fast, construct_reference(text, pattern, params))
@@ -350,7 +365,7 @@ def test_ladder_stops_mid_plan_like_the_reference(
     assert layout == ("rows" if rowed.all() else "entries" if not rowed.any() else "both")
     params = recovery_params(eps, seed=seed, reps=reps)
     runs = _projections_run(monkeypatch)
-    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    fast = sparse_recovery._recover(cache, params)
     assert runs[0] == ran and 1 < ran < params.num_scales * params.reps
     assert same_profile(fast, construct_reference(text, pattern, params))
     assert _assert_present_pairs_exact(fast, cache) > 0
@@ -369,7 +384,7 @@ def test_present_pairs_end_at_their_true_counts():
     for text, pattern in shapes:
         cache = prepare_pair_counts(text, pattern)
         params = recovery_params(0.1, seed=7, n=len(text))
-        noise = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+        noise = sparse_recovery._recover(cache, params)
         assert _assert_present_pairs_exact(noise, cache) > 0
 
 
@@ -402,7 +417,7 @@ def _decode_one_bucket(monkeypatch, text, pattern, us, vs):
     in_bucket = np.isin(cache.codes // sigma, us) & np.isin(cache.codes % sigma, vs)
     codes, rows = cache.codes[in_bucket], cache.rows[cache.row_ids[in_bucket]]
     assert codes.size >= 3 and np.all(cache.row_ids[in_bucket] >= 0)
-    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    fast = sparse_recovery._recover(cache, params)
     assert same_profile(fast, construct_reference(text, pattern, params))
     # bit b of a pattern u | v << nbits, per code; a split and its complement
     # are one split
@@ -529,7 +544,7 @@ def test_two_row_group_at_the_ladder_ceiling(monkeypatch):
     assert rows.shape[0] == 2
     params = recovery_params(0.25, seed=0, reps=1)
     runs = _projections_run(monkeypatch)
-    fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    fast = sparse_recovery._recover(cache, params)
     assert runs[0] == 1
     assert same_profile(fast, construct_reference(text, pattern, params))
     wins, codes = fast.entry_windows(), fast.entry_codes()
@@ -552,7 +567,7 @@ def test_entry_group_spurious_decodes_match_reference():
         params = recovery_params(0.5, seed=seed, reps=3)
         cache = prepare_pair_counts(text, pattern)
         assert np.all(cache.row_ids < 0)
-        fast = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+        fast = sparse_recovery._recover(cache, params)
         truth = _pair_dicts(cache)
         absent = [
             (j, uv) for j in range(fast.n_windows) for uv in window_entries(fast, j)
@@ -582,8 +597,8 @@ def test_csr_route_matches_reference_property(data):
         seed=data.draw(st.integers(0, 1 << 30)),
         reps=data.draw(st.integers(1, 2)),
     )
-    budget = data.draw(st.sampled_from([1, 1000, DEFAULT_MEM_BUDGET]), label="mem_budget")
-    cache = prepare_pair_counts(text, pattern, mem_budget=budget)
+    positions = data.draw(st.sampled_from(_PAIR_BLOCKS), label="pair block positions")
+    budget = data.draw(st.sampled_from(_DECODE_BUDGETS), label="decode budget")
     # both stop after the same projection: the recovery counts its
     # projections, the reference its bucket tables (one per projection).
     # Spies set up here, as @given tests take no function-scoped fixtures
@@ -601,22 +616,23 @@ def test_csr_route_matches_reference_property(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse_recovery._Recovery, "project", project_spy)
         mp.setattr(helpers, "compute_bucket_table", table_spy)
-        fast = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
+        _blocked(mp, positions, budget)
+        fast = construct_sparse_noise(text, pattern, params)
         assert same_profile(fast, construct_reference(text, pattern, params))
     assert runs == tables
 
 
-def test_csr_blocks_do_not_change_the_profile():
+def test_csr_blocks_do_not_change_the_profile(monkeypatch):
     # the collision-decode instance above: a chunk that split a bucket
     # group would miss its collisions
     text, pattern = _uniform(60, 20, 12, seed=4)
-    cache = prepare_pair_counts(text, pattern, mem_budget=1)
+    _blocked(monkeypatch, positions=1)
+    cache = prepare_pair_counts(text, pattern)
     params = recovery_params(0.5, seed=4, reps=1)
-    whole = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    whole = sparse_recovery._recover(cache, params)
     for budget in (1, 1000, 10**4):
-        blocked = construct_sparse_noise(
-            text, pattern, params, pair_cache=cache, mem_budget=budget
-        )
+        _blocked(monkeypatch, budget=budget)
+        blocked = sparse_recovery._recover(cache, params)
         assert same_profile(blocked, whole), budget
 
 
@@ -656,9 +672,12 @@ def test_dense_and_sparse_routes_agree():
         params = recovery_params(0.5, seed=seed, reps=reps)
         cache = prepare_pair_counts(text, pattern)
         assert _mixed_groups(cache, params) > 0
-        for budget in (1, 1000, DEFAULT_MEM_BUDGET):
-            fast = construct_sparse_noise(text, pattern, params, mem_budget=budget)
-            assert same_profile(fast, construct_reference(text, pattern, params)), (seed, budget)
+        want = construct_reference(text, pattern, params)
+        for positions, budget in zip(_PAIR_BLOCKS, _DECODE_BUDGETS):
+            with pytest.MonkeyPatch.context() as mp:
+                _blocked(mp, positions, budget)
+                fast = construct_sparse_noise(text, pattern, params)
+            assert same_profile(fast, want), (seed, budget)
 
 
 def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
@@ -667,12 +686,12 @@ def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
     params = recovery_params(0.5, seed=12, reps=3)
     cache = prepare_pair_counts(text, pattern)
     assert (cache.row_ids >= 0).any() and (cache.row_ids < 0).any()
-    want = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    want = sparse_recovery._recover(cache, params)
     # the capacity cut must bind somewhere, or ranking is never tested
     assert np.diff(want.indptr).max() == params.capacity
     for cells in (1, 100, 1 << 30):
         monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
-        got = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+        got = sparse_recovery._recover(cache, params)
         assert same_profile(got, want), cells
 
 
@@ -802,7 +821,7 @@ def test_recovery_memory_grows_with_pair_entries():
     for text, pattern in (row_heavy, entry_heavy):
         cache = prepare_pair_counts(text, pattern)
         entries = cache.counts.size + np.count_nonzero(cache.rows)
-        noise, peak = traced_peak(construct_sparse_noise, text, pattern, params, pair_cache=cache)
+        noise, peak = traced_peak(sparse_recovery._recover, cache, params)
         assert noise.values.size
         assert peak <= 256 * entries
     assert (prepare_pair_counts(*row_heavy).row_ids >= 0).mean() > 0.5
@@ -819,9 +838,10 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
     text, pattern = generate_instance(2048, 128, 256, "planted_heavy", seed=1)
     params = recovery_params(0.25, seed=3, reps=1)
     cache = prepare_pair_counts(text, pattern)
-    want = construct_sparse_noise(text, pattern, params, pair_cache=cache)
+    want = sparse_recovery._recover(cache, params)
     for budget in (1, 1 << 14):
-        got = construct_sparse_noise(text, pattern, params, pair_cache=cache, mem_budget=budget)
+        _blocked(monkeypatch, budget=budget)
+        got = sparse_recovery._recover(cache, params)
         assert same_profile(got, want), budget
     scratch, heaviest = [], [0]
     real = sparse_recovery._Recovery._decode_entries
@@ -836,11 +856,10 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
 
     monkeypatch.setattr(sparse_recovery._Recovery, "_decode_entries", traced)
     peaks = {}
-    for budget in (1 << 18, 1 << 20, DEFAULT_MEM_BUDGET):
+    for budget in (1 << 18, 1 << 20, _DECODE_BUDGETS[-1]):
         scratch.clear()
-        got, _ = traced_peak(
-            construct_sparse_noise, text, pattern, params, pair_cache=cache, mem_budget=budget
-        )
+        _blocked(monkeypatch, budget=budget)
+        got, _ = traced_peak(sparse_recovery._recover, cache, params)
         assert same_profile(got, want)
         peaks[budget] = max(scratch)
     assert peaks[1 << 18] <= 1.5 * (1 << 18) < peaks[1 << 20] <= 1.5 * (1 << 20)
@@ -849,9 +868,39 @@ def test_heavy_groups_follow_the_memory_budget(monkeypatch):
     assert heaviest[0] > (1 << 18) // per_entry
 
 
+def test_decode_budget_is_read_at_each_recovery(monkeypatch):
+    # the sparse256 bench shape decodes its entries in one chunk per
+    # projection at the default budget; patched down after import, the
+    # budget splits every projection's decode into several chunks and
+    # leaves D' as it was
+    text, pattern = _uniform(2048, 64, 256, seed=1)
+    params = recovery_params(0.1, seed=1, reps=3)
+    chunks = []
+    recovery = sparse_recovery._Recovery
+    project, decode = recovery.project, recovery._decode_entries
+
+    def project_spy(self, proj):
+        chunks.append(0)
+        return project(self, proj)
+
+    def decode_spy(self, *args):
+        chunks[-1] += 1
+        return decode(self, *args)
+
+    monkeypatch.setattr(recovery, "project", project_spy)
+    monkeypatch.setattr(recovery, "_decode_entries", decode_spy)
+    want = construct_sparse_noise(text, pattern, params)
+    assert max(chunks) == 1
+    chunks.clear()
+    _blocked(monkeypatch, budget=1 << 14)
+    got = construct_sparse_noise(text, pattern, params)
+    assert chunks and min(chunks) > 1
+    assert same_profile(got, want)
+
+
 def test_pair_count_layout_follows_window_fill():
     # a code in at least a quarter of the windows keeps a row, any other
-    # code its entries; the memory budget changes only the build's blocks
+    # code its entries; the block size changes only the build's blocks
     for text, pattern in (
         _uniform(2048, 256, 8, seed=3),
         _periodic_instance(2048, 256, 64, seed=3),
@@ -863,7 +912,9 @@ def test_pair_count_layout_follows_window_fill():
         fill = np.count_nonzero(dd, axis=1)
         assert np.array_equal(cache.row_ids >= 0, 4 * fill >= nw)
         assert np.array_equal(np.diff(cache.offsets), np.where(4 * fill >= nw, 0, fill))
-        blocked = prepare_pair_counts(text, pattern, mem_budget=1)
+        with pytest.MonkeyPatch.context() as mp:
+            _blocked(mp, positions=1)
+            blocked = prepare_pair_counts(text, pattern)
         for field in ("codes", "row_ids", "rows", "offsets", "windows", "counts"):
             assert np.array_equal(getattr(blocked, field), getattr(cache, field)), field
     # nearly every code in every window, and each window's few pairs
@@ -997,10 +1048,12 @@ def test_pair_counts_routes_match_brute(monkeypatch):
     for (text, pattern), route in shapes:
         nw = len(text) - len(pattern) + 1
         want = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
-        # 1000 and 1 build the counts in blocks of a few windows and of one
-        for budget in (DEFAULT_MEM_BUDGET, 1000, 1):
+        # 20 and 1 positions build the counts in blocks of a few windows and
+        # of one
+        for positions in _PAIR_BLOCKS:
             taken.clear()
-            assert _pair_dicts(prepare_pair_counts(text, pattern, budget)) == want
+            _blocked(monkeypatch, positions=positions)
+            assert _pair_dicts(prepare_pair_counts(text, pattern)) == want
             assert taken == [route], (len(text), len(pattern), text.sigma)
 
 
@@ -1015,14 +1068,15 @@ def test_pair_count_routes_agree_property(data):
     p_syms = st.integers(data.draw(st.integers(0, sigma - 1)), sigma - 1)
     text = IntString(data.draw(st.lists(t_syms, min_size=n, max_size=n)), sigma)
     pattern = IntString(data.draw(st.lists(p_syms, min_size=m, max_size=m)), sigma)
-    for budget in (1, 1000, DEFAULT_MEM_BUDGET):
-        built = {}
-        for route, rule in (("grid", True), ("sort", False)):
-            with pytest.MonkeyPatch.context() as mp:
+    for positions in _PAIR_BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            _blocked(mp, positions=positions)
+            built = {"rule": prepare_pair_counts(text, pattern)}
+            for route, rule in (("grid", True), ("sort", False)):
                 mp.setattr(sparse_recovery, "pair_grid_pays", lambda *_, _r=rule: _r)
-                built[route] = prepare_pair_counts(text, pattern, budget)
+                built[route] = prepare_pair_counts(text, pattern)
         _assert_same_pair_counts(built["grid"], built["sort"])
-        _assert_same_pair_counts(prepare_pair_counts(text, pattern, budget), built["sort"])
+        _assert_same_pair_counts(built["rule"], built["sort"])
 
 
 def test_pair_count_route_on_bench_shapes(monkeypatch):
@@ -1040,17 +1094,19 @@ def test_pair_count_route_on_bench_shapes(monkeypatch):
     assert taken == ["grid", "grid", "sort", "sort"]
 
 
-def test_pair_count_grid_memory_follows_budget():
+def test_pair_count_grid_memory_follows_budget(monkeypatch):
     # the grid route keeps an int32 (cells, windows) grid, where cells =
     # sigma_t' * sigma_p' <= m, plus its row and entry copies; the per-block
-    # temporaries stay within the memory budget. Counting all 7681 windows
-    # in one block peaks at about 33 MB here (an int64 key per position);
-    # in budgeted blocks the peak is about 1.1 MB against a 2.5 MB bound.
+    # temporaries stay within 48 bytes per block position. Counting all 7681
+    # windows in one block peaks at about 33 MB here (an int64 key per
+    # position); in blocks of 2^20 / 48 positions the peak is about 1.1 MB
+    # against a 2.5 MB bound.
     text, pattern = _uniform(8192, 512, 4, seed=2)
     nw = len(text) - len(pattern) + 1
     grid_bytes = 4 * 4 * 4 * nw
     budget = 1 << 20
-    cache, peak = traced_peak(prepare_pair_counts, text, pattern, mem_budget=budget)
+    _blocked(monkeypatch, positions=budget // 48)
+    cache, peak = traced_peak(prepare_pair_counts, text, pattern)
     assert cache.rows.shape == (12, nw)
     assert peak <= budget + 3 * grid_bytes
 
