@@ -6,9 +6,11 @@ single member is a uniform bit and any two members are independent, which is
 all the estimators need.
 
 beta(family, u, v) counts the members that hash symbols u and v to the same
-bit. It is computed from base-function agreements in O(log k) without
-touching the k members; this script checks the identity beta(u, u) = k and
-looks at how tightly beta/k concentrates around 1/2 for u != v.
+bit. It is read from two per-symbol values, without touching the k members:
+Y(s), whose bit b says whether the two base functions of pair b differ on s,
+and P(s), the XOR of s's even base bits. beta is k/2 if Y(u) != Y(v), else k
+if P(u) == P(v) and 0 if not. This script checks the identity beta(u, u) = k
+and looks at how tightly beta/k concentrates around 1/2 for u != v.
 """
 
 import numpy as np
@@ -29,9 +31,9 @@ ratios = np.array([beta(family, int(u), int(v)) / k for u, v in pairs])
 dev = np.abs(ratios - 0.5)
 print(f"{len(pairs)} random pairs: beta/k within 0.1 of 1/2 on {(dev <= 0.1).mean():.1%}")
 
-# the tree only allows beta in {0, k/2, k}: any level whose two base
-# functions split on (u, v) already halves the collisions, and all levels
-# agreeing at once (beta = 0 or k) hits about one random pair in k
+# the rule only allows beta in {0, k/2, k}: any pair whose two base functions
+# differ in whether they split (u, v) already halves the collisions, and
+# Y(u) == Y(v) (beta = 0 or k) hits about one random pair in k
 support = sorted(set(np.round(ratios * k).astype(int).tolist()))
 print(f"observed beta values: {support} (only 0, k/2, k are possible)")
 print("the correction weight 2*beta-k is 0 for the typical pair, so noise")

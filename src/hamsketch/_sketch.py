@@ -40,7 +40,8 @@ correlations (correlation.py), so each family's sum is exact int64:
   once and each family's gathered spectra are one real matrix product, so
   reps families cost s + L + reps FFTs; otherwise each family transforms
   its own gathered rows, s + reps * (s + 1) FFTs. beta over the occurring
-  pairs comes from the XOR tree in O(log k) each.
+  pairs is one compare of per-symbol signatures (hashing.signatures), each
+  family's taken once per call.
 * per member: project text and pattern through every member of a family,
   tabulated over the occurring symbols only; HAM summed over members is the
   summed window ones plus the summed pattern ones minus twice the summed
@@ -59,10 +60,20 @@ import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
 from .correlation import correlate_rows, correlation_sums, fft_plan, row_spectra
-from .hashing import base_bits, beta_from_bits, beta_grid, families_new, member_table
+from .hashing import (
+    base_bits,
+    beta_from_bits,
+    families_new,
+    member_table,
+    signature_beta,
+    signatures,
+)
 from .text_model import DistanceProfile, IntString, check_instance, occurring_symbols
 
 _MEMBER_CHUNK = 64
+# a family's member sums reach k * m; from 2^51 on float64's spacing is 0.5 or
+# more, so round_counts could no longer vouch for an FFT sum
+_MAX_MEMBER_SUM = 1 << 51
 
 
 def member_hamming_sums(text: IntString, pattern: IntString, families) -> np.ndarray:
@@ -119,19 +130,20 @@ def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.nda
         else (rank_p, pattern_at, rank_t, text_at)
     )
     nfft, chunk = fft_plan(n, m)
+    sigs = signatures(bits)
     spectra = None
     if gathered_product_pays(other.size, n, m):
         # FFT(W[a, other string]) = sum_b W[a, b] * FFT(1[other string = b]),
         # a real product over the (re, im)-interleaved indicator spectra
         spectra = row_spectra(other_at[None, :] == other[:, None], nfft, pattern=text_rows)
         spectra = spectra.view(np.float64)
-    acc = np.zeros((bits.shape[0], nfft // 2 + 1), dtype=np.complex128)
+    acc = np.zeros((sigs.shape[0], nfft // 2 + 1), dtype=np.complex128)
     for lo in range(0, own.size, chunk):
         rows = own[lo : lo + chunk]
         masks = row_spectra(own_at[None, :] == rows[:, None], nfft, pattern=not text_rows)
-        for f, fam_bits in enumerate(bits):
+        for f, sig in enumerate(sigs):
             # weights[a, b] = members separating own symbol a from symbol b
-            weights = (k - beta_grid(fam_bits[:, rows], fam_bits)).astype(np.float64)
+            weights = (k - signature_beta(sig[rows, None], sig, k)).astype(np.float64)
             if spectra is not None:
                 gathered = (weights[:, other] @ spectra).view(np.complex128)
             else:
@@ -203,6 +215,12 @@ def execution_estimates(
     NoiseProfile) as every execution's D', or no correction without one. All
     are computed together; each row equals its execution alone, byte for byte."""
     check_reps(len(execs))
+    if k * len(pattern) >= _MAX_MEMBER_SUM:
+        raise ValueError(
+            f"epsilon too small: k = 2^{k.bit_length() - 1} members over a pattern of "
+            f"length {len(pattern)} give member sums up to k * m >= 2^51, past what "
+            "float64 FFT sums hold exactly; use a larger epsilon"
+        )
     families = execution_families(k, seed, execs)
     correction = 0 if noise is None else dprime_correction(noise, families)
     return np.maximum(0.0, (2 * member_hamming_sums(text, pattern, families) - correction) / k)

@@ -8,14 +8,16 @@ Two layers:
   any four outputs are jointly uniform.
 
 * XorTreeFamily: k = 2^t binary projections derived from 2t base functions
-  arranged in t pairs. Member i XORs one function per pair, chosen by bit b
-  of i. Each member is 4-wise independent and distinct members are pairwise
-  independent, while collision counts over the whole family are computable
-  in O(t) via a balanced tree recurrence. The count beta(u, v) of members
-  hashing u != v together takes three values: if the two functions of some
-  pair differ in whether they separate u and v, flipping that pair's choice
-  flips a member's verdict, so beta = k/2; otherwise (probability 2^-t =
-  1/k) every member gives the same verdict, and beta is 0 or k.
+  arranged in t pairs, 1 <= t <= 62. Member i XORs one function per pair,
+  chosen by bit b of i. Each member is 4-wise independent and distinct
+  members are pairwise independent, while the count beta(u, v) of members
+  hashing u and v together follows from two per-symbol values. Let Y(s) be
+  the t-bit word whose bit b says whether base functions 2b and 2b + 1 differ
+  on s, and P(s) the XOR of s's even base bits. Member i maps s to P(s) XOR
+  parity(i & Y(s)). If Y(u) != Y(v) at some bit b, members i and i XOR 2^b
+  give opposite verdicts on (u, v), so beta = k/2; otherwise (probability
+  2^-t = 1/k for u != v) every member's verdict is P(u) == P(v), and beta
+  is k or 0.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from .gf64 import POINT_BITS, poly3_eval
 
 MAX_OUT_BITS = 20
 DOMAIN_CAP = 1 << POINT_BITS
-# beta_grid and beta_from_bits fold at most this many (base function, pair)
-# agreement cells at a time
-_GRID_CELLS = 1 << 20
+# beta = k must fit in int64, and a signature holds Y's log2(k) bits above P
+MAX_FAMILY_SIZE = 1 << 62
 # eval_blocks evaluates at most this many (polynomial, point) cells per
 # poly3_eval call
 _EVAL_CELLS = 1 << 20
@@ -122,8 +123,8 @@ def families_new(k: int, seeds) -> list[XorTreeFamily]:
     """family_new(k, s) for every s in seeds. Base function j of seed s is
     fourwise_new(1, mix(s, ROLE_BASE_HASH, j)); the seeds and coefficients of
     every base function are drawn in one vectorised splitmix64 pass."""
-    if k < 2 or (k & (k - 1)) != 0:
-        raise ValueError(f"family size k must be a power of two >= 2, got {k}")
+    if k < 2 or (k & (k - 1)) != 0 or k > MAX_FAMILY_SIZE:
+        raise ValueError(f"family size k must be a power of two in [2, 2^62], got {k}")
     n_base = 2 * (k.bit_length() - 1)
     seeds = list(seeds)
     top = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
@@ -177,33 +178,22 @@ def member_table(bits: np.ndarray) -> np.ndarray:
     return table
 
 
-def _combine_pairs(e: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One tree level: (e, d) of a parent spanning both child nodes. An odd
-    # trailing node is carried up unchanged.
-    half = len(e) // 2
-    e_l, e_r = e[0 : 2 * half : 2], e[1 : 2 * half : 2]
-    d_l, d_r = d[0 : 2 * half : 2], d[1 : 2 * half : 2]
-    e_new = e_l * e_r + d_l * d_r
-    d_new = e_l * d_r + d_l * e_r
-    if len(e) % 2:
-        e_new = np.concatenate([e_new, e[-1:]])
-        d_new = np.concatenate([d_new, d[-1:]])
-    return e_new, d_new
+def signatures(bits: np.ndarray) -> np.ndarray:
+    """int64 signatures (..., symbols) of the symbols from one family's base
+    bits (..., 2*pairs, symbols): bit 0 is P, the XOR of the even base bits,
+    and bit b + 1 is Y_b, whether base functions 2b and 2b + 1 differ."""
+    sig = np.bitwise_xor.reduce(bits[..., 0::2, :], axis=-2).astype(np.int64)
+    for b in range(bits.shape[-2] // 2):
+        sig |= (bits[..., 2 * b, :] ^ bits[..., 2 * b + 1, :]).astype(np.int64) << (b + 1)
+    return sig
 
 
-def _tree_beta(agree: np.ndarray) -> np.ndarray:
-    """Members agreeing, from base-bit agreement of shape (2*pairs, ...).
-
-    Row 2b + c says whether base function 2b + c agrees; each leaf pair
-    offers 0, 1 or 2 agreeing choices, and the tree folds them in O(pairs).
-    A node's counts stay below 2^pairs, so int32 holds them below 31 pairs.
-    """
-    e = agree[0::2].astype(np.int32 if agree.shape[0] < 62 else np.int64)
-    e += agree[1::2]
-    d = 2 - e
-    while e.shape[0] > 1:
-        e, d = _combine_pairs(e, d)
-    return e[0]
+def signature_beta(sig_u: np.ndarray, sig_v: np.ndarray, k: int) -> np.ndarray:
+    """int64 beta of the symbol pairs with signatures sig_u and sig_v, which
+    broadcast: k where they are equal, 0 where they differ in P alone, k/2
+    where Y differs."""
+    diff = sig_u ^ sig_v
+    return np.where(diff > 1, k // 2, np.where(diff == 0, k, 0))
 
 
 def beta(family: XorTreeFamily, u: int, v: int) -> int:
@@ -214,26 +204,7 @@ def beta(family: XorTreeFamily, u: int, v: int) -> int:
 def beta_from_bits(families, bits: np.ndarray, at_u, at_v) -> np.ndarray:
     """(len(families), len(at_u)) int64 beta of the symbol pairs
     (syms[at_u], syms[at_v]) from bits = base_bits(families, syms), so that
-    a caller can fold any pairs over one evaluation."""
+    a caller can take any pairs from one evaluation."""
     n_fam = len(families)
-    n_base = bits.shape[0] // n_fam
-    # (2*pairs, families, symbols): the tree folds the leading axis
-    bits = bits.reshape(n_fam, n_base, -1).transpose(1, 0, 2)
-    out = np.empty((n_fam, len(at_u)), dtype=np.int64)
-    step = max(1, _GRID_CELLS // (n_base * n_fam))
-    for lo in range(0, len(at_u), step):
-        sl = slice(lo, lo + step)
-        out[:, sl] = _tree_beta(bits[:, :, at_u[sl]] == bits[:, :, at_v[sl]])
-    return out
-
-
-def beta_grid(bits_u: np.ndarray, bits_v: np.ndarray) -> np.ndarray:
-    """(len(us), len(vs)) beta of one family over every pair of two symbol
-    arrays, from the family's base bits of each: its (2*pairs, len) rows of
-    base_bits. Every family's bits come from one evaluation, and a caller
-    folds any block of rows of any family without evaluating again."""
-    out = np.empty((bits_u.shape[1], bits_v.shape[1]), dtype=np.int64)
-    step = max(1, _GRID_CELLS // max(1, bits_u.shape[0] * bits_v.shape[1]))
-    for lo in range(0, bits_u.shape[1], step):
-        out[lo : lo + step] = _tree_beta(bits_u[:, lo : lo + step, None] == bits_v[:, None, :])
-    return out
+    sig = signatures(bits.reshape(n_fam, bits.shape[0] // n_fam, bits.shape[1]))
+    return signature_beta(sig[:, at_u], sig[:, at_v], families[0].k)

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import base_bits, beta, beta_from_bits, beta_grid, member_eval
+from hamsketch.hashing import base_bits, beta, beta_from_bits, member_eval
 from hamsketch._sketch import execution_estimates, median_profile
 from hamsketch.sparse_recovery import (
     CoupledProjection,
@@ -54,6 +54,27 @@ def beta_pairs(families, us, vs) -> np.ndarray:
     us, vs = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (us, vs))
     syms, at = np.unique(np.concatenate([us, vs]), return_inverse=True)
     return beta_from_bits(families, base_bits(families, syms), at[: us.size], at[us.size :])
+
+
+def beta_tree(agree: np.ndarray) -> np.ndarray:
+    """Members agreeing, by a balanced tree recurrence over the base-bit
+    agreement of shape (2*pairs, ...): row 2b + c says whether base function
+    2b + c agrees on the pair, so leaf b offers e = 0, 1 or 2 agreeing
+    choices and d = 2 - e disagreeing ones; a parent agrees where both
+    children agree or both disagree. Independent of the signature rule."""
+    e = agree[0::2].astype(np.int64) + agree[1::2]
+    d = 2 - e
+    while e.shape[0] > 1:
+        # one tree level: (e, d) of each parent of two nodes; an odd trailing
+        # node is carried up unchanged
+        half = e.shape[0] // 2
+        e_l, e_r = e[0 : 2 * half : 2], e[1 : 2 * half : 2]
+        d_l, d_r = d[0 : 2 * half : 2], d[1 : 2 * half : 2]
+        e, d = (
+            np.concatenate([e_l * e_r + d_l * d_r, e[2 * half :]]),
+            np.concatenate([e_l * d_r + d_l * e_r, d[2 * half :]]),
+        )
+    return e[0]
 
 
 def member_bits_brute(family, symbols) -> np.ndarray:
@@ -203,15 +224,12 @@ def correction_term(dprime: dict, family) -> float:
 def correction_numerators(noise, family) -> np.ndarray:
     """Per-window integer numerators sum (2*beta - k) * d' of a noise profile.
 
-    The per-execution form the batched approx numerators replaced: beta
-    from one grid over the occurring u and v symbols, read at each entry's
-    distinct code; the entries of a window are contiguous, so its sum is a
-    difference of one running sum."""
+    The per-execution form the batched approx numerators replaced: beta of
+    each distinct code through beta_pairs, read at each entry's code; the
+    entries of a window are contiguous, so its sum is a difference of one
+    running sum."""
     uniq, inverse = np.unique(noise.entry_codes(), return_inverse=True)
-    u_syms, code_u = np.unique(uniq // noise.sigma, return_inverse=True)
-    v_syms, code_v = np.unique(uniq % noise.sigma, return_inverse=True)
-    grid = beta_grid(base_bits([family], u_syms), base_bits([family], v_syms))
-    weights = 2 * grid[code_u, code_v] - family.k
+    weights = 2 * beta_pairs([family], uniq // noise.sigma, uniq % noise.sigma)[0] - family.k
     sums = np.zeros(noise.values.size + 1, dtype=np.int64)
     np.cumsum(weights[inverse] * noise.values, out=sums[1:])
     return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]

@@ -18,15 +18,22 @@ from hamsketch.hashing import (
     FourWiseHash,
     base_bits,
     beta,
-    beta_grid,
     families_new,
     family_new,
     fourwise_coeffs,
     fourwise_new,
     member_eval,
     member_table,
+    signature_beta,
+    signatures,
 )
-from helpers import beta_brute, beta_pairs, family2_member_bits_seeds, fourwise_eval_seeds
+from helpers import (
+    beta_brute,
+    beta_pairs,
+    beta_tree,
+    family2_member_bits_seeds,
+    fourwise_eval_seeds,
+)
 
 
 def test_splitmix_vectorized_matches_scalar():
@@ -161,7 +168,10 @@ def test_fourwise_single_bit_mean_over_seeds():
 def test_family_sizes_and_errors():
     assert len(family_new(2, seed=1).base) == 2
     assert len(family_new(1024, seed=1).base) == 20
-    for bad in (0, 1, 3, 12, 100):
+    # the largest family: beta = k still fits in int64
+    top = family_new(1 << 62, seed=1)
+    assert len(top.base) == 124 and beta(top, 3, 3) == 1 << 62
+    for bad in (0, 1, 3, 12, 100, 1 << 63, 1 << 64, 1 << 70):
         with pytest.raises(ValueError):
             family_new(bad, seed=1)
 
@@ -220,14 +230,11 @@ def test_stacked_base_bits_equal_per_family_bits(monkeypatch):
     assert base_bits(fams, []).shape == (want.shape[0], 0)
 
 
-def test_beta_from_bits_matches_beta_per_family(monkeypatch):
+def test_beta_from_bits_matches_beta_per_family():
     fams = [family_new(32, seed=s) for s in (3, 4, 5)]
     us = np.array([0, 3, 7, 7, 12, 900])
     vs = np.array([3, 1, 12, 7, 0, 901])
     want = np.array([[beta_brute(f, int(u), int(v)) for u, v in zip(us, vs)] for f in fams])
-    assert np.array_equal(beta_pairs(fams, us, vs), want)
-    # one pair per fold
-    monkeypatch.setattr(hashing, "_GRID_CELLS", 1)
     assert np.array_equal(beta_pairs(fams, us, vs), want)
     assert beta_pairs(fams, [], []).shape == (3, 0)
 
@@ -276,20 +283,19 @@ def test_beta_from_bits_matches_beta():
         assert int(out[i]) == beta(fam, int(us[i]), int(vs[i]))
 
 
-def test_beta_grid_matches_brute_on_every_pair(monkeypatch):
-    # each family's grid from its rows of one base-bit evaluation
+def test_beta_grid_matches_brute_on_every_pair():
+    # every family's signatures from one base-bit evaluation, and each
+    # family's beta over every (u, v) pair from one broadcast compare, as the
+    # symbol-pair member sums take their weights
     families = [family_new(32, seed=41 + e) for e in range(3)]
     us, vs = [0, 3, 7, 7, 12], [3, 1, 12]
-    bu = base_bits(families, us).reshape(3, -1, len(us))
-    bv = base_bits(families, vs).reshape(3, -1, len(vs))
-    for fam, fu, fv in zip(families, bu, bv):
+    sig_u = signatures(base_bits(families, us).reshape(3, -1, len(us)))
+    sig_v = signatures(base_bits(families, vs).reshape(3, -1, len(vs)))
+    assert sig_u.shape == (3, len(us)) and sig_u.dtype == np.int64
+    for fam, su, sv in zip(families, sig_u, sig_v):
         want = np.array([[beta_brute(fam, u, v) for v in vs] for u in us])
-        assert np.array_equal(beta_grid(fu, fv), want)
-        # folded one row of us at a time
-        with monkeypatch.context() as mp:
-            mp.setattr(hashing, "_GRID_CELLS", 1)
-            assert np.array_equal(beta_grid(fu, fv), want)
-        assert beta_grid(fu[:, :0], fv).shape == (0, 3)
+        assert np.array_equal(signature_beta(su[:, None], sv, 32), want)
+        assert signature_beta(su[:0, None], sv, 32).shape == (0, 3)
 
 
 def test_beta_statistics_spread():
@@ -356,3 +362,32 @@ def test_beta_from_bits_matches_member_enumeration_property(data):
     bits = {s: [member_eval(fam, i, s) for i in range(k)] for s in set(us) | set(vs)}
     want = [sum(a == b for a, b in zip(bits[u], bits[v])) for u, v in zip(us, vs)]
     assert beta_pairs([fam], us, vs)[0].tolist() == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_signature_beta_matches_tree_recurrence_property(data):
+    # random base bits for 1 to 62 pairs (k up to 2^62, beyond enumeration):
+    # the signature rule against the balanced tree fold over agreements.
+    # Symbols that share Y, or differ only in P, are planted so that beta = k
+    # and beta = 0 occur, not only k/2
+    pairs = data.draw(st.integers(1, 62), label="pairs")
+    syms = data.draw(st.integers(1, 6), label="symbols")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(2 * pairs, syms), dtype=np.uint8)
+    for a in range(1, syms):
+        plant = data.draw(st.sampled_from(["none", "same", "flip both"]), label="plant")
+        if plant != "none":
+            bits[:, a] = bits[:, a - 1]
+        if plant == "flip both":
+            # both functions of one pair flip: Y is kept and P flips
+            b = data.draw(st.integers(0, pairs - 1), label="pair")
+            bits[2 * b : 2 * b + 2, a] ^= 1
+    at_u, at_v = np.repeat(np.arange(syms), syms), np.tile(np.arange(syms), syms)
+    sig = signatures(bits)
+    got = signature_beta(sig[at_u], sig[at_v], 1 << pairs)
+    want = beta_tree(bits[:, at_u] == bits[:, at_v])
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert set(got.tolist()) <= {0, 1 << (pairs - 1), 1 << pairs}

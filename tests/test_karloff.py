@@ -109,6 +109,26 @@ def test_reps_below_one_rejected_before_the_member_sums(monkeypatch):
     assert not calls
 
 
+def test_tiny_epsilon_rejected_before_the_member_sums(monkeypatch):
+    # a family's member sums reach k * m, which from 2^51 on no FFT residue
+    # check can vouch for: at k * m = 2^50 the profile is the exact one, from
+    # 2^51 the call raises before any work (at 1e-7 it used to end in a
+    # RuntimeError, at 1e-9 in a wrong profile, at 1e-10 in an OverflowError)
+    text, pattern = generate_instance(256, 16, 8, "uniform", seed=5)
+    params = karloff_params(2e-7, seed=3, n=256)
+    assert params.k * 16 == 1 << 50
+    got = karloff_profile(text, pattern, params)
+    assert np.array_equal(got.values, sliding_hamming_brute(text, pattern))
+    calls = []
+    monkeypatch.setattr(_sketch, "member_hamming_sums", lambda *args: calls.append(args))
+    for eps in (1.5e-7, 1e-7, 1e-9, 1e-10):
+        params = karloff_params(eps, seed=3, n=256)
+        assert params.k * 16 >= 1 << 51
+        with pytest.raises(ValueError, match="epsilon too small"):
+            karloff_profile(text, pattern, params)
+    assert not calls
+
+
 @pytest.mark.parametrize(
     "shape, digest",
     [

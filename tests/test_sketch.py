@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import _sketch, correlation, hashing
+from hamsketch import _sketch, correlation
 from hamsketch._sketch import (
     gathered_product_pays,
     median_profile,
@@ -34,10 +34,9 @@ ROUTES = {
 
 def _all_routes(text, pattern, families):
     """The public call, and every route forced by its rules at full size and
-    with one-row chunks: one symbol row per FFT chunk, one member per member
-    chunk and one row per beta fold, so every (chunk, family) pair is
-    visited. The symbol route runs with both gatherings of its weights
-    spectra."""
+    with one-row chunks: one symbol row per FFT chunk and one member per
+    member chunk, so every (chunk, family) pair is visited. The symbol route
+    runs with both gatherings of its weights spectra."""
     out = {"public": member_hamming_sums(text, pattern, families)}
     for route, (symbols, product) in ROUTES.items():
         with pytest.MonkeyPatch.context() as mp:
@@ -46,7 +45,6 @@ def _all_routes(text, pattern, families):
             out[route] = member_hamming_sums(text, pattern, families)
             mp.setattr(correlation, "_FFT_CHUNK_BYTES", 1)
             mp.setattr(_sketch, "_MEMBER_CHUNK", 1)
-            mp.setattr(hashing, "_GRID_CELLS", 1)
             out[f"{route}, one-row chunks"] = member_hamming_sums(text, pattern, families)
     return out
 

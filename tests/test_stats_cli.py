@@ -206,12 +206,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["profile"])  # unknown subcommand
     assert exc.value.code == 1
-    # domain errors funnel to exit 1 without a traceback
+    # domain errors funnel to exit 1 without a traceback: an epsilon above
+    # 1/2, and one so small that the member sums pass float64's exact range
     text, pattern = _gen(tmp_path)
-    rc = main(["karloff", "--text", str(text), "--pattern", str(pattern),
-               "--out", str(tmp_path / "x.csv"), "--epsilon", "0.75", "--seed", "1"])
-    assert rc == 1
-    assert "epsilon" in capsys.readouterr().err
+    for eps in ("0.75", "1e-9"):
+        rc = main(["karloff", "--text", str(text), "--pattern", str(pattern),
+                   "--out", str(tmp_path / "x.csv"), "--epsilon", eps, "--seed", "1"])
+        assert rc == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--text", str(text), "--pattern", str(pattern),
               "--out", str(tmp_path / "y.csv"), "--backend", "fft"])  # no such flag
