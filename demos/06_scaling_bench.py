@@ -1,17 +1,18 @@
 """How the estimators scale as eps shrinks, via the bench subcommand.
 
-At sigma=16 the member Hamming sum takes the symbol-pair route: it weights
-each aligned symbol pair by the number of members that separate it, so
+At sigma=16 the signed matches take the symbol-pair route: they weight each
+aligned symbol pair by its signature agreement A in {-1, 0, 1}, so
 karloff's time no longer grows with its 1/eps^2 family. With 16 symbols a
-side (no more than 2*log2 of the FFT length) each execution's weights
+side (no more than 2*log2 of the FFT length) each execution's agreement
 spectra are a product with the 16 symbol indicator spectra, transformed
 once: s + L + reps FFTs in all rather than s + reps * (s + 1). approx's time
 is mostly recovery (one more scale per halving). At sigma=1024 both text and
-pattern hold more occurring symbols than the family has members (at most
-256 here), so karloff correlates the binary projection of every member and
-halving eps roughly quadruples its time. The CSV below makes
-both visible at a modest size; rerun with a larger --n from the shell to
-sharpen the trend.
+pattern hold more occurring symbols than the family has members (16, 64 and
+256 here), so karloff takes the Y groups: one signed row pair per Y value
+present in both strings, and Y takes up to k values. Its rows grow with k,
+4x per halving, and its time by 3.1x and 3.9x per halving (one run, seed
+13, on a 2-core host). The CSV below makes both visible at a modest size;
+rerun with a larger --n from the shell to sharpen the trend.
 """
 
 import subprocess

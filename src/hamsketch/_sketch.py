@@ -1,55 +1,58 @@
-"""The execution driver of both estimators, and the member Hamming sums by
-correlation that it runs on.
+"""The execution driver of both estimators, and the signed signature
+matches by correlation that it runs on.
 
-execution_estimates gives each execution its own size-k family and, per
-window j, the estimate
+Member i of a family maps symbol s to P(s) XOR parity(i & Y(s)), so its
+members' mean of (-1)^(h_i(u) XOR h_i(v)) is the agreement A(u, v) =
+[Y(u) = Y(v)] * (-1)^(P(u) XOR P(v)) in {-1, 0, 1}, and beta = k/2 * (1 +
+A) (hashing). Summed over a window's positions, with
 
-    max(0, (2 * sum_i HAM_i[j] - sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v)) / k):
+    C[j] = sum_l A(text[j + l], pattern[l]),    |C[j]| <= m,
+
+the members' Hamming sum is sum_i HAM_i[j] = k/2 * (m - C[j]), and the
+correction's weights are k - 2*beta = -k * A. So k cancels from the
+estimate, and execution_estimates gives each execution its own size-k
+family and, per window j, the integer
+
+    max(0, m - C[j] + sum_(u,v) A(u, v) * d'_j(u, v)):
 
 karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it recovered.
 The correction (dprime_correction) is D' times the (codes, executions)
-weights k - 2*beta, all from one base-bit evaluation over the symbols of D'.
-A NoiseProfile is stored as the (windows, distinct codes) CSR matrix this
+agreements, all from one base-bit evaluation over the symbols of D'. A
+NoiseProfile is stored as the (windows, distinct codes) CSR matrix this
 product takes (its indptr, cols and values), so no entry is sorted again.
-Every term is an integer far below 2^53, so the float64 product is exact in
-any order.
+Every term is an integer of size at most m, so the float64 product is exact
+in any order.
 
-member_hamming_sums returns, for each of several families of one size k,
-sum_i HAM(h_i(text window j), h_i(pattern)) over the family's members for
-every window j. The occurring symbols and every family's base bits on them
-(one evaluation) are shared by all families. Both exact routes end in summed
-correlations (correlation.py), so each family's sum is exact int64:
+signed_matches returns C of several families of one size k for every
+window j. The occurring symbols and every family's signatures on them (one
+base-bit evaluation) are shared by all families. Both exact routes end in
+summed correlations (correlation.py), so each family's C is exact int64:
 
-* symbol pairs: member i separates symbols a and b unless it hashes them
-  together, which k - beta(a, b) members do not. So
+* symbol pairs: C[j] = sum_(a,b) N_j(a, b) * A(a, b), where N_j(a, b) counts
+  positions with text symbol a aligned to pattern symbol b in window j. For
+  a fixed text symbol a, the sum over b is the correlation of a's indicator
+  with the row A[a, pattern] gathered along the pattern (and symmetrically
+  for a fixed pattern symbol). One row per occurring symbol of the smaller
+  side: its indicator spectrum is the same for every family and is
+  transformed once, and all families finish in one batched inverse FFT.
+  With sigma_t' and sigma_p' the symbols occurring in the text and in the
+  pattern, s = min(sigma_t', sigma_p') and L the other side's count, a
+  gathered row's spectrum is linear in its weights: FFT(A[a, P]) = sum_b
+  A[a, b] * FFT(1[P = b]). When L is small (gathered_product_pays: L <= 2 *
+  log2(nfft), and the L spectra fit in one FFT chunk), the L indicator
+  spectra are transformed once and each family's gathered spectra are one
+  real matrix product, so reps families cost s + L row transforms;
+  otherwise each family transforms its own gathered rows, s + reps * s.
+* Y groups: A(u, v) is nonzero only where Y(u) = Y(v), and there it is the
+  product of the signs (-1)^P(u) and (-1)^P(v). So C is the summed
+  correlation, over each Y value y present in both strings, of the text row
+  holding (-1)^P at the positions whose symbol has Y = y (0 elsewhere) with
+  the pattern row built the same way: at most 2 * min(s, k) row transforms
+  per family, as Y takes at most k values.
 
-      sum_i HAM_i[j] = sum_(a,b) N_j(a, b) * (k - beta(a, b)),
-
-  where N_j(a, b) counts positions with text symbol a aligned to pattern
-  symbol b in window j. For a fixed text symbol a, the sum over b is the
-  correlation of a's indicator with the row W[a, pattern] of W = k - beta
-  gathered along the pattern (and symmetrically for a fixed pattern
-  symbol). One row per occurring symbol of the smaller side: its indicator
-  spectrum is the same for every family and is transformed once, and all
-  families finish in one batched inverse FFT. With sigma_t' and sigma_p'
-  the symbols occurring in the text and in the pattern, s = min(sigma_t',
-  sigma_p') and L the other side's count, a gathered row's spectrum is
-  linear in its weights: FFT(W[a, P]) = sum_b W[a, b] * FFT(1[P = b]).
-  When L is small (gathered_product_pays: L <= 2 * log2(nfft), and the L
-  spectra fit in one FFT chunk), the L indicator spectra are transformed
-  once and each family's gathered spectra are one real matrix product, so
-  reps families cost s + L + reps FFTs; otherwise each family transforms
-  its own gathered rows, s + reps * (s + 1) FFTs. beta over the occurring
-  pairs is one compare of per-symbol signatures (hashing.signatures), each
-  family's taken once per call.
-* per member: project text and pattern through every member of a family,
-  tabulated over the occurring symbols only; HAM summed over members is the
-  summed window ones plus the summed pattern ones minus twice the summed
-  correlation of the binary masks, about 2k + 1 FFTs per family.
-
-member_hamming_sums takes the symbol route iff s <= k (symbol_route_pays),
-where it runs fewer FFTs for any number of families. Both routes give the
-same int64 counts.
+signed_matches takes the symbol route iff s <= k (symbol_route_pays), where
+it transforms no more rows than the Y groups can need for any number of
+families. Both routes give the same int64 counts.
 """
 
 from __future__ import annotations
@@ -59,48 +62,34 @@ import math
 import numpy as np
 
 from ._seeds import ROLE_EXECUTION, ROLE_FAMILY, mix
-from .correlation import correlate_rows, correlation_sums, fft_plan, row_spectra
-from .hashing import (
-    base_bits,
-    beta_from_bits,
-    families_new,
-    member_table,
-    signature_beta,
-    signatures,
-)
+from .correlation import correlation_sums, fft_plan, row_spectra
+from .hashing import families_new, family_signatures, signature_agreement
 from .text_model import DistanceProfile, IntString, check_instance, occurring_symbols
 
-_MEMBER_CHUNK = 64
-# a family's member sums reach k * m; from 2^51 on float64's spacing is 0.5 or
-# more, so round_counts could no longer vouch for an FFT sum
-_MAX_MEMBER_SUM = 1 << 51
 
-
-def member_hamming_sums(text: IntString, pattern: IntString, families) -> np.ndarray:
-    """(len(families), windows) exact int64: row f is sum_i HAM(h_i(text
-    window), h_i(pattern)) over the members of families[f], for families of
-    one size k."""
+def signed_matches(text: IntString, pattern: IntString, families) -> np.ndarray:
+    """(len(families), windows) exact int64: row f is C[j] = sum_l A(text[j +
+    l], pattern[l]) under families[f], for families of one size k."""
     n, m, _ = check_instance(text, pattern)
     (sym_t, at_t), (sym_p, at_p) = occurring_symbols(text), occurring_symbols(pattern)
     # the symbols occurring on either side, each string's positions and
-    # occurring symbols as ranks among them, and every family's base bits on
-    # them: (families, 2*pairs, symbols)
+    # occurring symbols as ranks among them, and every family's signatures on
+    # them: (families, symbols)
     syms = np.union1d(sym_t, sym_p)
     rank_t, rank_p = np.searchsorted(syms, sym_t), np.searchsorted(syms, sym_p)
-    bits = base_bits(families, syms).reshape(len(families), -1, syms.size)
-    k = families[0].k
-    if symbol_route_pays(sym_t.size, sym_p.size, k):
-        # the spectra go in as a temporary, which the finish frees before
-        # rounding
-        return correlation_sums(
-            _symbol_pair_spectra(bits, k, rank_t, rank_t[at_t], rank_p, rank_p[at_p]), n, m
-        )
-    return _per_member_sums(bits, k, rank_t[at_t], rank_p[at_p])
+    sigs = family_signatures(families, syms)
+    route = (
+        _symbol_pair_spectra
+        if symbol_route_pays(sym_t.size, sym_p.size, families[0].k)
+        else _y_group_spectra
+    )
+    # the spectra go in as a temporary, which the finish frees before rounding
+    return correlation_sums(route(sigs, rank_t, rank_t[at_t], rank_p, rank_p[at_p]), n, m)
 
 
 def symbol_route_pays(sigma_t: int, sigma_p: int, k: int) -> bool:
-    """Whether the symbol-pair route runs no more FFTs than the per-member
-    one: at most s + reps * (s + 1) against reps * (2k + 1), s =
+    """Whether the symbol-pair route transforms no more rows than the Y
+    groups: at most s + reps * s against up to 2 * reps * min(s, k), s =
     min(sigma_t, sigma_p), holds for every number of executions reps iff
     s <= k."""
     return min(sigma_t, sigma_p) <= k
@@ -118,10 +107,10 @@ def gathered_product_pays(sigma_other: int, n: int, m: int) -> bool:
     return sigma_other <= min(2 * math.log2(nfft), chunk)
 
 
-def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.ndarray:
+def _symbol_pair_spectra(sigs, rank_t, text_at, rank_p, pattern_at) -> np.ndarray:
     # one row per occurring symbol of the smaller side: its indicator against
-    # its weights row gathered along the other string; returns each family's
-    # spectrum products summed over the rows
+    # its agreements row gathered along the other string; returns each
+    # family's spectrum products summed over the rows
     n, m = text_at.size, pattern_at.size
     text_rows = rank_t.size <= rank_p.size
     own, own_at, other, other_at = (
@@ -130,10 +119,9 @@ def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.nda
         else (rank_p, pattern_at, rank_t, text_at)
     )
     nfft, chunk = fft_plan(n, m)
-    sigs = signatures(bits)
     spectra = None
     if gathered_product_pays(other.size, n, m):
-        # FFT(W[a, other string]) = sum_b W[a, b] * FFT(1[other string = b]),
+        # FFT(A[a, other string]) = sum_b A[a, b] * FFT(1[other string = b]),
         # a real product over the (re, im)-interleaved indicator spectra
         spectra = row_spectra(other_at[None, :] == other[:, None], nfft, pattern=text_rows)
         spectra = spectra.view(np.float64)
@@ -142,8 +130,7 @@ def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.nda
         rows = own[lo : lo + chunk]
         masks = row_spectra(own_at[None, :] == rows[:, None], nfft, pattern=not text_rows)
         for f, sig in enumerate(sigs):
-            # weights[a, b] = members separating own symbol a from symbol b
-            weights = (k - signature_beta(sig[rows, None], sig, k)).astype(np.float64)
+            weights = signature_agreement(sig[rows, None], sig).astype(np.float64)
             if spectra is not None:
                 gathered = (weights[:, other] @ spectra).view(np.complex128)
             else:
@@ -152,24 +139,22 @@ def _symbol_pair_spectra(bits, k, rank_t, text_at, rank_p, pattern_at) -> np.nda
     return acc
 
 
-def _per_member_sums(bits, k, text_at, pattern_at) -> np.ndarray:
-    # Projects both strings through every member of a family, chunking members
-    # to bound memory: HAM summed over members = window ones + pattern ones -
-    # 2 * aligned ones.
+def _y_group_spectra(sigs, rank_t, text_at, rank_p, pattern_at) -> np.ndarray:
+    # per family, one (-1)^P row pair per Y value present in both strings;
+    # returns each family's spectrum products summed over its Y values
     n, m = text_at.size, pattern_at.size
-    nw = n - m + 1
-    out = np.zeros((bits.shape[0], nw), dtype=np.int64)
-    ones = np.zeros(n + 1, dtype=np.int64)
-    for total, fam_bits in zip(out, bits):
-        table = member_table(fam_bits)
-        for lo in range(0, k, _MEMBER_CHUNK):
-            rows = table[lo : lo + _MEMBER_CHUNK]
-            t_masks = rows[:, text_at]
-            p_masks = rows[:, pattern_at]
-            np.cumsum(t_masks.sum(axis=0, dtype=np.int64), out=ones[1:])
-            total += ones[m : m + nw] - ones[:nw] + int(p_masks.sum(dtype=np.int64))
-            total -= 2 * correlate_rows(t_masks, p_masks)
-    return out
+    nfft, chunk = fft_plan(n, m)
+    acc = np.zeros((sigs.shape[0], nfft // 2 + 1), dtype=np.complex128)
+    for f, sig in enumerate(sigs):
+        ys = np.intersect1d(sig[rank_t] >> 1, sig[rank_p] >> 1)
+        sig_t, sig_p = sig[text_at], sig[pattern_at]
+        sign_t, sign_p = 1.0 - 2.0 * (sig_t & 1), 1.0 - 2.0 * (sig_p & 1)
+        for lo in range(0, ys.size, chunk):
+            group = ys[lo : lo + chunk, None]
+            t_spec = row_spectra(np.where(sig_t >> 1 == group, sign_t, 0.0), nfft)
+            p_spec = row_spectra(np.where(sig_p >> 1 == group, sign_p, 0.0), nfft, pattern=True)
+            acc[f] += np.einsum("ij,ij->j", t_spec, p_spec)
+    return acc
 
 
 def default_reps(n: int) -> int:
@@ -215,35 +200,31 @@ def execution_estimates(
     NoiseProfile) as every execution's D', or no correction without one. All
     are computed together; each row equals its execution alone, byte for byte."""
     check_reps(len(execs))
-    if k * len(pattern) >= _MAX_MEMBER_SUM:
-        raise ValueError(
-            f"epsilon too small: k = 2^{k.bit_length() - 1} members over a pattern of "
-            f"length {len(pattern)} give member sums up to k * m >= 2^51, past what "
-            "float64 FFT sums hold exactly; use a larger epsilon"
-        )
     families = execution_families(k, seed, execs)
-    correction = 0 if noise is None else dprime_correction(noise, families)
-    return np.maximum(0.0, (2 * member_hamming_sums(text, pattern, families) - correction) / k)
+    estimates = len(pattern) - signed_matches(text, pattern, families)
+    if noise is not None:
+        estimates += dprime_correction(noise, families)
+    return np.maximum(0.0, estimates)
 
 
 def dprime_correction(noise, families) -> np.ndarray:
-    """(len(families), windows) int64 sum_(u,v) (k - 2*beta(u, v)) * d'_j(u, v)
-    of each family (all of one size k) over the NoiseProfile noise."""
+    """(len(families), windows) int64 sum_(u,v) A(u, v) * d'_j(u, v) of each
+    family over the NoiseProfile noise."""
     from scipy import sparse
 
-    k, sigma = families[0].k, noise.sigma
-    # the weights k - 2*beta of its codes, from one base-bit evaluation over
-    # their symbols
-    us, vs = noise.codes // sigma, noise.codes % sigma
+    # the agreements of its codes, from one base-bit evaluation over their
+    # symbols
+    us, vs = noise.codes // noise.sigma, noise.codes % noise.sigma
     syms = np.union1d(us, vs)
     at_u, at_v = np.searchsorted(syms, us), np.searchsorted(syms, vs)
-    beta = beta_from_bits(families, base_bits(families, syms), at_u, at_v)
-    weights = (k - 2 * beta).T.astype(np.float64)
+    sig = family_signatures(families, syms)
+    weights = signature_agreement(sig[:, at_u], sig[:, at_v]).T.astype(np.float64)
     dprime = sparse.csr_matrix(
         (noise.values.astype(np.float64), noise.cols, noise.indptr),
         shape=(noise.n_windows, noise.codes.size),
     )
-    # every term is an integer below 2^53, so the float64 product is exact
+    # every term is an integer of size at most m, so the float64 product is
+    # exact
     return (dprime @ weights).T.astype(np.int64)
 
 

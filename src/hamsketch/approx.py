@@ -6,14 +6,18 @@ only ~ 8b/eps_eff, and the variance the smaller family leaves behind is
 cancelled explicitly: for every heavy pair (u, v) in the recovered noise
 matrix D', the term (2*beta_{u,v} - k) * d'_{u,v} removes the expected
 contribution of that pair's collisions, where beta_{u,v} counts the family
-members hashing u and v together. Per window
+members hashing u and v together. With the agreement A = 2*beta/k - 1 in
+{-1, 0, 1} and the signed matches C (_sketch), per window
 
     delta[j] = max(0, (2 * sum_i HAM_i[j] + sum_{(u,v)} (2*beta - k) * d'[u,v]) / k)
+             = max(0, m - C[j] + sum_{(u,v)} A(u, v) * d'_j(u, v)),
 
-and the profile is a per-window median over `reps` executions, each with a
-fresh family. All executions share one D', recovered with execution 0's
-seeds, and are one call of _sketch.execution_estimates, the driver karloff
-runs with no D'.
+an integer, and the profile is a per-window median over `reps` executions,
+each with a fresh family. Before the max, delta[j] - d[j] = -sum_{u != v}
+A(u, v) * (N_j(u, v) - d'_j(u, v)), with N_j the window's true pair counts:
+the residual N_j - d'_j that recovery bounds is all the error left. All
+executions share one D', recovered with execution 0's seeds, and are one
+call of _sketch.execution_estimates, the driver karloff runs with no D'.
 
 What D' buys: the family's beta(u, v) is k/2, or with probability 1/k it is
 0 or k (hashing.XorTreeFamily). An uncorrected execution is off only by

@@ -3,13 +3,14 @@
 correlate_rows(T, P)[j] = sum_r sum_i T[r, j+i] * P[r, i] for every window
 offset j: the sum over rows of the row-pair correlations. Every library
 caller needs correlations only through such sums (matches summed over
-symbols, Hamming distances summed over family members, symbol pairs weighted
-by k - beta), so the spectrum products accumulate across row chunks and one
-inverse real FFT gives the whole sum. correlate_rows runs the whole loop; a
-caller that pairs one set of rows with several others (karloff's member sums:
-one symbol's indicator against every family's weights) takes the steps
-separately: row_spectra once per operand, its own products, and one
-correlation_sums over all of its accumulators. No other module calls the FFT.
+symbols, symbol pairs weighted by their signature agreement A, signed rows
+summed over Y groups), so the spectrum products accumulate across row chunks
+and one inverse real FFT gives the whole sum. correlate_rows runs the whole
+loop; a caller that pairs one set of rows with several others (the sketch's
+signed matches: one symbol's indicator against every family's agreements)
+takes the steps separately: row_spectra once per operand, its own products,
+and one correlation_sums over all of its accumulators. No other module calls
+the FFT.
 
 The true sums are integers. At supported sizes the floating error stays far
 below 0.5, and round_counts raises if a residue ever gets close, so the

@@ -17,7 +17,11 @@ Two layers:
   parity(i & Y(s)). If Y(u) != Y(v) at some bit b, members i and i XOR 2^b
   give opposite verdicts on (u, v), so beta = k/2; otherwise (probability
   2^-t = 1/k for u != v) every member's verdict is P(u) == P(v), and beta
-  is k or 0.
+  is k or 0. In one number, the agreement
+
+      A(u, v) = [Y(u) = Y(v)] * (-1)^(P(u) XOR P(v)) in {-1, 0, 1}
+
+  is the members' mean of (-1)^(h_i(u) XOR h_i(v)), and beta = k/2 * (1 + A).
 """
 
 from __future__ import annotations
@@ -166,18 +170,6 @@ def base_bits(families, symbols) -> np.ndarray:
     return out
 
 
-def member_table(bits: np.ndarray) -> np.ndarray:
-    """(k, symbols) uint8 member outputs of one family from its base bits
-    (its (2*pairs, symbols) rows of base_bits): member i XORs, for every pair
-    b, row 2b + bit_b(i). So member_table(base_bits([f], us))[i, a] ==
-    member_eval(f, i, us[a])."""
-    table = bits[0:2]
-    # doubling: the members of pairs 0..b-1, XORed with each choice of pair b
-    for b in range(1, bits.shape[0] // 2):
-        table = np.concatenate([table ^ bits[2 * b], table ^ bits[2 * b + 1]])
-    return table
-
-
 def signatures(bits: np.ndarray) -> np.ndarray:
     """int64 signatures (..., symbols) of the symbols from one family's base
     bits (..., 2*pairs, symbols): bit 0 is P, the XOR of the even base bits,
@@ -188,12 +180,19 @@ def signatures(bits: np.ndarray) -> np.ndarray:
     return sig
 
 
-def signature_beta(sig_u: np.ndarray, sig_v: np.ndarray, k: int) -> np.ndarray:
-    """int64 beta of the symbol pairs with signatures sig_u and sig_v, which
-    broadcast: k where they are equal, 0 where they differ in P alone, k/2
-    where Y differs."""
+def family_signatures(families, symbols) -> np.ndarray:
+    """(len(families), len(symbols)) signatures of the symbols under each of
+    the families, all of one size, from one base_bits evaluation."""
+    bits = base_bits(families, symbols)
+    return signatures(bits.reshape(len(families), bits.shape[0] // len(families), bits.shape[1]))
+
+
+def signature_agreement(sig_u: np.ndarray, sig_v: np.ndarray) -> np.ndarray:
+    """int64 agreement A of the symbol pairs with signatures sig_u and
+    sig_v, which broadcast: 1 where they are equal, -1 where they differ in P
+    alone, 0 where Y differs."""
     diff = sig_u ^ sig_v
-    return np.where(diff > 1, k // 2, np.where(diff == 0, k, 0))
+    return np.where(diff > 1, 0, 1 - 2 * diff)
 
 
 def beta(family: XorTreeFamily, u: int, v: int) -> int:
@@ -207,4 +206,4 @@ def beta_from_bits(families, bits: np.ndarray, at_u, at_v) -> np.ndarray:
     a caller can take any pairs from one evaluation."""
     n_fam = len(families)
     sig = signatures(bits.reshape(n_fam, bits.shape[0] // n_fam, bits.shape[1]))
-    return signature_beta(sig[:, at_u], sig[:, at_v], families[0].k)
+    return families[0].k // 2 * (1 + signature_agreement(sig[:, at_u], sig[:, at_v]))

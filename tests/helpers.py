@@ -222,14 +222,16 @@ def correction_term(dprime: dict, family) -> float:
 
 
 def correction_numerators(noise, family) -> np.ndarray:
-    """Per-window integer numerators sum (2*beta - k) * d' of a noise profile.
+    """Per-window integer corrections sum A * d' = sum (2*beta - k) * d' / k
+    of a noise profile.
 
-    The per-execution form the batched approx numerators replaced: beta of
-    each distinct code through beta_pairs, read at each entry's code; the
-    entries of a window are contiguous, so its sum is a difference of one
-    running sum."""
+    The per-execution form the batched approx corrections replaced: beta of
+    each distinct code through beta_pairs, read at each entry's code, where
+    2*beta - k is -k, 0 or k; the entries of a window are contiguous, so its
+    sum is a difference of one running sum."""
     uniq, inverse = np.unique(noise.entry_codes(), return_inverse=True)
-    weights = 2 * beta_pairs([family], uniq // noise.sigma, uniq % noise.sigma)[0] - family.k
+    beta2 = 2 * beta_pairs([family], uniq // noise.sigma, uniq % noise.sigma)[0]
+    weights = (beta2 - family.k) // family.k
     sums = np.zeros(noise.values.size + 1, dtype=np.int64)
     np.cumsum(weights[inverse] * noise.values, out=sums[1:])
     return sums[noise.indptr[1:]] - sums[noise.indptr[:-1]]

@@ -11,7 +11,7 @@ from hamsketch._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
 from hamsketch._sketch import (
     dprime_correction,
     execution_estimates,
-    member_hamming_sums,
+    signed_matches,
 )
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution
@@ -108,14 +108,14 @@ def test_correction_term_empty_and_balanced_pair():
 
 
 def test_correction_numerators_match_per_window_terms():
-    # the per-execution reference in helpers, which the batched numerators
-    # are checked against below
+    # the per-execution reference in helpers, which the batched corrections
+    # are checked against below: sum A * d' = sum (2*beta - k) * d' / k
     dicts = [{(0, 1): 3, (2, 5): 7}, {}, {(4, 2): 1, (1, 0): 9, (3, 6): 2}]
     noise = noise_profile_from_windows(dicts, sigma=8)
     fam = family_new(16, seed=44)
     nums = correction_numerators(noise, fam)
     for j, entries in enumerate(dicts):
-        assert nums[j] == 2 * correction_term(entries, fam)
+        assert 16 * nums[j] == 2 * correction_term(entries, fam)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -137,7 +137,7 @@ def test_correction_numerators_match_entry_enumeration_property(data):
         weights = (2 * beta_pairs([fam], noise.us, noise.vs)[0] - k) * noise.values
         np.add.at(want, noise.entry_windows(), weights)
         got = correction_numerators(noise, fam)
-        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert got.dtype == np.int64 and (k * got).tobytes() == want.tobytes()
 
 
 def _random_noise(text, pattern, rng, spurious=True):
@@ -156,13 +156,16 @@ def _random_noise(text, pattern, rng, spurious=True):
 
 
 def _check_numerators(text, pattern, noise, families):
-    """Every row of the batched int64 numerators is 2 * the brute member sum
-    plus the reference correction of that row's family."""
-    nums = 2 * member_hamming_sums(text, pattern, families) - dprime_correction(noise, families)
+    """Every row of the batched int64 estimates m - C + D'A is, times k, 2 *
+    the brute member sum plus sum (2*beta - k) * d' of that row's family:
+    the correction is the reference one, and sum_i HAM_i = k/2 * (m - C)."""
+    m, k = len(pattern), families[0].k
+    correction = dprime_correction(noise, families)
+    nums = m - signed_matches(text, pattern, families) + correction
     assert nums.shape == (len(families), noise.n_windows) and nums.dtype == np.int64
-    for row, fam in zip(nums, families):
-        want = 2 * member_sums_brute(text, pattern, fam) + correction_numerators(noise, fam)
-        assert np.array_equal(row, want)
+    for row, fix, fam in zip(nums, correction, families):
+        assert np.array_equal(fix, correction_numerators(noise, fam))
+        assert np.array_equal(k * row, 2 * member_sums_brute(text, pattern, fam) + k * fix)
 
 
 def test_member_sums_brute_matches_member_by_member():

@@ -23,8 +23,7 @@ from hamsketch.hashing import (
     fourwise_coeffs,
     fourwise_new,
     member_eval,
-    member_table,
-    signature_beta,
+    signature_agreement,
     signatures,
 )
 from helpers import (
@@ -193,19 +192,6 @@ def test_member_eval_index_error():
         member_eval(fam, 8, 0)
 
 
-def test_member_table_matches_member_eval():
-    # every family's table from one base-bit evaluation over scattered symbols
-    families = [family_new(32, seed=55 + e) for e in range(3)]
-    syms = np.array([0, 3, 17, 40, 999, 1 << 19])
-    bits = base_bits(families, syms).reshape(len(families), -1, syms.size)
-    for fam, fam_bits in zip(families, bits):
-        table = member_table(fam_bits)
-        assert table.shape == (32, syms.size) and table.dtype == np.uint8
-        for i in range(0, 32, 5):
-            for a, u in enumerate(syms):
-                assert int(table[i, a]) == member_eval(fam, i, int(u))
-
-
 def test_base_bits_shape_and_values():
     fam = family_new(16, seed=4)
     syms = np.arange(30)
@@ -285,8 +271,8 @@ def test_beta_from_bits_matches_beta():
 
 def test_beta_grid_matches_brute_on_every_pair():
     # every family's signatures from one base-bit evaluation, and each
-    # family's beta over every (u, v) pair from one broadcast compare, as the
-    # symbol-pair member sums take their weights
+    # family's agreement over every (u, v) pair from one broadcast compare,
+    # as the symbol-pair matches take their weights: beta = k/2 * (1 + A)
     families = [family_new(32, seed=41 + e) for e in range(3)]
     us, vs = [0, 3, 7, 7, 12], [3, 1, 12]
     sig_u = signatures(base_bits(families, us).reshape(3, -1, len(us)))
@@ -294,8 +280,10 @@ def test_beta_grid_matches_brute_on_every_pair():
     assert sig_u.shape == (3, len(us)) and sig_u.dtype == np.int64
     for fam, su, sv in zip(families, sig_u, sig_v):
         want = np.array([[beta_brute(fam, u, v) for v in vs] for u in us])
-        assert np.array_equal(signature_beta(su[:, None], sv, 32), want)
-        assert signature_beta(su[:0, None], sv, 32).shape == (0, 3)
+        got = signature_agreement(su[:, None], sv)
+        assert got.dtype == np.int64
+        assert np.array_equal(16 * (1 + got), want)
+        assert signature_agreement(su[:0, None], sv).shape == (0, 3)
 
 
 def test_beta_statistics_spread():
@@ -366,11 +354,11 @@ def test_beta_from_bits_matches_member_enumeration_property(data):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_signature_beta_matches_tree_recurrence_property(data):
+def test_signature_agreement_matches_tree_recurrence_property(data):
     # random base bits for 1 to 62 pairs (k up to 2^62, beyond enumeration):
     # the signature rule against the balanced tree fold over agreements.
-    # Symbols that share Y, or differ only in P, are planted so that beta = k
-    # and beta = 0 occur, not only k/2
+    # Symbols that share Y, or differ only in P, are planted so that A = 1
+    # and A = -1 occur, not only 0
     pairs = data.draw(st.integers(1, 62), label="pairs")
     syms = data.draw(st.integers(1, 6), label="symbols")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -386,8 +374,9 @@ def test_signature_beta_matches_tree_recurrence_property(data):
             bits[2 * b : 2 * b + 2, a] ^= 1
     at_u, at_v = np.repeat(np.arange(syms), syms), np.tile(np.arange(syms), syms)
     sig = signatures(bits)
-    got = signature_beta(sig[at_u], sig[at_v], 1 << pairs)
+    got = signature_agreement(sig[at_u], sig[at_v])
     want = beta_tree(bits[:, at_u] == bits[:, at_v])
     assert got.dtype == np.int64
-    assert got.tolist() == want.tolist()
-    assert set(got.tolist()) <= {0, 1 << (pairs - 1), 1 << pairs}
+    assert set(got.tolist()) <= {-1, 0, 1}
+    # beta = k/2 * (1 + A), in exact integers up to k = 2^62
+    assert [(1 << (pairs - 1)) * (1 + a) for a in got.tolist()] == want.tolist()

@@ -8,7 +8,7 @@ from hamsketch import _sketch, default_reps, hashing
 from hamsketch._sketch import (
     execution_estimates,
     execution_families,
-    member_hamming_sums,
+    signed_matches,
     symbol_route_pays,
 )
 from hamsketch.approx import approx_params
@@ -42,14 +42,15 @@ def test_params_round_k_to_power_of_two():
 
 
 def test_member_hamming_sum_matches_brute():
+    # the members' Hamming sum is k/2 * (m - C) for the signed matches C
     rng = np.random.default_rng(83)
     text = IntString(rng.integers(0, 6, size=40), 6)
     pattern = IntString(rng.integers(0, 6, size=9), 6)
     families = [family_new(8, seed=4 + e) for e in range(2)]
-    got = member_hamming_sums(text, pattern, families)
+    got = signed_matches(text, pattern, families)
     for row, fam in zip(got, families):
         want = sum(member_profile_brute(text, pattern, fam, i) for i in range(8))
-        assert np.array_equal(row, want)
+        assert np.array_equal(4 * (9 - row), want)
 
 
 def test_single_execution_is_reps_one_profile():
@@ -80,7 +81,7 @@ def test_executions_are_rows_of_one_call():
         # pair counts on the grid, and by sorting, both on the symbol route
         (300, 40, 5, True, True),
         (300, 40, 16, False, True),
-        # more occurring symbols on either side than members: per member
+        # more occurring symbols on either side than members: Y groups
         (600, 100, 256, False, False),
     ],
 )
@@ -99,7 +100,7 @@ def test_karloff_at_approx_k_is_approx_with_empty_dprime(n, m, sigma, grid, symb
 def test_reps_below_one_rejected_before_the_member_sums(monkeypatch):
     # params built directly skip karloff_params' check
     calls = []
-    monkeypatch.setattr(_sketch, "member_hamming_sums", lambda *args: calls.append(args))
+    monkeypatch.setattr(_sketch, "signed_matches", lambda *args: calls.append(args))
     text, pattern = generate_instance(100, 10, 4, "uniform", seed=1)
     params = dataclasses.replace(karloff_params(0.25, seed=1, n=100), reps=0)
     with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
@@ -110,22 +111,21 @@ def test_reps_below_one_rejected_before_the_member_sums(monkeypatch):
 
 
 def test_tiny_epsilon_rejected_before_the_member_sums(monkeypatch):
-    # a family's member sums reach k * m, which from 2^51 on no FFT residue
-    # check can vouch for: at k * m = 2^50 the profile is the exact one, from
-    # 2^51 the call raises before any work (at 1e-7 it used to end in a
-    # RuntimeError, at 1e-9 in a wrong profile, at 1e-10 in an OverflowError)
+    # no signed match exceeds m, so k itself is the only limit: at eps =
+    # 1e-9, k = 2^61 and the profile is the exact one; from eps ~ 6.6e-10
+    # on k would pass the family cap 2^62, and karloff_params raises before
+    # any work (with member sums scaled by k, 1e-7 used to end in a
+    # RuntimeError, 1e-9 in a wrong profile and 1e-10 in an OverflowError)
     text, pattern = generate_instance(256, 16, 8, "uniform", seed=5)
-    params = karloff_params(2e-7, seed=3, n=256)
-    assert params.k * 16 == 1 << 50
+    params = karloff_params(1e-9, seed=3, n=256)
+    assert params.k == 1 << 61
     got = karloff_profile(text, pattern, params)
     assert np.array_equal(got.values, sliding_hamming_brute(text, pattern))
     calls = []
-    monkeypatch.setattr(_sketch, "member_hamming_sums", lambda *args: calls.append(args))
-    for eps in (1.5e-7, 1e-7, 1e-9, 1e-10):
-        params = karloff_params(eps, seed=3, n=256)
-        assert params.k * 16 >= 1 << 51
-        with pytest.raises(ValueError, match="epsilon too small"):
-            karloff_profile(text, pattern, params)
+    monkeypatch.setattr(_sketch, "signed_matches", lambda *args: calls.append(args))
+    for eps in (6.5e-10, 1e-10, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"epsilon {eps} too small"):
+            karloff_profile(text, pattern, karloff_params(eps, seed=3, n=256))
     assert not calls
 
 

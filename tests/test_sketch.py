@@ -2,22 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamsketch import _sketch, correlation
 from hamsketch._sketch import (
     gathered_product_pays,
     median_profile,
-    member_hamming_sums,
+    signed_matches,
     symbol_route_pays,
 )
 from hamsketch.approx import approx_params
-from hamsketch.hashing import family_new
+from hamsketch.hashing import base_bits, family_new, signature_agreement, signatures
 from hamsketch.karloff import karloff_params
 from hamsketch.text_model import IntString, generate_instance
 
-from helpers import few_pairs_bench_instance, member_profile_brute, traced_peak
+from helpers import (
+    few_pairs_bench_instance,
+    member_profile_brute,
+    member_sums_brute,
+    traced_peak,
+)
 
 
 def _occurring(s: IntString) -> np.ndarray:
@@ -28,33 +33,43 @@ ROUTES = {
     # name: (symbol route, gathered spectra as a product)
     "symbols, product": (True, True),
     "symbols, transforms": (True, False),
-    "members": (False, False),
+    "Y groups": (False, False),
 }
 
 
 def _all_routes(text, pattern, families):
     """The public call, and every route forced by its rules at full size and
-    with one-row chunks: one symbol row per FFT chunk and one member per
-    member chunk, so every (chunk, family) pair is visited. The symbol route
-    runs with both gatherings of its weights spectra."""
-    out = {"public": member_hamming_sums(text, pattern, families)}
+    with one-row chunks: one symbol row or Y group per FFT chunk, so every
+    (chunk, family) pair is visited. The symbol route runs with both
+    gatherings of its weights spectra."""
+    out = {"public": signed_matches(text, pattern, families)}
     for route, (symbols, product) in ROUTES.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_sketch, "symbol_route_pays", lambda *_, v=symbols: v)
             mp.setattr(_sketch, "gathered_product_pays", lambda *_, v=product: v)
-            out[route] = member_hamming_sums(text, pattern, families)
+            out[route] = signed_matches(text, pattern, families)
             mp.setattr(correlation, "_FFT_CHUNK_BYTES", 1)
-            mp.setattr(_sketch, "_MEMBER_CHUNK", 1)
-            out[f"{route}, one-row chunks"] = member_hamming_sums(text, pattern, families)
+            out[f"{route}, one-row chunks"] = signed_matches(text, pattern, families)
     return out
 
 
 def _brute(text, pattern, families):
-    """(families, windows) member sums, member by member."""
-    return np.stack([
+    """(families, windows) signed matches C from the member sums, member by
+    member, through sum_i HAM_i = k/2 * (m - C)."""
+    m, half = len(pattern), families[0].k // 2
+    sums = np.stack([
         sum(member_profile_brute(text, pattern, fam, i) for i in range(fam.k))
         for fam in families
     ])
+    assert not (sums % half).any()
+    return m - sums // half
+
+
+def _check(got, want, m, route="public"):
+    """got is int64, within m in absolute value, and equal to want."""
+    assert got.dtype == np.int64 and got.shape == want.shape, route
+    assert np.abs(got).max(initial=0) <= m, route
+    assert np.array_equal(got, want), route
 
 
 def _families(k, seed, count=3):
@@ -81,8 +96,7 @@ def test_member_sum_routes_match_brute_on_edge_shapes(name, k):
     families = _families(k, seed=4 + k)
     want = _brute(text, pattern, families)
     for route, got in _all_routes(text, pattern, families).items():
-        assert got.dtype == np.int64, route
-        assert np.array_equal(got, want), route
+        _check(got, want, m=len(pattern), route=route)
 
 
 def test_edge_shapes_cover_both_contraction_orders():
@@ -109,7 +123,7 @@ def test_member_sum_routes_match_brute_property(data):
     families = _families(k, data.draw(st.integers(0, 1 << 30), label="seed"), count)
     want = _brute(text, pattern, families)
     for route, got in _all_routes(text, pattern, families).items():
-        assert got.shape == want.shape and np.array_equal(got, want), route
+        _check(got, want, m, route)
 
 
 # whether each benchmark shape gathers its weights spectra by the product:
@@ -182,16 +196,16 @@ def test_symbol_route_transform_counts(product, monkeypatch):
 
     monkeypatch.setattr(_sketch, "row_spectra", counting)
     monkeypatch.setattr(_sketch, "gathered_product_pays", lambda *_: product)
-    got = member_hamming_sums(text, pattern, families)
+    got = signed_matches(text, pattern, families)
     assert sum(rows) == (s + other if product else s + len(families) * s)
-    assert np.array_equal(got, _brute(text, pattern, families))
+    _check(got, _brute(text, pattern, families), len(pattern))
 
 
 @pytest.mark.parametrize("text_side_smaller", [True, False])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_member_sums_match_brute_at_the_route_boundary(text_side_smaller, extra):
     # s = k occurring symbols on the smaller side takes the symbol route,
-    # s = k + 1 the per-member route; both must equal the brute sum
+    # s = k + 1 the Y groups; both must give the brute sum
     k, sigma = 8, 16
     rng = np.random.default_rng(17 + extra)
 
@@ -207,9 +221,64 @@ def test_member_sums_match_brute_at_the_route_boundary(text_side_smaller, extra)
     assert min(sa, sb) == k + extra and (sa < sb) == text_side_smaller
     assert symbol_route_pays(sa, sb, k) == (extra == 0)
     families = _families(k, seed=31)
-    assert np.array_equal(
-        member_hamming_sums(text, pattern, families), _brute(text, pattern, families)
-    )
+    _check(signed_matches(text, pattern, families), _brute(text, pattern, families), 20)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_y_group_route_matches_brute_property(data):
+    # k = 2 or 4, so Y has one or two bits and distinct symbols often share
+    # it; more than k symbols on each side, so the public call takes the Y
+    # groups, some symbols on one side only, and aligned pairs of both signs
+    k = data.draw(st.sampled_from([2, 4]), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 30), label="seed"))
+    sa, sb = data.draw(st.integers(k + 1, 9), label="sa"), data.draw(st.integers(k + 1, 9), label="sb")
+    shift = data.draw(st.integers(0, 4), label="shift")
+    n = data.draw(st.integers(max(sa, sb), 40), label="n")
+    m = data.draw(st.integers(sb, n), label="m")
+    # a random string holding each of its symbols
+    text = IntString(rng.permutation(np.resize(np.arange(sa), n)), 16)
+    pattern = IntString(rng.permutation(np.resize(np.arange(shift, shift + sb), m)), 16)
+    assert not symbol_route_pays(_occurring(text).size, _occurring(pattern).size, k)
+    families = _families(k, int(rng.integers(1 << 30)), data.draw(st.integers(1, 3), label="families"))
+    sig = signatures(base_bits(families[:1], np.arange(16)))
+    agree = signature_agreement(sig[_occurring(text), None], sig[_occurring(pattern)])
+    assume({-1, 1} <= set(agree.ravel().tolist()))
+    want = _brute(text, pattern, families)
+    _check(signed_matches(text, pattern, families), want, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlation, "_FFT_CHUNK_BYTES", 1)
+        _check(signed_matches(text, pattern, families), want, m, "one-row chunks")
+
+
+@pytest.mark.parametrize("k, text_sigma", [(8, 64), (64, 12)])
+def test_y_group_route_transforms_at_most_two_rows_per_shared_y(k, text_sigma, monkeypatch):
+    # one text and one pattern row per Y value present in both strings: at
+    # most 2 * min(sigma_t', sigma_p', k) rows per family. At k = 8 the
+    # family's 8 Y values bind; at k = 64 (the route forced) the 12 text
+    # symbols do, half of them absent from the pattern
+    rng = np.random.default_rng(11)
+    text = IntString(rng.permutation(np.resize(np.arange(text_sigma), 300)), 64)
+    pattern = IntString(rng.permutation(np.resize(np.arange(6, 64), 100)), 64)
+    sa, sb = _occurring(text).size, _occurring(pattern).size
+    families = _families(k, seed=13, count=3)
+    rows = []
+    real = _sketch.row_spectra
+
+    def counting(a, *args, **kw):
+        rows.append(np.shape(a)[0])
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(_sketch, "row_spectra", counting)
+    monkeypatch.setattr(_sketch, "symbol_route_pays", lambda *_: False)
+    got = signed_matches(text, pattern, families)
+    sig = signatures(base_bits(families, np.arange(64)).reshape(len(families), -1, 64))
+    shared = [
+        np.intersect1d(s[_occurring(text)] >> 1, s[_occurring(pattern)] >> 1).size for s in sig
+    ]
+    assert sum(rows) == 2 * sum(shared) <= 2 * len(families) * min(sa, sb, k)
+    want = np.stack([member_sums_brute(text, pattern, fam) for fam in families])
+    assert np.array_equal(k // 2 * (len(pattern) - got), want)
 
 
 def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
@@ -225,28 +294,29 @@ def test_member_hamming_sum_dispatches_by_rule(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(_sketch, "_symbol_pair_spectra", spy("_symbol_pair_spectra"))
-    monkeypatch.setattr(_sketch, "_per_member_sums", spy("_per_member_sums"))
+    monkeypatch.setattr(_sketch, "_y_group_spectra", spy("_y_group_spectra"))
     rng = np.random.default_rng(3)
     small = IntString(rng.integers(0, 4, size=200), 4)
     large = IntString(rng.integers(0, 400, size=800), 400)
     families = _families(16, seed=2)
-    member_hamming_sums(small, IntString(small.symbols[:20], 4), families)
-    member_hamming_sums(large, IntString(large.symbols[:100], 400), families)
-    assert calls == ["_symbol_pair_spectra", "_per_member_sums"]
+    signed_matches(small, IntString(small.symbols[:20], 4), families)
+    signed_matches(large, IntString(large.symbols[:100], 400), families)
+    assert calls == ["_symbol_pair_spectra", "_y_group_spectra"]
 
 
-def _per_member_peak(sigma):
+def _y_group_peak(sigma):
     # n=2048, m=512, k=256: every side holds more than k symbols
     text, pattern = generate_instance(2048, 512, sigma, "uniform", seed=7)
     assert min(_occurring(text).size, _occurring(pattern).size) > 256
-    return traced_peak(member_hamming_sums, text, pattern, [family_new(256, seed=3)])[1]
+    return traced_peak(signed_matches, text, pattern, [family_new(256, seed=3)])[1]
 
 
-def test_per_member_memory_does_not_grow_with_the_alphabet():
-    # members are tabulated over the occurring symbols only: at fixed n and
-    # m the peak stays put from sigma = 2^10 to 2^17 (a table over the whole
-    # alphabet peaked at 5 and 438 MB)
-    small, large = _per_member_peak(1 << 10), _per_member_peak(1 << 17)
+def test_y_group_memory_does_not_grow_with_the_alphabet():
+    # signatures are taken over the occurring symbols only, and the rows
+    # over the Y values present: at fixed n and m the peak stays put from
+    # sigma = 2^10 to 2^17 (a member table over the whole alphabet peaked at
+    # 5 and 438 MB)
+    small, large = _y_group_peak(1 << 10), _y_group_peak(1 << 17)
     assert large <= 1.25 * small, (small, large)
 
 

@@ -207,9 +207,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         main(["profile"])  # unknown subcommand
     assert exc.value.code == 1
     # domain errors funnel to exit 1 without a traceback: an epsilon above
-    # 1/2, and one so small that the member sums pass float64's exact range
+    # 1/2, and one so small that k would pass the family cap 2^62
     text, pattern = _gen(tmp_path)
-    for eps in ("0.75", "1e-9"):
+    for eps in ("0.75", "1e-10"):
         rc = main(["karloff", "--text", str(text), "--pattern", str(pattern),
                    "--out", str(tmp_path / "x.csv"), "--epsilon", eps, "--seed", "1"])
         assert rc == 1
