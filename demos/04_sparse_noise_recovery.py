@@ -4,7 +4,7 @@ Window j has pair counts D_j: D_j[u, v] counts the positions where text
 symbol u meets pattern symbol v, u != v, and their total is HAM(T_j, P).
 The recovery sketch projects symbol pairs into coupled bucket grids at
 several aspect ratios. It takes each bucket's count and bit-plane sums from
-the exact pair counts (sparse_recovery.prepare_pair_counts) and decodes a
+the exact pair counts (hamsketch.prepare_pair_counts) and decodes a
 bucket to a pair (u, v) when every bit plane has a strict majority and the
 pair lands back in that bucket. Every decode min-updates its pair's value,
 and every bucket holding (u, v) counts at least D_j[u, v], so a recovered
@@ -23,8 +23,12 @@ pattern skewed toward symbol 0, so block windows have one dominant pair.
 
 import numpy as np
 
-from hamsketch import construct_sparse_noise, generate_instance, recovery_params
-from hamsketch.sparse_recovery import prepare_pair_counts
+from hamsketch import (
+    construct_sparse_noise,
+    generate_instance,
+    prepare_pair_counts,
+    recovery_params,
+)
 
 n, m, sigma, eps = 4096, 256, 16, 0.25
 text, pattern = generate_instance(n, m, sigma, "planted_heavy", seed=3)
@@ -39,13 +43,8 @@ sizes = np.diff(noise.indptr)
 print(f"recovered {noise.values.size} entries over {noise.n_windows} windows "
       f"(median {int(np.median(sizes))} per window)")
 
-# the exact pair counts as a dense (code, window) table, code = u*sigma + v;
-# a code keeps either a count row over all windows or (window, count) entries
-pairs = prepare_pair_counts(text, pattern)
-truth = np.zeros((sigma * sigma, noise.n_windows), dtype=np.int64)
-rowed = pairs.row_ids >= 0
-truth[pairs.codes[rowed]] = pairs.rows[pairs.row_ids[rowed]]
-truth[np.repeat(pairs.codes, np.diff(pairs.offsets)), pairs.windows] = pairs.counts
+# the exact pair counts as a dense (code, window) table, code = u*sigma + v
+truth = prepare_pair_counts(text, pattern).dense()
 
 # pick the window with the largest single recovered value: a block window
 j = int(noise.entry_windows()[noise.values.argmax()])

@@ -6,13 +6,9 @@ from .approx import ApproxParams, approx_params, approx_profile
 from .exact import hamming_profile_convolution, hamming_profile_naive
 from .hashing import FourWiseHash, XorTreeFamily, beta, family_new, fourwise_new
 from .karloff import KarloffParams, karloff_params, karloff_profile
-from .sparse_recovery import (
-    B_CONST,
-    NoiseProfile,
-    RecoveryParams,
-    construct_sparse_noise,
-    recovery_params,
-)
+from .noise_profile import NoiseProfile
+from .pair_counts import PairCounts, pair_grid_pays, prepare_pair_counts
+from .sparse_recovery import B_CONST, RecoveryParams, construct_sparse_noise, recovery_params
 from .stats import error_stats, fraction_within_epsilon, relative_errors, within_epsilon
 from .text_model import (
     DistanceProfile,
@@ -38,6 +34,7 @@ __all__ = [
     "IntString",
     "KarloffParams",
     "NoiseProfile",
+    "PairCounts",
     "RecoveryParams",
     "XorTreeFamily",
     "approx_params",
@@ -54,6 +51,8 @@ __all__ = [
     "hamming_profile_naive",
     "karloff_params",
     "karloff_profile",
+    "pair_grid_pays",
+    "prepare_pair_counts",
     "read_bytes",
     "read_profile_csv",
     "read_tokens",

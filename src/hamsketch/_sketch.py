@@ -19,9 +19,8 @@ karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it recovered.
 The correction (dprime_correction) is D' times the (codes, executions)
 agreements, all from one base-bit evaluation over the symbols of D'. A
 NoiseProfile is stored as the (windows, distinct codes) CSR matrix this
-product takes (its indptr, cols and values), so no entry is sorted again.
-Every term is an integer of size at most m, so the float64 product is exact
-in any order.
+product takes (NoiseProfile.csr), so no entry is sorted again. Every term is
+an integer of size at most m, so the float64 product is exact in any order.
 
 signed_matches returns C of several families of one size k for every
 window j. The occurring symbols and every family's signatures on them (one
@@ -210,8 +209,6 @@ def execution_estimates(
 def dprime_correction(noise, families) -> np.ndarray:
     """(len(families), windows) int64 sum_(u,v) A(u, v) * d'_j(u, v) of each
     family over the NoiseProfile noise."""
-    from scipy import sparse
-
     # the agreements of its codes, from one base-bit evaluation over their
     # symbols
     us, vs = noise.codes // noise.sigma, noise.codes % noise.sigma
@@ -219,13 +216,9 @@ def dprime_correction(noise, families) -> np.ndarray:
     at_u, at_v = np.searchsorted(syms, us), np.searchsorted(syms, vs)
     sig = family_signatures(families, syms)
     weights = signature_agreement(sig[:, at_u], sig[:, at_v]).T.astype(np.float64)
-    dprime = sparse.csr_matrix(
-        (noise.values.astype(np.float64), noise.cols, noise.indptr),
-        shape=(noise.n_windows, noise.codes.size),
-    )
     # every term is an integer of size at most m, so the float64 product is
     # exact
-    return (dprime @ weights).T.astype(np.int64)
+    return (noise.csr() @ weights).T.astype(np.int64)
 
 
 def median_profile(runs) -> DistanceProfile:

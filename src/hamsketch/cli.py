@@ -238,9 +238,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
-    from .sparse_recovery import (
-        construct_sparse_noise, pair_grid_pays, prepare_pair_counts, recovery_params,
-    )
+    from .pair_counts import pair_grid_pays, prepare_pair_counts
+    from .sparse_recovery import construct_sparse_noise, recovery_params
     from .text_model import occurring_symbols
 
     failures = 0
@@ -250,14 +249,6 @@ def _cmd_selftest(args) -> int:
         print(f"{'ok' if ok else 'FAIL'} {name}")
         if not ok:
             failures += 1
-
-    def pair_matrix(pairs):
-        # (sigma^2, windows) counts: the rows of the row codes, then the entries
-        out = np.zeros((pairs.sigma**2, pairs.n_windows), dtype=np.int64)
-        rowed = pairs.row_ids >= 0
-        out[pairs.codes[rowed]] = pairs.rows[pairs.row_ids[rowed]]
-        out[np.repeat(pairs.codes, np.diff(pairs.offsets)), pairs.windows] = pairs.counts
-        return out
 
     text, pattern = generate_instance(256, 24, 8, "uniform", seed=101)
     naive = hamming_profile_naive(text, pattern)
@@ -284,7 +275,7 @@ def _cmd_selftest(args) -> int:
     for t, p in ((text, pattern), heavy):
         noise = construct_sparse_noise(t, p, rp)
         noise.validate()
-        truth = pair_matrix(prepare_pair_counts(t, p))
+        truth = prepare_pair_counts(t, p).dense()
         true_vals = truth[noise.entry_codes(), noise.entry_windows()]
         below += int(np.count_nonzero(noise.values < true_vals))
         above += int(np.count_nonzero((noise.values > true_vals) & (true_vals > 0)))
@@ -299,7 +290,7 @@ def _cmd_selftest(args) -> int:
     for t, p, grid in ((text, pattern, False), (grid_text, grid_pattern, True)):
         sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (t, p))
         agree &= pair_grid_pays(sigma_t, sigma_p, len(p)) == grid
-        sums = pair_matrix(prepare_pair_counts(t, p)).sum(axis=0)
+        sums = prepare_pair_counts(t, p).dense().sum(axis=0)
         agree &= np.array_equal(sums, hamming_profile_naive(t, p).values)
     check("pair counts sum to the exact profile, sort and grid routes", agree)
     return 1 if failures else 0

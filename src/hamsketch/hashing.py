@@ -197,13 +197,5 @@ def signature_agreement(sig_u: np.ndarray, sig_v: np.ndarray) -> np.ndarray:
 
 def beta(family: XorTreeFamily, u: int, v: int) -> int:
     """Number of members with h_i(u) == h_i(v), in O(log k) hash evaluations."""
-    return int(beta_from_bits([family], base_bits([family], [u, v]), [0], [1])[0, 0])
-
-
-def beta_from_bits(families, bits: np.ndarray, at_u, at_v) -> np.ndarray:
-    """(len(families), len(at_u)) int64 beta of the symbol pairs
-    (syms[at_u], syms[at_v]) from bits = base_bits(families, syms), so that
-    a caller can take any pairs from one evaluation."""
-    n_fam = len(families)
-    sig = signatures(bits.reshape(n_fam, bits.shape[0] // n_fam, bits.shape[1]))
-    return families[0].k // 2 * (1 + signature_agreement(sig[:, at_u], sig[:, at_v]))
+    sig = family_signatures([family], [u, v])[0]
+    return family.k // 2 * (1 + int(signature_agreement(sig[0], sig[1])))

@@ -1,9 +1,9 @@
 """Sparse recovery of heavy mismatch pairs: the noise matrix D'.
 
-For every window j the pair counts D_j count aligned symbol pairs (u, v),
-u != v. This module recovers, per window, a sparse approximation D'
-with at most ceil(3/eps_eff) entries such that the residual satisfies
-sum (d - d')^2 <= b * eps * d^2 on most windows, where b = 12289/16384.
+For every window j this module recovers, from the pair counts D_j
+(pair_counts), a sparse approximation D' with at most ceil(3/eps_eff)
+entries such that the residual satisfies sum (d - d')^2 <= b * eps * d^2 on
+most windows, where b = 12289/16384.
 
 The recovery works over a ladder of coupled projections (tau, pi) into
 [ell_i] x [r_i] with ell_i = 32 * 2^i and r_i chosen so ell_i * r_i =
@@ -17,29 +17,12 @@ running estimate, so overcounts from shared buckets can only shrink.
 construct_sparse_noise takes every bucket's counts from exact per-window
 pair counts, which is what makes desk-scale sizes tractable. The tests keep
 the literal one-count-per-bucket procedure as a reference, and the profile
-must equal it entry for entry.
-
-prepare_pair_counts builds those counts over blocks of windows holding at
-most _PAIR_BLOCK_POSITIONS positions (or one window), at about 48 bytes of
-temporaries per position. With sigma_t' and sigma_p' the numbers of symbols
-occurring in the text and the pattern, each position falls in the cell
-rank_t(u) * sigma_p' + rank_p(v); as cells follow the sorted symbols
-row-major they are already in code order. The two routes differ only in how
-they count the cells. When sigma_t' * sigma_p' <= m (pair_grid_pays), the
-grid route fills an int32 (cell, window) grid with one np.bincount per
-block; the grid never holds more cells than the enumeration has positions,
-at most 4 bytes per window position. Otherwise the sort route keys each
-mismatch position by cell * nw + window: one np.unique per block yields the
-block's entries by code and then window, and one sort of the keys merges
-the blocks. Both give the same PairCounts. A
-code that occurs in at least a quarter of the windows keeps an int32 count
-row over all windows; every other code keeps its (window, count) entries. A
-row thus holds at most four cells per entry of its code. Recovery adds an
-int32 running minimum per row cell (4 bytes), and per entry an int32
-running minimum and code (8 bytes), plus 12 bytes per run of one code in
-one decode chunk (one run per entry code with a single chunk, at most one
-per entry), so memory grows with the number of pair entries and not with
-sigma^2 * windows.
+must equal it entry for entry. Recovery adds to the pair counts an int32
+running minimum per row cell (4 bytes), and per entry an int32 running
+minimum and code (8 bytes), plus 12 bytes per run of one code in one decode
+chunk (one run per entry code with a single chunk, at most one per entry),
+so memory grows with the number of pair entries and not with sigma^2 *
+windows.
 
 Each projection works on the distinct codes: a bitmap of the diagonal bucket
 ids drops the codes in diagonal buckets, and sorting the rest by bucket id
@@ -86,15 +69,9 @@ other groups decode as follows:
 
 A bit-plane decode names either a member of the group, whose value it can
 lower below the member's collision counts, or a pair absent from the window,
-which is kept as a spurious entry just as the literal procedure keeps it. One
-filter then ranks each window's row cells, entries and spurious entries
-together. Every candidate names its code by its index into one sorted table,
-the distinct pair codes with the distinct spurious codes that occur nowhere
-merged in, so the row cells and entries take their ranks by a gather; only
-the spurious codes are sorted. No code occurs twice among one window's
-candidates, so one plain argsort groups them by window. The ranks the filter
-keeps, with the unused table codes compacted away, are the columns of the
-NoiseProfile, the CSR matrix the correction multiplies as it is.
+which is kept as a spurious entry just as the literal procedure keeps it.
+The capacity filter (noise_profile) ranks the spurious entries with the
+running minima into D'.
 
 Where the ladder stops. Every value a pair's running minimum takes is the
 count of a bucket holding the pair, so it never falls below the pair's count
@@ -118,22 +95,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import noise_profile
 from ._seeds import ROLE_PROJECTION, mix_array
 from ._sketch import check_epsilon, resolve_reps
 from .hashing import eval_blocks, fourwise_coeffs
-from .text_model import IntString, check_instance, occurring_symbols
+from .noise_profile import NoiseProfile
+from .pair_counts import PairCounts, pair_grid_pays, prepare_pair_counts  # all re-exported
+from .text_model import IntString
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
 B_CONST = 12289 / 16384
 
 _INF32 = np.int32(np.iinfo(np.int32).max)  # unset running minimum
 _MAX_T_EXP = 25  # keeps every projection range within the hash output cap
-# a code occurring in at least 1/_ROW_SHARE of the windows keeps a count row
-# over all windows, which then holds at most _ROW_SHARE cells per entry of
-# the code
-_ROW_SHARE = 4
 # per-projection temporaries of the entry decode, bytes per decoded entry:
 # about 40 when few entries collide, and up to this base plus this much per
 # symbol bit when all of them do, for their 2*nbits int64 plane sums
@@ -144,14 +119,6 @@ _SCRATCH_BYTES_PER_BIT = 18
 # the entry decode takes at most this many bytes of that scratch per chunk of
 # windows (or one window); read at each recovery, not bound at import
 _DECODE_BUDGET = 1 << 30
-# the pair-count build enumerates at most this many window positions per
-# block (or one window). A sort-route block peaks at about 41 bytes per
-# position when every position is a distinct mismatch pair (tracemalloc), 12
-# of which stay as its keys and counts
-_PAIR_BLOCK_POSITIONS = 1 << 19
-# the capacity filter ranks at most this many candidate cells at a time, at
-# 16 bytes of key and partitioned copy per cell
-_FILTER_BLOCK_CELLS = 1 << 18
 # the stopping check compares at most this many running minima at a time
 _EXACT_BLOCK_CELLS = 1 << 16
 
@@ -262,223 +229,6 @@ def _projection_plan(params: RecoveryParams, sigma: int):
 
 
 # ----------------------------------------------------------------------------
-# noise profiles (per-window sparse matrices, CSR layout)
-# ----------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class NoiseProfile:
-    """All windows' sparse noise matrices as one CSR matrix over the codes
-    u*sigma + v, the (windows, codes) matrix the correction multiplies.
-
-    codes holds the distinct codes the entries use, ascending. Window j owns
-    entries indptr[j]:indptr[j+1]; entry i has the int32 column cols[i], the
-    code codes[cols[i]], and the value values[i]. Within a window the
-    columns rise, so its pairs are sorted by (u, v). us, vs and
-    entry_codes() are read-only arrays derived from codes and cols.
-    """
-
-    sigma: int
-    capacity: int
-    indptr: np.ndarray
-    codes: np.ndarray  # int64
-    cols: np.ndarray   # int32
-    values: np.ndarray
-
-    @property
-    def n_windows(self) -> int:
-        return self.indptr.size - 1
-
-    @property
-    def us(self) -> np.ndarray:
-        return _read_only((self.codes // self.sigma).astype(np.int32)[self.cols])
-
-    @property
-    def vs(self) -> np.ndarray:
-        return _read_only((self.codes % self.sigma).astype(np.int32)[self.cols])
-
-    def entry_codes(self) -> np.ndarray:
-        """Each entry's code u*sigma + v as int64."""
-        return _read_only(self.codes[self.cols])
-
-    def entry_windows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_windows, dtype=np.int64), np.diff(self.indptr))
-
-    def validate(self) -> None:
-        """ValueError unless the CSR layout holds, the codes are distinct,
-        ascending, used and off-diagonal pairs over [0, sigma), and every
-        entry is a positive count, at most capacity per window, each
-        window's columns strictly rising."""
-        ptr, codes, cols, sigma = self.indptr, self.codes, self.cols, self.sigma
-        if cols.size != self.values.size:
-            raise ValueError("noise entries need equal cols and values lengths")
-        if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != cols.size:
-            raise ValueError(f"indptr must run from 0 to the {cols.size} entries")
-        sizes = np.diff(ptr)
-        if np.any(sizes < 0):
-            raise ValueError("indptr must not decrease")
-        if np.any(sizes > self.capacity):
-            raise ValueError("a window exceeds the entry capacity")
-        if self.values.size and self.values.min() <= 0:
-            raise ValueError("noise entries must be positive")
-        if cols.size and (cols.min() < 0 or cols.max() >= codes.size):
-            raise ValueError(f"cols must index the {codes.size} table codes")
-        if codes.size:
-            if codes.min() < 0 or codes.max() >= sigma * sigma:
-                raise ValueError(f"table codes must lie in [0, sigma^2) = [0, {sigma * sigma})")
-            if np.any(codes // sigma == codes % sigma):
-                raise ValueError("diagonal noise entries not allowed")
-            if np.any(np.diff(codes) <= 0):
-                raise ValueError("table codes must be sorted without duplicates")
-            if np.bincount(cols, minlength=codes.size).min() == 0:
-                raise ValueError("every table code must be used by an entry")
-        # columns rise within a window; a step that does not rise must start
-        # a window
-        flat = np.flatnonzero(np.diff(cols) <= 0) + 1
-        if not np.isin(flat, ptr).all():
-            raise ValueError("a window's pairs must be sorted by (u, v) without duplicates")
-
-    def dump_csv(self, path) -> None:
-        wins = self.entry_windows()
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("window,u,v,dprime\n")
-            for w, u, v, val in zip(wins, self.us, self.vs, self.values):
-                fh.write(f"{w},{u},{v},{val}\n")
-
-
-# ----------------------------------------------------------------------------
-# exact per-window pair counts, grouped by distinct code
-# ----------------------------------------------------------------------------
-
-@dataclass
-class PairCounts:
-    """Exact mismatch-pair counts of all windows, grouped by distinct code.
-
-    codes holds the distinct codes u*sigma + v in ascending order. A code that
-    occurs in at least 1/_ROW_SHARE of the windows keeps its counts as the
-    int32 row rows[row_ids[i]] over all windows and owns no entries; any other
-    code has row id -1 and owns entries offsets[i]:offsets[i+1] of windows
-    (ascending) and counts.
-    """
-
-    sigma: int
-    n_windows: int
-    codes: np.ndarray    # (K,) int64
-    row_ids: np.ndarray  # (K,) int64
-    rows: np.ndarray     # (R, n_windows) int32
-    offsets: np.ndarray  # (K + 1,) int64
-    windows: np.ndarray  # int32
-    counts: np.ndarray   # int32
-
-
-def prepare_pair_counts(text: IntString, pattern: IntString) -> PairCounts:
-    n, m, nw = check_instance(text, pattern)
-    block = max(1, _PAIR_BLOCK_POSITIONS // m)
-    occ_t, occ_p = occurring_symbols(text), occurring_symbols(pattern)
-    if pair_grid_pays(occ_t[0].size, occ_p[0].size, m):
-        return _grid_pair_counts(text.sigma, occ_t, occ_p, m, nw, block)
-    return _sorted_pair_counts(text, pattern, occ_t, occ_p, nw, block)
-
-
-def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
-    """Whether the pair counts are counted on a (pair cell, window) grid
-    rather than by sorting (cell, window) keys: the occurring symbol pairs
-    are no more than a window's m positions, so the grid holds no more cells
-    than the enumeration has positions."""
-    return sigma_t * sigma_p <= m
-
-
-def _layout(occ: np.ndarray, nw: int):
-    """(has_row, row_ids, offsets) of codes occurring in occ windows each."""
-    has_row = occ * _ROW_SHARE >= nw
-    row_ids = np.where(has_row, np.cumsum(has_row) - 1, -1)
-    offsets = np.zeros(occ.size + 1, dtype=np.int64)
-    np.cumsum(np.where(has_row, 0, occ), out=offsets[1:])
-    return has_row, row_ids, offsets
-
-
-def _grid_pair_counts(sigma, occ_t, occ_p, m, nw, block) -> PairCounts:
-    (sym_t, at_t), (sym_p, at_p) = occ_t, occ_p
-    cells = sym_t.size * sym_p.size
-    # cell a*sigma_p' + b counts text symbol sym_t[a] against pattern symbol
-    # sym_p[b]; row-major over sorted symbols, so codes ascend with the cell
-    grid = np.empty((cells, nw), dtype=np.int32)
-    windows = sliding_window_view(at_t * sym_p.size, m)
-    for lo in range(0, nw, block):
-        key = windows[lo : lo + block] + at_p
-        b = key.shape[0]
-        key += np.arange(0, b * cells, cells)[:, None]
-        grid[:, lo : lo + b] = np.bincount(key.ravel(), minlength=b * cells).reshape(b, cells).T
-    occ = np.count_nonzero(grid, axis=1)
-    # diagonal cells count the matches, empty cells no pair
-    used = np.flatnonzero((occ > 0) & (sym_t[:, None] != sym_p).ravel())
-    has_row, row_ids, offsets = _layout(occ[used], nw)
-    entry_grid = grid[used[~has_row]]
-    code_at, wins = np.nonzero(entry_grid)
-    return PairCounts(
-        sigma=sigma,
-        n_windows=nw,
-        codes=(sym_t[:, None] * sigma + sym_p).ravel()[used],
-        row_ids=row_ids,
-        rows=grid[used[has_row]],
-        offsets=offsets,
-        windows=wins.astype(np.int32),
-        counts=entry_grid[code_at, wins],
-    )
-
-
-def _sorted_pair_counts(text, pattern, occ_t, occ_p, nw, block) -> PairCounts:
-    (sym_t, at_t), (sym_p, at_p) = occ_t, occ_p
-    sigma, m = text.sigma, len(pattern)
-    # each mismatch position keys cell * nw + window, with the grid route's
-    # cell a*sigma_p' + b. cells <= min(sigma, n) * min(sigma, m), so a key
-    # stays below n^2 * m, and below 2^20 * (m * nw): exact in int64 while
-    # the enumeration has fewer than 2^43 positions
-    t_keys = sliding_window_view(at_t * (sym_p.size * nw), m)
-    p_keys = at_p * nw
-    t_windows = sliding_window_view(text.symbols, m)
-    keys, counts = [], []
-    for lo in range(0, nw, block):
-        key = t_keys[lo : lo + block] + p_keys
-        b = key.shape[0]
-        key += np.arange(lo, lo + b)[:, None]
-        key = key[t_windows[lo : lo + b] != pattern.symbols]
-        key, cnt = np.unique(key, return_counts=True)
-        keys.append(key)
-        counts.append(cnt.astype(np.int32))
-    # the blocks hold disjoint windows, so one sort of their keys merges them
-    # by code and then window; a stable sort (timsort) runs faster here, on
-    # the blocks' sorted runs. Freeing what each step replaces keeps the peak
-    # at the sort, about 24 bytes per pair entry
-    key, cnt = np.concatenate(keys), np.concatenate(counts)
-    del keys, counts
-    cnt = cnt[np.argsort(key, kind="stable")]
-    key.sort(kind="stable")
-    cell = key // nw
-    win = np.remainder(key, nw, out=key).astype(np.int32)
-    del key
-    first = np.ones(cell.size, dtype=bool)
-    np.not_equal(cell[1:], cell[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    cells = cell[first]
-    del cell
-    occ = np.diff(first, append=win.size)
-    has_row, row_ids, offsets = _layout(occ, nw)
-    on_row = np.repeat(has_row, occ)
-    rows = np.zeros((int(has_row.sum()), nw), dtype=np.int32)
-    rows[np.repeat(row_ids[has_row], occ[has_row]), win[on_row]] = cnt[on_row]
-    return PairCounts(
-        sigma=sigma,
-        n_windows=nw,
-        codes=sym_t[cells // sym_p.size] * sigma + sym_p[cells % sym_p.size],
-        row_ids=row_ids,
-        rows=rows,
-        offsets=offsets,
-        windows=win[~on_row],
-        counts=cnt[~on_row],
-    )
-
-
-# ----------------------------------------------------------------------------
 # the constructor (fast path)
 # ----------------------------------------------------------------------------
 
@@ -492,13 +242,10 @@ def construct_sparse_noise(
     bucket count. The ladder stops after the first projection at which every
     nonzero pair count is exact (module docstring). Unset entries become 0
     and each window keeps only its capacity largest values. The pair counts
-    are built in blocks of _PAIR_BLOCK_POSITIONS positions and the entries
-    decoded in chunks within _DECODE_BUDGET bytes; the profile depends on
-    neither.
+    are built in blocks of pair_counts._PAIR_BLOCK_POSITIONS positions and
+    the entries decoded in chunks within _DECODE_BUDGET bytes; the profile
+    depends on neither.
     """
-    n, m, nw = check_instance(text, pattern)
-    if text.sigma < 2:
-        return _empty_profile(text.sigma, params.capacity, nw)
     return _recover(prepare_pair_counts(text, pattern), params)
 
 
@@ -514,22 +261,6 @@ def _recover(pairs: PairCounts, params: RecoveryParams) -> NoiseProfile:
         if rec.all_exact():
             break
     return rec.finish(params.capacity)
-
-
-def _empty_profile(sigma: int, capacity: int, nw: int) -> NoiseProfile:
-    return NoiseProfile(
-        sigma=sigma,
-        capacity=capacity,
-        indptr=np.zeros(nw + 1, dtype=np.int64),
-        codes=np.zeros(0, dtype=np.int64),
-        cols=np.zeros(0, dtype=np.int32),
-        values=np.zeros(0, dtype=np.int64),
-    )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -840,98 +571,11 @@ class _Recovery:
         sw, sc, sv = sw[srt], sc[srt], sv[srt]
         first = np.ones(sw.size, dtype=bool)
         first[1:] = (sw[1:] != sw[:-1]) | (sc[1:] != sc[:-1])
-        table, code_rank, spur_rank = _merge_codes(cache.codes, sc[first])
+        table, code_rank, spur_rank = noise_profile._merge_codes(cache.codes, sc[first])
         # every candidate ranks by its index into the table, a gather for
         # the row cells and entries
         w = np.concatenate([cache.windows[keep], sw[first]], dtype=np.int32)
         rank = np.concatenate([code_rank[self.entry_code[keep]], spur_rank])
         val = np.concatenate([self.best[keep], sv[first]])
-        return _filter(cache.sigma, table, mins, code_rank[self.row_codes], w, rank, val, capacity)
-
-
-def _merge_codes(codes: np.ndarray, spurious: np.ndarray):
-    """(table, code_rank, spur_rank): the ascending codes merged with the
-    distinct spurious codes not among them, the index in table of each of
-    codes, and that of each of spurious. Only the spurious codes are
-    sorted."""
-    new, at = np.unique(spurious, return_inverse=True)
-    pos = np.searchsorted(codes, new)
-    # codes are nonnegative, so the sentinel -1 matches no spurious code
-    fresh = np.append(codes, -1)[pos] != new
-    # a code moves up by the fresh codes below it, those inserted at or
-    # before its position; a spurious code by the fresh codes before it
-    code_rank = np.cumsum(np.bincount(pos[fresh], minlength=codes.size + 1))[: codes.size]
-    code_rank += np.arange(codes.size)
-    new_rank = pos + np.cumsum(fresh) - fresh
-    table = np.empty(codes.size + int(fresh.sum()), dtype=np.int64)
-    table[code_rank] = codes
-    table[new_rank] = new
-    return table, code_rank, new_rank[at]
-
-
-def _filter(sigma, table, mins, row_rank, w, rank, val, capacity: int) -> NoiseProfile:
-    """Each window's capacity largest values among its row cells (0 where
-    unset) and its (window, rank, value) triples, ties broken toward the
-    smaller code. table holds distinct codes ascending: row i of mins has
-    the code table[row_rank[i]], and a triple the code table[rank]; no code
-    occurs twice among one window's candidates.
-
-    The triples are grouped by window with one argsort: keys are distinct
-    within a window, so their order there does not matter. They are padded
-    into a (windows, candidates) key matrix beside the rows and ranked in
-    window blocks of at most _FILTER_BLOCK_CELLS cells: np.partition keeps
-    each window's capacity smallest keys, and one sort of them repacked as
-    (rank, value) puts them in code order. Each block keeps its entries'
-    ranks and values as int32. The ranks become the profile's columns once
-    the unused table codes are compacted away, so until the profile is built
-    its entries take 8 bytes each besides their own 12."""
-    nw = mins.shape[1]
-    if table.size == 0:
-        return _empty_profile(sigma, capacity, nw)
-    # ascending key = descending value, then ascending rank
-    rank_bits = max(1, (table.size - 1).bit_length())
-    shift = np.int64(1) << rank_bits
-    key = rank - val.astype(np.int64) * shift
-    srt = np.argsort(w)
-    w, key = w[srt], key[srt]
-    per_win = np.bincount(w, minlength=nw)
-    first = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(per_win, out=first[1:])
-    slot = np.arange(w.size) - first[w]
-    n_rows = row_rank.size
-    step = max(1, _FILTER_BLOCK_CELLS // max(1, n_rows + int(per_win.max())))
-    ranks, values = [], []
-    sizes = np.zeros(nw, dtype=np.int64)
-    for lo in range(0, nw, step):
-        hi = min(nw, lo + step)
-        a, b = first[lo], first[hi]
-        k = np.zeros((hi - lo, n_rows + int(per_win[lo:hi].max())), dtype=np.int64)
-        np.multiply(mins[:, lo:hi].T, -shift, out=k[:, :n_rows])
-        k[:, :n_rows] += row_rank
-        k[w[a:b] - lo, n_rows + slot[a:b]] = key[a:b]
-        if k.shape[1] > capacity:
-            k = np.partition(k, capacity - 1, axis=1)[:, :capacity]
-        # rank << 32 | value; a key of value 0 (unset, or padding) repacks to
-        # value 0 and is dropped after the sort
-        k = (k & (shift - 1)) << 32 | -(k >> rank_bits)
-        k.sort(axis=1)
-        kept = k & 0xFFFFFFFF
-        pos = kept > 0
-        ranks.append((k[pos] >> 32).astype(np.int32))
-        values.append(kept[pos].astype(np.int32))
-        sizes[lo:hi] = pos.sum(axis=1)
-    # the ranks as columns of the table codes they use, each part freed
-    # before the next is built
-    rank = np.concatenate(ranks)
-    del ranks
-    used = np.zeros(table.size, dtype=bool)
-    used[rank] = True
-    cols = (np.cumsum(used, dtype=np.int32) - 1)[rank]
-    del rank
-    indptr = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return NoiseProfile(
-        sigma=sigma, capacity=capacity, indptr=indptr, codes=table[used], cols=cols,
-        values=np.concatenate(values, dtype=np.int64),
-    )
-
+        rows = code_rank[self.row_codes]
+        return noise_profile._filter(cache.sigma, table, mins, rows, w, rank, val, capacity)

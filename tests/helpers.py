@@ -17,13 +17,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import base_bits, beta, beta_from_bits, member_eval
+from hamsketch.hashing import beta, family_signatures, member_eval, signature_agreement
 from hamsketch._sketch import execution_estimates, median_profile
 from hamsketch.sparse_recovery import (
     CoupledProjection,
     NoiseProfile,
     RecoveryParams,
-    _empty_profile,
     _projection_plan,
 )
 from hamsketch.text_model import IntString
@@ -49,11 +48,14 @@ def aligned_ones_brute(tmask, pmask) -> np.ndarray:
 
 
 def beta_pairs(families, us, vs) -> np.ndarray:
-    """(len(families), len(us)) beta of the pairs (us[i], vs[i]) through
-    hashing.beta_from_bits, over one base-bit evaluation of their symbols."""
+    """(len(families), len(us)) beta of the pairs (us[i], vs[i]) as k/2 * (1
+    + A), A their signature agreement, over one family_signatures evaluation
+    of their symbols."""
     us, vs = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (us, vs))
     syms, at = np.unique(np.concatenate([us, vs]), return_inverse=True)
-    return beta_from_bits(families, base_bits(families, syms), at[: us.size], at[us.size :])
+    sig = family_signatures(families, syms)
+    agree = signature_agreement(sig[:, at[: us.size]], sig[:, at[us.size :]])
+    return families[0].k // 2 * (1 + agree)
 
 
 def beta_tree(agree: np.ndarray) -> np.ndarray:
@@ -454,8 +456,6 @@ def construct_reference(
     sigma = text.sigma
     n, m = len(text), len(pattern)
     nw = n - m + 1
-    if sigma < 2:
-        return _empty_profile(sigma, params.capacity, nw)
     dicts: list[dict] = [dict() for _ in range(nw)]
     # the (window, pair) counts not yet seen alone in a bucket
     unseen = {

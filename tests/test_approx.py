@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import approx, hashing, sparse_recovery
+from hamsketch import approx, hashing, noise_profile, sparse_recovery
 from hamsketch._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
 from hamsketch._sketch import (
     dprime_correction,
@@ -268,7 +268,7 @@ def test_approx_memory_stays_near_its_inputs():
     (_, noise), peak = traced_peak(approx_profile, text, pattern, params, return_noise=True)
     noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
     assert noise.values.size == 368_688
-    assert peak <= 2 * pairs.rows.nbytes + noise_bytes + 16 * sparse_recovery._FILTER_BLOCK_CELLS
+    assert peak <= 2 * pairs.rows.nbytes + noise_bytes + 16 * noise_profile._FILTER_BLOCK_CELLS
 
 
 def test_one_evaluation_per_hash_kind(monkeypatch):

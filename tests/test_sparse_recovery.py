@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import hashing, sparse_recovery
+from hamsketch import hashing, noise_profile, pair_counts, sparse_recovery
 from hamsketch.sparse_recovery import (
     NoiseProfile,
     construct_sparse_noise,
@@ -42,7 +42,7 @@ def _uniform(n, m, sigma, seed):
 
 # pair-count blocks of one window, of a few windows and the default, each
 # with decode chunks of one window, of a few entries and the default
-_PAIR_BLOCKS = (1, 20, sparse_recovery._PAIR_BLOCK_POSITIONS)
+_PAIR_BLOCKS = (1, 20, pair_counts._PAIR_BLOCK_POSITIONS)
 _DECODE_BUDGETS = (1, 1000, sparse_recovery._DECODE_BUDGET)
 
 
@@ -50,7 +50,7 @@ def _blocked(mp, positions=None, budget=None):
     """Sets the pair-count block positions and the decode budget on the
     MonkeyPatch mp; None keeps a constant."""
     if positions is not None:
-        mp.setattr(sparse_recovery, "_PAIR_BLOCK_POSITIONS", positions)
+        mp.setattr(pair_counts, "_PAIR_BLOCK_POSITIONS", positions)
     if budget is not None:
         mp.setattr(sparse_recovery, "_DECODE_BUDGET", budget)
 
@@ -690,7 +690,7 @@ def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
     # the capacity cut must bind somewhere, or ranking is never tested
     assert np.diff(want.indptr).max() == params.capacity
     for cells in (1, 100, 1 << 30):
-        monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
+        monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
         got = sparse_recovery._recover(cache, params)
         assert same_profile(got, want), cells
 
@@ -701,14 +701,14 @@ def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, cells):
     # windows 0..2. Window 0: triples 3 and 9 tie the row cell at 5 below
     # 12 at 7, so 3 keeps the second place; window 1: the row cell beats
     # triples 9 and 11 at 5, and 9 beats 11; window 2 keeps its one triple
-    monkeypatch.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
+    monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
     mins = np.array([[5, 5, 0]], dtype=np.int32)
     table = np.array([3, 6, 9, 11, 12])
     w = np.array([0, 1, 0, 0, 1, 2])
     code = np.array([9, 11, 3, 12, 9, 3])
     val = np.array([5, 5, 5, 7, 5, 1])
     # candidates name codes by their index into the table: the row is code 6
-    got = sparse_recovery._filter(
+    got = noise_profile._filter(
         4, table, mins, np.array([1]), w, np.searchsorted(table, code), val, capacity=2
     )
     assert [window_entries(got, j) for j in range(3)] == [
@@ -792,10 +792,46 @@ def test_finish_matches_a_literal_capacity_filter_property(data):
         rec.mins, rec.best = mins.copy(), best.copy()
         rec.spurious += parts
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sparse_recovery, "_FILTER_BLOCK_CELLS", cells)
+            mp.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
             got = rec.finish(capacity)
         got.validate()
         assert same_profile(got, want), cells
+
+
+class _CountingNumpy:
+    """numpy as one module sees it, counting the calls of numpy.<name>."""
+
+    def __init__(self, name):
+        self.name, self.calls = name, 0
+
+    def __getattr__(self, attr):
+        fn = getattr(np, attr)
+        if attr != self.name:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def test_filter_block_cells_are_read_at_each_recovery(monkeypatch):
+    # the skewed shape ranks its candidates in one window block at the
+    # default; patched down after import, the cells split the filter into
+    # several blocks (one np.multiply of the row minima each) and leave D' as
+    # it was
+    text, pattern = _skewed_instance(400, 48, 24, seed=1)
+    params = recovery_params(0.5, seed=12, reps=3)
+    blocks = _CountingNumpy("multiply")
+    monkeypatch.setattr(noise_profile, "np", blocks)
+    want = construct_sparse_noise(text, pattern, params)
+    assert blocks.calls == 1
+    blocks.calls = 0
+    monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", 1 << 10)
+    got = construct_sparse_noise(text, pattern, params)
+    assert blocks.calls > 1
+    assert same_profile(got, want)
 
 
 def _periodic_instance(n, m, sigma, seed):
@@ -977,6 +1013,35 @@ def test_construct_validates_inputs():
     assert empty.values.size == 0
 
 
+def test_inputs_without_mismatches_give_an_empty_profile():
+    # text == pattern over sigma 2 and 7, a constant text against the same
+    # symbol (sigma 5, many windows) and sigma 1: no window holds a mismatch
+    # pair, so the general path builds an empty profile with D''s dtypes
+    params = recovery_params(0.25, seed=3, reps=2)
+    rng = np.random.default_rng(4)
+    same2, same7 = (IntString(rng.integers(0, s, 40), s) for s in (2, 7))
+    cases = [
+        (same2, same2),
+        (same7, same7),
+        (IntString(np.full(64, 3), 5), IntString(np.full(8, 3), 5)),
+        (IntString(np.zeros(5, dtype=np.int64), 1), IntString([0, 0], 1)),
+    ]
+    for text, pattern in cases:
+        pairs = prepare_pair_counts(text, pattern)
+        assert pairs.codes.size == 0
+        ref = construct_reference(text, pattern, params)
+        for noise in (
+            construct_sparse_noise(text, pattern, params),
+            sparse_recovery._recover(pairs, params),
+        ):
+            noise.validate()
+            assert noise.n_windows == len(text) - len(pattern) + 1
+            assert noise.values.size == noise.codes.size == 0
+            dtypes = [a.dtype for a in (noise.indptr, noise.codes, noise.cols, noise.values)]
+            assert dtypes == [np.int64, np.int64, np.int32, np.int64]
+            assert same_profile(noise, ref)
+
+
 def _pair_dicts(cache):
     """Per-window {(u, v): count} of a PairCounts; each code's entry windows
     must be strictly increasing."""
@@ -1003,11 +1068,11 @@ def _route_spy(monkeypatch):
     """Records which route each prepare_pair_counts call takes."""
     taken = []
     for name, route in (("_grid_pair_counts", "grid"), ("_sorted_pair_counts", "sort")):
-        def spy(*args, _real=getattr(sparse_recovery, name), _route=route):
+        def spy(*args, _real=getattr(pair_counts, name), _route=route):
             taken.append(_route)
             return _real(*args)
 
-        monkeypatch.setattr(sparse_recovery, name, spy)
+        monkeypatch.setattr(pair_counts, name, spy)
     return taken
 
 
@@ -1053,7 +1118,9 @@ def test_pair_counts_routes_match_brute(monkeypatch):
         for positions in _PAIR_BLOCKS:
             taken.clear()
             _blocked(monkeypatch, positions=positions)
-            assert _pair_dicts(prepare_pair_counts(text, pattern)) == want
+            pairs = prepare_pair_counts(text, pattern)
+            assert _pair_dicts(pairs) == want
+            assert np.array_equal(pairs.dense(), pair_count_matrix(pairs))
             assert taken == [route], (len(text), len(pattern), text.sigma)
 
 
@@ -1073,7 +1140,7 @@ def test_pair_count_routes_agree_property(data):
             _blocked(mp, positions=positions)
             built = {"rule": prepare_pair_counts(text, pattern)}
             for route, rule in (("grid", True), ("sort", False)):
-                mp.setattr(sparse_recovery, "pair_grid_pays", lambda *_, _r=rule: _r)
+                mp.setattr(pair_counts, "pair_grid_pays", lambda *_, _r=rule: _r)
                 built[route] = prepare_pair_counts(text, pattern)
         _assert_same_pair_counts(built["grid"], built["sort"])
         _assert_same_pair_counts(built["rule"], built["sort"])
@@ -1092,6 +1159,33 @@ def test_pair_count_route_on_bench_shapes(monkeypatch):
     ):
         prepare_pair_counts(text, pattern)
     assert taken == ["grid", "grid", "sort", "sort"]
+
+
+def test_pair_block_positions_are_read_at_each_build(monkeypatch):
+    # a grid-route and a sort-route shape each count their pairs in one
+    # block of windows at the default; patched down after import, the block
+    # positions split each build into several blocks and leave D' as it was
+    blocks = []
+    for name, route in (("_grid_pair_counts", "grid"), ("_sorted_pair_counts", "sort")):
+        def spy(*args, _real=getattr(pair_counts, name), _route=route):
+            blocks.append((_route, args[-1]))  # windows per block
+            return _real(*args)
+
+        monkeypatch.setattr(pair_counts, name, spy)
+    params = recovery_params(0.25, seed=2, reps=2)
+    for (text, pattern), route in (
+        (_uniform(600, 64, 8, seed=4), "grid"), (_uniform(600, 16, 64, seed=4), "sort"),
+    ):
+        nw = len(text) - len(pattern) + 1
+        blocks.clear()
+        want = construct_sparse_noise(text, pattern, params)
+        with pytest.MonkeyPatch.context() as mp:
+            _blocked(mp, positions=1000)
+            got = construct_sparse_noise(text, pattern, params)
+        (route0, default), (route1, patched) = blocks
+        assert route0 == route1 == route
+        assert default >= nw and -(-nw // patched) > 1
+        assert same_profile(got, want)
 
 
 def test_pair_count_grid_memory_follows_budget(monkeypatch):
