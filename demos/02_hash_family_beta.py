@@ -37,4 +37,4 @@ print(f"{len(pairs)} random pairs: beta/k within 0.1 of 1/2 on {(dev <= 0.1).mea
 support = sorted(set(np.round(ratios * k).astype(int).tolist()))
 print(f"observed beta values: {support} (only 0, k/2, k are possible)")
 print("the correction weight 2*beta-k is 0 for the typical pair, so noise")
-print("left out of the recovered sparse matrix cancels in expectation")
+print("left out of the sparse matrix D' cancels in expectation")

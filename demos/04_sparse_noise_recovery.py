@@ -1,21 +1,17 @@
-"""Recovering each window's heavy mismatch pairs as a capped sparse matrix.
+"""Each window's heavy mismatch pairs as a capped sparse matrix D'.
 
 Window j has pair counts D_j: D_j[u, v] counts the positions where text
 symbol u meets pattern symbol v, u != v, and their total is HAM(T_j, P).
-The recovery sketch projects symbol pairs into coupled bucket grids at
-several aspect ratios. It takes each bucket's count and bit-plane sums from
-the exact pair counts (hamsketch.prepare_pair_counts) and decodes a
-bucket to a pair (u, v) when every bit plane has a strict majority and the
-pair lands back in that bucket. Every decode min-updates its pair's value,
-and every bucket holding (u, v) counts at least D_j[u, v], so a recovered
-value never falls below the true count. A pair that sits alone among its
-window's pairs in some bucket ends at exactly its count, and the ladder of
-projections stops once every present pair has done so; it runs to its
-O(log n) repetitions per scale only where some pair never does. Here it
-stops early, so a value above the truth can only name a pair absent from
-the window, which a decode can still produce. The result is a capped sparse
-matrix D'_j per window that catches the heavy pairs; light pairs may be
-missed, which the corrected estimator tolerates by design.
+The corrected estimator needs, per window, a sparse D'_j whose residual
+meets sum (d - d')^2 <= b * eps * d^2. The paper recovers it by a ladder of
+coupled projections, because its O~(n/eps) route sees only bucket counts.
+hamsketch builds the exact pair counts (prepare_pair_counts) instead, so it
+takes D'_j as the window's capacity = 3/eps_eff largest counts, ties going
+to the smaller code (top_pair_counts). Every kept value is exact, and with x
+the (capacity + 1)-th largest count the dropped counts are each at most x
+and sum to at most d - capacity * x, so on every window
+
+    sum (d - d')^2 <= x * (d - capacity * x) <= d^2 / (4 * capacity).
 
 The planted_heavy model plants a text block of one repeated symbol against a
 pattern skewed toward symbol 0, so block windows have one dominant pair.
@@ -24,46 +20,54 @@ pattern skewed toward symbol 0, so block windows have one dominant pair.
 import numpy as np
 
 from hamsketch import (
-    construct_sparse_noise,
+    B_CONST,
+    approx_params,
     generate_instance,
     prepare_pair_counts,
-    recovery_params,
+    top_pair_counts,
 )
 
 n, m, sigma, eps = 4096, 256, 16, 0.25
 text, pattern = generate_instance(n, m, sigma, "planted_heavy", seed=3)
 
-params = recovery_params(eps, seed=5, n=n)
-print(f"eps={eps}: effective eps {params.epsilon_eff}, {params.num_scales} scales, "
-      f"{params.capacity} entries per window, reps={params.reps}")
+params = approx_params(eps, seed=5, n=n)
+print(f"eps={eps}: effective eps {params.epsilon_eff}, "
+      f"{params.capacity} entries per window")
 
-noise = construct_sparse_noise(text, pattern, params)
+pairs = prepare_pair_counts(text, pattern)
+noise = top_pair_counts(pairs, params.capacity)
 noise.validate()
 sizes = np.diff(noise.indptr)
-print(f"recovered {noise.values.size} entries over {noise.n_windows} windows "
-      f"(median {int(np.median(sizes))} per window)")
+print(f"D' holds {noise.values.size} entries over {noise.n_windows} windows "
+      f"(median {int(np.median(sizes))} per window, "
+      f"{int(np.count_nonzero(sizes == params.capacity))} windows at capacity)")
 
 # the exact pair counts as a dense (code, window) table, code = u*sigma + v
-truth = prepare_pair_counts(text, pattern).dense()
+truth = pairs.dense()
 
-# pick the window with the largest single recovered value: a block window
+# pick the window with the largest single D' value: a block window
 j = int(noise.entry_windows()[noise.values.argmax()])
 lo, hi = noise.indptr[j], noise.indptr[j + 1]
 got = dict(zip(noise.entry_codes()[lo:hi], noise.values[lo:hi]))
 print(f"\nwindow {j}: true off-diagonal mass {truth[:, j].sum()}")
 for code in np.argsort(-truth[:, j], kind="stable")[:5]:
     u, v = divmod(int(code), sigma)
-    print(f"  true d[{u},{v}] = {truth[code, j]:4d}   recovered d'[{u},{v}] = {got.get(code, 0):4d}")
+    print(f"  true d[{u},{v}] = {truth[code, j]:4d}   d'[{u},{v}] = {got.get(code, 0):4d}")
 
-# over all windows: recovered values never fall below the truth
-true_vals = truth[noise.entry_codes(), noise.entry_windows()]
-below = int(np.count_nonzero(noise.values < true_vals))
-absent = true_vals == 0
-above = int(np.count_nonzero((noise.values > true_vals) & ~absent))
-print(f"\nrecovered entries below their true count: {below} (must be 0)")
-print(f"present pairs above their true count: {above} (must be 0); "
-      f"{int(absent.sum())} entries name a pair absent from its window")
-if below:
-    raise SystemExit("a recovered value fell below its true count")
-if above:
-    raise SystemExit("a present pair's recovered value is not its true count")
+# over all windows: every D' value is its pair's exact count, and the
+# residual meets the deterministic bound
+dprime = np.zeros_like(truth)
+dprime[noise.entry_codes(), noise.entry_windows()] = noise.values
+inexact = int(np.count_nonzero(truth[noise.entry_codes(), noise.entry_windows()] != noise.values))
+d = truth.sum(axis=0)
+resid = ((truth - dprime) ** 2).sum(axis=0)
+live = d > 0
+worst = float((4 * params.capacity * resid[live] / d[live] ** 2).max(initial=0.0))
+budget = float((resid[live] / (B_CONST * eps * d[live] ** 2)).max(initial=0.0))
+print(f"\nD' values off their true count: {inexact} (must be 0)")
+print(f"worst 4 * capacity * sum (d - d')^2 / d^2: {worst:.3f} (must be <= 1); "
+      f"worst share of the budget b*eps*d^2 used: {budget:.3f}")
+if inexact:
+    raise SystemExit("a D' value is not its pair's true count")
+if worst > 1:
+    raise SystemExit("a window's residual exceeds d^2 / (4 * capacity)")

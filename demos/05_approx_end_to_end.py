@@ -2,8 +2,8 @@
 
 The corrected estimator runs the baseline sketch with a much smaller family
 (k on the order of 1/eps instead of 1/eps^2) and cancels the extra variance
-by recovering each window's heavy mismatch pairs into D' and adding the
-exactly computable correction sum_{u,v} (2*beta(u,v) - k) * d'[u,v] to the
+by keeping each window's heavy mismatch pairs in D' (its largest exact pair
+counts) and adding the exactly computable correction sum_{u,v} (2*beta(u,v) - k) * d'[u,v] to the
 sketch numerator. Both estimators get the same per-window guarantee; the
 corrected one does less hashing work as eps shrinks.
 
@@ -44,7 +44,7 @@ ap = approx_params(eps, seed=7, n=n, reps=reps)
 t0 = time.perf_counter()
 a_est = approx_profile(text, pattern, ap)
 show(f"corrected", a_est, time.perf_counter() - t0)
-print(f"           (k={ap.k} members per execution plus pair recovery)")
+print(f"           (k={ap.k} members per execution plus the pair counts D' comes from)")
 
-print("\nrecovery is a fixed overhead at this size; 06_scaling_bench.py shows")
+print("\nthe pair counts are a fixed overhead at this size; 06_scaling_bench.py shows")
 print("how the balance tips as eps shrinks")

@@ -6,7 +6,8 @@ karloff's time no longer grows with its 1/eps^2 family. With 16 symbols a
 side (no more than 2*log2 of the FFT length) each execution's agreement
 spectra are a product with the 16 symbol indicator spectra, transformed
 once: s + L + reps FFTs in all rather than s + reps * (s + 1). approx's time
-is mostly recovery (one more scale per halving). At sigma=1024 both text and
+is mostly its exact pair counts, which eps does not change, so it stays about
+flat too (ratios 0.87 and 1.03 in one run). At sigma=1024 both text and
 pattern hold more occurring symbols than the family has members (16, 64 and
 256 here), so karloff takes the Y groups: one signed row pair per Y value
 present in both strings, and Y takes up to k values. Its rows grow with k,

@@ -2,13 +2,12 @@
 sketch estimators with per-window (1 +- eps) guarantees."""
 
 from ._sketch import default_reps
-from .approx import ApproxParams, approx_params, approx_profile
+from .approx import B_CONST, ApproxParams, approx_params, approx_profile
 from .exact import hamming_profile_convolution, hamming_profile_naive
 from .hashing import FourWiseHash, XorTreeFamily, beta, family_new, fourwise_new
 from .karloff import KarloffParams, karloff_params, karloff_profile
-from .noise_profile import NoiseProfile
+from .noise_profile import NoiseProfile, top_pair_counts
 from .pair_counts import PairCounts, pair_grid_pays, prepare_pair_counts
-from .sparse_recovery import B_CONST, RecoveryParams, construct_sparse_noise, recovery_params
 from .stats import error_stats, fraction_within_epsilon, relative_errors, within_epsilon
 from .text_model import (
     DistanceProfile,
@@ -35,12 +34,10 @@ __all__ = [
     "KarloffParams",
     "NoiseProfile",
     "PairCounts",
-    "RecoveryParams",
     "XorTreeFamily",
     "approx_params",
     "approx_profile",
     "beta",
-    "construct_sparse_noise",
     "default_reps",
     "error_stats",
     "family_new",
@@ -56,8 +53,8 @@ __all__ = [
     "read_bytes",
     "read_profile_csv",
     "read_tokens",
-    "recovery_params",
     "relative_errors",
+    "top_pair_counts",
     "within_epsilon",
     "write_bytes",
     "write_profile_csv",

@@ -17,13 +17,12 @@ _MUL2 = 0x94D049BB133111EB
 
 # Role constants keep unrelated draws on disjoint streams.
 ROLE_BASE_HASH = 0x01
-ROLE_PROJECTION = 0x02
+ROLE_PROJECTION = 0x02  # the projection ladder, kept by the tests as a reference
 ROLE_EXECUTION = 0x03
 ROLE_FAMILY = 0x04
 ROLE_TEXT = 0x05
 ROLE_PATTERN = 0x06
 ROLE_PLANT = 0x07
-ROLE_RECOVERY = 0x08
 
 
 def splitmix64(x: int) -> int:

@@ -15,7 +15,7 @@ family and, per window j, the integer
 
     max(0, m - C[j] + sum_(u,v) A(u, v) * d'_j(u, v)):
 
-karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it recovered.
+karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it builds.
 The correction (dprime_correction) is D' times the (codes, executions)
 agreements, all from one base-bit evaluation over the symbols of D'. A
 NoiseProfile is stored as the (windows, distinct codes) CSR matrix this

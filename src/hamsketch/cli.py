@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     _add_io_flags(a)
     _add_estimator_flags(a)
     a.add_argument("--dump-dprime", default=None, metavar="PATH",
-                   help="write the recovered noise profile as CSV")
+                   help="write the noise profile D' as CSV")
 
     b = sub.add_parser("bench", help="timing/accuracy grid vs the exact profile")
     b.add_argument("--n", type=int, nargs="+", required=True)
@@ -107,9 +107,8 @@ def build_parser() -> _Parser:
 
     sub.add_parser(
         "selftest",
-        help="check exact conv == naive, beta == member enumeration, recovered noise "
-        "never below the true counts and exact on present pairs, pair counts summing "
-        "to the exact profile",
+        help="check exact conv == naive, beta == member enumeration, D' == each "
+        "window's top-capacity exact pair counts, pair counts summing to the exact profile",
     )
     return top
 
@@ -239,7 +238,6 @@ def _cmd_bench(args) -> int:
 def _cmd_selftest(args) -> int:
     from .hashing import beta, family_new, member_eval
     from .pair_counts import pair_grid_pays, prepare_pair_counts
-    from .sparse_recovery import construct_sparse_noise, recovery_params
     from .text_model import occurring_symbols
 
     failures = 0
@@ -264,23 +262,24 @@ def _cmd_selftest(args) -> int:
     )
     check("beta == member enumeration", agree)
 
-    # demo 04's invariants: every bucket holding a pair counts at least its
-    # true count, so no recovered value falls below it; and the ladder stops
-    # only once every pair present in a window has sat alone in a bucket, so
-    # a present pair's value is its exact count. The planted heavy stretch
-    # makes some pairs keep count rows and others entries
-    rp = recovery_params(0.25, seed=303, n=256, reps=3)
+    # D' is each window's capacity largest exact pair counts, ties going to
+    # the smaller code: a stable argsort of the negated dense counts, window
+    # by window. The planted heavy stretch makes some pairs keep count rows
+    # and others entries
     heavy = generate_instance(256, 32, 16, "planted_heavy", seed=101)
-    below = above = 0
+    agree = True
     for t, p in ((text, pattern), heavy):
-        noise = construct_sparse_noise(t, p, rp)
+        ap = approx_params(0.25, seed=303, n=len(t), reps=3)
+        _, noise = approx_profile(t, p, ap, return_noise=True)
         noise.validate()
-        truth = prepare_pair_counts(t, p).dense()
-        true_vals = truth[noise.entry_codes(), noise.entry_windows()]
-        below += int(np.count_nonzero(noise.values < true_vals))
-        above += int(np.count_nonzero((noise.values > true_vals) & (true_vals > 0)))
-    check("no recovered noise value below its true pair count", below == 0)
-    check("every recovered present pair at its true count", above == 0)
+        dense = prepare_pair_counts(t, p).dense()
+        top = np.argsort(-dense, axis=0, kind="stable")[: ap.capacity]
+        want = np.zeros_like(dense)
+        np.put_along_axis(want, top, np.take_along_axis(dense, top, axis=0), axis=0)
+        got = np.zeros_like(dense)
+        got[noise.entry_codes(), noise.entry_windows()] = noise.values
+        agree &= np.array_equal(got, want)
+    check("D' == each window's top-capacity exact pair counts", agree)
 
     # every window's mismatch pair counts sum to its exact distance. The
     # m = 24 pair counts take the sort route, the m = 64 ones the grid route

@@ -1,13 +1,12 @@
-"""D', the recovered noise: every window's sparse matrix in one CSR matrix,
-and the capacity filter that builds it from the running minima and spurious
-decodes of the recovery ladder (sparse_recovery).
+"""D', the noise matrix: every window's sparse matrix in one CSR matrix, and
+top_pair_counts, which builds it from the exact pair counts (pair_counts) as
+each window's capacity largest counts.
 
-Every candidate names its code by its index into one sorted table, the
-distinct pair codes with the distinct spurious codes that occur nowhere
-merged in, so the row cells and entries take their ranks by a gather; only
-the spurious codes are sorted. The ranks the filter keeps, with the unused
-table codes compacted away, are the columns of the NoiseProfile, the CSR
-matrix the correction multiplies as it is.
+Every candidate names its code by its index into the sorted distinct pair
+codes, so the row cells and entries take their ranks with no search. The
+ranks the filter keeps, with the unused codes compacted away, are the
+columns of the NoiseProfile, the CSR matrix the correction multiplies as it
+is.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .pair_counts import PairCounts
 
 # the capacity filter ranks at most this many candidate cells at a time, at
 # 16 bytes of key and partitioned copy per cell; read at each call
@@ -114,49 +115,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _merge_codes(codes: np.ndarray, spurious: np.ndarray):
-    """(table, code_rank, spur_rank): the ascending codes merged with the
-    distinct spurious codes not among them, the index in table of each of
-    codes, and that of each of spurious. Only the spurious codes are
-    sorted."""
-    new, at = np.unique(spurious, return_inverse=True)
-    pos = np.searchsorted(codes, new)
-    # codes are nonnegative, so the sentinel -1 matches no spurious code
-    fresh = np.append(codes, -1)[pos] != new
-    # a code moves up by the fresh codes below it, those inserted at or
-    # before its position; a spurious code by the fresh codes before it
-    code_rank = np.cumsum(np.bincount(pos[fresh], minlength=codes.size + 1))[: codes.size]
-    code_rank += np.arange(codes.size)
-    new_rank = pos + np.cumsum(fresh) - fresh
-    table = np.empty(codes.size + int(fresh.sum()), dtype=np.int64)
-    table[code_rank] = codes
-    table[new_rank] = new
-    return table, code_rank, new_rank[at]
+def top_pair_counts(pairs: PairCounts, capacity: int) -> NoiseProfile:
+    """D': each window's capacity largest exact pair counts, ties broken
+    toward the smaller code.
 
-
-def _filter(sigma, table, mins, row_rank, w, rank, val, capacity: int) -> NoiseProfile:
-    """Each window's capacity largest values among its row cells (0 where
-    unset) and its (window, rank, value) triples, ties broken toward the
-    smaller code. table holds distinct codes ascending: row i of mins has
-    the code table[row_rank[i]], and a triple the code table[rank]; no code
-    occurs twice among one window's candidates.
-
-    The triples are grouped by window with one argsort: keys are distinct
-    within a window, so their order there does not matter. They are padded
-    into a (windows, candidates) key matrix beside the rows and ranked in
-    window blocks of at most _FILTER_BLOCK_CELLS cells: np.partition keeps
-    each window's capacity smallest keys, and one sort of them repacked as
-    (rank, value) puts them in code order. Each block keeps its entries'
-    ranks and values as int32. The ranks become the profile's columns once
-    the unused table codes are compacted away, so until the profile is built
-    its entries take 8 bytes each besides their own 12."""
-    nw = mins.shape[1]
-    # ascending key = descending value, then ascending rank
-    rank_bits = max(1, (table.size - 1).bit_length())
+    The candidates are the row cells of pairs (0 where the code is absent)
+    and its entries, each keyed by its count and its code's index into
+    pairs.codes, the rank. The entries are grouped by window with one
+    argsort: keys are distinct within a window, so their order there does
+    not matter. They are padded into a (windows, candidates) key matrix
+    beside the rows and ranked in window blocks of at most
+    _FILTER_BLOCK_CELLS cells: np.partition keeps each window's capacity
+    smallest keys, and one sort of them repacked as (rank, count) puts them
+    in code order. Each block keeps its entries' ranks and counts as int32.
+    The ranks become the profile's columns once the unused codes are
+    compacted away, so until the profile is built its entries take 8 bytes
+    each besides their own 12."""
+    codes, nw = pairs.codes, pairs.n_windows
+    # ascending key = descending count, then ascending rank
+    rank_bits = max(1, (codes.size - 1).bit_length())
     shift = np.int64(1) << rank_bits
-    key = rank - val.astype(np.int64) * shift
-    srt = np.argsort(w)
-    w, key = w[srt], key[srt]
+    row_rank = np.flatnonzero(pairs.row_ids >= 0)
+    rank = np.repeat(np.arange(codes.size), np.diff(pairs.offsets))
+    key = rank - pairs.counts.astype(np.int64) * shift
+    srt = np.argsort(pairs.windows)
+    w, key = pairs.windows[srt], key[srt]
     per_win = np.bincount(w, minlength=nw)
     first = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(per_win, out=first[1:])
@@ -169,13 +152,13 @@ def _filter(sigma, table, mins, row_rank, w, rank, val, capacity: int) -> NoiseP
         hi = min(nw, lo + step)
         a, b = first[lo], first[hi]
         k = np.zeros((hi - lo, n_rows + int(per_win[lo:hi].max())), dtype=np.int64)
-        np.multiply(mins[:, lo:hi].T, -shift, out=k[:, :n_rows])
+        np.multiply(pairs.rows[:, lo:hi].T, -shift, out=k[:, :n_rows])
         k[:, :n_rows] += row_rank
         k[w[a:b] - lo, n_rows + slot[a:b]] = key[a:b]
         if k.shape[1] > capacity:
             k = np.partition(k, capacity - 1, axis=1)[:, :capacity]
-        # rank << 32 | value; a key of value 0 (unset, or padding) repacks to
-        # value 0 and is dropped after the sort
+        # rank << 32 | count; a key of count 0 (an absent row code, or
+        # padding) repacks to count 0 and is dropped after the sort
         k = (k & (shift - 1)) << 32 | -(k >> rank_bits)
         k.sort(axis=1)
         kept = k & 0xFFFFFFFF
@@ -183,17 +166,17 @@ def _filter(sigma, table, mins, row_rank, w, rank, val, capacity: int) -> NoiseP
         ranks.append((k[pos] >> 32).astype(np.int32))
         values.append(kept[pos].astype(np.int32))
         sizes[lo:hi] = pos.sum(axis=1)
-    # the ranks as columns of the table codes they use, each part freed
-    # before the next is built
+    # the ranks as columns of the codes they use, each part freed before the
+    # next is built
     rank = np.concatenate(ranks)
     del ranks
-    used = np.zeros(table.size, dtype=bool)
+    used = np.zeros(codes.size, dtype=bool)
     used[rank] = True
     cols = (np.cumsum(used, dtype=np.int32) - 1)[rank]
     del rank
     indptr = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return NoiseProfile(
-        sigma=sigma, capacity=capacity, indptr=indptr, codes=table[used], cols=cols,
+        sigma=pairs.sigma, capacity=capacity, indptr=indptr, codes=codes[used], cols=cols,
         values=np.concatenate(values, dtype=np.int64),
     )

@@ -1,12 +1,14 @@
-"""Brute-force oracles, the literal sparse-recovery reference, ways to make
-and read noise profiles, and one memory probe, used across the test modules.
+"""Brute-force oracles, the paper's sparse recovery as a literal reference,
+ways to make and read noise profiles, and one memory probe, used across the
+test modules.
 
 Everything here is deliberately naive: double loops, dict counting and
 sliding-window products only, no shortcuts shared with the library code. The
-recovery reference draws the library's projections (_projection_plan), the
-one piece it must share with the code it judges. approx_with_noise is not an
-oracle: it runs approx's own executions over an injected D' in place of the
-recovered one.
+recovery reference is the paper's projection ladder, which the library does
+not run: approx takes D' straight from the exact pair counts
+(noise_profile.top_pair_counts), and test_sparse_recovery ties the two
+together. approx_with_noise is not an oracle: it runs approx's own
+executions over an injected D' in place of the one approx builds.
 """
 
 import tracemalloc
@@ -15,16 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hamsketch._seeds import ROLE_BASE_HASH, mix_array, splitmix64_array
+from hamsketch._seeds import ROLE_BASE_HASH, ROLE_PROJECTION, mix, mix_array, splitmix64_array
+from hamsketch.approx import approx_params
 from hamsketch.gf64 import poly3_eval
-from hamsketch.hashing import beta, family_signatures, member_eval, signature_agreement
-from hamsketch._sketch import execution_estimates, median_profile
-from hamsketch.sparse_recovery import (
-    CoupledProjection,
-    NoiseProfile,
-    RecoveryParams,
-    _projection_plan,
+from hamsketch.hashing import (
+    beta,
+    family_signatures,
+    fourwise_new,
+    member_eval,
+    signature_agreement,
 )
+from hamsketch._sketch import check_reps, execution_estimates, median_profile
+from hamsketch.noise_profile import NoiseProfile
 from hamsketch.text_model import IntString
 
 
@@ -311,7 +315,7 @@ def same_profile(a: NoiseProfile, b: NoiseProfile) -> bool:
 
 
 def approx_with_noise(text: IntString, pattern: IntString, params, noise: NoiseProfile):
-    """approx_profile with noise as the shared D' in place of recovery."""
+    """approx_profile with noise as the shared D' in place of the one it builds."""
     runs = execution_estimates(text, pattern, params.k, params.seed, range(params.reps), noise)
     return median_profile(runs)
 
@@ -327,14 +331,91 @@ def traced_peak(fn, *args, **kw):
 
 
 # ----------------------------------------------------------------------------
-# literal sparse-recovery reference: one count per bucket, decoded bucket by
-# bucket and window by window
+# the paper's sparse recovery, literally: one count per bucket, decoded bucket
+# by bucket and window by window
 # ----------------------------------------------------------------------------
 
-def projection(params: RecoveryParams, i: int, rep: int, sigma: int) -> CoupledProjection:
-    """The coupled projection of scale i and repetition rep that recovery
+@dataclass(frozen=True)
+class LadderParams:
+    """The projection ladder at approx's effective accuracy eps_eff =
+    1024/2^t_exp, with reps coupled projections per scale."""
+
+    epsilon: float
+    epsilon_eff: float
+    t_exp: int
+    reps: int
+    seed: int
+
+    @property
+    def capacity(self) -> int:
+        # ceil(3/eps_eff); eps_eff is a power of two so this is exact
+        return 3 << (self.t_exp - 10)
+
+    @property
+    def num_scales(self) -> int:
+        # scales i = 0 .. log2(1/eps_eff)
+        return self.t_exp - 10 + 1
+
+    @property
+    def bucket_count(self) -> int:
+        return 1 << self.t_exp
+
+
+def ladder_params(epsilon: float, seed: int, reps: int) -> LadderParams:
+    """The ladder at approx_params' eps_eff, so its capacity is approx's."""
+    eps_eff = approx_params(epsilon, seed, n=1, reps=1).epsilon_eff
+    check_reps(reps)
+    return LadderParams(epsilon, eps_eff, int(1024 / eps_eff).bit_length() - 1, reps, seed)
+
+
+def scale_ranges(params: LadderParams, i: int) -> tuple[int, int]:
+    """(ell_i, r_i) = (32 * 2^i, 32 * 2^(L-i)); the product is always 1024/eps_eff."""
+    L = params.num_scales - 1
+    if not 0 <= i <= L:
+        raise IndexError(f"scale {i} outside [0, {L}]")
+    return 32 << i, 32 << (L - i)
+
+
+@dataclass(frozen=True)
+class CoupledProjection:
+    """Projection pair tau: [0,sigma) -> [ell], pi: [0,sigma) -> [r].
+
+    The side with the larger range is a fresh 4-wise independent hash; the
+    other side is the same values modulo its own range (low bits), so the two
+    sides agree on which coarse bucket a symbol occupies.
+    """
+
+    ell: int
+    r: int
+    sigma: int
+    scale_index: int
+    rep_index: int
+    tau_table: np.ndarray
+    pi_table: np.ndarray
+
+
+def projection_plan(params: LadderParams, sigma: int):
+    """The coupled projection of every scale i and repetition rep, in the
+    order i * params.reps + rep: the drawn side is fourwise_new at
+    mix(params.seed, ROLE_PROJECTION, i, rep) over [0, sigma), tau where ell
+    >= r and pi otherwise."""
+    for i in range(params.num_scales):
+        ell, r = scale_ranges(params, i)
+        bits = max(ell, r).bit_length() - 1
+        for rep in range(params.reps):
+            drawn = fourwise_new(bits, mix(params.seed, ROLE_PROJECTION, i, rep)).table(sigma)
+            # the side with the smaller range keeps the drawn values' low bits
+            tau, pi = (drawn, drawn & (r - 1)) if ell >= r else (drawn & (ell - 1), drawn)
+            yield CoupledProjection(
+                ell=ell, r=r, sigma=sigma, scale_index=i, rep_index=rep,
+                tau_table=tau, pi_table=pi,
+            )
+
+
+def projection(params: LadderParams, i: int, rep: int, sigma: int) -> CoupledProjection:
+    """The coupled projection of scale i and repetition rep that the ladder
     with params draws over [0, sigma)."""
-    return list(_projection_plan(params, sigma))[i * params.reps + rep]
+    return list(projection_plan(params, sigma))[i * params.reps + rep]
 
 
 def _as_mask(a, name: str) -> np.ndarray:
@@ -442,16 +523,17 @@ def decode_bucket(
     return (u, v)
 
 
-def construct_reference(
-    text: IntString, pattern: IntString, params: RecoveryParams
-) -> NoiseProfile:
-    """Straight transcription of the bucket/decode/min-update procedure.
+def reference_candidates(text: IntString, pattern: IntString, params: LadderParams):
+    """(candidates, projections run) of the literal ladder: per window, the
+    {(u, v): value} running minima of every decoded pair, before the
+    capacity filter, some of which may name pairs absent from the window.
 
-    Quadratic-ish and only meant for small instances; construct_sparse_noise
-    must match it entry for entry. It stops after the first projection by
-    which every pair present in a window has been the only nonzero pair of
-    that window in some non-diagonal bucket: the bucket's count is then the
-    pair's own count.
+    A straight transcription of the bucket/decode/min-update procedure,
+    quadratic-ish and only meant for small instances. It stops after the
+    first projection by which every pair present in a window has been the
+    only nonzero pair of that window in some non-diagonal bucket: the
+    bucket's count is then the pair's own count. Fewer projections run than
+    the plan holds only where that stop came first.
     """
     sigma = text.sigma
     n, m = len(text), len(pattern)
@@ -461,7 +543,9 @@ def construct_reference(
     unseen = {
         (j, uv): cnt for j in range(nw) for uv, cnt in alignment_dict_brute(text, pattern, j).items()
     }
-    for proj in _projection_plan(params, sigma):
+    runs = 0
+    for proj in projection_plan(params, sigma):
+        runs += 1
         table = compute_bucket_table(text, pattern, proj)
         for (j, (u, v)), cnt in list(unseen.items()):
             bc = table.buckets.get((int(proj.tau_table[u]), int(proj.pi_table[v])))
@@ -482,4 +566,13 @@ def construct_reference(
                     dicts[j][cand] = c
         if not unseen:
             break
-    return noise_profile_from_windows(dicts, sigma, capacity=params.capacity)
+    return dicts, runs
+
+
+def construct_reference(
+    text: IntString, pattern: IntString, params: LadderParams
+) -> NoiseProfile:
+    """The literal ladder's D': its candidates, each window's
+    params.capacity largest kept."""
+    dicts, _ = reference_candidates(text, pattern, params)
+    return noise_profile_from_windows(dicts, text.sigma, capacity=params.capacity)

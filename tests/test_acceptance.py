@@ -12,18 +12,14 @@ import time
 
 import numpy as np
 
-from hamsketch import sparse_recovery
 from hamsketch._sketch import execution_estimates
-from hamsketch.approx import approx_params, approx_profile
+from hamsketch.approx import B_CONST, approx_params, approx_profile
 from hamsketch.cli import main as cli_main
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import beta, family_new, fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
-from hamsketch.sparse_recovery import (
-    B_CONST,
-    prepare_pair_counts,
-    recovery_params,
-)
+from hamsketch.noise_profile import top_pair_counts
+from hamsketch.pair_counts import prepare_pair_counts
 from hamsketch.stats import fraction_within_epsilon
 from hamsketch.text_model import generate_instance
 
@@ -155,10 +151,10 @@ def test_ac5_correction_fast_path():
     )
 
 
-def _residual_shares(text, pattern, eps, seed):
-    """(recovered, empty, doubled): the shares of windows meeting
-    sum (d - d')^2 <= b*eps*d^2 with the recovered D', with no D' and with
-    every recovered value doubled; plus whether the entry cap held."""
+def _residual_shares(text, pattern, eps):
+    """(D', empty, doubled): the shares of windows meeting
+    sum (d - d')^2 <= b*eps*d^2 with approx's D' (top_pair_counts), with no
+    D' and with every D' value doubled; plus whether the entry cap held."""
     cache = prepare_pair_counts(text, pattern)
     nw = cache.n_windows
     rows = cache.rows.astype(np.int64)
@@ -166,8 +162,8 @@ def _residual_shares(text, pattern, eps, seed):
     d = rows.sum(axis=0) + np.bincount(cache.windows, counts, minlength=nw)
     sq = (rows * rows).sum(axis=0) + np.bincount(cache.windows, counts * counts, minlength=nw)
     bound = B_CONST * eps * d.astype(np.float64) ** 2
-    rp = recovery_params(eps, seed=seed + 40, n=len(text))
-    noise = sparse_recovery._recover(cache, rp)
+    capacity = approx_params(eps, seed=0, n=len(text)).capacity
+    noise = top_pair_counts(cache, capacity)
     noise.validate()
     wins = noise.entry_windows()
     truth = pair_counts_at(cache, noise.entry_codes(), wins)
@@ -176,7 +172,7 @@ def _residual_shares(text, pattern, eps, seed):
         resid = sq + np.bincount(wins, (truth - values) ** 2 - truth * truth, minlength=nw)
         return float((resid <= bound).mean())
 
-    cap_ok = int(np.diff(noise.indptr).max()) <= rp.capacity
+    cap_ok = int(np.diff(noise.indptr).max()) <= capacity
     return share(noise.values), share(0 * noise.values), share(2 * noise.values), cap_ok
 
 
@@ -196,7 +192,7 @@ def test_ac6_sparse_noise_bound():
     for model, (n, m) in shapes.items():
         for seed in range(5):
             text, pattern = generate_instance(n, m, 64, model, seed)
-            got, none, double, cap = _residual_shares(text, pattern, eps, seed)
+            got, none, double, cap = _residual_shares(text, pattern, eps)
             fracs.append(got)
             empty.append(none)
             doubled.append(double)

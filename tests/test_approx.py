@@ -6,23 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamsketch import approx, hashing, noise_profile, sparse_recovery
-from hamsketch._seeds import ROLE_EXECUTION, ROLE_RECOVERY, mix
+from hamsketch import approx, hashing, noise_profile
 from hamsketch._sketch import (
     dprime_correction,
     execution_estimates,
+    execution_families,
     signed_matches,
 )
-from hamsketch.approx import approx_params, approx_profile
+from hamsketch.approx import B_CONST, approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution
-from hamsketch.hashing import beta, family_new
-from hamsketch.sparse_recovery import (
-    B_CONST,
-    construct_sparse_noise,
-    pair_grid_pays,
-    prepare_pair_counts,
-    recovery_params,
-)
+from hamsketch.hashing import beta, family_new, family_signatures, signature_agreement
+from hamsketch.noise_profile import top_pair_counts
+from hamsketch.pair_counts import pair_grid_pays, prepare_pair_counts
 from hamsketch.text_model import IntString, generate_instance, occurring_symbols
 
 from helpers import (
@@ -32,9 +27,11 @@ from helpers import (
     beta_pairs,
     correction_numerators,
     correction_term,
+    few_pairs_bench_instance,
     member_profile_brute,
     member_sums_brute,
     noise_profile_from_windows,
+    pair_count_matrix,
     sliding_hamming_brute,
     traced_peak,
 )
@@ -67,9 +64,10 @@ def test_params_reject_repetition_counts_below_one(reps):
 
 
 def test_reps_zero_rejected_before_recovery(monkeypatch):
-    # params built directly skip approx_params' check
+    # params built directly skip approx_params' check, and approx_profile
+    # rejects them before it builds any pair counts
     calls = []
-    monkeypatch.setattr(approx, "construct_sparse_noise", lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "prepare_pair_counts", lambda *args: calls.append(args))
     text, pattern = generate_instance(100, 10, 4, "uniform", seed=1)
     params = dataclasses.replace(approx_params(0.25, seed=1, n=100), reps=0)
     with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
@@ -196,7 +194,7 @@ def _noises(text, pattern, rng):
 @pytest.mark.parametrize("layout", ["rows", "entries", "mixed", "sigma1", "m_equals_n"])
 def test_execution_numerators_match_member_sums_and_correction(layout):
     rng = np.random.default_rng(41)
-    # the instance shapes of the pair-count layouts recovery tells apart
+    # the instance shapes of the pair-count layouts top_pair_counts tells apart
     if layout == "rows":
         # four windows: every occurring code is in at least a quarter of them
         text, pattern = generate_instance(40, 37, 30, "uniform", seed=5)
@@ -235,7 +233,7 @@ def test_execution_numerators_property(data):
         rng = np.random.default_rng(seed)
         text = IntString(rng.integers(0, sigma, size=n), sigma)
         pattern = IntString(rng.integers(0, sigma, size=m), sigma)
-    mode = data.draw(st.sampled_from(["empty", "exact", "random", "recovered"]), label="noise")
+    mode = data.draw(st.sampled_from(["empty", "exact", "random", "top"]), label="noise")
     nw = n - m + 1
     if mode == "empty":
         noise = noise_profile_from_windows([{}] * nw, sigma)
@@ -244,8 +242,8 @@ def test_execution_numerators_property(data):
     elif mode == "random":
         noise = _random_noise(text, pattern, np.random.default_rng(seed + 1))
     else:
-        noise = construct_sparse_noise(
-            text, pattern, recovery_params(0.5, seed=seed, reps=2)
+        noise = top_pair_counts(
+            prepare_pair_counts(text, pattern), approx_params(0.5, seed, n).capacity
         )
     k = data.draw(st.sampled_from([2, 16, 128]), label="k")
     reps = data.draw(st.integers(1, 4), label="reps")
@@ -255,13 +253,12 @@ def test_execution_numerators_property(data):
 
 def test_approx_memory_stays_near_its_inputs():
     # dense16's shape (n=8192, m=512, sigma=16): the pair counts keep 240
-    # int32 rows (7.4 MB), recovery one int32 running minimum per row cell,
-    # and D' is 368,688 entries over 240 codes, stored in 4.5 MB (indptr,
-    # codes, int32 cols and int64 values). Everything else is block
-    # scratch, the capacity filter's the largest at 16 bytes per cell of
-    # _FILTER_BLOCK_CELLS (4.2 MB). The bound is 23.4 MB and the peak 22.2
-    # MB; building D' and the numerators with temporaries over all of D'
-    # peaked at 42.9 MB
+    # int32 rows (7.4 MB), and D' is 368,688 entries over 240 codes, stored
+    # in 4.5 MB (indptr, codes, int32 cols and int64 values). Everything
+    # else is block scratch, the capacity filter's the largest at 16 bytes
+    # per cell of _FILTER_BLOCK_CELLS (4.2 MB). The bound is 23.4 MB and the
+    # peak 17.5 MB; building D' and the numerators with temporaries over all
+    # of D' peaked at 42.9 MB
     text, pattern = generate_instance(8192, 512, 16, "uniform", seed=1)
     params = approx_params(0.1, seed=1, n=8192)
     pairs = prepare_pair_counts(text, pattern)
@@ -274,10 +271,8 @@ def test_approx_memory_stays_near_its_inputs():
 def test_one_evaluation_per_hash_kind(monkeypatch):
     # all families' base bits for the member sums and their base bits over
     # the symbols of D' each take one poly3_eval call at this size, however
-    # many executions and scales. The projection plan takes one per block of
-    # 1, 2, 4, ... draws that the ladder reaches: p.bit_length() blocks for p
-    # projections run
-    evals, recoveries, projections = [], [], []
+    # many executions; D' comes from one pair-count build and draws no hash
+    evals, builds = [], []
 
     def spy(log, fn):
         def wrapped(*args, **kwargs):
@@ -286,20 +281,15 @@ def test_one_evaluation_per_hash_kind(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(hashing, "poly3_eval", spy(evals, hashing.poly3_eval))
-    monkeypatch.setattr(
-        approx, "construct_sparse_noise", spy(recoveries, approx.construct_sparse_noise)
-    )
-    monkeypatch.setattr(
-        sparse_recovery._Recovery, "project", spy(projections, sparse_recovery._Recovery.project)
-    )
+    monkeypatch.setattr(approx, "prepare_pair_counts", spy(builds, approx.prepare_pair_counts))
     text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
     for eps, reps in ((0.25, 2), (0.25, 7), (0.0625, 5)):
-        for log in (evals, recoveries, projections):
+        for log in (evals, builds):
             log.clear()
         params = approx_params(eps, seed=1, n=600, reps=reps)
         approx_profile(text, pattern, params)
-        assert len(recoveries) == 1
-        assert len(evals) == 2 + len(projections).bit_length()
+        assert len(builds) == 1
+        assert len(evals) == 2
 
 
 def test_perfect_noise_matrix_gives_exact_profile():
@@ -332,21 +322,22 @@ def test_identical_strings_and_zero_windows():
 def test_reps_one_equals_single_execution():
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=4)
     params = approx_params(0.25, seed=7, n=150, reps=1)
-    noise = approx._recover_noise(text, pattern, params, 0)
+    noise = top_pair_counts(prepare_pair_counts(text, pattern), params.capacity)
     single = execution_estimates(text, pattern, params.k, params.seed, [0], noise)[0]
     assert np.array_equal(approx_profile(text, pattern, params).values, single)
 
 
 def test_share_dprime_reuses_one_recovery(monkeypatch):
-    # count recoveries with a spy on the name approx_profile looks up
+    # count the pair-count builds D' comes from, with a spy on the name
+    # approx_profile looks up
     calls = []
-    recover = approx.construct_sparse_noise
+    build = approx.prepare_pair_counts
 
     def spy(*args, **kwargs):
-        calls.append(args[2])
-        return recover(*args, **kwargs)
+        calls.append(args)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(approx, "construct_sparse_noise", spy)
+    monkeypatch.setattr(approx, "prepare_pair_counts", spy)
     # sigma=8 takes the sort route for the pair counts, sigma=4 the grid
     # route (sigma_t' * sigma_p' <= m)
     for sigma, grid in ((8, False), (4, True)):
@@ -367,21 +358,110 @@ def test_share_dprime_reuses_one_recovery(monkeypatch):
     "shape, digest",
     [
         # windows holding most occurring pair codes: nearly all codes keep rows
-        ((1024, 256, 16, 22), "810687c4e390a06177b6ed10e31042de472997ce6e3246f49a76c0db2e956cc3"),
+        ((1024, 256, 16, 22), "9e12a5109a3803bd57c7fec8a5254f8a10fc2f75f35201d532233cfb395eeeec"),
         # windows holding few of them: entry codes only
-        ((512, 64, 64, 13), "9f20cbebf53068b3b9801f343e094a91133fb8d8b653bf519bbddbf4956d3225"),
+        ((512, 64, 64, 13), "8b1e8ac82727c82dba075fa7f8263c04be8866cf6aa23afaafec47f9536f7953"),
     ],
 )
 def test_profiles_pinned_with_one_dprime(shape, digest):
-    # SHA-256 of the profile bytes, pinned before recovery had one route,
-    # over a D' recovered with execution 0's seeds and two repetitions per
-    # scale in place of the default ladder
+    # SHA-256 of the profile bytes over the one D' every execution shares,
+    # each window's top-capacity exact pair counts
     n, m, sigma, seed = shape
     text, pattern = generate_instance(n, m, sigma, "uniform", seed)
     params = approx_params(0.25, seed=9, n=n, reps=4)
-    rp = recovery_params(0.25, mix(mix(9, ROLE_EXECUTION, 0), ROLE_RECOVERY), n=n, reps=2)
-    prof = approx_with_noise(text, pattern, params, construct_sparse_noise(text, pattern, rp))
+    prof = approx_profile(text, pattern, params)
     assert hashlib.sha256(prof.values.tobytes()).hexdigest() == digest
+
+
+# small versions of the benchmark's dense16 and few_pairs shapes, and a
+# planted_heavy one at sigma 64
+_VARIANCE_SHAPES = {
+    "dense16": lambda: generate_instance(1024, 128, 16, "uniform", 1),
+    "few_pairs": lambda: few_pairs_bench_instance(1024, 128, 64, seed=1),
+    "planted_heavy": lambda: generate_instance(1024, 128, 64, "planted_heavy", 1),
+}
+
+
+def _approx_runs(text, pattern, params):
+    """(every execution's estimates, the shared D') of one approx_profile
+    call, read by a spy on the execution_estimates it looks up."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(execution_estimates(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "execution_estimates", spy)
+        _, noise = approx_profile(text, pattern, params, return_noise=True)
+    (estimates,) = runs
+    return estimates, noise
+
+
+def _residual(text, pattern, noise):
+    """(codes, N - D', d): the true pair counts N (pair_count_matrix) less
+    D' over every code that occurs or that D' names, and each window's
+    distance."""
+    pairs = prepare_pair_counts(text, pattern)
+    codes = np.union1d(pairs.codes, noise.codes)
+    resid = pair_count_matrix(pairs)[codes].astype(np.int64)
+    d = resid.sum(axis=0)
+    resid[np.searchsorted(codes, noise.entry_codes()), noise.entry_windows()] -= noise.values
+    return codes, resid, d
+
+
+@pytest.mark.parametrize("shape", list(_VARIANCE_SHAPES))
+def test_execution_error_is_the_residual_against_the_agreement(shape):
+    # before the clip at 0, each execution's estimate is m - C + D'A, and
+    # m - C = d - sum_(u != v) N(u, v) A(u, v); so wherever the estimate is
+    # above 0 its error is exactly -sum (N - d') A, with A read from the
+    # execution's family signatures, and wherever it is 0, d - sum (N - d')
+    # A <= 0. No statistics: it ties the estimates, D' and the pair counts
+    text, pattern = _VARIANCE_SHAPES[shape]()
+    params = approx_params(0.1, seed=3, n=len(text), reps=16)
+    estimates, noise = _approx_runs(text, pattern, params)
+    codes, resid, d = _residual(text, pattern, noise)
+    sigma = text.sigma
+    sig = family_signatures(execution_families(params.k, params.seed, range(params.reps)), np.arange(sigma))
+    agree = signature_agreement(sig[:, codes // sigma], sig[:, codes % sigma])
+    # float64 products of integers below 2^53, exact
+    err = -(agree.astype(np.float64) @ resid).astype(np.int64)
+    above = estimates > 0
+    # few_pairs' D' holds every count, so its executions are exact
+    assert above.mean() > 0.9 and (err != 0).any() == resid.any()
+    assert np.array_equal(estimates[above] - np.broadcast_to(d, err.shape)[above], err[above])
+    assert np.all((d + err)[~above] <= 0)
+
+
+def test_dprime_cuts_the_per_execution_variance():
+    # "breaking the variance" checked directly: over 64 executions, the
+    # median per-window relative MSE with approx's D' is at most half that
+    # with an empty D' and with every D' value doubled, and it is about its
+    # prediction sum (N - d')^2 / (k d^2) per window (A is nonzero off the
+    # diagonal with probability about 1/k), within a factor 2. Where D'
+    # holds every count (few_pairs), the prediction and the MSE are 0
+    for shape, make in _VARIANCE_SHAPES.items():
+        text, pattern = make()
+        params = approx_params(0.1, seed=7, n=len(text), reps=64)
+        estimates, noise = _approx_runs(text, pattern, params)
+        _, resid, d = _residual(text, pattern, noise)
+        live = d > 0
+
+        def mse(runs):
+            return np.median(((runs - d) ** 2)[:, live].mean(axis=0) / d[live] ** 2)
+
+        empty = noise_profile_from_windows([{}] * noise.n_windows, text.sigma)
+        doubled = dataclasses.replace(noise, values=2 * noise.values)
+        measured, without, over = mse(estimates), *(
+            mse(execution_estimates(text, pattern, params.k, params.seed, range(64), other))
+            for other in (empty, doubled)
+        )
+        predicted = np.median((resid * resid).sum(axis=0)[live] / (params.k * d[live] ** 2))
+        assert measured <= 0.5 * without and measured <= 0.5 * over, shape
+        if predicted:
+            assert 0.5 <= measured / predicted <= 2, shape
+        else:
+            assert measured == 0, shape
 
 
 def test_estimates_deterministic():
@@ -404,9 +484,10 @@ def test_single_execution_concentration():
     trials = 300
     params = approx_params(eps, seed=77, n=m, reps=1)
 
+    noise = top_pair_counts(prepare_pair_counts(text, pattern), params.capacity)
+
     def execution(e):
-        # its own family and its own D'
-        noise = approx._recover_noise(text, pattern, params, e)
+        # its own family, over the one D' every execution shares
         return execution_estimates(text, pattern, params.k, params.seed, [e], noise)[0, 0]
 
     vals = np.array([execution(e) for e in range(trials)])

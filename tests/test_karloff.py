@@ -14,7 +14,7 @@ from hamsketch._sketch import (
 from hamsketch.approx import approx_params
 from hamsketch.hashing import beta, family_new
 from hamsketch.karloff import KarloffParams, karloff_params, karloff_profile
-from hamsketch.sparse_recovery import pair_grid_pays
+from hamsketch.pair_counts import pair_grid_pays
 from hamsketch.text_model import IntString, generate_instance, occurring_symbols
 
 from helpers import (

@@ -1,36 +1,42 @@
+"""D' from the exact pair counts (noise_profile.top_pair_counts), the pair
+counts themselves, and the paper's projection ladder kept as a literal
+reference (helpers.reference_candidates).
+
+One equation ties the ladder to the library's D': once the ladder has
+isolated every pair present in a window, its candidates less the pairs absent
+from their windows filter to top_pair_counts, entry for entry."""
+
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamsketch import hashing, noise_profile, pair_counts, sparse_recovery
-from hamsketch.sparse_recovery import (
-    NoiseProfile,
-    construct_sparse_noise,
-    prepare_pair_counts,
-    recovery_params,
-    scale_ranges,
-)
+from hamsketch import noise_profile, pair_counts
 from hamsketch._seeds import ROLE_PROJECTION, mix
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
+from hamsketch.noise_profile import NoiseProfile, top_pair_counts
+from hamsketch.pair_counts import PairCounts, prepare_pair_counts
 from hamsketch.text_model import IntString, generate_instance
 
 import helpers
 from helpers import (
     alignment_dict_brute,
+    capacity_filter_reference,
     compute_bucket_table,
     construct_reference,
     decode_bucket,
+    ladder_params,
     noise_profile_from_windows,
     pair_count_matrix,
     projection,
+    reference_candidates,
     same_profile,
+    scale_ranges,
     traced_peak,
     window_entries,
 )
@@ -40,49 +46,97 @@ def _uniform(n, m, sigma, seed):
     return generate_instance(n, m, sigma, "uniform", seed)
 
 
-# pair-count blocks of one window, of a few windows and the default, each
-# with decode chunks of one window, of a few entries and the default
+def _top(text, pattern, capacity):
+    return top_pair_counts(prepare_pair_counts(text, pattern), capacity)
+
+
+# pair-count blocks of one window, of a few windows and the default
 _PAIR_BLOCKS = (1, 20, pair_counts._PAIR_BLOCK_POSITIONS)
-_DECODE_BUDGETS = (1, 1000, sparse_recovery._DECODE_BUDGET)
 
 
-def _blocked(mp, positions=None, budget=None):
-    """Sets the pair-count block positions and the decode budget on the
-    MonkeyPatch mp; None keeps a constant."""
-    if positions is not None:
-        mp.setattr(pair_counts, "_PAIR_BLOCK_POSITIONS", positions)
-    if budget is not None:
-        mp.setattr(sparse_recovery, "_DECODE_BUDGET", budget)
+def _blocked(mp, positions):
+    """Sets the pair-count block positions on the MonkeyPatch mp."""
+    mp.setattr(pair_counts, "_PAIR_BLOCK_POSITIONS", positions)
+
+
+def _brute_windows(text, pattern):
+    return [alignment_dict_brute(text, pattern, j) for j in range(len(text) - len(pattern) + 1)]
+
+
+def _ladder_equation(text, pattern, params):
+    """(absent, runs): the reference's candidates naming pairs absent from
+    their windows, and the projections it ran. Where it stopped before its
+    ceiling, asserts the equation: every candidate naming a present pair
+    holds that pair's exact count, and those candidates, ranked by
+    capacity_filter_reference, are top_pair_counts entry for entry."""
+    dicts, runs = reference_candidates(text, pattern, params)
+    sigma, nw = text.sigma, len(dicts)
+    truth = _brute_windows(text, pattern)
+    present = [(j, uv, val) for j, d in enumerate(dicts) for uv, val in d.items() if uv in truth[j]]
+    if runs < params.num_scales * params.reps:
+        assert all(truth[j][uv] == val for j, uv, val in present)
+        cands = [(j, u * sigma + v, val) for j, (u, v), val in present]
+        want = capacity_filter_reference(sigma, nw, cands, params.capacity)
+        got = _top(text, pattern, params.capacity)
+        got.validate()
+        assert same_profile(got, want)
+    return sum(map(len, dicts)) - len(present), runs
+
+
+def _residuals(pairs, noise):
+    """(d, sum (d - d')^2) per window, read from the pair counts: every
+    count squared, with each D' entry's (count - d')^2 in place of its
+    count's square."""
+    nw = pairs.n_windows
+    rows, counts = pairs.rows.astype(np.int64), pairs.counts.astype(np.int64)
+    wins = noise.entry_windows()
+    truth = helpers.pair_counts_at(pairs, noise.entry_codes(), wins)
+    # float64 sums of integers below 2^53, exact
+    d = rows.sum(axis=0) + np.bincount(pairs.windows, counts, minlength=nw)
+    sq = (
+        (rows * rows).sum(axis=0)
+        + np.bincount(pairs.windows, counts * counts, minlength=nw)
+        + np.bincount(wins, (truth - noise.values) ** 2 - truth * truth, minlength=nw)
+    )
+    return d.astype(np.int64), sq.astype(np.int64)
 
 
 def test_recovery_params_worked_values():
-    p = recovery_params(0.25, seed=0, reps=1)
-    assert (p.t_exp, p.epsilon_eff, p.capacity, p.num_scales) == (12, 0.25, 12, 3)
-    p = recovery_params(0.1, seed=0, reps=1)
-    assert (p.t_exp, p.epsilon_eff, p.capacity, p.num_scales) == (14, 0.0625, 48, 5)
-    assert p.bucket_count == 1 << 14
-    p = recovery_params(0.5, seed=0, reps=1)
-    assert (p.t_exp, p.epsilon_eff, p.capacity, p.num_scales) == (11, 0.5, 6, 2)
-    # effective accuracy never exceeds the requested one
+    # approx's eps_eff and D' capacity, and the reference ladder's scales
+    # and buckets at them
+    for eps, t_exp, eps_eff, capacity, scales in (
+        (0.25, 12, 0.25, 12, 3), (0.1, 14, 0.0625, 48, 5), (0.5, 11, 0.5, 6, 2),
+    ):
+        a = approx_params(eps, seed=0, n=2, reps=1)
+        p = ladder_params(eps, seed=0, reps=1)
+        assert (a.epsilon_eff, a.capacity) == (eps_eff, capacity)
+        assert type(a.capacity) is int
+        assert (p.t_exp, p.epsilon_eff, p.capacity, p.num_scales) == (t_exp, eps_eff, capacity, scales)
+    assert ladder_params(0.1, seed=0, reps=1).bucket_count == 1 << 14
+    # effective accuracy never exceeds the requested one, nor falls below half
     for eps in (0.5, 0.3, 0.25, 0.1, 0.07, 0.001):
-        assert recovery_params(eps, seed=0, reps=1).epsilon_eff <= eps
+        eps_eff = approx_params(eps, seed=0, n=2, reps=1).epsilon_eff
+        assert eps / 2 < eps_eff <= eps
 
 
 def test_recovery_params_default_reps_and_errors():
-    assert recovery_params(0.25, seed=0, n=1024).reps == 20
+    assert approx_params(0.25, seed=0, n=1024).reps == 20
     with pytest.raises(ValueError):
-        recovery_params(0.25, seed=0)  # neither n nor reps
+        approx_params(0.25, seed=0, n=1024, reps=0)
     with pytest.raises(ValueError):
-        recovery_params(0.25, seed=0, reps=0)
+        ladder_params(0.25, seed=0, reps=0)
     for bad in (0.0, -0.2, 0.75):
         with pytest.raises(ValueError):
-            recovery_params(bad, seed=0, reps=1)
-    with pytest.raises(ValueError):
-        recovery_params(1e-6, seed=0, reps=1)  # below the bucket-count cap
+            approx_params(bad, seed=0, n=2, reps=1)
+    # eps_eff stops at 1024 / 2^25: the smallest epsilon accepted
+    least = 1024.0 / (1 << 25)
+    assert approx_params(least, seed=0, n=2, reps=1).capacity == 3 << 15
+    with pytest.raises(ValueError, match=f"too small; need epsilon >= {least}"):
+        approx_params(1e-6, seed=0, n=2, reps=1)
 
 
 def test_scale_ranges_cover_the_ladder():
-    p = recovery_params(0.1, seed=0, reps=1)
+    p = ladder_params(0.1, seed=0, reps=1)
     pairs = [scale_ranges(p, i) for i in range(p.num_scales)]
     assert pairs[0] == (32, 512)
     assert pairs[-1] == (512, 32)
@@ -101,7 +155,7 @@ def _drawn_table(params, i, rep, bits, sigma):
 
 def test_projection_coupling_low_bits():
     sigma = 256
-    p = recovery_params(0.03125, seed=5, reps=1)
+    p = ladder_params(0.03125, seed=5, reps=1)
     assert p.num_scales == 6
     # small ell: pi is the drawn hash, tau its low bits
     proj = projection(p, 0, 0, sigma)
@@ -114,58 +168,50 @@ def test_projection_coupling_low_bits():
     assert np.array_equal(proj.tau_table, _drawn_table(p, 5, 0, 10, sigma))
     assert np.array_equal(proj.pi_table, proj.tau_table & 31)
     # equal ranges: tau side is the drawn one
-    q = recovery_params(0.0625, seed=5, reps=1)
+    q = ladder_params(0.0625, seed=5, reps=1)
     proj = projection(q, 2, 0, sigma)
     assert proj.ell == proj.r == 128
     assert np.array_equal(proj.tau_table, _drawn_table(q, 2, 0, 7, sigma))
 
 
-def test_projection_plan_blocks_equal_per_draw_projections(monkeypatch):
-    # the plan evaluates all draws together; in blocks of one, two and all
-    # draws, draw (i, rep) is item i * reps + rep and its drawn side is the
-    # scalar hash
-    p = recovery_params(0.125, seed=12, reps=3)
+def test_projection_plan_blocks_equal_per_draw_projections():
+    # the reference's plan yields draw (i, rep) as item i * reps + rep, its
+    # drawn side the scalar hash at every symbol and its other side the
+    # drawn values' low bits
+    p = ladder_params(0.125, seed=12, reps=3)
     sigma = 40
     draws = [(i, rep) for i in range(p.num_scales) for rep in range(p.reps)]
-    for cells in (sigma, 2 * sigma + 1, 1 << 20):
-        monkeypatch.setattr(hashing, "_EVAL_CELLS", cells)
-        plan = list(sparse_recovery._projection_plan(p, sigma))
-        assert [(q.scale_index, q.rep_index) for q in plan] == draws
-        for q, (i, rep) in zip(plan, draws):
-            assert (q.ell, q.r, q.sigma) == (*scale_ranges(p, i), sigma)
-            assert q.tau_table.dtype == q.pi_table.dtype == np.int64
-            bits = max(q.ell, q.r).bit_length() - 1
-            drawn, low = (q.tau_table, q.pi_table) if q.ell >= q.r else (q.pi_table, q.tau_table)
-            h = fourwise_new(bits, mix(p.seed, ROLE_PROJECTION, i, rep))
-            assert drawn.tolist() == [h.eval(u) for u in range(sigma)]
-            assert np.array_equal(low, drawn & (min(q.ell, q.r) - 1))
+    plan = list(helpers.projection_plan(p, sigma))
+    assert [(q.scale_index, q.rep_index) for q in plan] == draws
+    for q, (i, rep) in zip(plan, draws):
+        assert (q.ell, q.r, q.sigma) == (*scale_ranges(p, i), sigma)
+        assert q.tau_table.dtype == q.pi_table.dtype == np.int64
+        bits = max(q.ell, q.r).bit_length() - 1
+        drawn, low = (q.tau_table, q.pi_table) if q.ell >= q.r else (q.pi_table, q.tau_table)
+        h = fourwise_new(bits, mix(p.seed, ROLE_PROJECTION, i, rep))
+        assert drawn.tolist() == [h.eval(u) for u in range(sigma)]
+        assert np.array_equal(low, drawn & (min(q.ell, q.r) - 1))
 
 
 def test_projection_plan_evaluates_only_the_blocks_the_ladder_reaches(monkeypatch):
-    # sparse256's shape (n=2048, m=64, sigma=256, eps 0.1): the ladder stops
-    # after a few of its 110 projections, and the plan evaluates its draws in
-    # blocks of 1, 2, 4, ... only as it reaches them, at most 2p - 1 draws for
-    # p projections run
-    text, pattern = _uniform(2048, 64, 256, seed=1)
-    params = recovery_params(0.1, seed=7, n=2048)
+    # the reference draws each projection only as it reaches it: where it
+    # stops after 3 of its 10 projections, it has drawn 3 hashes
+    text, pattern = _uniform(96, 16, 16, seed=0)
+    params = ladder_params(0.1, seed=100, reps=2)
     drawn = []
-    real = hashing.poly3_eval
+    real = helpers.fourwise_new
 
-    def spy(c3, *args):
-        drawn.append(c3.shape[0])
-        return real(c3, *args)
+    def spy(*args):
+        drawn.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(hashing, "poly3_eval", spy)
-    runs = _projections_run(monkeypatch)
-    construct_sparse_noise(text, pattern, params)
-    total = params.num_scales * params.reps
-    assert 1 <= runs[0] < total // 4
-    assert runs[0] <= sum(drawn) <= 2 * runs[0] - 1
-    assert drawn == [1 << b for b in range(len(drawn))]
+    monkeypatch.setattr(helpers, "fourwise_new", spy)
+    _, runs = reference_candidates(text, pattern, params)
+    assert runs == len(drawn) == 3 < params.num_scales * params.reps
 
 
 def test_projection_determinism_and_rep_variation():
-    p = recovery_params(0.25, seed=9, reps=2)
+    p = ladder_params(0.25, seed=9, reps=2)
     a = projection(p, 1, 0, 64)
     b = projection(p, 1, 0, 64)
     assert np.array_equal(a.tau_table, b.tau_table)
@@ -176,7 +222,7 @@ def test_projection_determinism_and_rep_variation():
 
 def test_bucket_table_partitions_mismatch_mass():
     text, pattern = _uniform(48, 8, 8, seed=31)
-    p = recovery_params(0.25, seed=7, reps=1)
+    p = ladder_params(0.25, seed=7, reps=1)
     proj = projection(p, 0, 0, 8)
     table = compute_bucket_table(text, pattern, proj)
     nw = len(text) - len(pattern) + 1
@@ -202,7 +248,7 @@ def test_bucket_table_partitions_mismatch_mass():
 
 def test_bucket_table_identical_strings_all_zero():
     s = IntString(np.arange(32) % 8, 8)
-    p = recovery_params(0.25, seed=3, reps=1)
+    p = ladder_params(0.25, seed=3, reps=1)
     proj = projection(p, 1, 0, 8)
     table = compute_bucket_table(s, s, proj)
     for bc in table.buckets.values():
@@ -210,7 +256,7 @@ def test_bucket_table_identical_strings_all_zero():
 
 
 def test_decode_bucket_worked_examples():
-    p = recovery_params(0.25, seed=17, reps=1)
+    p = ladder_params(0.25, seed=17, reps=1)
     proj = projection(p, 0, 0, 8)
     x, y = int(proj.tau_table[5]), int(proj.pi_table[2])
     u_planes = np.array([10, 0, 10])  # bits 0b101 -> symbol 5
@@ -227,7 +273,7 @@ def test_decode_bucket_worked_examples():
 
 
 def test_decode_bucket_rejects_out_of_alphabet():
-    p = recovery_params(0.25, seed=17, reps=1)
+    p = ladder_params(0.25, seed=17, reps=1)
     proj = projection(p, 0, 0, 6)
     full = np.array([10, 10, 10])  # decodes to 7, outside sigma=6
     some = np.array([0, 10, 0])
@@ -236,21 +282,25 @@ def test_decode_bucket_rejects_out_of_alphabet():
 
 
 def test_single_pair_instance_recovers_exactly():
-    # text constant u, pattern constant v: every window's noise is {(u,v): m}
+    # text constant u, pattern constant v: every window's noise is {(u,v): m},
+    # in top_pair_counts and in the reference alike
     rng = np.random.default_rng(71)
     for _ in range(20):
         u, v = rng.choice(16, size=2, replace=False)
         text = IntString(np.full(64, u), 16)
         pattern = IntString(np.full(16, v), 16)
-        params = recovery_params(0.25, seed=int(rng.integers(1 << 30)), reps=4)
-        noise = construct_sparse_noise(text, pattern, params)
+        params = ladder_params(0.25, seed=int(rng.integers(1 << 30)), reps=4)
+        noise = _top(text, pattern, params.capacity)
         assert noise.n_windows == 49
+        assert same_profile(noise, construct_reference(text, pattern, params))
         for j in range(noise.n_windows):
             assert window_entries(noise, j) == {(int(u), int(v)): 16}
 
 
 def test_fast_path_matches_reference():
-    # entry-for-entry equality with the literal bucket/decode/min transcription
+    # the equation on uniform and planted_heavy shapes, each stopping before
+    # its ceiling; none has a candidate naming an absent pair, so the
+    # reference's D' is top_pair_counts as it is
     cases = [
         ("uniform", 4, 0.25, (0, 1)),
         ("uniform", 16, 0.1, (0,)),
@@ -262,10 +312,11 @@ def test_fast_path_matches_reference():
         for seed in seeds:
             text, pattern = generate_instance(96, 16, sigma, model, seed)
             layouts.update(prepare_pair_counts(text, pattern).row_ids >= 0)
-            params = recovery_params(eps, seed=seed + 100, reps=2)
-            fast = construct_sparse_noise(text, pattern, params)
-            ref = construct_reference(text, pattern, params)
-            assert same_profile(fast, ref), (model, sigma, eps, seed)
+            params = ladder_params(eps, seed=seed + 100, reps=2)
+            absent, runs = _ladder_equation(text, pattern, params)
+            assert runs < params.num_scales * params.reps and absent == 0
+            want = _top(text, pattern, params.capacity)
+            assert same_profile(construct_reference(text, pattern, params), want)
     # these cases hold both row codes and entry codes
     assert layouts == {True, False}
 
@@ -274,21 +325,28 @@ def test_csr_route_matches_reference_above_dense_alphabet():
     # sigma^2 > 2^16, each pair in a few windows: entry codes only
     text, pattern = _uniform(40, 5, 257, seed=5)
     assert np.all(prepare_pair_counts(text, pattern).row_ids < 0)
-    params = recovery_params(0.5, seed=77, reps=2)
-    fast = construct_sparse_noise(text, pattern, params)
-    assert fast.values.size > 0
-    assert same_profile(fast, construct_reference(text, pattern, params))
+    params = ladder_params(0.5, seed=77, reps=2)
+    _, runs = _ladder_equation(text, pattern, params)
+    assert runs < params.num_scales * params.reps
+    assert _top(text, pattern, params.capacity).values.size > 0
 
 
-def test_csr_collision_decodes_match_reference(monkeypatch):
-    # with one projection per scale, some pairs here never sit alone in their
-    # window's bucket; their values come only from collision-group decodes
-    _blocked(monkeypatch, 1, 1)
+def test_csr_collision_decodes_match_reference():
+    # with one projection per scale the reference reaches its ceiling before
+    # every present pair has sat alone in its window's bucket: some present
+    # pair keeps a collision decode above its count, none falls below, and
+    # its D' then differs from top_pair_counts. The equation holds only
+    # where the ladder stops before its ceiling
     for seed in (4, 28):
         text, pattern = _uniform(60, 20, 12, seed=seed)
-        params = recovery_params(0.5, seed=seed, reps=1)
-        fast = construct_sparse_noise(text, pattern, params)
-        assert same_profile(fast, construct_reference(text, pattern, params)), seed
+        params = ladder_params(0.5, seed=seed, reps=1)
+        dicts, runs = reference_candidates(text, pattern, params)
+        assert runs == params.num_scales * params.reps
+        truth = _brute_windows(text, pattern)
+        over = [v - t[uv] for d, t in zip(dicts, truth) for uv, v in d.items() if uv in t]
+        assert min(over) == 0 < max(over), seed
+        ref = construct_reference(text, pattern, params)
+        assert not same_profile(ref, _top(text, pattern, params.capacity)), seed
 
 
 def _scattered_instance(seed, sigma, k, n, m):
@@ -302,47 +360,23 @@ def _scattered_instance(seed, sigma, k, n, m):
     return IntString(rng.choice(symbols, n), sigma), IntString(rng.choice(symbols, m), sigma)
 
 
-def _projections_run(monkeypatch):
-    """Counts the projections each recovery runs, in a one-item list."""
-    runs = [0]
-    real = sparse_recovery._Recovery.project
-
-    def spy(self, proj):
-        runs[0] += 1
-        return real(self, proj)
-
-    monkeypatch.setattr(sparse_recovery._Recovery, "project", spy)
-    return runs
-
-
-def test_row_group_spurious_decodes_match_reference(monkeypatch):
-    # every code keeps a row, so an output pair that occurs in no window can
-    # only come from the bit-plane decode of a row group of 3+ codes. Here
-    # the ladder stops at projection 5 of 12, after such decodes
+def test_row_group_spurious_decodes_match_reference():
+    # every code keeps a row, and decodes of groups of 3+ row codes name
+    # pairs that occur in no window. The reference stops at projection 5 of
+    # 12 with hundreds of such candidates, and the equation drops them all
     text, pattern = _scattered_instance(1, 32, 12, 800, 200)
-    params = recovery_params(0.5, seed=16, reps=6)
-    cache = prepare_pair_counts(text, pattern)
-    assert np.all(cache.row_ids >= 0)
-    runs = _projections_run(monkeypatch)
-    fast = sparse_recovery._recover(cache, params)
-    assert runs[0] == 5
-    assert not np.isin(fast.entry_codes(), cache.codes).all()
-    assert same_profile(fast, construct_reference(text, pattern, params))
-
-
-def _assert_present_pairs_exact(noise, cache):
-    """Every entry of noise naming a pair present in its window holds that
-    pair's true count; returns how many entries were checked."""
-    truth = helpers.pair_counts_at(cache, noise.entry_codes(), noise.entry_windows())
-    present = truth > 0
-    assert np.array_equal(noise.values[present], truth[present])
-    return int(present.sum())
+    params = ladder_params(0.5, seed=16, reps=6)
+    assert np.all(prepare_pair_counts(text, pattern).row_ids >= 0)
+    absent, runs = _ladder_equation(text, pattern, params)
+    assert runs == 5 and absent > 100
+    ref = construct_reference(text, pattern, params)
+    assert not same_profile(ref, _top(text, pattern, params.capacity))
 
 
 @pytest.mark.parametrize(
     "instance, eps, seed, reps, route, layout, ran",
     [
-        # (text, pattern), recovery parameters, the pair-count route and
+        # (text, pattern), ladder parameters, the pair-count route and
         # layout (row codes, entry codes or both), and projections run
         (lambda: generate_instance(400, 256, 16, "planted_heavy", 0), 0.5, 100, 2, "grid", "both", 3),
         (lambda: _uniform(40, 5, 257, seed=0), 0.5, 100, 3, "sort", "entries", 3),
@@ -353,39 +387,93 @@ def _assert_present_pairs_exact(noise, cache):
 def test_ladder_stops_mid_plan_like_the_reference(
     monkeypatch, instance, eps, seed, reps, route, layout, ran
 ):
-    # the ladder stops after the first projection by which every present
+    # the reference stops after the first projection by which every present
     # pair count has sat alone in its window's bucket, before the last
-    # projection of the plan; the reference decides the same stop from its
-    # own bucket table
+    # projection of the plan, and the equation holds on each pair-count
+    # route and layout
     text, pattern = instance()
     taken = _route_spy(monkeypatch)
     cache = prepare_pair_counts(text, pattern)
     rowed = cache.row_ids >= 0
     assert taken == [route]
     assert layout == ("rows" if rowed.all() else "entries" if not rowed.any() else "both")
-    params = recovery_params(eps, seed=seed, reps=reps)
-    runs = _projections_run(monkeypatch)
-    fast = sparse_recovery._recover(cache, params)
-    assert runs[0] == ran and 1 < ran < params.num_scales * params.reps
-    assert same_profile(fast, construct_reference(text, pattern, params))
-    assert _assert_present_pairs_exact(fast, cache) > 0
+    params = ladder_params(eps, seed=seed, reps=reps)
+    _, runs = _ladder_equation(text, pattern, params)
+    assert runs == ran and 1 < ran < params.num_scales * params.reps
+
+
+def _top_by_argsort(pairs, capacity):
+    """Each window's capacity largest counts of the dense pair-count matrix,
+    ties to the smaller code, by a stable argsort; (sigma^2, windows)."""
+    dense = pair_count_matrix(pairs).astype(np.int64)
+    top = np.argsort(-dense, axis=0, kind="stable")[:capacity]
+    want = np.zeros_like(dense)
+    np.put_along_axis(want, top, np.take_along_axis(dense, top, axis=0), axis=0)
+    return want
 
 
 def test_present_pairs_end_at_their_true_counts():
-    # once the ladder stops, every pair present in a window has sat alone in
-    # its bucket, so its D' entry, if kept, is its exact count; only absent
-    # pairs can sit above the truth. Default repetitions: the stop comes
-    # long before the ceiling of num_scales * ceil(2 log2 n) projections
+    # every D' entry is a pair present in its window, at its exact count,
+    # and each window keeps its capacity largest counts: top_pair_counts
+    # equals a stable argsort of the dense counts on shapes with row codes,
+    # entry codes and few pairs
     shapes = [
         _uniform(2048, 128, 16, seed=3),
         generate_instance(2048, 128, 64, "planted_heavy", 1),
         helpers.few_pairs_bench_instance(2048, 256, 64, seed=2),
     ]
+    capacity = approx_params(0.1, seed=0, n=2048).capacity
     for text, pattern in shapes:
-        cache = prepare_pair_counts(text, pattern)
-        params = recovery_params(0.1, seed=7, n=len(text))
-        noise = sparse_recovery._recover(cache, params)
-        assert _assert_present_pairs_exact(noise, cache) > 0
+        pairs = prepare_pair_counts(text, pattern)
+        noise = top_pair_counts(pairs, capacity)
+        noise.validate()
+        got = np.zeros((text.sigma**2, pairs.n_windows), dtype=np.int64)
+        got[noise.entry_codes(), noise.entry_windows()] = noise.values
+        assert np.array_equal(got, _top_by_argsort(pairs, capacity))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_residual_bound_on_every_window_property(data):
+    # with x the (c+1)-th largest count of a window, every dropped count is
+    # at most x and they sum to at most d - c*x, so sum (d - d')^2 <= x(d -
+    # c*x) <= d^2 / (4c) on every window, with no failure probability. The
+    # residual is summed from the brute pair counts
+    sigma = data.draw(st.integers(2, 64), label="sigma")
+    n = data.draw(st.integers(1, 120), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    model = data.draw(st.sampled_from(["uniform", "planted_heavy"]), label="model")
+    text, pattern = generate_instance(n, m, sigma, model, data.draw(st.integers(0, 1 << 30)))
+    capacity = data.draw(st.sampled_from([1, 2, 3, 6, 12]), label="capacity")
+    noise = _top(text, pattern, capacity)
+    for j, truth in enumerate(_brute_windows(text, pattern)):
+        kept = window_entries(noise, j)
+        assert all(truth[uv] == val for uv, val in kept.items())
+        d = sum(truth.values())
+        resid = sum(cnt * cnt for uv, cnt in truth.items() if uv not in kept)
+        assert 4 * capacity * resid <= d * d
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        lambda: _uniform(8192, 512, 16, seed=1),
+        lambda: _uniform(2048, 64, 256, seed=1),
+        lambda: helpers.few_pairs_bench_instance(4096, 512, 64, seed=1),
+    ],
+    ids=["dense16", "sparse256", "few_pairs"],
+)
+def test_residual_bound_on_bench_shapes(instance):
+    # the benchmark's shapes at its eps 0.1 (capacity 48): sum (d - d')^2 <=
+    # d^2 / (4 * capacity) on every window, far inside the residual budget
+    # b * eps * d^2. dense16 and sparse256 drop counts, so the bound is
+    # tested; few_pairs keeps every count of its windows
+    text, pattern = instance()
+    params = approx_params(0.1, seed=1, n=len(text))
+    pairs = prepare_pair_counts(text, pattern)
+    d, resid = _residuals(pairs, top_pair_counts(pairs, params.capacity))
+    assert np.all(4 * params.capacity * resid <= d * d)
+    assert (resid > 0).any() == (text.sigma != 64)
 
 
 def _one_bucket_plan(us, vs):
@@ -394,7 +482,7 @@ def _one_bucket_plan(us, vs):
     disjoint); every other code lands in a diagonal bucket."""
     def plan(params, sigma):
         ell, r = scale_ranges(params, 0)
-        yield sparse_recovery.CoupledProjection(
+        yield helpers.CoupledProjection(
             ell=ell, r=r, sigma=sigma, scale_index=0, rep_index=0,
             tau_table=np.isin(np.arange(sigma), us).astype(np.int64),
             pi_table=np.isin(np.arange(sigma), vs).astype(np.int64),
@@ -403,22 +491,18 @@ def _one_bucket_plan(us, vs):
 
 
 def _decode_one_bucket(monkeypatch, text, pattern, us, vs):
-    """Recovery over _one_bucket_plan(us, vs), checked equal to the literal
-    reference. Returns the profile and, per window, the decoded code or None
-    (c = 0 or a tied plane), from plane majorities of the bucket's codes,
-    which must all keep rows. Sigma decides the codes' distinct plane splits,
-    also returned."""
-    plan = _one_bucket_plan(us, vs)
-    monkeypatch.setattr(sparse_recovery, "_projection_plan", plan)
-    monkeypatch.setattr(helpers, "_projection_plan", plan)
-    params = recovery_params(0.25, seed=0, reps=1)
+    """The reference over _one_bucket_plan(us, vs). Returns its profile and,
+    per window, the decoded code or None (c = 0 or a tied plane), from plane
+    majorities of the bucket's codes, which must all keep rows. Sigma
+    decides the codes' distinct plane splits, also returned."""
+    monkeypatch.setattr(helpers, "projection_plan", _one_bucket_plan(us, vs))
+    params = ladder_params(0.25, seed=0, reps=1)
     cache = prepare_pair_counts(text, pattern)
     sigma, nbits = text.sigma, (text.sigma - 1).bit_length()
     in_bucket = np.isin(cache.codes // sigma, us) & np.isin(cache.codes % sigma, vs)
     codes, rows = cache.codes[in_bucket], cache.rows[cache.row_ids[in_bucket]]
     assert codes.size >= 3 and np.all(cache.row_ids[in_bucket] >= 0)
-    fast = sparse_recovery._recover(cache, params)
-    assert same_profile(fast, construct_reference(text, pattern, params))
+    ref = construct_reference(text, pattern, params)
     # bit b of a pattern u | v << nbits, per code; a split and its complement
     # are one split
     bits = (codes // sigma | codes % sigma << nbits)[None, :] >> np.arange(2 * nbits)[:, None] & 1
@@ -429,14 +513,12 @@ def _decode_one_bucket(monkeypatch, text, pattern, us, vs):
         pat = int(np.sum((2 * planes > c) << np.arange(2 * nbits)))
         tied = c == 0 or np.any(2 * planes == c)
         decodes.append(None if tied else (pat & ((1 << nbits) - 1)) * sigma + (pat >> nbits))
-    return fast, rows, codes, decodes, len(splits)
+    return ref, rows, codes, decodes, len(splits)
 
 
 def _text_over(symbols, weights, n, seed):
     rng = np.random.default_rng(seed)
     return rng.choice(symbols, n, p=np.asarray(weights) / np.sum(weights))
-
-
 def test_row_decode_names_the_unseparated_member(monkeypatch):
     # codes (4, 0), (5, 0), (6, 0): bit 0 splits off 5, bit 1 splits off 6,
     # and no plane splits off 4, so 4 wins wherever neither 5 nor 6 outweighs
@@ -528,59 +610,52 @@ def test_row_decode_many_splits(monkeypatch, nbits, m, n, weights):
     assert len(others) >= 2
 
 
+
 def test_two_row_group_at_the_ladder_ceiling(monkeypatch):
     # codes (0, 1) and (0, 2) keep rows and share the one non-diagonal
     # bucket of a one-projection plan; the pairs of text symbol 3 land in a
     # diagonal bucket. Each window names the strictly heavier pair with
     # value d_a + d_b, above its count wherever the lighter pair occurs too,
     # and the plan ends before those counts are exact
-    plan = _one_bucket_plan([0], [1, 2])
-    monkeypatch.setattr(sparse_recovery, "_projection_plan", plan)
-    monkeypatch.setattr(helpers, "_projection_plan", plan)
+    monkeypatch.setattr(helpers, "projection_plan", _one_bucket_plan([0], [1, 2]))
     text = IntString(_text_over([0, 3], [9, 1], 300, seed=4), 4)
     pattern = IntString(_text_over([1, 2], [1, 1], 40, seed=5), 4)
     cache = prepare_pair_counts(text, pattern)
     rows = cache.rows[cache.row_ids[np.isin(cache.codes, [1, 2])]]
     assert rows.shape[0] == 2
-    params = recovery_params(0.25, seed=0, reps=1)
-    runs = _projections_run(monkeypatch)
-    fast = sparse_recovery._recover(cache, params)
-    assert runs[0] == 1
-    assert same_profile(fast, construct_reference(text, pattern, params))
-    wins, codes = fast.entry_windows(), fast.entry_codes()
+    params = ladder_params(0.25, seed=0, reps=1)
+    _, runs = reference_candidates(text, pattern, params)
+    assert runs == 1
+    ref = construct_reference(text, pattern, params)
+    wins, codes = ref.entry_windows(), ref.entry_codes()
     assert np.isin(codes, [1, 2]).all()
     heavier = rows.argmax(axis=0)[wins]
     assert np.array_equal(codes, heavier + 1)
-    assert np.array_equal(fast.values, rows.sum(axis=0)[wins])
+    assert np.array_equal(ref.values, rows.sum(axis=0)[wins])
     # both pairs occur in every window, so every entry sits above its count
     assert rows.all() and wins.size > 100
-    assert np.all(fast.values > rows.max(axis=0)[wins])
+    assert np.all(ref.values > rows.max(axis=0)[wins])
     # equal counts tie every differing plane: no entry
     assert not np.isin(np.flatnonzero(rows[0] == rows[1]), wins).any()
 
 
 def test_entry_group_spurious_decodes_match_reference():
-    # no code keeps a row, so an output pair absent from its window can only
-    # come from a collision decode that names a pair the window lacks
+    # no code keeps a row, so a candidate naming a pair absent from its
+    # window can only come from a collision decode; the equation drops it
     for seed in (7, 38):
         text, pattern = _scattered_instance(seed, 256, (24, 53), 120, 16)
-        params = recovery_params(0.5, seed=seed, reps=3)
-        cache = prepare_pair_counts(text, pattern)
-        assert np.all(cache.row_ids < 0)
-        fast = sparse_recovery._recover(cache, params)
-        truth = _pair_dicts(cache)
-        absent = [
-            (j, uv) for j in range(fast.n_windows) for uv in window_entries(fast, j)
-            if uv not in truth[j]
-        ]
-        assert absent, seed
-        assert same_profile(fast, construct_reference(text, pattern, params)), seed
+        params = ladder_params(0.5, seed=seed, reps=3)
+        assert np.all(prepare_pair_counts(text, pattern).row_ids < 0)
+        absent, runs = _ladder_equation(text, pattern, params)
+        assert runs < params.num_scales * params.reps and absent > 0, seed
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_csr_route_matches_reference_property(data):
-    # small alphabets in full, or a few scattered symbols of a larger one
+    # small alphabets in full, or a few scattered symbols of a larger one,
+    # with pair counts built in blocks of any size: where the reference stops
+    # before its ceiling, the equation holds
     sigma = data.draw(st.sampled_from([2, 3, 5, 12, 32, 256]), label="sigma")
     used = data.draw(
         st.lists(st.integers(0, sigma - 1), min_size=1, max_size=8, unique=True)
@@ -592,48 +667,64 @@ def test_csr_route_matches_reference_property(data):
     symbols = st.sampled_from(used)
     text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
     pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
-    params = recovery_params(
+    params = ladder_params(
         data.draw(st.sampled_from([0.5, 0.25])),
         seed=data.draw(st.integers(0, 1 << 30)),
         reps=data.draw(st.integers(1, 2)),
     )
     positions = data.draw(st.sampled_from(_PAIR_BLOCKS), label="pair block positions")
-    budget = data.draw(st.sampled_from(_DECODE_BUDGETS), label="decode budget")
-    # both stop after the same projection: the recovery counts its
-    # projections, the reference its bucket tables (one per projection).
-    # Spies set up here, as @given tests take no function-scoped fixtures
-    runs, tables = [0], [0]
-    project, table = sparse_recovery._Recovery.project, helpers.compute_bucket_table
-
-    def project_spy(self, proj):
-        runs[0] += 1
-        return project(self, proj)
-
-    def table_spy(*args):
-        tables[0] += 1
-        return table(*args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sparse_recovery._Recovery, "project", project_spy)
-        mp.setattr(helpers, "compute_bucket_table", table_spy)
-        _blocked(mp, positions, budget)
-        fast = construct_sparse_noise(text, pattern, params)
-        assert same_profile(fast, construct_reference(text, pattern, params))
-    assert runs == tables
+        _blocked(mp, positions)
+        _, runs = _ladder_equation(text, pattern, params)
+    assume(runs < params.num_scales * params.reps)
+
+
+@settings(max_examples=64, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ladder_equation_on_random_shapes_property(data):
+    # uniform and planted_heavy shapes over sigma 4 to 512: where the
+    # reference stops before its ceiling, its candidates less the pairs
+    # absent from their windows filter to top_pair_counts
+    sigma = data.draw(st.sampled_from([4, 8, 16, 32, 64, 128, 256, 512]), label="sigma")
+    n = data.draw(st.integers(8, 120 if sigma <= 64 else 60), label="n")
+    m = data.draw(st.integers(1, min(n, 16)), label="m")
+    model = data.draw(st.sampled_from(["uniform", "planted_heavy"]), label="model")
+    text, pattern = generate_instance(n, m, sigma, model, data.draw(st.integers(0, 1 << 30)))
+    params = ladder_params(
+        data.draw(st.sampled_from([0.5, 0.25])),
+        seed=data.draw(st.integers(0, 1 << 30)),
+        reps=data.draw(st.integers(2, 3)),
+    )
+    _, runs = _ladder_equation(text, pattern, params)
+    assume(runs < params.num_scales * params.reps)
+
+
+def test_ladder_equation_pins_absent_candidates():
+    # a planted_heavy sigma=128 shape of the property above where the
+    # reference, stopping at projection 4 of 6, keeps one candidate naming a
+    # pair absent from its window
+    text, pattern = generate_instance(120, 16, 128, "planted_heavy", 11)
+    params = ladder_params(0.5, seed=12, reps=3)
+    absent, runs = _ladder_equation(text, pattern, params)
+    assert (absent, runs) == (1, 4)
 
 
 def test_csr_blocks_do_not_change_the_profile(monkeypatch):
-    # the collision-decode instance above: a chunk that split a bucket
-    # group would miss its collisions
-    text, pattern = _uniform(60, 20, 12, seed=4)
-    _blocked(monkeypatch, positions=1)
-    cache = prepare_pair_counts(text, pattern)
-    params = recovery_params(0.5, seed=4, reps=1)
-    whole = sparse_recovery._recover(cache, params)
-    for budget in (1, 1000, 10**4):
-        _blocked(monkeypatch, budget=budget)
-        blocked = sparse_recovery._recover(cache, params)
-        assert same_profile(blocked, whole), budget
+    # entry codes only: the pair counts built in blocks of one window, of a
+    # few and of the default give the same D', each window's top counts
+    text, pattern = _uniform(40, 5, 257, seed=5)
+    capacity = 2
+    want = capacity_filter_reference(
+        257, 36, [
+            (j, u * 257 + v, c) for j, w in enumerate(_brute_windows(text, pattern))
+            for (u, v), c in w.items()
+        ], capacity,
+    )
+    assert np.diff(want.indptr).max() == capacity
+    for positions in _PAIR_BLOCKS:
+        _blocked(monkeypatch, positions)
+        got = _top(text, pattern, capacity)
+        assert same_profile(got, want), positions
 
 
 def _skewed_instance(n, m, sigma, seed, heavy=0.6):
@@ -645,94 +736,85 @@ def _skewed_instance(n, m, sigma, seed, heavy=0.6):
     return IntString(text, sigma), IntString(pattern, sigma)
 
 
-def _mixed_groups(cache, params):
-    """Non-diagonal (projection, bucket) groups holding both a row code and
-    an entry code, counted from the projections directly."""
-    sigma = cache.sigma
-    u, v = cache.codes // sigma, cache.codes % sigma
-    rowed = cache.row_ids >= 0
-    mixed = 0
-    for proj in sparse_recovery._projection_plan(params, sigma):
-        diag = {(int(proj.tau_table[s]), int(proj.pi_table[s])) for s in range(sigma)}
-        kinds: dict = {}
-        for k in range(cache.codes.size):
-            b = (int(proj.tau_table[u[k]]), int(proj.pi_table[v[k]]))
-            if b not in diag:
-                kinds.setdefault(b, set()).add(bool(rowed[k]))
-        mixed += sum(len(kk) == 2 for kk in kinds.values())
-    return mixed
-
-
 def test_dense_and_sparse_routes_agree():
-    # dense rows and sparse entries in one bucket group: the group's row
-    # members take part in its window-by-window decode, and its decodes
-    # that name a row code lower that row
-    for seed, sigma, heavy, reps in ((0, 24, 0.6, 2), (4, 40, 0.4, 2), (9, 24, 0.6, 1)):
+    # row codes and entry codes ranked together: top_pair_counts keeps what a
+    # literal per-window rank of the brute counts keeps, with the pair counts
+    # built in blocks of any size
+    for seed, sigma, heavy in ((0, 24, 0.6), (4, 40, 0.4), (9, 24, 0.6)):
         text, pattern = _skewed_instance(160, 24, sigma, seed, heavy)
-        params = recovery_params(0.5, seed=seed, reps=reps)
-        cache = prepare_pair_counts(text, pattern)
-        assert _mixed_groups(cache, params) > 0
-        want = construct_reference(text, pattern, params)
-        for positions, budget in zip(_PAIR_BLOCKS, _DECODE_BUDGETS):
-            with pytest.MonkeyPatch.context() as mp:
-                _blocked(mp, positions, budget)
-                fast = construct_sparse_noise(text, pattern, params)
-            assert same_profile(fast, want), (seed, budget)
+        rowed = prepare_pair_counts(text, pattern).row_ids >= 0
+        assert rowed.any() and not rowed.all()
+        cands = [
+            (j, u * sigma + v, c) for j, w in enumerate(_brute_windows(text, pattern))
+            for (u, v), c in w.items()
+        ]
+        for capacity in (1, 6):
+            want = capacity_filter_reference(sigma, 137, cands, capacity)
+            for positions in _PAIR_BLOCKS:
+                with pytest.MonkeyPatch.context() as mp:
+                    _blocked(mp, positions)
+                    got = _top(text, pattern, capacity)
+                assert same_profile(got, want), (seed, capacity, positions)
 
 
 def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
     # row cells and entries ranked together, in window blocks of any size
     text, pattern = _skewed_instance(400, 48, 24, seed=1)
-    params = recovery_params(0.5, seed=12, reps=3)
-    cache = prepare_pair_counts(text, pattern)
-    assert (cache.row_ids >= 0).any() and (cache.row_ids < 0).any()
-    want = sparse_recovery._recover(cache, params)
+    pairs = prepare_pair_counts(text, pattern)
+    assert (pairs.row_ids >= 0).any() and (pairs.row_ids < 0).any()
+    capacity = 6
+    want = top_pair_counts(pairs, capacity)
     # the capacity cut must bind somewhere, or ranking is never tested
-    assert np.diff(want.indptr).max() == params.capacity
+    assert np.diff(want.indptr).max() == capacity
     for cells in (1, 100, 1 << 30):
         monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
-        got = sparse_recovery._recover(cache, params)
+        got = top_pair_counts(pairs, capacity)
         assert same_profile(got, want), cells
+
+
+def _pairs_of(sigma, nw, rows, entries):
+    """A PairCounts of the row codes rows {code: counts over the windows} and
+    the entry codes entries {code: {window: count}}."""
+    codes = sorted([*rows, *entries])
+    row_codes = sorted(rows)
+    at = [sorted(entries.get(c, {})) for c in codes]
+    return PairCounts(
+        sigma=sigma, n_windows=nw, codes=np.array(codes, dtype=np.int64),
+        row_ids=np.array([row_codes.index(c) if c in rows else -1 for c in codes], dtype=np.int64),
+        rows=np.array([rows[c] for c in row_codes], dtype=np.int32).reshape(len(rows), nw),
+        offsets=np.cumsum([0] + [len(w) for w in at]).astype(np.int64),
+        windows=np.array([j for w in at for j in w], dtype=np.int32),
+        counts=np.array([entries[c][j] for c, w in zip(codes, at) for j in w], dtype=np.int32),
+    )
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 18])
 def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, cells):
-    # sigma 4, capacity 2. Row code 6 = (1, 2) holds 5, 5 and 0 (unset) in
-    # windows 0..2. Window 0: triples 3 and 9 tie the row cell at 5 below
-    # 12 at 7, so 3 keeps the second place; window 1: the row cell beats
-    # triples 9 and 11 at 5, and 9 beats 11; window 2 keeps its one triple
+    # sigma 4, capacity 2. Row code 6 = (1, 2) counts 5, 5 and 0 in windows
+    # 0..2. Window 0: entries 3 and 9 tie the row cell at 5 below 12 at 7,
+    # so 3 keeps the second place; window 1: the row cell beats entries 9
+    # and 11 at 5, and 9 beats 11; window 2 keeps its one entry
     monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
-    mins = np.array([[5, 5, 0]], dtype=np.int32)
-    table = np.array([3, 6, 9, 11, 12])
-    w = np.array([0, 1, 0, 0, 1, 2])
-    code = np.array([9, 11, 3, 12, 9, 3])
-    val = np.array([5, 5, 5, 7, 5, 1])
-    # candidates name codes by their index into the table: the row is code 6
-    got = noise_profile._filter(
-        4, table, mins, np.array([1]), w, np.searchsorted(table, code), val, capacity=2
-    )
+    entries = {3: {0: 5, 2: 1}, 9: {0: 5, 1: 5}, 11: {1: 5}, 12: {0: 7}}
+    got = top_pair_counts(_pairs_of(4, 3, {6: [5, 5, 0]}, entries), capacity=2)
     assert [window_entries(got, j) for j in range(3)] == [
         {(0, 3): 5, (3, 0): 7}, {(1, 2): 5, (2, 1): 5}, {(0, 3): 1},
     ]
     windows = [{(1, 2): 5}, {(1, 2): 5}, {}]
-    for j, c, v in zip(w, code, val):
-        windows[j][divmod(int(c), 4)] = int(v)
+    for c, at in entries.items():
+        for j, v in at.items():
+            windows[j][divmod(c, 4)] = v
     assert same_profile(got, noise_profile_from_windows(windows, 4, capacity=2))
-
-
-_UNSET = int(sparse_recovery._INF32)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_finish_matches_a_literal_capacity_filter_property(data):
-    # a drawn recovery state: row codes with running minima (unset, zero or
-    # set), entry codes with running minima (unset or set) in some windows,
-    # and spurious decodes of codes absent from their windows, each (window,
-    # code) possibly decoded more than once. Small values make ties common,
-    # and windows hold up to 9 candidates against capacities of 1 to 4.
-    # finish must keep what a literal per-window rank keeps, in filter blocks
-    # of one window and of all of them
+def test_top_pair_counts_matches_a_literal_capacity_filter_property(data):
+    # drawn pair counts: row codes with a count (0 included) in every
+    # window, and entry codes with positive counts in some windows. Small
+    # counts make ties common, and windows hold up to 9 candidates against
+    # capacities of 1 to 4. top_pair_counts must keep what a literal
+    # per-window rank keeps, in filter blocks of one window and of all
     sigma = data.draw(st.sampled_from([3, 5, 16]), label="sigma")
     nw = data.draw(st.integers(1, 6), label="windows")
     capacity = data.draw(st.integers(1, 4), label="capacity")
@@ -740,60 +822,21 @@ def test_finish_matches_a_literal_capacity_filter_property(data):
     pool = data.draw(
         st.lists(st.sampled_from(off), unique=True, min_size=1, max_size=9), label="codes"
     )
-    kind = st.sampled_from(["row", "entry", "nowhere"])
-    kinds = data.draw(st.lists(kind, min_size=len(pool), max_size=len(pool)), label="kinds")
-    rows = sorted(c for c, k in zip(pool, kinds) if k == "row")
-    ents = sorted(c for c, k in zip(pool, kinds) if k == "entry")
-    fresh = [c for c, k in zip(pool, kinds) if k == "nowhere"]
-    codes = np.array(sorted(rows + ents), dtype=np.int64)
-    value = st.integers(1, 3)
-    mins = np.array(
-        [[data.draw(st.sampled_from([_UNSET, 0, 1, 2, 3])) for _ in range(nw)] for _ in rows],
-        dtype=np.int32,
-    ).reshape(len(rows), nw)
-    at = {c: data.draw(st.sets(st.integers(0, nw - 1)), label=f"windows of {c}") for c in ents}
-    windows = [j for c in ents for j in sorted(at[c])]
-    best = np.array(
-        [data.draw(st.one_of(st.just(_UNSET), value)) for _ in windows], dtype=np.int32
-    )
-    cache = sparse_recovery.PairCounts(
-        sigma=sigma, n_windows=nw, codes=codes,
-        row_ids=np.array([rows.index(c) if c in rows else -1 for c in codes], dtype=np.int64),
-        rows=np.ones((len(rows), nw), dtype=np.int32),
-        offsets=np.cumsum([0] + [len(at[c]) if c in ents else 0 for c in codes]),
-        windows=np.array(windows, dtype=np.int32), counts=np.ones(len(windows), dtype=np.int32),
-    )
-    spurious = []
-    spurious_windows = st.lists(st.integers(0, nw - 1), min_size=1, max_size=12)
-    for j in data.draw(spurious_windows, label="spurious windows"):
-        absent = fresh + [c for c in ents if j not in at[c]]
-        if absent:
-            spurious.append((j, data.draw(st.sampled_from(absent)), data.draw(value)))
-    # the literal candidates: every row cell (0 where unset), every set entry
-    # and each spurious (window, code) at its smallest value
-    cands = [
-        (j, c, 0 if v == _UNSET else v) for c, row in zip(rows, mins) for j, v in enumerate(row)
-    ]
-    entry_codes = [c for c in ents for _ in at[c]]
-    cands += [(j, c, v) for j, c, v in zip(windows, entry_codes, best) if v < _UNSET]
-    least: dict = {}
-    for j, c, v in spurious:
-        least[j, c] = min(v, least.get((j, c), v))
-    cands += [(j, c, v) for (j, c), v in least.items()]
-    want = helpers.capacity_filter_reference(sigma, nw, cands, capacity)
-    # the spurious decodes as two projections' (window, code, value) arrays
-    split = data.draw(st.integers(0, len(spurious)), label="projections' split")
-    parts = [
-        tuple(np.array([t[i] for t in part], dtype=np.int64) for i in range(3))
-        for part in (spurious[:split], spurious[split:])
-    ]
+    count = st.integers(1, 3)
+    rows, entries = {}, {}
+    for c in pool:
+        if data.draw(st.booleans(), label=f"{c} keeps a row"):
+            rows[c] = data.draw(st.lists(st.integers(0, 3), min_size=nw, max_size=nw))
+        else:
+            at = data.draw(st.sets(st.integers(0, nw - 1)), label=f"windows of {c}")
+            entries[c] = {j: data.draw(count) for j in at}
+    cands = [(j, c, v) for c, row in rows.items() for j, v in enumerate(row)]
+    cands += [(j, c, v) for c, at in entries.items() for j, v in at.items()]
+    want = capacity_filter_reference(sigma, nw, cands, capacity)
     for cells in (1, 1 << 30):
-        rec = sparse_recovery._Recovery(cache, 1 << 11, 1 << 20)
-        rec.mins, rec.best = mins.copy(), best.copy()
-        rec.spurious += parts
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
-            got = rec.finish(capacity)
+            got = top_pair_counts(_pairs_of(sigma, nw, rows, entries), capacity)
         got.validate()
         assert same_profile(got, want), cells
 
@@ -819,17 +862,16 @@ class _CountingNumpy:
 def test_filter_block_cells_are_read_at_each_recovery(monkeypatch):
     # the skewed shape ranks its candidates in one window block at the
     # default; patched down after import, the cells split the filter into
-    # several blocks (one np.multiply of the row minima each) and leave D' as
-    # it was
-    text, pattern = _skewed_instance(400, 48, 24, seed=1)
-    params = recovery_params(0.5, seed=12, reps=3)
+    # several blocks (one np.multiply of the count rows each) and leave D'
+    # as it was
+    pairs = prepare_pair_counts(*_skewed_instance(400, 48, 24, seed=1))
     blocks = _CountingNumpy("multiply")
     monkeypatch.setattr(noise_profile, "np", blocks)
-    want = construct_sparse_noise(text, pattern, params)
+    want = top_pair_counts(pairs, 6)
     assert blocks.calls == 1
     blocks.calls = 0
     monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", 1 << 10)
-    got = construct_sparse_noise(text, pattern, params)
+    got = top_pair_counts(pairs, 6)
     assert blocks.calls > 1
     assert same_profile(got, want)
 
@@ -845,93 +887,20 @@ def _periodic_instance(n, m, sigma, seed):
 
 
 def test_recovery_memory_grows_with_pair_entries():
-    # recovery keeps 8 bytes of state per entry (running minimum and code)
-    # and 4 per row cell (running minimum; a row holds at most 4 cells per
-    # entry of its code), plus per-projection scratch of about 40 bytes per
-    # decoded entry where few collide; nothing grows as sigma^2 * windows.
-    # On the periodic instance 8 * sigma^2 * windows bytes is 31.5 MB, and
-    # this bound allows 1.8 MB.
+    # top_pair_counts keeps about 40 bytes per pair entry while it groups
+    # the entries by window, and a key block of at most 16 bytes per cell of
+    # _FILTER_BLOCK_CELLS; nothing grows as sigma^2 * windows. On the
+    # periodic instance 8 * sigma^2 * windows bytes is 31.5 MB
     row_heavy = _uniform(1024, 128, 16, seed=3)
     entry_heavy = _periodic_instance(1024, 64, 64, seed=3)
-    params = recovery_params(0.25, seed=5, reps=1)
     for text, pattern in (row_heavy, entry_heavy):
-        cache = prepare_pair_counts(text, pattern)
-        entries = cache.counts.size + np.count_nonzero(cache.rows)
-        noise, peak = traced_peak(sparse_recovery._recover, cache, params)
+        pairs = prepare_pair_counts(text, pattern)
+        entries = pairs.counts.size + np.count_nonzero(pairs.rows)
+        noise, peak = traced_peak(top_pair_counts, pairs, 12)
         assert noise.values.size
-        assert peak <= 256 * entries
+        assert peak <= 64 * entries + 16 * noise_profile._FILTER_BLOCK_CELLS
     assert (prepare_pair_counts(*row_heavy).row_ids >= 0).mean() > 0.5
     assert np.all(prepare_pair_counts(*entry_heavy).row_ids < 0)
-
-
-def test_heavy_groups_follow_the_memory_budget(monkeypatch):
-    # planted_heavy n=2048, m=128, sigma=256: some bucket groups hold
-    # thousands of entries. The decode reads its groups in chunks of whole
-    # windows holding at most the budget's entries (or one window), so a
-    # heavy group is split too; collisions are per window, so the profile
-    # stays the same. Decoding each group in one piece took about 1.1 MB of
-    # scratch at any budget below that
-    text, pattern = generate_instance(2048, 128, 256, "planted_heavy", seed=1)
-    params = recovery_params(0.25, seed=3, reps=1)
-    cache = prepare_pair_counts(text, pattern)
-    want = sparse_recovery._recover(cache, params)
-    for budget in (1, 1 << 14):
-        _blocked(monkeypatch, budget=budget)
-        got = sparse_recovery._recover(cache, params)
-        assert same_profile(got, want), budget
-    scratch, heaviest = [], [0]
-    real = sparse_recovery._Recovery._decode_entries
-
-    def traced(self, members, group, *args):
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        real(self, members, group, *args)
-        scratch.append(tracemalloc.get_traced_memory()[1] - base)
-        lens = np.diff(self.cache.offsets)[members]
-        heaviest[0] = max(heaviest[0], int(np.bincount(group, lens).max()))
-
-    monkeypatch.setattr(sparse_recovery._Recovery, "_decode_entries", traced)
-    peaks = {}
-    for budget in (1 << 18, 1 << 20, _DECODE_BUDGETS[-1]):
-        scratch.clear()
-        _blocked(monkeypatch, budget=budget)
-        got, _ = traced_peak(sparse_recovery._recover, cache, params)
-        assert same_profile(got, want)
-        peaks[budget] = max(scratch)
-    assert peaks[1 << 18] <= 1.5 * (1 << 18) < peaks[1 << 20] <= 1.5 * (1 << 20)
-    # the heaviest group alone holds more entries than a 256 KiB chunk
-    per_entry = sparse_recovery._SCRATCH_BYTES_PER_ENTRY + sparse_recovery._SCRATCH_BYTES_PER_BIT * 8
-    assert heaviest[0] > (1 << 18) // per_entry
-
-
-def test_decode_budget_is_read_at_each_recovery(monkeypatch):
-    # the sparse256 bench shape decodes its entries in one chunk per
-    # projection at the default budget; patched down after import, the
-    # budget splits every projection's decode into several chunks and
-    # leaves D' as it was
-    text, pattern = _uniform(2048, 64, 256, seed=1)
-    params = recovery_params(0.1, seed=1, reps=3)
-    chunks = []
-    recovery = sparse_recovery._Recovery
-    project, decode = recovery.project, recovery._decode_entries
-
-    def project_spy(self, proj):
-        chunks.append(0)
-        return project(self, proj)
-
-    def decode_spy(self, *args):
-        chunks[-1] += 1
-        return decode(self, *args)
-
-    monkeypatch.setattr(recovery, "project", project_spy)
-    monkeypatch.setattr(recovery, "_decode_entries", decode_spy)
-    want = construct_sparse_noise(text, pattern, params)
-    assert max(chunks) == 1
-    chunks.clear()
-    _blocked(monkeypatch, budget=1 << 14)
-    got = construct_sparse_noise(text, pattern, params)
-    assert chunks and min(chunks) > 1
-    assert same_profile(got, want)
 
 
 def test_pair_count_layout_follows_window_fill():
@@ -960,31 +929,33 @@ def test_pair_count_layout_follows_window_fill():
 
 def test_constructed_profile_invariants():
     text, pattern = _uniform(300, 40, 16, seed=44)
-    params = recovery_params(0.1, seed=2, reps=3)
-    noise = construct_sparse_noise(text, pattern, params)
+    params = approx_params(0.25, seed=2, n=300, reps=3)
+    noise = _top(text, pattern, params.capacity)
     noise.validate()
     sizes = np.diff(noise.indptr)
-    assert sizes.max() <= params.capacity
+    assert sizes.max() == params.capacity == noise.capacity
     assert np.all(noise.us != noise.vs)
     assert noise.values.min() > 0
     assert noise.values.max() <= len(pattern)
-    again = construct_sparse_noise(text, pattern, params)
-    assert same_profile(noise, again)
+    assert same_profile(noise, _top(text, pattern, params.capacity))
+    # the D' approx shares between its executions is this one
+    _, shared = approx_profile(text, pattern, params, return_noise=True)
+    assert same_profile(shared, noise)
 
 
 def test_recovered_values_never_undershoot_true_pairs():
-    # min over bucket counts is >= the pair's true count: collisions only add
+    # the reference's running minima are bucket counts of buckets holding
+    # their pair, so none falls below the pair's true count: collisions
+    # only add
     text, pattern = _uniform(120, 20, 8, seed=13)
-    params = recovery_params(0.25, seed=40, reps=3)
-    noise = construct_sparse_noise(text, pattern, params)
-    for j in (0, 17, 60, 100):
-        truth = alignment_dict_brute(text, pattern, j)
-        for (u, v), val in window_entries(noise, j).items():
-            assert val >= truth.get((u, v), 0)
+    dicts, _ = reference_candidates(text, pattern, ladder_params(0.25, seed=40, reps=3))
+    for j, (cands, truth) in enumerate(zip(dicts, _brute_windows(text, pattern))):
+        assert set(truth) <= set(cands), j
+        for uv, val in cands.items():
+            assert val >= truth.get(uv, 0)
 
 
 def test_construct_validates_inputs():
-    params = recovery_params(0.25, seed=0, reps=1)
     ap = approx_params(0.25, seed=0, n=2, reps=1)
     kp = karloff_params(0.25, seed=0, n=2, reps=1)
     # karloff_profile once failed with a bare IndexError on mismatched
@@ -999,7 +970,6 @@ def test_construct_validates_inputs():
     ]
     for text, pattern, message in cases:
         for call in (
-            lambda: construct_sparse_noise(text, pattern, params),
             lambda: prepare_pair_counts(text, pattern),
             lambda: approx_profile(text, pattern, ap),
             lambda: karloff_profile(text, pattern, kp),
@@ -1008,7 +978,7 @@ def test_construct_validates_inputs():
         ):
             with pytest.raises(ValueError, match=message):
                 call()
-    empty = construct_sparse_noise(IntString([0, 0, 0], 1), IntString([0], 1), params)
+    empty = _top(IntString([0, 0, 0], 1), IntString([0], 1), ap.capacity)
     assert empty.n_windows == 3
     assert empty.values.size == 0
 
@@ -1017,7 +987,7 @@ def test_inputs_without_mismatches_give_an_empty_profile():
     # text == pattern over sigma 2 and 7, a constant text against the same
     # symbol (sigma 5, many windows) and sigma 1: no window holds a mismatch
     # pair, so the general path builds an empty profile with D''s dtypes
-    params = recovery_params(0.25, seed=3, reps=2)
+    params = ladder_params(0.25, seed=3, reps=2)
     rng = np.random.default_rng(4)
     same2, same7 = (IntString(rng.integers(0, s, 40), s) for s in (2, 7))
     cases = [
@@ -1029,17 +999,13 @@ def test_inputs_without_mismatches_give_an_empty_profile():
     for text, pattern in cases:
         pairs = prepare_pair_counts(text, pattern)
         assert pairs.codes.size == 0
-        ref = construct_reference(text, pattern, params)
-        for noise in (
-            construct_sparse_noise(text, pattern, params),
-            sparse_recovery._recover(pairs, params),
-        ):
-            noise.validate()
-            assert noise.n_windows == len(text) - len(pattern) + 1
-            assert noise.values.size == noise.codes.size == 0
-            dtypes = [a.dtype for a in (noise.indptr, noise.codes, noise.cols, noise.values)]
-            assert dtypes == [np.int64, np.int64, np.int32, np.int64]
-            assert same_profile(noise, ref)
+        noise = top_pair_counts(pairs, params.capacity)
+        noise.validate()
+        assert noise.n_windows == len(text) - len(pattern) + 1
+        assert noise.values.size == noise.codes.size == 0
+        dtypes = [a.dtype for a in (noise.indptr, noise.codes, noise.cols, noise.values)]
+        assert dtypes == [np.int64, np.int64, np.int32, np.int64]
+        assert same_profile(noise, construct_reference(text, pattern, params))
 
 
 def _pair_dicts(cache):
@@ -1172,16 +1138,15 @@ def test_pair_block_positions_are_read_at_each_build(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(pair_counts, name, spy)
-    params = recovery_params(0.25, seed=2, reps=2)
     for (text, pattern), route in (
         (_uniform(600, 64, 8, seed=4), "grid"), (_uniform(600, 16, 64, seed=4), "sort"),
     ):
         nw = len(text) - len(pattern) + 1
         blocks.clear()
-        want = construct_sparse_noise(text, pattern, params)
+        want = _top(text, pattern, 12)
         with pytest.MonkeyPatch.context() as mp:
             _blocked(mp, positions=1000)
-            got = construct_sparse_noise(text, pattern, params)
+            got = _top(text, pattern, 12)
         (route0, default), (route1, patched) = blocks
         assert route0 == route1 == route
         assert default >= nw and -(-nw // patched) > 1

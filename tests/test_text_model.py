@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamsketch.sparse_recovery import prepare_pair_counts
+from hamsketch.pair_counts import prepare_pair_counts
 from hamsketch.text_model import (
     MODELS,
     DistanceProfile,
