@@ -5,7 +5,7 @@ symbol u meets pattern symbol v, u != v, and their total is HAM(T_j, P).
 The corrected estimator needs, per window, a sparse D'_j whose residual
 meets sum (d - d')^2 <= b * eps * d^2. The paper recovers it by a ladder of
 coupled projections, because its O~(n/eps) route sees only bucket counts.
-hamsketch builds the exact pair counts (prepare_pair_counts) instead, so it
+hamsketch counts the exact pairs instead, a block of windows at a time, and
 takes D'_j as the window's capacity = 3/eps_eff largest counts, ties going
 to the smaller code (top_pair_counts). Every kept value is exact, and with x
 the (capacity + 1)-th largest count the dropped counts are each at most x
@@ -18,14 +18,9 @@ pattern skewed toward symbol 0, so block windows have one dominant pair.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from hamsketch import (
-    B_CONST,
-    approx_params,
-    generate_instance,
-    prepare_pair_counts,
-    top_pair_counts,
-)
+from hamsketch import B_CONST, approx_params, generate_instance, top_pair_counts
 
 n, m, sigma, eps = 4096, 256, 16, 0.25
 text, pattern = generate_instance(n, m, sigma, "planted_heavy", seed=3)
@@ -34,16 +29,20 @@ params = approx_params(eps, seed=5, n=n)
 print(f"eps={eps}: effective eps {params.epsilon_eff}, "
       f"{params.capacity} entries per window")
 
-pairs = prepare_pair_counts(text, pattern)
-noise = top_pair_counts(pairs, params.capacity)
+noise = top_pair_counts(text, pattern, params.capacity)
 noise.validate()
 sizes = np.diff(noise.indptr)
 print(f"D' holds {noise.values.size} entries over {noise.n_windows} windows "
       f"(median {int(np.median(sizes))} per window, "
       f"{int(np.count_nonzero(sizes == params.capacity))} windows at capacity)")
 
-# the exact pair counts as a dense (code, window) table, code = u*sigma + v
-truth = pairs.dense()
+# the exact pair counts as a dense (code, window) table, code = u*sigma + v,
+# by comparing each window with the pattern
+windows = sliding_window_view(text.symbols, m)
+codes = windows.astype(np.int64) * sigma + pattern.symbols
+truth = np.array([
+    np.bincount(c[w != pattern.symbols], minlength=sigma**2) for c, w in zip(codes, windows)
+]).T
 
 # pick the window with the largest single D' value: a block window
 j = int(noise.entry_windows()[noise.values.argmax()])

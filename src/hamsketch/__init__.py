@@ -6,8 +6,7 @@ from .approx import B_CONST, ApproxParams, approx_params, approx_profile
 from .exact import hamming_profile_convolution, hamming_profile_naive
 from .hashing import FourWiseHash, XorTreeFamily, beta, family_new, fourwise_new
 from .karloff import KarloffParams, karloff_params, karloff_profile
-from .noise_profile import NoiseProfile, top_pair_counts
-from .pair_counts import PairCounts, pair_grid_pays, prepare_pair_counts
+from .noise_profile import NoiseProfile, pair_grid_pays, top_pair_counts
 from .stats import error_stats, fraction_within_epsilon, relative_errors, within_epsilon
 from .text_model import (
     DistanceProfile,
@@ -33,7 +32,6 @@ __all__ = [
     "IntString",
     "KarloffParams",
     "NoiseProfile",
-    "PairCounts",
     "XorTreeFamily",
     "approx_params",
     "approx_profile",
@@ -49,7 +47,6 @@ __all__ = [
     "karloff_params",
     "karloff_profile",
     "pair_grid_pays",
-    "prepare_pair_counts",
     "read_bytes",
     "read_profile_csv",
     "read_tokens",

@@ -21,9 +21,10 @@ with no D'.
 
 Where D' comes from: the paper recovers D' by a sparse recovery over
 coupled projections, because its O~(n/eps) route sees only bucket counts.
-This route builds every window's exact pair counts N_j (pair_counts), so it
-takes D' from them directly: each window's capacity = 3/eps_eff largest
-counts, ties going to the smaller code (noise_profile.top_pair_counts). The
+This route counts every window's exact pair counts N_j, so it takes D' from
+them directly: each window's capacity = 3/eps_eff largest counts, ties going
+to the smaller code (noise_profile.top_pair_counts, which counts and filters
+one block of windows at a time and keeps no window's full counts). The
 tests keep the paper's projection ladder as a reference and check that,
 once it has isolated every present pair, its candidates less the pairs
 absent from their windows filter to this same D'.
@@ -63,7 +64,6 @@ from ._sketch import (
     resolve_reps,
 )
 from .noise_profile import top_pair_counts
-from .pair_counts import prepare_pair_counts
 from .text_model import IntString
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
@@ -120,7 +120,7 @@ def approx_profile(
     it. return_noise also returns that shared profile.
     """
     check_reps(params.reps)
-    shared = top_pair_counts(prepare_pair_counts(text, pattern), params.capacity)
+    shared = top_pair_counts(text, pattern, params.capacity)
     runs = execution_estimates(text, pattern, params.k, params.seed, range(params.reps), shared)
     profile = median_profile(runs)
     if return_noise:

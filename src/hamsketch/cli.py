@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     sub.add_parser(
         "selftest",
         help="check exact conv == naive, beta == member enumeration, D' == each "
-        "window's top-capacity exact pair counts, pair counts summing to the exact profile",
+        "window's top-capacity naive pair counts on the sort and grid routes",
     )
     return top
 
@@ -236,8 +236,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from numpy.lib.stride_tricks import sliding_window_view
+
     from .hashing import beta, family_new, member_eval
-    from .pair_counts import pair_grid_pays, prepare_pair_counts
+    from .noise_profile import pair_grid_pays
     from .text_model import occurring_symbols
 
     failures = 0
@@ -263,35 +265,31 @@ def _cmd_selftest(args) -> int:
     check("beta == member enumeration", agree)
 
     # D' is each window's capacity largest exact pair counts, ties going to
-    # the smaller code: a stable argsort of the negated dense counts, window
-    # by window. The planted heavy stretch makes some pairs keep count rows
-    # and others entries
+    # the smaller code: a stable argsort of the negated counts of a naive
+    # window-by-window comparison. m = 24 and the planted heavy stretch take
+    # the sort route, m = 64 the grid route (8 * 8 occurring symbol pairs <= m)
     heavy = generate_instance(256, 32, 16, "planted_heavy", seed=101)
+    grid_text, grid_pattern = generate_instance(256, 64, 8, "uniform", seed=101)
     agree = True
-    for t, p in ((text, pattern), heavy):
+    for t, p, grid in ((text, pattern, False), (*heavy, False), (grid_text, grid_pattern, True)):
+        sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (t, p))
+        agree &= pair_grid_pays(sigma_t, sigma_p, len(p)) == grid
         ap = approx_params(0.25, seed=303, n=len(t), reps=3)
         _, noise = approx_profile(t, p, ap, return_noise=True)
         noise.validate()
-        dense = prepare_pair_counts(t, p).dense()
+        windows = sliding_window_view(t.symbols, len(p))
+        codes = windows.astype(np.int64) * t.sigma + p.symbols
+        dense = np.array([
+            np.bincount(c[w != p.symbols], minlength=t.sigma**2)
+            for c, w in zip(codes, windows)
+        ]).T
         top = np.argsort(-dense, axis=0, kind="stable")[: ap.capacity]
         want = np.zeros_like(dense)
         np.put_along_axis(want, top, np.take_along_axis(dense, top, axis=0), axis=0)
         got = np.zeros_like(dense)
         got[noise.entry_codes(), noise.entry_windows()] = noise.values
         agree &= np.array_equal(got, want)
-    check("D' == each window's top-capacity exact pair counts", agree)
-
-    # every window's mismatch pair counts sum to its exact distance. The
-    # m = 24 pair counts take the sort route, the m = 64 ones the grid route
-    # (8 * 8 occurring symbol pairs <= m)
-    grid_text, grid_pattern = generate_instance(256, 64, 8, "uniform", seed=101)
-    agree = True
-    for t, p, grid in ((text, pattern, False), (grid_text, grid_pattern, True)):
-        sigma_t, sigma_p = (occurring_symbols(s)[0].size for s in (t, p))
-        agree &= pair_grid_pays(sigma_t, sigma_p, len(p)) == grid
-        sums = prepare_pair_counts(t, p).dense().sum(axis=0)
-        agree &= np.array_equal(sums, hamming_profile_naive(t, p).values)
-    check("pair counts sum to the exact profile, sort and grid routes", agree)
+    check("D' == top-capacity of naive pair counts, sort and grid routes", agree)
     return 1 if failures else 0
 
 

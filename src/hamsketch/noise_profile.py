@@ -1,10 +1,20 @@
 """D', the noise matrix: every window's sparse matrix in one CSR matrix, and
-top_pair_counts, which builds it from the exact pair counts (pair_counts) as
-each window's capacity largest counts.
+top_pair_counts, which builds it as each window's capacity largest exact
+mismatch-pair counts.
 
-Every candidate names its code by its index into the sorted distinct pair
-codes, so the row cells and entries take their ranks with no search. The
-ranks the filter keeps, with the unused codes compacted away, are the
+top_pair_counts walks the windows in blocks of at most _BLOCK_POSITIONS
+positions (or one window) and counts each block's aligned symbol pairs
+(u, v), u != v. With sigma_t' and sigma_p' the numbers of symbols occurring
+in the text and the pattern, each position falls in the cell
+rank_t(u) * sigma_p' + rank_p(v); as cells follow the sorted symbols
+row-major they are in code order. When sigma_t' * sigma_p' <= m
+(pair_grid_pays), the grid route counts the block on a (windows, cells)
+grid with one np.bincount; the grid holds no more cells than the block has
+positions. Otherwise the sort route keys each mismatch position by
+window * cells + cell, and one np.unique per block yields each window's
+pairs in code order. Either way every window's candidates fill one row of a
+count matrix in code order, and the filter keeps each row's capacity
+largest counts. The cells it keeps, compacted to the ones used, are the
 columns of the NoiseProfile, the CSR matrix the correction multiplies as it
 is.
 """
@@ -14,12 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .pair_counts import PairCounts
+from .text_model import IntString, check_instance, occurring_symbols
 
-# the capacity filter ranks at most this many candidate cells at a time, at
-# 16 bytes of key and partitioned copy per cell; read at each call
-_FILTER_BLOCK_CELLS = 1 << 18
+# top_pair_counts enumerates at most this many window positions per block (or
+# one window), read at each call. A block's temporaries peak at about 20
+# bytes per position on the grid route and 65 on the sort route, where every
+# position may be a distinct mismatch pair (tracemalloc): 4.3 MB at most.
+# Blocks of 2^16 to 2^18 positions build D' fastest on the bench shapes
+_BLOCK_POSITIONS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -115,68 +129,92 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def top_pair_counts(pairs: PairCounts, capacity: int) -> NoiseProfile:
-    """D': each window's capacity largest exact pair counts, ties broken
-    toward the smaller code.
+def pair_grid_pays(sigma_t: int, sigma_p: int, m: int) -> bool:
+    """Whether a block's pair counts are counted on a (window, pair cell)
+    grid rather than by sorting (window, cell) keys: the occurring symbol
+    pairs are no more than a window's m positions, so the grid holds no more
+    cells than the enumeration has positions."""
+    return sigma_t * sigma_p <= m
 
-    The candidates are the row cells of pairs (0 where the code is absent)
-    and its entries, each keyed by its count and its code's index into
-    pairs.codes, the rank. The entries are grouped by window with one
-    argsort: keys are distinct within a window, so their order there does
-    not matter. They are padded into a (windows, candidates) key matrix
-    beside the rows and ranked in window blocks of at most
-    _FILTER_BLOCK_CELLS cells: np.partition keeps each window's capacity
-    smallest keys, and one sort of them repacked as (rank, count) puts them
-    in code order. Each block keeps its entries' ranks and counts as int32.
-    The ranks become the profile's columns once the unused codes are
-    compacted away, so until the profile is built its entries take 8 bytes
-    each besides their own 12."""
-    codes, nw = pairs.codes, pairs.n_windows
-    # ascending key = descending count, then ascending rank
-    rank_bits = max(1, (codes.size - 1).bit_length())
-    shift = np.int64(1) << rank_bits
-    row_rank = np.flatnonzero(pairs.row_ids >= 0)
-    rank = np.repeat(np.arange(codes.size), np.diff(pairs.offsets))
-    key = rank - pairs.counts.astype(np.int64) * shift
-    srt = np.argsort(pairs.windows)
-    w, key = pairs.windows[srt], key[srt]
-    per_win = np.bincount(w, minlength=nw)
-    first = np.zeros(nw + 1, dtype=np.int64)
-    np.cumsum(per_win, out=first[1:])
-    slot = np.arange(w.size) - first[w]
-    n_rows = row_rank.size
-    step = max(1, _FILTER_BLOCK_CELLS // max(1, n_rows + int(per_win.max())))
-    ranks, values = [], []
+
+def top_pair_counts(text: IntString, pattern: IntString, capacity: int) -> NoiseProfile:
+    """D': each window's capacity largest exact mismatch-pair counts, ties
+    going to the smaller code.
+
+    A block's count matrix has one row per window and its columns in code
+    order: the cells on the grid route, the window's pairs on the sort
+    route. Each candidate is keyed by its column less its count shifted
+    above the columns, so ascending keys run by count descending, then code
+    ascending; np.partition keeps each row's capacity smallest keys, and one
+    sort of them repacked as (column, count) puts them in code order.
+    Columns and counts stay below 2^bits, bits = m.bit_length(): a window
+    has at most m pairs, and the grid route at most m cells. So keys and
+    repacks stay below 2^(2 * bits), exact in int64 for every m < 2^31 (a
+    longer pattern alone would take 8 GiB of int32 symbols). Each block
+    keeps its entries' cells (int64) and counts (int32) until the profile
+    is built."""
+    _, m, nw = check_instance(text, pattern)
+    (sym_t, at_t), (sym_p, at_p) = occurring_symbols(text), occurring_symbols(pattern)
+    cells = sym_t.size * sym_p.size
+    grid = pair_grid_pays(sym_t.size, sym_p.size, m)
+    # the diagonal cells, which count the matches
+    _, diag_t, diag_p = np.intersect1d(sym_t, sym_p, assume_unique=True, return_indices=True)
+    diagonal = diag_t * sym_p.size + diag_p
+    bits = m.bit_length()
+    low = (1 << bits) - 1
+    block = max(1, _BLOCK_POSITIONS // m)
+    t_cells = sliding_window_view(at_t * sym_p.size, m)
+    t_windows = sliding_window_view(text.symbols, m)
+    kept, values = [], []
     sizes = np.zeros(nw, dtype=np.int64)
-    for lo in range(0, nw, step):
-        hi = min(nw, lo + step)
-        a, b = first[lo], first[hi]
-        k = np.zeros((hi - lo, n_rows + int(per_win[lo:hi].max())), dtype=np.int64)
-        np.multiply(pairs.rows[:, lo:hi].T, -shift, out=k[:, :n_rows])
-        k[:, :n_rows] += row_rank
-        k[w[a:b] - lo, n_rows + slot[a:b]] = key[a:b]
+    for lo in range(0, nw, block):
+        # keys window * cells + cell of the block's windows stay below
+        # b * cells <= 2^20 * max(_BLOCK_POSITIONS, m), as sigma_t' <= 2^20
+        key = t_cells[lo : lo + block] + at_p
+        b = key.shape[0]
+        key += np.arange(0, b * cells, cells)[:, None]
+        if grid:
+            count = np.bincount(key.ravel(), minlength=b * cells).reshape(b, cells)
+            count[:, diagonal] = 0
+        else:
+            key, cnt = np.unique(key[t_windows[lo : lo + b] != pattern.symbols], return_counts=True)
+            win = key // cells
+            first = np.searchsorted(win, np.arange(b + 1))
+            count = np.zeros((b, int(np.diff(first).max())), dtype=np.int64)
+            count[win, np.arange(key.size) - first[win]] = cnt
+        # ascending key = descending count, then ascending column
+        count <<= bits
+        k = np.subtract(np.arange(count.shape[1]), count, out=count)
         if k.shape[1] > capacity:
             k = np.partition(k, capacity - 1, axis=1)[:, :capacity]
-        # rank << 32 | count; a key of count 0 (an absent row code, or
+        # column << bits | count; a key of count 0 (an empty cell, or
         # padding) repacks to count 0 and is dropped after the sort
-        k = (k & (shift - 1)) << 32 | -(k >> rank_bits)
+        k = (k & low) << bits | -(k >> bits)
         k.sort(axis=1)
-        kept = k & 0xFFFFFFFF
-        pos = kept > 0
-        ranks.append((k[pos] >> 32).astype(np.int32))
-        values.append(kept[pos].astype(np.int32))
-        sizes[lo:hi] = pos.sum(axis=1)
-    # the ranks as columns of the codes they use, each part freed before the
-    # next is built
-    rank = np.concatenate(ranks)
-    del ranks
-    used = np.zeros(codes.size, dtype=bool)
-    used[rank] = True
-    cols = (np.cumsum(used, dtype=np.int32) - 1)[rank]
-    del rank
+        cnt = k & low
+        pos = cnt > 0
+        col = k[pos] >> bits
+        size = pos.sum(axis=1)
+        sizes[lo : lo + b] = size
+        kept.append(col if grid else key[np.repeat(first[:-1], size) + col] % cells)
+        values.append(cnt[pos].astype(np.int32))
+    cell = np.concatenate(kept)
+    del kept
+    # the kept cells as columns of the cells used: marked on a table of all
+    # cells (5 bytes each) when it is no larger than a block, else sorted
+    if cells <= max(_BLOCK_POSITIONS, m):
+        used = np.zeros(cells, dtype=bool)
+        used[cell] = True
+        cols = (np.cumsum(used, dtype=np.int32) - 1)[cell]
+        used = np.flatnonzero(used)
+    else:
+        used, cols = np.unique(cell, return_inverse=True)
+        cols = cols.astype(np.int32)
+    del cell
     indptr = np.zeros(nw + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return NoiseProfile(
-        sigma=pairs.sigma, capacity=capacity, indptr=indptr, codes=codes[used], cols=cols,
+        sigma=text.sigma, capacity=capacity, indptr=indptr,
+        codes=sym_t[used // sym_p.size] * text.sigma + sym_p[used % sym_p.size], cols=cols,
         values=np.concatenate(values, dtype=np.int64),
     )

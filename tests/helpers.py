@@ -185,35 +185,40 @@ def member_sums_brute(text: IntString, pattern: IntString, family) -> np.ndarray
     return (windows != pb[:, None, :]).sum(axis=(0, 2))
 
 
-def pair_count_matrix(cache) -> np.ndarray:
-    """(sigma^2, windows) pair-count matrix of a PairCounts: the rows of its
-    row codes and the entries of the others."""
-    dd = np.zeros((cache.sigma * cache.sigma, cache.n_windows), dtype=np.int32)
-    rowed = cache.row_ids >= 0
-    dd[cache.codes[rowed]] = cache.rows[cache.row_ids[rowed]]
-    dd[np.repeat(cache.codes, np.diff(cache.offsets)), cache.windows] = cache.counts
-    return dd
+def pair_count_keys(text: IntString, pattern: IntString) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts): every window's mismatch pairs (u, v), u != v, as the
+    sorted int64 keys window * sigma^2 + u * sigma + v, and their counts, by
+    comparing each window with the pattern."""
+    t, p, sigma = text.symbols.astype(np.int64), pattern.symbols, text.sigma
+    keys, counts = [], []
+    for j in range(len(t) - len(p) + 1):
+        w = t[j : j + len(p)]
+        off = w != p
+        code, cnt = np.unique(w[off] * sigma + p[off], return_counts=True)
+        keys.append(j * sigma * sigma + code)
+        counts.append(cnt)
+    return np.concatenate(keys), np.concatenate(counts)
 
 
-def pair_counts_at(cache, codes, windows) -> np.ndarray:
+def pair_count_matrix(text: IntString, pattern: IntString) -> np.ndarray:
+    """(sigma^2, windows) int64 pair-count matrix of pair_count_keys: row
+    u*sigma + v holds the pair's count in every window."""
+    keys, counts = pair_count_keys(text, pattern)
+    dd = np.zeros((len(text) - len(pattern) + 1, text.sigma**2), dtype=np.int64)
+    dd.ravel()[keys] = counts
+    return dd.T
+
+
+def pair_counts_at(text: IntString, pattern: IntString, codes, windows) -> np.ndarray:
     """int64 true counts of the pair codes u*sigma + v in the given windows,
-    0 where a pair is absent, read from a PairCounts: a row code's row, or a
-    binary search over the entries keyed code index * windows + window."""
+    0 where a pair is absent: a binary search over pair_count_keys."""
+    keys, counts = pair_count_keys(text, pattern)
     codes, windows = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (codes, windows))
-    nw, out = cache.n_windows, np.zeros(codes.size, dtype=np.int64)
-    if cache.codes.size == 0:
-        return out
-    at = np.minimum(np.searchsorted(cache.codes, codes), cache.codes.size - 1)
-    known = cache.codes[at] == codes
-    row = np.where(known, cache.row_ids[at], -1)
-    out[row >= 0] = cache.rows[row[row >= 0], windows[row >= 0]]
-    keys = np.repeat(np.arange(cache.codes.size), np.diff(cache.offsets)) * nw + cache.windows
-    ask = np.flatnonzero(known & (row < 0))
-    if keys.size and ask.size:
-        want = at[ask] * nw + windows[ask]
+    want, out = windows * text.sigma**2 + codes, np.zeros(codes.size, dtype=np.int64)
+    if keys.size:
         pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
         hit = keys[pos] == want
-        out[ask[hit]] = cache.counts[pos[hit]]
+        out[hit] = counts[pos[hit]]
     return out
 
 

@@ -19,7 +19,6 @@ from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import beta, family_new, fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.noise_profile import top_pair_counts
-from hamsketch.pair_counts import prepare_pair_counts
 from hamsketch.stats import fraction_within_epsilon
 from hamsketch.text_model import generate_instance
 
@@ -31,6 +30,7 @@ from helpers import (
     correction_term,
     fourwise_eval_seeds,
     noise_profile_from_windows,
+    pair_count_keys,
     pair_counts_at,
 )
 
@@ -155,18 +155,17 @@ def _residual_shares(text, pattern, eps):
     """(D', empty, doubled): the shares of windows meeting
     sum (d - d')^2 <= b*eps*d^2 with approx's D' (top_pair_counts), with no
     D' and with every D' value doubled; plus whether the entry cap held."""
-    cache = prepare_pair_counts(text, pattern)
-    nw = cache.n_windows
-    rows = cache.rows.astype(np.int64)
-    counts = cache.counts.astype(np.int64)
-    d = rows.sum(axis=0) + np.bincount(cache.windows, counts, minlength=nw)
-    sq = (rows * rows).sum(axis=0) + np.bincount(cache.windows, counts * counts, minlength=nw)
-    bound = B_CONST * eps * d.astype(np.float64) ** 2
+    nw = len(text) - len(pattern) + 1
+    keys, counts = pair_count_keys(text, pattern)
+    at = keys // text.sigma**2
+    d = np.bincount(at, counts, minlength=nw)
+    sq = np.bincount(at, counts * counts, minlength=nw)
+    bound = B_CONST * eps * d ** 2
     capacity = approx_params(eps, seed=0, n=len(text)).capacity
-    noise = top_pair_counts(cache, capacity)
+    noise = top_pair_counts(text, pattern, capacity)
     noise.validate()
     wins = noise.entry_windows()
-    truth = pair_counts_at(cache, noise.entry_codes(), wins)
+    truth = pair_counts_at(text, pattern, noise.entry_codes(), wins)
 
     def share(values):
         resid = sq + np.bincount(wins, (truth - values) ** 2 - truth * truth, minlength=nw)

@@ -16,8 +16,7 @@ from hamsketch._sketch import (
 from hamsketch.approx import B_CONST, approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution
 from hamsketch.hashing import beta, family_new, family_signatures, signature_agreement
-from hamsketch.noise_profile import top_pair_counts
-from hamsketch.pair_counts import pair_grid_pays, prepare_pair_counts
+from hamsketch.noise_profile import pair_grid_pays, top_pair_counts
 from hamsketch.text_model import IntString, generate_instance, occurring_symbols
 
 from helpers import (
@@ -31,7 +30,7 @@ from helpers import (
     member_profile_brute,
     member_sums_brute,
     noise_profile_from_windows,
-    pair_count_matrix,
+    pair_count_keys,
     sliding_hamming_brute,
     traced_peak,
 )
@@ -67,7 +66,7 @@ def test_reps_zero_rejected_before_recovery(monkeypatch):
     # params built directly skip approx_params' check, and approx_profile
     # rejects them before it builds any pair counts
     calls = []
-    monkeypatch.setattr(approx, "prepare_pair_counts", lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "top_pair_counts", lambda *args: calls.append(args))
     text, pattern = generate_instance(100, 10, 4, "uniform", seed=1)
     params = dataclasses.replace(approx_params(0.25, seed=1, n=100), reps=0)
     with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
@@ -194,7 +193,8 @@ def _noises(text, pattern, rng):
 @pytest.mark.parametrize("layout", ["rows", "entries", "mixed", "sigma1", "m_equals_n"])
 def test_execution_numerators_match_member_sums_and_correction(layout):
     rng = np.random.default_rng(41)
-    # the instance shapes of the pair-count layouts top_pair_counts tells apart
+    # instance shapes whose pairs each occur in many windows (rows), in few
+    # (entries), or both (mixed), and edge shapes
     if layout == "rows":
         # four windows: every occurring code is in at least a quarter of them
         text, pattern = generate_instance(40, 37, 30, "uniform", seed=5)
@@ -242,36 +242,40 @@ def test_execution_numerators_property(data):
     elif mode == "random":
         noise = _random_noise(text, pattern, np.random.default_rng(seed + 1))
     else:
-        noise = top_pair_counts(
-            prepare_pair_counts(text, pattern), approx_params(0.5, seed, n).capacity
-        )
+        noise = top_pair_counts(text, pattern, approx_params(0.5, seed, n).capacity)
     k = data.draw(st.sampled_from([2, 16, 128]), label="k")
     reps = data.draw(st.integers(1, 4), label="reps")
     fams = [family_new(k, seed=seed + 7 * e) for e in range(reps)]
     _check_numerators(text, pattern, noise, fams)
 
 
-def test_approx_memory_stays_near_its_inputs():
-    # dense16's shape (n=8192, m=512, sigma=16): the pair counts keep 240
-    # int32 rows (7.4 MB), and D' is 368,688 entries over 240 codes, stored
-    # in 4.5 MB (indptr, codes, int32 cols and int64 values). Everything
-    # else is block scratch, the capacity filter's the largest at 16 bytes
-    # per cell of _FILTER_BLOCK_CELLS (4.2 MB). The bound is 23.4 MB and the
-    # peak 17.5 MB; building D' and the numerators with temporaries over all
-    # of D' peaked at 42.9 MB
-    text, pattern = generate_instance(8192, 512, 16, "uniform", seed=1)
-    params = approx_params(0.1, seed=1, n=8192)
-    pairs = prepare_pair_counts(text, pattern)
-    (_, noise), peak = traced_peak(approx_profile, text, pattern, params, return_noise=True)
-    noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
-    assert noise.values.size == 368_688
-    assert peak <= 2 * pairs.rows.nbytes + noise_bytes + 16 * noise_profile._FILTER_BLOCK_CELLS
+def test_approx_memory_stays_near_its_inputs(monkeypatch):
+    # uniform n=2048, m=1024, sigma=256 takes the sort route with nearly
+    # every window position its own pair. top_pair_counts holds one block's
+    # temporaries, about 65 bytes per position, beside D' and the 12 bytes
+    # per D' entry it keeps until the profile is built: 2.8, 4.9 and 34 MB at
+    # 2^14, 2^16 and 2^19 positions per block, so the peak follows the block
+    # constant. approx_profile peaks at 14.6 MB at the default; counting every
+    # window's pairs before the filter peaked at 55.6 MB here
+    text, pattern = generate_instance(2048, 1024, 256, "uniform", seed=1)
+    params = approx_params(0.1, seed=1, n=2048)
+    peaks = []
+    for positions in (1 << 14, noise_profile._BLOCK_POSITIONS, 1 << 19):
+        monkeypatch.setattr(noise_profile, "_BLOCK_POSITIONS", positions)
+        noise, peak = traced_peak(top_pair_counts, text, pattern, params.capacity)
+        noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
+        assert peak <= noise_bytes + 16 * noise.values.size + 96 * max(positions, len(pattern))
+        peaks.append(peak)
+    assert peaks[0] <= peaks[1] < peaks[2] / 4
+    monkeypatch.undo()
+    _, peak = traced_peak(approx_profile, text, pattern, params)
+    assert peak <= 20e6
 
 
 def test_one_evaluation_per_hash_kind(monkeypatch):
     # all families' base bits for the member sums and their base bits over
     # the symbols of D' each take one poly3_eval call at this size, however
-    # many executions; D' comes from one pair-count build and draws no hash
+    # many executions; D' comes from one top_pair_counts call and draws no hash
     evals, builds = [], []
 
     def spy(log, fn):
@@ -281,7 +285,7 @@ def test_one_evaluation_per_hash_kind(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(hashing, "poly3_eval", spy(evals, hashing.poly3_eval))
-    monkeypatch.setattr(approx, "prepare_pair_counts", spy(builds, approx.prepare_pair_counts))
+    monkeypatch.setattr(approx, "top_pair_counts", spy(builds, approx.top_pair_counts))
     text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
     for eps, reps in ((0.25, 2), (0.25, 7), (0.0625, 5)):
         for log in (evals, builds):
@@ -322,22 +326,21 @@ def test_identical_strings_and_zero_windows():
 def test_reps_one_equals_single_execution():
     text, pattern = generate_instance(150, 20, 8, "uniform", seed=4)
     params = approx_params(0.25, seed=7, n=150, reps=1)
-    noise = top_pair_counts(prepare_pair_counts(text, pattern), params.capacity)
+    noise = top_pair_counts(text, pattern, params.capacity)
     single = execution_estimates(text, pattern, params.k, params.seed, [0], noise)[0]
     assert np.array_equal(approx_profile(text, pattern, params).values, single)
 
 
 def test_share_dprime_reuses_one_recovery(monkeypatch):
-    # count the pair-count builds D' comes from, with a spy on the name
-    # approx_profile looks up
+    # count the D' builds, with a spy on the name approx_profile looks up
     calls = []
-    build = approx.prepare_pair_counts
+    build = approx.top_pair_counts
 
     def spy(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(approx, "prepare_pair_counts", spy)
+    monkeypatch.setattr(approx, "top_pair_counts", spy)
     # sigma=8 takes the sort route for the pair counts, sigma=4 the grid
     # route (sigma_t' * sigma_p' <= m)
     for sigma, grid in ((8, False), (4, True)):
@@ -399,12 +402,14 @@ def _approx_runs(text, pattern, params):
 
 
 def _residual(text, pattern, noise):
-    """(codes, N - D', d): the true pair counts N (pair_count_matrix) less
+    """(codes, N - D', d): the true pair counts N (pair_count_keys) less
     D' over every code that occurs or that D' names, and each window's
     distance."""
-    pairs = prepare_pair_counts(text, pattern)
-    codes = np.union1d(pairs.codes, noise.codes)
-    resid = pair_count_matrix(pairs)[codes].astype(np.int64)
+    keys, counts = pair_count_keys(text, pattern)
+    wins, code = np.divmod(keys, text.sigma**2)
+    codes = np.union1d(code, noise.codes)
+    resid = np.zeros((codes.size, noise.n_windows), dtype=np.int64)
+    resid[np.searchsorted(codes, code), wins] = counts
     d = resid.sum(axis=0)
     resid[np.searchsorted(codes, noise.entry_codes()), noise.entry_windows()] -= noise.values
     return codes, resid, d
@@ -484,7 +489,7 @@ def test_single_execution_concentration():
     trials = 300
     params = approx_params(eps, seed=77, n=m, reps=1)
 
-    noise = top_pair_counts(prepare_pair_counts(text, pattern), params.capacity)
+    noise = top_pair_counts(text, pattern, params.capacity)
 
     def execution(e):
         # its own family, over the one D' every execution shares

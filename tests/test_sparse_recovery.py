@@ -1,6 +1,7 @@
-"""D' from the exact pair counts (noise_profile.top_pair_counts), the pair
-counts themselves, and the paper's projection ladder kept as a literal
-reference (helpers.reference_candidates).
+"""D', each window's top-capacity exact pair counts counted block by block
+(noise_profile.top_pair_counts), checked against naive window-by-window
+counts, and the paper's projection ladder kept as a literal reference
+(helpers.reference_candidates).
 
 One equation ties the ladder to the library's D': once the ladder has
 isolated every pair present in a window, its candidates less the pairs absent
@@ -13,14 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamsketch import noise_profile, pair_counts
+from hamsketch import noise_profile
 from hamsketch._seeds import ROLE_PROJECTION, mix
 from hamsketch.approx import approx_params, approx_profile
 from hamsketch.exact import hamming_profile_convolution, hamming_profile_naive
 from hamsketch.hashing import fourwise_new
 from hamsketch.karloff import karloff_params, karloff_profile
 from hamsketch.noise_profile import NoiseProfile, top_pair_counts
-from hamsketch.pair_counts import PairCounts, prepare_pair_counts
 from hamsketch.text_model import IntString, generate_instance
 
 import helpers
@@ -32,7 +32,9 @@ from helpers import (
     decode_bucket,
     ladder_params,
     noise_profile_from_windows,
+    pair_count_keys,
     pair_count_matrix,
+    pair_counts_at,
     projection,
     reference_candidates,
     same_profile,
@@ -46,17 +48,42 @@ def _uniform(n, m, sigma, seed):
     return generate_instance(n, m, sigma, "uniform", seed)
 
 
-def _top(text, pattern, capacity):
-    return top_pair_counts(prepare_pair_counts(text, pattern), capacity)
-
-
-# pair-count blocks of one window, of a few windows and the default
-_PAIR_BLOCKS = (1, 20, pair_counts._PAIR_BLOCK_POSITIONS)
+# blocks of one window, of a few windows and the default
+_BLOCKS = (1, 20, noise_profile._BLOCK_POSITIONS)
 
 
 def _blocked(mp, positions):
-    """Sets the pair-count block positions on the MonkeyPatch mp."""
-    mp.setattr(pair_counts, "_PAIR_BLOCK_POSITIONS", positions)
+    """Sets top_pair_counts' block positions on the MonkeyPatch mp."""
+    mp.setattr(noise_profile, "_BLOCK_POSITIONS", positions)
+
+
+def _route_spy(monkeypatch):
+    """Records the route, grid or sort, each top_pair_counts call takes."""
+    taken = []
+    real = noise_profile.pair_grid_pays
+
+    def spy(*args):
+        taken.append("grid" if real(*args) else "sort")
+        return real(*args)
+
+    monkeypatch.setattr(noise_profile, "pair_grid_pays", spy)
+    return taken
+
+
+def _spread(text, pattern):
+    """How the occurring pairs spread over the windows: "wide" when every
+    pair occurs in at least a quarter of them, "narrow" when every pair
+    occurs in fewer, "both" otherwise."""
+    keys, _ = pair_count_keys(text, pattern)
+    _, occ = np.unique(keys % text.sigma**2, return_counts=True)
+    wide = 4 * occ >= len(text) - len(pattern) + 1
+    return "wide" if wide.all() else "narrow" if not wide.any() else "both"
+
+
+def _brute_candidates(text, pattern):
+    """Every window's (window, code, count) of the naive pair counts."""
+    keys, counts = pair_count_keys(text, pattern)
+    return list(zip(*np.divmod(keys, text.sigma**2), counts))
 
 
 def _brute_windows(text, pattern):
@@ -77,26 +104,25 @@ def _ladder_equation(text, pattern, params):
         assert all(truth[j][uv] == val for j, uv, val in present)
         cands = [(j, u * sigma + v, val) for j, (u, v), val in present]
         want = capacity_filter_reference(sigma, nw, cands, params.capacity)
-        got = _top(text, pattern, params.capacity)
+        got = top_pair_counts(text, pattern, params.capacity)
         got.validate()
         assert same_profile(got, want)
     return sum(map(len, dicts)) - len(present), runs
 
 
-def _residuals(pairs, noise):
-    """(d, sum (d - d')^2) per window, read from the pair counts: every
+def _residuals(text, pattern, noise):
+    """(d, sum (d - d')^2) per window, read from the naive pair counts: every
     count squared, with each D' entry's (count - d')^2 in place of its
     count's square."""
-    nw = pairs.n_windows
-    rows, counts = pairs.rows.astype(np.int64), pairs.counts.astype(np.int64)
+    nw = noise.n_windows
+    keys, counts = pair_count_keys(text, pattern)
+    at = keys // text.sigma**2
     wins = noise.entry_windows()
-    truth = helpers.pair_counts_at(pairs, noise.entry_codes(), wins)
+    truth = pair_counts_at(text, pattern, noise.entry_codes(), wins)
     # float64 sums of integers below 2^53, exact
-    d = rows.sum(axis=0) + np.bincount(pairs.windows, counts, minlength=nw)
-    sq = (
-        (rows * rows).sum(axis=0)
-        + np.bincount(pairs.windows, counts * counts, minlength=nw)
-        + np.bincount(wins, (truth - noise.values) ** 2 - truth * truth, minlength=nw)
+    d = np.bincount(at, counts, minlength=nw)
+    sq = np.bincount(at, counts * counts, minlength=nw) + np.bincount(
+        wins, (truth - noise.values) ** 2 - truth * truth, minlength=nw
     )
     return d.astype(np.int64), sq.astype(np.int64)
 
@@ -290,45 +316,45 @@ def test_single_pair_instance_recovers_exactly():
         text = IntString(np.full(64, u), 16)
         pattern = IntString(np.full(16, v), 16)
         params = ladder_params(0.25, seed=int(rng.integers(1 << 30)), reps=4)
-        noise = _top(text, pattern, params.capacity)
+        noise = top_pair_counts(text, pattern, params.capacity)
         assert noise.n_windows == 49
         assert same_profile(noise, construct_reference(text, pattern, params))
         for j in range(noise.n_windows):
             assert window_entries(noise, j) == {(int(u), int(v)): 16}
 
 
-def test_fast_path_matches_reference():
+def test_fast_path_matches_reference(monkeypatch):
     # the equation on uniform and planted_heavy shapes, each stopping before
     # its ceiling; none has a candidate naming an absent pair, so the
     # reference's D' is top_pair_counts as it is
+    taken = _route_spy(monkeypatch)
     cases = [
         ("uniform", 4, 0.25, (0, 1)),
         ("uniform", 16, 0.1, (0,)),
         ("uniform", 3, 0.2, (2,)),
         ("planted_heavy", 16, 0.25, (0,)),
     ]
-    layouts = set()
     for model, sigma, eps, seeds in cases:
         for seed in seeds:
             text, pattern = generate_instance(96, 16, sigma, model, seed)
-            layouts.update(prepare_pair_counts(text, pattern).row_ids >= 0)
             params = ladder_params(eps, seed=seed + 100, reps=2)
             absent, runs = _ladder_equation(text, pattern, params)
             assert runs < params.num_scales * params.reps and absent == 0
-            want = _top(text, pattern, params.capacity)
+            want = top_pair_counts(text, pattern, params.capacity)
             assert same_profile(construct_reference(text, pattern, params), want)
-    # these cases hold both row codes and entry codes
-    assert layouts == {True, False}
+    # these cases count their pairs on both routes
+    assert set(taken) == {"grid", "sort"}
 
 
-def test_csr_route_matches_reference_above_dense_alphabet():
-    # sigma^2 > 2^16, each pair in a few windows: entry codes only
+def test_csr_route_matches_reference_above_dense_alphabet(monkeypatch):
+    # sigma^2 > 2^16, each pair in a few windows, counted on the sort route
     text, pattern = _uniform(40, 5, 257, seed=5)
-    assert np.all(prepare_pair_counts(text, pattern).row_ids < 0)
+    assert _spread(text, pattern) == "narrow"
+    taken = _route_spy(monkeypatch)
     params = ladder_params(0.5, seed=77, reps=2)
     _, runs = _ladder_equation(text, pattern, params)
-    assert runs < params.num_scales * params.reps
-    assert _top(text, pattern, params.capacity).values.size > 0
+    assert runs < params.num_scales * params.reps and taken == ["sort"]
+    assert top_pair_counts(text, pattern, params.capacity).values.size > 0
 
 
 def test_csr_collision_decodes_match_reference():
@@ -346,7 +372,7 @@ def test_csr_collision_decodes_match_reference():
         over = [v - t[uv] for d, t in zip(dicts, truth) for uv, v in d.items() if uv in t]
         assert min(over) == 0 < max(over), seed
         ref = construct_reference(text, pattern, params)
-        assert not same_profile(ref, _top(text, pattern, params.capacity)), seed
+        assert not same_profile(ref, top_pair_counts(text, pattern, params.capacity)), seed
 
 
 def _scattered_instance(seed, sigma, k, n, m):
@@ -361,51 +387,50 @@ def _scattered_instance(seed, sigma, k, n, m):
 
 
 def test_row_group_spurious_decodes_match_reference():
-    # every code keeps a row, and decodes of groups of 3+ row codes name
-    # pairs that occur in no window. The reference stops at projection 5 of
-    # 12 with hundreds of such candidates, and the equation drops them all
+    # every pair occurs in at least a quarter of the windows, and decodes of
+    # buckets holding 3+ such pairs name pairs that occur in no window. The
+    # reference stops at projection 5 of 12 with hundreds of such
+    # candidates, and the equation drops them all
     text, pattern = _scattered_instance(1, 32, 12, 800, 200)
     params = ladder_params(0.5, seed=16, reps=6)
-    assert np.all(prepare_pair_counts(text, pattern).row_ids >= 0)
+    assert _spread(text, pattern) == "wide"
     absent, runs = _ladder_equation(text, pattern, params)
     assert runs == 5 and absent > 100
     ref = construct_reference(text, pattern, params)
-    assert not same_profile(ref, _top(text, pattern, params.capacity))
+    assert not same_profile(ref, top_pair_counts(text, pattern, params.capacity))
 
 
 @pytest.mark.parametrize(
-    "instance, eps, seed, reps, route, layout, ran",
+    "instance, eps, seed, reps, route, spread, ran",
     [
-        # (text, pattern), ladder parameters, the pair-count route and
-        # layout (row codes, entry codes or both), and projections run
+        # (text, pattern), ladder parameters, the pair-count route, the
+        # pairs' _spread and projections run
         (lambda: generate_instance(400, 256, 16, "planted_heavy", 0), 0.5, 100, 2, "grid", "both", 3),
-        (lambda: _uniform(40, 5, 257, seed=0), 0.5, 100, 3, "sort", "entries", 3),
+        (lambda: _uniform(40, 5, 257, seed=0), 0.5, 100, 3, "sort", "narrow", 3),
         (lambda: _skewed_instance(160, 24, 24, 0, 0.6), 0.5, 100, 3, "sort", "both", 3),
     ],
     ids=["grid-both", "sort-entries", "sort-both"],
 )
 def test_ladder_stops_mid_plan_like_the_reference(
-    monkeypatch, instance, eps, seed, reps, route, layout, ran
+    monkeypatch, instance, eps, seed, reps, route, spread, ran
 ):
     # the reference stops after the first projection by which every present
     # pair count has sat alone in its window's bucket, before the last
     # projection of the plan, and the equation holds on each pair-count
-    # route and layout
+    # route and spread
     text, pattern = instance()
+    assert _spread(text, pattern) == spread
     taken = _route_spy(monkeypatch)
-    cache = prepare_pair_counts(text, pattern)
-    rowed = cache.row_ids >= 0
-    assert taken == [route]
-    assert layout == ("rows" if rowed.all() else "entries" if not rowed.any() else "both")
     params = ladder_params(eps, seed=seed, reps=reps)
     _, runs = _ladder_equation(text, pattern, params)
+    assert taken == [route]
     assert runs == ran and 1 < ran < params.num_scales * params.reps
 
 
-def _top_by_argsort(pairs, capacity):
+def _top_by_argsort(text, pattern, capacity):
     """Each window's capacity largest counts of the dense pair-count matrix,
     ties to the smaller code, by a stable argsort; (sigma^2, windows)."""
-    dense = pair_count_matrix(pairs).astype(np.int64)
+    dense = pair_count_matrix(text, pattern)
     top = np.argsort(-dense, axis=0, kind="stable")[:capacity]
     want = np.zeros_like(dense)
     np.put_along_axis(want, top, np.take_along_axis(dense, top, axis=0), axis=0)
@@ -415,8 +440,8 @@ def _top_by_argsort(pairs, capacity):
 def test_present_pairs_end_at_their_true_counts():
     # every D' entry is a pair present in its window, at its exact count,
     # and each window keeps its capacity largest counts: top_pair_counts
-    # equals a stable argsort of the dense counts on shapes with row codes,
-    # entry codes and few pairs
+    # equals a stable argsort of the dense counts on shapes whose pairs
+    # spread wide, narrow and over few pairs
     shapes = [
         _uniform(2048, 128, 16, seed=3),
         generate_instance(2048, 128, 64, "planted_heavy", 1),
@@ -424,12 +449,11 @@ def test_present_pairs_end_at_their_true_counts():
     ]
     capacity = approx_params(0.1, seed=0, n=2048).capacity
     for text, pattern in shapes:
-        pairs = prepare_pair_counts(text, pattern)
-        noise = top_pair_counts(pairs, capacity)
+        noise = top_pair_counts(text, pattern, capacity)
         noise.validate()
-        got = np.zeros((text.sigma**2, pairs.n_windows), dtype=np.int64)
+        got = np.zeros((text.sigma**2, noise.n_windows), dtype=np.int64)
         got[noise.entry_codes(), noise.entry_windows()] = noise.values
-        assert np.array_equal(got, _top_by_argsort(pairs, capacity))
+        assert np.array_equal(got, _top_by_argsort(text, pattern, capacity))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -445,7 +469,7 @@ def test_residual_bound_on_every_window_property(data):
     model = data.draw(st.sampled_from(["uniform", "planted_heavy"]), label="model")
     text, pattern = generate_instance(n, m, sigma, model, data.draw(st.integers(0, 1 << 30)))
     capacity = data.draw(st.sampled_from([1, 2, 3, 6, 12]), label="capacity")
-    noise = _top(text, pattern, capacity)
+    noise = top_pair_counts(text, pattern, capacity)
     for j, truth in enumerate(_brute_windows(text, pattern)):
         kept = window_entries(noise, j)
         assert all(truth[uv] == val for uv, val in kept.items())
@@ -470,8 +494,7 @@ def test_residual_bound_on_bench_shapes(instance):
     # tested; few_pairs keeps every count of its windows
     text, pattern = instance()
     params = approx_params(0.1, seed=1, n=len(text))
-    pairs = prepare_pair_counts(text, pattern)
-    d, resid = _residuals(pairs, top_pair_counts(pairs, params.capacity))
+    d, resid = _residuals(text, pattern, top_pair_counts(text, pattern, params.capacity))
     assert np.all(4 * params.capacity * resid <= d * d)
     assert (resid > 0).any() == (text.sigma != 64)
 
@@ -491,17 +514,21 @@ def _one_bucket_plan(us, vs):
 
 
 def _decode_one_bucket(monkeypatch, text, pattern, us, vs):
-    """The reference over _one_bucket_plan(us, vs). Returns its profile and,
-    per window, the decoded code or None (c = 0 or a tied plane), from plane
-    majorities of the bucket's codes, which must all keep rows. Sigma
-    decides the codes' distinct plane splits, also returned."""
+    """The reference over _one_bucket_plan(us, vs). Returns its profile, the
+    bucket's codes and their naive counts in every window and, per window,
+    the decoded code or None (c = 0 or a tied plane), from plane majorities
+    of those codes. Sigma decides the codes' distinct plane splits, also
+    returned."""
     monkeypatch.setattr(helpers, "projection_plan", _one_bucket_plan(us, vs))
     params = ladder_params(0.25, seed=0, reps=1)
-    cache = prepare_pair_counts(text, pattern)
     sigma, nbits = text.sigma, (text.sigma - 1).bit_length()
-    in_bucket = np.isin(cache.codes // sigma, us) & np.isin(cache.codes % sigma, vs)
-    codes, rows = cache.codes[in_bucket], cache.rows[cache.row_ids[in_bucket]]
-    assert codes.size >= 3 and np.all(cache.row_ids[in_bucket] >= 0)
+    keys, counts = pair_count_keys(text, pattern)
+    wins, code = np.divmod(keys, sigma**2)
+    in_bucket = np.isin(code // sigma, us) & np.isin(code % sigma, vs)
+    codes, at = np.unique(code[in_bucket], return_inverse=True)
+    rows = np.zeros((codes.size, len(text) - len(pattern) + 1), dtype=np.int64)
+    rows[at, wins[in_bucket]] = counts[in_bucket]
+    assert codes.size >= 3
     ref = construct_reference(text, pattern, params)
     # bit b of a pattern u | v << nbits, per code; a split and its complement
     # are one split
@@ -612,17 +639,15 @@ def test_row_decode_many_splits(monkeypatch, nbits, m, n, weights):
 
 
 def test_two_row_group_at_the_ladder_ceiling(monkeypatch):
-    # codes (0, 1) and (0, 2) keep rows and share the one non-diagonal
-    # bucket of a one-projection plan; the pairs of text symbol 3 land in a
-    # diagonal bucket. Each window names the strictly heavier pair with
+    # codes (0, 1) and (0, 2) share the one non-diagonal bucket of a
+    # one-projection plan; the pairs of text symbol 3 land in a diagonal
+    # bucket. Each window names the strictly heavier pair with
     # value d_a + d_b, above its count wherever the lighter pair occurs too,
     # and the plan ends before those counts are exact
     monkeypatch.setattr(helpers, "projection_plan", _one_bucket_plan([0], [1, 2]))
     text = IntString(_text_over([0, 3], [9, 1], 300, seed=4), 4)
     pattern = IntString(_text_over([1, 2], [1, 1], 40, seed=5), 4)
-    cache = prepare_pair_counts(text, pattern)
-    rows = cache.rows[cache.row_ids[np.isin(cache.codes, [1, 2])]]
-    assert rows.shape[0] == 2
+    rows = pair_count_matrix(text, pattern)[[1, 2]]
     params = ladder_params(0.25, seed=0, reps=1)
     _, runs = reference_candidates(text, pattern, params)
     assert runs == 1
@@ -640,12 +665,13 @@ def test_two_row_group_at_the_ladder_ceiling(monkeypatch):
 
 
 def test_entry_group_spurious_decodes_match_reference():
-    # no code keeps a row, so a candidate naming a pair absent from its
-    # window can only come from a collision decode; the equation drops it
+    # every pair occurs in under a quarter of the windows, and collision
+    # decodes still name pairs absent from their windows; the equation drops
+    # them
     for seed in (7, 38):
         text, pattern = _scattered_instance(seed, 256, (24, 53), 120, 16)
         params = ladder_params(0.5, seed=seed, reps=3)
-        assert np.all(prepare_pair_counts(text, pattern).row_ids < 0)
+        assert _spread(text, pattern) == "narrow"
         absent, runs = _ladder_equation(text, pattern, params)
         assert runs < params.num_scales * params.reps and absent > 0, seed
 
@@ -654,8 +680,8 @@ def test_entry_group_spurious_decodes_match_reference():
 @given(data=st.data())
 def test_csr_route_matches_reference_property(data):
     # small alphabets in full, or a few scattered symbols of a larger one,
-    # with pair counts built in blocks of any size: where the reference stops
-    # before its ceiling, the equation holds
+    # with D' built in blocks of any size: where the reference stops before
+    # its ceiling, the equation holds
     sigma = data.draw(st.sampled_from([2, 3, 5, 12, 32, 256]), label="sigma")
     used = data.draw(
         st.lists(st.integers(0, sigma - 1), min_size=1, max_size=8, unique=True)
@@ -672,7 +698,7 @@ def test_csr_route_matches_reference_property(data):
         seed=data.draw(st.integers(0, 1 << 30)),
         reps=data.draw(st.integers(1, 2)),
     )
-    positions = data.draw(st.sampled_from(_PAIR_BLOCKS), label="pair block positions")
+    positions = data.draw(st.sampled_from(_BLOCKS), label="block positions")
     with pytest.MonkeyPatch.context() as mp:
         _blocked(mp, positions)
         _, runs = _ladder_equation(text, pattern, params)
@@ -709,22 +735,43 @@ def test_ladder_equation_pins_absent_candidates():
     assert (absent, runs) == (1, 4)
 
 
-def test_csr_blocks_do_not_change_the_profile(monkeypatch):
-    # entry codes only: the pair counts built in blocks of one window, of a
-    # few and of the default give the same D', each window's top counts
-    text, pattern = _uniform(40, 5, 257, seed=5)
-    capacity = 2
-    want = capacity_filter_reference(
-        257, 36, [
-            (j, u * 257 + v, c) for j, w in enumerate(_brute_windows(text, pattern))
-            for (u, v), c in w.items()
-        ], capacity,
-    )
-    assert np.diff(want.indptr).max() == capacity
-    for positions in _PAIR_BLOCKS:
+def _planted(text, pattern, at):
+    """text with pattern written over it at each position of at."""
+    symbols = text.symbols.copy()
+    for j in at:
+        symbols[j : j + len(pattern)] = pattern.symbols
+    return IntString(symbols, text.sigma), pattern
+
+
+@pytest.mark.parametrize(
+    "instance, capacity, route",
+    [
+        # 4 * 4 cells <= m = 16, and 64-symbol alphabets with m = 16; the
+        # pattern is planted where it leaves windows with no mismatch
+        (lambda: _planted(*_uniform(300, 16, 4, seed=3), [40, 200]), 3, "grid"),
+        (lambda: _planted(*_uniform(300, 16, 64, seed=3), [40, 200]), 2, "sort"),
+    ],
+    ids=["grid", "sort"],
+)
+def test_blocks_do_not_change_the_profile(monkeypatch, instance, capacity, route):
+    # D' built in blocks of one window, of a few and of the default is each
+    # window's capacity largest naive counts, ties going to the smaller
+    # code, on either route. Some window ties at its capacity cut, and some
+    # holds no mismatch
+    text, pattern = instance()
+    cands = _brute_candidates(text, pattern)
+    nw = len(text) - len(pattern) + 1
+    ranked = [sorted(-c for j, _, c in cands if j == w) for w in range(nw)]
+    assert any(len(r) > capacity and r[capacity - 1] == r[capacity] for r in ranked)
+    assert any(not r for r in ranked)
+    want = capacity_filter_reference(text.sigma, nw, cands, capacity)
+    taken = _route_spy(monkeypatch)
+    for positions in (1, 7 * len(pattern), noise_profile._BLOCK_POSITIONS):
         _blocked(monkeypatch, positions)
-        got = _top(text, pattern, capacity)
+        got = top_pair_counts(text, pattern, capacity)
+        got.validate()
         assert same_profile(got, want), positions
+    assert taken == [route] * 3
 
 
 def _skewed_instance(n, m, sigma, seed, heavy=0.6):
@@ -737,108 +784,60 @@ def _skewed_instance(n, m, sigma, seed, heavy=0.6):
 
 
 def test_dense_and_sparse_routes_agree():
-    # row codes and entry codes ranked together: top_pair_counts keeps what a
-    # literal per-window rank of the brute counts keeps, with the pair counts
-    # built in blocks of any size
+    # pairs in most windows and pairs in a few, ranked together:
+    # top_pair_counts keeps what a literal per-window rank of the brute
+    # counts keeps, in blocks of any size
     for seed, sigma, heavy in ((0, 24, 0.6), (4, 40, 0.4), (9, 24, 0.6)):
         text, pattern = _skewed_instance(160, 24, sigma, seed, heavy)
-        rowed = prepare_pair_counts(text, pattern).row_ids >= 0
-        assert rowed.any() and not rowed.all()
-        cands = [
-            (j, u * sigma + v, c) for j, w in enumerate(_brute_windows(text, pattern))
-            for (u, v), c in w.items()
-        ]
+        assert _spread(text, pattern) == "both"
+        cands = _brute_candidates(text, pattern)
         for capacity in (1, 6):
             want = capacity_filter_reference(sigma, 137, cands, capacity)
-            for positions in _PAIR_BLOCKS:
+            for positions in _BLOCKS:
                 with pytest.MonkeyPatch.context() as mp:
                     _blocked(mp, positions)
-                    got = _top(text, pattern, capacity)
+                    got = top_pair_counts(text, pattern, capacity)
                 assert same_profile(got, want), (seed, capacity, positions)
 
 
-def test_dense_filter_blocks_do_not_change_the_profile(monkeypatch):
-    # row cells and entries ranked together, in window blocks of any size
-    text, pattern = _skewed_instance(400, 48, 24, seed=1)
-    pairs = prepare_pair_counts(text, pattern)
-    assert (pairs.row_ids >= 0).any() and (pairs.row_ids < 0).any()
-    capacity = 6
-    want = top_pair_counts(pairs, capacity)
-    # the capacity cut must bind somewhere, or ranking is never tested
-    assert np.diff(want.indptr).max() == capacity
-    for cells in (1, 100, 1 << 30):
-        monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
-        got = top_pair_counts(pairs, capacity)
-        assert same_profile(got, want), cells
-
-
-def _pairs_of(sigma, nw, rows, entries):
-    """A PairCounts of the row codes rows {code: counts over the windows} and
-    the entry codes entries {code: {window: count}}."""
-    codes = sorted([*rows, *entries])
-    row_codes = sorted(rows)
-    at = [sorted(entries.get(c, {})) for c in codes]
-    return PairCounts(
-        sigma=sigma, n_windows=nw, codes=np.array(codes, dtype=np.int64),
-        row_ids=np.array([row_codes.index(c) if c in rows else -1 for c in codes], dtype=np.int64),
-        rows=np.array([rows[c] for c in row_codes], dtype=np.int32).reshape(len(rows), nw),
-        offsets=np.cumsum([0] + [len(w) for w in at]).astype(np.int64),
-        windows=np.array([j for w in at for j in w], dtype=np.int32),
-        counts=np.array([entries[c][j] for c, w in zip(codes, at) for j in w], dtype=np.int32),
-    )
-
-
-@pytest.mark.parametrize("cells", [1, 1 << 18])
-def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, cells):
-    # sigma 4, capacity 2. Row code 6 = (1, 2) counts 5, 5 and 0 in windows
-    # 0..2. Window 0: entries 3 and 9 tie the row cell at 5 below 12 at 7,
-    # so 3 keeps the second place; window 1: the row cell beats entries 9
-    # and 11 at 5, and 9 beats 11; window 2 keeps its one entry
-    monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
-    entries = {3: {0: 5, 2: 1}, 9: {0: 5, 1: 5}, 11: {1: 5}, 12: {0: 7}}
-    got = top_pair_counts(_pairs_of(4, 3, {6: [5, 5, 0]}, entries), capacity=2)
+@pytest.mark.parametrize("positions", [1, 1 << 18])
+def test_filter_breaks_value_ties_toward_the_smaller_code(monkeypatch, positions):
+    # sigma 4, pattern all 0 and capacity 2, so window j's pairs are (u, 0)
+    # at the counts of u = 1, 2, 3 in text[j : j + 7]. Window 0 counts 2, 2
+    # and 3: (1, 0) takes the second place from (2, 0); window 1 ties all
+    # three at 2 and keeps the two smaller codes; window 2 drops (1, 0) at 1
+    _blocked(monkeypatch, positions)
+    text = IntString([3, 1, 2, 3, 1, 2, 3, 0, 0], 4)
+    got = top_pair_counts(text, IntString(np.zeros(7, dtype=np.int64), 4), capacity=2)
     assert [window_entries(got, j) for j in range(3)] == [
-        {(0, 3): 5, (3, 0): 7}, {(1, 2): 5, (2, 1): 5}, {(0, 3): 1},
+        {(1, 0): 2, (3, 0): 3}, {(1, 0): 2, (2, 0): 2}, {(2, 0): 2, (3, 0): 2},
     ]
-    windows = [{(1, 2): 5}, {(1, 2): 5}, {}]
-    for c, at in entries.items():
-        for j, v in at.items():
-            windows[j][divmod(c, 4)] = v
-    assert same_profile(got, noise_profile_from_windows(windows, 4, capacity=2))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_top_pair_counts_matches_a_literal_capacity_filter_property(data):
-    # drawn pair counts: row codes with a count (0 included) in every
-    # window, and entry codes with positive counts in some windows. Small
-    # counts make ties common, and windows hold up to 9 candidates against
-    # capacities of 1 to 4. top_pair_counts must keep what a literal
-    # per-window rank keeps, in filter blocks of one window and of all
+    # drawn instances over a few symbols: small counts make ties common, and
+    # windows hold up to 12 pairs against capacities of 1 to 4.
+    # top_pair_counts must keep what a literal per-window rank of the brute
+    # counts keeps, in blocks of one window and of all
     sigma = data.draw(st.sampled_from([3, 5, 16]), label="sigma")
-    nw = data.draw(st.integers(1, 6), label="windows")
+    n = data.draw(st.integers(1, 24), label="n")
+    m = data.draw(st.integers(1, min(n, 12)), label="m")
     capacity = data.draw(st.integers(1, 4), label="capacity")
-    off = [c for c in range(sigma * sigma) if c // sigma != c % sigma]
-    pool = data.draw(
-        st.lists(st.sampled_from(off), unique=True, min_size=1, max_size=9), label="codes"
+    used = data.draw(
+        st.lists(st.integers(0, sigma - 1), unique=True, min_size=2, max_size=5), label="symbols"
     )
-    count = st.integers(1, 3)
-    rows, entries = {}, {}
-    for c in pool:
-        if data.draw(st.booleans(), label=f"{c} keeps a row"):
-            rows[c] = data.draw(st.lists(st.integers(0, 3), min_size=nw, max_size=nw))
-        else:
-            at = data.draw(st.sets(st.integers(0, nw - 1)), label=f"windows of {c}")
-            entries[c] = {j: data.draw(count) for j in at}
-    cands = [(j, c, v) for c, row in rows.items() for j, v in enumerate(row)]
-    cands += [(j, c, v) for c, at in entries.items() for j, v in at.items()]
-    want = capacity_filter_reference(sigma, nw, cands, capacity)
-    for cells in (1, 1 << 30):
+    symbols = st.sampled_from(used)
+    text = IntString(data.draw(st.lists(symbols, min_size=n, max_size=n)), sigma)
+    pattern = IntString(data.draw(st.lists(symbols, min_size=m, max_size=m)), sigma)
+    want = capacity_filter_reference(sigma, n - m + 1, _brute_candidates(text, pattern), capacity)
+    for positions in (1, 1 << 30):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(noise_profile, "_FILTER_BLOCK_CELLS", cells)
-            got = top_pair_counts(_pairs_of(sigma, nw, rows, entries), capacity)
+            _blocked(mp, positions)
+            got = top_pair_counts(text, pattern, capacity)
         got.validate()
-        assert same_profile(got, want), cells
+        assert same_profile(got, want), positions
 
 
 class _CountingNumpy:
@@ -860,19 +859,19 @@ class _CountingNumpy:
 
 
 def test_filter_block_cells_are_read_at_each_recovery(monkeypatch):
-    # the skewed shape ranks its candidates in one window block at the
-    # default; patched down after import, the cells split the filter into
-    # several blocks (one np.multiply of the count rows each) and leave D'
-    # as it was
-    pairs = prepare_pair_counts(*_skewed_instance(400, 48, 24, seed=1))
-    blocks = _CountingNumpy("multiply")
+    # the skewed shape ranks its candidates in one block of windows at the
+    # default; patched down after import, the block positions split the
+    # filter into one np.partition per block of 21 windows and leave D' as
+    # it was
+    text, pattern = _skewed_instance(400, 48, 24, seed=1)
+    blocks = _CountingNumpy("partition")
     monkeypatch.setattr(noise_profile, "np", blocks)
-    want = top_pair_counts(pairs, 6)
+    want = top_pair_counts(text, pattern, 6)
     assert blocks.calls == 1
     blocks.calls = 0
-    monkeypatch.setattr(noise_profile, "_FILTER_BLOCK_CELLS", 1 << 10)
-    got = top_pair_counts(pairs, 6)
-    assert blocks.calls > 1
+    _blocked(monkeypatch, 1 << 10)
+    got = top_pair_counts(text, pattern, 6)
+    assert blocks.calls == -(-353 // 21)
     assert same_profile(got, want)
 
 
@@ -887,57 +886,33 @@ def _periodic_instance(n, m, sigma, seed):
 
 
 def test_recovery_memory_grows_with_pair_entries():
-    # top_pair_counts keeps about 40 bytes per pair entry while it groups
-    # the entries by window, and a key block of at most 16 bytes per cell of
-    # _FILTER_BLOCK_CELLS; nothing grows as sigma^2 * windows. On the
-    # periodic instance 8 * sigma^2 * windows bytes is 31.5 MB
-    row_heavy = _uniform(1024, 128, 16, seed=3)
-    entry_heavy = _periodic_instance(1024, 64, 64, seed=3)
-    for text, pattern in (row_heavy, entry_heavy):
-        pairs = prepare_pair_counts(text, pattern)
-        entries = pairs.counts.size + np.count_nonzero(pairs.rows)
-        noise, peak = traced_peak(top_pair_counts, pairs, 12)
+    # top_pair_counts keeps D', 12 bytes per D' entry until the profile is
+    # built and one block's temporaries, at most about 65 bytes per block
+    # position; nothing grows as the pair entries of all windows, nor as
+    # sigma^2 * windows (31.5 MB on the periodic instance). Both shapes
+    # take the sort route; the periodic one holds only pairs that occur in
+    # few windows
+    uniform = _uniform(1024, 128, 16, seed=3)
+    periodic = _periodic_instance(1024, 64, 64, seed=3)
+    for (text, pattern), spread in ((uniform, "both"), (periodic, "narrow")):
+        assert _spread(text, pattern) == spread
+        noise, peak = traced_peak(top_pair_counts, text, pattern, 12)
+        noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
         assert noise.values.size
-        assert peak <= 64 * entries + 16 * noise_profile._FILTER_BLOCK_CELLS
-    assert (prepare_pair_counts(*row_heavy).row_ids >= 0).mean() > 0.5
-    assert np.all(prepare_pair_counts(*entry_heavy).row_ids < 0)
-
-
-def test_pair_count_layout_follows_window_fill():
-    # a code in at least a quarter of the windows keeps a row, any other
-    # code its entries; the block size changes only the build's blocks
-    for text, pattern in (
-        _uniform(2048, 256, 8, seed=3),
-        _periodic_instance(2048, 256, 64, seed=3),
-        _skewed_instance(400, 48, 24, seed=1),
-    ):
-        nw = len(text) - len(pattern) + 1
-        cache = prepare_pair_counts(text, pattern)
-        dd = pair_count_matrix(cache)[cache.codes]
-        fill = np.count_nonzero(dd, axis=1)
-        assert np.array_equal(cache.row_ids >= 0, 4 * fill >= nw)
-        assert np.array_equal(np.diff(cache.offsets), np.where(4 * fill >= nw, 0, fill))
-        with pytest.MonkeyPatch.context() as mp:
-            _blocked(mp, positions=1)
-            blocked = prepare_pair_counts(text, pattern)
-        for field in ("codes", "row_ids", "rows", "offsets", "windows", "counts"):
-            assert np.array_equal(getattr(blocked, field), getattr(cache, field)), field
-    # nearly every code in every window, and each window's few pairs
-    assert np.all(prepare_pair_counts(*_uniform(2048, 256, 8, seed=3)).row_ids >= 0)
-    assert np.all(prepare_pair_counts(*_periodic_instance(2048, 256, 64, seed=3)).row_ids < 0)
+        assert peak <= noise_bytes + 16 * noise.values.size + 96 * noise_profile._BLOCK_POSITIONS
 
 
 def test_constructed_profile_invariants():
     text, pattern = _uniform(300, 40, 16, seed=44)
     params = approx_params(0.25, seed=2, n=300, reps=3)
-    noise = _top(text, pattern, params.capacity)
+    noise = top_pair_counts(text, pattern, params.capacity)
     noise.validate()
     sizes = np.diff(noise.indptr)
     assert sizes.max() == params.capacity == noise.capacity
     assert np.all(noise.us != noise.vs)
     assert noise.values.min() > 0
     assert noise.values.max() <= len(pattern)
-    assert same_profile(noise, _top(text, pattern, params.capacity))
+    assert same_profile(noise, top_pair_counts(text, pattern, params.capacity))
     # the D' approx shares between its executions is this one
     _, shared = approx_profile(text, pattern, params, return_noise=True)
     assert same_profile(shared, noise)
@@ -960,7 +935,7 @@ def test_construct_validates_inputs():
     kp = karloff_params(0.25, seed=0, n=2, reps=1)
     # karloff_profile once failed with a bare IndexError on mismatched
     # alphabets, approx_profile with numpy's window-shape error on m > n, and
-    # prepare_pair_counts returned a cache for mismatched alphabets. An empty
+    # the pair counts were built for mismatched alphabets. An empty
     # pattern made the naive profile and approx divide by zero, the
     # convolution return n + 1 zero windows and karloff one window
     cases = [
@@ -970,7 +945,7 @@ def test_construct_validates_inputs():
     ]
     for text, pattern, message in cases:
         for call in (
-            lambda: prepare_pair_counts(text, pattern),
+            lambda: top_pair_counts(text, pattern, ap.capacity),
             lambda: approx_profile(text, pattern, ap),
             lambda: karloff_profile(text, pattern, kp),
             lambda: hamming_profile_naive(text, pattern),
@@ -978,7 +953,7 @@ def test_construct_validates_inputs():
         ):
             with pytest.raises(ValueError, match=message):
                 call()
-    empty = _top(IntString([0, 0, 0], 1), IntString([0], 1), ap.capacity)
+    empty = top_pair_counts(IntString([0, 0, 0], 1), IntString([0], 1), ap.capacity)
     assert empty.n_windows == 3
     assert empty.values.size == 0
 
@@ -997,56 +972,13 @@ def test_inputs_without_mismatches_give_an_empty_profile():
         (IntString(np.zeros(5, dtype=np.int64), 1), IntString([0, 0], 1)),
     ]
     for text, pattern in cases:
-        pairs = prepare_pair_counts(text, pattern)
-        assert pairs.codes.size == 0
-        noise = top_pair_counts(pairs, params.capacity)
+        noise = top_pair_counts(text, pattern, params.capacity)
         noise.validate()
         assert noise.n_windows == len(text) - len(pattern) + 1
         assert noise.values.size == noise.codes.size == 0
         dtypes = [a.dtype for a in (noise.indptr, noise.codes, noise.cols, noise.values)]
         assert dtypes == [np.int64, np.int64, np.int32, np.int64]
         assert same_profile(noise, construct_reference(text, pattern, params))
-
-
-def _pair_dicts(cache):
-    """Per-window {(u, v): count} of a PairCounts; each code's entry windows
-    must be strictly increasing."""
-    sigma = cache.sigma
-    out = [dict() for _ in range(cache.n_windows)]
-    for i, code in enumerate(cache.codes):
-        if cache.row_ids[i] >= 0:
-            row = cache.rows[cache.row_ids[i]]
-            wins = np.flatnonzero(row)
-            counts = row[wins]
-        else:
-            lo, hi = cache.offsets[i], cache.offsets[i + 1]
-            wins, counts = cache.windows[lo:hi], cache.counts[lo:hi]
-            assert np.all(np.diff(wins) > 0)
-        for j, k in zip(wins, counts):
-            out[j][(int(code) // sigma, int(code) % sigma)] = int(k)
-    return out
-
-
-_PAIR_FIELDS = ("codes", "row_ids", "rows", "offsets", "windows", "counts")
-
-
-def _route_spy(monkeypatch):
-    """Records which route each prepare_pair_counts call takes."""
-    taken = []
-    for name, route in (("_grid_pair_counts", "grid"), ("_sorted_pair_counts", "sort")):
-        def spy(*args, _real=getattr(pair_counts, name), _route=route):
-            taken.append(_route)
-            return _real(*args)
-
-        monkeypatch.setattr(pair_counts, name, spy)
-    return taken
-
-
-def _assert_same_pair_counts(got, want):
-    assert (got.sigma, got.n_windows) == (want.sigma, want.n_windows)
-    for field in _PAIR_FIELDS:
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def _strings(text, pattern, sigma):
@@ -1077,22 +1009,23 @@ def test_pair_counts_routes_match_brute(monkeypatch):
     ]
     taken = _route_spy(monkeypatch)
     for (text, pattern), route in shapes:
-        nw = len(text) - len(pattern) + 1
-        want = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
-        # 20 and 1 positions build the counts in blocks of a few windows and
-        # of one
-        for positions in _PAIR_BLOCKS:
+        want = _brute_windows(text, pattern)
+        # a window holds at most m pairs, so capacity m keeps every count.
+        # 20 and 1 positions count them in blocks of a few windows and of one
+        for positions in _BLOCKS:
             taken.clear()
             _blocked(monkeypatch, positions=positions)
-            pairs = prepare_pair_counts(text, pattern)
-            assert _pair_dicts(pairs) == want
-            assert np.array_equal(pairs.dense(), pair_count_matrix(pairs))
+            noise = top_pair_counts(text, pattern, len(pattern))
+            noise.validate()
+            assert [window_entries(noise, j) for j in range(len(want))] == want
             assert taken == [route], (len(text), len(pattern), text.sigma)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_pair_count_routes_agree_property(data):
+    # whichever route the rule takes, D' at capacity m holds every window's
+    # brute counts, in blocks of any size
     sigma = data.draw(st.sampled_from([1, 2, 3, 5, 12, 300]), label="sigma")
     n = data.draw(st.integers(1, 40), label="n")
     m = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="m")
@@ -1101,15 +1034,12 @@ def test_pair_count_routes_agree_property(data):
     p_syms = st.integers(data.draw(st.integers(0, sigma - 1)), sigma - 1)
     text = IntString(data.draw(st.lists(t_syms, min_size=n, max_size=n)), sigma)
     pattern = IntString(data.draw(st.lists(p_syms, min_size=m, max_size=m)), sigma)
-    for positions in _PAIR_BLOCKS:
+    want = _brute_windows(text, pattern)
+    for positions in _BLOCKS:
         with pytest.MonkeyPatch.context() as mp:
             _blocked(mp, positions=positions)
-            built = {"rule": prepare_pair_counts(text, pattern)}
-            for route, rule in (("grid", True), ("sort", False)):
-                mp.setattr(pair_counts, "pair_grid_pays", lambda *_, _r=rule: _r)
-                built[route] = prepare_pair_counts(text, pattern)
-        _assert_same_pair_counts(built["grid"], built["sort"])
-        _assert_same_pair_counts(built["rule"], built["sort"])
+            noise = top_pair_counts(text, pattern, m)
+        assert [window_entries(noise, j) for j in range(len(want))] == want
 
 
 def test_pair_count_route_on_bench_shapes(monkeypatch):
@@ -1123,51 +1053,47 @@ def test_pair_count_route_on_bench_shapes(monkeypatch):
         _uniform(2048, 64, 256, seed=1),
         _uniform(512, 64, 16, seed=1),
     ):
-        prepare_pair_counts(text, pattern)
+        top_pair_counts(text, pattern, 48)
     assert taken == ["grid", "grid", "sort", "sort"]
 
 
 def test_pair_block_positions_are_read_at_each_build(monkeypatch):
     # a grid-route and a sort-route shape each count their pairs in one
-    # block of windows at the default; patched down after import, the block
-    # positions split each build into several blocks and leave D' as it was
-    blocks = []
-    for name, route in (("_grid_pair_counts", "grid"), ("_sorted_pair_counts", "sort")):
-        def spy(*args, _real=getattr(pair_counts, name), _route=route):
-            blocks.append((_route, args[-1]))  # windows per block
-            return _real(*args)
-
-        monkeypatch.setattr(pair_counts, name, spy)
-    for (text, pattern), route in (
-        (_uniform(600, 64, 8, seed=4), "grid"), (_uniform(600, 16, 64, seed=4), "sort"),
-    ):
+    # block of windows at the default, one np.bincount or np.unique; patched
+    # down after import, the block positions split the count into one call
+    # per block and leave D' as it was
+    for instance, route, count in ((600, 64, 8), "grid", "bincount"), ((600, 16, 64), "sort", "unique"):
+        text, pattern = _uniform(*instance, seed=4)
         nw = len(text) - len(pattern) + 1
-        blocks.clear()
-        want = _top(text, pattern, 12)
         with pytest.MonkeyPatch.context() as mp:
+            taken = _route_spy(mp)
+            blocks = _CountingNumpy(count)
+            mp.setattr(noise_profile, "np", blocks)
+            want = top_pair_counts(text, pattern, 12)
+            assert blocks.calls == 1
+            blocks.calls = 0
             _blocked(mp, positions=1000)
-            got = _top(text, pattern, 12)
-        (route0, default), (route1, patched) = blocks
-        assert route0 == route1 == route
-        assert default >= nw and -(-nw // patched) > 1
+            got = top_pair_counts(text, pattern, 12)
+        assert taken == [route] * 2
+        assert blocks.calls == -(-nw // (1000 // len(pattern))) > 1
         assert same_profile(got, want)
 
 
 def test_pair_count_grid_memory_follows_budget(monkeypatch):
-    # the grid route keeps an int32 (cells, windows) grid, where cells =
-    # sigma_t' * sigma_p' <= m, plus its row and entry copies; the per-block
-    # temporaries stay within 48 bytes per block position. Counting all 7681
-    # windows in one block peaks at about 33 MB here (an int64 key per
-    # position); in blocks of 2^20 / 48 positions the peak is about 1.1 MB
-    # against a 2.5 MB bound.
+    # the grid route counts a block on an int64 (windows, cells) grid, where
+    # cells = sigma_t' * sigma_p' <= m, with about 20 bytes of temporaries
+    # per block position; beside them top_pair_counts keeps D' and 12 bytes
+    # per D' entry until the profile is built. Counting all 7681 windows in
+    # one block peaks at 36.6 MB here; in blocks of 2^20 / 48 positions the
+    # peak is 2.3 MB against a 3.7 MB bound
     text, pattern = _uniform(8192, 512, 4, seed=2)
-    nw = len(text) - len(pattern) + 1
-    grid_bytes = 4 * 4 * 4 * nw
     budget = 1 << 20
     _blocked(monkeypatch, positions=budget // 48)
-    cache, peak = traced_peak(prepare_pair_counts, text, pattern)
-    assert cache.rows.shape == (12, nw)
-    assert peak <= budget + 3 * grid_bytes
+    taken = _route_spy(monkeypatch)
+    noise, peak = traced_peak(top_pair_counts, text, pattern, 12)
+    noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
+    assert taken == ["grid"]
+    assert peak <= budget + noise_bytes + 16 * noise.values.size
 
 
 def test_noise_profile_from_windows_capacity_and_ties():

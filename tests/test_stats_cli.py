@@ -327,7 +327,6 @@ def test_mismatched_inputs_exit_two(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 4
-    assert "ok D' == each window's top-capacity exact pair counts" in out
-    assert "ok pair counts sum to the exact profile, sort and grid routes" in out
+    assert out.count("ok ") == 3
+    assert "ok D' == top-capacity of naive pair counts, sort and grid routes" in out
     assert "FAIL" not in out

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hamsketch.pair_counts import prepare_pair_counts
 from hamsketch.text_model import (
     MODELS,
     DistanceProfile,
@@ -16,7 +15,7 @@ from hamsketch.text_model import (
     write_tokens,
 )
 
-from helpers import pair_count_matrix, sliding_hamming_brute
+from helpers import pair_count_keys, pair_count_matrix, sliding_hamming_brute
 
 
 def test_intstring_validation():
@@ -98,7 +97,7 @@ def test_planted_heavy_creates_heavy_pair_stretch():
     # inside the planted block one (u, v) pair should dominate the window's
     # mismatch mass; require a long contiguous stretch of such windows
     text, pattern = generate_instance(1 << 15, 1 << 9, 16, "planted_heavy", seed=3)
-    dd = pair_count_matrix(prepare_pair_counts(text, pattern))
+    dd = pair_count_matrix(text, pattern)
     off_diag = np.ones(dd.shape[0], dtype=bool)
     off_diag[:: 16 + 1] = False
     dd = dd[off_diag]
@@ -119,10 +118,8 @@ def test_few_pairs_windows_hold_few_pairs_and_differ():
     text, pattern = generate_instance(4096, 512, 64, "few_pairs", seed=1)
     assert np.unique(pattern.symbols).size == 8
     assert np.unique(text.symbols).size == 16
-    pairs = prepare_pair_counts(text, pattern)
-    per_window = np.count_nonzero(pairs.rows, axis=0) + np.bincount(
-        pairs.windows, minlength=pairs.n_windows
-    )
+    keys, _ = pair_count_keys(text, pattern)
+    per_window = np.bincount(keys // text.sigma**2)
     assert per_window.max() <= 16
     assert np.unique(sliding_hamming_brute(text, pattern)).size > 100
     # tiny alphabets shrink the block to sigma // 2 symbols
