@@ -15,7 +15,11 @@ family and, per window j, the integer
 
     max(0, m - C[j] + sum_(u,v) A(u, v) * d'_j(u, v)):
 
-karloff's with no D' (2/k * sum_i HAM_i), approx's with the D' it builds.
+karloff's with no D' (2/k * sum_i HAM_i), and approx's with the D' it
+builds on the sort route (noise_profile.pair_grid_pays false). On the grid
+route approx takes the same integers from its block pair counts instead,
+as d - (N - D') @ A with A from cell_agreements: the (cells, executions)
+agreements of every occurring symbol pair, from one base-bit evaluation.
 The correction (dprime_correction) is D' times the (codes, executions)
 agreements, all from one base-bit evaluation over the symbols of D'. A
 NoiseProfile is stored as the (windows, distinct codes) CSR matrix this
@@ -219,6 +223,17 @@ def dprime_correction(noise, families) -> np.ndarray:
     # every term is an integer of size at most m, so the float64 product is
     # exact
     return (noise.csr() @ weights).T.astype(np.int64)
+
+
+def cell_agreements(families, sym_t: np.ndarray, sym_p: np.ndarray) -> np.ndarray:
+    """(sym_t.size * sym_p.size, len(families)) float64 agreements A(u, v)
+    of every symbol pair of sym_t and sym_p, row-major over (u, v), under
+    each family, from one base-bit evaluation over their symbols."""
+    syms = np.union1d(sym_t, sym_p)
+    sig = family_signatures(families, syms)
+    sig_t, sig_p = sig[:, np.searchsorted(syms, sym_t)], sig[:, np.searchsorted(syms, sym_p)]
+    agree = signature_agreement(sig_t[:, :, None], sig_p[:, None, :])
+    return agree.reshape(len(families), -1).T.astype(np.float64)
 
 
 def median_profile(runs) -> DistanceProfile:

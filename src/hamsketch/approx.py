@@ -15,9 +15,23 @@ matches C (_sketch), per window
 an integer, and the profile is a per-window median over `reps` executions,
 each with a fresh family. Before the max, delta[j] - d[j] = -sum_{u != v}
 A(u, v) * (N_j(u, v) - d'_j(u, v)), with N_j the window's true pair counts:
-the residual N_j - d'_j is all the error left. All executions share one D'
-and are one call of _sketch.execution_estimates, the driver karloff runs
-with no D'.
+the residual N_j - d'_j is all the error left. All executions share one D',
+and each route gets every execution's estimate from one computation:
+
+* grid route (noise_profile.pair_grid_pays: sigma_t' * sigma_p' <= m):
+  the enumeration that builds D' holds each block's full count matrix N, so
+  it also returns d - R @ A per window (noise_profile), with R the block's
+  off-diagonal N less the cells kept for D' and A the (cells, executions)
+  agreements from one base-bit evaluation over the occurring symbols
+  (_sketch.cell_agreements). By the identity above, that is each
+  execution's estimate before the max, with no signed matches and no
+  correction product.
+* sort route: _sketch.execution_estimates, the driver karloff runs with no
+  D': C from the FFT route (_sketch.signed_matches), plus D' times A as a
+  CSR product (_sketch.dprime_correction). A fused prototype of this route
+  ran slower on the bench's sparse256 (15 -> 21 ms).
+
+The two give the same integers, byte for byte (tested).
 
 Where D' comes from: the paper recovers D' by a sparse recovery over
 coupled projections, because its O~(n/eps) route sees only bucket counts.
@@ -55,15 +69,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._sketch import (
+    cell_agreements,
     check_epsilon,
     check_reps,
     execution_estimates,
+    execution_families,
     family_size,
     median_profile,
     resolve_reps,
 )
-from .noise_profile import top_pair_counts
+from .noise_profile import _dprime_and_residual
 from .text_model import IntString
 
 # noise budget constant: sum (d - d')^2 <= B_CONST * eps * d^2
@@ -119,10 +137,25 @@ def approx_profile(
     D' is built once, from the exact pair counts, and every execution reuses
     it. return_noise also returns that shared profile.
     """
-    check_reps(params.reps)
-    shared = top_pair_counts(text, pattern, params.capacity)
-    runs = execution_estimates(text, pattern, params.k, params.seed, range(params.reps), shared)
+    runs, shared = _execution_runs(text, pattern, params)
     profile = median_profile(runs)
     if return_noise:
         return profile, shared
     return profile
+
+
+def _execution_runs(text: IntString, pattern: IntString, params: ApproxParams):
+    """(the (reps, windows) estimates of every execution, the shared D'),
+    with D' and, on the grid route, the estimates from one enumeration of
+    the pair counts."""
+    check_reps(params.reps)
+    execs = range(params.reps)
+
+    def agreements(sym_t, sym_p):
+        return cell_agreements(execution_families(params.k, params.seed, execs), sym_t, sym_p)
+
+    shared, residual = _dprime_and_residual(text, pattern, params.capacity, agreements)
+    if residual is None:
+        return execution_estimates(text, pattern, params.k, params.seed, execs, shared), shared
+    # m - C + D'A = d - sum_(u != v) (N - D') * A
+    return np.maximum(0.0, residual, out=residual).T, shared

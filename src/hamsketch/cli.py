@@ -108,7 +108,8 @@ def build_parser() -> _Parser:
     sub.add_parser(
         "selftest",
         help="check exact conv == naive, beta == member enumeration, D' == each "
-        "window's top-capacity naive pair counts on the sort and grid routes",
+        "window's top-capacity naive pair counts on the sort and grid routes, "
+        "and approx's grid-route executions == the FFT route's",
     )
     return top
 
@@ -238,6 +239,8 @@ def _cmd_bench(args) -> int:
 def _cmd_selftest(args) -> int:
     from numpy.lib.stride_tricks import sliding_window_view
 
+    from ._sketch import execution_estimates
+    from .approx import _execution_runs
     from .hashing import beta, family_new, member_eval
     from .noise_profile import pair_grid_pays
     from .text_model import occurring_symbols
@@ -290,6 +293,14 @@ def _cmd_selftest(args) -> int:
         got[noise.entry_codes(), noise.entry_windows()] = noise.values
         agree &= np.array_equal(got, want)
     check("D' == top-capacity of naive pair counts, sort and grid routes", agree)
+
+    # on the grid route approx takes every execution's estimate from the
+    # block pair counts; they equal the FFT signed matches plus the CSR
+    # correction over the same D'
+    ap = approx_params(0.25, seed=303, n=len(grid_text), reps=3)
+    runs, noise = _execution_runs(grid_text, grid_pattern, ap)
+    want = execution_estimates(grid_text, grid_pattern, ap.k, ap.seed, range(ap.reps), noise)
+    check("approx grid-route executions == FFT signed matches + D' correction", np.array_equal(runs, want))
     return 1 if failures else 0
 
 

@@ -7,7 +7,9 @@ positions (or one window) and counts each block's aligned symbol pairs
 (u, v), u != v. With sigma_t' and sigma_p' the numbers of symbols occurring
 in the text and the pattern, each position falls in the cell
 rank_t(u) * sigma_p' + rank_p(v); as cells follow the sorted symbols
-row-major they are in code order. When sigma_t' * sigma_p' <= m
+row-major they are in code order. A block's keys window * cells + cell are
+one add of the text's cells to a table of window * cells + the pattern's
+part, built once per call. When sigma_t' * sigma_p' <= m
 (pair_grid_pays), the grid route counts the block on a (windows, cells)
 grid with one np.bincount; the grid holds no more cells than the block has
 positions. Otherwise the sort route keys each mismatch position by
@@ -17,6 +19,12 @@ count matrix in code order, and the filter keeps each row's capacity
 largest counts. The cells it keeps, compacted to the ones used, are the
 columns of the NoiseProfile, the CSR matrix the correction multiplies as it
 is.
+
+On the grid route the block's count matrix N is every count of its windows,
+so approx gets each execution's estimate there too (_dprime_and_residual):
+with A the (cells, executions) agreements, each window's d - R @ A, where d
+sums the window's off-diagonal counts and R is the off-diagonal N with the
+cells kept for D' set to 0. The pair counts are enumerated once either way.
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .text_model import IntString, check_instance, occurring_symbols
 
 # top_pair_counts enumerates at most this many window positions per block (or
-# one window), read at each call. A block's temporaries peak at about 20
-# bytes per position on the grid route and 65 on the sort route, where every
-# position may be a distinct mismatch pair (tracemalloc): 4.3 MB at most.
+# one window), read at each call. A block's temporaries peak at about 17
+# bytes per position on the grid route (22 with approx's residual products)
+# and 73 on the sort route, where every position may be a distinct mismatch
+# pair (tracemalloc): 4.8 MB at most.
 # Blocks of 2^16 to 2^18 positions build D' fastest on the bench shapes
 _BLOCK_POSITIONS = 1 << 16
 
@@ -153,6 +162,20 @@ def top_pair_counts(text: IntString, pattern: IntString, capacity: int) -> Noise
     longer pattern alone would take 8 GiB of int32 symbols). Each block
     keeps its entries' cells (int64) and counts (int32) until the profile
     is built."""
+    return _dprime_and_residual(text, pattern, capacity)[0]
+
+
+def _dprime_and_residual(text: IntString, pattern: IntString, capacity: int, weights=None):
+    """(top_pair_counts(text, pattern, capacity), residual products or None).
+
+    weights, if given, maps the occurring symbols (sym_t, sym_p) to a
+    (cells, columns) float64 table over the cells rank_t(u) * sigma_p' +
+    rank_p(v). On the grid route, where each block's full count matrix N is
+    at hand, it is called once and the second result is the (windows,
+    columns) float64 d - R @ weights: d is each window's sum of its
+    off-diagonal counts, and R is the block's off-diagonal N with the cells
+    kept for D' set to 0. Elsewhere the second result is None.
+    """
     _, m, nw = check_instance(text, pattern)
     (sym_t, at_t), (sym_p, at_p) = occurring_symbols(text), occurring_symbols(pattern)
     cells = sym_t.size * sym_p.size
@@ -165,17 +188,25 @@ def top_pair_counts(text: IntString, pattern: IntString, capacity: int) -> Noise
     block = max(1, _BLOCK_POSITIONS // m)
     t_cells = sliding_window_view(at_t * sym_p.size, m)
     t_windows = sliding_window_view(text.symbols, m)
+    # window * cells + the pattern's part of each cell, for one block's
+    # windows, and the buffer each block's keys window * cells + cell are
+    # added into: they stay below b * cells <= 2^20 * max(_BLOCK_POSITIONS,
+    # m), as sigma_t' <= 2^20
+    offsets = at_p + np.arange(0, min(block, nw) * cells, cells)[:, None]
+    keys = np.empty_like(offsets)
+    table = weights(sym_t, sym_p) if grid and weights is not None else None
+    residual = None if table is None else np.empty((nw, table.shape[1]))
     kept, values = [], []
     sizes = np.zeros(nw, dtype=np.int64)
     for lo in range(0, nw, block):
-        # keys window * cells + cell of the block's windows stay below
-        # b * cells <= 2^20 * max(_BLOCK_POSITIONS, m), as sigma_t' <= 2^20
-        key = t_cells[lo : lo + block] + at_p
-        b = key.shape[0]
-        key += np.arange(0, b * cells, cells)[:, None]
+        b = min(block, nw - lo)
+        key = np.add(t_cells[lo : lo + b], offsets[:b], out=keys[:b])
         if grid:
             count = np.bincount(key.ravel(), minlength=b * cells).reshape(b, cells)
             count[:, diagonal] = 0
+            if table is not None:
+                resid = count.astype(np.float64)
+                dist = resid.sum(axis=1)
         else:
             key, cnt = np.unique(key[t_windows[lo : lo + b] != pattern.symbols], return_counts=True)
             win = key // cells
@@ -196,8 +227,14 @@ def top_pair_counts(text: IntString, pattern: IntString, capacity: int) -> Noise
         col = k[pos] >> bits
         size = pos.sum(axis=1)
         sizes[lo : lo + b] = size
+        if table is not None:
+            # every term is an integer of size at most m, so the float64
+            # product is exact in any order
+            resid[np.repeat(np.arange(b), size), col] = 0
+            np.subtract(dist[:, None], resid @ table, out=residual[lo : lo + b])
         kept.append(col if grid else key[np.repeat(first[:-1], size) + col] % cells)
         values.append(cnt[pos].astype(np.int32))
+    del offsets, keys
     cell = np.concatenate(kept)
     del kept
     # the kept cells as columns of the cells used: marked on a table of all
@@ -217,4 +254,4 @@ def top_pair_counts(text: IntString, pattern: IntString, capacity: int) -> Noise
         sigma=text.sigma, capacity=capacity, indptr=indptr,
         codes=sym_t[used // sym_p.size] * text.sigma + sym_p[used % sym_p.size], cols=cols,
         values=np.concatenate(values, dtype=np.int64),
-    )
+    ), residual

@@ -66,7 +66,7 @@ def test_reps_zero_rejected_before_recovery(monkeypatch):
     # params built directly skip approx_params' check, and approx_profile
     # rejects them before it builds any pair counts
     calls = []
-    monkeypatch.setattr(approx, "top_pair_counts", lambda *args: calls.append(args))
+    monkeypatch.setattr(approx, "_dprime_and_residual", lambda *args: calls.append(args))
     text, pattern = generate_instance(100, 10, 4, "uniform", seed=1)
     params = dataclasses.replace(approx_params(0.25, seed=1, n=100), reps=0)
     with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
@@ -252,8 +252,8 @@ def test_execution_numerators_property(data):
 def test_approx_memory_stays_near_its_inputs(monkeypatch):
     # uniform n=2048, m=1024, sigma=256 takes the sort route with nearly
     # every window position its own pair. top_pair_counts holds one block's
-    # temporaries, about 65 bytes per position, beside D' and the 12 bytes
-    # per D' entry it keeps until the profile is built: 2.8, 4.9 and 34 MB at
+    # temporaries, about 73 bytes per position, beside D' and the 12 bytes
+    # per D' entry it keeps until the profile is built: 2.8, 5.5 and 39 MB at
     # 2^14, 2^16 and 2^19 positions per block, so the peak follows the block
     # constant. approx_profile peaks at 14.6 MB at the default; counting every
     # window's pairs before the filter peaked at 55.6 MB here
@@ -272,10 +272,37 @@ def test_approx_memory_stays_near_its_inputs(monkeypatch):
     assert peak <= 20e6
 
 
+def test_approx_memory_on_the_grid_route(monkeypatch):
+    # the bench's dense16 shape takes the grid route, where approx keeps
+    # every execution's estimate from the block's counts and runs no FFT.
+    # Its peak is at most D', the 12 bytes per D' entry kept until the
+    # profile is built, two (windows, reps) float64 arrays (the estimates
+    # and median_profile's sorted copy) and 32 bytes per block position: the
+    # offsets and keys tables, the counts, their float64 residual and the
+    # filter's partition measure about 22 bytes per position between 2^16
+    # and 2^18 positions per block. approx_profile peaks at 9.8 MB at the
+    # default, where the FFT signed matches and CSR correction peaked at 11.0
+    text, pattern = generate_instance(8192, 512, 16, "uniform", seed=1)
+    occurring = (occurring_symbols(s)[0].size for s in (text, pattern))
+    assert pair_grid_pays(*occurring, len(pattern))
+    params = approx_params(0.1, seed=1, n=8192)
+    peaks = []
+    for positions in (1 << 14, noise_profile._BLOCK_POSITIONS, 1 << 18):
+        monkeypatch.setattr(noise_profile, "_BLOCK_POSITIONS", positions)
+        (_, noise), peak = traced_peak(approx_profile, text, pattern, params, return_noise=True)
+        noise_bytes = sum(a.nbytes for a in (noise.indptr, noise.codes, noise.cols, noise.values))
+        runs_bytes = 8 * noise.n_windows * params.reps
+        assert peak <= noise_bytes + 12 * noise.values.size + 2 * runs_bytes + 32 * max(positions, len(pattern))
+        peaks.append(peak)
+    assert peaks[0] <= peaks[1] < peaks[2]
+
+
 def test_one_evaluation_per_hash_kind(monkeypatch):
-    # all families' base bits for the member sums and their base bits over
-    # the symbols of D' each take one poly3_eval call at this size, however
-    # many executions; D' comes from one top_pair_counts call and draws no hash
+    # on the sort route, all families' base bits for the member sums and
+    # their base bits over the symbols of D' each take one poly3_eval call at
+    # this size, however many executions; on the grid route one evaluation
+    # over the occurring symbols gives every cell's agreement. D' and the
+    # grid route's estimates come from one enumeration, which draws no hash
     evals, builds = [], []
 
     def spy(log, fn):
@@ -285,15 +312,17 @@ def test_one_evaluation_per_hash_kind(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(hashing, "poly3_eval", spy(evals, hashing.poly3_eval))
-    monkeypatch.setattr(approx, "top_pair_counts", spy(builds, approx.top_pair_counts))
-    text, pattern = generate_instance(600, 40, 16, "uniform", seed=3)
-    for eps, reps in ((0.25, 2), (0.25, 7), (0.0625, 5)):
-        for log in (evals, builds):
-            log.clear()
-        params = approx_params(eps, seed=1, n=600, reps=reps)
-        approx_profile(text, pattern, params)
-        assert len(builds) == 1
-        assert len(evals) == 2
+    monkeypatch.setattr(approx, "_dprime_and_residual", spy(builds, approx._dprime_and_residual))
+    # sigma 16 at m = 40 takes the sort route, sigma 4 at m = 40 the grid route
+    for sigma, want in ((16, 2), (4, 1)):
+        text, pattern = generate_instance(600, 40, sigma, "uniform", seed=3)
+        for eps, reps in ((0.25, 2), (0.25, 7), (0.0625, 5)):
+            for log in (evals, builds):
+                log.clear()
+            params = approx_params(eps, seed=1, n=600, reps=reps)
+            approx_profile(text, pattern, params)
+            assert len(builds) == 1
+            assert len(evals) == want, sigma
 
 
 def test_perfect_noise_matrix_gives_exact_profile():
@@ -331,16 +360,110 @@ def test_reps_one_equals_single_execution():
     assert np.array_equal(approx_profile(text, pattern, params).values, single)
 
 
+def _grid_cases():
+    """(name, text, pattern, grid route expected) on small shapes at the
+    edges of the grid route."""
+    rng = np.random.default_rng(29)
+
+    def covering(length, sigma):
+        # every symbol of [0, sigma) occurs, the rest uniform
+        s = rng.integers(0, sigma, size=length)
+        s[:sigma] = np.arange(sigma)
+        return IntString(rng.permutation(s), sigma)
+
+    # sigma 4 at m = 16: 12 off-diagonal cells, most counts 0 to 3
+    yield "ties", covering(90, 4), covering(16, 4), True
+    # sigma_t' * sigma_p' = m, and m + 1 on the sort route
+    yield "cells == m", covering(70, 4), covering(16, 4), True
+    yield "cells == m + 1", covering(70, 4), covering(15, 4), False
+    # the pattern at every 12th window (d = 0) of a periodic text, bar the
+    # windows a random stretch covers
+    pattern = covering(12, 3)
+    text = np.resize(pattern.symbols, 60)
+    text[25:31] = rng.integers(0, 3, size=6)
+    yield "d = 0", IntString(text, 3), pattern, True
+    zeros = np.zeros(40, dtype=np.int64)
+    yield "sigma 1", IntString(zeros, 1), IntString(zeros[:9], 1), True
+    # disjoint alphabets: no diagonal cell, every position a mismatch
+    text = IntString(covering(50, 2).symbols, 3)
+    yield "no diagonal", text, IntString(np.full(7, 2), 3), True
+
+
+def _check_grid_case(monkeypatch, text, pattern, grid, positions):
+    """approx's runs at positions per block against execution_estimates
+    over the same D'; the grid route must not call it."""
+    monkeypatch.setattr(noise_profile, "_BLOCK_POSITIONS", positions)
+    occurring = (occurring_symbols(s)[0].size for s in (text, pattern))
+    assert pair_grid_pays(*occurring, len(pattern)) == grid
+    params = approx_params(0.5, seed=5, n=len(text), reps=5)
+    fallback = []
+
+    def spy(*args):
+        fallback.append(args)
+        return execution_estimates(*args)
+
+    monkeypatch.setattr(approx, "execution_estimates", spy)
+    runs, noise = approx._execution_runs(text, pattern, params)
+    assert len(fallback) == (not grid)
+    want = execution_estimates(text, pattern, params.k, params.seed, range(params.reps), noise)
+    assert runs.shape == want.shape and runs.dtype == want.dtype
+    assert np.array_equal(runs, want)
+    # D' is the one top_pair_counts builds on its own
+    alone = top_pair_counts(text, pattern, params.capacity)
+    for field in ("indptr", "codes", "cols", "values"):
+        assert np.array_equal(getattr(noise, field), getattr(alone, field)), field
+    return runs, noise
+
+
+@pytest.mark.parametrize("block", ["one window", "few windows", "default"])
+@pytest.mark.parametrize("case", [c[0] for c in _grid_cases()])
+def test_grid_route_runs_equal_signed_matches_plus_correction(monkeypatch, case, block):
+    # on the grid route approx takes each execution's estimate as d - R @ A
+    # inside the enumeration; row for row, it equals the FFT signed matches
+    # plus the CSR correction over the same D'. One window per block also
+    # has m > _BLOCK_POSITIONS
+    _, text, pattern, grid = next(c for c in _grid_cases() if c[0] == case)
+    m = len(pattern)
+    positions = {"one window": 1, "few windows": 3 * m + 1}.get(block, noise_profile._BLOCK_POSITIONS)
+    runs, noise = _check_grid_case(monkeypatch, text, pattern, grid, positions)
+    nw = noise.n_windows
+    dicts = [alignment_dict_brute(text, pattern, j) for j in range(nw)]
+    if case == "ties":
+        # some window's capacity-th and next largest counts are equal
+        ranked = [sorted(d.values(), reverse=True) + [0] for d in dicts]
+        cap = noise.capacity
+        assert any(len(r) > cap and r[cap - 1] == r[cap] > 0 for r in ranked)
+    if case == "d = 0":
+        assert sum(not d for d in dicts) == 4
+        assert not runs[:, [not d for d in dicts]].any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_grid_route_runs_property(data):
+    sigma = data.draw(st.integers(1, 6), label="sigma")
+    m = data.draw(st.integers(max(1, sigma * sigma - 2), 40), label="m")
+    n = data.draw(st.integers(m, 90), label="n")
+    positions = data.draw(st.sampled_from([1, m, 2 * m + 1, 1 << 16]), label="positions")
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 30), label="seed"))
+    text = IntString(rng.integers(0, sigma, size=n), sigma)
+    pattern = IntString(rng.integers(0, sigma, size=m), sigma)
+    occurring = (occurring_symbols(s)[0].size for s in (text, pattern))
+    with pytest.MonkeyPatch.context() as mp:
+        _check_grid_case(mp, text, pattern, pair_grid_pays(*occurring, m), positions)
+
+
 def test_share_dprime_reuses_one_recovery(monkeypatch):
-    # count the D' builds, with a spy on the name approx_profile looks up
+    # count the pair-count enumerations, with a spy on the name
+    # approx_profile looks up
     calls = []
-    build = approx.top_pair_counts
+    build = approx._dprime_and_residual
 
     def spy(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(approx, "top_pair_counts", spy)
+    monkeypatch.setattr(approx, "_dprime_and_residual", spy)
     # sigma=8 takes the sort route for the pair counts, sigma=4 the grid
     # route (sigma_t' * sigma_p' <= m)
     for sigma, grid in ((8, False), (4, True)):
@@ -387,17 +510,20 @@ _VARIANCE_SHAPES = {
 
 def _approx_runs(text, pattern, params):
     """(every execution's estimates, the shared D') of one approx_profile
-    call, read by a spy on the execution_estimates it looks up."""
+    call, read by a spy on the _execution_runs it looks up, which takes the
+    grid route or the sort route."""
     runs = []
 
     def spy(*args, **kwargs):
-        runs.append(execution_estimates(*args, **kwargs))
+        runs.append(execution_runs(*args, **kwargs))
         return runs[-1]
 
+    execution_runs = approx._execution_runs
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(approx, "execution_estimates", spy)
+        mp.setattr(approx, "_execution_runs", spy)
         _, noise = approx_profile(text, pattern, params, return_noise=True)
-    (estimates,) = runs
+    ((estimates, shared),) = runs
+    assert shared is noise
     return estimates, noise
 
 

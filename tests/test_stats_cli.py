@@ -327,6 +327,7 @@ def test_mismatched_inputs_exit_two(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 3
+    assert out.count("ok ") == 4
     assert "ok D' == top-capacity of naive pair counts, sort and grid routes" in out
+    assert "ok approx grid-route executions == FFT signed matches + D' correction" in out
     assert "FAIL" not in out
